@@ -131,6 +131,21 @@ var goldenFixtures = []goldenFixture{
 	{name: "c880", build: instanceFixture("c880", 20, bench.PipelineOptions{})},
 	{name: "c432-global8x", build: instanceFixture("c432", 20, bench.PipelineOptions{WireLengthScale: 8})},
 	{name: "grid12x10", build: gridFixture},
+	{name: "c432-damp03", build: dampedFixture(instanceFixture("c432", 30, bench.PipelineOptions{}), 0.3)},
+	{name: "c880-damp1", build: dampedFixture(instanceFixture("c880", 20, bench.PipelineOptions{}), 1)},
+}
+
+// dampedFixture runs a fixture at a non-default LRSDamping ω: 0.3 pins
+// the damped log-space resize away from the default 0.7, and 1 pins the
+// pure xᵢ ← optᵢ branch, so the resize's floor skip is held bit-exact on
+// both of its margins.
+func dampedFixture(build func(*testing.T) (*rc.Evaluator, core.Options), w float64) func(*testing.T) (*rc.Evaluator, core.Options) {
+	return func(t *testing.T) (*rc.Evaluator, core.Options) {
+		t.Helper()
+		ev, opt := build(t)
+		opt.LRSDamping = w
+		return ev, opt
+	}
 }
 
 func solveGolden(t *testing.T, fx goldenFixture, workers int) *core.Result {
