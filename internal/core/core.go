@@ -366,6 +366,10 @@ type Solver struct {
 
 	// Dual magnitude scales (1 when AutoScale is off).
 	lamScale, betaScale, gammaScale float64
+
+	// floorTau is τ = floorSkipTau(LRSDamping), the margin of resizeStep's
+	// floor skip.
+	floorTau float64
 }
 
 // NewSolver validates the options against the evaluator's circuit and
@@ -390,6 +394,7 @@ func NewSolver(ev *rc.Evaluator, opt Options) (*Solver, error) {
 		pBound:      math.NaN(),
 		shardMax:    make([]float64, workers),
 		normScratch: make([]float64, g.NumNodes()),
+		floorTau:    floorSkipTau(opt.LRSDamping),
 	}
 	for i := 0; i < g.NumNodes(); i++ {
 		if c := g.Comp(i); c.Kind.Sizable() {
@@ -828,23 +833,57 @@ func (s *Solver) resizeNode(beta, gamma float64, i int) (rel float64, moved bool
 	default:
 		opt = math.Sqrt(num / den)
 	}
-	// Damped update in log space; same fixed point as the pure
-	// xᵢ ← optᵢ assignment, but immune to Jacobi oscillation.
-	x := ev.X[i]
-	if w := s.opt.LRSDamping; w == 1 {
-		x = opt
-	} else {
-		x = math.Exp((1-w)*math.Log(x) + w*math.Log(math.Max(opt, 1e-300)))
-	}
-	if x < c.Lo {
-		x = c.Lo
-	} else if x > c.Hi {
-		x = c.Hi
+	x := resizeStep(ev.X[i], opt, c.Lo, c.Hi, s.opt.LRSDamping, s.floorTau)
+	if x == ev.X[i] {
+		return 0, false
 	}
 	rel = math.Abs(x-ev.X[i]) / math.Max(ev.X[i], 1e-12)
-	moved = x != ev.X[i]
 	ev.X[i] = x
-	return rel, moved
+	return rel, true
+}
+
+// resizeStep moves a size x toward Theorem 5's optᵢ: the damped update
+// x^(1−ω)·optᵢ^ω in log space (optᵢ itself at ω = 1), clamped to [lo, hi].
+// The damping keeps the pure xᵢ ← optᵢ fixed point but is immune to Jacobi
+// oscillation. tau must be floorSkipTau(ω).
+//
+// A size pinned at its floor whose optimum lies below it stays there
+// without the two logs and the exp: most of an area optimum's gates and
+// wires sit at minimum size, so this is the common case. The skip is
+// bit-exact, not approximate. With o = max(optᵢ, 1e-300) (the optimum the
+// update reads) below lo·τ, the exact update lo·(o/lo)^ω is below
+// lo·τ^ω = lo·(1−10⁻⁹), while the rounding error of the formula is about
+// 10⁻¹² relative, so the formula lands below lo too and the clamp returns
+// lo. A plain o < lo test is not exact: an optimum a few ulps under the
+// floor gives an update within rounding of lo, which can land just above.
+func resizeStep(x, opt, lo, hi, w, tau float64) float64 {
+	switch {
+	case x == lo && max(opt, 1e-300) < lo*tau:
+		return lo
+	case w == 1:
+		x = opt
+	default:
+		x = math.Exp((1-w)*math.Log(x) + w*math.Log(math.Max(opt, 1e-300)))
+	}
+	if x < lo {
+		x = lo
+	} else if x > hi {
+		x = hi
+	}
+	return x
+}
+
+// floorSkipTau returns τ = (1−10⁻⁹)^(1/ω), the threshold below which
+// resizeStep's floor skip is exact at damping ω: an optimum under lo·τ
+// moves the exact update at least 10⁻⁹ relative below the floor, three
+// orders of magnitude past the formula's rounding error. At ω = 1 the
+// update is the optimum itself and τ = 1. For tiny ω, τ underflows to 0
+// and the skip never fires.
+func floorSkipTau(w float64) float64 {
+	if w == 1 {
+		return 1
+	}
+	return math.Pow(1-1e-9, 1/w)
 }
 
 func nbr(ev *rc.Evaluator, i int) float64 {
