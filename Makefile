@@ -20,7 +20,7 @@ COVER_MIN ?= 90.0
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all build test race bench bench-json bench-compare lint staticcheck govulncheck cover fuzz golden serve service-smoke farm-smoke store-smoke chaos-smoke variation-smoke linkcheck
+.PHONY: all build test race bench bench-json bench-compare bench-harness lint staticcheck govulncheck cover fuzz golden serve service-smoke farm-smoke store-smoke chaos-smoke variation-smoke linkcheck
 
 all: lint build test
 
@@ -41,12 +41,13 @@ bench:
 # lockstep, and process-variation benchmark families and write a JSON
 # snapshot (ns/op, allocs/op, work metrics). CI runs this at the default
 # BENCHTIME and uploads the artifact; the default matches how the
-# committed BENCH_PR10.json was generated, because allocs/op amortizes
+# committed BENCH_PR13.json was generated, because allocs/op amortizes
 # one-time lazy setup over the iteration count — comparing snapshots
 # taken at different BENCHTIMEs trips the allocation gate on
-# amortization, not regressions. (BENCH_PR3.json, BENCH_PR4.json, and
-# BENCH_PR9.json are frozen baselines — do not regenerate them.)
-BENCH_JSON ?= BENCH_PR10.json
+# amortization, not regressions. (BENCH_PR3.json, BENCH_PR4.json,
+# BENCH_PR9.json, and BENCH_PR10.json are frozen baselines — do not
+# regenerate them.)
+BENCH_JSON ?= BENCH_PR13.json
 BENCHTIME ?= 3x
 # Two steps, not a pipe: a pipe would take benchjson's exit status and
 # mask a benchmark failure that had already emitted some result lines.
@@ -60,10 +61,20 @@ bench-json:
 # default bench-ci.json from `make bench-json BENCH_JSON=bench-ci.json`)
 # against the committed baseline. Allocation growth fails hard; ns/op
 # drift only warns (CI runners are too noisy for wall-clock gates).
-BENCH_BASELINE ?= BENCH_PR10.json
+BENCH_BASELINE ?= BENCH_PR13.json
 BENCH_CURRENT ?= bench-ci.json
 bench-compare:
 	$(GO) run ./cmd/benchjson -compare $(BENCH_BASELINE) -against $(BENCH_CURRENT)
+
+# The end-to-end benchmark harness (benchmark/, see benchmark/README.md)
+# is its own Go module, so the root build, vet, and tests do not reach
+# it. Vet it and run its tests, which include a tiny run of every
+# workload checked against benchmark/testdata/reference.json: a library
+# API change, or a numerical change made without `write-reference`,
+# fails here instead of in the benchmark run.
+bench-harness:
+	$(GO) -C benchmark vet ./...
+	$(GO) -C benchmark test ./...
 
 # Statement-coverage gate over the evaluator, solver, sweep, service,
 # farm, persistence, fault-injection, and process-variation packages.

@@ -136,9 +136,8 @@ var goldenFixtures = []goldenFixture{
 }
 
 // dampedFixture runs a fixture at a non-default LRSDamping ω: 0.3 pins
-// the damped log-space resize away from the default 0.7, and 1 pins the
-// pure xᵢ ← optᵢ branch, so the resize's floor skip is held bit-exact on
-// both of its margins.
+// the damped log-space resize and its floor skip away from the default
+// 0.7, and 1 pins the pure xᵢ ← optᵢ branch, which takes no skip.
 func dampedFixture(build func(*testing.T) (*rc.Evaluator, core.Options), w float64) func(*testing.T) (*rc.Evaluator, core.Options) {
 	return func(t *testing.T) (*rc.Evaluator, core.Options) {
 		t.Helper()

@@ -48,7 +48,11 @@ type Options struct {
 	// LRSDamping blends each resize in log space:
 	// x ← x^(1−ω)·optᵢ^ω with ω = LRSDamping ∈ (0,1]. ω = 1 is the
 	// paper's pure update, which can oscillate under the Jacobi sweep;
-	// any ω keeps the same fixed point (Theorem 5's optᵢ).
+	// any ω keeps the same fixed point (Theorem 5's optᵢ). A size at its
+	// lower bound Lᵢ whose optimum is below Lᵢ·(1−10⁻⁹)^(1/ω) is left
+	// there without evaluating the blend; the result is bit-identical,
+	// because the blend is then at least 10⁻⁹ relative below Lᵢ and the
+	// clamp returns Lᵢ anyway (see the package documentation).
 	LRSDamping float64
 	// WarmStart keeps the previous iteration's sizes as the LRS starting
 	// point instead of the paper's S1 reset to the lower bounds. The
@@ -367,8 +371,8 @@ type Solver struct {
 	// Dual magnitude scales (1 when AutoScale is off).
 	lamScale, betaScale, gammaScale float64
 
-	// floorTau is τ = floorSkipTau(LRSDamping), the margin of resizeStep's
-	// floor skip.
+	// floorTau is τ = floorSkipTau(LRSDamping), the margin of the
+	// resize's floor skip (see floorPinned).
 	floorTau float64
 }
 
@@ -833,56 +837,43 @@ func (s *Solver) resizeNode(beta, gamma float64, i int) (rel float64, moved bool
 	default:
 		opt = math.Sqrt(num / den)
 	}
-	x := resizeStep(ev.X[i], opt, c.Lo, c.Hi, s.opt.LRSDamping, s.floorTau)
-	if x == ev.X[i] {
-		return 0, false
-	}
-	rel = math.Abs(x-ev.X[i]) / math.Max(ev.X[i], 1e-12)
-	ev.X[i] = x
-	return rel, true
-}
-
-// resizeStep moves a size x toward Theorem 5's optᵢ: the damped update
-// x^(1−ω)·optᵢ^ω in log space (optᵢ itself at ω = 1), clamped to [lo, hi].
-// The damping keeps the pure xᵢ ← optᵢ fixed point but is immune to Jacobi
-// oscillation. tau must be floorSkipTau(ω).
-//
-// A size pinned at its floor whose optimum lies below it stays there
-// without the two logs and the exp: most of an area optimum's gates and
-// wires sit at minimum size, so this is the common case. The skip is
-// bit-exact, not approximate. With o = max(optᵢ, 1e-300) (the optimum the
-// update reads) below lo·τ, the exact update lo·(o/lo)^ω is below
-// lo·τ^ω = lo·(1−10⁻⁹), while the rounding error of the formula is about
-// 10⁻¹² relative, so the formula lands below lo too and the clamp returns
-// lo. A plain o < lo test is not exact: an optimum a few ulps under the
-// floor gives an update within rounding of lo, which can land just above.
-func resizeStep(x, opt, lo, hi, w, tau float64) float64 {
-	switch {
-	case x == lo && max(opt, 1e-300) < lo*tau:
-		return lo
+	// Damped update in log space; same fixed point as the pure
+	// xᵢ ← optᵢ assignment, but immune to Jacobi oscillation.
+	x := ev.X[i]
+	switch w := s.opt.LRSDamping; {
 	case w == 1:
 		x = opt
+	case floorPinned(x, opt, c.Lo, s.floorTau):
+		return 0, false
 	default:
 		x = math.Exp((1-w)*math.Log(x) + w*math.Log(math.Max(opt, 1e-300)))
 	}
-	if x < lo {
-		x = lo
-	} else if x > hi {
-		x = hi
+	if x < c.Lo {
+		x = c.Lo
+	} else if x > c.Hi {
+		x = c.Hi
 	}
-	return x
+	rel = math.Abs(x-ev.X[i]) / math.Max(ev.X[i], 1e-12)
+	moved = x != ev.X[i]
+	ev.X[i] = x
+	return rel, moved
 }
 
-// floorSkipTau returns τ = (1−10⁻⁹)^(1/ω), the threshold below which
-// resizeStep's floor skip is exact at damping ω: an optimum under lo·τ
-// moves the exact update at least 10⁻⁹ relative below the floor, three
-// orders of magnitude past the formula's rounding error. At ω = 1 the
-// update is the optimum itself and τ = 1. For tiny ω, τ underflows to 0
-// and the skip never fires.
+// floorPinned reports whether the damped update of a size x with floor lo
+// toward the optimum opt is sure to clamp back to lo, so resizeNode can
+// skip its two logs and exp: x sits at lo and the optimum the update reads,
+// max(opt, 1e-300), is below lo·τ, τ = floorSkipTau(ω). Most of an area
+// optimum's gates and wires sit at minimum size, so this is the common
+// case. The skip is bit-exact, not approximate (see "The floor skip" in
+// the package documentation for the margin argument).
+func floorPinned(x, opt, lo, tau float64) bool {
+	return x == lo && max(opt, 1e-300) < lo*tau
+}
+
+// floorSkipTau returns τ = (1−10⁻⁹)^(1/ω), the margin of the floor skip at
+// damping ω < 1. For ω below about 1.3·10⁻¹², τ underflows to 0 and the
+// skip never fires.
 func floorSkipTau(w float64) float64 {
-	if w == 1 {
-		return 1
-	}
 	return math.Pow(1-1e-9, 1/w)
 }
 

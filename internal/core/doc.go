@@ -36,6 +36,26 @@
 // scheduling decision for densely coupled circuits, again changing no
 // bits (HysteresisTrips/RevertedSweeps expose the accounting).
 //
+// # The floor skip
+//
+// The resize runs on every sizable node in every LRS sweep, and an area
+// optimum leaves most non-critical gates and wires at their lower bound
+// Lᵢ with optᵢ below it. Such a node stays at Lᵢ without the damped
+// update's two logs and exp when optᵢ < Lᵢ·τ, τ = (1−10⁻⁹)^(1/ω) computed
+// once per Solver. (At ω = 1 the update is optᵢ itself, with no logs to
+// save, so the skip is not consulted.) The skip is bit-exact. The exact update Lᵢ·(optᵢ/Lᵢ)^ω is then below
+// Lᵢ·τ^ω = Lᵢ·(1−10⁻⁹), and the formula's rounding error, about 10⁻¹²
+// relative for any representable Lᵢ and the 10⁻³⁰⁰ floor on optᵢ, cannot
+// carry it up to Lᵢ: the clamp returns Lᵢ, exactly what the skip returns.
+// (The skip compares max(optᵢ, 10⁻³⁰⁰), the optimum the formula reads,
+// so floors below 10⁻³⁰⁰ stay exact too.) The margin is needed: with a
+// plain optᵢ < Lᵢ test, an optimum a few ulps under Lᵢ gives an update
+// within rounding of Lᵢ, and the formula can land just above it. A
+// bitwise table test against the unskipped formula pins both facts. The
+// skip is only a predicate, floorPinned, checked inline in resizeNode:
+// the update itself stays in resizeNode, so a resize the skip does not
+// take costs no more than before it.
+//
 // # Warm starts
 //
 // RunFrom seeds the sizes through rc.SetSizes, so a near-solution seed (a

@@ -7,7 +7,8 @@ import (
 )
 
 // referenceStep is the resize's post-optᵢ update without the floor skip:
-// the formula resizeStep must reproduce bit for bit.
+// wherever floorPinned lets resizeNode skip it, it must return lo bit for
+// bit.
 func referenceStep(x, opt, lo, hi, w float64) float64 {
 	if w == 1 {
 		x = opt
@@ -27,8 +28,9 @@ func ulpsBelow(v float64, k uint64) float64 {
 	return math.Float64frombits(math.Float64bits(v) - k)
 }
 
-// TestResizeStepFloorSkipIsExact pins the floor skip bitwise against the
-// unskipped formula on floor-pinned sizes (x = lo) whose optimum lies in
+// TestFloorSkipIsExact pins the floor skip bitwise against the unskipped
+// formula: wherever floorPinned skips the update, the formula must return
+// the floor exactly. The sizes are floor-pinned (x = lo), with optima in
 // five bands under the floor, from a few ulps below the skip threshold
 // lo·τ down to the 1e-300 floor on optᵢ, at damping values spanning the
 // valid range. The floors are log-uniform on [1e-3, 1e3], plus a few
@@ -36,10 +38,10 @@ func ulpsBelow(v float64, k uint64) float64 {
 // requires the table to hold optima below lo that the formula does not
 // return to lo: they are why the skip needs the τ margin, and they fail a
 // skip that tests optᵢ < lo instead.
-func TestResizeStepFloorSkipIsExact(t *testing.T) {
+func TestFloorSkipIsExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	const floors, tinyFloors, perBand = 200, 20, 32
-	var cases, skipRegion, naiveWrong int
+	var cases, skipped, naiveWrong int
 	for _, w := range []float64{1e-12, 1e-6, 1e-3, 0.05, 0.3, 0.5, 0.7, 0.9, 0.999, 1} {
 		tau := floorSkipTau(w)
 		for f := 0; f < floors+tinyFloors; f++ {
@@ -64,40 +66,24 @@ func TestResizeStepFloorSkipIsExact(t *testing.T) {
 			opts = append(opts, 0)
 			for _, opt := range opts {
 				want := referenceStep(lo, opt, lo, hi, w)
-				if got := resizeStep(lo, opt, lo, hi, w, tau); math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("ω=%g lo=%v opt=%v: resizeStep %v, formula %v", w, lo, opt, got, want)
+				if floorPinned(lo, opt, lo, tau) {
+					if math.Float64bits(want) != math.Float64bits(lo) {
+						t.Fatalf("ω=%g lo=%v opt=%v: skipped, but the formula gives %v", w, lo, opt, want)
+					}
+					skipped++
 				}
 				cases++
-				if opt < lo*tau {
-					skipRegion++
-				}
 				if opt < lo && want != lo {
 					naiveWrong++
 				}
 			}
 		}
 	}
-	t.Logf("%d cases, %d below lo·τ, %d below lo that the formula leaves above lo", cases, skipRegion, naiveWrong)
-	if skipRegion < cases/2 {
-		t.Errorf("only %d of %d cases fall in the skip region", skipRegion, cases)
+	t.Logf("%d cases, %d skipped, %d below lo that the formula leaves above lo", cases, skipped, naiveWrong)
+	if skipped < cases/2 {
+		t.Errorf("only %d of %d cases are skipped", skipped, cases)
 	}
 	if naiveWrong == 0 {
 		t.Error("no case has an optimum below lo that the formula leaves above lo; the table no longer shows why the skip needs its margin")
-	}
-}
-
-// TestFloorSkipTau pins τ's two ends: exactly 1 for the pure update, and
-// 0 (the skip never fires) where (1−10⁻⁹)^(1/ω) underflows.
-func TestFloorSkipTau(t *testing.T) {
-	if tau := floorSkipTau(1); tau != 1 {
-		t.Errorf("τ(1) = %v, want 1", tau)
-	}
-	if tau := floorSkipTau(1e-12); tau != 0 {
-		t.Errorf("τ(1e-12) = %v, want 0", tau)
-	}
-	for _, w := range []float64{1e-6, 0.3, 0.7, 0.999} {
-		if tau := floorSkipTau(w); !(tau > 0 && tau < 1) || math.Abs(math.Pow(tau, w)-(1-1e-9)) > 1e-15 {
-			t.Errorf("τ(%g) = %v: τ^ω = %v, want 1−1e-9", w, tau, math.Pow(tau, w))
-		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/farm/api"
 	"repro/internal/netlist"
+	"repro/internal/store"
 )
 
 // Store key layout. Circuits persist as their farm wire-form spec (the
@@ -146,6 +148,8 @@ func buildForSpec(spec api.CircuitSpec) (string, func() (*bench.Instance, *bench
 // streak; in degraded mode everything but the periodic recovery probe is
 // skipped. Persistence failing never fails the request — the solve
 // already has its bytes — so the outcome surfaces only in the counters.
+// A value JSON cannot encode counts as a store error but never feeds the
+// gate: nothing reached the disk, so it says nothing about the disk.
 func (s *Server) storePut(key string, v any) {
 	if s.opt.Store == nil {
 		return
@@ -155,7 +159,9 @@ func (s *Server) storePut(key string, v any) {
 	}
 	if err := s.opt.Store.Put(key, v); err != nil {
 		s.stats.addStoreError()
-		s.gate.failure(s.opt.Now())
+		if !errors.Is(err, store.ErrUnencodable) {
+			s.gate.failure(s.opt.Now())
+		}
 		return
 	}
 	s.gate.success()

@@ -2,6 +2,8 @@ package service
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -278,5 +280,75 @@ func TestLocalSolveCancelledMidFlight(t *testing.T) {
 	}
 	if st := statsOf(t, s); st.Solves != 0 {
 		t.Fatalf("cancelled solve was counted as completed (%d)", st.Solves)
+	}
+}
+
+// TestUnencodableResultAnswers422 pins the response path for a result
+// JSON cannot carry. c432 under a delay bound a hundred times tighter than
+// the derived one drives coupled wires into contact, and their exact
+// coupling term is +Inf. Such a solve must answer 422 with a JSON error
+// body, not 200 with an empty one, and must leave no trace: its save_as is
+// not kept, nothing is persisted, it is not counted as a solve, and the
+// store is not pushed toward degraded mode. After three such solves the
+// store is still rw and the next client's save_as solve is persisted.
+func TestUnencodableResultAnswers422(t *testing.T) {
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	s := New(Options{Store: st, StoreFailureThreshold: 3})
+	c432 := decodeAs[registerResponse](t, do(t, s, "POST", "/circuits", `{"synthetic":"c432"}`))
+	records := st.Len()
+	tight := fmt.Sprintf(`{"key":%q,"a0":%g,"max_iterations":2,"no_dedup":true,"save_as":"tight"}`, c432.Key, 0.01*c432.Bounds.A0)
+	for i := 0; i < 3; i++ {
+		w := do(t, s, "POST", "/solve", tight)
+		if w.Code != http.StatusUnprocessableEntity {
+			t.Fatalf("solve at 0.01×A0: %d %q, want 422", w.Code, w.Body.String())
+		}
+		if e := decodeAs[errorResponse](t, w); !strings.Contains(e.Error, "unsupported value") {
+			t.Fatalf("422 body %q does not name the encoding failure", e.Error)
+		}
+	}
+	if w := do(t, s, "GET", "/results?key="+c432.Key+"&name=tight", ""); w.Code != http.StatusNotFound {
+		t.Fatalf("the 422 solves' save_as was kept: GET /results %d", w.Code)
+	}
+	if st.Len() != records {
+		t.Fatalf("the 422 solves persisted %d records", st.Len()-records)
+	}
+	if got := statsOf(t, s); got.Solves != 0 || got.StoreMode != "rw" || got.StoreDegrades != 0 || got.StoreErrors != 0 || got.StoreWritesSkipped != 0 {
+		t.Fatalf("the 422 solves left a trace: solves %d, store mode %q degrades %d errors %d skipped %d",
+			got.Solves, got.StoreMode, got.StoreDegrades, got.StoreErrors, got.StoreWritesSkipped)
+	}
+
+	key := registerC17(t, s, 17).Key
+	solveRaw(t, s, fmt.Sprintf(`{"key":%q,"max_iterations":3,"save_as":"after"}`, key))
+	var saved storedResult
+	if ok, err := st.Get(resultPrefix+key+"/after", &saved); err != nil || !ok || saved.Result == nil {
+		t.Fatalf("save_as after the unencodable solves was not persisted (found %v, err %v)", ok, err)
+	}
+}
+
+// TestUnencodablePutIsNotADiskFailure pins storePut's split: a value JSON
+// cannot encode counts as a store error, but it never reached the disk, so
+// a threshold's worth of them leaves the store rw, and the next put lands.
+func TestUnencodablePutIsNotADiskFailure(t *testing.T) {
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	s := New(Options{Store: st, StoreFailureThreshold: 3})
+	for i := 0; i < 3; i++ {
+		s.storePut("bad", math.Inf(1))
+	}
+	s.storePut("good", 1)
+	if got := statsOf(t, s); got.StoreErrors != 3 || got.StoreMode != "rw" || got.StoreDegrades != 0 || got.StoreWritesSkipped != 0 {
+		t.Fatalf("store errors %d, mode %q, degrades %d, skipped %d; want 3, rw, 0, 0",
+			got.StoreErrors, got.StoreMode, got.StoreDegrades, got.StoreWritesSkipped)
+	}
+	var v int
+	if ok, err := st.Get("good", &v); err != nil || !ok {
+		t.Fatalf("the put after the unencodable ones was not stored (found %v, err %v)", ok, err)
 	}
 }

@@ -180,12 +180,49 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// marshalBody encodes a response body one JSON element per line, without
+// indentation: about 60% of the bytes of a tab-indented body, and still
+// line-oriented, with the "key": value spacing line-matching clients read.
+func marshalBody(v any) ([]byte, error) {
+	data, err := json.MarshalIndent(v, "", "")
+	if err != nil {
+		return nil, fmt.Errorf("encode response: %w", err)
+	}
+	return append(data, '\n'), nil
+}
+
+func writeBody(w http.ResponseWriter, code int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "\t")
-	enc.Encode(v) //nolint:errcheck // the connection is gone, nothing to do
+	w.Write(body) //nolint:errcheck // the connection is gone, nothing to do
+}
+
+// writeJSON writes v with status code. The body is encoded before the
+// status goes out, so a value JSON cannot represent answers 422 with an
+// error body, not the requested status with an empty one.
+func writeJSON(w http.ResponseWriter, code int, v any) {
+	body, err := marshalBody(v)
+	if err != nil {
+		writeError(w, http.StatusUnprocessableEntity, "%v", err)
+		return
+	}
+	writeBody(w, code, body)
+}
+
+// encodeOr422 encodes a finished run's response before the handler commits
+// the run: saves it, persists it, counts it, or reports it done on the
+// watch log. A result JSON cannot represent (the +Inf coupling term of
+// wires a far too tight delay bound pushed into contact) instead answers
+// 422, logs an error event, and reports false, so a result its client
+// never received leaves no trace.
+func (s *Server) encodeOr422(w http.ResponseWriter, wlog *delta.Log, solveID int64, v any) ([]byte, bool) {
+	body, err := marshalBody(v)
+	if err != nil {
+		s.emit(wlog, progressEvent{Kind: "error", Solve: solveID, Error: err.Error()})
+		writeError(w, http.StatusUnprocessableEntity, "%v", err)
+		return nil, false
+	}
+	return body, true
 }
 
 func writeError(w http.ResponseWriter, code int, format string, args ...any) {
@@ -621,6 +658,18 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusUnprocessableEntity, "solve: %v", err)
 			return
 		}
+		body, ok := s.encodeOr422(w, wlog, solveID, solveResponse{
+			Key:      e.key,
+			Circuit:  e.name,
+			WarmFrom: req.WarmFrom,
+			SavedAs:  req.SaveAs,
+			Workers:  fr.Workers,
+			SolveSec: fr.SolveSec,
+			Result:   fr.Result,
+		})
+		if !ok {
+			return
+		}
 		if req.SaveAs != "" {
 			saved := &savedResult{Result: fr.Result, Dual: fr.Dual}
 			e.saveResult(req.SaveAs, saved, s.opt.MaxSavedResults)
@@ -633,15 +682,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 			Gap: fr.Result.Gap, Area: fr.Result.Area, SolveSec: fr.SolveSec,
 		})
 		s.stats.addSolve(fr.SolveSec, fr.Eval, fr.HysteresisTrips, fr.RevertedSweeps)
-		writeJSON(w, http.StatusOK, solveResponse{
-			Key:      e.key,
-			Circuit:  e.name,
-			WarmFrom: req.WarmFrom,
-			SavedAs:  req.SaveAs,
-			Workers:  fr.Workers,
-			SolveSec: fr.SolveSec,
-			Result:   fr.Result,
-		})
+		writeBody(w, http.StatusOK, body)
 		return
 	}
 
@@ -679,6 +720,18 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sec := time.Since(start).Seconds()
+	body, ok := s.encodeOr422(w, wlog, solveID, solveResponse{
+		Key:      e.key,
+		Circuit:  e.name,
+		WarmFrom: req.WarmFrom,
+		SavedAs:  req.SaveAs,
+		Workers:  sol.Workers(),
+		SolveSec: sec,
+		Result:   res,
+	})
+	if !ok {
+		return
+	}
 	finalDual := sol.DualState()
 	if req.SaveAs != "" {
 		saved := &savedResult{Result: res, Dual: finalDual}
@@ -692,15 +745,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		Gap: res.Gap, Area: res.Area, SolveSec: sec,
 	})
 	s.stats.addSolve(sec, replica.Stats(), sol.HysteresisTrips(), sol.RevertedSweeps())
-	writeJSON(w, http.StatusOK, solveResponse{
-		Key:      e.key,
-		Circuit:  e.name,
-		WarmFrom: req.WarmFrom,
-		SavedAs:  req.SaveAs,
-		Workers:  sol.Workers(),
-		SolveSec: sec,
-		Result:   res,
-	})
+	writeBody(w, http.StatusOK, body)
 }
 
 // resultResponse is the GET /results payload: a saved result with both

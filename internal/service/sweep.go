@@ -180,9 +180,13 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		sec := time.Since(start).Seconds()
+		body, ok := s.encodeOr422(w, wlog, solveID, sweepResponse{Key: e.key, Circuit: e.name, SolveSec: sec, Result: res})
+		if !ok {
+			return
+		}
 		s.emit(wlog, progressEvent{Kind: "sweep_done", Solve: solveID, Iterations: len(res.Cells), SolveSec: sec})
 		s.stats.addSweep(sec, len(res.Cells), gridLRSSweeps(res), opt.Lockstep)
-		writeJSON(w, http.StatusOK, sweepResponse{Key: e.key, Circuit: e.name, SolveSec: sec, Result: res})
+		writeBody(w, http.StatusOK, body)
 		return
 	}
 

@@ -299,15 +299,19 @@ func (s *Server) handleMonteCarlo(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sec := time.Since(start).Seconds()
+	body, ok := s.encodeOr422(w, wlog, solveID, montecarloResponse{
+		Key: e.key, Circuit: e.name, SolveSec: sec, Result: res,
+	})
+	if !ok {
+		return
+	}
 	s.storePut(mcPrefix+mk, storedMC{CircuitKey: e.key, Circuit: e.name, Result: res})
 	s.emit(wlog, progressEvent{
 		Kind: "mc_done", Solve: solveID,
 		Iterations: len(res.Samples), Yield: res.Yield, SolveSec: sec,
 	})
 	s.stats.addMonteCarlo(sec, len(res.Samples))
-	writeJSON(w, http.StatusOK, montecarloResponse{
-		Key: e.key, Circuit: e.name, SolveSec: sec, Result: res,
-	})
+	writeBody(w, http.StatusOK, body)
 }
 
 // lookupMC returns the stored Monte-Carlo run for key, or nil.
@@ -458,6 +462,16 @@ func (s *Server) handleCorners(w http.ResponseWriter, r *http.Request, req *swee
 		return
 	}
 	sec := time.Since(start).Seconds()
+	var body []byte
+	if nw == nil {
+		var ok bool
+		body, ok = s.encodeOr422(w, wlog, solveID, cornersResponse{
+			Key: e.key, Circuit: e.name, SolveSec: sec, Report: rep,
+		})
+		if !ok {
+			return
+		}
+	}
 	s.storePut(cornersPrefix+ck, storedCorners{CircuitKey: e.key, Circuit: e.name, Report: rep})
 	s.emit(wlog, progressEvent{
 		Kind: "corners_done", Solve: solveID,
@@ -471,7 +485,5 @@ func (s *Server) handleCorners(w http.ResponseWriter, r *http.Request, req *swee
 		})
 		return
 	}
-	writeJSON(w, http.StatusOK, cornersResponse{
-		Key: e.key, Circuit: e.name, SolveSec: sec, Report: rep,
-	})
+	writeBody(w, http.StatusOK, body)
 }

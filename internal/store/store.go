@@ -31,6 +31,7 @@ package store
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -205,16 +206,22 @@ func (s *Store) putMem(key string, value json.RawMessage) {
 	s.values[key] = append(json.RawMessage(nil), value...)
 }
 
+// ErrUnencodable marks a Put whose value JSON cannot represent (a NaN or
+// ±Inf float, say). Nothing was written: the value is at fault, not the
+// disk.
+var ErrUnencodable = errors.New("value is not JSON-encodable")
+
 // Put durably stores value (marshalled to JSON) under key, overwriting any
 // previous value. The append is fsynced before Put returns (unless
-// Options.NoSync), so an acknowledged Put survives SIGKILL.
+// Options.NoSync), so an acknowledged Put survives SIGKILL. A value JSON
+// cannot encode fails with an error wrapping ErrUnencodable.
 func (s *Store) Put(key string, value any) error {
 	if key == "" {
 		return fmt.Errorf("store: empty key")
 	}
 	data, err := json.Marshal(value)
 	if err != nil {
-		return fmt.Errorf("store: marshal %q: %w", key, err)
+		return fmt.Errorf("store: marshal %q: %w: %w", key, ErrUnencodable, err)
 	}
 	line, err := json.Marshal(record{Key: key, Value: data})
 	if err != nil {

@@ -1,7 +1,9 @@
 package store
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -329,11 +331,14 @@ func TestNoSyncPutsStillReplay(t *testing.T) {
 }
 
 // TestUnmarshalableValueRejected pins that Put fails loudly (and durably
-// writes nothing) for a value JSON cannot represent.
+// writes nothing) for a value JSON cannot represent, with an error that
+// says the value, not the disk, is at fault.
 func TestUnmarshalableValueRejected(t *testing.T) {
 	s := open(t, t.TempDir(), Options{})
-	if err := s.Put("bad", func() {}); err == nil {
-		t.Fatal("Put of a func value succeeded")
+	for _, v := range []any{func() {}, math.Inf(1)} {
+		if err := s.Put("bad", v); !errors.Is(err, ErrUnencodable) {
+			t.Fatalf("Put(%T) = %v, want ErrUnencodable", v, err)
+		}
 	}
 	if s.Len() != 0 {
 		t.Fatalf("failed Put left %d records", s.Len())
