@@ -770,14 +770,15 @@ func BenchmarkLockstepSolve(b *testing.B) {
 }
 
 // BenchmarkMonteCarloSamples times a K=6 seeded Monte-Carlo yield run on
-// the synthetic c432, lockstep batch versus the solo per-sample path —
-// the PR-10 throughput comparison. The two modes produce bit-identical
-// sample sets (the variation oracle pins it), so this is pure scheduling
-// attribution; the samples/s metric is what BENCH_PR10.json tracks.
+// the synthetic c432, the sample fan-out (width-1 solves, GOMAXPROCS at a
+// time) versus the solo path (the same solves one at a time). The two
+// modes produce bit-identical sample sets (the variation oracle pins
+// it), so this is pure scheduling attribution; the samples/s metric is
+// what the BENCH_PR*.json snapshots track.
 func BenchmarkMonteCarloSamples(b *testing.B) {
 	inst := instanceFor(b, "c432")
 	const k = 6
-	for _, mode := range []string{"solo", "lockstep"} {
+	for _, mode := range []string{"solo", "fanout"} {
 		b.Run("c432/"+mode, func(b *testing.B) {
 			opt := variation.MCOptions{
 				Samples:       k,

@@ -44,7 +44,7 @@ func main() {
 	sigmaR := flag.Float64("sigma-r", 0.05, "relative sigma of the wire-resistance perturbation (corners/Monte-Carlo)")
 	sigmaC := flag.Float64("sigma-c", 0.05, "relative sigma of the capacitance perturbation")
 	sigmaVT := flag.Float64("sigma-vt", 0.08, "relative sigma of the threshold (intrinsic-delay) perturbation")
-	workers := flag.Int("workers", 0, "solver goroutines per sample/corner in variation modes (0 = all cores; bit-identical at every width)")
+	workers := flag.Int("workers", 0, "solver goroutines per sample/corner in variation modes (0 = 1; the samples or corners fan out over the cores, GOMAXPROCS ÷ width at a time; bit-identical at every width)")
 	flag.Parse()
 
 	var specs []bench.Spec

@@ -92,8 +92,9 @@ func TestGoldenVariationCorners(t *testing.T) {
 }
 
 // TestGoldenVariationMonteCarlo pins the seed-7 Monte-Carlo run of c432:
-// the snapshot bitwise on goldenArch, plus lockstep-width invariance and
-// lockstep ≡ solo, bitwise everywhere.
+// the snapshot bitwise on goldenArch, plus fan-out ≡ solo at every width
+// (Workers 0 and 1 run width-1 solves GOMAXPROCS at a time, wider solves
+// run fewer at once), bitwise everywhere.
 func TestGoldenVariationMonteCarlo(t *testing.T) {
 	inst, b := variationInstance(t)
 	opt := variation.MCOptions{
@@ -109,17 +110,6 @@ func TestGoldenVariationMonteCarlo(t *testing.T) {
 	}
 	checkGoldenJSON(t, "c432-mc-seed7.json", ref)
 
-	for _, w := range []int{4, 8} {
-		wopt := opt
-		wopt.Workers = w
-		res, err := variation.MonteCarlo(inst, wopt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(ref, res) {
-			t.Errorf("lockstep Workers=%d diverged from Workers=1", w)
-		}
-	}
 	sopt := opt
 	sopt.Solo = true
 	solo, err := variation.MonteCarlo(inst, sopt)
@@ -127,6 +117,17 @@ func TestGoldenVariationMonteCarlo(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(ref, solo) {
-		t.Error("solo Monte-Carlo diverged from lockstep")
+		t.Error("solo Monte-Carlo diverged from the snapshot run")
+	}
+	for _, w := range []int{0, 1, 2, 4} {
+		wopt := opt
+		wopt.Workers = w
+		res, err := variation.MonteCarlo(inst, wopt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(solo, res) {
+			t.Errorf("fan-out Workers=%d diverged from solo", w)
+		}
 	}
 }

@@ -70,22 +70,13 @@ func NewLockstep(g *circuit.Graph, cs *coupling.Set, k, workers int) (*Lockstep,
 	if err != nil {
 		return nil, err
 	}
-	return NewLockstepBatch(b, workers), nil
-}
-
-// NewLockstepBatch builds the lockstep gate over a caller-constructed
-// batch — the hook the Monte-Carlo evaluator uses to lockstep K
-// differently-perturbed replicas (rc.NewScaledBatch). The gate takes
-// ownership of the batch's Runner slot; every replica starts active,
-// exactly as in NewLockstep.
-func NewLockstepBatch(b *rc.Batch, workers int) *Lockstep {
 	l := &Lockstep{b: b, active: b.Len()}
 	l.cond = sync.NewCond(&l.mu)
 	if workers > 1 {
 		l.pool = newPool(workers)
 		b.SetRunner(l.pool.rcRunner())
 	}
-	return l
+	return l, nil
 }
 
 // Len returns the replica count K.

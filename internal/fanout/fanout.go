@@ -1,7 +1,7 @@
 // Package fanout runs embarrassingly parallel index loops — the shared
 // engine behind the repo's batch drivers (core.SolveBatch,
 // bench.RunTable1Parallel, repro.OptimizeBatch, logicsim's similarity
-// matrix). Callers keep their own result slices indexed by i, so output
+// matrix, variation's corner and Monte-Carlo solves). Callers keep their own result slices indexed by i, so output
 // placement is deterministic regardless of scheduling.
 package fanout
 

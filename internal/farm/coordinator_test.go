@@ -514,3 +514,80 @@ func TestLeaseLongPollExpiresOnInjectedClock(t *testing.T) {
 		}
 	}
 }
+
+// TestSweepWaitsForLateCallback: a run's last streamed result closes the
+// run, but its OnCell callback runs after that, outside the coordinator's
+// lock. Sweep must not return while such a callback is still running —
+// a caller that streams cells (the service's NDJSON handler) would
+// otherwise finish its response under a live callback. Both a completed
+// and a cancelled run wait for the callback in flight.
+func TestSweepWaitsForLateCallback(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		cancel bool
+	}{{"complete", false}, {"cancelled", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := testCoordinator(newTestClock())
+			w := register(t, c, "w")
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			// The cell that blocks: the run's last (row 1) when it
+			// completes, its first (row 0) when it is cancelled.
+			blockRow := 1
+			if tc.cancel {
+				blockRow = 0
+			}
+			entered, release := make(chan struct{}), make(chan struct{})
+			releaseOnce := sync.OnceFunc(func() { close(release) })
+			defer releaseOnce()
+			var mu sync.Mutex
+			var seen []int
+			done := startSweep(t, ctx, c, sweep.Options{
+				DelayScale: []float64{1, 1.1}, MaxIterations: 2,
+				OnCell: func(cell *sweep.Cell) {
+					mu.Lock()
+					seen = append(seen, cell.Row)
+					mu.Unlock()
+					if cell.Row == blockRow {
+						close(entered)
+						<-release
+					}
+				},
+			})
+			job, token := lease(t, c, w)
+			lines := []api.ResultLine{cellLine(0, 0)}
+			if !tc.cancel {
+				lines = append(lines, cellLine(1, 0), api.ResultLine{Done: true})
+			}
+			posted := make(chan struct{})
+			go func() {
+				defer close(posted)
+				postResult(c, job.ID, token, lines...)
+			}()
+			<-entered
+			if tc.cancel {
+				cancel()
+			}
+			select {
+			case err := <-done:
+				t.Fatalf("Sweep returned (err %v) while OnCell was still running", err)
+			case <-time.After(250 * time.Millisecond):
+			}
+			releaseOnce()
+			err := <-done
+			<-posted
+			if tc.cancel {
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("cancelled sweep returned %v", err)
+				}
+			} else if err != nil {
+				t.Fatalf("sweep failed: %v", err)
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if want := blockRow + 1; len(seen) != want {
+				t.Fatalf("OnCell saw rows %v, want %d calls", seen, want)
+			}
+		})
+	}
+}

@@ -141,8 +141,8 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 				writeError(w, http.StatusBadRequest, "%v", err)
 				return
 			}
-			if cell != nil && j.run.onCell != nil {
-				j.run.onCell(cell)
+			if cell != nil {
+				j.run.observe(func() { j.run.onCell(cell) })
 			}
 		case line.Solve != nil:
 			if err := c.recordSolve(j, line.Solve); err != nil {
@@ -155,8 +155,8 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 				writeError(w, http.StatusBadRequest, "%v", err)
 				return
 			}
-			if s != nil && j.run.onSample != nil {
-				j.run.onSample(s)
+			if s != nil {
+				j.run.observe(func() { j.run.onSample(s) })
 			}
 		case line.Error != "":
 			// A worker-reported error is deterministic — a re-run would fail

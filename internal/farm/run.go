@@ -3,6 +3,7 @@ package farm
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"repro/internal/bench"
 	"repro/internal/core"
@@ -14,7 +15,7 @@ import (
 // run is one in-flight distributed solve or sweep being assembled by the
 // coordinator. All fields are guarded by the coordinator's mu except done,
 // which is closed exactly once (under mu) when the run completes, fails,
-// or is cancelled.
+// or is cancelled, and callbacks, which counts itself.
 type run struct {
 	id     int64
 	spec   api.CircuitSpec
@@ -22,6 +23,11 @@ type run struct {
 	closed bool  // done has been closed (complete, failed, or cancelled)
 	err    error // terminal error, set before done closes
 	dead   bool  // failed or cancelled: results are refused, jobs dropped
+	// callbacks counts the onCell/onSample calls handed out and not yet
+	// returned. recordCell and recordSample add to it under mu, and only
+	// while the run is open, so once done closes it can only fall; await
+	// waits for it to drain, so a caller never outlives its callbacks.
+	callbacks sync.WaitGroup
 
 	// Sweep assembly state. res is the sweep.Plan skeleton being filled in
 	// row-major order; recorded marks which cells have landed (first write
@@ -109,7 +115,8 @@ func (c *Coordinator) addJobLocked(r *run, seq int, solve *api.SolveJob, sw *api
 	c.enqueueLocked(j)
 }
 
-// await blocks until the run finishes or ctx is cancelled; cancellation
+// await blocks until the run finishes or ctx is cancelled, and then until
+// no onCell/onSample callback of the run is still running; cancellation
 // kills the run so its jobs stop being dispatched and in-flight results
 // are refused.
 func (c *Coordinator) await(ctx context.Context, r *run) error {
@@ -124,6 +131,7 @@ func (c *Coordinator) await(ctx context.Context, r *run) error {
 		}
 		c.mu.Unlock()
 	}
+	r.callbacks.Wait()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	delete(c.runs, r.id)
@@ -284,7 +292,9 @@ func spineSpecs(res *sweep.Result) []api.CellSpec {
 // write wins: a duplicate (an at-least-once re-run after a reap) is
 // bitwise equal by the determinism contract, so it is simply dropped.
 // Returns the cell to hand to the run's OnCell callback (nil for
-// duplicates) — the caller invokes it outside the lock.
+// duplicates, for a closed run, and when the run has no callback), counted
+// into r.callbacks — the caller invokes it outside the lock through
+// observe.
 func (c *Coordinator) recordCell(j *job, cr *api.CellResult) (*sweep.Cell, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -299,8 +309,10 @@ func (c *Coordinator) recordCell(j *job, cr *api.CellResult) (*sweep.Cell, error
 		return nil, fmt.Errorf("farm: cell (%d,%d) of run %d arrived without a result", cr.Row, cr.Col, r.id)
 	}
 	idx := cr.Row*r.res.Cols + cr.Col
-	if r.recorded[idx] {
-		return nil, nil // duplicate from a re-run: bitwise equal, drop
+	if r.closed || r.recorded[idx] {
+		// A duplicate from a re-run is bitwise equal, and a closed run
+		// (finished, failed, or cancelled) takes nothing more: drop.
+		return nil, nil
 	}
 	r.recorded[idx] = true
 	r.remaining--
@@ -319,10 +331,15 @@ func (c *Coordinator) recordCell(j *job, cr *api.CellResult) (*sweep.Cell, error
 			c.addRowJobsLocked(r)
 		}
 	}
+	var observed *sweep.Cell
+	if r.onCell != nil {
+		observed = cell
+		r.callbacks.Add(1)
+	}
 	if r.remaining == 0 {
 		c.completeLocked(r)
 	}
-	return cell, nil
+	return observed, nil
 }
 
 // addRowJobsLocked creates the eastward row-tail jobs once the spine is
@@ -416,7 +433,8 @@ func (c *Coordinator) MonteCarlo(ctx context.Context, spec api.CircuitSpec, job 
 // set. First write wins, exactly as recordCell: a duplicate from an
 // at-least-once re-run is bitwise equal by the determinism contract, so
 // it is dropped. Returns the sample to hand to the run's onSample hook
-// (nil for duplicates) — the caller invokes it outside the lock.
+// (nil for duplicates, for a closed run, and when the run has no hook),
+// counted into r.callbacks exactly as recordCell's cell.
 func (c *Coordinator) recordSample(j *job, sr *api.MCSampleResult) (*variation.Sample, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -431,8 +449,8 @@ func (c *Coordinator) recordSample(j *job, sr *api.MCSampleResult) (*variation.S
 	if sr.Result == nil {
 		return nil, fmt.Errorf("farm: sample %d of run %d arrived without a result", sr.Index, r.id)
 	}
-	if r.mcRecorded[idx] {
-		return nil, nil // duplicate from a re-run: bitwise equal, drop
+	if r.closed || r.mcRecorded[idx] {
+		return nil, nil // a duplicate, or a closed run: drop, as in recordCell
 	}
 	r.mcRecorded[idx] = true
 	r.mcLeft--
@@ -440,10 +458,22 @@ func (c *Coordinator) recordSample(j *job, sr *api.MCSampleResult) (*variation.S
 	if w := c.workers[j.worker]; w != nil {
 		w.samplesSolved++
 	}
+	var observed *variation.Sample
+	if r.onSample != nil {
+		observed = &r.mcSamples[idx]
+		r.callbacks.Add(1)
+	}
 	if r.mcLeft == 0 {
 		c.completeLocked(r)
 	}
-	return &r.mcSamples[idx], nil
+	return observed, nil
+}
+
+// observe runs one callback that recordCell or recordSample counted into
+// r.callbacks, and counts it out however fn returns.
+func (r *run) observe(fn func()) {
+	defer r.callbacks.Done()
+	fn()
 }
 
 // recordSolve lands a solve job's result.

@@ -31,8 +31,10 @@ type WorkerOptions struct {
 	// Name labels the worker in the coordinator's /stats.
 	Name string
 	// SolverWorkers is the per-solve goroutine width; 0 = all cores (a
-	// worker process owns its machine). Results are bit-identical at every
-	// width, so this is purely a throughput knob.
+	// worker process owns its machine). A Monte-Carlo shard instead fans
+	// its samples out over the cores, each solve at width 1 under the
+	// default (see variation.SolveSamples). Results are bit-identical at
+	// every width, so this is purely a throughput knob.
 	SolverWorkers int
 	// CacheSize bounds the worker's local instance cache (default 4):
 	// materialized circuit replicas kept across jobs, keyed by the
@@ -603,10 +605,11 @@ func (wk *worker) executeSweepLockstep(inst *bench.Instance, sj *api.SweepJob, o
 // by absolute index — variation.Perturbs draws sample i purely from
 // (seed, i, sigmas), so the slice [Lo:Hi) equals the same indices of the
 // full local draw bitwise — and solves them through the exact kernel the
-// local Monte-Carlo path uses (variation.SolveSamples, lockstep across
-// the shard). Each streamed line carries the sample's global index;
-// every line counts toward the crash-injection cell counter, so a fault
-// plan can kill the worker mid-shard for the reaping parity tests.
+// local Monte-Carlo path uses (variation.SolveSamples, which fans the
+// shard's samples out over the worker's cores). Each streamed line
+// carries the sample's global index; every line counts toward the
+// crash-injection cell counter, so a fault plan can kill the worker
+// mid-shard for the reaping parity tests.
 func (wk *worker) executeMonteCarlo(ctx context.Context, inst *bench.Instance, mj *api.MonteCarloJob, enc *json.Encoder) error {
 	if mj.Lo < 0 || mj.Hi <= mj.Lo {
 		return fmt.Errorf("farm worker: montecarlo range [%d, %d) is empty or negative", mj.Lo, mj.Hi)

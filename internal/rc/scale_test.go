@@ -109,7 +109,7 @@ func TestScaledBatchSharesStructure(t *testing.T) {
 // derived array after batched passes over arbitrary replica subsets
 // (retirement) under hostile Runner chunkings — the rc.Batch contract
 // extended over per-replica topologies, which is the foundation of the
-// Monte-Carlo mode's lockstep ≡ solo bit-identity.
+// robust objective's batched scoring ≡ solo evaluation.
 func FuzzVariation(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 121, 98})

@@ -31,8 +31,11 @@ type Options struct {
 	// DefaultWorkers is the per-solve parallel width used when a request
 	// leaves workers at 0; 0 defaults to 1 (the request level owns the
 	// cores, exactly like the sweep engine's default split) and a
-	// negative value selects all cores, matching core.Options.Workers.
-	// Results are bit-identical at every width.
+	// negative value selects all cores, matching core.Options.Workers —
+	// save in Monte-Carlo and corner runs, whose solves fan out over the
+	// cores themselves and take a negative width as 1 (see
+	// variation.MCOptions.Workers). Results are bit-identical at every
+	// width.
 	DefaultWorkers int
 	// DefaultLockstep makes lockstep batching (sweep.Options.Lockstep)
 	// the default for every sweep request (ogwsd -lockstep). Scheduling

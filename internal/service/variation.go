@@ -51,7 +51,7 @@ type storedCorners struct {
 // mcKey hashes everything that determines a Monte-Carlo run's bits: the
 // circuit content hash, the resolved bounds, the sample count, seed, and
 // sigmas, and the normalized solver knobs. Workers and Solo are
-// deliberately excluded — the run is bit-identical at every lockstep
+// deliberately excluded — the run is bit-identical at every fan-out
 // width and on the solo path (the variation oracle pins it) — so the
 // same run re-requested with different scheduling dedups.
 func mcKey(circuitKey string, b bench.Bounds, samples int, seed uint64, sg variation.Sigmas, maxIter int, epsilon float64) string {
@@ -153,13 +153,15 @@ type montecarloRequest struct {
 	Samples int              `json:"samples"`
 	Seed    uint64           `json:"seed,omitempty"`
 	Sigmas  variation.Sigmas `json:"sigmas"`
-	// Solver knobs; 0 keeps the defaults. Workers: 0 = server default,
-	// negative = all cores — results bit-identical at every width.
+	// Solver knobs; 0 keeps the defaults. Workers is each sample solve's
+	// width: 0 = server default, negative = width 1; the samples fan out
+	// GOMAXPROCS ÷ width at a time, so the run owns the cores — results
+	// bit-identical at every width.
 	MaxIterations int     `json:"max_iterations,omitempty"`
 	Epsilon       float64 `json:"epsilon,omitempty"`
 	Workers       int     `json:"workers,omitempty"`
-	// Solo solves the samples sequentially on per-sample evaluators
-	// instead of the lockstep batch — scheduling only, bits identical.
+	// Solo solves the same per-sample solves one at a time instead of
+	// fanning them out — scheduling only, bits identical.
 	Solo bool `json:"solo,omitempty"`
 	// NoDedup forces the run even when the store already holds this exact
 	// run (same circuit, bounds, seed, samples, sigmas, knobs).

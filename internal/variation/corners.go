@@ -14,9 +14,12 @@ package variation
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
 
 	"repro/internal/bench"
 	"repro/internal/core"
+	"repro/internal/fanout"
 	"repro/internal/rc"
 )
 
@@ -62,7 +65,11 @@ type CornerOptions struct {
 	// defaults).
 	MaxIterations int
 	Epsilon       float64
-	Workers       int
+	// Workers is each solve's parallel width, the nominal's included; a
+	// value <= 0 means width 1, and the fan-out runs GOMAXPROCS ÷ width
+	// corners at once, so it owns the cores (see schedule). Results are
+	// bit-identical at every width.
+	Workers int
 	// Cold skips warm-starting corners from the nominal solve.
 	Cold bool
 	// PrimalOnly withholds the dual half of the warm start; ColdLRS
@@ -73,9 +80,10 @@ type CornerOptions struct {
 	FullPasses bool
 	// Cancel is polled at solver iteration boundaries (core.Options.Cancel).
 	Cancel func() bool
-	// OnCorner, when non-nil, observes each corner cell as it completes,
-	// in corner order. Purely observational: results are bit-identical
-	// with or without the hook.
+	// OnCorner, when non-nil, observes each corner cell in corner order,
+	// one call at a time, as soon as that corner and every lower one are
+	// solved; it never sees a corner past a failed one. Purely
+	// observational: results are bit-identical with or without the hook.
 	OnCorner func(*CornerCell)
 }
 
@@ -129,8 +137,8 @@ func resolveBounds(inst *bench.Instance, b *bench.Bounds) bench.Bounds {
 // raw bound fixed would make every slow-C variant infeasible by
 // construction, so the bound carries the offset's delta and holds the
 // removable noise budget (bound − offset) constant instead. Pure
-// arithmetic in (bounds, offset, perturb): the lockstep and solo paths
-// compute the identical bound, preserving bit-identity.
+// arithmetic in (bounds, offset, perturb): a solve computes the same
+// bound whatever its width or schedule, preserving bit-identity.
 func perturbedBounds(b bench.Bounds, offset float64, p rc.Perturb) bench.Bounds {
 	b.NoiseBound += (p.C - 1) * offset
 	return b
@@ -147,8 +155,11 @@ func constantOffset(inst *bench.Instance) float64 {
 // CornerSweep solves the instance at the nominal technology and then at
 // every corner. With warm starts (the default) each corner begins at the
 // nominal sizes and multipliers; Cold solves every corner from scratch.
-// Corners run sequentially in list order, so the report is deterministic
-// in (instance, options) regardless of hooks or timing.
+// The nominal solve runs first, because every warm corner starts from it;
+// the corners then fan out as independent solves (see schedule and
+// solveEach). Each corner is a pure function of its index, so the report
+// is deterministic in (instance, options) regardless of hooks, width, or
+// timing.
 func CornerSweep(inst *bench.Instance, opt CornerOptions) (*CornerReport, error) {
 	corners := opt.Corners
 	if len(corners) == 0 {
@@ -161,7 +172,8 @@ func CornerSweep(inst *bench.Instance, opt CornerOptions) (*CornerReport, error)
 	}
 	bounds := resolveBounds(inst, opt.Bounds)
 	offset := constantOffset(inst)
-	sopt := solverOptions(bounds, opt.MaxIterations, opt.Epsilon, opt.Workers, opt.ColdLRS, opt.FullPasses)
+	perSolve, width := schedule(opt.Workers, false)
+	sopt := solverOptions(bounds, opt.MaxIterations, opt.Epsilon, perSolve, opt.ColdLRS, opt.FullPasses)
 	sopt.Cancel = opt.Cancel
 
 	// Nominal solve: the warm-start anchor and the report's reference row.
@@ -178,44 +190,114 @@ func CornerSweep(inst *bench.Instance, opt CornerOptions) (*CornerReport, error)
 		nomSolver.Close()
 		return nil, err
 	}
-	var dual *core.DualState
-	if !opt.Cold && !opt.PrimalOnly {
-		dual = nomSolver.DualState()
+	seed, dual := inst.Eval.X, (*core.DualState)(nil)
+	if !opt.Cold {
+		seed = nominal.X
+		if !opt.PrimalOnly {
+			dual = nomSolver.DualState()
+		}
 	}
 	nomSolver.Close()
 
-	rep := &CornerReport{Nominal: nominal, Cells: make([]CornerCell, 0, len(corners))}
-	delays := make([]float64, 0, len(corners))
-	for _, c := range corners {
+	cells := make([]CornerCell, len(corners))
+	solve := func(i int) error {
+		c := corners[i]
 		ev, err := inst.PerturbedReplica(c.Perturb())
 		if err != nil {
-			return nil, fmt.Errorf("variation: corner %q: %w", c.Name, err)
+			return fmt.Errorf("variation: corner %q: %w", c.Name, err)
 		}
 		copt := solverOptions(perturbedBounds(bounds, offset, c.Perturb()),
-			opt.MaxIterations, opt.Epsilon, opt.Workers, opt.ColdLRS, opt.FullPasses)
+			opt.MaxIterations, opt.Epsilon, perSolve, opt.ColdLRS, opt.FullPasses)
 		copt.Cancel = opt.Cancel
 		solver, err := core.NewSolver(ev, copt)
 		if err != nil {
-			return nil, fmt.Errorf("variation: corner %q: %w", c.Name, err)
+			return fmt.Errorf("variation: corner %q: %w", c.Name, err)
 		}
-		seed := inst.Eval.X
-		var d *core.DualState
-		if !opt.Cold {
-			seed = nominal.X
-			d = dual
-		}
-		res, err := solver.RunFromDual(seed, d)
-		solver.Close()
+		defer solver.Close()
+		res, err := solver.RunFromDual(seed, dual)
 		if err != nil {
-			return nil, fmt.Errorf("variation: corner %q: %w", c.Name, err)
+			return fmt.Errorf("variation: corner %q: %w", c.Name, err)
 		}
-		cell := CornerCell{Corner: c, Result: res}
-		rep.Cells = append(rep.Cells, cell)
-		delays = append(delays, res.DelayPs)
-		if opt.OnCorner != nil {
-			opt.OnCorner(&rep.Cells[len(rep.Cells)-1])
+		cells[i] = CornerCell{Corner: c, Result: res}
+		return nil
+	}
+	var observe func(int)
+	if opt.OnCorner != nil {
+		observe = func(i int) { opt.OnCorner(&cells[i]) }
+	}
+	if err := solveEach(len(corners), width, opt.Cancel, solve, observe); err != nil {
+		return nil, err
+	}
+	delays := make([]float64, len(cells))
+	for i, c := range cells {
+		delays[i] = c.Result.DelayPs
+	}
+	return &CornerReport{Nominal: nominal, Cells: cells, Delay: NewDist(delays)}, nil
+}
+
+// schedule resolves a call's Workers into the fan-out's two widths: each
+// solve runs at max(workers, 1) goroutines, and max(1, GOMAXPROCS ÷ that)
+// solves run at once, so the fan-out owns the cores. solo runs the same
+// loop one solve at a time. Every width yields the same bits.
+func schedule(workers int, solo bool) (perSolve, concurrent int) {
+	perSolve = max(workers, 1)
+	if solo {
+		return perSolve, 1
+	}
+	return perSolve, max(1, runtime.GOMAXPROCS(0)/perSolve)
+}
+
+// solveEach runs solve(i) for every i in [0, n) as independent solves, at
+// most width at once (fanout.Each). solve must write only slot i of its
+// results. cancel, when non-nil, is polled before each solve starts; no
+// solve starts past an index that has already failed. observe, when
+// non-nil, is called for index i as soon as i and every lower index have
+// succeeded: in index order, one call at a time, never past a failure,
+// and never under a lock the solves take. Returns the lowest-index error,
+// so the outcome is a pure function of the indices whatever the width.
+func solveEach(n, width int, cancel func() bool, solve func(i int) error, observe func(i int)) error {
+	errs := make([]error, n)
+	finished := make([]bool, n)
+	var mu sync.Mutex
+	// failed is the lowest failed index so far (n while none has); next is
+	// the lowest index not yet observed; emitting marks the goroutine that
+	// is running observe calls.
+	failed, next, emitting := n, 0, false
+	fanout.Each(n, width, func(i int) {
+		mu.Lock()
+		skip := i > failed
+		mu.Unlock()
+		if skip {
+			return
+		}
+		var err error
+		if cancel != nil && cancel() {
+			err = core.ErrCancelled
+		} else {
+			err = solve(i)
+		}
+		mu.Lock()
+		errs[i], finished[i] = err, true
+		if err != nil {
+			failed = min(failed, i)
+		}
+		if observe != nil && !emitting {
+			emitting = true
+			for next < failed && finished[next] {
+				j := next
+				next++
+				mu.Unlock()
+				observe(j)
+				mu.Lock()
+			}
+			emitting = false
+		}
+		mu.Unlock()
+	})
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
 	}
-	rep.Delay = NewDist(delays)
-	return rep, nil
+	return nil
 }

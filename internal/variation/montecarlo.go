@@ -3,13 +3,13 @@
 // MonteCarlo draws K technology perturbations from the seeded sampler,
 // sizes each perturbed replica with the full OGWS solver, and reports
 // per-sample results plus delay/area/noise distributions and the
-// delay-constraint yield. The K solves run in lockstep by default
-// (core.Lockstep over an rc.NewScaledBatch): one levelized pass advances
-// every in-flight sample per LRS sweep, and a converged sample retires
-// without touching the survivors' bits.
+// delay-constraint yield. The K solves fan out as plain, independent
+// solves — each on its own goroutine, replica, and solver, several at
+// once (see schedule) — so a run spreads over the cores instead of
+// sharing one evaluator pass.
 //
 // Determinism contract (pinned by the oracle suite and FuzzVariation):
-// same seed → byte-identical sample set; each lockstep sample's result
+// same seed → byte-identical sample set; each fanned-out sample's result
 // is bitwise equal to a solo solve of the identically-perturbed
 // instance; and a distributed run that shards samples across workers
 // reassembles the identical bytes, because every sample is a pure
@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"repro/internal/bench"
 	"repro/internal/core"
@@ -92,14 +91,14 @@ type MCOptions struct {
 	// Solver knobs, normalized like core.Options.validate.
 	MaxIterations int
 	Epsilon       float64
-	// Workers is the parallel width of the shared lockstep passes (and,
-	// on the solo path, of each solver); results are bit-identical at
+	// Workers is each sample solve's parallel width; a value <= 0 means
+	// width 1, and the fan-out runs GOMAXPROCS ÷ width samples at once,
+	// so it owns the cores (see schedule). Results are bit-identical at
 	// every width.
 	Workers int
-	// Solo disables lockstep batching: each sample runs on its own solo
-	// solver, sequentially. The result is bit-identical to the lockstep
-	// run — this is the oracle and benchmark comparison path, not a
-	// results knob.
+	// Solo runs the same per-sample solves one at a time. The result is
+	// bit-identical to the fan-out — this is the oracle and benchmark
+	// comparison path, not a results knob.
 	Solo bool
 	// Cancel is polled at solver iteration boundaries.
 	Cancel func() bool
@@ -176,7 +175,9 @@ func MonteCarlo(inst *bench.Instance, opt MCOptions) (*MCResult, error) {
 
 // SolveOptions are the solver knobs of a SolveSamples call — the MCOptions
 // subset a sample shard depends on (the sample set itself arrives as
-// explicit perturbations).
+// explicit perturbations). Workers and Solo schedule the solves exactly as
+// in MCOptions: a Workers value <= 0 means width 1 per solve, and the
+// fan-out owns the cores.
 type SolveOptions struct {
 	MaxIterations int
 	Epsilon       float64
@@ -195,50 +196,18 @@ type SolveOptions struct {
 // the identical bytes the full local run produces for those indices.
 func SolveSamples(inst *bench.Instance, bounds bench.Bounds, perturbs []rc.Perturb, opt SolveOptions) ([]*core.Result, error) {
 	offset := constantOffset(inst)
-	sampleOptions := func(r int) core.Options {
+	perSolve, width := schedule(opt.Workers, opt.Solo)
+	results := make([]*core.Result, len(perturbs))
+	err := solveEach(len(perturbs), width, opt.Cancel, func(r int) error {
 		so := solverOptions(perturbedBounds(bounds, offset, perturbs[r]),
-			opt.MaxIterations, opt.Epsilon, opt.Workers, false, false)
+			opt.MaxIterations, opt.Epsilon, perSolve, false, false)
 		so.Cancel = opt.Cancel
-		return so
-	}
-	k := len(perturbs)
-	results := make([]*core.Result, k)
-	errs := make([]error, k)
-	if opt.Solo || k == 1 {
-		for r := 0; r < k; r++ {
-			results[r], errs[r] = solveSample(inst, perturbs[r], sampleOptions(r))
-			if errs[r] != nil {
-				break
-			}
-		}
-	} else {
-		b, err := inst.PerturbedBatch(perturbs)
-		if err != nil {
-			return nil, err
-		}
-		ls := core.NewLockstepBatch(b, opt.Workers)
-		var wg sync.WaitGroup
-		for r := 0; r < k; r++ {
-			wg.Add(1)
-			go func(r int) {
-				defer wg.Done()
-				defer ls.Leave()
-				solver, err := core.NewLockstepSolver(ls, r, sampleOptions(r))
-				if err != nil {
-					errs[r] = err
-					return
-				}
-				defer solver.Close()
-				results[r], errs[r] = solver.RunFromDual(inst.Eval.X, nil)
-			}(r)
-		}
-		wg.Wait()
-		ls.Close()
-	}
-	for r := 0; r < k; r++ {
-		if errs[r] != nil {
-			return nil, errs[r]
-		}
+		res, err := solveSample(inst, perturbs[r], so)
+		results[r] = res
+		return err
+	}, nil)
+	if err != nil {
+		return nil, err
 	}
 	return results, nil
 }
@@ -272,8 +241,8 @@ func Summarize(samples []Sample, a0 float64) *MCResult {
 	return out
 }
 
-// solveSample is the solo reference path: one perturbed replica, one
-// plain solver — the bit-identity anchor for the lockstep schedule.
+// solveSample sizes one perturbed replica with one plain solver — the
+// whole of a sample's work, on whichever goroutine the fan-out gives it.
 func solveSample(inst *bench.Instance, p rc.Perturb, sopt core.Options) (*core.Result, error) {
 	ev, err := inst.PerturbedReplica(p)
 	if err != nil {

@@ -73,7 +73,7 @@ func gauss(seed, sample, param uint64) float64 {
 // Perturbs draws the k-sample perturbation set for (seed, sigmas):
 // sample i's scalars are exp(σ·z) with independent z per parameter. The
 // result is a pure function of the arguments — the determinism anchor
-// every Monte-Carlo bit-identity contract (rerun, lockstep vs solo,
+// every Monte-Carlo bit-identity contract (rerun, fan-out vs solo,
 // distributed vs local) reduces to.
 func Perturbs(seed uint64, k int, s Sigmas) ([]rc.Perturb, error) {
 	if k <= 0 {

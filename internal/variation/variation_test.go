@@ -1,9 +1,11 @@
 package variation
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/bench"
@@ -47,18 +49,19 @@ func runMC(t *testing.T, inst *bench.Instance, opt MCOptions) *MCResult {
 	return res
 }
 
-// TestMonteCarloSampleBitIdentical is the evaluator-mode oracle: every
-// lockstep sample must be bitwise equal to a solo solve of the same
-// perturbed instance, at every lockstep width. This is the contract that
-// lets the farm shard samples across workers — a shard is just a solo
-// (or smaller-lockstep) run of its sample indices.
+// TestMonteCarloSampleBitIdentical is the schedule oracle: every
+// fanned-out sample must be bitwise equal to the same sample solved on
+// the solo path, at every width — Workers 0 and 1 run width-1 solves
+// GOMAXPROCS at a time, wider solves run fewer at once. This is the
+// contract that lets the farm shard samples across workers — a shard is
+// just a smaller fan-out of its sample indices.
 func TestMonteCarloSampleBitIdentical(t *testing.T) {
 	inst, b := testInstance(t, 10, 8)
 	ref := runMC(t, inst, testMCOptions(b, func(o *MCOptions) { o.Solo = true }))
-	for _, w := range []int{0, 4} {
+	for _, w := range []int{0, 1, 2, 4} {
 		got := runMC(t, inst, testMCOptions(b, func(o *MCOptions) { o.Workers = w }))
 		if !reflect.DeepEqual(ref, got) {
-			t.Errorf("lockstep Workers=%d diverged from solo reference", w)
+			t.Errorf("fan-out Workers=%d diverged from solo reference", w)
 		}
 	}
 }
@@ -239,22 +242,35 @@ func TestCornerSweepRejectsBadCorner(t *testing.T) {
 }
 
 // TestCornerObservationHooksAreInert: OnCorner and OnSample observe
-// without perturbing a single bit.
+// without perturbing a single bit, and OnCorner keeps its contract while
+// the corners fan out: corner order, one call at a time.
 func TestCornerObservationHooksAreInert(t *testing.T) {
 	inst, b := testInstance(t, 10, 8)
 	plain, err := CornerSweep(inst, testCornerOptions(b, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	seen := 0
+	var inFlight atomic.Int32
+	var seen []string
 	hooked, err := CornerSweep(inst, testCornerOptions(b, func(o *CornerOptions) {
-		o.OnCorner = func(c *CornerCell) { seen++ }
+		o.OnCorner = func(c *CornerCell) {
+			if n := inFlight.Add(1); n > 1 {
+				t.Errorf("%d OnCorner calls in flight, want at most 1", n)
+			}
+			seen = append(seen, c.Corner.Name)
+			inFlight.Add(-1)
+		}
 	}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seen != len(plain.Cells) {
-		t.Errorf("OnCorner fired %d times, want %d", seen, len(plain.Cells))
+	if len(seen) != len(plain.Cells) {
+		t.Errorf("OnCorner fired %d times, want %d", len(seen), len(plain.Cells))
+	}
+	for i, name := range seen {
+		if i < len(plain.Cells) && name != plain.Cells[i].Corner.Name {
+			t.Errorf("OnCorner call %d saw corner %q, want %q", i, name, plain.Cells[i].Corner.Name)
+		}
 	}
 	if !reflect.DeepEqual(plain, hooked) {
 		t.Error("OnCorner hook changed the report")
@@ -287,6 +303,34 @@ func TestCancelStopsVariation(t *testing.T) {
 	}
 	if _, err := CornerSweep(inst, testCornerOptions(b, func(o *CornerOptions) { o.Cancel = cancel })); err != core.ErrCancelled {
 		t.Errorf("CornerSweep cancel returned %v, want ErrCancelled", err)
+	}
+}
+
+// TestSolveEachFailureContract pins the fan-out's failure rules at every
+// width: the lowest-index error wins whatever order the solves finish in,
+// observe sees exactly the indices below the first failure, in order, and
+// the sequential schedule starts no solve past a failure.
+func TestSolveEachFailureContract(t *testing.T) {
+	const n = 8
+	for _, width := range []int{1, 2, 4, n} {
+		var observed []int
+		var started [n]atomic.Bool
+		err := solveEach(n, width, nil, func(i int) error {
+			started[i].Store(true)
+			if i == 3 || i == 6 {
+				return fmt.Errorf("solve %d failed", i)
+			}
+			return nil
+		}, func(i int) { observed = append(observed, i) })
+		if err == nil || err.Error() != "solve 3 failed" {
+			t.Errorf("width %d: error %v, want the lowest-index failure", width, err)
+		}
+		if !reflect.DeepEqual(observed, []int{0, 1, 2}) {
+			t.Errorf("width %d: observed %v, want [0 1 2]", width, observed)
+		}
+		if width == 1 && started[4].Load() {
+			t.Error("sequential schedule started a solve past a failure")
+		}
 	}
 }
 
