@@ -411,3 +411,58 @@ func TestRobust(t *testing.T) {
 		t.Error("accepted zero samples")
 	}
 }
+
+// TestRobustScoresMatchFreshReplicas pins Robust's trial scoring to a
+// reference built outside it: each trial's design is re-scored on a fresh
+// perturbed replica per sample (SetSizes, a serial full Recompute,
+// MaxArrival), and the delay distribution, the μ+kσ objective and the
+// yield against the base A0 must match bit for bit.
+func TestRobustScoresMatchFreshReplicas(t *testing.T) {
+	inst, b := testInstance(t, 10, 8)
+	// Wide sigmas spread the sampled delays across the base A0, so the
+	// 0.9 trial's yield is a fraction strictly between 0 and 1.
+	opt := RobustOptions{
+		MC:     testMCOptions(b, func(o *MCOptions) { o.Sigmas = Sigmas{R: 0.2, C: 0.2, Threshold: 0.2} }),
+		K:      2,
+		Scales: []float64{0.9, 1.0, 1.1},
+	}
+	res, err := Robust(inst, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if y := res.Trials[0].Yield; !(y > 0 && y < 1) {
+		t.Fatalf("trial 0 yield %g: the sample spread no longer straddles the base A0", y)
+	}
+	perturbs, err := Perturbs(opt.MC.Seed, opt.MC.Samples, opt.MC.Sigmas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, trial := range res.Trials {
+		delays := make([]float64, len(perturbs))
+		pass := 0
+		for r, p := range perturbs {
+			ev, err := inst.PerturbedReplica(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ev.SetSizes(trial.Result.X); err != nil {
+				t.Fatal(err)
+			}
+			ev.RecomputeSerial()
+			delays[r] = ev.MaxArrival()
+			if delays[r] <= b.A0 {
+				pass++
+			}
+		}
+		want := NewDist(delays)
+		if !reflect.DeepEqual(trial.Delay, want) {
+			t.Errorf("trial %d: delay distribution %+v, want %+v", i, trial.Delay, want)
+		}
+		if obj := want.Mean + opt.K*want.Std; math.Float64bits(trial.Objective) != math.Float64bits(obj) {
+			t.Errorf("trial %d: objective %.17g, want %.17g", i, trial.Objective, obj)
+		}
+		if y := float64(pass) / float64(len(delays)); math.Float64bits(trial.Yield) != math.Float64bits(y) {
+			t.Errorf("trial %d: yield %.17g, want %.17g", i, trial.Yield, y)
+		}
+	}
+}
