@@ -45,21 +45,21 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./...
 
 # Benchmark trajectory: run the committed full-vs-incremental, sweep,
-# lockstep, and process-variation benchmark families and write a JSON
-# snapshot (ns/op, allocs/op, work metrics). CI runs this at the default
+# and process-variation benchmark families and write a JSON snapshot
+# (ns/op, allocs/op, work metrics). CI runs this at the default
 # BENCHTIME and uploads the artifact; the default matches how the
-# committed BENCH_PR14.json was generated, because allocs/op amortizes
+# committed BENCH_PR15.json was generated, because allocs/op amortizes
 # one-time lazy setup over the iteration count — comparing snapshots
 # taken at different BENCHTIMEs trips the allocation gate on
 # amortization, not regressions. (BENCH_PR3.json, BENCH_PR4.json,
-# BENCH_PR9.json, BENCH_PR10.json, and BENCH_PR13.json are frozen
-# baselines — do not regenerate them.)
-BENCH_JSON ?= BENCH_PR14.json
+# BENCH_PR9.json, BENCH_PR10.json, BENCH_PR13.json, and BENCH_PR14.json
+# are frozen baselines — do not regenerate them.)
+BENCH_JSON ?= BENCH_PR15.json
 BENCHTIME ?= 3x
 # Two steps, not a pipe: a pipe would take benchjson's exit status and
 # mask a benchmark failure that had already emitted some result lines.
 bench-json:
-	$(GO) test -run '^$$' -bench 'Incremental|Sweep|Lockstep|MonteCarlo' -benchmem -benchtime=$(BENCHTIME) . > $(BENCH_JSON).tmp
+	$(GO) test -run '^$$' -bench 'Incremental|Sweep|MonteCarlo' -benchmem -benchtime=$(BENCHTIME) . > $(BENCH_JSON).tmp
 	$(GO) run ./cmd/benchjson -out $(BENCH_JSON) < $(BENCH_JSON).tmp || { rm -f $(BENCH_JSON).tmp; exit 1; }
 	@rm -f $(BENCH_JSON).tmp
 	@echo "wrote $(BENCH_JSON)"
@@ -68,7 +68,7 @@ bench-json:
 # default bench-ci.json from `make bench-json BENCH_JSON=bench-ci.json`)
 # against the committed baseline. Allocation growth fails hard; ns/op
 # drift only warns (CI runners are too noisy for wall-clock gates).
-BENCH_BASELINE ?= BENCH_PR14.json
+BENCH_BASELINE ?= BENCH_PR15.json
 BENCH_CURRENT ?= bench-ci.json
 bench-compare:
 	$(GO) run ./cmd/benchjson -compare $(BENCH_BASELINE) -against $(BENCH_CURRENT)
@@ -92,13 +92,12 @@ cover:
 	awk -v t="$$total" -v min="$(COVER_MIN)" 'BEGIN { exit (t+0 >= min+0) ? 0 : 1 }' || \
 		{ echo "coverage $$total% is below the $(COVER_MIN)% gate" >&2; exit 1; }
 
-# Short fuzz smoke of the levelizer, incremental-oracle, and batched
-# lockstep-kernel targets (they also run their seed corpora as plain
-# tests under `make test`).
+# Short fuzz smoke of the levelizer, incremental-oracle, perturbed-replica,
+# and graph-levelization targets (they also run their seed corpora as
+# plain tests under `make test`).
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzLevelizer$$' -fuzztime=10s ./internal/rc
 	$(GO) test -run '^$$' -fuzz '^FuzzIncremental$$' -fuzztime=10s ./internal/rc
-	$(GO) test -run '^$$' -fuzz '^FuzzLockstep$$' -fuzztime=10s ./internal/rc
 	$(GO) test -run '^$$' -fuzz '^FuzzVariation$$' -fuzztime=10s ./internal/rc
 	$(GO) test -run '^$$' -fuzz '^FuzzGraphLevels$$' -fuzztime=10s ./internal/circuit
 

@@ -673,102 +673,6 @@ func BenchmarkIncrementalEval(b *testing.B) {
 	}
 }
 
-// BenchmarkLockstepSweep is the PR-9 headline: the golden 12×10 mesh
-// grid's cold sweep (every cell independent, from the uniform start) on
-// the solo schedule versus lockstep batching, in cells/s. Lockstep
-// advances all nine cells through one shared rc.Batch — fused SoA
-// kernels, one topology build, one rendezvous per LRS sweep, no per-cell
-// evaluator allocation — with bit-identical cells (pinned by the sweep
-// suite's lockstep oracle).
-func BenchmarkLockstepSweep(b *testing.B) {
-	inst, bounds, err := bench.GridInstance(12, 10, true)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, mode := range []string{"cold", "lockstep"} {
-		b.Run("grid12x10/"+mode, func(b *testing.B) {
-			opt := sweep.Options{
-				DelayScale:    []float64{1, 1.06, 1.12},
-				NoiseScale:    []float64{0.8, 1, 1.3},
-				Bounds:        &bounds,
-				MaxIterations: 12,
-				SweepWorkers:  1,
-				Cold:          true,
-				Lockstep:      mode == "lockstep",
-			}
-			var last *sweep.Result
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := sweep.Run(inst, opt)
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = res
-			}
-			cells := float64(len(last.Cells))
-			b.ReportMetric(cells*float64(b.N)/b.Elapsed().Seconds(), "cells/s")
-		})
-	}
-}
-
-// BenchmarkLockstepSolve times K=4 concurrent full solves of one circuit
-// through the plain batch driver versus the lockstep gate, on the ≥10k
-// node deep mesh and a mid-size 32×24 grid, at one core and all cores.
-// One op = one whole K-batch; the ns/solve metric divides it out per
-// solve for cross-shape comparison.
-func BenchmarkLockstepSolve(b *testing.B) {
-	shapes := []struct {
-		name          string
-		width, layers int
-	}{
-		{"mesh10k", 64, 78},
-		{"grid32x24", 32, 24},
-	}
-	const k = 4
-	for _, sh := range shapes {
-		inst, bounds, err := bench.GridInstance(sh.width, sh.layers, true)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sopt := core.DefaultOptions(bounds.A0, bounds.NoiseBound, bounds.PowerBound)
-		sopt.MaxIterations = 5
-		newJobs := func(b *testing.B) []core.BatchJob {
-			jobs := make([]core.BatchJob, k)
-			for i := range jobs {
-				ev, err := inst.Replica()
-				if err != nil {
-					b.Fatal(err)
-				}
-				opt := sopt
-				opt.A0 = bounds.A0 * (1 + 0.02*float64(i))
-				jobs[i] = core.BatchJob{Ev: ev, Options: opt}
-			}
-			return jobs
-		}
-		for _, w := range parallelWidths() {
-			for _, mode := range []string{"solo", "lockstep"} {
-				b.Run(fmt.Sprintf("%s/%s/workers%d", sh.name, mode, w), func(b *testing.B) {
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						var results []core.BatchResult
-						if mode == "lockstep" {
-							results = core.SolveBatchOpt(newJobs(b), core.BatchOptions{Workers: w, Lockstep: true})
-						} else {
-							results = core.SolveBatch(newJobs(b), w)
-						}
-						for _, r := range results {
-							if r.Err != nil {
-								b.Fatal(r.Err)
-							}
-						}
-					}
-					b.ReportMetric(b.Elapsed().Seconds()/float64(b.N*k)*1e9, "ns/solve")
-				})
-			}
-		}
-	}
-}
-
 // BenchmarkMonteCarloSamples times a K=6 seeded Monte-Carlo yield run on
 // the synthetic c432, the sample fan-out (width-1 solves, GOMAXPROCS at a
 // time) versus the solo path (the same solves one at a time). The two

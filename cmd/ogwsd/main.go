@@ -61,7 +61,6 @@ func main() {
 	cache := flag.Int("cache", 8, "instance-cache capacity in circuits (LRU eviction beyond it)")
 	maxSolves := flag.Int("max-solves", 0, "max concurrent solves/sweeps across all circuits (0 = all cores)")
 	workers := flag.Int("workers", 1, "default solver goroutines per solve when a request leaves workers at 0 (1 = serial, negative = all cores; results bit-identical at every width)")
-	lockstep := flag.Bool("lockstep", false, "default every sweep to lockstep batching: independent cells advance through one shared evaluator (grids bit-identical either way; see /stats lockstep_sweeps)")
 	dataDir := flag.String("data", "", "durable result store directory: persist circuits, saved results, and solves across restarts (default: in-memory only)")
 	coordinator := flag.Bool("coordinator", false, "embed the distributed-sizing coordinator: serve the /farm/v1/ job API and dispatch work to registered ogws-worker processes")
 	farmHeartbeat := flag.Duration("farm-heartbeat", 2*time.Second, "worker heartbeat cadence in -coordinator mode")
@@ -105,7 +104,6 @@ func main() {
 		CacheSize:           *cache,
 		MaxConcurrentSolves: *maxSolves,
 		DefaultWorkers:      *workers,
-		DefaultLockstep:     *lockstep,
 		MaxQueuedSolves:     *maxQueued,
 		StoreProbeInterval:  *storeProbe,
 		Farm:                coord,

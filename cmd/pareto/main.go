@@ -63,7 +63,6 @@ func main() {
 	cold := flag.Bool("cold", false, "solve every cell independently instead of warm-starting from neighbours")
 	s1 := flag.Bool("s1", false, "paper-faithful S1 size reset inside LRS and dual restart per cell (results independent of warm-start seeding)")
 	full := flag.Bool("full", false, "full evaluation passes every sweep (incremental escape hatch)")
-	lockstep := flag.Bool("lockstep", false, "batch independent cells through one shared evaluator in lockstep (cells bit-identical to solo solves)")
 	sweepWorkers := flag.Int("sweep-workers", 0, "grid rows solved concurrently (0 = all cores; results bit-identical at every width)")
 	cellWorkers := flag.Int("cell-workers", 1, "solver goroutines per cell (0 = 1: the sweep level owns the cores; results bit-identical at every width)")
 	out := flag.String("out", "", "output path for the JSON grid (default: stdout)")
@@ -90,7 +89,6 @@ func main() {
 		ColdLRS:       *s1,
 		PrimalOnly:    *s1, // S1 mode exists to make results seed-independent
 		FullPasses:    *full,
-		Lockstep:      *lockstep,
 	}
 	var results any
 	if *corners || *montecarlo {

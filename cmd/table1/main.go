@@ -36,7 +36,6 @@ func main() {
 	epsilon := flag.Float64("epsilon", 0, "relative duality-gap precision, unitless (0 = the paper's 1%)")
 	short := flag.Bool("short", false, "run only the circuits up to ~5k components")
 	parallel := flag.Int("parallel", 1, "circuits solved concurrently (0 = all cores; rows bit-identical at every width)")
-	lockstep := flag.Bool("lockstep", false, "route each solve through the lockstep batch path (rows bit-identical to solo solves)")
 	corners := flag.Bool("corners", false, "enumerate the standard process corners per circuit instead of the nominal run")
 	montecarlo := flag.Bool("montecarlo", false, "Monte-Carlo yield analysis per circuit instead of the nominal run")
 	samples := flag.Int("samples", 32, "Monte-Carlo sample count (with -montecarlo)")
@@ -78,7 +77,7 @@ func main() {
 		return
 	}
 
-	opt := bench.RunOptions{MaxIterations: *maxIter, Epsilon: *epsilon, Lockstep: *lockstep}
+	opt := bench.RunOptions{MaxIterations: *maxIter, Epsilon: *epsilon}
 	var rows []*bench.Table1Row
 	if *parallel == 1 {
 		for _, s := range specs {

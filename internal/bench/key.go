@@ -99,41 +99,3 @@ func (inst *Instance) PerturbedReplica(p rc.Perturb) (*rc.Evaluator, error) {
 	}
 	return ev, nil
 }
-
-// PerturbedBatch is ReplicaBatch with one perturbation per replica:
-// replica r evaluates the instance under perturbs[r]. Each batch replica
-// is bit-identical to the solo PerturbedReplica of the same perturbation
-// (the rc.Batch contract extended over scaled topologies), which is the
-// determinism anchor of the Monte-Carlo evaluator mode.
-func (inst *Instance) PerturbedBatch(perturbs []rc.Perturb) (*rc.Batch, error) {
-	b, err := rc.NewScaledBatch(inst.Eval.Graph(), inst.Eval.Couplings(), perturbs)
-	if err != nil {
-		return nil, err
-	}
-	for r := 0; r < b.Len(); r++ {
-		if err := b.Ev(r).SetSizes(inst.Eval.X); err != nil {
-			return nil, err
-		}
-	}
-	return b, nil
-}
-
-// ReplicaBatch is Replica for lockstep multi-solve: a k-replica rc.Batch
-// over the instance's shared graph and coupling set, every replica seeded
-// with the instance evaluator's current sizes. The batch shares one
-// topology (the point of lockstep) but each replica's state stripes are
-// its own, so the k replicas are as independent as k Replica evaluators —
-// and each is bit-identical to one (see rc.Batch). The instance's own
-// evaluator stays untouched.
-func (inst *Instance) ReplicaBatch(k int) (*rc.Batch, error) {
-	b, err := rc.NewBatch(inst.Eval.Graph(), inst.Eval.Couplings(), k)
-	if err != nil {
-		return nil, err
-	}
-	for r := 0; r < k; r++ {
-		if err := b.Ev(r).SetSizes(inst.Eval.X); err != nil {
-			return nil, err
-		}
-	}
-	return b, nil
-}

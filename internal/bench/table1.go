@@ -43,13 +43,6 @@ type RunOptions struct {
 	// 0 uses every core, 1 runs serially. Results are bit-identical for
 	// every setting.
 	Workers int
-	// Lockstep routes each solve through the lockstep batch path
-	// (core.SolveBatchOpt with BatchOptions.Lockstep). Table-1 rows are
-	// different circuits, so each solve is a one-replica batch — this
-	// exercises the exact plumbing a sweep's many-replica lockstep uses,
-	// and by the lockstep contract every row is bit-identical to its solo
-	// solve. Workers carries the batched-round width.
-	Lockstep bool
 	// Bounds overrides the self-calibrated DeriveBounds when non-nil.
 	Bounds *Bounds
 }
@@ -80,32 +73,15 @@ func RunInstance(inst *Instance, opt RunOptions) (*Table1Row, error) {
 	sopt.WarmStart = opt.WarmStart
 	sopt.Workers = opt.Workers
 
-	var res *core.Result
 	start := time.Now()
-	if opt.Lockstep {
-		br := core.SolveBatchOpt(
-			[]core.BatchJob{{Ev: inst.Eval, Options: sopt}},
-			core.BatchOptions{Workers: opt.Workers, Lockstep: true},
-		)[0]
-		if br.Err != nil {
-			return nil, br.Err
-		}
-		res = br.Result
-		// Lockstep solves run on a replica; mirror the final sizes back so
-		// the instance evaluator ends in the same state a solo solve leaves
-		// it in (Run restores the best sizes before returning).
-		if err := inst.Eval.SetSizes(res.X); err != nil {
-			return nil, err
-		}
-	} else {
-		sol, err := core.NewSolver(inst.Eval, sopt)
-		if err != nil {
-			return nil, err
-		}
-		defer sol.Close()
-		if res, err = sol.Run(); err != nil {
-			return nil, err
-		}
+	sol, err := core.NewSolver(inst.Eval, sopt)
+	if err != nil {
+		return nil, err
+	}
+	defer sol.Close()
+	res, err := sol.Run()
+	if err != nil {
+		return nil, err
 	}
 	elapsed := time.Since(start).Seconds()
 

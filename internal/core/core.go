@@ -357,12 +357,6 @@ type Solver struct {
 	// cleared) at A1.
 	pendingDual *DualState
 
-	// Lockstep state (NewLockstepSolver): the gate whose batched rounds
-	// carry this solver's LRS evaluator passes, and this solver's replica
-	// index in it.
-	ls    *Lockstep
-	lsRep int
-
 	// Per-net crosstalk extension state (nil when unused).
 	vBound []float64 // X′_v per node; NaN where unconstrained
 	gammaV []float64 // γᵥ per node
@@ -521,9 +515,6 @@ func (s *Solver) Close() {
 // the two paths are bit-identical, so the hysteresis revert never changes
 // a result.
 func (s *Solver) LRS() int {
-	if s.ls != nil {
-		return s.lrsLockstep()
-	}
 	if s.opt.Incremental && !s.incReverted {
 		return s.lrsActiveSet()
 	}

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/coupling"
+	"repro/internal/fanout"
 	"repro/internal/rc"
 )
 
@@ -233,50 +234,10 @@ func TestParallelMatchesSerialOnFixtures(t *testing.T) {
 	}
 }
 
-// TestSolveBatch checks the batch driver: results arrive in job order,
-// match standalone solves exactly, and per-job errors don't poison the
-// rest of the batch.
-func TestSolveBatch(t *testing.T) {
-	g, _ := chain(t)
-	bounds := []float64{1.8, 2.0, 2.5, 3.0}
-	jobs := make([]BatchJob, 0, len(bounds)+1)
-	for _, a0 := range bounds {
-		jobs = append(jobs, BatchJob{Ev: newEval(t, g, emptySet(t)), Options: DefaultOptions(a0, 0, 0)})
-	}
-	jobs = append(jobs, BatchJob{Ev: newEval(t, g, emptySet(t)), Options: Options{A0: -1}}) // invalid
-
-	results := SolveBatch(jobs, 3)
-	if len(results) != len(jobs) {
-		t.Fatalf("got %d results for %d jobs", len(results), len(jobs))
-	}
-	for i, a0 := range bounds {
-		if results[i].Err != nil {
-			t.Fatalf("job %d failed: %v", i, results[i].Err)
-		}
-		ev := newEval(t, g, emptySet(t))
-		sol, err := NewSolver(ev, DefaultOptions(a0, 0, 0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := sol.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		sol.Close()
-		if !reflect.DeepEqual(want, results[i].Result) {
-			t.Errorf("job %d (A0=%g): batch result diverged from standalone solve", i, a0)
-		}
-	}
-	last := results[len(results)-1]
-	if last.Err == nil || last.Result != nil {
-		t.Errorf("invalid job: want error-only result, got %+v", last)
-	}
-}
-
 // TestParallelRaceStress drives every sharded code path hard under the
 // race detector (go test -race): a mid-size coupled solve with all
 // constraint classes active at high worker counts, solvers running
-// concurrently via SolveBatch, and reuse of one solver after Close.
+// concurrently via fanout.Each, and reuse of one solver after Close.
 func TestParallelRaceStress(t *testing.T) {
 	g, cs := meshCircuit(t, 14, 8)
 	opt := meshOptions(t, g, cs, 25)
@@ -286,20 +247,27 @@ func TestParallelRaceStress(t *testing.T) {
 		t.Fatalf("stress solve produced no work: %+v", res8)
 	}
 
-	jobs := make([]BatchJob, 6)
-	for i := range jobs {
+	errs := make([]error, 6)
+	fanout.Each(len(errs), 3, func(i int) {
 		ev, err := rc.NewEvaluator(g, cs)
 		if err != nil {
-			t.Fatal(err)
+			errs[i] = err
+			return
 		}
 		o := opt
-		o.Workers = 2 // nested: batch × solver parallelism
+		o.Workers = 2 // nested: fan-out × solver parallelism
 		o.A0 *= 1 + 0.05*float64(i)
-		jobs[i] = BatchJob{Ev: ev, Options: o}
-	}
-	for i, r := range SolveBatch(jobs, 3) {
-		if r.Err != nil {
-			t.Fatalf("batch job %d: %v", i, r.Err)
+		sol, err := NewSolver(ev, o)
+		if err != nil {
+			errs[i] = err
+			return
+		}
+		defer sol.Close()
+		_, errs[i] = sol.Run()
+	})
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("concurrent solve %d: %v", i, err)
 		}
 	}
 

@@ -1,8 +1,9 @@
 // Package fanout runs embarrassingly parallel index loops — the shared
-// engine behind the repo's batch drivers (core.SolveBatch,
-// bench.RunTable1Parallel, repro.OptimizeBatch, logicsim's similarity
-// matrix, variation's corner and Monte-Carlo solves). Callers keep their own result slices indexed by i, so output
-// placement is deterministic regardless of scheduling.
+// engine behind the repo's batch drivers (bench.RunTable1Parallel,
+// repro.OptimizeBatch, the sweep engine's cells and rows, logicsim's
+// similarity matrix, variation's corner and Monte-Carlo solves). Callers
+// keep their own result slices indexed by i, so output placement is
+// deterministic regardless of scheduling.
 package fanout
 
 import (

@@ -179,12 +179,6 @@ type SolveJob struct {
 // bit-identically no matter which worker re-runs them.
 type SweepJob struct {
 	Chain bool `json:"chain,omitempty"`
-	// Lockstep asks the worker to batch a non-chained job's cells through
-	// one shared evaluator in lockstep (sweep.Options.Lockstep) instead of
-	// per-cell evaluators — scheduling only, the streamed cells are
-	// bit-identical either way. Ignored for chained batches (a seeding
-	// chain is inherently sequential).
-	Lockstep bool `json:"lockstep,omitempty"`
 	// ReturnDual asks the worker to attach each cell's final dual state to
 	// its result line — the coordinator needs the spine's duals to seed
 	// the row batches.

@@ -224,55 +224,3 @@ func TestColdDistributedSweepMatchesLocal(t *testing.T) {
 		t.Errorf("distributed cold sweep diverged from the local engine")
 	}
 }
-
-// TestLockstepDistributedSweepMatchesLocal: a cold sweep leased out with
-// Lockstep set makes each worker batch its lease's cells through one
-// shared evaluator — and the reassembled grid must still be bit-identical
-// to the local solo-schedule engine, because lockstep is scheduling only.
-func TestLockstepDistributedSweepMatchesLocal(t *testing.T) {
-	if testing.Short() {
-		t.Skip("solves a real grid")
-	}
-	coord := New(Options{HeartbeatInterval: 50 * time.Millisecond})
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	ts := httptest.NewServer(coord.Handler())
-	defer ts.Close()
-
-	inst, b, err := bench.GridInstance(6, 4, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := api.CircuitSpec{Key: bench.GridKey(6, 4, true), Grid: &api.GridSpec{Width: 6, Layers: 4, Coupled: true}}
-	opt := sweep.Options{
-		DelayScale: []float64{1, 1.08}, NoiseScale: []float64{0.9, 1.2},
-		Bounds: &b, MaxIterations: 6, Cold: true, Lockstep: true,
-	}
-	workerErr := make(chan error, 1)
-	go func() {
-		workerErr <- RunWorker(ctx, WorkerOptions{Coordinator: ts.URL, LeaseWait: 50 * time.Millisecond})
-	}()
-	got, err := coord.Sweep(ctx, spec, inst, opt)
-	if err != nil {
-		t.Fatalf("distributed lockstep sweep failed: %v", err)
-	}
-	cancel()
-	if err := <-workerErr; err != nil {
-		t.Fatalf("worker exited with %v", err)
-	}
-
-	inst2, b2, err := bench.GridInstance(6, 4, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt2 := opt
-	opt2.Bounds = &b2
-	opt2.Lockstep = false
-	want, err := sweep.Run(inst2, opt2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(stripTiming(want), stripTiming(got)) {
-		t.Errorf("distributed lockstep sweep diverged from the local solo-schedule engine")
-	}
-}

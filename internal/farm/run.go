@@ -220,9 +220,8 @@ func (c *Coordinator) Sweep(ctx context.Context, spec api.CircuitSpec, inst *ben
 	if independent {
 		for i := 0; i < rows; i++ {
 			c.addJobLocked(r, i, nil, &api.SweepJob{
-				Lockstep: opt.Lockstep,
-				Seed:     initX,
-				Cells:    cellSpecs(res, i, 0, cols),
+				Seed:  initX,
+				Cells: cellSpecs(res, i, 0, cols),
 
 				MaxIterations:     opt.MaxIterations,
 				Epsilon:           opt.Epsilon,

@@ -10,7 +10,6 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/bench"
@@ -505,9 +504,6 @@ func (wk *worker) executeSweep(ctx context.Context, inst *bench.Instance, sj *ap
 		// its next solver iteration instead of finishing the batch.
 		Cancel: func() bool { return ctx.Err() != nil },
 	}
-	if sj.Lockstep && !sj.Chain && len(sj.Cells) > 1 {
-		return wk.executeSweepLockstep(inst, sj, opt, enc)
-	}
 	g, cs := inst.Eval.Graph(), inst.Eval.Couplings()
 	seed, dual := sj.Seed, sj.Dual
 	var ev *rc.Evaluator
@@ -538,63 +534,6 @@ func (wk *worker) executeSweep(ctx context.Context, inst *bench.Instance, sj *ap
 		}
 		if sj.Chain {
 			seed, dual = res.X, d
-		}
-	}
-	return nil
-}
-
-// executeSweepLockstep solves a non-chained batch's cells through one
-// core.Lockstep — every cell on its own replica of a shared rc.Batch,
-// advancing in lockstep — then streams the results in the job's cell
-// order (the same order the per-cell loop emits). Each cell's bits equal
-// its fresh-evaluator solve by the lockstep contract, so the coordinator
-// reassembles the identical grid; only the schedule differs. The Cancel
-// hook already threaded into opt stops every in-flight replica at its
-// next iteration.
-func (wk *worker) executeSweepLockstep(inst *bench.Instance, sj *api.SweepJob, opt sweep.Options, enc *json.Encoder) error {
-	g, cs := inst.Eval.Graph(), inst.Eval.Couplings()
-	ls, err := core.NewLockstep(g, cs, len(sj.Cells), opt.Workers)
-	if err != nil {
-		return err
-	}
-	defer ls.Close()
-	type cellOut struct {
-		res *core.Result
-		d   *core.DualState
-		sec float64
-		err error
-	}
-	outs := make([]cellOut, len(sj.Cells))
-	var wg sync.WaitGroup
-	for k := range sj.Cells {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			defer ls.Leave()
-			cell := sj.Cells[k]
-			o := &outs[k]
-			o.res, o.d, o.sec, o.err = opt.SolveCellLockstep(ls, k, cell.Row, cell.Col, cell.Bounds, sj.Seed, sj.Dual)
-		}(k)
-	}
-	wg.Wait()
-	for k, cell := range sj.Cells {
-		o := outs[k]
-		if o.err != nil {
-			return fmt.Errorf("cell (%d,%d): %w", cell.Row, cell.Col, o.err)
-		}
-		line := api.ResultLine{Cell: &api.CellResult{
-			Row: cell.Row, Col: cell.Col, Result: o.res, SolveSec: o.sec,
-		}}
-		if sj.ReturnDual {
-			line.Cell.Dual = o.d
-		}
-		if err := enc.Encode(line); err != nil {
-			return err
-		}
-		wk.cells++
-		if wk.crashAfterCell() {
-			wk.logf("farm worker %s: fault injected after %d cells, dying mid-job", wk.id, wk.cells)
-			return ErrFaultInjected
 		}
 	}
 	return nil

@@ -5,14 +5,13 @@
 // functions over flat float64 stripes: one `topo` holds everything shaped
 // by the circuit alone (per-node constants, the coupling CSR, the level
 // buckets), one `stripes` holds everything that depends on the current
-// sizes. A solo Evaluator owns one stripe set; an rc.Batch lays K replica
-// stripe sets out contiguously over one shared topo so a single levelized
-// pass can advance all replicas with one barrier per level.
+// sizes. Each Evaluator owns one stripe set over a topo it may share with
+// other evaluators of the same circuit (see ScaledReplica).
 //
 // Every kernel is a literal extraction of the original per-node body: the
 // same reads, the same accumulation order, the same arithmetic — so the
 // kernel layer is bit-identical to the pre-refactor evaluator by
-// construction, and a batched replica is bit-identical to a solo one.
+// construction.
 package rc
 
 import (
@@ -27,8 +26,7 @@ import (
 // per-node component constants flattened into arrays (so the hot loops
 // read contiguous float64s instead of chasing component structs), the
 // coupling gather CSR, and the interior level buckets. One topo is shared
-// read-only by every evaluator built over it — a solo Evaluator or all K
-// replicas of a Batch.
+// read-only by every evaluator built over it.
 type topo struct {
 	g  *circuit.Graph
 	cs *coupling.Set
@@ -55,9 +53,8 @@ type topo struct {
 }
 
 // stripes is the size-dependent half: the size vector and every derived
-// per-node array, each one flat contiguous float64s. A Batch carves the
-// stripe sets of all replicas out of one slab, so the lockstep inner loops
-// walk dense memory.
+// per-node array, each one flat contiguous float64s carved from one
+// allocation.
 type stripes struct {
 	x    []float64
 	cap  []float64
@@ -70,21 +67,15 @@ type stripes struct {
 	cnbr []float64 // nil when uncoupled
 }
 
-// stripeArrays is the number of per-replica arrays a stripe set holds.
-func (t *topo) stripeArrays() int {
-	if t.coupled {
-		return 9
-	}
-	return 8
-}
-
-// carve slices a stripe set for one replica out of slab (length
-// stripeArrays()·nn); a nil slab allocates fresh backing.
-func (t *topo) carve(slab []float64) stripes {
+// carve allocates one evaluator's stripe set as a single slab: eight
+// per-node arrays, nine when coupled.
+func (t *topo) carve() stripes {
 	nn := t.g.NumNodes()
-	if slab == nil {
-		slab = make([]float64, t.stripeArrays()*nn)
+	arrays := 8
+	if t.coupled {
+		arrays = 9
 	}
+	slab := make([]float64, arrays*nn)
 	cut := func() []float64 {
 		s := slab[:nn:nn]
 		slab = slab[nn:]
@@ -286,19 +277,4 @@ func (t *topo) kUpstream(st *stripes, i int, lambda, dst []float64) float64 {
 		}
 	}
 	return sum
-}
-
-// kNodeBackward advances one interior node through the fused reverse pass:
-// its electrical values, its coupling gather, and its stage loads in one
-// visit. Valid whenever nodes are visited in descending index or level
-// order — kLoads reads only cap/b of strictly higher-index fan-outs, and
-// the coupling gather reads only sizes, which no pass writes — and
-// bit-identical to the split flat passes because each per-node body is
-// unchanged.
-func (t *topo) kNodeBackward(st *stripes, i int) {
-	t.kElectrical(st, i, i+1)
-	if t.coupled {
-		t.kCoupling(st, i, i+1)
-	}
-	t.kLoads(st, i)
 }

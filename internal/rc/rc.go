@@ -27,8 +27,8 @@ type Evaluator struct {
 
 	// Shared topology and this evaluator's stripe set (kernel.go). The
 	// exported per-node arrays below alias st's slices; the CSR and level
-	// fields alias t's. A solo evaluator owns its topo; a Batch replica
-	// shares one topo with its siblings.
+	// fields alias t's. NewEvaluator builds a topo of its own; a
+	// ScaledReplica shares the structural arrays of its base's.
 	t  *topo
 	st stripes
 
@@ -105,20 +105,18 @@ func NewEvaluator(g *circuit.Graph, cs *coupling.Set) (*Evaluator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newEvaluatorOn(t, nil), nil
+	return newEvaluatorOn(t), nil
 }
 
-// newEvaluatorOn builds an evaluator over a prebuilt topology, carving its
-// stripe set out of slab (nil allocates fresh backing; a Batch passes one
-// shared slab so replica stripes are contiguous). The exported per-node
-// arrays alias the stripes and the CSR/level fields alias the topo, so
-// every Evaluator method — including the incremental engine and
-// MemoryBytes — works identically whether the evaluator is solo or a
-// batch replica.
-func newEvaluatorOn(t *topo, slab []float64) *Evaluator {
+// newEvaluatorOn builds an evaluator over a prebuilt topology with a
+// fresh stripe set. The exported per-node arrays alias the stripes and
+// the CSR/level fields alias the topo, so every Evaluator method —
+// including the incremental engine and MemoryBytes — works identically
+// over a base or a scaled topology.
+func newEvaluatorOn(t *topo) *Evaluator {
 	g := t.g
 	nn := g.NumNodes()
-	st := t.carve(slab)
+	st := t.carve()
 	e := &Evaluator{
 		g: g, cs: t.cs,
 		t: t, st: st,
@@ -243,7 +241,7 @@ func (e *Evaluator) SetSizes(x []float64) error {
 
 // electricalRange fills the per-node capacitances and effective resistances
 // for nodes [lo, hi); every iteration is independent. The body lives in
-// the kernel layer (kernel.go) so batched replicas run the identical code.
+// the kernel layer (kernel.go), like every per-node body below.
 func (e *Evaluator) electricalRange(lo, hi int) { e.t.kElectrical(&e.st, lo, hi) }
 
 // couplingRange fills the neighbour coupling sums CNbr for nodes [lo, hi).

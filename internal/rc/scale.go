@@ -9,16 +9,14 @@
 // topo re-derives only the per-node constant arrays; everything
 // structural — the graph, the kinds, the coupling CSR indices, the level
 // buckets — is shared with the base topo, so K perturbed replicas cost K
-// constant stripes, not K topologies, and a Batch over them can still
-// schedule all replicas through one levelized pass.
+// sets of constant arrays, not K topologies.
 //
 // Determinism: the scaled arrays are scalar products of the base arrays
 // in index order, so deriving the same Perturb from the same base topo
-// always yields bit-identical constants — a perturbed replica solved in
-// lockstep and a solo evaluator scaled with the same Perturb evaluate
-// identically, bit for bit. The nominal Perturb multiplies by exactly
-// 1.0, which is exact in floating point: a nominal scaled topo equals
-// the base topo bitwise.
+// always yields bit-identical constants — two replicas scaled with the
+// same Perturb evaluate identically, bit for bit. The nominal Perturb
+// multiplies by exactly 1.0, which is exact in floating point: a nominal
+// scaled topo equals the base topo bitwise.
 package rc
 
 import (
@@ -26,7 +24,6 @@ import (
 	"math"
 
 	"repro/internal/circuit"
-	"repro/internal/coupling"
 )
 
 // Perturb is one technology perturbation: scalar multipliers on the
@@ -133,34 +130,7 @@ func (e *Evaluator) ScaledReplica(p Perturb) (*Evaluator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newEvaluatorOn(t, nil), nil
-}
-
-// NewScaledBatch builds one replica per perturbation over a single base
-// topology: replica r evaluates under perturbs[r], with all structural
-// arrays shared and replica stripes carved from one slab exactly like
-// NewBatch. A nominal perturbation shares the base topo itself, so a
-// NewScaledBatch over all-nominal perturbs is bit-for-bit a NewBatch.
-func NewScaledBatch(g *circuit.Graph, cs *coupling.Set, perturbs []Perturb) (*Batch, error) {
-	k := len(perturbs)
-	if k == 0 {
-		return nil, fmt.Errorf("rc: scaled batch needs at least one perturbation")
-	}
-	t, err := buildTopo(g, cs)
-	if err != nil {
-		return nil, err
-	}
-	per := t.stripeArrays() * g.NumNodes()
-	slab := make([]float64, k*per)
-	b := &Batch{t: t, evs: make([]*Evaluator, k)}
-	for r := 0; r < k; r++ {
-		rt, err := t.scaled(perturbs[r])
-		if err != nil {
-			return nil, fmt.Errorf("rc: replica %d: %w", r, err)
-		}
-		b.evs[r] = newEvaluatorOn(rt, slab[r*per:(r+1)*per])
-	}
-	return b, nil
+	return newEvaluatorOn(t), nil
 }
 
 // RCConst returns node i's effective-resistance constant tech.RC·r̂ᵢ as

@@ -3,6 +3,8 @@ package rc
 import (
 	"math"
 	"testing"
+
+	"repro/internal/circuit"
 )
 
 // TestPerturbValidate pins the perturbation guard: every scalar must be
@@ -73,43 +75,67 @@ func TestScaledReplicaNominalIsExact(t *testing.T) {
 	}
 }
 
-// TestScaledBatchSharesStructure: scaled replicas share the structural
-// arrays (coupling CSR, level buckets) with the base topology — the
-// memory contract that makes a Monte-Carlo batch cost constant stripes,
-// not elaborations.
-func TestScaledBatchSharesStructure(t *testing.T) {
+// TestScaledReplicaSharesStructure: a nominal replica shares the base
+// topology outright, and a perturbed one shares its structural arrays
+// (coupling CSR, level buckets) — the memory contract that makes a
+// Monte-Carlo sample cost constant arrays, not an elaboration.
+func TestScaledReplicaSharesStructure(t *testing.T) {
 	g := buildChain(t)
 	cs := emptySet(t)
-	b, err := NewScaledBatch(g, cs, []Perturb{Nominal(), {R: 1.1, C: 0.9, Threshold: 1.2}})
+	base, err := NewEvaluator(g, cs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e0, e1 := b.Ev(0), b.Ev(1)
-	if e0.t != b.t {
-		t.Error("nominal batch replica did not share the base topology")
+	nom, err := base.ScaledReplica(Nominal())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if e1.t == b.t {
-		t.Error("perturbed batch replica shared the base topology")
+	if nom.t != base.t {
+		t.Error("nominal replica did not share the base topology")
 	}
-	if &e1.t.lvlNodes[0] != &b.t.lvlNodes[0] {
+	pert, err := base.ScaledReplica(Perturb{R: 1.1, C: 0.9, Threshold: 1.2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pert.t == base.t {
+		t.Error("perturbed replica shared the base topology")
+	}
+	if &pert.t.lvlNodes[0] != &base.t.lvlNodes[0] {
 		t.Error("perturbed topology copied the level buckets")
 	}
-	if _, err := NewScaledBatch(g, cs, nil); err == nil {
-		t.Error("NewScaledBatch accepted an empty perturbation set")
+	if _, err := base.ScaledReplica(Perturb{R: math.NaN(), C: 1, Threshold: 1}); err == nil {
+		t.Error("ScaledReplica accepted a NaN scalar")
 	}
-	if _, err := NewScaledBatch(g, cs, []Perturb{{R: math.NaN(), C: 1, Threshold: 1}}); err == nil {
-		t.Error("NewScaledBatch accepted a NaN scalar")
+}
+
+// buildChain makes a minimal driver→wire→gate→wire(output) chain.
+func buildChain(t *testing.T) *circuit.Graph {
+	t.Helper()
+	b := circuit.NewBuilder()
+	d := b.AddDriver("d", 100)
+	w1 := b.AddWire("w1", 10, 0.5, 0.1, 50, 1, 0.2, 3)
+	gt := b.AddGate("g", 12, 0.4, 2, 0.3, 4)
+	w2 := b.AddWire("w2", 8, 0.5, 0.1, 40, 1, 0.2, 3)
+	b.Connect(d, w1)
+	b.Connect(w1, gt)
+	b.Connect(gt, w2)
+	b.MarkOutput(w2, 15)
+	g, _, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
 	}
+	return g
 }
 
 // FuzzVariation is the technology-perturbation adversary: for every DAG
 // the bytes describe it draws K random perturbation scalar triples
-// (nominal included), builds a scaled batch and K solo scaled replicas
-// with identical sizes, and demands exact bitwise equality of every
-// derived array after batched passes over arbitrary replica subsets
-// (retirement) under hostile Runner chunkings — the rc.Batch contract
-// extended over per-replica topologies, which is the foundation of the
-// robust objective's batched scoring ≡ solo evaluation.
+// (nominal included) and sizes, and demands that each scaled replica's
+// levelized Recompute and UpstreamResistance, under deliberately hostile
+// Runner chunkings, equal bitwise the serial passes of a twin replica
+// derived separately from the same Perturb and sizes. That is the
+// foundation of every corner, Monte-Carlo sample and robust trial
+// scoring: a perturbed evaluator is a pure function of (circuit, Perturb,
+// sizes), whatever its schedule.
 func FuzzVariation(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 121, 98})
@@ -121,105 +147,65 @@ func FuzzVariation(f *testing.F) {
 		if g == nil {
 			return
 		}
-		feed := &byteFeed{data: data}
-		k := 1 + feed.next()%4
-		perturbs := make([]Perturb, k)
-		for r := range perturbs {
-			if feed.next()%4 == 0 {
-				perturbs[r] = Nominal() // exercise the shared-base-topo path
-				continue
-			}
-			// Scalars in [0.5, 1.49] — the corner/Monte-Carlo regime.
-			perturbs[r] = Perturb{
-				R:         0.5 + float64(feed.next()%100)/100,
-				C:         0.5 + float64(feed.next()%100)/100,
-				Threshold: 0.5 + float64(feed.next()%100)/100,
-			}
-		}
-		b, err := NewScaledBatch(g, cs, perturbs)
+		base, err := NewEvaluator(g, cs)
 		if err != nil {
 			t.Fatal(err) // generator only couples wires, so this must build
 		}
-		base, err := NewEvaluator(g, cs)
-		if err != nil {
-			t.Fatal(err)
-		}
+		feed := &byteFeed{data: data}
 		nn := g.NumNodes()
-		solos := make([]*Evaluator, k)
-		lambdas := make([][]float64, k)
+		k := 1 + feed.next()%4
 		for r := 0; r < k; r++ {
-			solo, err := base.ScaledReplica(perturbs[r])
+			p := Nominal() // one draw in four exercises the shared-base-topo path
+			if feed.next()%4 != 0 {
+				// Scalars in [0.5, 1.49] — the corner/Monte-Carlo regime.
+				p = Perturb{
+					R:         0.5 + float64(feed.next()%100)/100,
+					C:         0.5 + float64(feed.next()%100)/100,
+					Threshold: 0.5 + float64(feed.next()%100)/100,
+				}
+			}
+			twin, err := base.ScaledReplica(p)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i := 0; i < nn; i++ {
-				c := g.Comp(i)
-				if !c.Kind.Sizable() {
-					continue
+				if c := g.Comp(i); c.Kind.Sizable() {
+					twin.X[i] = c.Lo + float64(feed.next()%32)/31*(c.Hi-c.Lo)
 				}
-				v := c.Lo + float64(feed.next()%32)/31*(c.Hi-c.Lo)
-				solo.X[i] = v
-				b.Ev(r).X[i] = v
 			}
-			solos[r] = solo
-			lam := make([]float64, nn)
-			for i := range lam {
-				lam[i] = float64((i*3+r*7+len(data))%13) / 5
+			lambda := make([]float64, nn)
+			for i := range lambda {
+				lambda[i] = float64((i*3+r*7+len(data))%13) / 5
 			}
-			lambdas[r] = lam
-		}
-		subset := make([]int, 0, k)
-		for r := 0; r < k; r++ {
-			if feed.next()%2 == 0 {
-				subset = append(subset, r)
-			}
-		}
-		if len(subset) == 0 {
-			subset = append(subset, feed.next()%k)
-		}
-		full := make([]int, k)
-		for r := range full {
-			full[r] = r
-		}
-		for _, parts := range []int{1, 3, 5} {
-			if parts > 1 {
-				b.SetRunner(chunkedRunner(parts))
-			}
-			for v, reps := range [][]int{subset, full} {
-				dsts := make([][]float64, len(reps))
-				lams := make([][]float64, len(reps))
-				for n, r := range reps {
-					dsts[n] = make([]float64, nn)
-					lams[n] = lambdas[r]
+			twin.RecomputeSerial()
+			ref := make([]float64, nn)
+			twin.UpstreamResistanceSerial(lambda, ref)
+
+			for _, parts := range []int{1, 3, 5} {
+				e, err := base.ScaledReplica(p)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if v == 0 {
-					b.RecomputeAll(reps)
-					b.UpstreamResistanceAll(reps, lams, dsts)
-				} else {
-					b.SweepAll(reps, lams, dsts)
-				}
-				for n, r := range reps {
-					solo := solos[r]
-					solo.RecomputeSerial()
-					ref := make([]float64, nn)
-					solo.UpstreamResistanceSerial(lambdas[r], ref)
-					e := b.Ev(r)
-					for i := 0; i < nn; i++ {
-						if e.B[i] != solo.B[i] || e.C[i] != solo.C[i] || e.CPr[i] != solo.CPr[i] ||
-							e.D[i] != solo.D[i] || e.A[i] != solo.A[i] ||
-							e.Cap[i] != solo.Cap[i] || e.RPs[i] != solo.RPs[i] {
-							t.Fatalf("parts=%d replica %d (p=%+v) node %d: batch (B=%.17g C=%.17g D=%.17g A=%.17g) != scaled solo (B=%.17g C=%.17g D=%.17g A=%.17g)",
-								parts, r, perturbs[r], i, e.B[i], e.C[i], e.D[i], e.A[i],
-								solo.B[i], solo.C[i], solo.D[i], solo.A[i])
-						}
-						if e.CNbr != nil && e.CNbr[i] != solo.CNbr[i] {
-							t.Fatalf("parts=%d replica %d node %d: CNbr %.17g != %.17g",
-								parts, r, i, e.CNbr[i], solo.CNbr[i])
-						}
-						if dsts[n][i] != ref[i] {
-							t.Fatalf("parts=%d replica %d node %d: batch R=%.17g != scaled solo R=%.17g",
-								parts, r, i, dsts[n][i], ref[i])
-						}
+				copy(e.X, twin.X)
+				e.SetRunner(chunkedRunner(parts))
+				e.Recompute()
+				dst := make([]float64, nn)
+				e.UpstreamResistance(lambda, dst)
+				for i := 0; i < nn; i++ {
+					if e.B[i] != twin.B[i] || e.C[i] != twin.C[i] || e.CPr[i] != twin.CPr[i] ||
+						e.D[i] != twin.D[i] || e.A[i] != twin.A[i] ||
+						e.Cap[i] != twin.Cap[i] || e.RPs[i] != twin.RPs[i] {
+						t.Fatalf("parts=%d replica %d (p=%+v) node %d: levelized (B=%.17g C=%.17g D=%.17g A=%.17g) != serial twin (B=%.17g C=%.17g D=%.17g A=%.17g)",
+							parts, r, p, i, e.B[i], e.C[i], e.D[i], e.A[i],
+							twin.B[i], twin.C[i], twin.D[i], twin.A[i])
+					}
+					if e.CNbr != nil && e.CNbr[i] != twin.CNbr[i] {
+						t.Fatalf("parts=%d replica %d node %d: CNbr %.17g != %.17g",
+							parts, r, i, e.CNbr[i], twin.CNbr[i])
+					}
+					if dst[i] != ref[i] {
+						t.Fatalf("parts=%d replica %d node %d: levelized R=%.17g != serial twin R=%.17g",
+							parts, r, i, dst[i], ref[i])
 					}
 				}
 			}

@@ -249,6 +249,9 @@ func TestSweepErrors(t *testing.T) {
 		{"unknown key", `{"key":"nope"}`, http.StatusNotFound, "no cached circuit"},
 		{"bad factor", fmt.Sprintf(`{"key":%q,"delay_scale":[-1]}`, key),
 			http.StatusUnprocessableEntity, "must be positive"},
+		// The retired lockstep option is now an unknown field.
+		{"retired lockstep", fmt.Sprintf(`{"key":%q,"lockstep":true}`, key),
+			http.StatusBadRequest, "unknown field"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -37,12 +37,6 @@ type Options struct {
 	// variation.MCOptions.Workers). Results are bit-identical at every
 	// width.
 	DefaultWorkers int
-	// DefaultLockstep makes lockstep batching (sweep.Options.Lockstep)
-	// the default for every sweep request (ogwsd -lockstep). Scheduling
-	// only: grids are bit-identical with it on or off, so flipping the
-	// server default never changes any response bytes — only /stats
-	// attribution and throughput.
-	DefaultLockstep bool
 	// MaxSavedResults bounds the named warm-start results kept per cached
 	// instance (oldest evicted first); default 32.
 	MaxSavedResults int

@@ -20,8 +20,6 @@ type serverStats struct {
 	sweepCells     int64
 	sweepLRSSweeps int64
 	sweepSec       float64
-	lockstepSweeps int64
-	lockstepCells  int64
 	eval           rc.EvalStats
 	hystTrips      int64
 	revertedSweeps int64
@@ -106,17 +104,13 @@ func (st *serverStats) addSolveCancelled() {
 	st.solvesCancelled++
 }
 
-func (st *serverStats) addSweep(sec float64, cells, lrsSweeps int, lockstep bool) {
+func (st *serverStats) addSweep(sec float64, cells, lrsSweeps int) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.sweeps++
 	st.sweepCells += int64(cells)
 	st.sweepLRSSweeps += int64(lrsSweeps)
 	st.sweepSec += sec
-	if lockstep {
-		st.lockstepSweeps++
-		st.lockstepCells += int64(cells)
-	}
 }
 
 func (st *serverStats) addMonteCarlo(sec float64, samples int) {
@@ -156,13 +150,6 @@ type Stats struct {
 	SweepSec         float64 `json:"sweep_sec"`
 	SweepCellsPerSec float64 `json:"sweep_cells_per_sec"`
 	SweepLRSSweeps   int64   `json:"sweep_lrs_sweeps"`
-	// LockstepSweeps / LockstepCells count the sweeps (and their cells)
-	// that ran with lockstep batching (request opt-in or the server's
-	// -lockstep default). Lockstep changes scheduling only — the solved
-	// grids are bit-identical — so these are throughput attribution, not a
-	// results distinction.
-	LockstepSweeps int64 `json:"lockstep_sweeps,omitempty"`
-	LockstepCells  int64 `json:"lockstep_cells,omitempty"`
 	// Eval sums the rc.EvalStats work counters over the /solve request
 	// evaluators (sweep cells solve on internal/sweep's own replicas,
 	// which are accounted via SweepLRSSweeps instead); NodeVisits is the
@@ -222,9 +209,7 @@ func (st *serverStats) snapshot(instances int, hits, misses, evictions int64) St
 		Instances: instances,
 		CacheHits: hits, CacheMiss: misses, Evictions: evictions,
 		Solves: st.solves, Sweeps: st.sweeps, SweepCells: st.sweepCells,
-		SweepLRSSweeps: st.sweepLRSSweeps,
-		LockstepSweeps: st.lockstepSweeps, LockstepCells: st.lockstepCells,
-		SolveSec: st.solveSec, SweepSec: st.sweepSec,
+		SweepLRSSweeps: st.sweepLRSSweeps, SolveSec: st.solveSec, SweepSec: st.sweepSec,
 		Eval:             st.eval,
 		NodeVisits:       st.eval.NodeVisits(),
 		HysteresisTrips:  st.hystTrips,

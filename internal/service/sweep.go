@@ -43,13 +43,7 @@ type sweepRequest struct {
 	PrimalOnly   bool `json:"primal_only,omitempty"`
 	S1           bool `json:"s1,omitempty"`
 	Full         bool `json:"full,omitempty"`
-	// Lockstep batches the sweep's independent cells through one shared
-	// evaluator in lockstep (sweep.Options.Lockstep) — a scheduling
-	// change only, the grid is bit-identical. The server's -lockstep flag
-	// makes it the default for every sweep; the request field opts a
-	// single sweep in.
-	Lockstep bool `json:"lockstep,omitempty"`
-	Stream   bool `json:"stream,omitempty"`
+	Stream       bool `json:"stream,omitempty"`
 	// Corners replaces the bounds grid with the standard five-corner
 	// process enumeration (tt/ff/ss/fs/sf), each corner warm-started from
 	// the nominal solve; delay_scale / noise_scale are ignored. See
@@ -126,7 +120,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		PrimalOnly:    req.PrimalOnly,
 		ColdLRS:       req.S1,
 		FullPasses:    req.Full,
-		Lockstep:      req.Lockstep || s.opt.DefaultLockstep,
 		// Shed abandoned grids: unlike a solve (whose result may be saved
 		// for warm starts), a sweep's output goes nowhere once the client
 		// is gone, so stop scheduling cells when the request dies.
@@ -185,7 +178,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		s.emit(wlog, progressEvent{Kind: "sweep_done", Solve: solveID, Iterations: len(res.Cells), SolveSec: sec})
-		s.stats.addSweep(sec, len(res.Cells), gridLRSSweeps(res), opt.Lockstep)
+		s.stats.addSweep(sec, len(res.Cells), gridLRSSweeps(res))
 		writeBody(w, http.StatusOK, body)
 		return
 	}
@@ -216,7 +209,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	sec := time.Since(start).Seconds()
 	s.emit(wlog, progressEvent{Kind: "sweep_done", Solve: solveID, Iterations: len(res.Cells), SolveSec: sec})
-	s.stats.addSweep(sec, len(res.Cells), gridLRSSweeps(res), opt.Lockstep)
+	s.stats.addSweep(sec, len(res.Cells), gridLRSSweeps(res))
 	nw.writeLine(sweepSummary{
 		Done: true, Key: e.key, Circuit: e.name,
 		Rows: res.Rows, Cols: res.Cols, Frontier: res.Frontier, SolveSec: sec,

@@ -50,10 +50,10 @@ type storedCorners struct {
 
 // mcKey hashes everything that determines a Monte-Carlo run's bits: the
 // circuit content hash, the resolved bounds, the sample count, seed, and
-// sigmas, and the normalized solver knobs. Workers and Solo are
-// deliberately excluded — the run is bit-identical at every fan-out
-// width and on the solo path (the variation oracle pins it) — so the
-// same run re-requested with different scheduling dedups.
+// sigmas, and the normalized solver knobs. Workers is deliberately
+// excluded — the run is bit-identical at every fan-out width (the
+// variation oracle pins it) — so the same run re-requested at a
+// different width dedups.
 func mcKey(circuitKey string, b bench.Bounds, samples int, seed uint64, sg variation.Sigmas, maxIter int, epsilon float64) string {
 	h := sha256.New()
 	put := func(v uint64) {
@@ -160,9 +160,6 @@ type montecarloRequest struct {
 	MaxIterations int     `json:"max_iterations,omitempty"`
 	Epsilon       float64 `json:"epsilon,omitempty"`
 	Workers       int     `json:"workers,omitempty"`
-	// Solo solves the same per-sample solves one at a time instead of
-	// fanning them out — scheduling only, bits identical.
-	Solo bool `json:"solo,omitempty"`
 	// NoDedup forces the run even when the store already holds this exact
 	// run (same circuit, bounds, seed, samples, sigmas, knobs).
 	NoDedup bool `json:"no_dedup,omitempty"`
@@ -285,7 +282,6 @@ func (s *Server) handleMonteCarlo(w http.ResponseWriter, r *http.Request) {
 			MaxIterations: req.MaxIterations,
 			Epsilon:       req.Epsilon,
 			Workers:       workers,
-			Solo:          req.Solo,
 			Cancel:        func() bool { return r.Context().Err() != nil },
 			OnSample:      onSample,
 		})

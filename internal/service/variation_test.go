@@ -25,6 +25,8 @@ func TestMonteCarloErrors(t *testing.T) {
 		{"zero samples", `{"key":"` + key + `"}`, http.StatusBadRequest, "samples must be positive"},
 		{"negative sigma", `{"key":"` + key + `","samples":3,"sigmas":{"r":-0.1}}`, http.StatusBadRequest, "sigma"},
 		{"nan sigma", `{"key":"` + key + `","samples":3,"sigmas":{"c":NaN}}`, http.StatusBadRequest, "bad montecarlo request"},
+		// The solo schedule is no longer a request field.
+		{"retired solo", `{"key":"` + key + `","samples":3,"solo":true}`, http.StatusBadRequest, "unknown field"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

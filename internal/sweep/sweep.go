@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/bench"
@@ -31,9 +30,10 @@ type Options struct {
 	// (0 = the paper's 1%).
 	MaxIterations int
 	Epsilon       float64
-	// Workers is the per-cell solver width (0 = 1, as in core.SolveBatch:
-	// the sweep level owns the cores by default). SweepWorkers bounds how
-	// many rows solve concurrently (0 = all cores).
+	// Workers is the per-cell solver width (0 = 1: the sweep level owns
+	// the cores by default, since independent cells scale better than one
+	// sharded solve). SweepWorkers bounds how many rows — or, in a Cold
+	// sweep, cells — solve concurrently (0 = all cores).
 	Workers      int
 	SweepWorkers int
 	// Cold disables warm-starting: every cell seeds from the instance's
@@ -59,20 +59,6 @@ type Options struct {
 	// false): every LRS sweep pays the full passes. The warm sweep with
 	// and without it is bit-identical at ActiveSetTol = 0.
 	FullPasses bool
-	// Lockstep batches the independent cells of each wavefront through one
-	// shared rc.Batch (core.NewLockstep) instead of per-cell replica
-	// solves: a Cold sweep advances every cell of the grid in lockstep,
-	// and a warm sweep advances the row tails east of the spine in
-	// lockstep (one replica per row; the spine itself is a sequential
-	// seeding chain and stays cell-by-cell). Every evaluator pass then
-	// runs as one batched levelized round across the surviving cells —
-	// one barrier per level total — and converged cells retire without
-	// perturbing the others. Purely a scheduling change: each cell's
-	// Result is bitwise equal to its solo solve, so grids — including the
-	// golden fixtures — are identical with the knob on or off. Under
-	// Lockstep the batched rounds carry the parallelism (width Workers);
-	// SweepWorkers is not consulted for the lockstepped cells.
-	Lockstep bool
 	// ActiveSetTol and CutoverHysteresis pass through to core.Options.
 	ActiveSetTol      float64
 	CutoverHysteresis int
@@ -219,27 +205,6 @@ func cellBounds(base bench.Bounds, off, fd, fn float64) (bench.Bounds, error) {
 // CutoverHysteresis) plus OnProgress, which receives the given row/col
 // with each iteration; the grid axes are irrelevant here.
 func (o Options) SolveCell(ev *rc.Evaluator, row, col int, b bench.Bounds, seed []float64, dual *core.DualState) (*core.Result, *core.DualState, float64, error) {
-	return o.solveCellWith(func(sopt core.Options) (*core.Solver, error) {
-		return core.NewSolver(ev, sopt)
-	}, row, col, b, seed, dual)
-}
-
-// SolveCellLockstep is SolveCell on a lockstep replica: the same solver
-// options, seeding, and dual handling, but the solver advances through
-// the gate's batched rounds (core.NewLockstepSolver) instead of solo
-// passes — bit-identical to SolveCell on a fresh replica by the lockstep
-// contract. Exported for the same reason as SolveCell: farm workers
-// execute lockstep sweep leases through the exact code path the
-// single-process engine uses.
-func (o Options) SolveCellLockstep(ls *core.Lockstep, rep int, row, col int, b bench.Bounds, seed []float64, dual *core.DualState) (*core.Result, *core.DualState, float64, error) {
-	return o.solveCellWith(func(sopt core.Options) (*core.Solver, error) {
-		return core.NewLockstepSolver(ls, rep, sopt)
-	}, row, col, b, seed, dual)
-}
-
-// solveCellWith is the shared cell body: build the cell's solver through
-// mk, seed it, run, and hand back the result with the next dual seed.
-func (o Options) solveCellWith(mk func(core.Options) (*core.Solver, error), row, col int, b bench.Bounds, seed []float64, dual *core.DualState) (*core.Result, *core.DualState, float64, error) {
 	sopt := o.solverOptions(b)
 	if o.OnProgress != nil {
 		sopt.OnIteration = func(p core.IterProgress) { o.OnProgress(row, col, p) }
@@ -247,7 +212,7 @@ func (o Options) solveCellWith(mk func(core.Options) (*core.Solver, error), row,
 	// Thread the sweep's Cancel into the solver's iteration boundary, so a
 	// cancelled sweep also stops mid-cell instead of waiting out the cell.
 	sopt.Cancel = o.Cancel
-	sol, err := mk(sopt)
+	sol, err := core.NewSolver(ev, sopt)
 	if err != nil {
 		return nil, nil, 0, err
 	}
@@ -335,52 +300,22 @@ func Run(inst *bench.Instance, opt Options) (*Result, error) {
 
 	if opt.Cold {
 		errs := make([]error, len(res.Cells))
-		if opt.Lockstep && len(res.Cells) > 1 {
-			// Every cell is independent, so the whole grid advances in
-			// lockstep: one replica per cell, one batched round per solver
-			// iteration across all still-running cells. Converged cells
-			// Leave; the last survivors finish on ever-smaller rounds.
-			ls, lerr := core.NewLockstep(g, cs, len(res.Cells), opt.Workers)
-			if lerr != nil {
-				return nil, lerr
+		fanout.Each(len(res.Cells), opt.SweepWorkers, func(k int) {
+			if opt.cancelled() {
+				errs[k] = ErrCancelled
+				return
 			}
-			var wg sync.WaitGroup
-			for k := range res.Cells {
-				wg.Add(1)
-				go func(k int) {
-					defer wg.Done()
-					defer ls.Leave()
-					if opt.cancelled() {
-						errs[k] = ErrCancelled
-						return
-					}
-					c := &res.Cells[k]
-					c.Result, _, c.SolveSec, errs[k] = opt.SolveCellLockstep(ls, k, c.Row, c.Col, c.Bounds, initX, nil)
-					if opt.OnCell != nil && errs[k] == nil {
-						opt.OnCell(c)
-					}
-				}(k)
+			ev, err := rc.NewEvaluator(g, cs)
+			if err != nil {
+				errs[k] = err
+				return
 			}
-			wg.Wait()
-			ls.Close()
-		} else {
-			fanout.Each(len(res.Cells), opt.SweepWorkers, func(k int) {
-				if opt.cancelled() {
-					errs[k] = ErrCancelled
-					return
-				}
-				ev, err := rc.NewEvaluator(g, cs)
-				if err != nil {
-					errs[k] = err
-					return
-				}
-				c := &res.Cells[k]
-				c.Result, _, c.SolveSec, errs[k] = opt.SolveCell(ev, c.Row, c.Col, c.Bounds, initX, nil)
-				if opt.OnCell != nil && errs[k] == nil {
-					opt.OnCell(c)
-				}
-			})
-		}
+			c := &res.Cells[k]
+			c.Result, _, c.SolveSec, errs[k] = opt.SolveCell(ev, c.Row, c.Col, c.Bounds, initX, nil)
+			if opt.OnCell != nil && errs[k] == nil {
+				opt.OnCell(c)
+			}
+		})
 		for _, err := range errs {
 			if err != nil {
 				return nil, err
@@ -420,9 +355,12 @@ func Run(inst *bench.Instance, opt Options) (*Result, error) {
 	// cell from its western neighbour.
 	if cols > 1 {
 		errs := make([]error, rows)
-		// walk drives row i east on one solve function, threading the seed
-		// chain — shared by the replica-per-row and lockstep schedules.
-		walk := func(i int, cell func(c *Cell, seed []float64, d *core.DualState) (*core.Result, *core.DualState, float64, error)) {
+		fanout.Each(rows, opt.SweepWorkers, func(i int) {
+			ev, err := rc.NewEvaluator(g, cs)
+			if err != nil {
+				errs[i] = err
+				return
+			}
 			rowSeed, rowD := res.At(i, 0).Result.X, rowDual[i]
 			for j := 1; j < cols; j++ {
 				if opt.cancelled() {
@@ -431,7 +369,7 @@ func Run(inst *bench.Instance, opt Options) (*Result, error) {
 				}
 				c := res.At(i, j)
 				c.SeedRow, c.SeedCol = i, j-1
-				if c.Result, rowD, c.SolveSec, errs[i] = cell(c, rowSeed, rowD); errs[i] != nil {
+				if c.Result, rowD, c.SolveSec, errs[i] = opt.SolveCell(ev, c.Row, c.Col, c.Bounds, rowSeed, rowD); errs[i] != nil {
 					return
 				}
 				if opt.OnCell != nil {
@@ -439,42 +377,7 @@ func Run(inst *bench.Instance, opt Options) (*Result, error) {
 				}
 				rowSeed = c.Result.X
 			}
-		}
-		if opt.Lockstep && rows > 1 {
-			// The row tails are mutually independent (each chained only
-			// within its row), so they lockstep with one replica per row;
-			// the replica persists across the row's cells exactly like the
-			// per-row evaluator above. A row that finishes its last column
-			// Leaves while longer-running rows keep lockstepping.
-			ls, lerr := core.NewLockstep(g, cs, rows, opt.Workers)
-			if lerr != nil {
-				return nil, lerr
-			}
-			var wg sync.WaitGroup
-			for i := 0; i < rows; i++ {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					defer ls.Leave()
-					walk(i, func(c *Cell, seed []float64, d *core.DualState) (*core.Result, *core.DualState, float64, error) {
-						return opt.SolveCellLockstep(ls, i, c.Row, c.Col, c.Bounds, seed, d)
-					})
-				}(i)
-			}
-			wg.Wait()
-			ls.Close()
-		} else {
-			fanout.Each(rows, opt.SweepWorkers, func(i int) {
-				ev, err := rc.NewEvaluator(g, cs)
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				walk(i, func(c *Cell, seed []float64, d *core.DualState) (*core.Result, *core.DualState, float64, error) {
-					return opt.SolveCell(ev, c.Row, c.Col, c.Bounds, seed, d)
-				})
-			})
-		}
+		})
 		for _, err := range errs {
 			if err != nil {
 				return nil, err

@@ -359,3 +359,30 @@ func TestSweepOnProgressStreams(t *testing.T) {
 		}
 	}
 }
+
+// TestFillNormalizesWorkers pins the width normalization fill applies —
+// the same convention as core.Options.validate: negative selects all
+// cores, zero keeps each level's own default (Workers: one serial
+// solver; SweepWorkers: resolved later by fanout.Each).
+func TestFillNormalizesWorkers(t *testing.T) {
+	all := runtime.GOMAXPROCS(0)
+	for _, tc := range []struct {
+		name                     string
+		workers, sweepWorkers    int
+		wantWorkers, wantSweepWk int
+	}{
+		{"zero-defaults", 0, 0, 1, 0},
+		{"explicit", 3, 5, 3, 5},
+		{"negative-workers", -1, 2, all, 2},
+		{"negative-sweep-workers", 2, -4, 2, all},
+		{"both-negative", -7, -1, all, all},
+	} {
+		o := Options{Workers: tc.workers, SweepWorkers: tc.sweepWorkers}
+		o.fill()
+		if o.Workers != tc.wantWorkers || o.SweepWorkers != tc.wantSweepWk {
+			t.Errorf("%s: fill(%d, %d) = (%d, %d), want (%d, %d)",
+				tc.name, tc.workers, tc.sweepWorkers,
+				o.Workers, o.SweepWorkers, tc.wantWorkers, tc.wantSweepWk)
+		}
+	}
+}

@@ -295,8 +295,8 @@ type RobustResult struct {
 // Robust minimizes μ+kσ of delay subject to the noise and power bounds,
 // as an outer loop over the deterministic solver: each trial tightens
 // (or relaxes) the delay target, solves the nominal instance there, and
-// scores the resulting fixed design by evaluating it — one batched
-// levelized pass — across the Monte-Carlo perturbation set. The design
+// scores the resulting fixed design by evaluating it — one full pass per
+// perturbed replica — across the Monte-Carlo perturbation set. The design
 // whose delay distribution minimizes μ+kσ wins; per-trial yield against
 // the base A0 gives the Table-1-style yield report.
 func Robust(inst *bench.Instance, opt RobustOptions) (*RobustResult, error) {
@@ -325,15 +325,13 @@ func Robust(inst *bench.Instance, opt RobustOptions) (*RobustResult, error) {
 	}
 	bounds := resolveBounds(inst, opt.MC.Bounds)
 
-	// One perturbed batch, reused across trials: scoring a fixed design
-	// over all samples is a single batched Recompute, no solves.
-	b, err := inst.PerturbedBatch(perturbs)
-	if err != nil {
-		return nil, err
-	}
-	reps := make([]int, b.Len())
-	for r := range reps {
-		reps[r] = r
+	// One perturbed replica per sample, reused across trials: scoring a
+	// fixed design is one full pass per replica, no solves.
+	reps := make([]*rc.Evaluator, len(perturbs))
+	for r, p := range perturbs {
+		if reps[r], err = inst.PerturbedReplica(p); err != nil {
+			return nil, err
+		}
 	}
 
 	out := &RobustResult{K: k, Trials: make([]RobustTrial, 0, len(scales))}
@@ -360,15 +358,13 @@ func Robust(inst *bench.Instance, opt RobustOptions) (*RobustResult, error) {
 			return nil, err
 		}
 		delays := make([]float64, len(reps))
-		for _, r := range reps {
-			if err := b.Ev(r).SetSizes(res.X); err != nil {
+		pass := 0
+		for r, ev := range reps {
+			if err := ev.SetSizes(res.X); err != nil {
 				return nil, err
 			}
-		}
-		b.RecomputeAll(reps)
-		pass := 0
-		for _, r := range reps {
-			delays[r] = b.Ev(r).MaxArrival()
+			ev.Recompute()
+			delays[r] = ev.MaxArrival()
 			if delays[r] <= bounds.A0 {
 				pass++
 			}

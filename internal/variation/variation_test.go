@@ -13,10 +13,10 @@ import (
 	"repro/internal/rc"
 )
 
-// testInstance is the deterministic coupled mesh the sweep and lockstep
-// suites pin their oracles on — the same construction the farm
-// re-materializes by key, so every bit-identity proved here transfers to
-// the distributed path.
+// testInstance is the deterministic coupled mesh the sweep suite pins
+// its oracles on — the same construction the farm re-materializes by
+// key, so every bit-identity proved here transfers to the distributed
+// path.
 func testInstance(t testing.TB, width, layers int) (*bench.Instance, bench.Bounds) {
 	t.Helper()
 	inst, b, err := bench.GridInstance(width, layers, true)

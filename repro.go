@@ -44,10 +44,10 @@
 //     change a single bit, so results remain bit-identical to the full
 //     passes at every Workers width.
 //   - Across solves, Instance.OptimizeBatch (and the internal
-//     bench.RunTable1Parallel / core.SolveBatch drivers) run many circuits
-//     or specs side by side, one solver per core, for Table-1-style
-//     sweeps. The two levels compose; by default the batch level owns the
-//     cores since independent solves scale better than one sharded solve.
+//     bench.RunTable1Parallel driver) run many circuits or specs side by
+//     side, one solver per core, for Table-1-style sweeps. The two levels
+//     compose; by default the batch level owns the cores since
+//     independent solves scale better than one sharded solve.
 package repro
 
 import (
