@@ -34,11 +34,12 @@ race:
 	$(GO) test -race ./...
 
 # The variation fan-out and the farm's streaming callbacks let several
-# goroutines reach state one goroutine reached before: run their tests ten
-# times under the race detector, so a rare interleaving gets ten chances
-# to show.
+# goroutines reach state one goroutine reached before, and a reaped farm
+# worker's lease poll must end when its client hangs up: run their tests
+# ten times under the race detector, so a rare interleaving gets ten
+# chances to show.
 race-stress:
-	$(GO) test -race -count=10 -run 'TestFarmDispatchMatchesLocal|TestFarmMonteCarloMatchesLocal|TestCornersEndpoint|TestMonteCarlo|TestCorner' ./internal/service ./internal/farm ./internal/variation
+	$(GO) test -race -count=10 -run 'TestFarmDispatchMatchesLocal|TestFarmMonteCarloMatchesLocal|TestCornersEndpoint|TestMonteCarlo|TestCorner|TestWorkerReRegistersAfterReap' ./internal/service ./internal/farm ./internal/variation
 
 # One iteration of every benchmark: a smoke pass, not a measurement.
 bench:
@@ -48,13 +49,13 @@ bench:
 # and process-variation benchmark families and write a JSON snapshot
 # (ns/op, allocs/op, work metrics). CI runs this at the default
 # BENCHTIME and uploads the artifact; the default matches how the
-# committed BENCH_PR15.json was generated, because allocs/op amortizes
+# committed BENCH_PR18.json was generated, because allocs/op amortizes
 # one-time lazy setup over the iteration count — comparing snapshots
 # taken at different BENCHTIMEs trips the allocation gate on
 # amortization, not regressions. (BENCH_PR3.json, BENCH_PR4.json,
-# BENCH_PR9.json, BENCH_PR10.json, BENCH_PR13.json, and BENCH_PR14.json
-# are frozen baselines — do not regenerate them.)
-BENCH_JSON ?= BENCH_PR15.json
+# BENCH_PR9.json, BENCH_PR10.json, BENCH_PR13.json, BENCH_PR14.json, and
+# BENCH_PR15.json are frozen baselines — do not regenerate them.)
+BENCH_JSON ?= BENCH_PR18.json
 BENCHTIME ?= 3x
 # Two steps, not a pipe: a pipe would take benchjson's exit status and
 # mask a benchmark failure that had already emitted some result lines.
@@ -68,7 +69,7 @@ bench-json:
 # default bench-ci.json from `make bench-json BENCH_JSON=bench-ci.json`)
 # against the committed baseline. Allocation growth fails hard; ns/op
 # drift only warns (CI runners are too noisy for wall-clock gates).
-BENCH_BASELINE ?= BENCH_PR15.json
+BENCH_BASELINE ?= BENCH_PR18.json
 BENCH_CURRENT ?= bench-ci.json
 bench-compare:
 	$(GO) run ./cmd/benchjson -compare $(BENCH_BASELINE) -against $(BENCH_CURRENT)

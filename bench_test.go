@@ -510,16 +510,19 @@ func incrementalScenarios() []incrementalScenario {
 // (grid32x24: every solve; c880: never). The incremental cases also
 // report workReductionX — full-pass node visits divided by measured
 // visits, derivable analytically because all modes execute identical
-// sweep counts:
+// sweep counts. A full-mode sweep runs a loads pass (2·(nn−2) bodies,
+// plus nn coupling bodies when coupled) and an upstream pass (nn−2); a
+// trailing full pass runs the same loads pass and an arrival pass (nn−2):
 //
-//	fullVisits = (sweeps + trailingFulls)·recomputeBodies + sweeps·upstreamBodies
+//	fullVisits = (sweeps + trailingFulls)·(3·(nn−2) + coupledNN)
 //
-// where trailingFulls = FullRecomputes − DegradedRecomputes −
-// revertedSweeps: the deliberate full passes (one per LRS call plus
-// result restores, which the full mode pays too) but NOT the sweep-top
-// refreshes that degraded past the coneWorthwhile cutover, and NOT the
-// sweeps the hysteresis reverted to the full-pass path — both stand in
-// for a sweep's recompute, which `sweeps` already charges once.
+// where coupledNN is nn on a coupled circuit and 0 otherwise, and
+// trailingFulls = FullRecomputes − DegradedRecomputes − revertedSweeps:
+// the deliberate full passes (one per LRS call plus result restores, which
+// the full mode pays too) but NOT the sweep-top refreshes that degraded
+// past the coneWorthwhile cutover, and NOT the sweeps the hysteresis
+// reverted to the full-pass path — both stand in for a sweep's loads pass,
+// which `sweeps` already charges once.
 func BenchmarkIncrementalSolve(b *testing.B) {
 	for _, sc := range incrementalScenarios() {
 		for _, mode := range []string{"full", "incremental", "incremental-nohyst"} {
@@ -563,12 +566,12 @@ func BenchmarkIncrementalSolve(b *testing.B) {
 				b.ReportMetric(float64(last.Iterations), "iters")
 				b.ReportMetric(float64(st.NodeVisits())/float64(sweeps), "evalNodesPerSweep")
 				if mode != "full" {
-					recBodies := 3 * (nn - 2)
+					passBodies := 3 * (nn - 2)
 					if ev.Couplings().Len() > 0 {
-						recBodies += nn
+						passBodies += nn
 					}
 					trailingFulls := st.FullRecomputes - st.DegradedRecomputes - reverted
-					fullVisits := (sweeps+trailingFulls)*recBodies + sweeps*(nn-2)
+					fullVisits := (sweeps + trailingFulls) * passBodies
 					b.ReportMetric(float64(fullVisits)/float64(st.NodeVisits()), "workReductionX")
 					b.ReportMetric(float64(sol.HysteresisTrips())/float64(b.N), "hystTripsPerSolve")
 				}
@@ -622,9 +625,10 @@ func BenchmarkSweepGrid(b *testing.B) {
 
 // BenchmarkIncrementalEval isolates the raw dirty-cone win in an
 // ECO-style query: perturb k sizes on the ≥10k-node deep mesh, then bring
-// the timing state (Recompute) and the weighted upstream resistances back
-// up to date — incrementally versus with the full reference passes. This
-// is the per-sweep kernel of every late-convergence LRS iteration.
+// the loads and the weighted upstream resistances back up to date —
+// incrementally versus with the full reference passes. This is the
+// per-sweep kernel of every late-convergence LRS iteration; a sweep never
+// refreshes the arrivals.
 func BenchmarkIncrementalEval(b *testing.B) {
 	g, cs, err := bench.Grid(64, 78, true)
 	if err != nil {
@@ -661,10 +665,10 @@ func BenchmarkIncrementalEval(b *testing.B) {
 						}
 					}
 					if mode == "incremental" {
-						ev.RecomputeIncremental()
+						ev.RecomputeLoadsIncremental()
 						ev.UpstreamResistanceIncremental(lambda, rup)
 					} else {
-						ev.Recompute()
+						ev.RecomputeLoads()
 						ev.UpstreamResistance(lambda, rup)
 					}
 				}

@@ -84,16 +84,16 @@ type Options struct {
 	// bit-identical for every Workers setting.
 	Workers int
 	// Incremental enables dirty-cone evaluation and active-set sweeps
-	// inside LRS: between sweeps the evaluator refreshes only the forward/
-	// backward cones of the sizes that actually moved
-	// (rc.RecomputeIncremental / rc.UpstreamResistanceIncremental), and the
-	// Theorem-5 resize skips nodes that reached a bitwise fixed point until
-	// a neighbour's change reactivates them. With ActiveSetTol = 0 (the
-	// default) results are bit-identical to the full passes — a node is
-	// skipped only when re-running its body could not change a single bit —
-	// so the golden fixtures hold in either mode. False is the escape
-	// hatch: every sweep runs the full passes of the paper's Figure 8.
-	// DefaultOptions turns it on.
+	// inside LRS: between sweeps the evaluator refreshes only the loads
+	// and upstream cones of the sizes that actually moved
+	// (rc.RecomputeLoadsIncremental / rc.UpstreamResistanceIncremental),
+	// and the Theorem-5 resize skips nodes that reached a bitwise fixed
+	// point until a neighbour's change reactivates them. With
+	// ActiveSetTol = 0 (the default) results are bit-identical to the full
+	// passes — a node is skipped only when re-running its body could not
+	// change a single bit — so the golden fixtures hold in either mode.
+	// False is the escape hatch: every sweep runs the full passes of the
+	// paper's Figure 8. DefaultOptions turns it on.
 	Incremental bool
 	// ActiveSetTol is the per-node relative movement at or below which an
 	// active-set sweep deactivates a node (Incremental only). 0 deactivates
@@ -508,7 +508,10 @@ func (s *Solver) Close() {
 // multipliers (Figure 8) and returns the number of sweeps used. The
 // evaluator's sizes hold the minimizer afterwards, with derived state
 // recomputed (always by a final full pass, so the values the dual and the
-// reported metrics read never ride on incremental bookkeeping). With
+// reported metrics read never ride on incremental bookkeeping). Inside
+// the call the sweeps refresh loads only: Theorem 5's resize reads C′,
+// the coupling sums and the upstream resistances, never a delay or an
+// arrival, so the one arrival pass per call is the final one. With
 // Options.Incremental the sweeps run the dirty-cone/active-set engine
 // (lrsActiveSet); otherwise — or after the cutover hysteresis tripped for
 // this Run — every sweep runs the paper's full passes. At ActiveSetTol = 0
@@ -567,9 +570,9 @@ func (s *Solver) lrsPrelude() (beta, gamma float64) {
 }
 
 // lrsFull is the paper-faithful LRS loop: every sweep pays a full
-// Recompute and a full UpstreamResistance (the Incremental=false escape
-// hatch, the post-hysteresis schedule, and the oracle the active-set path
-// is pinned to).
+// RecomputeLoads and a full UpstreamResistance (the Incremental=false
+// escape hatch, the post-hysteresis schedule, and the oracle the
+// active-set path is pinned to).
 func (s *Solver) lrsFull() int {
 	ev := s.ev
 	g := ev.Graph()
@@ -594,7 +597,7 @@ func (s *Solver) lrsFull() int {
 			s.revertedSweeps++
 		}
 		// S2: downstream capacitances; S3: upstream resistances.
-		ev.Recompute()
+		ev.RecomputeLoads()
 		ev.UpstreamResistance(s.lambda, s.rup)
 		// S4/S5: resize every component, repeat until no improvement.
 		if s.resizeFull(beta, gamma) < s.opt.LRSTol {
@@ -626,14 +629,15 @@ func (s *Solver) resizeFull(beta, gamma float64) float64 {
 // lrsActiveSet is the incremental LRS loop. Sweep 1 is full — the
 // multipliers moved since the last call, so every upstream resistance and
 // every resize input may have changed — but from sweep 2 on the evaluator
-// refreshes only the cones of the sizes that moved, and the resize runs
-// only over the active set: nodes that moved beyond ActiveSetTol in the
-// previous sweep plus nodes whose Theorem-5 inputs (C′, coupling sum,
-// upstream resistance) the refresh actually changed. At ActiveSetTol = 0
-// a node is dropped only at a bitwise fixed point with bitwise-unchanged
-// inputs, where re-running the resize body reproduces the same size
-// exactly — so sweep counts, every size, and the break decision match
-// lrsFull bit for bit.
+// refreshes only the loads and upstream cones of the sizes that moved
+// (arrivals wait for the final full pass), and the resize runs only over
+// the active set: nodes that moved beyond ActiveSetTol in the previous
+// sweep plus nodes whose Theorem-5 inputs (C′, coupling sum, upstream
+// resistance) the refresh actually changed. At ActiveSetTol = 0 a node is
+// dropped only at a bitwise fixed point with bitwise-unchanged inputs,
+// where re-running the resize body reproduces the same size exactly — so
+// sweep counts, every size, and the break decision match lrsFull bit for
+// bit.
 func (s *Solver) lrsActiveSet() int {
 	ev := s.ev
 	g := ev.Graph()
@@ -659,7 +663,7 @@ func (s *Solver) lrsActiveSet() int {
 			// node, so dropping the bookkeeping changes scheduling only —
 			// never a bit.
 			s.revertedSweeps++
-			ev.Recompute()
+			ev.RecomputeLoads()
 			ev.UpstreamResistance(s.lambda, s.rup)
 			if s.resizeFull(beta, gamma) < s.opt.LRSTol {
 				break
@@ -668,7 +672,7 @@ func (s *Solver) lrsActiveSet() int {
 		}
 		// S2/S3: refresh exactly what the recorded moves can reach.
 		cut0 := ev.Stats().CutoverRecomputes
-		chgLoads, coneLoads := ev.RecomputeIncremental()
+		chgLoads, coneLoads := ev.RecomputeLoadsIncremental()
 		if ev.Stats().CutoverRecomputes != cut0 {
 			// A cutover hit (the pre-first-pass fallback is excluded by the
 			// counter split): extend the streak and give up on bookkeeping

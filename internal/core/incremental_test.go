@@ -143,6 +143,41 @@ func TestIncrementalSkipsWork(t *testing.T) {
 	}
 }
 
+// TestOneArrivalPassPerIteration: the LRS sweeps refresh loads only, so an
+// OGWS iteration pays exactly one arrival pass, the LRS call's final full
+// Recompute, whichever refresh path the sweeps take.
+func TestOneArrivalPassPerIteration(t *testing.T) {
+	for _, incremental := range []bool{false, true} {
+		ev := parallelChains(t, 24)
+		var prog []IterProgress
+		// 3.5 ps binds every chain (about 4.3 ps at the floor): seven
+		// iterations, and warm sweeps walk cones on the incremental path.
+		opt := DefaultOptions(3.5, 0, 0)
+		opt.MaxIterations = 60
+		opt.WarmStart = true
+		opt.Incremental = incremental
+		opt.OnIteration = func(p IterProgress) { prog = append(prog, p) }
+		sol, err := NewSolver(ev, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sol.Run(); err != nil {
+			t.Fatal(err)
+		}
+		sol.Close()
+		if len(prog) < 3 {
+			t.Fatalf("incremental=%v: %d iterations, want a fixture that runs several", incremental, len(prog))
+		}
+		want := int64(ev.Graph().NumNodes() - 2)
+		for _, p := range prog {
+			if p.Eval.ArrivalNodes != want {
+				t.Errorf("incremental=%v iteration %d: %d arrival bodies over %d sweeps, want %d",
+					incremental, p.K, p.Eval.ArrivalNodes, p.LRSSweeps, want)
+			}
+		}
+	}
+}
+
 // TestActiveSetTolApproximate: a positive tolerance is allowed to change
 // low-order bits but must still deliver a finite, feasible-quality result
 // whose metrics were evaluated by a full pass on the actual sizes.

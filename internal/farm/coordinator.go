@@ -283,8 +283,10 @@ func (c *Coordinator) popLocked() *job {
 }
 
 // leaseJob grants at most one job to the worker, long-polling up to wait
-// (clamped to MaxLeaseWait) when the queue is empty.
-func (c *Coordinator) leaseJob(workerID string, wait time.Duration) (*api.Job, string, error) {
+// (clamped to MaxLeaseWait) when the queue is empty. A done ctx ends the
+// poll as an empty lease, so a request whose client hung up never stays
+// parked on a clock that may not move.
+func (c *Coordinator) leaseJob(ctx context.Context, workerID string, wait time.Duration) (*api.Job, string, error) {
 	if wait < 0 {
 		wait = 0
 	}
@@ -327,6 +329,9 @@ func (c *Coordinator) leaseJob(workerID string, wait time.Duration) (*api.Job, s
 		case <-t.C:
 			// Re-check against the injected clock rather than returning:
 			// under a fake clock the wall timer firing means nothing.
+		case <-ctx.Done():
+			t.Stop()
+			return nil, "", nil
 		}
 	}
 }

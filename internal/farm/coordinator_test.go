@@ -94,7 +94,7 @@ func startSweep(t *testing.T, ctx context.Context, c *Coordinator, opt sweep.Opt
 // lease long-polls one job, failing the test on refusal.
 func lease(t *testing.T, c *Coordinator, workerID string) (*api.Job, string) {
 	t.Helper()
-	job, token, err := c.leaseJob(workerID, 5*time.Second)
+	job, token, err := c.leaseJob(context.Background(), workerID, 5*time.Second)
 	if err != nil {
 		t.Fatalf("lease for %s: %v", workerID, err)
 	}
@@ -448,8 +448,8 @@ func TestSolveJobFlow(t *testing.T) {
 // Options.Now: an injected-clock test could never drive a parked lease
 // request to expiry. Each case parks a long-poll on an empty queue, then
 // advances only the fake clock and runs a reap scan (which wakes parked
-// polls); the poll must resolve from injected time alone, well before any
-// wall-clock wait elapses.
+// polls), or hangs up the request; the poll must resolve from that alone,
+// well before any wall-clock wait elapses.
 func TestLeaseLongPollExpiresOnInjectedClock(t *testing.T) {
 	type outcome struct {
 		job   *api.Job
@@ -460,6 +460,7 @@ func TestLeaseLongPollExpiresOnInjectedClock(t *testing.T) {
 		name    string
 		wait    time.Duration
 		advance time.Duration
+		hangUp  bool
 		wantErr error
 	}{
 		// Plain expiry: the fake clock passes the requested deadline.
@@ -470,6 +471,9 @@ func TestLeaseLongPollExpiresOnInjectedClock(t *testing.T) {
 		// Advancing past the lease TTL reaps the worker itself; its parked
 		// poll must learn it is dead, not time out silently.
 		{name: "reaped worker told", wait: 20 * time.Minute, advance: 4 * time.Minute, wantErr: errUnknownWorker},
+		// The request's context ends with the clock frozen and no scan to
+		// wake the poll: it must return an empty lease, not stay parked.
+		{name: "request gone", wait: 20 * time.Minute, hangUp: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -477,8 +481,10 @@ func TestLeaseLongPollExpiresOnInjectedClock(t *testing.T) {
 			c := testCoordinator(clock)
 			w := register(t, c, "poller")
 			ch := make(chan outcome, 1)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
 			go func() {
-				j, tok, err := c.leaseJob(w, tc.wait)
+				j, tok, err := c.leaseJob(ctx, w, tc.wait)
 				ch <- outcome{j, tok, err}
 			}()
 			// The poll must be parked: nothing is queued and the injected
@@ -488,8 +494,12 @@ func TestLeaseLongPollExpiresOnInjectedClock(t *testing.T) {
 				t.Fatalf("long-poll returned before the clock moved: %+v", o)
 			case <-time.After(50 * time.Millisecond):
 			}
-			clock.Advance(tc.advance)
-			c.reap()
+			if tc.hangUp {
+				cancel()
+			} else {
+				clock.Advance(tc.advance)
+				c.reap()
+			}
 			select {
 			case o := <-ch:
 				if !errors.Is(o.err, tc.wantErr) {
@@ -509,7 +519,7 @@ func TestLeaseLongPollExpiresOnInjectedClock(t *testing.T) {
 	c := testCoordinator(clock)
 	w := register(t, c, "impatient")
 	for _, wait := range []time.Duration{0, -time.Second} {
-		if j, tok, err := c.leaseJob(w, wait); j != nil || tok != "" || err != nil {
+		if j, tok, err := c.leaseJob(context.Background(), w, wait); j != nil || tok != "" || err != nil {
 			t.Fatalf("leaseJob(wait=%v) = %v, %q, %v; want immediate empty return", wait, j, tok, err)
 		}
 	}

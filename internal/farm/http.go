@@ -74,7 +74,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad lease request: %v", err)
 		return
 	}
-	job, token, err := c.leaseJob(req.WorkerID, time.Duration(req.WaitMillis)*time.Millisecond)
+	job, token, err := c.leaseJob(r.Context(), req.WorkerID, time.Duration(req.WaitMillis)*time.Millisecond)
 	if err != nil {
 		writeError(w, http.StatusGone, "%v", err)
 		return

@@ -170,11 +170,14 @@ func TestWorkerReRegistersAfterReap(t *testing.T) {
 		Now:               func() time.Time { return base.Add(time.Duration(offset.Load())) },
 		Logf:              t.Logf,
 	})
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	coord.Start(ctx)
+	// No reaper goroutine: the test reaps by hand, so nothing wakes the
+	// frozen clock's parked polls but real work and the worker hanging up.
+	// cancel runs before ts.Close, so the worker's last poll has ended by
+	// the time Close waits for it.
 	ts := httptest.NewServer(coord.Handler())
 	defer ts.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 
 	workerErr := make(chan error, 1)
 	go func() {
@@ -188,10 +191,15 @@ func TestWorkerReRegistersAfterReap(t *testing.T) {
 	}()
 	waitFor(t, "registration", func() bool { return coord.LiveWorkers() == 1 })
 
-	// Jump the injected clock far past the TTL: the next reaper scan kills
-	// the worker no matter how recently it heartbeat.
-	offset.Add(int64(time.Second))
-	waitFor(t, "reap", func() bool { return coord.StatsSnapshot().WorkersReaped >= 1 })
+	// Jump the injected clock far past the TTL and scan: the reaper kills
+	// the worker no matter how recently it heartbeat. A heartbeat that
+	// lands between the jump and the scan re-stamps the worker at the new
+	// time, so jump again until a scan wins.
+	waitFor(t, "reap", func() bool {
+		offset.Add(int64(time.Second))
+		coord.reap()
+		return coord.StatsSnapshot().WorkersReaped >= 1
+	})
 	waitFor(t, "re-registration", func() bool {
 		st := coord.StatsSnapshot()
 		return st.Reconnects >= 1 && st.LiveWorkers >= 1

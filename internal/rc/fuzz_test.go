@@ -115,26 +115,29 @@ func dagFromBytes(t *testing.T, data []byte) (*circuit.Graph, *coupling.Set) {
 	return g, cs
 }
 
-// FuzzLevelizer is the levelizer's adversary: for every DAG the bytes
-// describe it (1) asserts the level assignment is a valid topological
-// order whose buckets partition the nodes, and (2) cross-checks the
-// levelized Recompute and UpstreamResistance against the serial reference
-// implementations to exact bitwise equality, under deliberately hostile
-// Runner chunkings.
 // FuzzIncremental is the dirty-cone engine's adversary: for every DAG the
 // bytes describe it replays random size-mutation batches on three
-// evaluators — one driven through RecomputeIncremental /
-// UpstreamResistanceIncremental serially, one through the same calls under
-// a hostile chunked Runner, and one full-pass serial oracle — and demands
-// exact bitwise equality of every derived array after every batch. Batches
-// of size zero exercise the empty-dirty-set path; repeated picks of the
-// same node exercise idempotent marking.
+// evaluators — one driven through the incremental entry points serially,
+// one through the same calls under a hostile chunked Runner, and one
+// full-pass serial oracle — and demands exact bitwise equality after every
+// batch. Each batch picks RecomputeLoadsIncremental or RecomputeIncremental
+// from the bytes: a loads-only batch must match the oracle on every loads
+// array and leave D and A exactly as they were, and a full batch must match
+// on every array. The arrival pass must run exactly when a loads refresh
+// did work since the last one, which pins the staleness flag from both
+// sides. Batches of size zero exercise the empty-dirty-set path (after a
+// loads-only batch, that path must still refresh the arrivals); repeated
+// picks of the same node exercise idempotent marking.
 func FuzzIncremental(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Add([]byte("incremental cones must match the full pass bit for bit"))
 	f.Add([]byte{2, 0, 2, 0, 2, 0, 2, 0, 2, 0, 2, 0, 2, 0, 2, 0, 2, 0})
 	f.Add([]byte{250, 1, 250, 2, 250, 3, 250, 4, 250, 5, 250, 6, 250, 7})
+	// Three batches: a loads-only batch that moves one size, then two
+	// empty RecomputeIncremental batches. The first must refresh the
+	// arrivals the loads-only batch left stale; the second must run none.
+	f.Add([]byte{2, 0, 1, 2, 30, 1, 0, 1, 0, 6, 8})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, cs := dagFromBytes(t, data)
 		if g == nil {
@@ -172,9 +175,13 @@ func FuzzIncremental(f *testing.F) {
 		inc.UpstreamResistance(lambda, rupInc)
 		lv.UpstreamResistance(lambda, rupLv)
 
+		evs := [2]*Evaluator{inc, lv}
+		var oldD, oldA [2][]float64
+		stale := false // a loads refresh did work since the last arrival pass
 		feed := &byteFeed{data: data}
 		batches := 1 + feed.next()%4
 		for batch := 0; batch < batches; batch++ {
+			loadsOnly := feed.next()%2 == 0
 			nMut := feed.next() % 6 // 0 → empty dirty set
 			for m := 0; m < nMut; m++ {
 				i := sizable[feed.next()%len(sizable)]
@@ -188,20 +195,48 @@ func FuzzIncremental(f *testing.F) {
 				}
 				ref.X[i] = inc.X[i] // oracle runs full passes, no marking needed
 			}
-			inc.RecomputeIncremental()
-			lv.RecomputeIncremental()
+			var arrBodies [2]int64
+			for k, e := range evs {
+				oldD[k] = append(oldD[k][:0], e.D...)
+				oldA[k] = append(oldA[k][:0], e.A...)
+				s0 := e.Stats()
+				if loadsOnly {
+					e.RecomputeLoadsIncremental()
+				} else {
+					e.RecomputeIncremental()
+				}
+				d := e.Stats().Sub(s0)
+				if k == 0 && d.ElectricalNodes > 0 {
+					stale = true
+				}
+				arrBodies[k] = d.ArrivalNodes
+			}
+			want := int64(0)
+			if !loadsOnly && stale {
+				want, stale = int64(g.NumNodes()-2), false
+			}
+			if arrBodies[0] != want || arrBodies[1] != want {
+				t.Fatalf("batch %d (loads only %v): arrival pass ran %v bodies, want %d",
+					batch, loadsOnly, arrBodies, want)
+			}
 			ref.RecomputeSerial()
 			for i := 0; i < g.NumNodes(); i++ {
-				for _, e := range [2]*Evaluator{inc, lv} {
+				for k, e := range evs {
 					if e.B[i] != ref.B[i] || e.C[i] != ref.C[i] || e.CPr[i] != ref.CPr[i] ||
-						e.D[i] != ref.D[i] || e.A[i] != ref.A[i] ||
 						e.Cap[i] != ref.Cap[i] || e.RPs[i] != ref.RPs[i] {
-						t.Fatalf("batch %d node %d: incremental (B=%.17g C=%.17g D=%.17g A=%.17g) != full (B=%.17g C=%.17g D=%.17g A=%.17g)",
-							batch, i, e.B[i], e.C[i], e.D[i], e.A[i],
-							ref.B[i], ref.C[i], ref.D[i], ref.A[i])
+						t.Fatalf("batch %d node %d: incremental loads (B=%.17g C=%.17g C′=%.17g) != full (B=%.17g C=%.17g C′=%.17g)",
+							batch, i, e.B[i], e.C[i], e.CPr[i], ref.B[i], ref.C[i], ref.CPr[i])
 					}
 					if e.CNbr != nil && e.CNbr[i] != ref.CNbr[i] {
 						t.Fatalf("batch %d node %d: CNbr %.17g != %.17g", batch, i, e.CNbr[i], ref.CNbr[i])
+					}
+					wantD, wantA := ref.D[i], ref.A[i]
+					if loadsOnly {
+						wantD, wantA = oldD[k][i], oldA[k][i]
+					}
+					if e.D[i] != wantD || e.A[i] != wantA {
+						t.Fatalf("batch %d (loads only %v) node %d: D=%.17g A=%.17g, want D=%.17g A=%.17g",
+							batch, loadsOnly, i, e.D[i], e.A[i], wantD, wantA)
 					}
 				}
 			}
@@ -218,6 +253,12 @@ func FuzzIncremental(f *testing.F) {
 	})
 }
 
+// FuzzLevelizer is the levelizer's adversary: for every DAG the bytes
+// describe it (1) asserts the level assignment is a valid topological
+// order whose buckets partition the nodes, and (2) cross-checks the
+// levelized Recompute and UpstreamResistance against the serial reference
+// implementations to exact bitwise equality, under deliberately hostile
+// Runner chunkings.
 func FuzzLevelizer(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})

@@ -1,19 +1,21 @@
 // Incremental (dirty-cone) evaluation.
 //
 // Late LRS sweeps change only a shrinking fringe of sizes, yet every full
-// Recompute/UpstreamResistance pays the whole circuit. The engine in this
-// file re-runs the *same* per-node bodies (electricalRange, couplingRange,
-// loadsNode, arrivalNode, upstreamNode) only where an input actually
+// RecomputeLoads/UpstreamResistance pays the whole circuit. The engine in
+// this file re-runs the *same* per-node bodies (electricalRange,
+// couplingRange, loadsNode, upstreamNode) only where an input actually
 // changed, discovered by walking the cones of the recorded size changes
-// over the precomputed level buckets:
+// over the precomputed level buckets. Both walks are stage-local:
 //
 //   - stage loads B/C/C′ flow backward: a changed node and the fan-ins
 //     that read its capacitance seed a reverse walk that follows B changes
 //     through wires (gates decouple stages — a gate's B is read by nobody);
-//   - delays and arrivals flow forward from every node whose r or C moved,
-//     following arrival changes through the fan-out cone;
 //   - weighted upstream resistances flow forward from the fan-outs of each
 //     changed node, following value changes through wires.
+//
+// Delays and arrivals have no walk: nothing inside an LRS sweep reads
+// them, and RecomputeIncremental refreshes them with one full
+// RecomputeArrivals.
 //
 // A node is skipped only when every input its body reads is bitwise
 // unchanged, and each body is a pure function of its inputs folded in a
@@ -37,8 +39,10 @@ import (
 // The counters are maintained by the scheduling layer (never inside the
 // parallel bodies), so keeping them costs nothing per node.
 type EvalStats struct {
-	// FullRecomputes / IncRecomputes count Recompute-family calls that ran
+	// FullRecomputes / IncRecomputes count loads refreshes (RecomputeLoads,
+	// the loads half of Recompute, and RecomputeLoadsIncremental) that ran
 	// the full circuit versus a dirty cone; likewise for the upstream pair.
+	// Arrival passes are counted only by ArrivalNodes.
 	FullRecomputes, IncRecomputes int64
 	FullUpstreams, IncUpstreams   int64
 	// DegradedRecomputes / DegradedUpstreams count the incremental calls
@@ -166,7 +170,6 @@ const (
 	opElectrical uint8 = iota
 	opCoupling
 	opLoads
-	opArrival
 	opUpstream
 )
 
@@ -206,28 +209,16 @@ func (e *Evaluator) bindWalkBody() {
 		case opLoads:
 			for k := lo; k < hi; k++ {
 				i := int(nodes[k])
-				oldB, oldC, oldPr := e.B[i], e.C[i], e.CPr[i]
+				oldB, oldPr := e.B[i], e.CPr[i]
 				e.loadsNode(i)
 				var f uint8
 				if e.B[i] != oldB {
 					f |= chgB
 				}
-				if e.C[i] != oldC {
-					f |= chgC
-				}
 				if e.CPr[i] != oldPr {
 					f |= chgPr
 				}
 				e.chg[i] = f
-			}
-		case opArrival:
-			for k := lo; k < hi; k++ {
-				i := int(nodes[k])
-				oldA := e.A[i]
-				e.arrivalNode(i)
-				if e.A[i] != oldA {
-					e.chg[i] = 1
-				}
 			}
 		case opUpstream:
 			lambda, dst := e.walkLam, e.walkDst
@@ -247,7 +238,6 @@ func (e *Evaluator) bindWalkBody() {
 // consumed by the coordinator's serial propagation phase.
 const (
 	chgB  uint8 = 1 << iota // stage load B changed (read by wire fan-ins)
-	chgC                    // delay load C changed (read by the node's own delay)
 	chgPr                   // C′ or coupling sum changed (a Theorem-5 resize input)
 )
 
@@ -295,28 +285,29 @@ func (e *Evaluator) coneWorthwhile(dirty int) bool {
 	return dirty*8 <= e.g.NumNodes()-2
 }
 
-// RecomputeIncremental brings every derived quantity up to date with the
-// size changes recorded since the last Recompute-family call, touching only
-// the nodes those changes can reach. Results are bit-identical to a full
-// Recompute: skipped nodes keep values computed from inputs that are
-// bitwise unchanged, and re-run nodes execute the identical per-node
-// bodies. changed lists the nodes whose Theorem-5 resize inputs (C′ or
-// the coupling sum CNbr) changed — the reactivation feed for the solver's
-// active-set sweep; it may contain duplicates, aliases internal state, and
-// is valid until the next incremental call.
+// RecomputeLoadsIncremental brings everything RecomputeLoads derives up to
+// date with the size changes recorded since the last loads refresh,
+// touching only the nodes those changes can reach; delays and arrivals are
+// left alone. Results are bit-identical to a full RecomputeLoads: skipped
+// nodes keep values computed from inputs that are bitwise unchanged, and
+// re-run nodes execute the identical per-node bodies. changed lists the
+// nodes whose Theorem-5 resize inputs (C′ or the coupling sum CNbr)
+// changed — the reactivation feed for the solver's active-set sweep; it
+// may contain duplicates, aliases internal state, and is valid until the
+// next incremental call.
 //
 // cone reports whether the feed is exact. When no full pass has
 // established the derived state yet, or the dirty set is so large that
 // walking cones costs more than the plain loops (coneWorthwhile), the call
-// degrades to a full Recompute — still bit-identical — and returns
+// degrades to a full RecomputeLoads — still bit-identical — and returns
 // (nil, false): every value may have changed.
-func (e *Evaluator) RecomputeIncremental() (changed []int32, cone bool) {
+func (e *Evaluator) RecomputeLoadsIncremental() (changed []int32, cone bool) {
 	if !e.recValid || !e.coneWorthwhile(len(e.dirtyRec.list)) {
 		if e.recValid {
 			e.stats.CutoverRecomputes++
 		}
 		e.stats.DegradedRecomputes++
-		e.Recompute()
+		e.RecomputeLoads()
 		return nil, false
 	}
 	e.stats.IncRecomputes++
@@ -325,6 +316,7 @@ func (e *Evaluator) RecomputeIncremental() (changed []int32, cone bool) {
 	if len(dirty) == 0 {
 		return e.chgLoads, true
 	}
+	e.arrStale = true
 	g := e.g
 
 	// Electrical refresh of the changed nodes (independent bodies).
@@ -355,12 +347,11 @@ func (e *Evaluator) RecomputeIncremental() (changed []int32, cone bool) {
 		}
 	}
 
-	// Seed both walks: a changed node re-derives its own loads (wire C
-	// carries x-terms) and delay (r changed); its fan-ins read its
-	// capacitance. The source (node 0) stays outside every pass.
+	// Seed the walk: a changed node re-derives its own loads (wire C
+	// carries x-terms); its fan-ins read its capacitance. The source
+	// (node 0) stays outside every pass.
 	for _, d := range dirty {
 		e.frBack.push(g.Level(int(d)), d)
-		e.frFwd.push(g.Level(int(d)), d)
 		for _, p := range g.In(int(d)) {
 			if p > 0 {
 				e.frBack.push(g.Level(int(p)), p)
@@ -382,9 +373,6 @@ func (e *Evaluator) RecomputeIncremental() (changed []int32, cone bool) {
 			e.frBack.inQ[i] = false
 			f := e.chg[i]
 			e.chg[i] = 0
-			if f&chgC != 0 {
-				e.frFwd.push(l, ii) // the node's own delay reads C
-			}
 			if f&chgPr != 0 {
 				e.chgLoads = append(e.chgLoads, ii)
 			}
@@ -399,35 +387,21 @@ func (e *Evaluator) RecomputeIncremental() (changed []int32, cone bool) {
 		e.frBack.lvl[l] = nodes[:0]
 	}
 	e.frBack.reset()
-
-	// Forward delay/arrival walk, levels ascending; pushes go strictly
-	// higher. The sink is folded afterwards exactly as in the full pass.
-	sink := g.SinkID()
-	for l := e.frFwd.minL; l <= e.frFwd.maxL; l++ {
-		nodes := e.frFwd.lvl[l]
-		if len(nodes) == 0 {
-			continue
-		}
-		e.runWalk(opArrival, nodes)
-		e.stats.ArrivalNodes += int64(len(nodes))
-		for _, ii := range nodes {
-			i := int(ii)
-			e.frFwd.inQ[i] = false
-			if e.chg[i] != 0 {
-				e.chg[i] = 0
-				for _, o := range g.Out(i) {
-					if int(o) != sink {
-						e.frFwd.push(g.Level(int(o)), o)
-					}
-				}
-			}
-		}
-		e.frFwd.lvl[l] = nodes[:0]
-	}
-	e.frFwd.reset()
-	e.finishSink()
 	e.dirtyRec.reset()
 	return e.chgLoads, true
+}
+
+// RecomputeIncremental brings every derived quantity up to date with the
+// size changes recorded since the last loads refresh: it runs
+// RecomputeLoadsIncremental, then a full RecomputeArrivals when a loads
+// refresh has run since the last arrival pass, so a call with nothing to
+// do executes no body. changed and cone are RecomputeLoadsIncremental's.
+func (e *Evaluator) RecomputeIncremental() (changed []int32, cone bool) {
+	changed, cone = e.RecomputeLoadsIncremental()
+	if e.arrStale {
+		e.RecomputeArrivals()
+	}
+	return changed, cone
 }
 
 // UpstreamResistanceIncremental updates dst for the size changes recorded
@@ -437,7 +411,7 @@ func (e *Evaluator) RecomputeIncremental() (changed []int32, cone bool) {
 // then-current sizes — the walk re-derives exactly the entries the changes
 // can reach and leaves every other entry untouched, so the combination is
 // bit-identical to a full pass. changed lists the nodes whose dst entry
-// moved (same aliasing and duplicate caveats as RecomputeIncremental);
+// moved (same aliasing and duplicate caveats as RecomputeLoadsIncremental);
 // cone=false means the call degraded to a full pass — before any full
 // evaluation, or past the coneWorthwhile cutover — and changed is nil.
 func (e *Evaluator) UpstreamResistanceIncremental(lambda, dst []float64) (changed []int32, cone bool) {

@@ -364,9 +364,9 @@ func TestIncrementalWorkIsLocal(t *testing.T) {
 	ev.RecomputeIncremental()
 	st := ev.Stats()
 	nn := int64(g.NumNodes())
-	// The loads cone stops at the driving gate; the arrival cone spans the
-	// downstream half. Anything near a full pass (3·nn bodies) means the
-	// cone walk leaked.
+	// The loads cone stops at the driving gate; the arrivals are one full
+	// pass of nn−2 bodies. Anything near a full pass (3·nn bodies) means
+	// the cone walk leaked.
 	if st.NodeVisits() >= 2*nn {
 		t.Errorf("mid-chain mutation evaluated %d bodies on a %d-node chain", st.NodeVisits(), nn)
 	}

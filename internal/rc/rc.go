@@ -57,14 +57,16 @@ type Evaluator struct {
 	X []float64
 
 	// Incremental (dirty-cone) evaluation state; see incremental.go.
-	// recValid flips once a full Recompute has established the derived
-	// arrays; the dirty sets log size changes for the two pass families
-	// (they consume independently — Recompute and UpstreamResistance run
-	// at different times on the same changes); the frontiers, change
-	// flags, and change logs are reusable walk scratch. All of it is
-	// excluded from MemoryBytes: the analytic footprint must be identical
-	// for every execution mode.
+	// recValid flips once a full loads pass has established the derived
+	// arrays; arrStale records that a loads refresh has run since the last
+	// arrival pass; the dirty sets log size changes for the two pass
+	// families (they consume independently — the loads refresh and
+	// UpstreamResistance run at different times on the same changes); the
+	// frontiers, change flags, and change logs are reusable walk scratch.
+	// All of it is excluded from MemoryBytes: the analytic footprint must
+	// be identical for every execution mode.
 	recValid bool
+	arrStale bool
 	dirtyRec dirtySet
 	dirtyUp  dirtySet
 	nbrSet   dirtySet
@@ -84,14 +86,15 @@ type Evaluator struct {
 	walkLam   []float64
 	walkDst   []float64
 
-	// Per-node electrical state, valid after Recompute.
+	// Per-node electrical state: D and A are valid after RecomputeArrivals
+	// (or Recompute), everything else after RecomputeLoads.
 	Cap  []float64 // cᵢ = ĉᵢxᵢ (+ fᵢ for wires); 0 for drivers
 	RPs  []float64 // effective resistance in ps/fF (tech.RC · rᵢ)
 	B    []float64 // stage-local load beyond node i's output
 	C    []float64 // Elmore downstream load of node i (self + coupling included)
 	CPr  []float64 // C′ᵢ: the xᵢ-independent, non-neighbour part of Cᵢ
-	D    []float64 // node delay (ps)
-	A    []float64 // arrival time (ps)
+	D    []float64 // node delay (ps); not refreshed by the loads passes
+	A    []float64 // arrival time (ps); not refreshed by the loads passes
 	CNbr []float64 // Σ_{j∈N(i)} wᵢⱼ·ĉᵢⱼ·xⱼ (wires)
 	CHat []float64 // Σ_{j∈N(i)} wᵢⱼ·ĉᵢⱼ (wires; size-independent)
 	CCst []float64 // Σ_{j∈N(i)} wᵢⱼ·c̃ᵢⱼ (wires; size-independent)
@@ -267,105 +270,93 @@ func (e *Evaluator) arrivalNode(i int) { e.t.kArrival(&e.st, i) }
 func (e *Evaluator) finishSink() { e.t.kFinishSink(&e.st) }
 
 // Recompute refreshes every derived quantity for the current sizes:
-// capacitances and resistances, the stage loads B and delay loads C/C′
-// (reverse topological pass), node delays, and arrival times (forward
-// topological pass). The per-node electrical values and the coupling gather
-// run through the installed Runner as flat ranges; the two topological
-// passes run level by level — each depth bucket is a parallel region whose
-// nodes are mutually independent, with a barrier between consecutive
-// levels. Without a Runner the plain index-order reference loops run
-// instead (RecomputeSerial); both paths execute identical per-node bodies
-// and are bit-identical.
+// RecomputeLoads, then RecomputeArrivals. Without a Runner both halves run
+// the plain index-order reference loops (RecomputeSerial); with one, each
+// topological pass runs level by level — each depth bucket is a parallel
+// region whose nodes are mutually independent, with a barrier between
+// consecutive levels. Both paths execute identical per-node bodies and are
+// bit-identical.
 func (e *Evaluator) Recompute() {
+	e.RecomputeLoads()
+	e.RecomputeArrivals()
+}
+
+// RecomputeLoads refreshes everything the Theorem-5 resize and the
+// upstream pass read: capacitances and resistances (a flat range), the
+// coupling sums (a flat range), and the stage loads B and delay loads C/C′
+// (reverse topological pass). Delays and arrivals keep their old values
+// until RecomputeArrivals.
+func (e *Evaluator) RecomputeLoads() {
+	nn := e.g.NumNodes()
+	coupled := e.cs.Len() > 0
 	if e.run == nil {
-		e.RecomputeSerial()
-		return
+		e.electricalRange(1, nn-1)
+		if coupled {
+			e.couplingRange(0, nn)
+		}
+		for i := nn - 2; i >= 1; i-- {
+			e.loadsNode(i)
+		}
+	} else {
+		e.par(1, nn-1, e.electricalRange)
+		if coupled {
+			e.par(0, nn, e.couplingRange)
+		}
+		for l := e.numLevels() - 1; l >= 0; l-- {
+			e.par(int(e.lvlOff[l]), int(e.lvlOff[l+1]), func(lo, hi int) {
+				for k := lo; k < hi; k++ {
+					e.loadsNode(int(e.lvlNodes[k]))
+				}
+			})
+		}
 	}
-	g := e.g
-	nn := g.NumNodes()
-	e.countFullRecompute()
-
-	e.par(1, nn-1, e.electricalRange)
-	if e.cs.Len() > 0 {
-		e.par(0, nn, e.couplingRange)
-	}
-
-	// Reverse topological pass: B, C, C′, levels descending.
-	for l := e.numLevels() - 1; l >= 0; l-- {
-		e.par(int(e.lvlOff[l]), int(e.lvlOff[l+1]), func(lo, hi int) {
-			for k := lo; k < hi; k++ {
-				e.loadsNode(int(e.lvlNodes[k]))
-			}
-		})
-	}
-
-	// Delays and arrival times, forward pass, levels ascending.
-	e.A[0] = 0
-	for l := 0; l < e.numLevels(); l++ {
-		e.par(int(e.lvlOff[l]), int(e.lvlOff[l+1]), func(lo, hi int) {
-			for k := lo; k < hi; k++ {
-				e.arrivalNode(int(e.lvlNodes[k]))
-			}
-		})
-	}
-	e.finishSink()
-	e.settleRecompute()
-}
-
-// countFullRecompute charges one full Recompute to the work counters.
-func (e *Evaluator) countFullRecompute() {
-	nn := int64(e.g.NumNodes())
+	// The loads now reflect the current sizes exactly: pending size
+	// changes are consumed, incremental passes become valid, and the
+	// arrivals are stale until the next arrival pass.
 	e.stats.FullRecomputes++
-	e.stats.ElectricalNodes += nn - 2
-	if e.cs.Len() > 0 {
-		e.stats.CouplingNodes += nn
+	e.stats.ElectricalNodes += int64(nn - 2)
+	if coupled {
+		e.stats.CouplingNodes += int64(nn)
 	}
-	e.stats.LoadsNodes += nn - 2
-	e.stats.ArrivalNodes += nn - 2
-}
-
-// settleRecompute records that the derived arrays now reflect the current
-// sizes exactly: pending size changes are consumed and incremental passes
-// become valid.
-func (e *Evaluator) settleRecompute() {
-	e.recValid = true
+	e.stats.LoadsNodes += int64(nn - 2)
+	e.recValid, e.arrStale = true, true
 	e.dirtyRec.reset()
 }
 
-// RecomputeSerial is the single-threaded reference implementation of
-// Recompute: plain index-order topological loops with no level scheduling.
-// Recompute delegates here when no Runner is installed; the golden,
-// property, and fuzz suites cross-check the levelized schedule against it
-// to exact (bitwise) equality.
-func (e *Evaluator) RecomputeSerial() {
-	g := e.g
-	nn := g.NumNodes()
-	sink := g.SinkID()
-	e.countFullRecompute()
-
-	e.electricalRange(1, nn-1)
-	if e.cs.Len() > 0 {
-		e.couplingRange(0, nn)
-	}
-
-	// Reverse topological pass: B, C, C′.
-	for i := nn - 1; i >= 1; i-- {
-		if i == sink {
-			continue
-		}
-		e.loadsNode(i)
-	}
-
-	// Delays and arrival times, forward pass.
+// RecomputeArrivals refreshes the node delays D, the arrival times A and
+// the sink's arrival (forward topological pass) from the resistances and
+// delay loads the last loads refresh left.
+func (e *Evaluator) RecomputeArrivals() {
+	nn := e.g.NumNodes()
 	e.A[0] = 0
-	for i := 1; i < nn; i++ {
-		if i == sink {
-			continue
+	if e.run == nil {
+		for i := 1; i < nn-1; i++ {
+			e.arrivalNode(i)
 		}
-		e.arrivalNode(i)
+	} else {
+		for l := 0; l < e.numLevels(); l++ {
+			e.par(int(e.lvlOff[l]), int(e.lvlOff[l+1]), func(lo, hi int) {
+				for k := lo; k < hi; k++ {
+					e.arrivalNode(int(e.lvlNodes[k]))
+				}
+			})
+		}
 	}
 	e.finishSink()
-	e.settleRecompute()
+	e.stats.ArrivalNodes += int64(nn - 2)
+	e.arrStale = false
+}
+
+// RecomputeSerial is the single-threaded reference implementation of
+// Recompute: plain index-order topological loops with no level scheduling,
+// whatever Runner is installed. The golden, property, and fuzz suites
+// cross-check the levelized schedule against it to exact (bitwise)
+// equality.
+func (e *Evaluator) RecomputeSerial() {
+	run := e.run
+	e.run = nil
+	e.Recompute()
+	e.run = run
 }
 
 // MaxArrival returns the circuit delay: the largest arrival time among

@@ -37,10 +37,11 @@
 //     bit-identical for every Workers setting.
 //   - Within one solve the evaluator is also incremental: late LRS sweeps
 //     change only a shrinking fringe of sizes, so the engine re-evaluates
-//     just the forward/backward cones of the nodes that moved and skips
-//     resize updates for components at a bitwise fixed point until a
-//     neighbour's change reactivates them (core.Options.Incremental,
-//     default on). Skipping happens only where recomputation could not
+//     just the stage-local load and upstream cones of the nodes that moved
+//     (a sweep never reads arrivals; each LRS call times them once, in its
+//     final full pass) and skips resize updates for components at a
+//     bitwise fixed point until a neighbour's change reactivates them
+//     (core.Options.Incremental, default on). Skipping happens only where recomputation could not
 //     change a single bit, so results remain bit-identical to the full
 //     passes at every Workers width.
 //   - Across solves, Instance.OptimizeBatch (and the internal
