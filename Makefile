@@ -45,22 +45,24 @@ race-stress:
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./...
 
-# Benchmark trajectory: run the committed full-vs-incremental, sweep,
-# and process-variation benchmark families and write a JSON snapshot
-# (ns/op, allocs/op, work metrics). CI runs this at the default
-# BENCHTIME and uploads the artifact; the default matches how the
-# committed BENCH_PR18.json was generated, because allocs/op amortizes
+# Benchmark trajectory: run the committed full-vs-incremental (in
+# internal/core), sweep, and process-variation benchmark families three
+# times each and write a JSON snapshot (median ns/op with its quartiles,
+# the largest allocs/op, median work metrics). CI runs this at the
+# default BENCHTIME and uploads the artifact; the default matches how the
+# committed BENCH_PR22.json was generated, because allocs/op amortizes
 # one-time lazy setup over the iteration count — comparing snapshots
 # taken at different BENCHTIMEs trips the allocation gate on
 # amortization, not regressions. (BENCH_PR3.json, BENCH_PR4.json,
-# BENCH_PR9.json, BENCH_PR10.json, BENCH_PR13.json, BENCH_PR14.json, and
-# BENCH_PR15.json are frozen baselines — do not regenerate them.)
-BENCH_JSON ?= BENCH_PR18.json
+# BENCH_PR9.json, BENCH_PR10.json, BENCH_PR13.json, BENCH_PR14.json,
+# BENCH_PR15.json, and BENCH_PR18.json are frozen baselines — do not
+# regenerate them.)
+BENCH_JSON ?= BENCH_PR22.json
 BENCHTIME ?= 3x
 # Two steps, not a pipe: a pipe would take benchjson's exit status and
 # mask a benchmark failure that had already emitted some result lines.
 bench-json:
-	$(GO) test -run '^$$' -bench 'Incremental|Sweep|MonteCarlo' -benchmem -benchtime=$(BENCHTIME) . > $(BENCH_JSON).tmp
+	$(GO) test -run '^$$' -bench 'Incremental|Sweep|MonteCarlo' -benchmem -benchtime=$(BENCHTIME) -count 3 . ./internal/core > $(BENCH_JSON).tmp
 	$(GO) run ./cmd/benchjson -out $(BENCH_JSON) < $(BENCH_JSON).tmp || { rm -f $(BENCH_JSON).tmp; exit 1; }
 	@rm -f $(BENCH_JSON).tmp
 	@echo "wrote $(BENCH_JSON)"
@@ -69,7 +71,7 @@ bench-json:
 # default bench-ci.json from `make bench-json BENCH_JSON=bench-ci.json`)
 # against the committed baseline. Allocation growth fails hard; ns/op
 # drift only warns (CI runners are too noisy for wall-clock gates).
-BENCH_BASELINE ?= BENCH_PR18.json
+BENCH_BASELINE ?= BENCH_PR22.json
 BENCH_CURRENT ?= bench-ci.json
 bench-compare:
 	$(GO) run ./cmd/benchjson -compare $(BENCH_BASELINE) -against $(BENCH_CURRENT)

@@ -451,135 +451,6 @@ func BenchmarkLevelizedLRS(b *testing.B) {
 	}
 }
 
-// incrementalScenario builds one warm-start solve setup for the
-// incremental benchmarks: a prebuilt evaluator (primed by a full pass) and
-// solver options with binding bounds. Workers is pinned to 1 so the
-// numbers isolate evaluation work, not pool scheduling.
-type incrementalScenario struct {
-	name  string
-	build func(b *testing.B) (*rc.Evaluator, core.Options)
-}
-
-func incrementalScenarios() []incrementalScenario {
-	return []incrementalScenario{
-		{name: "c880", build: func(b *testing.B) (*rc.Evaluator, core.Options) {
-			inst := instanceFor(b, "c880")
-			bounds := bench.DeriveBounds(inst)
-			opt := core.DefaultOptions(bounds.A0, bounds.NoiseBound, bounds.PowerBound)
-			opt.MaxIterations = 200
-			opt.WarmStart = true
-			opt.Workers = 1
-			return inst.Eval, opt
-		}},
-		{name: "grid32x24", build: func(b *testing.B) (*rc.Evaluator, core.Options) {
-			g, cs, err := bench.Grid(32, 24, true)
-			if err != nil {
-				b.Fatal(err)
-			}
-			ev, err := rc.NewEvaluator(g, cs)
-			if err != nil {
-				b.Fatal(err)
-			}
-			ev.SetAllSizes(1)
-			ev.Recompute()
-			a0 := ev.MaxArrival()
-			ev.SetAllSizes(0.1)
-			ev.Recompute()
-			noise := 1.25*ev.NoiseLinear() + cs.ConstantOffset()
-			power := 1.25 * ev.TotalCap()
-			ev.SetAllSizes(1)
-			ev.Recompute()
-			opt := core.DefaultOptions(a0, noise, power)
-			opt.MaxIterations = 120
-			opt.WarmStart = true
-			opt.Workers = 1
-			return ev, opt
-		}},
-	}
-}
-
-// BenchmarkIncrementalSolve times one complete warm-started OGWS solve
-// per op with the evaluation engine in each mode: "full" pays the whole
-// circuit on every LRS sweep (Options.Incremental = false), "incremental"
-// runs the dirty-cone/active-set engine with the PR-4 cutover hysteresis
-// (the default), and "incremental-nohyst" disables the hysteresis — the
-// PR-3 behaviour, kept so the grid32x24 before/after is one diff in the
-// committed trajectory. All modes are bit-identical at every step, so
-// ns/op, allocs/op, and the evalNodesPerSweep metric compare exactly the
-// same trajectory; hystTripsPerSolve records whether the hysteresis fired
-// (grid32x24: every solve; c880: never). The incremental cases also
-// report workReductionX — full-pass node visits divided by measured
-// visits, derivable analytically because all modes execute identical
-// sweep counts. A full-mode sweep runs a loads pass (2·(nn−2) bodies,
-// plus nn coupling bodies when coupled) and an upstream pass (nn−2); a
-// trailing full pass runs the same loads pass and an arrival pass (nn−2):
-//
-//	fullVisits = (sweeps + trailingFulls)·(3·(nn−2) + coupledNN)
-//
-// where coupledNN is nn on a coupled circuit and 0 otherwise, and
-// trailingFulls = FullRecomputes − DegradedRecomputes − revertedSweeps:
-// the deliberate full passes (one per LRS call plus result restores, which
-// the full mode pays too) but NOT the sweep-top refreshes that degraded
-// past the coneWorthwhile cutover, and NOT the sweeps the hysteresis
-// reverted to the full-pass path — both stand in for a sweep's loads pass,
-// which `sweeps` already charges once.
-func BenchmarkIncrementalSolve(b *testing.B) {
-	for _, sc := range incrementalScenarios() {
-		for _, mode := range []string{"full", "incremental", "incremental-nohyst"} {
-			b.Run(sc.name+"/"+mode, func(b *testing.B) {
-				ev, opt := sc.build(b)
-				opt.Incremental = mode != "full"
-				if mode == "incremental-nohyst" {
-					opt.CutoverHysteresis = -1
-				}
-				initX := append([]float64(nil), ev.X...)
-				sol, err := core.NewSolver(ev, opt)
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer sol.Close()
-				var last *core.Result
-				var reverted int64
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					if err := ev.SetSizes(initX); err != nil {
-						b.Fatal(err)
-					}
-					ev.Recompute()
-					ev.ResetStats()
-					rev0 := sol.RevertedSweeps()
-					b.StartTimer()
-					res, err := sol.Run()
-					if err != nil {
-						b.Fatal(err)
-					}
-					last = res
-					reverted = sol.RevertedSweeps() - rev0 // last solve only, like the stats
-				}
-				st := ev.Stats()
-				sweeps := st.FullUpstreams + st.IncUpstreams // one upstream pass per sweep
-				if sweeps == 0 {
-					b.Fatal("no sweeps recorded")
-				}
-				nn := int64(ev.Graph().NumNodes())
-				b.ReportMetric(float64(last.Iterations), "iters")
-				b.ReportMetric(float64(st.NodeVisits())/float64(sweeps), "evalNodesPerSweep")
-				if mode != "full" {
-					passBodies := 3 * (nn - 2)
-					if ev.Couplings().Len() > 0 {
-						passBodies += nn
-					}
-					trailingFulls := st.FullRecomputes - st.DegradedRecomputes - reverted
-					fullVisits := (sweeps + trailingFulls) * passBodies
-					b.ReportMetric(float64(fullVisits)/float64(st.NodeVisits()), "workReductionX")
-					b.ReportMetric(float64(sol.HysteresisTrips())/float64(b.N), "hystTripsPerSolve")
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkSweepGrid measures the bounds-grid sweep engine end to end on
 // a prebuilt c432 instance: one op = solving the full 2×4 grid. The
 // "warm" case is the engine's default — each cell seeded from its solved

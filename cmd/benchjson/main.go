@@ -10,17 +10,26 @@
 //
 // The output is deterministic for a given input: benchmarks keep their
 // input order, metric maps marshal with sorted keys, and no timestamps are
-// embedded (goos/goarch/cpu identify the machine class instead).
+// embedded (goos/goarch/cpu identify the machine class instead). With
+// several packages on stdin, pkg records the first.
+//
+// Repeated result lines of one benchmark (`go test -count N`) fold into
+// one entry, in first-seen order: ns/op is their median, with the
+// quartiles and the line count beside it; allocs/op and B/op are the
+// largest of the group, which keeps the allocation gate conservative; each
+// custom metric is its median. A benchmark that ran once keeps exactly the
+// fields a single line gives.
 //
 // -compare is the CI regression guard: it diffs a current snapshot
 // (-against, or parsed from stdin when omitted) against a committed
 // baseline, matching benchmarks by name with any trailing GOMAXPROCS
 // suffix ("-8") stripped. Allocation growth beyond -alloc-tolerance is a
 // hard failure (allocs/op is deterministic, so growth is a real
-// regression); ns/op growth beyond -ns-noise only warns, because shared
-// CI runners are too noisy for wall-clock gates. A baseline benchmark
-// missing from the current snapshot also fails — a silently dropped
-// benchmark is how trajectories rot.
+// regression); growth of the median ns/op beyond -ns-noise only warns,
+// with the current quartiles beside it, because shared CI runners are too
+// noisy for wall-clock gates. A baseline benchmark missing from the
+// current snapshot also fails — a silently dropped benchmark is how
+// trajectories rot.
 package main
 
 import (
@@ -31,15 +40,22 @@ import (
 	"io"
 	"os"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 )
 
-// Benchmark is one parsed result line.
+// Benchmark is one benchmark's result: one parsed line, or the fold of
+// its repeated lines (Count > 1).
 type Benchmark struct {
-	Name       string             `json:"name"`
-	Runs       int64              `json:"runs"`
-	NsPerOp    float64            `json:"ns_per_op"`
+	Name    string  `json:"name"`
+	Runs    int64   `json:"runs"`
+	NsPerOp float64 `json:"ns_per_op"`
+	// NsQ1 and NsQ3 are the quartiles of ns/op over Count lines; all three
+	// are omitted for a benchmark that ran once.
+	NsQ1       float64            `json:"ns_per_op_q1,omitempty"`
+	NsQ3       float64            `json:"ns_per_op_q3,omitempty"`
+	Count      int                `json:"count,omitempty"`
 	BytesPerOp *float64           `json:"bytes_per_op,omitempty"`
 	AllocsOp   *float64           `json:"allocs_per_op,omitempty"`
 	Metrics    map[string]float64 `json:"metrics,omitempty"`
@@ -162,8 +178,12 @@ func compare(w io.Writer, base, cur *Snapshot, allocTol, nsNoise float64) bool {
 			ok = false
 		}
 		if b.NsPerOp > 0 && c.NsPerOp > b.NsPerOp*(1+nsNoise) {
-			fmt.Fprintf(w, "warn %s: ns/op %.0f -> %.0f (%s, noise threshold %.0f%%; not failing)\n",
-				key, b.NsPerOp, c.NsPerOp, pct(b.NsPerOp, c.NsPerOp), 100*nsNoise)
+			spread := ""
+			if c.Count > 1 {
+				spread = fmt.Sprintf(" [q1 %.0f, q3 %.0f over %d runs]", c.NsQ1, c.NsQ3, c.Count)
+			}
+			fmt.Fprintf(w, "warn %s: ns/op %.0f -> %.0f%s (%s, noise threshold %.0f%%; not failing)\n",
+				key, b.NsPerOp, c.NsPerOp, spread, pct(b.NsPerOp, c.NsPerOp), 100*nsNoise)
 			warnings++
 		}
 	}
@@ -178,9 +198,11 @@ func compare(w io.Writer, base, cur *Snapshot, allocTol, nsNoise float64) bool {
 //
 //	BenchmarkName-8   12   345 ns/op   6 B/op   7 allocs/op   8.9 custom/metric
 //
-// Lines that match neither shape (PASS, ok, warnings) are skipped.
+// Lines that match neither shape (PASS, ok, warnings) are skipped, and
+// repeated lines of one benchmark are folded (see fold).
 func parse(sc *bufio.Scanner) (*Snapshot, error) {
 	snap := &Snapshot{}
+	var lines []Benchmark
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		switch {
@@ -191,7 +213,9 @@ func parse(sc *bufio.Scanner) (*Snapshot, error) {
 			snap.Goarch = strings.TrimSpace(strings.TrimPrefix(line, "goarch:"))
 			continue
 		case strings.HasPrefix(line, "pkg:"):
-			snap.Pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
+			if snap.Pkg == "" {
+				snap.Pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
+			}
 			continue
 		case strings.HasPrefix(line, "cpu:"):
 			snap.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
@@ -230,7 +254,72 @@ func parse(sc *bufio.Scanner) (*Snapshot, error) {
 				b.Metrics[unit] = val
 			}
 		}
-		snap.Benchmarks = append(snap.Benchmarks, b)
+		lines = append(lines, b)
 	}
+	snap.Benchmarks = fold(lines)
 	return snap, sc.Err()
+}
+
+// fold groups result lines by benchKey in first-seen order and reduces
+// each repeated group to one entry: the median ns/op with its quartiles
+// and the line count, the largest allocs/op and B/op, and the median of
+// each custom metric. A group of one is returned unchanged.
+func fold(lines []Benchmark) []Benchmark {
+	var order []string
+	groups := map[string][]Benchmark{}
+	for _, b := range lines {
+		key := benchKey(b.Name)
+		if _, seen := groups[key]; !seen {
+			order = append(order, key)
+		}
+		groups[key] = append(groups[key], b)
+	}
+	out := make([]Benchmark, 0, len(order))
+	for _, key := range order {
+		g := groups[key]
+		if len(g) == 1 {
+			out = append(out, g[0])
+			continue
+		}
+		b := Benchmark{Name: g[0].Name, Runs: g[0].Runs, Count: len(g)}
+		ns := make([]float64, len(g))
+		metrics := map[string][]float64{}
+		for i, l := range g {
+			ns[i] = l.NsPerOp
+			b.BytesPerOp = maxOf(b.BytesPerOp, l.BytesPerOp)
+			b.AllocsOp = maxOf(b.AllocsOp, l.AllocsOp)
+			for unit, v := range l.Metrics {
+				metrics[unit] = append(metrics[unit], v)
+			}
+		}
+		b.NsQ1, b.NsPerOp, b.NsQ3 = quantile(ns, 0.25), quantile(ns, 0.5), quantile(ns, 0.75)
+		if len(metrics) > 0 {
+			b.Metrics = make(map[string]float64, len(metrics))
+			for unit, vs := range metrics {
+				b.Metrics[unit] = quantile(vs, 0.5)
+			}
+		}
+		out = append(out, b)
+	}
+	return out
+}
+
+// maxOf returns the larger of two optional values (nil when both are).
+func maxOf(a, b *float64) *float64 {
+	if a == nil || (b != nil && *b > *a) {
+		return b
+	}
+	return a
+}
+
+// quantile returns the p-quantile of vs by linear interpolation between
+// closest ranks; vs is sorted in place.
+func quantile(vs []float64, p float64) float64 {
+	sort.Float64s(vs)
+	pos := p * float64(len(vs)-1)
+	lo := int(pos)
+	if lo+1 >= len(vs) {
+		return vs[lo]
+	}
+	return vs[lo] + (pos-float64(lo))*(vs[lo+1]-vs[lo])
 }

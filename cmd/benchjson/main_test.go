@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -32,6 +33,49 @@ ok  	repro	1.234s
 		b.NsPerOp != 266520994 || *b.BytesPerOp != 200800 || *b.AllocsOp != 5886 ||
 		b.Metrics["evalNodesPerSweep"] != 6265 {
 		t.Fatalf("benchmark: %+v", b)
+	}
+}
+
+// TestParseFoldsRepeatedLines: `go test -count 3` prints each benchmark
+// three times; the snapshot keeps one entry per benchmark, in first-seen
+// order, with the median ns/op and its quartiles, the largest allocs/op
+// and B/op, and the median of each custom metric. A benchmark that ran
+// once keeps exactly its line's fields.
+func TestParseFoldsRepeatedLines(t *testing.T) {
+	in := `pkg: repro
+BenchmarkSweepGrid/c432/warm-2   3   300 ns/op   10 B/op   7 allocs/op   2 cellsPerSec
+BenchmarkOnce-2   3   50 ns/op   1 allocs/op
+BenchmarkSweepGrid/c432/warm-2   3   100 ns/op   30 B/op   9 allocs/op   6 cellsPerSec
+BenchmarkSweepGrid/c432/warm-2   3   200 ns/op   20 B/op   8 allocs/op   4 cellsPerSec
+pkg: repro/internal/core
+`
+	snap, err := parse(bufio.NewScanner(strings.NewReader(in)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Pkg != "repro" {
+		t.Errorf("pkg %q, want the first package", snap.Pkg)
+	}
+	if len(snap.Benchmarks) != 2 {
+		t.Fatalf("parsed %d benchmarks, want 2: %+v", len(snap.Benchmarks), snap.Benchmarks)
+	}
+	b := snap.Benchmarks[0]
+	if b.Name != "BenchmarkSweepGrid/c432/warm-2" || b.Runs != 3 || b.Count != 3 ||
+		b.NsPerOp != 200 || b.NsQ1 != 150 || b.NsQ3 != 250 ||
+		*b.BytesPerOp != 30 || *b.AllocsOp != 9 || b.Metrics["cellsPerSec"] != 4 {
+		t.Errorf("folded benchmark: %+v", b)
+	}
+	once := snap.Benchmarks[1]
+	if once.Name != "BenchmarkOnce-2" || once.Count != 0 || once.NsQ1 != 0 || once.NsQ3 != 0 ||
+		once.NsPerOp != 50 || once.BytesPerOp != nil || *once.AllocsOp != 1 {
+		t.Errorf("single-line benchmark: %+v", once)
+	}
+	data, err := json.Marshal(once)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"name":"BenchmarkOnce-2","runs":3,"ns_per_op":50,"allocs_per_op":1}`; string(data) != want {
+		t.Errorf("single-line JSON %s, want %s", data, want)
 	}
 }
 
@@ -91,6 +135,14 @@ func TestCompare(t *testing.T) {
 				{Name: "BenchmarkB", NsPerOp: 2000, AllocsOp: f64(50)},
 			}},
 			true, "warn BenchmarkA: ns/op",
+		},
+		{
+			"ns warning shows the current spread",
+			&Snapshot{Benchmarks: []Benchmark{
+				{Name: "BenchmarkA", NsPerOp: 5000, NsQ1: 4000, NsQ3: 6000, Count: 3, AllocsOp: f64(100)},
+				{Name: "BenchmarkB", NsPerOp: 2000, AllocsOp: f64(50)},
+			}},
+			true, "ns/op 1000 -> 5000 [q1 4000, q3 6000 over 3 runs]",
 		},
 		{
 			"missing benchmark fails",

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	pareto [-circuits c432,c880] [-delay 0.95,1,1.05] [-noise 0.6,0.8,1,1.3]
-//	       [-maxiter N] [-epsilon 0.01] [-cold] [-full]
+//	       [-maxiter N] [-epsilon 0.01] [-cold] [-s1]
 //	       [-sweep-workers 0] [-cell-workers 1] [-out grid.json]
 //	       [-corners] [-montecarlo -samples K -seed S]
 //
@@ -19,7 +19,7 @@
 // scales the variable part of the crosstalk bound X_B. Cells solve
 // warm-started from their grid neighbours by default; -cold solves every
 // cell independently from the initial sizes (same results with -s1, more
-// work), and -full throws the incremental escape hatch.
+// work).
 package main
 
 import (
@@ -62,7 +62,6 @@ func main() {
 	epsilon := flag.Float64("epsilon", 0, "relative duality-gap precision, unitless (0 = the paper's 1%)")
 	cold := flag.Bool("cold", false, "solve every cell independently instead of warm-starting from neighbours")
 	s1 := flag.Bool("s1", false, "paper-faithful S1 size reset inside LRS and dual restart per cell (results independent of warm-start seeding)")
-	full := flag.Bool("full", false, "full evaluation passes every sweep (incremental escape hatch)")
 	sweepWorkers := flag.Int("sweep-workers", 0, "grid rows solved concurrently (0 = all cores; results bit-identical at every width)")
 	cellWorkers := flag.Int("cell-workers", 1, "solver goroutines per cell (0 = 1: the sweep level owns the cores; results bit-identical at every width)")
 	out := flag.String("out", "", "output path for the JSON grid (default: stdout)")
@@ -88,7 +87,6 @@ func main() {
 		Cold:          *cold,
 		ColdLRS:       *s1,
 		PrimalOnly:    *s1, // S1 mode exists to make results seed-independent
-		FullPasses:    *full,
 	}
 	var results any
 	if *corners || *montecarlo {
@@ -115,7 +113,7 @@ func main() {
 			if *corners {
 				rep, err := variation.CornerSweep(inst, variation.CornerOptions{
 					MaxIterations: *maxIter, Epsilon: *epsilon, Workers: *cellWorkers,
-					Cold: *cold, ColdLRS: *s1, PrimalOnly: *s1, FullPasses: *full,
+					Cold: *cold, ColdLRS: *s1, PrimalOnly: *s1,
 				})
 				if err != nil {
 					log.Fatalf("%s: %v", spec.Name, err)

@@ -276,36 +276,6 @@ func reportResultDiff(t *testing.T, want, got *core.Result) {
 	}
 }
 
-// TestGoldenIncrementalMatchesFull re-solves every fixture with the
-// Incremental escape hatch thrown (full Recompute/UpstreamResistance on
-// every sweep, the paper's literal Figure 8) and demands the exact result
-// the default dirty-cone/active-set path produced. Together with
-// TestGoldenFixtures — whose snapshots the incremental default is compared
-// against — this pins both execution modes to one bit pattern.
-func TestGoldenIncrementalMatchesFull(t *testing.T) {
-	for _, fx := range goldenFixtures {
-		t.Run(fx.name, func(t *testing.T) {
-			ref := solveGolden(t, fx, 1) // DefaultOptions: Incremental on
-			ev, opt := fx.build(t)
-			opt.Workers = 1
-			opt.Incremental = false
-			sol, err := core.NewSolver(ev, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer sol.Close()
-			full, err := sol.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(ref, full) {
-				t.Errorf("full-pass solve diverged from the incremental default")
-				reportResultDiff(t, full, ref)
-			}
-		})
-	}
-}
-
 // TestGoldenLevelizedMatchesSerial cross-checks, on every golden fixture's
 // circuit, the levelized evaluator passes (as scheduled by the solver's
 // worker pool at several widths) against the serial reference

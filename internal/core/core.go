@@ -12,24 +12,25 @@ import (
 )
 
 // Options configures the OGWS solver. The zero value is not valid: A0 must
-// be positive; use DefaultOptions for sensible defaults.
+// be positive and finite; use DefaultOptions for sensible defaults.
 type Options struct {
 	// A0 is the arrival-time bound at every primary output, in ps.
 	A0 float64
 	// NoiseBound is X_B in fF, the bound on total (weighted) coupling
 	// capacitance Σ wᵢⱼ·cᵢⱼ. Zero or negative disables the crosstalk
-	// constraint (γ stays 0, reducing OGWS to delay/power-only LR sizing).
+	// constraint (γ stays 0, reducing OGWS to delay/power-only LR sizing);
+	// NaN and +Inf are rejected.
 	NoiseBound float64
 	// PowerCapBound is P′ in fF: the power bound after dividing by V²f
 	// (use tech.Params.CapForPower to convert from mW). Zero or negative
-	// disables the power constraint.
+	// disables the power constraint; NaN and +Inf are rejected.
 	PowerCapBound float64
 	// PerNetNoiseBounds implements the extension the paper sketches in
 	// Section 4.1: a distributed crosstalk bound per net. The map assigns
 	// wire nodes v a bound X′_v on their own linear coupling
 	// Σ_{j∈N(v)} wᵥⱼ·ĉᵥⱼ(x_v+x_j), each carrying its own multiplier γᵥ.
 	// Composes freely with the global NoiseBound. Keys must be wire nodes
-	// with at least one coupling pair; bounds must be positive.
+	// with at least one coupling pair; bounds must be positive and finite.
 	PerNetNoiseBounds map[int]float64
 	// Epsilon is the relative duality-gap stopping threshold (paper: 1%).
 	Epsilon float64
@@ -83,39 +84,6 @@ type Options struct {
 	// folded in node order from per-node scratch — so results are
 	// bit-identical for every Workers setting.
 	Workers int
-	// Incremental enables dirty-cone evaluation and active-set sweeps
-	// inside LRS: between sweeps the evaluator refreshes only the loads
-	// and upstream cones of the sizes that actually moved
-	// (rc.RecomputeLoadsIncremental / rc.UpstreamResistanceIncremental),
-	// and the Theorem-5 resize skips nodes that reached a bitwise fixed
-	// point until a neighbour's change reactivates them. With
-	// ActiveSetTol = 0 (the default) results are bit-identical to the full
-	// passes — a node is skipped only when re-running its body could not
-	// change a single bit — so the golden fixtures hold in either mode.
-	// False is the escape hatch: every sweep runs the full passes of the
-	// paper's Figure 8. DefaultOptions turns it on.
-	Incremental bool
-	// ActiveSetTol is the per-node relative movement at or below which an
-	// active-set sweep deactivates a node (Incremental only). 0 deactivates
-	// only bitwise-stationary nodes, preserving exactness; larger values
-	// prune harder and trade last-bits accuracy for speed (the final
-	// metrics are still evaluated by a full pass on the actual sizes).
-	ActiveSetTol float64
-	// CutoverHysteresis is K, the number of consecutive LRS sweeps whose
-	// incremental refresh degraded past the coneWorthwhile cutover after
-	// which one Run stops paying dirty-set bookkeeping altogether and
-	// reverts to the full-pass path for the remainder of the solve
-	// (equivalent to Incremental = false from that sweep on). On densely
-	// coupled circuits nearly every sweep blows past the cutover, so the
-	// bookkeeping buys nothing and previously cost ~10% wall-clock; a
-	// cutover streak is the cheap, reliable signal of that regime, and
-	// since a degraded sweep runs the (bit-identical) full passes anyway,
-	// the revert is purely a scheduling decision — results do not change by
-	// a single bit. The streak resets whenever a refresh walks a cone, and
-	// the pre-first-pass fallback never counts. 0 selects
-	// DefaultCutoverHysteresis; negative disables the hysteresis (the
-	// pre-PR-4 behaviour).
-	CutoverHysteresis int
 	// AutoScale multiplies the multiplier seeds and subgradient steps by
 	// the problem's natural dual magnitudes: S/A0 for the timing weights
 	// and S/P′, S/X′ for β, γ, where S = Σαᵢ√(LᵢUᵢ) is the geometric
@@ -150,15 +118,25 @@ type Options struct {
 // left mid-ascent and must not be reused as a warm-start snapshot.
 var ErrCancelled = errors.New("core: solve cancelled")
 
-// DefaultCutoverHysteresis is the default Options.CutoverHysteresis,
-// placed by measurement between the two recorded regimes: the warm-started
-// c880 solve — the engine's best case — peaks at 22 consecutive cutovers
-// during its early global-movement iterations before cone walks take over,
-// while the dense-coupling grid32x24 solve (the PR-3 regression) streaks
-// past 30 within its first iterations and keeps degrading throughout. 24
-// leaves the healthy workload untouched and stops the pathological one
-// early; both committed benchmarks pin their hystTripsPerSolve metric.
-const DefaultCutoverHysteresis = 24
+// cutoverHysteresis is K, the number of consecutive LRS sweeps whose
+// incremental refresh degraded past the coneWorthwhile cutover after which
+// one Run stops paying dirty-set bookkeeping and finishes on the full-pass
+// schedule (see Solver.LRS). On densely coupled circuits nearly every
+// sweep blows past the cutover, so the bookkeeping buys nothing; a cutover
+// streak is the cheap, reliable signal of that regime, and since a
+// degraded sweep runs the bit-identical full passes anyway, the revert
+// changes scheduling only, never a bit. The streak resets whenever a
+// refresh walks a cone, and the pre-first-pass fallback never counts.
+//
+// K is placed by measurement between the two recorded regimes: the
+// warm-started c880 solve — the engine's best case — peaks at 22
+// consecutive cutovers during its early global-movement iterations before
+// cone walks take over, while the dense-coupling grid32x24 solve (the PR-3
+// regression) streaks past 30 within its first iterations and keeps
+// degrading throughout. 24 leaves the healthy workload untouched and stops
+// the pathological one early; both committed benchmarks pin their
+// hystTripsPerSolve metric.
+const cutoverHysteresis = 24
 
 // DefaultOptions returns the settings used throughout the experiments:
 // 1% duality gap as in the paper, ρₖ = 2/√k, relative violations, warm
@@ -177,7 +155,6 @@ func DefaultOptions(a0, noiseBound, powerCapBound float64) Options {
 		LRSMaxSweeps:       200,
 		LRSTol:             1e-7,
 		LRSDamping:         0.7,
-		Incremental:        true,
 		RelativeViolations: true,
 		AutoScale:          true,
 		Polyak:             true,
@@ -186,15 +163,22 @@ func DefaultOptions(a0, noiseBound, powerCapBound float64) Options {
 }
 
 // validate rejects the knobs that have no sane substitute (a missing or
-// non-finite delay bound, negative or NaN multiplier seeds) and normalizes
-// the rest: every tolerance, damping factor, and count falls back to its
-// DefaultOptions value when zero, negative, or NaN. NaN needs explicit
-// checks throughout — it slides through every `<= 0` comparison, and a NaN
-// tolerance silently disables loop exits (`maxRel < NaN` is always false)
-// while a NaN step or damping poisons every size downstream.
+// non-finite delay bound, a NaN or infinite noise or power bound, negative
+// or non-finite multiplier seeds) and normalizes the rest: every
+// tolerance, damping factor, and count falls back to its DefaultOptions
+// value when zero, negative, or NaN. NaN needs explicit checks throughout —
+// it slides through every `<= 0` comparison, and a NaN tolerance silently
+// disables loop exits (`maxRel < NaN` is always false) while a NaN step or
+// damping poisons every size downstream. +Inf slides through them too: an
+// infinite bound or seed turns the dual and the gap into NaN.
 func (o *Options) validate() error {
-	if o.A0 <= 0 || math.IsNaN(o.A0) {
-		return fmt.Errorf("core: delay bound A0 must be positive, got %g", o.A0)
+	if o.A0 <= 0 || nonFinite(o.A0) {
+		return fmt.Errorf("core: delay bound A0 must be positive and finite, got %g", o.A0)
+	}
+	// A negative noise or power bound disables its constraint; NaN and +Inf
+	// do not.
+	if nonFinite(o.NoiseBound) || nonFinite(o.PowerCapBound) {
+		return fmt.Errorf("core: noise and power bounds must be finite, got %g and %g", o.NoiseBound, o.PowerCapBound)
 	}
 	if o.Epsilon <= 0 || math.IsNaN(o.Epsilon) {
 		o.Epsilon = 0.01
@@ -214,12 +198,6 @@ func (o *Options) validate() error {
 	if o.LRSDamping <= 0 || o.LRSDamping > 1 || math.IsNaN(o.LRSDamping) {
 		o.LRSDamping = 0.7
 	}
-	if o.ActiveSetTol < 0 || math.IsNaN(o.ActiveSetTol) {
-		o.ActiveSetTol = 0
-	}
-	if o.CutoverHysteresis == 0 {
-		o.CutoverHysteresis = DefaultCutoverHysteresis
-	}
 	if o.PolyakTheta <= 0 || o.PolyakTheta >= 2 || math.IsNaN(o.PolyakTheta) {
 		o.PolyakTheta = 1
 	}
@@ -227,12 +205,17 @@ func (o *Options) validate() error {
 		o.Workers = 0 // same meaning: pick runtime.GOMAXPROCS(0)
 	}
 	if o.InitMultiplier < 0 || o.InitBeta < 0 || o.InitGamma < 0 ||
-		math.IsNaN(o.InitMultiplier) || math.IsNaN(o.InitBeta) || math.IsNaN(o.InitGamma) {
-		return fmt.Errorf("core: initial multipliers must be non-negative, got λ=%g β=%g γ=%g",
+		nonFinite(o.InitMultiplier) || nonFinite(o.InitBeta) || nonFinite(o.InitGamma) {
+		return fmt.Errorf("core: initial multipliers must be non-negative and finite, got λ=%g β=%g γ=%g",
 			o.InitMultiplier, o.InitBeta, o.InitGamma)
 	}
 	return nil
 }
+
+// nonFinite reports whether v is NaN or +Inf: the values the bound and
+// seed checks reject beside their sign test (−Inf already fails it, or
+// means "disabled" for the noise and power bounds).
+func nonFinite(v float64) bool { return math.IsNaN(v) || math.IsInf(v, 1) }
 
 // IterStats records one OGWS iteration for convergence studies.
 type IterStats struct {
@@ -306,6 +289,7 @@ type Result struct {
 // implementation detail — no two Solver methods may run concurrently).
 // Call Close when done to release the worker goroutines promptly; a
 // runtime cleanup reclaims them otherwise once the Solver is collected.
+// The Solver picks its own LRS schedule (see LRS); no option selects it.
 type Solver struct {
 	ev   *rc.Evaluator
 	opt  Options
@@ -328,26 +312,28 @@ type Solver struct {
 	shardMax    []float64
 	normScratch []float64
 
-	// Active-set LRS state (Incremental mode): the sizable node index,
-	// the current active list with its dedup bitmap, and the reusable
-	// per-shard dirty buffers the resize sweep fills — movedEval collects
-	// bitwise moves (they drive the incremental refresh), movedAct the
-	// moves beyond ActiveSetTol (they stay active next sweep). Excluded
-	// from memoryBytes like shardMax: the analytic footprint must be
-	// identical for every execution mode.
-	sizable   []int32
-	active    []int32
-	inActive  []bool
-	movedEval [][]int32
-	movedAct  [][]int32
+	// Active-set LRS state: the sizable node index, the current active
+	// list with its dedup bitmap, and the reusable per-shard buffers the
+	// resize sweep fills with the nodes whose size moved (they drive the
+	// incremental refresh and stay active next sweep). Excluded from
+	// memoryBytes like shardMax: the analytic footprint must not depend on
+	// the Workers width.
+	sizable  []int32
+	active   []int32
+	inActive []bool
+	moved    [][]int32
 
-	// Cutover-hysteresis state. degradeStreak counts consecutive LRS
-	// sweeps whose incremental refresh degraded past the coneWorthwhile
-	// cutover; incReverted flips once the streak reaches
-	// Options.CutoverHysteresis and routes every remaining sweep of the
-	// current Run through the full-pass path. Both reset at the top of Run.
+	// Cutover-hysteresis state. cutover is K, set to cutoverHysteresis by
+	// NewSolver; only tests change it (export_test.go): 0 runs every sweep
+	// on the full-pass path, the reference the engine-vs-full oracles
+	// compare against, and a negative K never reverts. degradeStreak
+	// counts consecutive LRS sweeps whose incremental refresh degraded
+	// past the coneWorthwhile cutover; incReverted flips once the streak
+	// reaches K and routes every remaining sweep of the current Run
+	// through the full-pass path. Both reset at the top of Run.
 	// hystTrips / revertedSweeps accumulate across Runs for the benchmark
 	// work accounting (see Solver.HysteresisTrips / RevertedSweeps).
+	cutover        int
 	degradeStreak  int
 	incReverted    bool
 	hystTrips      int64
@@ -393,6 +379,9 @@ func NewSolver(ev *rc.Evaluator, opt Options) (*Solver, error) {
 		shardMax:    make([]float64, workers),
 		normScratch: make([]float64, g.NumNodes()),
 		floorTau:    floorSkipTau(opt.LRSDamping),
+		inActive:    make([]bool, g.NumNodes()),
+		moved:       make([][]int32, workers),
+		cutover:     cutoverHysteresis,
 	}
 	for i := 0; i < g.NumNodes(); i++ {
 		if c := g.Comp(i); c.Kind.Sizable() {
@@ -405,12 +394,7 @@ func NewSolver(ev *rc.Evaluator, opt Options) (*Solver, error) {
 			s.sizable = append(s.sizable, int32(i))
 		}
 	}
-	if opt.Incremental {
-		s.active = make([]int32, 0, len(s.sizable))
-		s.inActive = make([]bool, g.NumNodes())
-		s.movedEval = make([][]int32, workers)
-		s.movedAct = make([][]int32, workers)
-	}
+	s.active = make([]int32, 0, len(s.sizable))
 	if opt.NoiseBound > 0 {
 		off := ev.Couplings().ConstantOffset()
 		xb := opt.NoiseBound - off
@@ -437,10 +421,11 @@ func NewSolver(ev *rc.Evaluator, opt Options) (*Solver, error) {
 			if len(ev.Couplings().Neighbors(v)) == 0 {
 				return nil, fmt.Errorf("core: per-net bound on wire %d, which has no coupling pairs", v)
 			}
-			if xb <= 0 || math.IsNaN(xb) {
-				// NaN would both pass a plain <= 0 check and poison the γᵥ
-				// violation terms; reject it with the other bad bounds.
-				return nil, fmt.Errorf("core: per-net bound on wire %d must be positive, got %g", v, xb)
+			if xb <= 0 || nonFinite(xb) {
+				// NaN and +Inf would both pass a plain <= 0 check and poison
+				// the γᵥ violation terms; reject them with the other bad
+				// bounds.
+				return nil, fmt.Errorf("core: per-net bound on wire %d must be positive and finite, got %g", v, xb)
 			}
 			s.vBound[v] = xb
 		}
@@ -504,36 +489,17 @@ func (s *Solver) Close() {
 	}
 }
 
-// LRS solves the Lagrangian relaxation subproblem LRS₂ for the current
-// multipliers (Figure 8) and returns the number of sweeps used. The
-// evaluator's sizes hold the minimizer afterwards, with derived state
-// recomputed (always by a final full pass, so the values the dual and the
-// reported metrics read never ride on incremental bookkeeping). Inside
-// the call the sweeps refresh loads only: Theorem 5's resize reads C′,
-// the coupling sums and the upstream resistances, never a delay or an
-// arrival, so the one arrival pass per call is the final one. With
-// Options.Incremental the sweeps run the dirty-cone/active-set engine
-// (lrsActiveSet); otherwise — or after the cutover hysteresis tripped for
-// this Run — every sweep runs the paper's full passes. At ActiveSetTol = 0
-// the two paths are bit-identical, so the hysteresis revert never changes
-// a result.
-func (s *Solver) LRS() int {
-	if s.opt.Incremental && !s.incReverted {
-		return s.lrsActiveSet()
-	}
-	return s.lrsFull()
-}
-
 // HysteresisTrips returns how many Runs the cutover hysteresis has tripped
-// in so far: solves where Options.CutoverHysteresis consecutive sweeps
+// in so far: solves where K (cutoverHysteresis) consecutive sweeps
 // degraded past the coneWorthwhile cutover and the remainder ran the
 // full-pass path.
 func (s *Solver) HysteresisTrips() int64 { return s.hystTrips }
 
 // RevertedSweeps returns the total number of LRS sweeps executed on the
-// full-pass path because the hysteresis had tripped (Incremental solves
-// only). The work-accounting benchmarks subtract these from the full-pass
-// counters to reconstruct the deliberate trailing passes.
+// full-pass path because the hysteresis had tripped (every sweep, on a
+// test solver whose K is 0). The work-accounting benchmarks subtract these
+// from the full-pass counters to reconstruct the deliberate trailing
+// passes.
 func (s *Solver) RevertedSweeps() int64 { return s.revertedSweeps }
 
 // lrsPrelude computes the effective scalar multipliers for a sweep
@@ -569,45 +535,6 @@ func (s *Solver) lrsPrelude() (beta, gamma float64) {
 	return beta, gamma
 }
 
-// lrsFull is the paper-faithful LRS loop: every sweep pays a full
-// RecomputeLoads and a full UpstreamResistance (the Incremental=false
-// escape hatch, the post-hysteresis schedule, and the oracle the
-// active-set path is pinned to).
-func (s *Solver) lrsFull() int {
-	ev := s.ev
-	g := ev.Graph()
-	// With Incremental requested, this loop only ever runs because the
-	// cutover hysteresis reverted the solve: charge its sweeps to the
-	// reverted counter so work accounting can reconstruct the deliberate
-	// trailing passes.
-	reverted := s.opt.Incremental && s.incReverted
-	if !s.opt.WarmStart {
-		// S1: start from the lower bounds.
-		for i := 1; i < g.NumNodes()-1; i++ {
-			if c := g.Comp(i); c.Kind.Sizable() {
-				ev.X[i] = c.Lo
-			}
-		}
-	}
-	beta, gamma := s.lrsPrelude()
-	sweeps := 0
-	for sweeps < s.opt.LRSMaxSweeps {
-		sweeps++
-		if reverted {
-			s.revertedSweeps++
-		}
-		// S2: downstream capacitances; S3: upstream resistances.
-		ev.RecomputeLoads()
-		ev.UpstreamResistance(s.lambda, s.rup)
-		// S4/S5: resize every component, repeat until no improvement.
-		if s.resizeFull(beta, gamma) < s.opt.LRSTol {
-			break
-		}
-	}
-	ev.Recompute()
-	return sweeps
-}
-
 // resizeFull runs one Jacobi resize sweep (S4) over every component,
 // sharded on the pool, and returns the largest relative size change. The
 // sweep reads only state frozen by S2/S3 plus each node's own size, so the
@@ -626,19 +553,29 @@ func (s *Solver) resizeFull(beta, gamma float64) float64 {
 	return maxRel
 }
 
-// lrsActiveSet is the incremental LRS loop. Sweep 1 is full — the
+// LRS solves the Lagrangian relaxation subproblem LRS₂ for the current
+// multipliers (Figure 8) and returns the number of sweeps used. The
+// evaluator's sizes hold the minimizer afterwards, with derived state
+// recomputed (always by a final full pass, so the values the dual and the
+// reported metrics read never ride on incremental bookkeeping). Inside
+// the call the sweeps refresh loads only: Theorem 5's resize reads C′,
+// the coupling sums and the upstream resistances, never a delay or an
+// arrival, so the one arrival pass per call is the final one.
+//
+// The sweeps run the dirty-cone/active-set engine. Sweep 1 is full — the
 // multipliers moved since the last call, so every upstream resistance and
 // every resize input may have changed — but from sweep 2 on the evaluator
-// refreshes only the loads and upstream cones of the sizes that moved
-// (arrivals wait for the final full pass), and the resize runs only over
-// the active set: nodes that moved beyond ActiveSetTol in the previous
-// sweep plus nodes whose Theorem-5 inputs (C′, coupling sum, upstream
-// resistance) the refresh actually changed. At ActiveSetTol = 0 a node is
-// dropped only at a bitwise fixed point with bitwise-unchanged inputs,
-// where re-running the resize body reproduces the same size exactly — so
-// sweep counts, every size, and the break decision match lrsFull bit for
-// bit.
-func (s *Solver) lrsActiveSet() int {
+// refreshes only the loads and upstream cones of the sizes that moved,
+// and the resize runs only over the active set: nodes whose size moved in
+// the previous sweep plus nodes whose Theorem-5 inputs (C′, coupling sum,
+// upstream resistance) the refresh actually changed. A node is dropped
+// only at a bitwise fixed point with bitwise-unchanged inputs, where
+// re-running the resize body reproduces the same size exactly — so sweep
+// counts, every size, and the break decision match the paper's full-pass
+// loop bit for bit. That loop is the reverted branch below: once the
+// cutover hysteresis trips (or on a test solver whose K is 0), the rest
+// of the Run sweeps on it, which changes scheduling only, never a result.
+func (s *Solver) LRS() int {
 	ev := s.ev
 	g := ev.Graph()
 	if !s.opt.WarmStart {
@@ -657,11 +594,11 @@ func (s *Solver) lrsActiveSet() int {
 	for sweeps < s.opt.LRSMaxSweeps {
 		sweeps++
 		if s.incReverted {
-			// The cutover hysteresis tripped mid-call: finish this LRS on
-			// the full-pass schedule. A degraded active-set sweep already
-			// runs the identical full refreshes and resizes every sizable
-			// node, so dropping the bookkeeping changes scheduling only —
-			// never a bit.
+			// The cutover hysteresis tripped (or K = 0): finish this LRS on
+			// the paper's full-pass schedule. A degraded active-set sweep
+			// already runs the identical full refreshes and resizes every
+			// sizable node, so dropping the bookkeeping changes scheduling
+			// only — never a bit.
 			s.revertedSweeps++
 			ev.RecomputeLoads()
 			ev.UpstreamResistance(s.lambda, s.rup)
@@ -678,7 +615,7 @@ func (s *Solver) lrsActiveSet() int {
 			// counter split): extend the streak and give up on bookkeeping
 			// for the rest of this Run once it reaches K.
 			s.degradeStreak++
-			if s.degradeStreak >= s.opt.CutoverHysteresis && s.opt.CutoverHysteresis > 0 {
+			if s.cutover > 0 && s.degradeStreak >= s.cutover {
 				s.incReverted = true
 				s.hystTrips++
 			}
@@ -711,8 +648,8 @@ func (s *Solver) lrsActiveSet() int {
 	return sweeps
 }
 
-// buildActive assembles the next sweep's active set: last sweep's
-// beyond-tolerance movers first (in shard order), then the nodes whose
+// buildActive assembles the next sweep's active set: last sweep's movers
+// first (in shard order), then the nodes whose
 // resize inputs the incremental refresh changed. Duplicates and
 // non-sizable entries in the change feeds are filtered here; the bitmap
 // is left all-false again so stale bits can never mask a reactivation.
@@ -725,7 +662,7 @@ func (s *Solver) buildActive(chgLoads, chgUp []int32) {
 			s.active = append(s.active, n)
 		}
 	}
-	for _, buf := range s.movedAct {
+	for _, buf := range s.moved {
 		for _, n := range buf {
 			add(n)
 		}
@@ -748,9 +685,8 @@ func (s *Solver) buildActive(chgLoads, chgUp []int32) {
 // at every Workers width.
 func (s *Solver) resizeActiveSet(beta, gamma float64) float64 {
 	ev := s.ev
-	for i := range s.movedEval {
-		s.movedEval[i] = s.movedEval[i][:0]
-		s.movedAct[i] = s.movedAct[i][:0]
+	for i := range s.moved {
+		s.moved[i] = s.moved[i][:0]
 	}
 	active := s.active
 	shards := s.pool.run(0, len(active), func(shard, lo, hi int) {
@@ -763,7 +699,7 @@ func (s *Solver) resizeActiveSet(beta, gamma float64) float64 {
 		}
 	}
 	for sh := 0; sh < shards; sh++ {
-		for _, n := range s.movedEval[sh] {
+		for _, n := range s.moved[sh] {
 			ev.MarkDirty(int(n))
 		}
 	}
@@ -771,16 +707,13 @@ func (s *Solver) resizeActiveSet(beta, gamma float64) float64 {
 }
 
 // resizeList applies resizeNode to the listed nodes, filling the shard's
-// moved buffers, and returns the largest relative change in the list.
+// moved buffer, and returns the largest relative change in the list.
 func (s *Solver) resizeList(beta, gamma float64, nodes []int32, shard int) float64 {
 	maxRel := 0.0
 	for _, ii := range nodes {
 		rel, moved := s.resizeNode(beta, gamma, int(ii))
 		if moved {
-			s.movedEval[shard] = append(s.movedEval[shard], ii)
-		}
-		if rel > s.opt.ActiveSetTol {
-			s.movedAct[shard] = append(s.movedAct[shard], ii)
+			s.moved[shard] = append(s.moved[shard], ii)
 		}
 		if rel > maxRel {
 			maxRel = rel
@@ -1079,8 +1012,9 @@ func (s *Solver) Run() (*Result, error) {
 	g := ev.Graph()
 
 	// Each Run decides afresh whether the incremental bookkeeping pays:
-	// the cutover streak and the revert are per-solve state.
-	s.degradeStreak, s.incReverted = 0, false
+	// the cutover streak and the revert are per-solve state. K = 0 starts
+	// the Run reverted, so every sweep runs the full passes.
+	s.degradeStreak, s.incReverted = 0, s.cutover == 0
 
 	if d := s.pendingDual; d != nil {
 		// Warm dual start (RunFromDual): begin the ascent at the snapshot.
@@ -1400,8 +1334,7 @@ func (s *Solver) memoryBytes() int {
 	b += (len(s.vBound) + len(s.gammaV) + len(s.denV)) * 8
 	// shardMax and the active-set scratch (sizable, active, inActive, the
 	// per-shard moved buffers) are excluded: their sizes track the Workers
-	// and Incremental settings, and the analytic footprint must be
-	// identical for every execution mode.
+	// width, and the analytic footprint must be identical at every width.
 	b += len(s.normScratch) * 8
 	return b
 }

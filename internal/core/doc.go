@@ -22,19 +22,21 @@
 //
 // # Execution modes and invariants
 //
-// One solve is parallel (Options.Workers shards every per-node loop onto
+// One solve is parallel: Options.Workers shards every per-node loop onto
 // a reusable worker pool, and installs the levelized Runner on the
-// evaluator) and incremental (Options.Incremental runs LRS on the
-// dirty-cone/active-set engine, skipping work only where re-running a
-// body could not change a single bit). Both knobs are scheduling only:
-// results are bit-identical at every Workers width and in both
-// incremental modes, the invariant the golden fixtures, the property
-// suites, and FuzzIncremental all enforce with exact comparisons. The
-// cutover hysteresis (Options.CutoverHysteresis, default
-// DefaultCutoverHysteresis) reverts one Run to the full-pass schedule
-// after K consecutive coneWorthwhile-cutover degrades — a pure
+// evaluator. It is also incremental, with no option to select it: every
+// LRS call runs the dirty-cone/active-set engine, which skips work only
+// where re-running a body could not change a single bit. Both are
+// scheduling only: results are bit-identical at every Workers width and
+// to the paper's full-pass LRS loop, the invariant the golden fixtures,
+// the property suites, and FuzzIncremental all enforce with exact
+// comparisons. The cutover hysteresis reverts one Run to the full-pass
+// loop after K = 24 consecutive coneWorthwhile-cutover degrades — a
 // scheduling decision for densely coupled circuits, again changing no
-// bits (HysteresisTrips/RevertedSweeps expose the accounting).
+// bits (HysteresisTrips/RevertedSweeps expose the accounting). K is a
+// constant; the package's tests set it per Solver (export_test.go): K = 0
+// runs every sweep on full passes, the reference the engine-vs-full
+// oracles compare against, and a negative K never reverts.
 //
 // # The floor skip
 //

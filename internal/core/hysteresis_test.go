@@ -70,7 +70,9 @@ func denseOptions(t testing.TB, mutate func(*Options)) Options {
 	return opt
 }
 
-func solveDense(t *testing.T, mutate func(*Options)) (*Result, *Solver, *rc.Evaluator) {
+// solveDense runs one solve of the dense fixture with cutover hysteresis
+// k (cutoverHysteresis for the default, 0 for the full-pass reference).
+func solveDense(t *testing.T, k int, mutate func(*Options)) (*Result, *Solver, *rc.Evaluator) {
 	t.Helper()
 	ev := denseCoupledEval(t, 10)
 	sol, err := NewSolver(ev, denseOptions(t, mutate))
@@ -78,6 +80,7 @@ func solveDense(t *testing.T, mutate func(*Options)) (*Result, *Solver, *rc.Eval
 		t.Fatal(err)
 	}
 	t.Cleanup(sol.Close)
+	sol.SetHysteresis(k)
 	res, err := sol.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -88,27 +91,27 @@ func solveDense(t *testing.T, mutate func(*Options)) (*Result, *Solver, *rc.Eval
 // TestHysteresisBitIdentical is the headline-bugfix contract: on a
 // dense-coupling solve the cutover hysteresis must trip, stop the
 // dirty-set bookkeeping, and still reproduce — bit for bit — both the
-// hysteresis-free incremental solve and the Incremental=false escape
-// hatch. The revert is a scheduling decision, never a numerical one.
+// hysteresis-free incremental solve (K < 0) and the full-pass reference
+// (K = 0). The revert is a scheduling decision, never a numerical one.
 func TestHysteresisBitIdentical(t *testing.T) {
-	trip, tripSol, tripEv := solveDense(t, func(o *Options) { o.CutoverHysteresis = 2 })
+	trip, tripSol, tripEv := solveDense(t, 2, nil)
 	if tripSol.HysteresisTrips() == 0 {
 		t.Fatalf("dense-coupling solve never tripped the K=2 hysteresis (streak accounting broken)")
 	}
 	if tripSol.RevertedSweeps() == 0 {
 		t.Fatalf("tripped solve recorded no reverted sweeps")
 	}
-	noHyst, noSol, noEv := solveDense(t, func(o *Options) { o.CutoverHysteresis = -1 })
+	noHyst, noSol, noEv := solveDense(t, -1, nil)
 	if noSol.HysteresisTrips() != 0 || noSol.RevertedSweeps() != 0 {
 		t.Fatalf("disabled hysteresis still tripped: %d trips, %d reverted sweeps",
 			noSol.HysteresisTrips(), noSol.RevertedSweeps())
 	}
-	full, _, _ := solveDense(t, func(o *Options) { o.Incremental = false })
+	full, _, _ := solveDense(t, 0, nil)
 	if !reflect.DeepEqual(trip, noHyst) {
 		t.Errorf("hysteresis revert changed the result:\ntripped %+v\nno-hyst %+v", trip, noHyst)
 	}
 	if !reflect.DeepEqual(trip, full) {
-		t.Errorf("hysteresis revert diverged from Incremental=false:\ntripped %+v\nfull    %+v", trip, full)
+		t.Errorf("hysteresis revert diverged from the full-pass reference:\ntripped %+v\nfull    %+v", trip, full)
 	}
 	// The whole point: the tripped solve pays fewer incremental calls than
 	// the hysteresis-free one (bookkeeping stops), while executing the
@@ -138,7 +141,7 @@ func TestHysteresisDoesNotTripOnLocalConvergence(t *testing.T) {
 	}
 	if sol.HysteresisTrips() != 0 {
 		t.Errorf("default hysteresis (K=%d) tripped on a cone-friendly solve after %d reverted sweeps",
-			DefaultCutoverHysteresis, sol.RevertedSweeps())
+			cutoverHysteresis, sol.RevertedSweeps())
 	}
 }
 
@@ -146,7 +149,7 @@ func TestHysteresisDoesNotTripOnLocalConvergence(t *testing.T) {
 // makes the OGWS trajectory independent of the evaluator's sizes, so
 // RunFrom must be bit-identical to Run from any (valid) seed.
 func TestRunFromSeedIndependentWithS1(t *testing.T) {
-	ref, _, _ := solveDense(t, func(o *Options) { o.WarmStart = false })
+	ref, _, _ := solveDense(t, cutoverHysteresis, func(o *Options) { o.WarmStart = false })
 	ev := denseCoupledEval(t, 10)
 	seed := make([]float64, len(ev.X))
 	g := ev.Graph()
@@ -172,9 +175,12 @@ func TestRunFromSeedIndependentWithS1(t *testing.T) {
 // TestRunFromWarmStartIsPerturbation: seeding a WarmStart solve with its
 // own minimizer must re-converge with no more work than the cold solve —
 // the sweep engine's warm-start premise — and still match the full-pass
-// oracle bit for bit at ActiveSetTol = 0.
+// reference bit for bit. So must a RunFromDual chain that seeds each solve
+// with the sizes and dual of the one before, at moving bounds, as the
+// cells of a sweep row do: at every link, on the default schedule and
+// with the hysteresis off.
 func TestRunFromWarmStartIsPerturbation(t *testing.T) {
-	cold, _, ev := solveDense(t, nil)
+	cold, _, ev := solveDense(t, cutoverHysteresis, nil)
 	sol, err := NewSolver(ev, denseOptions(t, nil))
 	if err != nil {
 		t.Fatal(err)
@@ -188,19 +194,59 @@ func TestRunFromWarmStartIsPerturbation(t *testing.T) {
 		t.Errorf("solve seeded at the minimizer used more sweeps than the cold solve: %d > %d",
 			warm.LRSSweepsTotal, cold.LRSSweepsTotal)
 	}
-	// Oracle: the same warm-started solve with the escape hatch thrown.
+	// Reference: the same warm-started solve on full passes.
 	evFull := denseCoupledEval(t, 10)
-	solFull, err := NewSolver(evFull, denseOptions(t, func(o *Options) { o.Incremental = false }))
+	solFull, err := NewSolver(evFull, denseOptions(t, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer solFull.Close()
+	solFull.SetHysteresis(0)
 	warmFull, err := solFull.RunFrom(cold.X)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(warm, warmFull) {
-		t.Errorf("warm-started incremental solve diverged from its full-pass oracle:\ninc  %+v\nfull %+v", warm, warmFull)
+		t.Errorf("warm-started incremental solve diverged from its full-pass reference:\ninc  %+v\nfull %+v", warm, warmFull)
+	}
+
+	// runChain solves the delay-scale row on one evaluator with hysteresis k,
+	// each link a fresh solver seeded from its predecessor.
+	runChain := func(k int) ([]*Result, []*DualState, rc.EvalStats) {
+		ev := denseCoupledEval(t, 10)
+		x, dual := append([]float64(nil), ev.X...), (*DualState)(nil)
+		var results []*Result
+		var duals []*DualState
+		for _, scale := range []float64{1, 1.05, 1.1} {
+			sol, err := NewSolver(ev, denseOptions(t, func(o *Options) { o.A0 *= scale }))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sol.SetHysteresis(k)
+			res, err := sol.RunFromDual(x, dual)
+			if err != nil {
+				t.Fatal(err)
+			}
+			x, dual = res.X, sol.DualState()
+			sol.Close()
+			results, duals = append(results, res), append(duals, dual)
+		}
+		return results, duals, ev.Stats()
+	}
+	refRes, refDual, refSt := runChain(0)
+	if refSt.IncRecomputes != 0 {
+		t.Errorf("the full-pass reference chain walked %d cones", refSt.IncRecomputes)
+	}
+	for _, k := range []int{cutoverHysteresis, -1} {
+		res, dual, st := runChain(k)
+		for i := range res {
+			if !reflect.DeepEqual(res[i], refRes[i]) || !reflect.DeepEqual(dual[i], refDual[i]) {
+				t.Errorf("K=%d: chain link %d diverged from the full-pass reference:\ninc  %+v\nfull %+v", k, i, res[i], refRes[i])
+			}
+		}
+		if k < 0 && st.IncRecomputes == 0 {
+			t.Errorf("K=%d: the chain never refreshed a cone, so it did not exercise the engine", k)
+		}
 	}
 }
 
@@ -234,10 +280,12 @@ func TestRunFromRejectsBadSeeds(t *testing.T) {
 
 // TestOptionsNormalizationTable pins the validate() audit: every tolerance
 // and count with a sane default falls back to it on zero/negative/NaN
-// input, Workers normalizes to the all-cores sentinel, and the knobs with
-// no substitute (A0, multiplier seeds) reject NaN outright.
+// input, Workers normalizes to the all-cores sentinel, a negative noise or
+// power bound stays (it disables the constraint), and the knobs with no
+// substitute (A0, the noise and power bounds, multiplier seeds) reject NaN
+// and +Inf outright.
 func TestOptionsNormalizationTable(t *testing.T) {
-	nan := math.NaN()
+	nan, inf := math.NaN(), math.Inf(1)
 	cases := []struct {
 		name   string
 		mutate func(*Options)
@@ -249,19 +297,13 @@ func TestOptionsNormalizationTable(t *testing.T) {
 		{"lrstol-negative", func(o *Options) { o.LRSTol = -1 }, func(o Options) (float64, float64) { return o.LRSTol, 1e-7 }},
 		{"damping-nan", func(o *Options) { o.LRSDamping = nan }, func(o Options) (float64, float64) { return o.LRSDamping, 0.7 }},
 		{"damping-above-one", func(o *Options) { o.LRSDamping = 1.5 }, func(o Options) (float64, float64) { return o.LRSDamping, 0.7 }},
-		{"activeset-nan", func(o *Options) { o.ActiveSetTol = nan }, func(o Options) (float64, float64) { return o.ActiveSetTol, 0 }},
-		{"activeset-negative", func(o *Options) { o.ActiveSetTol = -2 }, func(o Options) (float64, float64) { return o.ActiveSetTol, 0 }},
 		{"polyak-nan", func(o *Options) { o.PolyakTheta = nan }, func(o Options) (float64, float64) { return o.PolyakTheta, 1 }},
 		{"polyak-high", func(o *Options) { o.PolyakTheta = 2 }, func(o Options) (float64, float64) { return o.PolyakTheta, 1 }},
 		{"workers-negative", func(o *Options) { o.Workers = -7 }, func(o Options) (float64, float64) { return float64(o.Workers), 0 }},
-		{"hysteresis-default", func(o *Options) { o.CutoverHysteresis = 0 }, func(o Options) (float64, float64) {
-			return float64(o.CutoverHysteresis), DefaultCutoverHysteresis
-		}},
-		{"hysteresis-disabled", func(o *Options) { o.CutoverHysteresis = -1 }, func(o Options) (float64, float64) {
-			return float64(o.CutoverHysteresis), -1
-		}},
-		{"hysteresis-explicit", func(o *Options) { o.CutoverHysteresis = 5 }, func(o Options) (float64, float64) {
-			return float64(o.CutoverHysteresis), 5
+		// A negative noise or power bound, −Inf included, disables it.
+		{"noise-negative", func(o *Options) { o.NoiseBound = -1 }, func(o Options) (float64, float64) { return o.NoiseBound, -1 }},
+		{"power-negative-inf", func(o *Options) { o.PowerCapBound = math.Inf(-1) }, func(o Options) (float64, float64) {
+			return o.PowerCapBound, math.Inf(-1)
 		}},
 		{"maxiter-negative", func(o *Options) { o.MaxIterations = -1 }, func(o Options) (float64, float64) {
 			return float64(o.MaxIterations), 1000
@@ -288,9 +330,17 @@ func TestOptionsNormalizationTable(t *testing.T) {
 	}{
 		{"a0-nan", func(o *Options) { o.A0 = nan }},
 		{"a0-zero", func(o *Options) { o.A0 = 0 }},
+		{"a0-inf", func(o *Options) { o.A0 = inf }},
+		{"noise-nan", func(o *Options) { o.NoiseBound = nan }},
+		{"noise-inf", func(o *Options) { o.NoiseBound = inf }},
+		{"power-nan", func(o *Options) { o.PowerCapBound = nan }},
+		{"power-inf", func(o *Options) { o.PowerCapBound = inf }},
 		{"initmult-nan", func(o *Options) { o.InitMultiplier = nan }},
+		{"initmult-inf", func(o *Options) { o.InitMultiplier = inf }},
 		{"initbeta-nan", func(o *Options) { o.InitBeta = nan }},
+		{"initbeta-inf", func(o *Options) { o.InitBeta = inf }},
 		{"initgamma-negative", func(o *Options) { o.InitGamma = -1 }},
+		{"initgamma-inf", func(o *Options) { o.InitGamma = inf }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			opt := DefaultOptions(50, 0, 0)
@@ -302,14 +352,16 @@ func TestOptionsNormalizationTable(t *testing.T) {
 	}
 }
 
-// TestPerNetNaNBoundRejected: a NaN per-net bound slides through a plain
-// <= 0 check; NewSolver must reject it like the other bad bounds.
+// TestPerNetNaNBoundRejected: a NaN or +Inf per-net bound slides through
+// a plain <= 0 check; NewSolver must reject it like the other bad bounds.
 func TestPerNetNaNBoundRejected(t *testing.T) {
 	g, id, cs := coupledVictim(t)
-	opt := DefaultOptions(120, 18, 0)
-	opt.PerNetNoiseBounds = map[int]float64{id["w1"]: math.NaN()}
-	if _, err := NewSolver(newEval(t, g, cs), opt); err == nil {
-		t.Error("NaN per-net noise bound accepted")
+	for _, xb := range []float64{math.NaN(), math.Inf(1)} {
+		opt := DefaultOptions(120, 18, 0)
+		opt.PerNetNoiseBounds = map[int]float64{id["w1"]: xb}
+		if _, err := NewSolver(newEval(t, g, cs), opt); err == nil {
+			t.Errorf("per-net noise bound %g accepted", xb)
+		}
 	}
 }
 
@@ -321,7 +373,7 @@ func TestRunFromDualConvergesFaster(t *testing.T) {
 	// A noise bound at 1.5× the floor converges; the tighter hysteresis
 	// fixture bound does not in any iteration budget.
 	loosen := func(o *Options) { o.MaxIterations = 400; o.NoiseBound *= 1.2 }
-	cold, sol, _ := solveDense(t, loosen)
+	cold, sol, _ := solveDense(t, cutoverHysteresis, loosen)
 	if !cold.Converged {
 		t.Fatalf("cold dense solve did not converge in 400 iterations (gap %g)", cold.Gap)
 	}
@@ -364,7 +416,7 @@ func TestRunFromDualConvergesFaster(t *testing.T) {
 // TestRunFromDualRejectsForeignState: a snapshot from a different circuit
 // must be rejected before it can corrupt the multipliers.
 func TestRunFromDualRejectsForeignState(t *testing.T) {
-	_, sol, _ := solveDense(t, nil)
+	_, sol, _ := solveDense(t, cutoverHysteresis, nil)
 	dual := sol.DualState()
 	g, _ := chain(t)
 	other, err := NewSolver(newEval(t, g, emptySet(t)), DefaultOptions(50, 0, 0))

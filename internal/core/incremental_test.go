@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"reflect"
 	"testing"
 
@@ -9,8 +8,9 @@ import (
 	"repro/internal/rc"
 )
 
-// solveWith runs one full OGWS solve on a fresh chain/coupled evaluator.
-func solveWith(t *testing.T, build func(t testing.TB) *rc.Evaluator, mutate func(*Options)) *Result {
+// solveWith runs one full OGWS solve on a fresh chain/coupled evaluator
+// with cutover hysteresis k (0 for the full-pass reference).
+func solveWith(t *testing.T, build func(t testing.TB) *rc.Evaluator, k int, mutate func(*Options)) *Result {
 	t.Helper()
 	ev := build(t)
 	opt := DefaultOptions(50, 0, 0)
@@ -23,6 +23,7 @@ func solveWith(t *testing.T, build func(t testing.TB) *rc.Evaluator, mutate func
 		t.Fatal(err)
 	}
 	defer sol.Close()
+	sol.SetHysteresis(k)
 	res, err := sol.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -41,8 +42,8 @@ func chainEval(t testing.TB) *rc.Evaluator {
 }
 
 // TestIncrementalSolveBitIdentical is the tentpole contract at the solver
-// level: with ActiveSetTol = 0 the active-set/dirty-cone path must
-// reproduce the paper-faithful full-pass path bit for bit — same sizes,
+// level: the active-set/dirty-cone path must reproduce the paper-faithful
+// full-pass path bit for bit — same sizes,
 // same iteration and sweep counts, same dual, same gap — across circuit
 // shapes, warm/cold starts, noise/power constraint mixes, and widths.
 func TestIncrementalSolveBitIdentical(t *testing.T) {
@@ -67,15 +68,9 @@ func TestIncrementalSolveBitIdentical(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			full := solveWith(t, tc.build, func(o *Options) {
-				o.Incremental = false
-				if tc.mutate != nil {
-					tc.mutate(o)
-				}
-			})
+			full := solveWith(t, tc.build, 0, tc.mutate)
 			for _, w := range []int{1, 4} {
-				inc := solveWith(t, tc.build, func(o *Options) {
-					o.Incremental = true
+				inc := solveWith(t, tc.build, cutoverHysteresis, func(o *Options) {
 					o.Workers = w
 					if tc.mutate != nil {
 						tc.mutate(o)
@@ -119,25 +114,25 @@ func parallelChains(t testing.TB, paths int) *rc.Evaluator {
 // on this fixture; the committed BenchmarkIncrementalSolve tracks the
 // c880 and grid numbers.)
 func TestIncrementalSkipsWork(t *testing.T) {
-	run := func(incremental bool) int64 {
+	run := func(k int) int64 {
 		ev := parallelChains(t, 24)
 		opt := DefaultOptions(45, 0, 0) // 45 ps binds every chain
 		opt.MaxIterations = 60
 		opt.WarmStart = true
-		opt.Incremental = incremental
 		sol, err := NewSolver(ev, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer sol.Close()
+		sol.SetHysteresis(k)
 		ev.ResetStats()
 		if _, err := sol.Run(); err != nil {
 			t.Fatal(err)
 		}
 		return ev.Stats().NodeVisits()
 	}
-	fullWork := run(false)
-	incWork := run(true)
+	fullWork := run(0)
+	incWork := run(cutoverHysteresis)
 	if incWork*2 >= fullWork {
 		t.Errorf("incremental executed %d bodies, full %d — expected at least a 2x reduction", incWork, fullWork)
 	}
@@ -145,9 +140,10 @@ func TestIncrementalSkipsWork(t *testing.T) {
 
 // TestOneArrivalPassPerIteration: the LRS sweeps refresh loads only, so an
 // OGWS iteration pays exactly one arrival pass, the LRS call's final full
-// Recompute, whichever refresh path the sweeps take.
+// Recompute, whichever refresh path the sweeps take (K = 0 is the full-pass
+// reference).
 func TestOneArrivalPassPerIteration(t *testing.T) {
-	for _, incremental := range []bool{false, true} {
+	for _, k := range []int{0, cutoverHysteresis} {
 		ev := parallelChains(t, 24)
 		var prog []IterProgress
 		// 3.5 ps binds every chain (about 4.3 ps at the floor): seven
@@ -155,52 +151,26 @@ func TestOneArrivalPassPerIteration(t *testing.T) {
 		opt := DefaultOptions(3.5, 0, 0)
 		opt.MaxIterations = 60
 		opt.WarmStart = true
-		opt.Incremental = incremental
 		opt.OnIteration = func(p IterProgress) { prog = append(prog, p) }
 		sol, err := NewSolver(ev, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
+		sol.SetHysteresis(k)
 		if _, err := sol.Run(); err != nil {
 			t.Fatal(err)
 		}
 		sol.Close()
 		if len(prog) < 3 {
-			t.Fatalf("incremental=%v: %d iterations, want a fixture that runs several", incremental, len(prog))
+			t.Fatalf("K=%d: %d iterations, want a fixture that runs several", k, len(prog))
 		}
 		want := int64(ev.Graph().NumNodes() - 2)
 		for _, p := range prog {
 			if p.Eval.ArrivalNodes != want {
-				t.Errorf("incremental=%v iteration %d: %d arrival bodies over %d sweeps, want %d",
-					incremental, p.K, p.Eval.ArrivalNodes, p.LRSSweeps, want)
+				t.Errorf("K=%d iteration %d: %d arrival bodies over %d sweeps, want %d",
+					k, p.K, p.Eval.ArrivalNodes, p.LRSSweeps, want)
 			}
 		}
-	}
-}
-
-// TestActiveSetTolApproximate: a positive tolerance is allowed to change
-// low-order bits but must still deliver a finite, feasible-quality result
-// whose metrics were evaluated by a full pass on the actual sizes.
-func TestActiveSetTolApproximate(t *testing.T) {
-	exact := solveWith(t, coupledEval, func(o *Options) {
-		o.A0 = 120
-		o.NoiseBound = 18
-	})
-	loose := solveWith(t, coupledEval, func(o *Options) {
-		o.A0 = 120
-		o.NoiseBound = 18
-		o.ActiveSetTol = 1e-4
-	})
-	for _, v := range []float64{loose.Area, loose.DelayPs, loose.Gap, loose.Dual} {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			t.Fatalf("ActiveSetTol produced non-finite result: %+v", loose)
-		}
-	}
-	if loose.Converged != exact.Converged {
-		t.Logf("tolerance changed convergence: exact %v, loose %v", exact.Converged, loose.Converged)
-	}
-	if rel := math.Abs(loose.Area-exact.Area) / exact.Area; rel > 0.05 {
-		t.Errorf("ActiveSetTol=1e-4 moved the area by %.2f%% — tolerance leaking far past its scale", 100*rel)
 	}
 }
 
@@ -226,30 +196,5 @@ func TestIncrementalRunIdempotent(t *testing.T) {
 	}
 	if !reflect.DeepEqual(first, second) {
 		t.Errorf("re-Run diverged:\nfirst  %+v\nsecond %+v", first, second)
-	}
-}
-
-// TestOptionsActiveSetValidation: negative/NaN tolerances normalize to 0.
-func TestOptionsActiveSetValidation(t *testing.T) {
-	g, _ := chain(t)
-	ev := newEval(t, g, emptySet(t))
-	opt := DefaultOptions(50, 0, 0)
-	opt.ActiveSetTol = -3
-	sol, err := NewSolver(ev, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sol.Close()
-	if sol.opt.ActiveSetTol != 0 {
-		t.Errorf("negative ActiveSetTol normalized to %g, want 0", sol.opt.ActiveSetTol)
-	}
-	opt.ActiveSetTol = math.NaN()
-	sol2, err := NewSolver(newEval(t, g, emptySet(t)), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sol2.Close()
-	if sol2.opt.ActiveSetTol != 0 {
-		t.Errorf("NaN ActiveSetTol normalized to %g, want 0", sol2.opt.ActiveSetTol)
 	}
 }

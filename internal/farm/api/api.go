@@ -164,7 +164,6 @@ type SolveJob struct {
 	Bounds        bench.Bounds    `json:"bounds"`
 	MaxIterations int             `json:"max_iterations,omitempty"`
 	Epsilon       float64         `json:"epsilon,omitempty"`
-	Full          bool            `json:"full,omitempty"`
 	Warm          bool            `json:"warm,omitempty"`
 	Seed          []float64       `json:"seed,omitempty"`
 	Dual          *core.DualState `json:"dual,omitempty"`
@@ -187,13 +186,10 @@ type SweepJob struct {
 	Dual       *core.DualState `json:"dual,omitempty"`
 	Cells      []CellSpec      `json:"cells"`
 	// Solver knobs, mirroring sweep.Options (width omitted, as in SolveJob).
-	MaxIterations     int     `json:"max_iterations,omitempty"`
-	Epsilon           float64 `json:"epsilon,omitempty"`
-	PrimalOnly        bool    `json:"primal_only,omitempty"`
-	ColdLRS           bool    `json:"cold_lrs,omitempty"`
-	FullPasses        bool    `json:"full_passes,omitempty"`
-	ActiveSetTol      float64 `json:"active_set_tol,omitempty"`
-	CutoverHysteresis int     `json:"cutover_hysteresis,omitempty"`
+	MaxIterations int     `json:"max_iterations,omitempty"`
+	Epsilon       float64 `json:"epsilon,omitempty"`
+	PrimalOnly    bool    `json:"primal_only,omitempty"`
+	ColdLRS       bool    `json:"cold_lrs,omitempty"`
 }
 
 // MonteCarloJob is one contiguous shard [Lo, Hi) of a Monte-Carlo run's

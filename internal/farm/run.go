@@ -223,13 +223,10 @@ func (c *Coordinator) Sweep(ctx context.Context, spec api.CircuitSpec, inst *ben
 				Seed:  initX,
 				Cells: cellSpecs(res, i, 0, cols),
 
-				MaxIterations:     opt.MaxIterations,
-				Epsilon:           opt.Epsilon,
-				PrimalOnly:        opt.PrimalOnly,
-				ColdLRS:           opt.ColdLRS,
-				FullPasses:        opt.FullPasses,
-				ActiveSetTol:      opt.ActiveSetTol,
-				CutoverHysteresis: opt.CutoverHysteresis,
+				MaxIterations: opt.MaxIterations,
+				Epsilon:       opt.Epsilon,
+				PrimalOnly:    opt.PrimalOnly,
+				ColdLRS:       opt.ColdLRS,
 			}, nil)
 		}
 	} else {
@@ -241,13 +238,10 @@ func (c *Coordinator) Sweep(ctx context.Context, spec api.CircuitSpec, inst *ben
 			Seed:       initX,
 			Cells:      spineSpecs(res),
 
-			MaxIterations:     opt.MaxIterations,
-			Epsilon:           opt.Epsilon,
-			PrimalOnly:        opt.PrimalOnly,
-			ColdLRS:           opt.ColdLRS,
-			FullPasses:        opt.FullPasses,
-			ActiveSetTol:      opt.ActiveSetTol,
-			CutoverHysteresis: opt.CutoverHysteresis,
+			MaxIterations: opt.MaxIterations,
+			Epsilon:       opt.Epsilon,
+			PrimalOnly:    opt.PrimalOnly,
+			ColdLRS:       opt.ColdLRS,
 		}, nil)
 	}
 	c.mu.Unlock()
@@ -362,13 +356,10 @@ func (c *Coordinator) addRowJobsLocked(r *run) {
 			Dual:  dual,
 			Cells: cellSpecs(r.res, i, 1, cols),
 
-			MaxIterations:     opt.MaxIterations,
-			Epsilon:           opt.Epsilon,
-			PrimalOnly:        opt.PrimalOnly,
-			ColdLRS:           opt.ColdLRS,
-			FullPasses:        opt.FullPasses,
-			ActiveSetTol:      opt.ActiveSetTol,
-			CutoverHysteresis: opt.CutoverHysteresis,
+			MaxIterations: opt.MaxIterations,
+			Epsilon:       opt.Epsilon,
+			PrimalOnly:    opt.PrimalOnly,
+			ColdLRS:       opt.ColdLRS,
 		}, nil)
 	}
 }

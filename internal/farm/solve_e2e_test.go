@@ -54,7 +54,6 @@ func localSolve(t *testing.T, inst *bench.Instance, b bench.Bounds, maxIter int)
 	opt := core.DefaultOptions(b.A0, b.NoiseBound, b.PowerBound)
 	opt.MaxIterations = maxIter
 	opt.Workers = -1
-	opt.Incremental = true
 	replica, err := inst.Replica()
 	if err != nil {
 		t.Fatal(err)

@@ -492,14 +492,11 @@ func (wk *worker) crashAfterCell() bool {
 // fresh evaluator seeded from the shipped sizes.
 func (wk *worker) executeSweep(ctx context.Context, inst *bench.Instance, sj *api.SweepJob, enc *json.Encoder) error {
 	opt := sweep.Options{
-		MaxIterations:     sj.MaxIterations,
-		Epsilon:           sj.Epsilon,
-		Workers:           wk.opt.SolverWorkers,
-		PrimalOnly:        sj.PrimalOnly,
-		ColdLRS:           sj.ColdLRS,
-		FullPasses:        sj.FullPasses,
-		ActiveSetTol:      sj.ActiveSetTol,
-		CutoverHysteresis: sj.CutoverHysteresis,
+		MaxIterations: sj.MaxIterations,
+		Epsilon:       sj.Epsilon,
+		Workers:       wk.opt.SolverWorkers,
+		PrimalOnly:    sj.PrimalOnly,
+		ColdLRS:       sj.ColdLRS,
 		// A cancelled session (shutdown, reap) stops the in-flight cell at
 		// its next solver iteration instead of finishing the batch.
 		Cancel: func() bool { return ctx.Err() != nil },
@@ -594,7 +591,6 @@ func (wk *worker) executeSolve(ctx context.Context, inst *bench.Instance, sj *ap
 		opt.Epsilon = sj.Epsilon
 	}
 	opt.Workers = wk.opt.SolverWorkers
-	opt.Incremental = !sj.Full
 	opt.WarmStart = sj.Warm
 	opt.Cancel = func() bool { return ctx.Err() != nil }
 	replica, err := inst.Replica()

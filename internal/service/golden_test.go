@@ -252,6 +252,11 @@ func TestSweepErrors(t *testing.T) {
 		// The retired lockstep option is now an unknown field.
 		{"retired lockstep", fmt.Sprintf(`{"key":%q,"lockstep":true}`, key),
 			http.StatusBadRequest, "unknown field"},
+		// So is the retired full-pass option, on grids and on corners.
+		{"retired full", fmt.Sprintf(`{"key":%q,"full":true}`, key),
+			http.StatusBadRequest, "unknown field"},
+		{"retired full corners", fmt.Sprintf(`{"key":%q,"corners":true,"full":true}`, key),
+			http.StatusBadRequest, "unknown field"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

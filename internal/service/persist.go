@@ -51,9 +51,9 @@ type storedSolve struct {
 // warm_from/primal_only/s1 resolution). Workers is deliberately excluded —
 // results are bit-identical at every width, which is the solver's core
 // determinism contract — so the same solve at a different width dedups.
-// Full is included conservatively: the incremental engine is pinned
-// bit-identical to full passes, but the knob is an explicit request.
-func solveKey(circuitKey string, b bench.Bounds, maxIter int, epsilon float64, full, warm bool, seed []float64, dual *core.DualState) string {
+// Flag bit 1 belonged to the retired full-pass request field and is never
+// set, so every key stored without it keeps its bytes.
+func solveKey(circuitKey string, b bench.Bounds, maxIter int, epsilon float64, warm bool, seed []float64, dual *core.DualState) string {
 	// Normalize exactly as core.Options.validate does, so "default by
 	// omission" and "default spelled out" hash identically.
 	if maxIter <= 0 {
@@ -75,9 +75,6 @@ func solveKey(circuitKey string, b bench.Bounds, maxIter int, epsilon float64, f
 	put(uint64(maxIter))
 	put(math.Float64bits(epsilon))
 	flags := uint64(0)
-	if full {
-		flags |= 1
-	}
 	if warm {
 		flags |= 2
 	}

@@ -450,9 +450,6 @@ type solveRequest struct {
 	MaxIterations int     `json:"max_iterations,omitempty"`
 	Epsilon       float64 `json:"epsilon,omitempty"`
 	Workers       int     `json:"workers,omitempty"`
-	// Full throws the incremental escape hatch (full passes every sweep);
-	// results are bit-identical either way.
-	Full bool `json:"full,omitempty"`
 	// Warm-start controls (see type comment).
 	WarmFrom   string          `json:"warm_from,omitempty"`
 	SeedSizes  []float64       `json:"seed_sizes,omitempty"`
@@ -508,7 +505,7 @@ func resolveBounds(base bench.Bounds, a0, noise, power float64) (bench.Bounds, e
 	return b, nil
 }
 
-func (s *Server) solverOptions(b bench.Bounds, maxIter int, epsilon float64, workers int, full, warm bool) core.Options {
+func (s *Server) solverOptions(b bench.Bounds, maxIter int, epsilon float64, workers int, warm bool) core.Options {
 	opt := core.DefaultOptions(b.A0, b.NoiseBound, b.PowerBound)
 	if maxIter > 0 {
 		opt.MaxIterations = maxIter
@@ -522,7 +519,6 @@ func (s *Server) solverOptions(b bench.Bounds, maxIter int, epsilon float64, wor
 		workers = s.opt.DefaultWorkers
 	}
 	opt.Workers = workers
-	opt.Incremental = !full
 	opt.WarmStart = warm
 	return opt
 }
@@ -599,7 +595,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	// bytes — byte-for-byte a prior run's response — without burning a
 	// solve; save_as still takes effect so warm-start chains replayed
 	// against a restarted server cost only the lookups.
-	sk := solveKey(e.key, bounds, req.MaxIterations, req.Epsilon, req.Full, warm, seed, dual)
+	sk := solveKey(e.key, bounds, req.MaxIterations, req.Epsilon, warm, seed, dual)
 	if !req.NoDedup {
 		if hit := s.lookupSolve(sk); hit != nil && hit.Result != nil {
 			if req.SaveAs != "" {
@@ -637,7 +633,6 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 			Bounds:        bounds,
 			MaxIterations: req.MaxIterations,
 			Epsilon:       req.Epsilon,
-			Full:          req.Full,
 			Warm:          warm,
 			Seed:          seed,
 			Dual:          dual,
@@ -683,7 +678,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	opt := s.solverOptions(bounds, req.MaxIterations, req.Epsilon, req.Workers, req.Full, warm)
+	opt := s.solverOptions(bounds, req.MaxIterations, req.Epsilon, req.Workers, warm)
 	// Stream each iteration onto the watch log. The hook runs on the
 	// solving goroutine between the dual update and the convergence check
 	// and never changes solved bits (pinned by core's hook test).

@@ -141,6 +141,9 @@ func TestSolveErrors(t *testing.T) {
 			http.StatusUnprocessableEntity, "solve"},
 		{"poisoned dual", fmt.Sprintf(`{"key":%q,"dual":{"edge":[[-1]],"beta":0,"gamma":0}}`, key),
 			http.StatusBadRequest, "non-negative"},
+		// The retired full-pass option is now an unknown field.
+		{"retired full", fmt.Sprintf(`{"key":%q,"full":true}`, key),
+			http.StatusBadRequest, "unknown field"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

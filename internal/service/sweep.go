@@ -42,7 +42,6 @@ type sweepRequest struct {
 	Cold         bool `json:"cold,omitempty"`
 	PrimalOnly   bool `json:"primal_only,omitempty"`
 	S1           bool `json:"s1,omitempty"`
-	Full         bool `json:"full,omitempty"`
 	Stream       bool `json:"stream,omitempty"`
 	// Corners replaces the bounds grid with the standard five-corner
 	// process enumeration (tt/ff/ss/fs/sf), each corner warm-started from
@@ -119,7 +118,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		Cold:          req.Cold,
 		PrimalOnly:    req.PrimalOnly,
 		ColdLRS:       req.S1,
-		FullPasses:    req.Full,
 		// Shed abandoned grids: unlike a solve (whose result may be saved
 		// for warm starts), a sweep's output goes nowhere once the client
 		// is gone, so stop scheduling cells when the request dies.

@@ -78,9 +78,11 @@ func mcKey(circuitKey string, b bench.Bounds, samples int, seed uint64, sg varia
 // cornersKey is the corner-enumeration analogue of mcKey: circuit,
 // resolved bounds, the corner list itself, the warm/cold schedule knobs
 // (they are pinned bit-identical under ColdLRS+PrimalOnly but are an
-// explicit request surface, so they hash conservatively like solveKey's
-// Full), and the normalized solver knobs.
-func cornersKey(circuitKey string, b bench.Bounds, corners []variation.Corner, cold, primalOnly, coldLRS, full bool, maxIter int, epsilon float64) string {
+// explicit request surface, so they hash conservatively), and the
+// normalized solver knobs. Flag bit 8 belonged to the retired full-pass
+// request field and is never set, so every key stored without it keeps
+// its bytes.
+func cornersKey(circuitKey string, b bench.Bounds, corners []variation.Corner, cold, primalOnly, coldLRS bool, maxIter int, epsilon float64) string {
 	h := sha256.New()
 	put := func(v uint64) {
 		var buf [8]byte
@@ -107,9 +109,6 @@ func cornersKey(circuitKey string, b bench.Bounds, corners []variation.Corner, c
 	}
 	if coldLRS {
 		flags |= 4
-	}
-	if full {
-		flags |= 8
 	}
 	put(flags)
 	put(normalizedKnobs(maxIter, epsilon))
@@ -397,7 +396,7 @@ func (s *Server) handleCorners(w http.ResponseWriter, r *http.Request, req *swee
 	solveID := s.nextSolveID()
 
 	corners := variation.StandardCorners()
-	ck := cornersKey(e.key, bounds, corners, req.Cold, req.PrimalOnly, req.S1, req.Full, req.MaxIterations, req.Epsilon)
+	ck := cornersKey(e.key, bounds, corners, req.Cold, req.PrimalOnly, req.S1, req.MaxIterations, req.Epsilon)
 	if !req.Stream {
 		if hit := s.lookupCorners(ck); hit != nil && hit.Report != nil {
 			s.stats.addDedupHit()
@@ -425,7 +424,6 @@ func (s *Server) handleCorners(w http.ResponseWriter, r *http.Request, req *swee
 		Cold:          req.Cold,
 		PrimalOnly:    req.PrimalOnly,
 		ColdLRS:       req.S1,
-		FullPasses:    req.Full,
 		Cancel:        func() bool { return r.Context().Err() != nil },
 		OnCorner: func(c *variation.CornerCell) {
 			if nw != nil {

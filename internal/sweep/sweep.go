@@ -55,13 +55,6 @@ type Options struct {
 	// independent of the seed, so warm and cold sweeps are bit-identical
 	// (the warm-vs-cold oracle test pins exactly this).
 	ColdLRS bool
-	// FullPasses throws the PR-3 escape hatch (core.Options.Incremental =
-	// false): every LRS sweep pays the full passes. The warm sweep with
-	// and without it is bit-identical at ActiveSetTol = 0.
-	FullPasses bool
-	// ActiveSetTol and CutoverHysteresis pass through to core.Options.
-	ActiveSetTol      float64
-	CutoverHysteresis int
 	// OnCell, when non-nil, is called once per cell immediately after that
 	// cell's solve completes, with the fully populated cell — the
 	// row-streaming hook long-running callers (the sizing service) use to
@@ -167,9 +160,6 @@ func (o Options) solverOptions(b bench.Bounds) core.Options {
 		sopt.Epsilon = o.Epsilon
 	}
 	sopt.WarmStart = !o.ColdLRS
-	sopt.Incremental = !o.FullPasses
-	sopt.ActiveSetTol = o.ActiveSetTol
-	sopt.CutoverHysteresis = o.CutoverHysteresis
 	sopt.Workers = o.Workers
 	return sopt
 }
@@ -201,9 +191,9 @@ func cellBounds(base bench.Bounds, off, fd, fn float64) (bench.Bounds, error) {
 // exact code path the single-process engine uses — the distributed
 // determinism contract holds by construction, not by parallel
 // implementation. Only the solver knobs of o are read (MaxIterations,
-// Epsilon, Workers, PrimalOnly, ColdLRS, FullPasses, ActiveSetTol,
-// CutoverHysteresis) plus OnProgress, which receives the given row/col
-// with each iteration; the grid axes are irrelevant here.
+// Epsilon, Workers, PrimalOnly, ColdLRS) plus OnProgress, which receives
+// the given row/col with each iteration; the grid axes are irrelevant
+// here.
 func (o Options) SolveCell(ev *rc.Evaluator, row, col int, b bench.Bounds, seed []float64, dual *core.DualState) (*core.Result, *core.DualState, float64, error) {
 	sopt := o.solverOptions(b)
 	if o.OnProgress != nil {

@@ -125,21 +125,6 @@ func TestSweepGolden(t *testing.T) {
 	}
 }
 
-// TestSweepWarmMatchesFullOracle is the PR-3 oracle carried through
-// RunFrom: at ActiveSetTol = 0 the warm-started sweep with the
-// dirty-cone/active-set engine must be bit-identical to the same sweep
-// with the Incremental escape hatch thrown.
-func TestSweepWarmMatchesFullOracle(t *testing.T) {
-	inst, b := testInstance(t, 12, 10)
-	inc := runSweep(t, inst, testOptions(b, nil))
-	full := runSweep(t, inst, testOptions(b, func(o *Options) { o.FullPasses = true }))
-	incR, incF := cellResults(inc)
-	fullR, fullF := cellResults(full)
-	if !reflect.DeepEqual(incR, fullR) || !reflect.DeepEqual(incF, fullF) {
-		t.Errorf("warm incremental sweep diverged from its full-pass oracle")
-	}
-}
-
 // TestSweepWarmColdBitIdentical: with the paper-faithful S1 reset
 // (ColdLRS) and dual restarts (PrimalOnly) the OGWS trajectory is
 // independent of the seed, so the warm wavefront and the cold flat

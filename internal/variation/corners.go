@@ -77,7 +77,6 @@ type CornerOptions struct {
 	// both, warm ≡ cold bitwise.
 	PrimalOnly bool
 	ColdLRS    bool
-	FullPasses bool
 	// Cancel is polled at solver iteration boundaries (core.Options.Cancel).
 	Cancel func() bool
 	// OnCorner, when non-nil, observes each corner cell in corner order,
@@ -107,7 +106,7 @@ type CornerReport struct {
 // solverOptions normalizes the shared solver knobs exactly as
 // sweep.Options does, so a corner cell and a sweep cell with the same
 // knobs run the same core configuration.
-func solverOptions(b bench.Bounds, maxIter int, epsilon float64, workers int, coldLRS, fullPasses bool) core.Options {
+func solverOptions(b bench.Bounds, maxIter int, epsilon float64, workers int, coldLRS bool) core.Options {
 	sopt := core.DefaultOptions(b.A0, b.NoiseBound, b.PowerBound)
 	if maxIter > 0 {
 		sopt.MaxIterations = maxIter
@@ -116,7 +115,6 @@ func solverOptions(b bench.Bounds, maxIter int, epsilon float64, workers int, co
 		sopt.Epsilon = epsilon
 	}
 	sopt.WarmStart = !coldLRS
-	sopt.Incremental = !fullPasses
 	sopt.Workers = workers
 	return sopt
 }
@@ -173,7 +171,7 @@ func CornerSweep(inst *bench.Instance, opt CornerOptions) (*CornerReport, error)
 	bounds := resolveBounds(inst, opt.Bounds)
 	offset := constantOffset(inst)
 	perSolve, width := schedule(opt.Workers, false)
-	sopt := solverOptions(bounds, opt.MaxIterations, opt.Epsilon, perSolve, opt.ColdLRS, opt.FullPasses)
+	sopt := solverOptions(bounds, opt.MaxIterations, opt.Epsilon, perSolve, opt.ColdLRS)
 	sopt.Cancel = opt.Cancel
 
 	// Nominal solve: the warm-start anchor and the report's reference row.
@@ -207,7 +205,7 @@ func CornerSweep(inst *bench.Instance, opt CornerOptions) (*CornerReport, error)
 			return fmt.Errorf("variation: corner %q: %w", c.Name, err)
 		}
 		copt := solverOptions(perturbedBounds(bounds, offset, c.Perturb()),
-			opt.MaxIterations, opt.Epsilon, perSolve, opt.ColdLRS, opt.FullPasses)
+			opt.MaxIterations, opt.Epsilon, perSolve, opt.ColdLRS)
 		copt.Cancel = opt.Cancel
 		solver, err := core.NewSolver(ev, copt)
 		if err != nil {

@@ -200,7 +200,7 @@ func SolveSamples(inst *bench.Instance, bounds bench.Bounds, perturbs []rc.Pertu
 	results := make([]*core.Result, len(perturbs))
 	err := solveEach(len(perturbs), width, opt.Cancel, func(r int) error {
 		so := solverOptions(perturbedBounds(bounds, offset, perturbs[r]),
-			opt.MaxIterations, opt.Epsilon, perSolve, false, false)
+			opt.MaxIterations, opt.Epsilon, perSolve, false)
 		so.Cancel = opt.Cancel
 		res, err := solveSample(inst, perturbs[r], so)
 		results[r] = res
@@ -342,7 +342,7 @@ func Robust(inst *bench.Instance, opt RobustOptions) (*RobustResult, error) {
 		}
 		tb := bounds
 		tb.A0 = scale * bounds.A0
-		sopt := solverOptions(tb, opt.MC.MaxIterations, opt.MC.Epsilon, opt.MC.Workers, false, false)
+		sopt := solverOptions(tb, opt.MC.MaxIterations, opt.MC.Epsilon, opt.MC.Workers, false)
 		sopt.Cancel = opt.MC.Cancel
 		ev, err := inst.Replica()
 		if err != nil {

@@ -40,10 +40,12 @@
 //     just the stage-local load and upstream cones of the nodes that moved
 //     (a sweep never reads arrivals; each LRS call times them once, in its
 //     final full pass) and skips resize updates for components at a
-//     bitwise fixed point until a neighbour's change reactivates them
-//     (core.Options.Incremental, default on). Skipping happens only where recomputation could not
-//     change a single bit, so results remain bit-identical to the full
-//     passes at every Workers width.
+//     bitwise fixed point until a neighbour's change reactivates them.
+//     Skipping happens only where recomputation could not change a
+//     single bit, so results remain bit-identical to the full passes at
+//     every Workers width, and the solver picks this schedule itself: on
+//     densely coupled circuits a cutover hysteresis moves the rest of a
+//     solve back onto the full passes.
 //   - Across solves, Instance.OptimizeBatch (and the internal
 //     bench.RunTable1Parallel driver) run many circuits or specs side by
 //     side, one solver per core, for Table-1-style sweeps. The two levels
