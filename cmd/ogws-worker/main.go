@@ -9,18 +9,18 @@
 // Usage:
 //
 //	ogws-worker -coordinator http://127.0.0.1:8372 [-name lab-3]
-//	            [-workers 0] [-cache 4] [-fail-after-cells 0]
-//	            [-fault spec] [-max-retries 0] [-retry-base 100ms]
-//	            [-retry-cap 5s]
+//	            [-workers 0] [-cache 4] [-fault spec] [-max-retries 0]
+//	            [-retry-base 100ms] [-retry-cap 5s]
 //
-// -fail-after-cells injects the fault the farm smoke test exercises: the
-// worker dies (exit code 3, heartbeats stop) right after streaming its
-// Nth sweep cell. -fault arms a general deterministic fault plan
-// (internal/fault spec syntax): http: rules fault the coordinator link —
-// which the worker rides out with capped, jittered retries — and a
-// worker:cell crash rule generalizes -fail-after-cells. A worker that
-// loses its coordinator (restart, network partition, reap) re-registers
-// with backoff and keeps serving; -max-retries bounds that persistence.
+// -fault arms a deterministic fault plan (internal/fault spec syntax):
+// http: rules fault the coordinator link, which the worker rides out with
+// capped, jittered retries, and a worker:cell crash rule kills the worker
+// (exit code 3, heartbeats stop) right after it streams the cell the rule
+// selects. The farm smoke test's doomed worker runs with
+// -fault 'worker:cell:crash,after=1' and dies after its second cell. A
+// worker that loses its coordinator (restart, network partition, reap)
+// re-registers with backoff and keeps serving; -max-retries bounds that
+// persistence.
 package main
 
 import (
@@ -44,7 +44,6 @@ func main() {
 	name := flag.String("name", "", "worker label shown in the coordinator's /stats (default: assigned id)")
 	workers := flag.Int("workers", 0, "solver goroutines per solve (0 = all cores; results bit-identical at every width)")
 	cache := flag.Int("cache", 4, "local instance-cache capacity in circuits")
-	failAfterCells := flag.Int("fail-after-cells", 0, "fault injection: die right after streaming the Nth sweep cell (0 = never)")
 	faultSpec := flag.String("fault", "", "chaos testing: deterministic fault plan, e.g. 'seed=7;http:/farm/v1/result:cut,count=1;worker:cell:crash,after=2' — http: rules fault the coordinator link, worker:cell crash rules kill the worker mid-job (see internal/fault)")
 	maxRetries := flag.Int("max-retries", 0, "give up after N consecutive transient coordinator failures (0 = retry forever with capped backoff)")
 	retryBase := flag.Duration("retry-base", 0, "first retry backoff delay (0 = 100ms; doubles per attempt with deterministic jitter)")
@@ -71,16 +70,15 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	err := farm.RunWorker(ctx, farm.WorkerOptions{
-		Coordinator:    *coordinator,
-		Name:           *name,
-		SolverWorkers:  *workers,
-		CacheSize:      *cache,
-		FailAfterCells: *failAfterCells,
-		Fault:          plan,
-		MaxRetries:     *maxRetries,
-		Backoff:        fault.Backoff{Base: *retryBase, Cap: *retryCap},
-		Client:         client,
-		Logf:           log.Printf,
+		Coordinator:   *coordinator,
+		Name:          *name,
+		SolverWorkers: *workers,
+		CacheSize:     *cache,
+		Fault:         plan,
+		MaxRetries:    *maxRetries,
+		Backoff:       fault.Backoff{Base: *retryBase, Cap: *retryCap},
+		Client:        client,
+		Logf:          log.Printf,
 	})
 	switch {
 	case errors.Is(err, farm.ErrFaultInjected):

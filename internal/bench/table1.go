@@ -64,12 +64,7 @@ func RunInstance(inst *Instance, opt RunOptions) (*Table1Row, error) {
 		b = *opt.Bounds
 	}
 	sopt := core.DefaultOptions(b.A0, b.NoiseBound, b.PowerBound)
-	if opt.MaxIterations > 0 {
-		sopt.MaxIterations = opt.MaxIterations
-	}
-	if opt.Epsilon > 0 {
-		sopt.Epsilon = opt.Epsilon
-	}
+	sopt.MaxIterations, sopt.Epsilon = opt.MaxIterations, opt.Epsilon
 	sopt.WarmStart = opt.WarmStart
 	sopt.Workers = opt.Workers
 

@@ -33,19 +33,12 @@ type Options struct {
 	// with at least one coupling pair; bounds must be positive and finite.
 	PerNetNoiseBounds map[int]float64
 	// Epsilon is the relative duality-gap stopping threshold (paper: 1%).
+	// Zero, negative or NaN selects the default of 0.01 (see Budget); +Inf
+	// is rejected.
 	Epsilon float64
-	// MaxIterations bounds the outer OGWS iterations.
+	// MaxIterations bounds the outer OGWS iterations; zero or negative
+	// selects the default of 1000.
 	MaxIterations int
-	// Step is the subgradient step schedule ρₖ.
-	Step lagrange.Schedule
-	// InitMultiplier seeds every edge multiplier before the initial
-	// projection; InitBeta and InitGamma seed the scalar multipliers.
-	InitMultiplier, InitBeta, InitGamma float64
-	// LRSMaxSweeps bounds the inner greedy sweeps per OGWS iteration;
-	// LRSTol is the max relative size change that counts as "no
-	// improvement" (Figure 8, S5).
-	LRSMaxSweeps int
-	LRSTol       float64
 	// LRSDamping blends each resize in log space:
 	// x ← x^(1−ω)·optᵢ^ω with ω = LRSDamping ∈ (0,1]. ω = 1 is the
 	// paper's pure update, which can oscillate under the Jacobi sweep;
@@ -60,19 +53,6 @@ type Options struct {
 	// subproblem has a unique optimum (posynomial ⇒ convex after the log
 	// transform), so both reach it; warm starts just take fewer sweeps.
 	WarmStart bool
-	// RelativeViolations normalizes every subgradient component by its
-	// bound, making one step scale work across circuit sizes.
-	RelativeViolations bool
-	// Polyak switches the step size to the adaptive Polyak rule
-	// ρₖ = θ·(f̂ − D(λₖ))/‖h‖², where f̂ is the best feasible area seen so
-	// far (estimated from the current iterate before one exists), D the
-	// current dual value, and ‖h‖² the squared norm of the normalized
-	// active subgradient. Self-scaling: converges in far fewer iterations
-	// than the classic diminishing schedule and needs no tuning. When
-	// false, Step is used as in the paper's A4.
-	Polyak bool
-	// PolyakTheta is the relaxation factor θ ∈ (0, 2); default 1.
-	PolyakTheta float64
 	// Workers is the number of goroutines used for the solver's per-node
 	// parallel loops (the LRS resize sweep, the evaluator's independent
 	// Recompute passes, multiplier node sums, subgradient steps, and
@@ -84,15 +64,6 @@ type Options struct {
 	// folded in node order from per-node scratch — so results are
 	// bit-identical for every Workers setting.
 	Workers int
-	// AutoScale multiplies the multiplier seeds and subgradient steps by
-	// the problem's natural dual magnitudes: S/A0 for the timing weights
-	// and S/P′, S/X′ for β, γ, where S = Σαᵢ√(LᵢUᵢ) is the geometric
-	// mid-range area. Lagrange multipliers carry units of
-	// objective-per-constraint (µm²/ps, µm²/fF); without this, unit-scale
-	// seeds leave every optᵢ below its lower bound and the subgradient
-	// ascent crawls. The paper's A1 allows any positive seed and the step
-	// condition (ρₖ→0, Σρₖ=∞) is preserved.
-	AutoScale bool
 	// KeepHistory records per-iteration statistics in the result.
 	KeepHistory bool
 	// OnIteration, when non-nil, is called once per OGWS iteration with
@@ -138,39 +109,52 @@ var ErrCancelled = errors.New("core: solve cancelled")
 // hystTripsPerSolve metric.
 const cutoverHysteresis = 24
 
+// lrsMaxSweeps bounds the inner greedy sweeps per OGWS iteration, and
+// lrsTol is the largest relative size change that counts as "no
+// improvement" (Figure 8, S5).
+const (
+	lrsMaxSweeps = 200
+	lrsTol       = 1e-7
+)
+
 // DefaultOptions returns the settings used throughout the experiments:
-// 1% duality gap as in the paper, ρₖ = 2/√k, relative violations, warm
-// starts off (faithful to Figure 8's S1).
+// 1% duality gap as in the paper, at most 1000 iterations, resize damping
+// ω = 0.7, and warm starts off (faithful to Figure 8's S1).
 func DefaultOptions(a0, noiseBound, powerCapBound float64) Options {
 	return Options{
-		A0:                 a0,
-		NoiseBound:         noiseBound,
-		PowerCapBound:      powerCapBound,
-		Epsilon:            0.01,
-		MaxIterations:      1000,
-		Step:               lagrange.InverseSqrtK(2),
-		InitMultiplier:     1,
-		InitBeta:           1,
-		InitGamma:          1,
-		LRSMaxSweeps:       200,
-		LRSTol:             1e-7,
-		LRSDamping:         0.7,
-		RelativeViolations: true,
-		AutoScale:          true,
-		Polyak:             true,
-		PolyakTheta:        1,
+		A0:            a0,
+		NoiseBound:    noiseBound,
+		PowerCapBound: powerCapBound,
+		Epsilon:       0.01,
+		MaxIterations: 1000,
+		LRSDamping:    0.7,
 	}
 }
 
+// Budget returns the solve budget validate runs with: an iteration cap of
+// zero or less becomes 1000, and a gap threshold that is zero, negative or
+// NaN becomes 0.01 (DefaultOptions' values). Layers that key results by
+// their budget hash its output, so "default by omission" and "default
+// spelled out" name the same solve.
+func Budget(maxIterations int, epsilon float64) (int, float64) {
+	if maxIterations <= 0 {
+		maxIterations = 1000
+	}
+	if epsilon <= 0 || math.IsNaN(epsilon) {
+		epsilon = 0.01
+	}
+	return maxIterations, epsilon
+}
+
 // validate rejects the knobs that have no sane substitute (a missing or
-// non-finite delay bound, a NaN or infinite noise or power bound, negative
-// or non-finite multiplier seeds) and normalizes the rest: every
-// tolerance, damping factor, and count falls back to its DefaultOptions
-// value when zero, negative, or NaN. NaN needs explicit checks throughout —
-// it slides through every `<= 0` comparison, and a NaN tolerance silently
-// disables loop exits (`maxRel < NaN` is always false) while a NaN step or
+// non-finite delay bound, a NaN or infinite noise or power bound, an
+// infinite gap threshold) and normalizes the rest: the solve budget
+// (Budget), the damping factor, and the worker count fall back to their
+// defaults when zero, negative, or NaN. NaN needs explicit checks
+// throughout — it slides through every `<= 0` comparison, and a NaN
 // damping poisons every size downstream. +Inf slides through them too: an
-// infinite bound or seed turns the dual and the gap into NaN.
+// infinite bound turns the dual and the gap into NaN, and an infinite
+// Epsilon passes A7 at the first iterate, feasible or not.
 func (o *Options) validate() error {
 	if o.A0 <= 0 || nonFinite(o.A0) {
 		return fmt.Errorf("core: delay bound A0 must be positive and finite, got %g", o.A0)
@@ -180,47 +164,28 @@ func (o *Options) validate() error {
 	if nonFinite(o.NoiseBound) || nonFinite(o.PowerCapBound) {
 		return fmt.Errorf("core: noise and power bounds must be finite, got %g and %g", o.NoiseBound, o.PowerCapBound)
 	}
-	if o.Epsilon <= 0 || math.IsNaN(o.Epsilon) {
-		o.Epsilon = 0.01
+	if math.IsInf(o.Epsilon, 1) {
+		return fmt.Errorf("core: duality-gap threshold Epsilon must be finite, got %g", o.Epsilon)
 	}
-	if o.MaxIterations <= 0 {
-		o.MaxIterations = 1000
-	}
-	if o.Step == nil {
-		o.Step = lagrange.InverseSqrtK(2)
-	}
-	if o.LRSMaxSweeps <= 0 {
-		o.LRSMaxSweeps = 200
-	}
-	if o.LRSTol <= 0 || math.IsNaN(o.LRSTol) {
-		o.LRSTol = 1e-7
-	}
+	o.MaxIterations, o.Epsilon = Budget(o.MaxIterations, o.Epsilon)
 	if o.LRSDamping <= 0 || o.LRSDamping > 1 || math.IsNaN(o.LRSDamping) {
 		o.LRSDamping = 0.7
-	}
-	if o.PolyakTheta <= 0 || o.PolyakTheta >= 2 || math.IsNaN(o.PolyakTheta) {
-		o.PolyakTheta = 1
 	}
 	if o.Workers < 0 {
 		o.Workers = 0 // same meaning: pick runtime.GOMAXPROCS(0)
 	}
-	if o.InitMultiplier < 0 || o.InitBeta < 0 || o.InitGamma < 0 ||
-		nonFinite(o.InitMultiplier) || nonFinite(o.InitBeta) || nonFinite(o.InitGamma) {
-		return fmt.Errorf("core: initial multipliers must be non-negative and finite, got λ=%g β=%g γ=%g",
-			o.InitMultiplier, o.InitBeta, o.InitGamma)
-	}
 	return nil
 }
 
-// nonFinite reports whether v is NaN or +Inf: the values the bound and
-// seed checks reject beside their sign test (−Inf already fails it, or
-// means "disabled" for the noise and power bounds).
+// nonFinite reports whether v is NaN or +Inf: the values the bound checks
+// reject beside their sign test (−Inf already fails it, or means
+// "disabled" for the noise and power bounds).
 func nonFinite(v float64) bool { return math.IsNaN(v) || math.IsInf(v, 1) }
 
 // IterStats records one OGWS iteration for convergence studies.
 type IterStats struct {
 	K          int
-	Rho        float64
+	Rho        float64 // ρₖ = 2/√k, the schedule that floors the Polyak step
 	Area       float64 // Σαᵢxᵢ (µm²)
 	DelayPs    float64 // critical-path arrival (ps)
 	PowerCapFF float64 // Σcᵢ (fF)
@@ -348,7 +313,11 @@ type Solver struct {
 	gammaV []float64 // γᵥ per node
 	denV   []float64 // Σ_{(i,j)} (γᵢ+γⱼ)·wᵢⱼ·ĉᵢⱼ, refreshed per LRS call
 
-	// Dual magnitude scales (1 when AutoScale is off).
+	// Dual magnitude scales, which are also the A1 seeds (see "The
+	// ascent" in the package documentation): S/(A0·m) per sink edge for
+	// the timing weights and S/P′, S/X′ for β and γ, where
+	// S = Σαᵢ√(LᵢUᵢ) is the geometric mid-range area and m the number of
+	// sink edges. Each scale is 1 when S is 0 or its bound is disabled.
 	lamScale, betaScale, gammaScale float64
 
 	// floorTau is τ = floorSkipTau(LRSDamping), the margin of the
@@ -431,23 +400,21 @@ func NewSolver(ev *rc.Evaluator, opt Options) (*Solver, error) {
 		}
 	}
 	s.lamScale, s.betaScale, s.gammaScale = 1, 1, 1
-	if opt.AutoScale {
-		sum := 0.0
-		for i := 0; i < g.NumNodes(); i++ {
-			if c := g.Comp(i); c.Kind.Sizable() {
-				sum += c.AreaCoeff * math.Sqrt(c.Lo*c.Hi)
-			}
+	sum := 0.0
+	for i := 0; i < g.NumNodes(); i++ {
+		if c := g.Comp(i); c.Kind.Sizable() {
+			sum += c.AreaCoeff * math.Sqrt(c.Lo*c.Hi)
 		}
-		if sum > 0 {
-			// The natural total timing flow is S/A0; spread it over the
-			// sink edges so each edge's seed and step have per-edge scale.
-			s.lamScale = sum / (opt.A0 * float64(len(g.In(g.SinkID()))))
-			if !math.IsNaN(s.pBound) {
-				s.betaScale = sum / s.pBound
-			}
-			if !math.IsNaN(s.xBound) {
-				s.gammaScale = sum / s.xBound
-			}
+	}
+	if sum > 0 {
+		// The natural total timing flow is S/A0; spread it over the sink
+		// edges so each edge's seed and step have per-edge scale.
+		s.lamScale = sum / (opt.A0 * float64(len(g.In(g.SinkID()))))
+		if !math.IsNaN(s.pBound) {
+			s.betaScale = sum / s.pBound
+		}
+		if !math.IsNaN(s.xBound) {
+			s.gammaScale = sum / s.xBound
 		}
 	}
 	// Spawn the pool and touch the caller's evaluator only once the
@@ -591,7 +558,7 @@ func (s *Solver) LRS() int {
 	}
 	beta, gamma := s.lrsPrelude()
 	sweeps := 0
-	for sweeps < s.opt.LRSMaxSweeps {
+	for sweeps < lrsMaxSweeps {
 		sweeps++
 		if s.incReverted {
 			// The cutover hysteresis tripped (or K = 0): finish this LRS on
@@ -602,7 +569,7 @@ func (s *Solver) LRS() int {
 			s.revertedSweeps++
 			ev.RecomputeLoads()
 			ev.UpstreamResistance(s.lambda, s.rup)
-			if s.resizeFull(beta, gamma) < s.opt.LRSTol {
+			if s.resizeFull(beta, gamma) < lrsTol {
 				break
 			}
 			continue
@@ -640,7 +607,7 @@ func (s *Solver) LRS() int {
 			break
 		}
 		// S4/S5 over the active set only.
-		if s.resizeActiveSet(beta, gamma) < s.opt.LRSTol {
+		if s.resizeActiveSet(beta, gamma) < lrsTol {
 			break
 		}
 	}
@@ -872,10 +839,10 @@ func (s *Solver) delayGradNormSq() float64 {
 
 // stepDelay shards the A4 edge-multiplier update by head node; each node
 // owns its in-edge multipliers, so disjoint ranges never contend.
-func (s *Solver) stepDelay(rho float64, relative bool) {
+func (s *Solver) stepDelay(rho float64) {
 	nn := s.ev.Graph().NumNodes()
 	s.pool.run(1, nn, func(_, lo, hi int) {
-		s.mult.StepDelayRange(s.ev.A, s.ev.D, s.opt.A0, rho, relative, lo, hi)
+		s.mult.StepDelayRange(s.ev.A, s.ev.D, s.opt.A0, rho, lo, hi)
 	})
 }
 
@@ -909,7 +876,7 @@ func (s *Solver) perNetPass(rho float64, step bool) (maxRel, normSq float64) {
 				s.normScratch[v] = 0
 			}
 			if step {
-				s.gammaV[v] = lagrange.StepScalar(s.gammaV[v], viol, rho/xb, xb, s.mult.Trust, true)
+				s.gammaV[v] = lagrange.StepScalar(s.gammaV[v], viol, rho/xb, xb, s.mult.Trust)
 			}
 		}
 		s.shardMax[shard] = mr
@@ -1038,10 +1005,10 @@ func (s *Solver) Run() (*Result, error) {
 	} else {
 		// A1: initial multipliers in the optimality condition (project the
 		// uniform seed onto the flow-conservation cone).
-		s.mult = lagrange.New(g, s.opt.InitMultiplier*s.lamScale)
+		s.mult = lagrange.New(g, s.lamScale)
 		s.mult.ProjectFlow()
-		s.mult.Beta = s.opt.InitBeta * s.betaScale
-		s.mult.Gamma = s.opt.InitGamma * s.gammaScale
+		s.mult.Beta = s.betaScale
+		s.mult.Gamma = s.gammaScale
 		// The per-net γᵥ are multiplier state too: re-seed them so repeated
 		// Run calls on one solver replay the exact same trajectory.
 		for v := range s.gammaV {
@@ -1139,7 +1106,9 @@ func (s *Solver) Run() (*Result, error) {
 		}
 		prevFeasible = nowFeasible
 
-		rho := s.opt.Step(k)
+		// The diminishing schedule ρₖ = 2/√k of the paper's A4 floors the
+		// Polyak step below.
+		rho := 2 / math.Sqrt(float64(k))
 		if s.opt.KeepHistory || s.opt.OnIteration != nil {
 			st := IterStats{
 				K: k, Rho: rho, Area: area, DelayPs: ev.MaxArrival(),
@@ -1180,55 +1149,43 @@ func (s *Solver) Run() (*Result, error) {
 		// adaptive steps anneal from global travel to local refinement;
 		// Σ log(trustₖ) diverges, so reachability is never lost.
 		s.mult.Trust = 1 + 4/math.Pow(float64(k), 0.75)
-		if s.opt.Polyak {
-			// Adaptive Polyak step in the bound-normalized multiplier
-			// space: ρ = θ·(f̂ − D)/‖h‖².
-			fHat := bestFeasible
-			if math.IsInf(fHat, 1) {
-				fHat = area * (1 + feas)
-			}
-			normSq := s.delayGradNormSq() + perNetNormSq
-			if !math.IsNaN(s.pBound) {
-				n := powerViol / s.pBound
-				if n > 0 || s.mult.Beta > 0 {
-					normSq += n * n
-				}
-			}
-			if !math.IsNaN(s.xBound) {
-				n := noiseViol / s.xBound
-				if n > 0 || s.mult.Gamma > 0 {
-					normSq += n * n
-				}
-			}
-			// Floor with the classic diminishing schedule: when no feasible
-			// iterate exists yet, the f̂ proxy can sit at the dual value and
-			// zero the Polyak numerator, freezing all progress.
-			floor := 0.1 * s.opt.Step(k) * s.lamScale * s.opt.A0
-			if num := fHat - dual; num > 0 && normSq > 1e-18 {
-				rho = math.Max(s.opt.PolyakTheta*num/normSq, floor)
-			} else {
-				rho = 10 * floor
-			}
-			rho *= damp
-			s.stepDelay(rho/s.opt.A0, true)
-			if !math.IsNaN(s.pBound) {
-				s.mult.StepBeta(powerViol, rho/s.pBound, s.pBound, true)
-			}
-			if !math.IsNaN(s.xBound) {
-				s.mult.StepGamma(noiseViol, rho/s.xBound, s.xBound, true)
-			}
-			s.perNetPass(rho, true)
-		} else {
-			// Classic diminishing schedule, scaled to the dual magnitude.
-			s.stepDelay(rho*s.lamScale, s.opt.RelativeViolations)
-			if !math.IsNaN(s.pBound) {
-				s.mult.StepBeta(powerViol, rho*s.betaScale, s.pBound, s.opt.RelativeViolations)
-			}
-			if !math.IsNaN(s.xBound) {
-				s.mult.StepGamma(noiseViol, rho*s.gammaScale, s.xBound, s.opt.RelativeViolations)
-			}
-			s.perNetPass(rho*s.lamScale*s.opt.A0, true)
+		// Adaptive Polyak step in the bound-normalized multiplier space:
+		// ρ = (f̂ − D)/‖h‖².
+		fHat := bestFeasible
+		if math.IsInf(fHat, 1) {
+			fHat = area * (1 + feas)
 		}
+		normSq := s.delayGradNormSq() + perNetNormSq
+		if !math.IsNaN(s.pBound) {
+			n := powerViol / s.pBound
+			if n > 0 || s.mult.Beta > 0 {
+				normSq += n * n
+			}
+		}
+		if !math.IsNaN(s.xBound) {
+			n := noiseViol / s.xBound
+			if n > 0 || s.mult.Gamma > 0 {
+				normSq += n * n
+			}
+		}
+		// Floor with the diminishing schedule: when no feasible iterate
+		// exists yet, the f̂ proxy can sit at the dual value and zero the
+		// Polyak numerator, freezing all progress.
+		floor := 0.1 * rho * s.lamScale * s.opt.A0
+		if num := fHat - dual; num > 0 && normSq > 1e-18 {
+			rho = math.Max(num/normSq, floor)
+		} else {
+			rho = 10 * floor
+		}
+		rho *= damp
+		s.stepDelay(rho / s.opt.A0)
+		if !math.IsNaN(s.pBound) {
+			s.mult.StepBeta(powerViol, rho/s.pBound, s.pBound)
+		}
+		if !math.IsNaN(s.xBound) {
+			s.mult.StepGamma(noiseViol, rho/s.xBound, s.xBound)
+		}
+		s.perNetPass(rho, true)
 		// A5: project back onto the optimality condition.
 		s.mult.ProjectFlow()
 	}

@@ -406,9 +406,6 @@ func TestSolverRejectsBadOptions(t *testing.T) {
 	if _, err := NewSolver(ev, Options{A0: 0}); err == nil {
 		t.Error("A0=0 accepted")
 	}
-	if _, err := NewSolver(ev, Options{A0: 1, InitBeta: -1}); err == nil {
-		t.Error("negative InitBeta accepted")
-	}
 }
 
 func TestInfeasibleNoiseBoundRejected(t *testing.T) {

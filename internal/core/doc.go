@@ -20,6 +20,44 @@
 //	optᵢ = √( λᵢ·r̂ᵢ·(C′ᵢ + Σ_{j∈N(i)} wᵢⱼĉᵢⱼxⱼ)
 //	        / (αᵢ + (β+Rᵢ)·ĉᵢ + γ·Σ_{j∈N(i)} wᵢⱼĉᵢⱼ) ).
 //
+// # The ascent
+//
+// The paper's A4 asks only for a subgradient step whose sizes satisfy
+// ρₖ → 0 and Σρₖ = ∞. Run implements one rule for it, with no option to
+// select another:
+//
+//   - A1 seeds the multipliers at the problem's natural dual magnitudes.
+//     With S = Σαᵢ√(LᵢUᵢ), the geometric mid-range area, and m sink edges,
+//     every edge multiplier starts at S/(A0·m) (the total timing flow S/A0
+//     spread over the sink edges) before the flow projection, β at S/P′
+//     and γ at S/X′. Multipliers carry objective-per-constraint units
+//     (µm²/ps, µm²/fF); unit seeds would leave every optᵢ below its lower
+//     bound and the ascent would crawl.
+//   - Every violation is normalized by its bound (A0, P′, X′, or a
+//     per-net X′ᵥ) and clamped to [−1, 1], so one step scale serves every
+//     circuit and the large early violations cannot overshoot.
+//   - The step is Polyak's, ρ = (f̂ − D)/‖h‖²: f̂ is the best feasible area
+//     so far (before one exists, the current area times 1 plus its
+//     relative infeasibility), D the current dual value, and ‖h‖² the
+//     squared norm of the normalized subgradient without the coordinates
+//     whose multiplier is 0 and whose constraint is slack. It is floored
+//     at 0.1·ρₖ·S/m with ρₖ = 2/√k, the paper's diminishing schedule, and
+//     is 10 times that floor when f̂ − D ≤ 0 or ‖h‖² vanishes; a stale f̂
+//     would otherwise freeze the ascent. IterStats.Rho records ρₖ.
+//   - A damping factor shrinks the step ×0.6 each time the iterate flips
+//     between feasible and infeasible (the step straddles the dual kink)
+//     and recovers it ×1.1 per stable iteration, kept within [0.01, 1].
+//   - A positive multiplier moves at most within the trust corridor
+//     [v/T, v·T] per step, with T = 1 + 4/k^0.75. The corridor anneals
+//     global travel into local refinement while Σ log T diverges, so no
+//     multiplier value becomes unreachable; a multiplier at 0 grows
+//     additively, and every step clamps at 0.
+//   - A5 projects the edge multipliers back onto Theorem 3's flow
+//     conservation (lagrange.Multipliers.ProjectFlow).
+//
+// The LRS subproblem inside each iteration stops after 200 sweeps or once
+// a sweep's largest relative size change falls below 10⁻⁷ (Figure 8, S5).
+//
 // # Execution modes and invariants
 //
 // One solve is parallel: Options.Workers shards every per-node loop onto

@@ -278,12 +278,13 @@ func TestRunFromRejectsBadSeeds(t *testing.T) {
 	}
 }
 
-// TestOptionsNormalizationTable pins the validate() audit: every tolerance
-// and count with a sane default falls back to it on zero/negative/NaN
+// TestOptionsNormalizationTable pins the validate() audit: the solve
+// budget and the damping fall back to their defaults on zero/negative/NaN
 // input, Workers normalizes to the all-cores sentinel, a negative noise or
 // power bound stays (it disables the constraint), and the knobs with no
-// substitute (A0, the noise and power bounds, multiplier seeds) reject NaN
-// and +Inf outright.
+// substitute (A0, the noise and power bounds) reject NaN and +Inf
+// outright, as does an infinite Epsilon, which would certify the first
+// iterate.
 func TestOptionsNormalizationTable(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	cases := []struct {
@@ -293,12 +294,8 @@ func TestOptionsNormalizationTable(t *testing.T) {
 	}{
 		{"epsilon-zero", func(o *Options) { o.Epsilon = 0 }, func(o Options) (float64, float64) { return o.Epsilon, 0.01 }},
 		{"epsilon-nan", func(o *Options) { o.Epsilon = nan }, func(o Options) (float64, float64) { return o.Epsilon, 0.01 }},
-		{"lrstol-nan", func(o *Options) { o.LRSTol = nan }, func(o Options) (float64, float64) { return o.LRSTol, 1e-7 }},
-		{"lrstol-negative", func(o *Options) { o.LRSTol = -1 }, func(o Options) (float64, float64) { return o.LRSTol, 1e-7 }},
 		{"damping-nan", func(o *Options) { o.LRSDamping = nan }, func(o Options) (float64, float64) { return o.LRSDamping, 0.7 }},
 		{"damping-above-one", func(o *Options) { o.LRSDamping = 1.5 }, func(o Options) (float64, float64) { return o.LRSDamping, 0.7 }},
-		{"polyak-nan", func(o *Options) { o.PolyakTheta = nan }, func(o Options) (float64, float64) { return o.PolyakTheta, 1 }},
-		{"polyak-high", func(o *Options) { o.PolyakTheta = 2 }, func(o Options) (float64, float64) { return o.PolyakTheta, 1 }},
 		{"workers-negative", func(o *Options) { o.Workers = -7 }, func(o Options) (float64, float64) { return float64(o.Workers), 0 }},
 		// A negative noise or power bound, −Inf included, disables it.
 		{"noise-negative", func(o *Options) { o.NoiseBound = -1 }, func(o Options) (float64, float64) { return o.NoiseBound, -1 }},
@@ -307,9 +304,6 @@ func TestOptionsNormalizationTable(t *testing.T) {
 		}},
 		{"maxiter-negative", func(o *Options) { o.MaxIterations = -1 }, func(o Options) (float64, float64) {
 			return float64(o.MaxIterations), 1000
-		}},
-		{"sweeps-negative", func(o *Options) { o.LRSMaxSweeps = -1 }, func(o Options) (float64, float64) {
-			return float64(o.LRSMaxSweeps), 200
 		}},
 	}
 	for _, tc := range cases {
@@ -335,12 +329,7 @@ func TestOptionsNormalizationTable(t *testing.T) {
 		{"noise-inf", func(o *Options) { o.NoiseBound = inf }},
 		{"power-nan", func(o *Options) { o.PowerCapBound = nan }},
 		{"power-inf", func(o *Options) { o.PowerCapBound = inf }},
-		{"initmult-nan", func(o *Options) { o.InitMultiplier = nan }},
-		{"initmult-inf", func(o *Options) { o.InitMultiplier = inf }},
-		{"initbeta-nan", func(o *Options) { o.InitBeta = nan }},
-		{"initbeta-inf", func(o *Options) { o.InitBeta = inf }},
-		{"initgamma-negative", func(o *Options) { o.InitGamma = -1 }},
-		{"initgamma-inf", func(o *Options) { o.InitGamma = inf }},
+		{"epsilon-inf", func(o *Options) { o.Epsilon = inf }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			opt := DefaultOptions(50, 0, 0)

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/farm/api"
+	"repro/internal/fault"
 	"repro/internal/sweep"
 )
 
@@ -70,11 +71,12 @@ func TestFarmDistributedSweepGolden(t *testing.T) {
 	faulty := make(chan error, 1)
 	go func() {
 		faulty <- RunWorker(ctx, WorkerOptions{
-			Coordinator:    ts.URL,
-			Name:           "doomed",
-			FailAfterCells: 2,
-			LeaseWait:      50 * time.Millisecond,
-			Logf:           t.Logf,
+			Coordinator: ts.URL,
+			Name:        "doomed",
+			// Events count from 0: the crash fires on the second cell.
+			Fault:     fault.New(0, fault.Rule{Op: "worker:cell", Kind: fault.Crash, After: 1}),
+			LeaseWait: 50 * time.Millisecond,
+			Logf:      t.Logf,
 		})
 	}()
 

@@ -270,10 +270,9 @@ func TestResultStreamReplaysThroughFaults(t *testing.T) {
 	}
 }
 
-// TestWorkerCrashViaFaultPlan exercises the plan-driven generalization of
-// FailAfterCells: a "worker:cell" Crash rule kills the worker mid-sweep,
-// the reaper re-queues its job, and a healthy successor finishes the grid
-// bit-identically.
+// TestWorkerCrashViaFaultPlan: a "worker:cell" Crash rule kills the worker
+// after its first cell, mid-sweep, the reaper re-queues its job, and a
+// healthy successor finishes the grid bit-identically.
 func TestWorkerCrashViaFaultPlan(t *testing.T) {
 	if testing.Short() {
 		t.Skip("solves a real grid")

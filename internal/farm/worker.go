@@ -39,16 +39,13 @@ type WorkerOptions struct {
 	// materialized circuit replicas kept across jobs, keyed by the
 	// coordinator's own cache keys.
 	CacheSize int
-	// FailAfterCells, when positive, injects the fault the farm smoke
-	// exercises: the worker dies (RunWorker returns ErrFaultInjected,
-	// heartbeats stop) immediately after streaming its Nth sweep-cell
-	// result, leaving its current job leased with the stream open.
-	FailAfterCells int
 	// Fault, when non-nil, is the worker's deterministic fault plan. A
-	// "worker:cell" rule of kind Crash generalizes FailAfterCells: the
-	// worker dies right after streaming the cell the plan selects. Wrap
-	// Client's transport with fault.NewTransport to fault the coordinator
-	// link as well.
+	// "worker:cell" rule of kind Crash injects the fault the farm smoke
+	// exercises: the worker dies (RunWorker returns ErrFaultInjected,
+	// heartbeats stop) right after streaming the sweep or sample cell the
+	// plan selects, leaving its current job leased with the stream open.
+	// Wrap Client's transport with fault.NewTransport to fault the
+	// coordinator link as well.
 	Fault *fault.Plan
 	// Backoff schedules the delays between retries of transient
 	// coordinator failures (network errors, 5xx): capped exponential with
@@ -102,9 +99,9 @@ func (o *WorkerOptions) fill() {
 	}
 }
 
-// ErrFaultInjected is returned by RunWorker when WorkerOptions.
-// FailAfterCells (or a "worker:cell" Crash rule in the fault plan) tripped
-// — the deliberate mid-job death the reaping smoke tests rely on.
+// ErrFaultInjected is returned by RunWorker when a "worker:cell" Crash
+// rule in WorkerOptions.Fault tripped — the deliberate mid-job death the
+// reaping smoke tests rely on.
 var ErrFaultInjected = errors.New("farm: worker fault injected")
 
 // permanentError marks failures no retry can fix — protocol refusals like
@@ -118,7 +115,7 @@ func (e permanentError) Unwrap() error { return e.err }
 type worker struct {
 	opt   WorkerOptions
 	id    string
-	cells int // sweep-cell lines streamed so far, for fault injection
+	cells int // cell lines streamed so far, reported when a fault kills the worker
 
 	// Bounded local instance cache in insertion order; replicas are
 	// bit-identical across processes (the keys hash every materialization
@@ -475,14 +472,11 @@ func (wk *worker) execute(ctx context.Context, job *api.Job, w io.Writer) error 
 	}
 }
 
-// crashAfterCell reports whether a configured fault kills the worker
-// after the cell just streamed: the legacy FailAfterCells counter or a
-// "worker:cell" Crash rule in the fault plan.
+// crashAfterCell reports whether a "worker:cell" Crash rule in the fault
+// plan kills the worker after the cell just streamed.
 func (wk *worker) crashAfterCell() bool {
-	if inj := wk.opt.Fault.Next("worker:cell"); inj != nil && inj.Kind == fault.Crash {
-		return true
-	}
-	return wk.opt.FailAfterCells > 0 && wk.cells >= wk.opt.FailAfterCells
+	inj := wk.opt.Fault.Next("worker:cell")
+	return inj != nil && inj.Kind == fault.Crash
 }
 
 // executeSweep solves the batch through sweep.Options.SolveCell — the
@@ -584,12 +578,7 @@ func (wk *worker) executeMonteCarlo(ctx context.Context, inst *bench.Instance, m
 // (replica evaluator, core solver, RunFromDual) knob for knob.
 func (wk *worker) executeSolve(ctx context.Context, inst *bench.Instance, sj *api.SolveJob, enc *json.Encoder) error {
 	opt := core.DefaultOptions(sj.Bounds.A0, sj.Bounds.NoiseBound, sj.Bounds.PowerBound)
-	if sj.MaxIterations > 0 {
-		opt.MaxIterations = sj.MaxIterations
-	}
-	if sj.Epsilon > 0 {
-		opt.Epsilon = sj.Epsilon
-	}
+	opt.MaxIterations, opt.Epsilon = sj.MaxIterations, sj.Epsilon
 	opt.Workers = wk.opt.SolverWorkers
 	opt.WarmStart = sj.Warm
 	opt.Cancel = func() bool { return ctx.Err() != nil }

@@ -18,26 +18,6 @@ import (
 	"repro/internal/circuit"
 )
 
-// Schedule maps the OGWS iteration number k (1-based) to the subgradient
-// step size ρₖ. The paper requires ρₖ → 0 with Σρₖ = ∞.
-type Schedule func(k int) float64
-
-// InverseK returns ρₖ = c/k (satisfies the paper's conditions).
-func InverseK(c float64) Schedule {
-	return func(k int) float64 { return c / float64(k) }
-}
-
-// InverseSqrtK returns ρₖ = c/√k (satisfies the paper's conditions and
-// converges faster in practice).
-func InverseSqrtK(c float64) Schedule {
-	return func(k int) float64 { return c / math.Sqrt(float64(k)) }
-}
-
-// Constant returns ρₖ = c. It violates ρₖ → 0 and exists for ablations.
-func Constant(c float64) Schedule {
-	return func(k int) float64 { return c }
-}
-
 type edgeRef struct {
 	node int32 // head node whose in-edge list holds the multiplier
 	pos  int32 // index within that in-edge list
@@ -50,11 +30,11 @@ type Multipliers struct {
 	Edge [][]float64
 	// Beta is the power multiplier, Gamma the crosstalk multiplier.
 	Beta, Gamma float64
-	// Trust is the per-step multiplicative corridor in relative mode: a
+	// Trust is the per-step multiplicative corridor of every step: a
 	// positive multiplier may change by at most this factor (and at least
-	// its inverse) per step. Zero means the default of 2. Shrinking it
-	// toward 1 over iterations turns adaptive-step oscillation into
-	// geometric convergence.
+	// its inverse) per step. A value of 1 or less means the default of 2.
+	// Shrinking it toward 1 over iterations turns adaptive-step oscillation
+	// into geometric convergence.
 	Trust float64
 
 	out [][]edgeRef // out-edge multiplier locations per node
@@ -109,30 +89,26 @@ func (m *Multipliers) SinkFlow() float64 {
 	return s
 }
 
-// StepDelay applies the paper's A4 update to every edge multiplier:
+// StepDelayRange applies the paper's A4 update to the in-edge multipliers
+// of head nodes [lo, hi):
 //
-//	λⱼm += ρ·(aⱼ − A0)              (sink edges)
-//	λⱼᵢ += ρ·(aⱼ + Dᵢ − aᵢ)         (component edges)
-//	λ₀ᵢ += ρ·(Dᵢ − aᵢ)              (driver edges)
+//	λⱼm += ρ·(aⱼ − A0)/A0              (sink edges)
+//	λⱼᵢ += ρ·(aⱼ + Dᵢ − aᵢ)/A0         (component edges)
+//	λ₀ᵢ += ρ·(Dᵢ − aᵢ)/A0              (driver edges)
 //
 // then clamps at zero. A and D are the arrival-time and delay vectors of
-// the current LRS solution; when relative is true the violations are
-// normalized by A0 and clamped to [−1, 1] (a scale-free trust region that
-// makes one step size work across circuits and prevents overshoot on the
-// large initial violations).
-func (m *Multipliers) StepDelay(a, d []float64, a0, rho float64, relative bool) {
-	m.StepDelayRange(a, d, a0, rho, relative, 1, m.g.NumNodes())
-}
-
-// StepDelayRange applies the StepDelay update to the in-edges of head
-// nodes [lo, hi) only. A node's update reads the shared arrival/delay
-// vectors and writes only that node's in-edge multipliers, so disjoint
-// ranges may step concurrently.
-func (m *Multipliers) StepDelayRange(a, d []float64, a0, rho float64, relative bool, lo, hi int) {
+// the current LRS solution. Each violation is normalized by A0 and clamped
+// to [−1, 1] (a scale-free trust region that makes one step size work
+// across circuits and prevents overshoot on the large initial violations),
+// and a positive multiplier moves at most within the Trust corridor. A
+// node's update reads the shared arrival/delay vectors and writes only
+// that node's in-edge multipliers, so disjoint ranges may step
+// concurrently.
+func (m *Multipliers) StepDelayRange(a, d []float64, a0, rho float64, lo, hi int) {
 	g := m.g
 	sink := g.SinkID()
 	scale := 1.0
-	if relative && a0 > 0 {
+	if a0 > 0 {
 		scale = 1 / a0
 	}
 	trust := m.trust()
@@ -149,11 +125,8 @@ func (m *Multipliers) StepDelayRange(a, d []float64, a0, rho float64, relative b
 			default:
 				viol = a[j] + d[i] - a[i]
 			}
-			viol *= scale
-			if relative {
-				viol = math.Max(-1, math.Min(1, viol))
-			}
-			m.Edge[i][k] = stepValue(m.Edge[i][k], rho*viol, trust, relative)
+			viol = math.Max(-1, math.Min(1, viol*scale))
+			m.Edge[i][k] = stepValue(m.Edge[i][k], rho*viol, trust)
 		}
 	}
 }
@@ -166,36 +139,35 @@ func (m *Multipliers) trust() float64 {
 }
 
 // StepBeta updates the power multiplier with the same trust-region rules
-// as StepDelay.
-func (m *Multipliers) StepBeta(violation, rho, norm float64, relative bool) {
-	m.Beta = StepScalar(m.Beta, violation, rho, norm, m.trust(), relative)
+// as StepDelayRange.
+func (m *Multipliers) StepBeta(violation, rho, norm float64) {
+	m.Beta = StepScalar(m.Beta, violation, rho, norm, m.trust())
 }
 
 // StepGamma updates the crosstalk multiplier.
-func (m *Multipliers) StepGamma(violation, rho, norm float64, relative bool) {
-	m.Gamma = StepScalar(m.Gamma, violation, rho, norm, m.trust(), relative)
+func (m *Multipliers) StepGamma(violation, rho, norm float64) {
+	m.Gamma = StepScalar(m.Gamma, violation, rho, norm, m.trust())
 }
 
 // StepScalar applies a clamped subgradient step to a scalar multiplier and
-// returns the new value: v' = max(0, v + ρ·violation/norm). When relative
-// is true the normalized violation is clamped to [−1, 1] and the change is
-// confined to the [v/trust, v·trust] corridor, matching StepDelay.
-func StepScalar(v, violation, rho, norm, trust float64, relative bool) float64 {
-	if relative && norm > 0 {
+// returns the new value: v' = max(0, v + ρ·clamp(violation/norm, −1, 1)),
+// with the change confined to the [v/trust, v·trust] corridor, matching
+// StepDelayRange. A norm of zero or less leaves the violation unscaled.
+func StepScalar(v, violation, rho, norm, trust float64) float64 {
+	if norm > 0 {
 		violation = math.Max(-1, math.Min(1, violation/norm))
 	}
-	return stepValue(v, rho*violation, trust, relative)
+	return stepValue(v, rho*violation, trust)
 }
 
-// stepValue applies an additive multiplier update. In relative (trust
-// region) mode the new value is additionally confined to [v/trust, v·trust]
-// for positive v: large adaptive steps (e.g. Polyak) otherwise slam a
-// multiplier to zero and rebound past the optimum in a period-2 cycle;
-// the factor corridor turns that into geometric convergence while still
-// allowing growth from zero.
-func stepValue(v, delta, trust float64, relative bool) float64 {
+// stepValue applies an additive multiplier update, confined to
+// [v/trust, v·trust] for positive v: large adaptive steps (the Polyak
+// rule) otherwise slam a multiplier to zero and rebound past the optimum
+// in a period-2 cycle; the factor corridor turns that into geometric
+// convergence while still allowing growth from zero.
+func stepValue(v, delta, trust float64) float64 {
 	nv := v + delta
-	if relative && v > 0 {
+	if v > 0 {
 		if nv > trust*v {
 			nv = trust * v
 		} else if nv < v/trust {
@@ -208,33 +180,13 @@ func stepValue(v, delta, trust float64, relative bool) float64 {
 	return nv
 }
 
-// DelayGradNormSq returns the squared norm of the active, A0-normalized
-// delay subgradient: Σ (viol/A0)² over edges, skipping coordinates where
-// the multiplier is zero and the constraint is slack (the projected
-// subgradient is zero there). Used by Polyak-style step sizing. The sum
-// folds per-node partials in node order, matching a DelayGradFillRange
-// pass combined by DelayGradNormSqFrom. Allocates one scratch vector per
-// call; hot loops should hold a buffer and use DelayGradNormSqInto.
-func (m *Multipliers) DelayGradNormSq(a, d []float64, a0 float64) float64 {
-	return m.DelayGradNormSqInto(a, d, a0, make([]float64, m.g.NumNodes()))
-}
-
-// DelayGradNormSqInto is DelayGradNormSq with caller-supplied scratch of
-// length NumNodes, performing no allocation. The scratch holds the
-// per-node partials afterwards; the returned total folds them in node
-// order, so it is identical for every sharding that fills the same
-// scratch.
-func (m *Multipliers) DelayGradNormSqInto(a, d []float64, a0 float64, scratch []float64) float64 {
-	nn := m.g.NumNodes()
-	m.DelayGradFillRange(a, d, a0, scratch, 1, nn)
-	return DelayGradNormSqFrom(scratch[1:nn])
-}
-
 // DelayGradFillRange writes each head node's active normalized squared
-// subgradient contribution Σ_k (violᵢₖ/A0)² into dst[i] for i ∈ [lo, hi).
-// Each node touches only its own dst entry, so disjoint ranges may be
-// filled concurrently; a serial DelayGradNormSqFrom fold over dst then
-// yields a total independent of the partitioning.
+// subgradient contribution Σ_k (violᵢₖ/A0)² into dst[i] for i ∈ [lo, hi),
+// skipping coordinates where the multiplier is zero and the constraint is
+// slack (the projected subgradient is zero there). The Polyak step reads
+// the total as ‖h‖². Each node touches only its own dst entry, so disjoint
+// ranges may be filled concurrently; a serial DelayGradNormSqFrom fold
+// over dst then yields a total independent of the partitioning.
 func (m *Multipliers) DelayGradFillRange(a, d []float64, a0 float64, dst []float64, lo, hi int) {
 	g := m.g
 	sink := g.SinkID()

@@ -130,10 +130,11 @@ func TestStepDelayDirections(t *testing.T) {
 	a[g.SinkID()] = 6
 	const a0 = 5.0 // violated by 1 ps at the sink
 	before := m.Edge[g.SinkID()][0]
-	m.StepDelay(a, d, a0, 0.5, false)
+	m.StepDelayRange(a, d, a0, 0.5, 1, nn)
 	after := m.Edge[g.SinkID()][0]
-	if math.Abs(after-(before+0.5*(6-5))) > 1e-12 {
-		t.Errorf("sink edge %g -> %g, want +0.5", before, after)
+	// The step is A0-normalized: ρ·(6−5)/5 = 0.1.
+	if math.Abs(after-(before+0.5*(6-5)/a0)) > 1e-12 {
+		t.Errorf("sink edge %g -> %g, want +0.1", before, after)
 	}
 	// Tight component edges (a_j + D_i == a_i) unchanged; others shrink.
 	w2 := id["w2"]
@@ -151,19 +152,20 @@ func TestStepDelayDirections(t *testing.T) {
 
 func TestStepDelayClampsAtZero(t *testing.T) {
 	g, _ := diamond(t)
-	m := New(g, 0.1)
+	m := New(g, 0) // from zero the trust corridor does not apply
 	nn := g.NumNodes()
 	a := make([]float64, nn)
 	d := make([]float64, nn)
-	// Huge negative slack on every edge: multipliers must clamp to 0.
+	// Negative slack on every edge, up to 0.8·A0: a step of ρ = 10 would
+	// take every multiplier below zero, so each must clamp to exactly 0.
 	for i := range a {
 		a[i] = float64(i * 100)
 	}
-	m.StepDelay(a, d, 1e9, 10, false)
+	m.StepDelayRange(a, d, 1000, 10, 1, nn)
 	for i := 1; i < nn; i++ {
 		for _, v := range m.Edge[i] {
-			if v < 0 {
-				t.Fatalf("negative multiplier %g", v)
+			if v != 0 {
+				t.Fatalf("multiplier %g, want 0", v)
 			}
 		}
 	}
@@ -171,65 +173,99 @@ func TestStepDelayClampsAtZero(t *testing.T) {
 
 func TestStepDelayRelativeScaling(t *testing.T) {
 	g, _ := diamond(t)
-	m1 := New(g, 1)
-	m2 := New(g, 1)
-	nn := g.NumNodes()
-	a := make([]float64, nn)
-	d := make([]float64, nn)
-	for i := range a {
-		a[i] = 1000
-	}
-	const a0 = 500.0
-	m1.StepDelay(a, d, a0, 1, false)
-	m2.StepDelay(a, d, a0, 1, true)
 	sink := g.SinkID()
-	abs := m1.Edge[sink][0] - 1 // 500
-	rel := m2.Edge[sink][0] - 1 // 1
-	if math.Abs(abs-500) > 1e-9 {
-		t.Errorf("absolute update = %g, want 500", abs)
-	}
-	if math.Abs(rel-1) > 1e-9 {
-		t.Errorf("relative update = %g, want 1", rel)
+	nn := g.NumNodes()
+	const a0 = 500.0
+	// A sink violation of 500 ps is A0 itself, a normalized 1; one of
+	// 2500 ps clamps to the same 1, so both step by exactly ρ.
+	for _, arrival := range []float64{1000, 3000} {
+		m := New(g, 1)
+		a := make([]float64, nn)
+		d := make([]float64, nn)
+		for i := range a {
+			a[i] = arrival
+		}
+		m.StepDelayRange(a, d, a0, 1, 1, nn)
+		if rel := m.Edge[sink][0] - 1; math.Abs(rel-1) > 1e-9 {
+			t.Errorf("arrival %g: relative update = %g, want 1", arrival, rel)
+		}
 	}
 }
 
 func TestStepScalar(t *testing.T) {
-	if got := StepScalar(1, 10, 0.1, 0, 2, false); math.Abs(got-2) > 1e-12 {
-		t.Errorf("StepScalar = %g, want 2", got)
-	}
-	if got := StepScalar(1, -100, 0.1, 0, 2, false); got != 0 {
-		t.Errorf("StepScalar should clamp to 0, got %g", got)
-	}
-	if got := StepScalar(1, 10, 0.1, 100, 2, true); math.Abs(got-1.01) > 1e-12 {
+	if got := StepScalar(1, 10, 0.1, 100, 2); math.Abs(got-1.01) > 1e-12 {
 		t.Errorf("relative StepScalar = %g, want 1.01", got)
 	}
 	// Trust corridor: a huge relative step saturates at ×trust / ÷trust.
-	if got := StepScalar(1, 1e9, 1e9, 1, 2, true); got != 2 {
+	if got := StepScalar(1, 1e9, 1e9, 1, 2); got != 2 {
 		t.Errorf("corridor up: got %g, want 2", got)
 	}
-	if got := StepScalar(1, -1e9, 1e9, 1, 2, true); got != 0.5 {
+	if got := StepScalar(1, -1e9, 1e9, 1, 2); got != 0.5 {
 		t.Errorf("corridor down: got %g, want 0.5", got)
 	}
-	// Growth from zero stays additive.
-	if got := StepScalar(0, 5, 1, 10, 2, true); math.Abs(got-0.5) > 1e-12 {
+	// Growth from zero stays additive, and a decrease from zero clamps.
+	if got := StepScalar(0, 5, 1, 10, 2); math.Abs(got-0.5) > 1e-12 {
 		t.Errorf("growth from zero: got %g, want 0.5", got)
+	}
+	if got := StepScalar(0, -5, 1, 10, 2); got != 0 {
+		t.Errorf("clamp from zero: got %g, want 0", got)
 	}
 }
 
-func TestSchedules(t *testing.T) {
-	if v := InverseK(2)(4); v != 0.5 {
-		t.Errorf("InverseK(2)(4) = %g, want 0.5", v)
+// TestStepBetaGamma: the scalar multipliers step through StepScalar with
+// the Trust corridor, the default of 2 when Trust is unset.
+func TestStepBetaGamma(t *testing.T) {
+	g, _ := diamond(t)
+	m := New(g, 0)
+	m.Beta, m.Gamma = 1, 1
+	// A violation of 3× the bound clamps to 1; a ρ of 5 would reach 6, and
+	// the default corridor stops it at 2.
+	m.StepBeta(300, 5, 100)
+	// Slack of a quarter of the bound at ρ = 2: 1 − 0.5 = 0.5, exactly the
+	// default corridor's floor.
+	m.StepGamma(-25, 2, 100)
+	if m.Beta != 2 || m.Gamma != 0.5 {
+		t.Errorf("default corridor: β = %g, γ = %g, want 2 and 0.5", m.Beta, m.Gamma)
 	}
-	if v := InverseSqrtK(2)(4); v != 1 {
-		t.Errorf("InverseSqrtK(2)(4) = %g, want 1", v)
+	m.Trust = 1.25
+	m.StepBeta(300, 5, 100)
+	m.StepGamma(-25, 2, 100)
+	if m.Beta != 2.5 || m.Gamma != 0.4 {
+		t.Errorf("Trust 1.25: β = %g, γ = %g, want 2.5 and 0.4", m.Beta, m.Gamma)
 	}
-	if v := Constant(3)(99); v != 3 {
-		t.Errorf("Constant(3)(99) = %g, want 3", v)
+}
+
+// TestScaleAll: scaling moves every multiplier along the ray t·μ, so flow
+// conservation survives it and a scale by 1/t undoes a scale by t.
+func TestScaleAll(t *testing.T) {
+	g, _ := diamond(t)
+	m := New(g, 1.5)
+	m.ProjectFlow()
+	m.Beta, m.Gamma = 3, 0.25
+	snap := make([][]float64, len(m.Edge))
+	for i := range m.Edge {
+		snap[i] = append([]float64(nil), m.Edge[i]...)
 	}
-	// Paper conditions: ρₖ → 0 for the two admissible schedules.
-	for _, s := range []Schedule{InverseK(1), InverseSqrtK(1)} {
-		if s(1000000) > 0.01 {
-			t.Error("schedule does not vanish")
+	m.ScaleAll(4)
+	if m.Beta != 12 || m.Gamma != 1 {
+		t.Errorf("scalars after ×4: β = %g, γ = %g, want 12 and 1", m.Beta, m.Gamma)
+	}
+	for i := range m.Edge {
+		for k, v := range m.Edge[i] {
+			if v != 4*snap[i][k] {
+				t.Errorf("edge (%d, %d) = %g, want %g", i, k, v, 4*snap[i][k])
+			}
+		}
+	}
+	if imb := m.FlowImbalance(); imb > 1e-12 {
+		t.Errorf("imbalance after scaling = %g", imb)
+	}
+	m.ScaleAll(0.25)
+	for i := range m.Edge {
+		for k, v := range m.Edge[i] {
+			if v != snap[i][k] {
+				t.Errorf("edge (%d, %d) = %g after ×4 then ×¼, want %g", i, k, v, snap[i][k])
+			}
 		}
 	}
 }
@@ -296,8 +332,10 @@ func TestMemoryBytes(t *testing.T) {
 	}
 }
 
-// TestDelayGradNormSqInto: the scratch variant must reproduce the
-// allocating one exactly and reuse the caller's buffer.
+// TestDelayGradNormSqInto: a DelayGradFillRange pass split into shards,
+// filled in any order into a scratch buffer of garbage, folds through
+// DelayGradNormSqFrom to the same total, bit for bit, as one serial pass
+// into a fresh buffer, and the fill allocates nothing.
 func TestDelayGradNormSqInto(t *testing.T) {
 	g, _ := diamond(t)
 	m := New(g, 0.8)
@@ -308,19 +346,78 @@ func TestDelayGradNormSqInto(t *testing.T) {
 		a[i] = float64(i) * 1.7
 		d[i] = 1 + float64(i%4)
 	}
-	want := m.DelayGradNormSq(a, d, 9)
+	serial := make([]float64, nn)
+	m.DelayGradFillRange(a, d, 9, serial, 1, nn)
+	want := DelayGradNormSqFrom(serial[1:nn])
+	if want <= 0 {
+		t.Fatalf("serial total %g, want a positive norm", want)
+	}
 	scratch := make([]float64, nn)
 	for i := range scratch {
 		scratch[i] = math.NaN() // any garbage must be overwritten
 	}
-	if got := m.DelayGradNormSqInto(a, d, 9, scratch); got != want {
-		t.Errorf("DelayGradNormSqInto = %.17g, want %.17g", got, want)
+	mid := nn / 2
+	m.DelayGradFillRange(a, d, 9, scratch, mid, nn)
+	m.DelayGradFillRange(a, d, 9, scratch, 1, mid)
+	if got := DelayGradNormSqFrom(scratch[1:nn]); got != want {
+		t.Errorf("sharded total = %.17g, want %.17g", got, want)
 	}
 	// Allocation-free on the hot path.
 	allocs := testing.AllocsPerRun(50, func() {
-		m.DelayGradNormSqInto(a, d, 9, scratch)
+		m.DelayGradFillRange(a, d, 9, scratch, 1, nn)
 	})
 	if allocs != 0 {
-		t.Errorf("DelayGradNormSqInto allocates %.0f objects per call", allocs)
+		t.Errorf("DelayGradFillRange allocates %.0f objects per call", allocs)
+	}
+}
+
+// TestDelayGradFillSkipsSlackZeroEdges: an edge with slack contributes to
+// the norm only while its multiplier is positive (a zero multiplier on a
+// slack edge is at the projection's boundary, where the projected
+// subgradient is zero); a violated edge always contributes.
+func TestDelayGradFillSkipsSlackZeroEdges(t *testing.T) {
+	g, id := diamond(t)
+	nn := g.NumNodes()
+	a := make([]float64, nn)
+	d := make([]float64, nn)
+	g2 := id["g2"]
+	// g2's in-edges: from w2 slack by 2 ps (a(w2) + D(g2) − a(g2) = −2)
+	// and from w3 violated by 1 ps (+1).
+	d[g2] = 1
+	a[g2] = 5
+	a[id["w2"]] = 2
+	a[id["w3"]] = 5
+	const a0 = 2.0
+	dst := make([]float64, nn)
+	m := New(g, 1)
+	m.DelayGradFillRange(a, d, a0, dst, g2, g2+1)
+	if want := 1.0 + 0.25; dst[g2] != want { // (−2/2)² + (1/2)²
+		t.Errorf("positive multipliers: contribution %g, want %g", dst[g2], want)
+	}
+	m.Edge[g2][0], m.Edge[g2][1] = 0, 0
+	m.DelayGradFillRange(a, d, a0, dst, g2, g2+1)
+	if want := 0.25; dst[g2] != want { // the slack edge is skipped
+		t.Errorf("zero multipliers: contribution %g, want %g", dst[g2], want)
+	}
+}
+
+// TestValidateRejects: Validate flags a negative or NaN edge multiplier
+// and a negative scalar multiplier.
+func TestValidateRejects(t *testing.T) {
+	g, id := diamond(t)
+	for name, poison := range map[string]func(*Multipliers){
+		"negative edge":  func(m *Multipliers) { m.Edge[id["g2"]][1] = -1 },
+		"NaN edge":       func(m *Multipliers) { m.Edge[id["w1"]][0] = math.NaN() },
+		"negative beta":  func(m *Multipliers) { m.Beta = -0.5 },
+		"negative gamma": func(m *Multipliers) { m.Gamma = -2 },
+	} {
+		m := New(g, 1)
+		if err := m.Validate(); err != nil {
+			t.Fatalf("%s: clean multipliers rejected: %v", name, err)
+		}
+		poison(m)
+		if err := m.Validate(); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
 }

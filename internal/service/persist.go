@@ -54,14 +54,9 @@ type storedSolve struct {
 // Flag bit 1 belonged to the retired full-pass request field and is never
 // set, so every key stored without it keeps its bytes.
 func solveKey(circuitKey string, b bench.Bounds, maxIter int, epsilon float64, warm bool, seed []float64, dual *core.DualState) string {
-	// Normalize exactly as core.Options.validate does, so "default by
-	// omission" and "default spelled out" hash identically.
-	if maxIter <= 0 {
-		maxIter = 1000
-	}
-	if epsilon <= 0 || math.IsNaN(epsilon) {
-		epsilon = 0.01
-	}
+	// Hash the budget the solver runs with, so "default by omission" and
+	// "default spelled out" hash identically.
+	maxIter, epsilon = core.Budget(maxIter, epsilon)
 	h := sha256.New()
 	put := func(v uint64) {
 		var buf [8]byte

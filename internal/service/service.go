@@ -507,12 +507,7 @@ func resolveBounds(base bench.Bounds, a0, noise, power float64) (bench.Bounds, e
 
 func (s *Server) solverOptions(b bench.Bounds, maxIter int, epsilon float64, workers int, warm bool) core.Options {
 	opt := core.DefaultOptions(b.A0, b.NoiseBound, b.PowerBound)
-	if maxIter > 0 {
-		opt.MaxIterations = maxIter
-	}
-	if epsilon > 0 {
-		opt.Epsilon = epsilon
-	}
+	opt.MaxIterations, opt.Epsilon = maxIter, epsilon
 	if workers == 0 {
 		// 0 = server default; negative passes through to core's all-cores
 		// normalization, same as every other layer's workers knob.

@@ -55,6 +55,7 @@ type storedCorners struct {
 // variation oracle pins it) — so the same run re-requested at a
 // different width dedups.
 func mcKey(circuitKey string, b bench.Bounds, samples int, seed uint64, sg variation.Sigmas, maxIter int, epsilon float64) string {
+	maxIter, epsilon = core.Budget(maxIter, epsilon)
 	h := sha256.New()
 	put := func(v uint64) {
 		var buf [8]byte
@@ -70,8 +71,8 @@ func mcKey(circuitKey string, b bench.Bounds, samples int, seed uint64, sg varia
 	put(math.Float64bits(sg.R))
 	put(math.Float64bits(sg.C))
 	put(math.Float64bits(sg.Threshold))
-	put(normalizedKnobs(maxIter, epsilon))
-	put(math.Float64bits(normalizedEpsilon(epsilon)))
+	put(uint64(maxIter))
+	put(math.Float64bits(epsilon))
 	return hex.EncodeToString(h.Sum(nil))
 }
 
@@ -83,6 +84,7 @@ func mcKey(circuitKey string, b bench.Bounds, samples int, seed uint64, sg varia
 // request field and is never set, so every key stored without it keeps
 // its bytes.
 func cornersKey(circuitKey string, b bench.Bounds, corners []variation.Corner, cold, primalOnly, coldLRS bool, maxIter int, epsilon float64) string {
+	maxIter, epsilon = core.Budget(maxIter, epsilon)
 	h := sha256.New()
 	put := func(v uint64) {
 		var buf [8]byte
@@ -111,26 +113,9 @@ func cornersKey(circuitKey string, b bench.Bounds, corners []variation.Corner, c
 		flags |= 4
 	}
 	put(flags)
-	put(normalizedKnobs(maxIter, epsilon))
-	put(math.Float64bits(normalizedEpsilon(epsilon)))
+	put(uint64(maxIter))
+	put(math.Float64bits(epsilon))
 	return hex.EncodeToString(h.Sum(nil))
-}
-
-// normalizedKnobs / normalizedEpsilon mirror core.Options.validate's
-// defaulting, so "default by omission" and "default spelled out" hash
-// identically (the same normalization solveKey applies).
-func normalizedKnobs(maxIter int, _ float64) uint64 {
-	if maxIter <= 0 {
-		maxIter = 1000
-	}
-	return uint64(maxIter)
-}
-
-func normalizedEpsilon(epsilon float64) float64 {
-	if epsilon <= 0 || math.IsNaN(epsilon) {
-		epsilon = 0.01
-	}
-	return epsilon
 }
 
 // montecarloRequest runs a Monte-Carlo yield analysis against a cached

@@ -153,12 +153,7 @@ func (o *Options) fill() {
 // solverOptions builds one cell's core options from the sweep knobs.
 func (o Options) solverOptions(b bench.Bounds) core.Options {
 	sopt := core.DefaultOptions(b.A0, b.NoiseBound, b.PowerBound)
-	if o.MaxIterations > 0 {
-		sopt.MaxIterations = o.MaxIterations
-	}
-	if o.Epsilon > 0 {
-		sopt.Epsilon = o.Epsilon
-	}
+	sopt.MaxIterations, sopt.Epsilon = o.MaxIterations, o.Epsilon
 	sopt.WarmStart = !o.ColdLRS
 	sopt.Workers = o.Workers
 	return sopt

@@ -103,17 +103,13 @@ type CornerReport struct {
 	Delay Dist `json:"delay"`
 }
 
-// solverOptions normalizes the shared solver knobs exactly as
-// sweep.Options does, so a corner cell and a sweep cell with the same
-// knobs run the same core configuration.
+// solverOptions builds a solve's core options from the shared knobs
+// exactly as sweep.Options does, so a corner cell and a sweep cell with
+// the same knobs run the same core configuration (core.Options.validate
+// applies the budget defaults to both).
 func solverOptions(b bench.Bounds, maxIter int, epsilon float64, workers int, coldLRS bool) core.Options {
 	sopt := core.DefaultOptions(b.A0, b.NoiseBound, b.PowerBound)
-	if maxIter > 0 {
-		sopt.MaxIterations = maxIter
-	}
-	if epsilon > 0 {
-		sopt.Epsilon = epsilon
-	}
+	sopt.MaxIterations, sopt.Epsilon = maxIter, epsilon
 	sopt.WarmStart = !coldLRS
 	sopt.Workers = workers
 	return sopt

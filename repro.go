@@ -28,13 +28,13 @@
 //   - Within one solve, the per-node loops (the LRS resize sweep, the
 //     evaluator's independent Recompute passes, multiplier node sums,
 //     subgradient steps, and gradient norms) are sharded across a worker
-//     pool sized by Options.Workers (0 = all cores, 1 = serial), and the
-//     evaluator's topological passes (stage loads, arrival times, upstream
-//     resistances) run levelized — depth bucket by depth bucket — over the
-//     same pool, so no serial Amdahl kernel remains in the solve. All
-//     reductions are deterministic — maxima are exact under any grouping
-//     and sums fold per-node scratch in index order — so results are
-//     bit-identical for every Workers setting.
+//     pool sized by OptimizeWith's workers (0 = all cores, 1 = serial),
+//     and the evaluator's topological passes (stage loads, arrival times,
+//     upstream resistances) run levelized — depth bucket by depth bucket —
+//     over the same pool, so no serial Amdahl kernel remains in the solve.
+//     All reductions are deterministic — maxima are exact under any
+//     grouping and sums fold per-node scratch in index order — so results
+//     are bit-identical for every workers setting.
 //   - Within one solve the evaluator is also incremental: late LRS sweeps
 //     change only a shrinking fringe of sizes, so the engine re-evaluates
 //     just the stage-local load and upstream cones of the nodes that moved
@@ -59,7 +59,6 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/bench"
-	"repro/internal/core"
 	"repro/internal/fanout"
 	"repro/internal/netlist"
 	"repro/internal/tech"
@@ -78,9 +77,6 @@ type Metrics struct {
 // Bounds are the optimization constraints (see bench.DeriveBounds for the
 // self-calibrated defaults used in the experiments).
 type Bounds = bench.Bounds
-
-// Options re-exports the solver configuration.
-type Options = core.Options
 
 // Report is the outcome of Optimize.
 type Report struct {

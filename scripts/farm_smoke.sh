@@ -3,8 +3,9 @@
 # ogws-worker binaries, start ogwsd in -coordinator mode on a free TCP
 # port, then drive it with scripts/farmcheck — which registers the golden
 # 12×10 grid mesh, runs the golden 3×3 bounds-grid sweep across two real
-# worker processes with the first rigged to die mid-grid
-# (-fail-after-cells 2), and diffs the reassembled grid bit-for-bit
+# worker processes with the first rigged by its fault plan to die
+# mid-grid (-fault 'worker:cell:crash,after=1', which crashes it after its
+# second cell), and diffs the reassembled grid bit-for-bit
 # against a local single-process sweep and (on amd64) against
 # internal/sweep/testdata/golden_grid.json. The coordinator must reap the
 # dead worker and re-queue its job for the check to pass, so the fault

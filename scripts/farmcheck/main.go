@@ -1,7 +1,8 @@
 // Command farmcheck is the CI smoke client for the distributed sizing
 // farm: against a running ogwsd -coordinator it registers the golden
 // 12×10 grid mesh, launches a real ogws-worker process rigged to die two
-// cells into its first sweep batch (-fail-after-cells 2), dispatches the
+// cells into its first sweep batch (the fault plan
+// -fault 'worker:cell:crash,after=1'), dispatches the
 // golden 3×3 bounds-grid sweep so the doomed worker leases the spine and
 // is killed mid-grid, then admits a healthy worker and verifies the
 // reassembled grid is bit-identical to a local single-process
@@ -141,7 +142,7 @@ func main() {
 	// The doomed worker registers alone, so when the sweep arrives it is
 	// guaranteed to lease the spine batch — and die two cells into it,
 	// mid-job, with its result stream open and no done marker.
-	doomed, err := startWorker(*workerBin, base, "doomed", "-fail-after-cells", "2")
+	doomed, err := startWorker(*workerBin, base, "doomed", "-fault", "worker:cell:crash,after=1")
 	if err != nil {
 		log.Fatalf("start doomed worker: %v", err)
 	}
