@@ -34,12 +34,13 @@ race:
 	$(GO) test -race ./...
 
 # The variation fan-out and the farm's streaming callbacks let several
-# goroutines reach state one goroutine reached before, and a reaped farm
-# worker's lease poll must end when its client hangs up: run their tests
-# ten times under the race detector, so a rare interleaving gets ten
-# chances to show.
+# goroutines reach state one goroutine reached before, a reaped farm
+# worker's lease poll must end when its client hangs up, and the fault
+# transport's cut-upload test reads what a server goroutine wrote: run
+# their tests ten times under the race detector, so a rare interleaving
+# gets ten chances to show.
 race-stress:
-	$(GO) test -race -count=10 -run 'TestFarmDispatchMatchesLocal|TestFarmMonteCarloMatchesLocal|TestCornersEndpoint|TestMonteCarlo|TestCorner|TestWorkerReRegistersAfterReap' ./internal/service ./internal/farm ./internal/variation
+	$(GO) test -race -count=10 -run 'TestFarmDispatchMatchesLocal|TestFarmMonteCarloMatchesLocal|TestCornersEndpoint|TestMonteCarlo|TestCorner|TestWorkerReRegistersAfterReap|TestTransportCutsStreamingRequestBody' ./internal/service ./internal/farm ./internal/variation ./internal/fault
 
 # One iteration of every benchmark: a smoke pass, not a measurement.
 bench:

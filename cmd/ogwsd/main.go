@@ -6,10 +6,14 @@
 // Usage:
 //
 //	ogwsd [-addr 127.0.0.1:8372] [-cache 8] [-max-solves 0]
-//	      [-workers 1] [-addr-file path] [-data dir]
+//	      [-addr-file path] [-data dir]
 //	      [-coordinator] [-farm-heartbeat 2s] [-farm-lease-ttl 6s]
 //	      [-max-queued 0] [-drain-timeout 10s] [-store-probe 15s]
-//	      [-fault-store spec] [-mc-samples N] [-mc-seed S]
+//	      [-fault-store spec]
+//
+// Each request sets its own solver width (its workers field: 0 or unset
+// = 1, negative = all cores) and a Monte-Carlo request its own samples
+// and seed; the server holds no defaults for them.
 //
 // SIGTERM/SIGINT triggers a graceful drain: new solves are shed with
 // 503 + Retry-After, in-flight ones get -drain-timeout to finish, farm
@@ -60,7 +64,6 @@ func main() {
 	addrFile := flag.String("addr-file", "", "write the bound address to this file once listening (for scripts; default: none)")
 	cache := flag.Int("cache", 8, "instance-cache capacity in circuits (LRU eviction beyond it)")
 	maxSolves := flag.Int("max-solves", 0, "max concurrent solves/sweeps across all circuits (0 = all cores)")
-	workers := flag.Int("workers", 1, "default solver goroutines per solve when a request leaves workers at 0 (1 = serial, negative = all cores; results bit-identical at every width)")
 	dataDir := flag.String("data", "", "durable result store directory: persist circuits, saved results, and solves across restarts (default: in-memory only)")
 	coordinator := flag.Bool("coordinator", false, "embed the distributed-sizing coordinator: serve the /farm/v1/ job API and dispatch work to registered ogws-worker processes")
 	farmHeartbeat := flag.Duration("farm-heartbeat", 2*time.Second, "worker heartbeat cadence in -coordinator mode")
@@ -68,8 +71,6 @@ func main() {
 	maxQueued := flag.Int("max-queued", 0, "max solve/sweep requests admitted but unfinished before new ones are shed 503 + Retry-After (0 = 4x -max-solves)")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown budget: how long in-flight solves get to finish before farm runs are cancelled and the final checkpoint is forced")
 	storeProbe := flag.Duration("store-probe", 0, "degraded store mode recovery-probe interval (0 = 15s; see /stats store_mode)")
-	mcSamples := flag.Int("mc-samples", 0, "default sample count for POST /montecarlo requests that omit samples (0 = requests must specify it)")
-	mcSeed := flag.Uint64("mc-seed", 0, "default sampler seed for POST /montecarlo requests that leave seed at 0 (same seed → byte-identical run)")
 	faultStore := flag.String("fault-store", "", "chaos testing: deterministic fault plan for the store filesystem, e.g. 'seed=7;fs:write:err,count=3' (see internal/fault)")
 	flag.Parse()
 
@@ -103,13 +104,10 @@ func main() {
 	srv := service.New(service.Options{
 		CacheSize:           *cache,
 		MaxConcurrentSolves: *maxSolves,
-		DefaultWorkers:      *workers,
 		MaxQueuedSolves:     *maxQueued,
 		StoreProbeInterval:  *storeProbe,
 		Farm:                coord,
 		Store:               st,
-		DefaultMCSamples:    *mcSamples,
-		DefaultMCSeed:       *mcSeed,
 	})
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

@@ -17,14 +17,21 @@
 // always carries the full seed it must be solved from), is the farm's
 // determinism contract: re-running a leased job after a worker death
 // reproduces the exact cells the dead worker would have streamed.
+//
+// Two pieces of execution live beside the messages, because both ends of
+// the wire must run them identically: CircuitSpec.Build, the one spec →
+// instance mapping, and SolveJob.Run, the one full-solve path.
 package api
 
 import (
 	"errors"
 	"fmt"
+	"strings"
+	"time"
 
 	"repro/internal/bench"
 	"repro/internal/core"
+	"repro/internal/netlist"
 	"repro/internal/rc"
 	"repro/internal/variation"
 )
@@ -82,6 +89,48 @@ func (s *CircuitSpec) Validate() error {
 		return errors.New("farm: circuit spec is missing its cache key")
 	}
 	return nil
+}
+
+// Build materializes the spec's circuit: the one spec → instance mapping
+// behind service registration, the service's boot reload and every
+// worker's replica cache. It is deterministic in the spec, so equal keys
+// give bit-identical instances on every node. It returns the circuit's
+// label (the synthetic spec's name, a netlist's Name with default
+// "upload", or "grid-mesh"), the instance, and for a grid mesh the mesh's
+// own calibration bounds. Netlist circuits return nil bounds: callers
+// calibrate them with bench.DeriveBounds, which assumes the netlist
+// pipeline's fields a mesh skips.
+func (s *CircuitSpec) Build() (string, *bench.Instance, *bench.Bounds, error) {
+	if err := s.Validate(); err != nil {
+		return "", nil, nil, err
+	}
+	pipe := bench.PipelineOptions{WireLengthScale: s.WireLengthScale}
+	switch {
+	case s.Synthetic != "":
+		spec, ok := bench.SpecByName(s.Synthetic)
+		if !ok {
+			return s.Synthetic, nil, nil, fmt.Errorf("unknown synthetic circuit %q", s.Synthetic)
+		}
+		inst, err := bench.BuildInstance(spec, pipe)
+		return spec.Name, inst, nil, err
+	case s.Netlist != "":
+		name := s.Name
+		if name == "" {
+			name = "upload"
+		}
+		nl, err := netlist.Parse(name, strings.NewReader(s.Netlist))
+		if err != nil {
+			return name, nil, nil, err
+		}
+		inst, err := bench.AssembleNetlist(nl, s.Seed, pipe)
+		return name, inst, nil, err
+	default:
+		inst, b, err := bench.GridInstance(s.Grid.Width, s.Grid.Layers, s.Grid.Coupled)
+		if err != nil {
+			return "grid-mesh", nil, nil, err
+		}
+		return "grid-mesh", inst, &b, nil
+	}
 }
 
 // RegisterRequest announces a worker to the coordinator.
@@ -155,11 +204,10 @@ func (j *Job) Kind() string {
 	}
 }
 
-// SolveJob is one full OGWS solve: the exact inputs the service's local
-// path would hand core.NewSolver + RunFromDual, shipped with the lease.
-// Solver goroutine width is deliberately absent — results are
-// bit-identical at every width (pinned since PR 1), so each worker picks
-// its own.
+// SolveJob is one full OGWS solve: the exact inputs core.NewSolver +
+// RunFromDual take, shipped with the lease. Solver goroutine width is
+// deliberately absent — results are bit-identical at every width (pinned
+// by core's TestWorkersBitIdentical), so each worker picks its own.
 type SolveJob struct {
 	Bounds        bench.Bounds    `json:"bounds"`
 	MaxIterations int             `json:"max_iterations,omitempty"`
@@ -167,6 +215,42 @@ type SolveJob struct {
 	Warm          bool            `json:"warm,omitempty"`
 	Seed          []float64       `json:"seed,omitempty"`
 	Dual          *core.DualState `json:"dual,omitempty"`
+}
+
+// Run solves the job on a fresh replica of inst at the given solver
+// width: the one solve path a farm worker and the service's local
+// fallback share, so a job's bytes cannot depend on where it ran.
+// onIteration and cancel are the core.Options hooks; either may be nil.
+func (j *SolveJob) Run(inst *bench.Instance, workers int, onIteration func(core.IterProgress), cancel func() bool) (*SolveResult, error) {
+	opt := core.DefaultOptions(j.Bounds.A0, j.Bounds.NoiseBound, j.Bounds.PowerBound)
+	opt.MaxIterations, opt.Epsilon = j.MaxIterations, j.Epsilon
+	opt.Workers = workers
+	opt.WarmStart = j.Warm
+	opt.OnIteration = onIteration
+	opt.Cancel = cancel
+	replica, err := inst.Replica()
+	if err != nil {
+		return nil, err
+	}
+	sol, err := core.NewSolver(replica, opt)
+	if err != nil {
+		return nil, err
+	}
+	defer sol.Close()
+	start := time.Now()
+	res, err := sol.RunFromDual(j.Seed, j.Dual)
+	if err != nil {
+		return nil, err
+	}
+	return &SolveResult{
+		Result:          res,
+		Dual:            sol.DualState(),
+		Workers:         sol.Workers(),
+		SolveSec:        time.Since(start).Seconds(),
+		Eval:            replica.Stats(),
+		HysteresisTrips: sol.HysteresisTrips(),
+		RevertedSweeps:  sol.RevertedSweeps(),
+	}, nil
 }
 
 // SweepJob is a batch of sweep cells. With Chain set the cells form a

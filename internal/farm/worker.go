@@ -9,14 +9,11 @@ import (
 	"hash/fnv"
 	"io"
 	"net/http"
-	"strings"
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/core"
 	"repro/internal/farm/api"
 	"repro/internal/fault"
-	"repro/internal/netlist"
 	"repro/internal/rc"
 	"repro/internal/sweep"
 	"repro/internal/variation"
@@ -295,9 +292,9 @@ func (wk *worker) postJSON(ctx context.Context, path string, in, out any) (int, 
 
 // materialize returns the worker's local replica of the coordinator's
 // circuit, building it on a cache miss. Every construction path is
-// deterministic in the spec, so equal keys mean bit-identical instances
-// on every node — the property that lets workers own their replicas
-// instead of shipping evaluator state.
+// deterministic in the spec (api.CircuitSpec.Build), so equal keys mean
+// bit-identical instances on every node — the property that lets workers
+// own their replicas instead of shipping evaluator state.
 func (wk *worker) materialize(spec api.CircuitSpec) (*bench.Instance, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -305,29 +302,7 @@ func (wk *worker) materialize(spec api.CircuitSpec) (*bench.Instance, error) {
 	if inst, ok := wk.cache[spec.Key]; ok {
 		return inst, nil
 	}
-	var (
-		inst *bench.Instance
-		err  error
-	)
-	switch {
-	case spec.Synthetic != "":
-		s, ok := bench.SpecByName(spec.Synthetic)
-		if !ok {
-			return nil, fmt.Errorf("farm worker: unknown synthetic circuit %q", spec.Synthetic)
-		}
-		inst, err = bench.BuildInstance(s, bench.PipelineOptions{WireLengthScale: spec.WireLengthScale})
-	case spec.Netlist != "":
-		name := spec.Name
-		if name == "" {
-			name = "upload"
-		}
-		var nl *netlist.Netlist
-		if nl, err = netlist.Parse(name, strings.NewReader(spec.Netlist)); err == nil {
-			inst, err = bench.AssembleNetlist(nl, spec.Seed, bench.PipelineOptions{WireLengthScale: spec.WireLengthScale})
-		}
-	default:
-		inst, _, err = bench.GridInstance(spec.Grid.Width, spec.Grid.Layers, spec.Grid.Coupled)
-	}
+	_, inst, _, err := spec.Build()
 	if err != nil {
 		return nil, err
 	}
@@ -574,35 +549,12 @@ func (wk *worker) executeMonteCarlo(ctx context.Context, inst *bench.Instance, m
 	return nil
 }
 
-// executeSolve runs one full solve, mirroring the service's local path
-// (replica evaluator, core solver, RunFromDual) knob for knob.
+// executeSolve runs one full solve through api.SolveJob.Run, the path
+// the service's local fallback takes too.
 func (wk *worker) executeSolve(ctx context.Context, inst *bench.Instance, sj *api.SolveJob, enc *json.Encoder) error {
-	opt := core.DefaultOptions(sj.Bounds.A0, sj.Bounds.NoiseBound, sj.Bounds.PowerBound)
-	opt.MaxIterations, opt.Epsilon = sj.MaxIterations, sj.Epsilon
-	opt.Workers = wk.opt.SolverWorkers
-	opt.WarmStart = sj.Warm
-	opt.Cancel = func() bool { return ctx.Err() != nil }
-	replica, err := inst.Replica()
+	res, err := sj.Run(inst, wk.opt.SolverWorkers, nil, func() bool { return ctx.Err() != nil })
 	if err != nil {
 		return err
 	}
-	sol, err := core.NewSolver(replica, opt)
-	if err != nil {
-		return err
-	}
-	defer sol.Close()
-	start := time.Now()
-	res, err := sol.RunFromDual(sj.Seed, sj.Dual)
-	if err != nil {
-		return err
-	}
-	return enc.Encode(api.ResultLine{Solve: &api.SolveResult{
-		Result:          res,
-		Dual:            sol.DualState(),
-		Workers:         sol.Workers(),
-		SolveSec:        time.Since(start).Seconds(),
-		Eval:            replica.Stats(),
-		HysteresisTrips: sol.HysteresisTrips(),
-		RevertedSweeps:  sol.RevertedSweeps(),
-	}})
+	return enc.Encode(api.ResultLine{Solve: res})
 }

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -311,10 +312,13 @@ func TestTransportDrop500CutDelay(t *testing.T) {
 }
 
 func TestTransportCutsStreamingRequestBody(t *testing.T) {
-	var received int
+	// The handler runs on the server's goroutine: it stores the count
+	// atomically, and the test reads it only after ts.Close, which waits
+	// for the handler to return.
+	var received atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		n, _ := io.Copy(io.Discard, r.Body)
-		received = int(n)
+		received.Store(n)
 	}))
 	defer ts.Close()
 	plan := New(1, Rule{Op: "http:/up", Kind: Cut, CutBytes: 64, Count: 1})
@@ -332,8 +336,9 @@ func TestTransportCutsStreamingRequestBody(t *testing.T) {
 	if _, err := client.Do(req); err == nil {
 		t.Fatal("cut upload: want a transport error")
 	}
-	if received > 64 {
-		t.Fatalf("server received %d bytes past the 64-byte cut", received)
+	ts.Close()
+	if n := received.Load(); n > 64 {
+		t.Fatalf("server received %d bytes past the 64-byte cut", n)
 	}
 }
 

@@ -5,17 +5,8 @@ import (
 	"sync"
 
 	"repro/internal/bench"
-	"repro/internal/core"
 	"repro/internal/farm/api"
 )
-
-// savedResult is one named solve outcome kept for warm-start reuse: the
-// final sizes (the primal half of the next warm start), the final
-// multiplier snapshot (the dual half), and the full result for export.
-type savedResult struct {
-	Result *core.Result
-	Dual   *core.DualState
-}
 
 // entry is one cached circuit: the shared instance, its derived bounds,
 // and the named results solved against it. mu serializes every solve and
@@ -40,12 +31,12 @@ type entry struct {
 	mu sync.Mutex // serializes solves/sweeps on this circuit
 
 	resMu   sync.Mutex // guards results and order only
-	results map[string]*savedResult
+	results map[string]*storedResult
 	order   []string // insertion order, for bounded eviction
 }
 
 // getResult returns the named saved result, or nil.
-func (e *entry) getResult(name string) *savedResult {
+func (e *entry) getResult(name string) *storedResult {
 	e.resMu.Lock()
 	defer e.resMu.Unlock()
 	return e.results[name]
@@ -63,7 +54,7 @@ func (e *entry) resultNames() []string {
 // eviction slot: "oldest" means least recently saved, so a hot,
 // repeatedly-overwritten warm-start seed outlives younger names saved
 // once and forgotten.
-func (e *entry) saveResult(name string, r *savedResult, max int) {
+func (e *entry) saveResult(name string, r *storedResult, max int) {
 	e.resMu.Lock()
 	defer e.resMu.Unlock()
 	if _, exists := e.results[name]; exists {
@@ -128,12 +119,13 @@ func (c *instanceCache) get(key string) *entry {
 	return el.Value.(*entry)
 }
 
-// getOrBuild returns the entry for key, constructing it with build on a
-// miss. Concurrent calls for one key run build once and share the result;
-// the cache lock is never held across build. A build may return explicit
-// bounds (grid meshes carry their own calibration); nil falls back to
-// bench.DeriveBounds.
-func (c *instanceCache) getOrBuild(key, name string, farmSpec api.CircuitSpec, build func() (*bench.Instance, *bench.Bounds, error)) (e *entry, hit bool, err error) {
+// getOrBuild returns the entry for spec's key, building the instance
+// with spec.Build on a miss. Concurrent calls for one key run the build
+// once and share the result; the cache lock is never held across a
+// build. A grid mesh carries its own calibration bounds; every other
+// circuit is calibrated by bench.DeriveBounds.
+func (c *instanceCache) getOrBuild(spec api.CircuitSpec) (e *entry, hit bool, err error) {
+	key := spec.Key
 	c.mu.Lock()
 	if el, ok := c.byKey[key]; ok {
 		c.lru.MoveToFront(el)
@@ -159,7 +151,7 @@ func (c *instanceCache) getOrBuild(key, name string, farmSpec api.CircuitSpec, b
 	c.misses++
 	c.mu.Unlock()
 
-	inst, bounds, err := build()
+	name, inst, bounds, err := spec.Build()
 	c.mu.Lock()
 	delete(c.building, key)
 	if err != nil {
@@ -177,8 +169,8 @@ func (c *instanceCache) getOrBuild(key, name string, farmSpec api.CircuitSpec, b
 		name:     name,
 		inst:     inst,
 		bounds:   *bounds,
-		farmSpec: farmSpec,
-		results:  map[string]*savedResult{},
+		farmSpec: spec,
+		results:  map[string]*storedResult{},
 	}
 	c.byKey[key] = c.lru.PushFront(bc.e)
 	for c.lru.Len() > c.max {

@@ -14,29 +14,46 @@
 //
 // Endpoints:
 //
-//	POST /circuits  register a netlist or synthetic spec → instance key
-//	GET  /circuits  list cached instances and their saved results
-//	POST /solve     one OGWS solve at given bounds, optionally
-//	                warm-started from a result saved by a prior solve
-//	                (save_as / warm_from) or from inline sizes + dual state
-//	POST /sweep     a bounds-grid sweep (internal/sweep); stream=true
-//	                emits NDJSON cells as they complete
-//	GET  /results   export a saved result (sizes + dual snapshot)
-//	GET  /stats     cache, throughput, and evaluator work counters
-//	GET  /healthz   liveness
+//	POST /circuits    register a netlist, synthetic spec or grid mesh →
+//	                  instance key
+//	GET  /circuits    list cached instances and their saved results
+//	POST /solve       one OGWS solve at given bounds, optionally
+//	                  warm-started from a result saved by a prior solve
+//	                  (save_as / warm_from) or from inline sizes + dual
+//	                  state
+//	POST /sweep       a bounds-grid sweep (internal/sweep), or with
+//	                  corners=true the five-corner process enumeration
+//	                  (internal/variation); stream=true emits NDJSON cells
+//	                  as they complete
+//	POST /montecarlo  a seeded Monte-Carlo yield analysis
+//	                  (internal/variation)
+//	GET  /results     export a saved result (sizes + dual snapshot)
+//	GET  /watch       a circuit's live progress events, long-poll or SSE
+//	GET  /stats       cache, throughput, and evaluator work counters
+//	GET  /healthz     liveness
+//
+// Every run request — /solve, /sweep in either mode, /montecarlo — is the
+// OGWS solve run once or many times, and takes one lifecycle (run.go):
+// admission, the circuit lock and a solve slot in that order, a dedup
+// lookup in the durable store, a *_start event on /watch, the run, and
+// either a done event with the response or an error event with a 503
+// (the client went away), a 422, or an in-band error line once a stream
+// has begun.
 //
 // # Concurrency
 //
 // Concurrency is two-level, mirroring the sweep engine. Requests fan out
 // on the HTTP server's goroutines, bounded by a server-wide solve
 // semaphore (Options.MaxConcurrentSolves); each solve's inner loops shard
-// onto the PR-1 worker pool at the width the request asks for (workers,
-// default Options.DefaultWorkers). A per-instance mutex serializes solves
-// and sweeps on one circuit: solves run on evaluator replicas
+// onto the solver's worker pool at the width the request asks for (workers;
+// unset means 1, negative all cores). A per-instance mutex serializes
+// solves and sweeps on one circuit: solves run on evaluator replicas
 // (bench.Instance.Replica) so the shared instance is never mutated, but
 // serializing keeps per-circuit memory at one replica and makes
 // warm-start chains (solve, save, solve warm_from) atomic. Grid sweeps
-// additionally fan their rows onto internal/fanout inside sweep.Run.
+// additionally fan their rows onto internal/fanout inside sweep.Run, and
+// Monte-Carlo samples and corners fan out over the cores inside
+// internal/variation.
 //
 // # Determinism
 //

@@ -1,19 +1,11 @@
 package service
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
-	"encoding/json"
 	"errors"
-	"fmt"
-	"math"
 	"strings"
 
-	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/farm/api"
-	"repro/internal/netlist"
 	"repro/internal/store"
 )
 
@@ -27,9 +19,11 @@ const (
 	solvePrefix   = "solve/"
 )
 
-// storedResult is the persisted form of a saved (save_as) result: the
-// solved sizes inside Result plus the exact-round-trip DualState
-// (internal/core/dualjson.go), i.e. both halves of a warm start.
+// storedResult is one named (save_as) solve outcome, kept on its cache
+// entry for warm-start reuse and persisted under resultPrefix: the final
+// sizes inside Result (the primal half of the next warm start) and the
+// exact-round-trip final multipliers (the dual half;
+// internal/core/dualjson.go).
 type storedResult struct {
 	Result *core.Result    `json:"result"`
 	Dual   *core.DualState `json:"dual,omitempty"`
@@ -43,95 +37,6 @@ type storedSolve struct {
 	Circuit    string          `json:"circuit"`
 	Result     *core.Result    `json:"result"`
 	Dual       *core.DualState `json:"dual,omitempty"`
-}
-
-// solveKey hashes everything that determines a solve's result bits: the
-// circuit content hash, the resolved bounds, the normalized solver knobs,
-// and the resolved warm-start state (seed sizes and dual, after
-// warm_from/primal_only/s1 resolution). Workers is deliberately excluded —
-// results are bit-identical at every width, which is the solver's core
-// determinism contract — so the same solve at a different width dedups.
-// Flag bit 1 belonged to the retired full-pass request field and is never
-// set, so every key stored without it keeps its bytes.
-func solveKey(circuitKey string, b bench.Bounds, maxIter int, epsilon float64, warm bool, seed []float64, dual *core.DualState) string {
-	// Hash the budget the solver runs with, so "default by omission" and
-	// "default spelled out" hash identically.
-	maxIter, epsilon = core.Budget(maxIter, epsilon)
-	h := sha256.New()
-	put := func(v uint64) {
-		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	fmt.Fprintf(h, "solve/v1|%s|", circuitKey)
-	put(math.Float64bits(b.A0))
-	put(math.Float64bits(b.NoiseBound))
-	put(math.Float64bits(b.PowerBound))
-	put(uint64(maxIter))
-	put(math.Float64bits(epsilon))
-	flags := uint64(0)
-	if warm {
-		flags |= 2
-	}
-	put(flags)
-	put(uint64(len(seed)))
-	for _, x := range seed {
-		put(math.Float64bits(x))
-	}
-	if dual != nil {
-		// The dual wire form is an exact float64 round-trip, so its JSON is
-		// a faithful content fingerprint.
-		if data, err := json.Marshal(dual); err == nil {
-			h.Write(data)
-		}
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-// buildForSpec resolves a circuit wire-form spec to its display name and
-// instance constructor — the one spec→instance mapping shared by live
-// registration (handleRegister) and boot reload, mirroring the farm
-// worker's materialize so every path builds the identical replica.
-func buildForSpec(spec api.CircuitSpec) (string, func() (*bench.Instance, *bench.Bounds, error), error) {
-	if err := spec.Validate(); err != nil {
-		return "", nil, err
-	}
-	pipe := bench.PipelineOptions{WireLengthScale: spec.WireLengthScale}
-	switch {
-	case spec.Synthetic != "":
-		s, ok := bench.SpecByName(spec.Synthetic)
-		if !ok {
-			return "", nil, fmt.Errorf("unknown synthetic circuit %q", spec.Synthetic)
-		}
-		return s.Name, func() (*bench.Instance, *bench.Bounds, error) {
-			inst, err := bench.BuildInstance(s, pipe)
-			return inst, nil, err
-		}, nil
-	case spec.Netlist != "":
-		name := spec.Name
-		if name == "" {
-			name = "upload"
-		}
-		return name, func() (*bench.Instance, *bench.Bounds, error) {
-			nl, err := netlist.Parse(name, strings.NewReader(spec.Netlist))
-			if err != nil {
-				return nil, nil, err
-			}
-			inst, err := bench.AssembleNetlist(nl, spec.Seed, pipe)
-			return inst, nil, err
-		}, nil
-	default:
-		g := spec.Grid
-		return "grid-mesh", func() (*bench.Instance, *bench.Bounds, error) {
-			inst, b, err := bench.GridInstance(g.Width, g.Layers, g.Coupled)
-			if err != nil {
-				return nil, nil, err
-			}
-			// Grid meshes carry their own calibration bounds: DeriveBounds
-			// assumes the netlist pipeline's fields, which a mesh skips.
-			return inst, &b, nil
-		}, nil
-	}
 }
 
 // storePut is the single write path to the durable store. Every persist
@@ -159,38 +64,16 @@ func (s *Server) storePut(key string, v any) {
 	s.gate.success()
 }
 
-// persistCircuit records a newly registered circuit's wire-form spec so a
-// restarted server can rebuild the instance under the same key.
-func (s *Server) persistCircuit(spec api.CircuitSpec) {
-	s.storePut(circuitPrefix+spec.Key, spec)
-}
-
-// persistResult records one saved (save_as) result under its circuit and
-// name, making warm_from chains restart-proof.
-func (s *Server) persistResult(circuitKey, name string, r *savedResult) {
-	s.storePut(resultPrefix+circuitKey+"/"+name, storedResult{Result: r.Result, Dual: r.Dual})
-}
-
-// persistSolve records a finished solve under its content hash for dedup.
-func (s *Server) persistSolve(key string, v storedSolve) {
-	s.storePut(solvePrefix+key, v)
-}
-
-// lookupSolve returns the stored solve for key, or nil.
-func (s *Server) lookupSolve(key string) *storedSolve {
-	if s.opt.Store == nil {
-		return nil
+// saveAs keeps a solve's result under name for warm_from and GET
+// /results, and persists it so the warm_from chain survives a restart; an
+// empty name keeps nothing.
+func (s *Server) saveAs(e *entry, name string, res *core.Result, dual *core.DualState) {
+	if name == "" {
+		return
 	}
-	var v storedSolve
-	ok, err := s.opt.Store.Get(solvePrefix+key, &v)
-	if err != nil {
-		s.stats.addStoreError()
-		return nil
-	}
-	if !ok {
-		return nil
-	}
-	return &v
+	saved := &storedResult{Result: res, Dual: dual}
+	e.saveResult(name, saved, s.opt.MaxSavedResults)
+	s.storePut(resultPrefix+e.key+"/"+name, saved)
 }
 
 // reloadFromStore rebuilds the in-memory state a restart lost: every
@@ -211,12 +94,7 @@ func (s *Server) reloadFromStore() {
 			s.stats.addStoreError()
 			continue
 		}
-		name, build, err := buildForSpec(spec)
-		if err != nil {
-			s.stats.addStoreError()
-			continue
-		}
-		if _, _, err := s.cache.getOrBuild(spec.Key, name, spec, build); err != nil {
+		if _, _, err := s.cache.getOrBuild(spec); err != nil {
 			s.stats.addStoreError()
 			continue
 		}
@@ -238,7 +116,7 @@ func (s *Server) reloadFromStore() {
 			s.stats.addStoreError()
 			continue
 		}
-		e.saveResult(name, &savedResult{Result: v.Result, Dual: v.Dual}, s.opt.MaxSavedResults)
+		e.saveResult(name, &v, s.opt.MaxSavedResults)
 		s.stats.addReloadedResult()
 	}
 }

@@ -19,8 +19,9 @@ import (
 // server (see Drain) sheds everything the same way.
 //
 // Returns false with the response already written when the request was
-// shed; on true the caller owes a releaseSolve.
-func (s *Server) admitSolve(w http.ResponseWriter, r *http.Request, what string) bool {
+// shed; on true the caller owes an inflight decrement (see begin and
+// run.end).
+func (s *Server) admitSolve(w http.ResponseWriter, what string) bool {
 	if s.draining.Load() {
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusServiceUnavailable, "%s: server is draining", what)
@@ -36,8 +37,6 @@ func (s *Server) admitSolve(w http.ResponseWriter, r *http.Request, what string)
 	}
 	return true
 }
-
-func (s *Server) releaseSolve() { s.inflight.Add(-1) }
 
 // Drain gracefully quiesces the server for shutdown. New solve and sweep
 // requests are shed with 503 from the moment Drain is called; requests
@@ -97,20 +96,23 @@ func (s *Server) awaitIdle(ctx context.Context) error {
 	}
 }
 
+// storeFailureThreshold is how many consecutive store write failures
+// flip the server to degraded (read-only) store mode.
+const storeFailureThreshold = 3
+
 // storeGate is the service's degraded store mode. The durable store is
 // an amortization, not a ledger — a solve whose persistence fails still
 // returns its bytes — so when the disk goes bad (full, yanked, fault-
 // injected) the right failure mode is to stop burning a write syscall
 // plus an fsync per solve on a store that cannot accept them. After
-// Threshold consecutive write failures the gate flips to degraded
-// (read-only) mode: writes are skipped and counted, reads and the
-// in-memory state keep serving. One probe write per Probe interval is
-// let through; the first to succeed flips the gate back to rw. Both
+// storeFailureThreshold consecutive write failures the gate flips to
+// degraded (read-only) mode: writes are skipped and counted, reads and
+// the in-memory state keep serving. One probe write per probe interval
+// is let through; the first to succeed flips the gate back to rw. Both
 // transitions and every skipped write surface in GET /stats
 // (store_mode, store_degrades, store_recoveries, store_writes_skipped).
 type storeGate struct {
 	mu        sync.Mutex
-	threshold int
 	probe     time.Duration
 	consec    int  // consecutive failures while rw
 	degraded  bool // true = read-only mode
@@ -160,7 +162,7 @@ func (g *storeGate) failure(now time.Time) {
 		return
 	}
 	g.consec++
-	if g.consec >= g.threshold {
+	if g.consec >= storeFailureThreshold {
 		g.degraded = true
 		g.degrades++
 		g.lastProbe = now

@@ -191,10 +191,9 @@ func TestStoreDegradesAndRecovers(t *testing.T) {
 	var offset atomic.Int64 // injected clock: epoch + offset
 	now := func() time.Time { return time.Unix(0, 0).Add(time.Duration(offset.Load())) }
 	s := New(Options{
-		Store:                 st,
-		StoreFailureThreshold: 3,
-		StoreProbeInterval:    time.Minute,
-		Now:                   now,
+		Store:              st,
+		StoreProbeInterval: time.Minute,
+		Now:                now,
 	})
 
 	// Three registrations, three failed persists: the gate flips.
@@ -266,8 +265,8 @@ func TestLocalSolveCancelledMidFlight(t *testing.T) {
 	s := New(Options{})
 	key := registerC17(t, s, 31).Key
 
-	// Poll 1 is acquireSolveSlot's post-acquire check; poll 2 is the first
-	// iteration boundary. Cancelling after poll 2 stops iteration 2.
+	// Poll 1 is begin's check after it takes the solve slot; poll 2 is the
+	// first iteration boundary. Cancelling after poll 2 stops iteration 2.
 	ctx := &flipCtx{Context: context.Background(), after: 2}
 	r := httptest.NewRequest("POST", "/solve", strings.NewReader(`{"key":"`+key+`","max_iterations":50}`)).WithContext(ctx)
 	w := httptest.NewRecorder()
@@ -297,7 +296,7 @@ func TestUnencodableResultAnswers422(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	s := New(Options{Store: st, StoreFailureThreshold: 3})
+	s := New(Options{Store: st})
 	c432 := decodeAs[registerResponse](t, do(t, s, "POST", "/circuits", `{"synthetic":"c432"}`))
 	records := st.Len()
 	tight := fmt.Sprintf(`{"key":%q,"a0":%g,"max_iterations":2,"no_dedup":true,"save_as":"tight"}`, c432.Key, 0.01*c432.Bounds.A0)
@@ -338,7 +337,7 @@ func TestUnencodablePutIsNotADiskFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	s := New(Options{Store: st, StoreFailureThreshold: 3})
+	s := New(Options{Store: st})
 	for i := 0; i < 3; i++ {
 		s.storePut("bad", math.Inf(1))
 	}

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"runtime"
 	"sync/atomic"
@@ -28,15 +27,6 @@ type Options struct {
 	// all circuits (each additionally bounded to one per circuit by the
 	// per-instance lock); default runtime.GOMAXPROCS(0).
 	MaxConcurrentSolves int
-	// DefaultWorkers is the per-solve parallel width used when a request
-	// leaves workers at 0; 0 defaults to 1 (the request level owns the
-	// cores, exactly like the sweep engine's default split) and a
-	// negative value selects all cores, matching core.Options.Workers —
-	// save in Monte-Carlo and corner runs, whose solves fan out over the
-	// cores themselves and take a negative width as 1 (see
-	// variation.MCOptions.Workers). Results are bit-identical at every
-	// width.
-	DefaultWorkers int
 	// MaxSavedResults bounds the named warm-start results kept per cached
 	// instance (oldest evicted first); default 32.
 	MaxSavedResults int
@@ -49,12 +39,10 @@ type Options struct {
 	// 503 + Retry-After instead of queuing without bound; default
 	// 4 × MaxConcurrentSolves.
 	MaxQueuedSolves int
-	// StoreFailureThreshold is how many consecutive store write failures
-	// flip the server to degraded (read-only) store mode; default 3.
-	// StoreProbeInterval is how often a degraded server lets one write
-	// through to probe for recovery; default 15s. See storeGate.
-	StoreFailureThreshold int
-	StoreProbeInterval    time.Duration
+	// StoreProbeInterval is how often a server whose store writes keep
+	// failing (degraded, read-only store mode) lets one write through to
+	// probe for recovery; default 15s. See storeGate.
+	StoreProbeInterval time.Duration
 	// Now is the clock the degraded-mode probe schedule reads,
 	// injectable so tests drive recovery deterministically; default
 	// time.Now.
@@ -74,15 +62,6 @@ type Options struct {
 	// Persistence never changes solved bits: the stored result IS the
 	// bytes the original solve returned.
 	Store *store.Store
-	// WatchBuffer bounds the per-circuit progress log GET /watch reads
-	// (events retained for late/slow watchers); default delta.DefaultRetain.
-	WatchBuffer int
-	// DefaultMCSamples / DefaultMCSeed fill a POST /montecarlo request
-	// that leaves samples or seed at 0 (ogwsd -mc-samples / -mc-seed).
-	// With no server default a zero-sample request stays an error; seed 0
-	// is a valid seed, so the default only rebases the "unspecified" case.
-	DefaultMCSamples int
-	DefaultMCSeed    uint64
 }
 
 func (o *Options) fill() {
@@ -91,9 +70,6 @@ func (o *Options) fill() {
 	}
 	if o.MaxConcurrentSolves <= 0 {
 		o.MaxConcurrentSolves = runtime.GOMAXPROCS(0)
-	}
-	if o.DefaultWorkers == 0 {
-		o.DefaultWorkers = 1
 	}
 	if o.MaxSavedResults <= 0 {
 		o.MaxSavedResults = 32
@@ -104,17 +80,11 @@ func (o *Options) fill() {
 	if o.MaxQueuedSolves <= 0 {
 		o.MaxQueuedSolves = 4 * o.MaxConcurrentSolves
 	}
-	if o.StoreFailureThreshold <= 0 {
-		o.StoreFailureThreshold = 3
-	}
 	if o.StoreProbeInterval <= 0 {
 		o.StoreProbeInterval = 15 * time.Second
 	}
 	if o.Now == nil {
 		o.Now = time.Now
-	}
-	if o.WatchBuffer <= 0 {
-		o.WatchBuffer = delta.DefaultRetain
 	}
 }
 
@@ -128,7 +98,7 @@ type Server struct {
 	sem      chan struct{}
 	mux      *http.ServeMux
 	hub      *delta.Hub
-	solveSeq int64 // atomic; numbers solves for the watch stream
+	solveSeq atomic.Int64 // numbers runs for the watch stream
 
 	// Resilience state (see resilience.go): the admitted-request count
 	// behind the overload gate, the drain latch, and the degraded-mode
@@ -148,9 +118,8 @@ func New(opt Options) *Server {
 		cache: newInstanceCache(opt.CacheSize),
 		sem:   make(chan struct{}, opt.MaxConcurrentSolves),
 		mux:   http.NewServeMux(),
-		hub:   delta.NewHub(opt.WatchBuffer),
+		hub:   delta.NewHub(delta.DefaultRetain),
 	}
-	s.gate.threshold = opt.StoreFailureThreshold
 	s.gate.probe = opt.StoreProbeInterval
 	s.mux.HandleFunc("POST /circuits", s.handleRegister)
 	s.mux.HandleFunc("GET /circuits", s.handleListCircuits)
@@ -206,68 +175,30 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	writeBody(w, code, body)
 }
 
-// encodeOr422 encodes a finished run's response before the handler commits
-// the run: saves it, persists it, counts it, or reports it done on the
-// watch log. A result JSON cannot represent (the +Inf coupling term of
-// wires a far too tight delay bound pushed into contact) instead answers
-// 422, logs an error event, and reports false, so a result its client
-// never received leaves no trace.
-func (s *Server) encodeOr422(w http.ResponseWriter, wlog *delta.Log, solveID int64, v any) ([]byte, bool) {
-	body, err := marshalBody(v)
-	if err != nil {
-		s.emit(wlog, progressEvent{Kind: "error", Solve: solveID, Error: err.Error()})
-		writeError(w, http.StatusUnprocessableEntity, "%v", err)
-		return nil, false
-	}
-	return body, true
-}
-
 func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, errorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
-// acquireSolveSlot takes a slot on the global solve semaphore, giving up
-// if the client disconnects first — an abandoned request must not go on
-// to burn a slot solving for a dead connection. Returns false (response
-// written, best-effort) when the request was shed. A solve that already
-// started is never cancelled mid-flight: the solver has no preemption
-// points, and its result may still be saved for warm-start reuse.
-func (s *Server) acquireSolveSlot(w http.ResponseWriter, r *http.Request) bool {
-	select {
-	case s.sem <- struct{}{}:
-	case <-r.Context().Done():
-		writeError(w, http.StatusServiceUnavailable, "request cancelled while waiting for a solve slot")
-		return false
-	}
-	if r.Context().Err() != nil {
-		<-s.sem
-		writeError(w, http.StatusServiceUnavailable, "request cancelled before solving")
-		return false
-	}
-	return true
-}
-
 // decode parses a JSON request body strictly: unknown fields are rejected
 // so a typoed knob fails loudly instead of silently solving with defaults.
-func decode(r *http.Request, v any) error {
+// A body that fails answers 413 when it is larger than
+// Options.MaxRequestBytes, so the client learns the size limit rather than
+// hunting for a JSON mistake, and 400 otherwise. decode reports false
+// when the response is written.
+func decode(w http.ResponseWriter, r *http.Request, what string, v any) bool {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return err
+	err := dec.Decode(v)
+	if err == nil {
+		return true
 	}
-	return nil
-}
-
-// decodeStatus maps a decode error to its HTTP status: an oversized body
-// (http.MaxBytesReader tripping Options.MaxRequestBytes) is 413 so the
-// client learns the size limit rather than hunting for a JSON mistake;
-// everything else is a plain 400.
-func decodeStatus(err error) int {
+	code := http.StatusBadRequest
 	var tooLarge *http.MaxBytesError
 	if errors.As(err, &tooLarge) {
-		return http.StatusRequestEntityTooLarge
+		code = http.StatusRequestEntityTooLarge
 	}
-	return http.StatusBadRequest
+	writeError(w, code, "bad %s request: %v", what, err)
+	return false
 }
 
 // gridRegister selects a bench.GridInstance mesh — the deterministic
@@ -325,8 +256,7 @@ type registerResponse struct {
 
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req registerRequest
-	if err := decode(r, &req); err != nil {
-		writeError(w, decodeStatus(err), "bad register request: %v", err)
+	if !decode(w, r, "register", &req) {
 		return
 	}
 	sources := 0
@@ -345,48 +275,37 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	}
 	pipe := bench.PipelineOptions{WireLengthScale: req.WireLengthScale}
 
-	// farmSpec is the circuit's wire form: everything a farm worker needs
-	// to materialize a bit-identical replica under the same cache key, and
+	// spec is the circuit's wire form: everything a farm worker needs to
+	// materialize a bit-identical replica under the same cache key, and
 	// exactly what the durable store persists so a restarted server can
-	// rebuild the same replica (buildForSpec is that shared spec→instance
-	// mapping).
-	var (
-		key      string
-		farmSpec api.CircuitSpec
-	)
+	// rebuild the same replica (api.CircuitSpec.Build is that shared
+	// spec→instance mapping).
+	spec := api.CircuitSpec{WireLengthScale: req.WireLengthScale}
 	switch {
 	case req.Synthetic != "":
-		spec, ok := bench.SpecByName(req.Synthetic)
+		bs, ok := bench.SpecByName(req.Synthetic)
 		if !ok {
 			writeError(w, http.StatusBadRequest, "register: unknown synthetic circuit %q", req.Synthetic)
 			return
 		}
-		key = bench.SpecKey(spec, pipe)
-		farmSpec = api.CircuitSpec{Key: key, Synthetic: req.Synthetic, WireLengthScale: req.WireLengthScale}
+		spec.Key, spec.Synthetic = bench.SpecKey(bs, pipe), req.Synthetic
 	case req.Netlist != "":
-		name := req.Name
-		if name == "" {
-			name = "upload"
-		}
-		key = bench.NetlistKey([]byte(req.Netlist), req.Seed, pipe)
-		farmSpec = api.CircuitSpec{Key: key, Netlist: req.Netlist, Name: name, Seed: req.Seed, WireLengthScale: req.WireLengthScale}
+		spec.Key = bench.NetlistKey([]byte(req.Netlist), req.Seed, pipe)
+		spec.Netlist, spec.Name, spec.Seed = req.Netlist, req.Name, req.Seed
 	default:
 		g := *req.Grid
-		key = bench.GridKey(g.Width, g.Layers, g.Coupled)
-		farmSpec = api.CircuitSpec{Key: key, Grid: &api.GridSpec{Width: g.Width, Layers: g.Layers, Coupled: g.Coupled}}
+		spec = api.CircuitSpec{
+			Key:  bench.GridKey(g.Width, g.Layers, g.Coupled),
+			Grid: &api.GridSpec{Width: g.Width, Layers: g.Layers, Coupled: g.Coupled},
+		}
 	}
-	name, build, err := buildForSpec(farmSpec)
+	e, hit, err := s.cache.getOrBuild(spec)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "register: %v", err)
 		return
 	}
-	e, hit, err := s.cache.getOrBuild(key, name, farmSpec, build)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "register %s: %v", name, err)
-		return
-	}
 	if !hit {
-		s.persistCircuit(farmSpec)
+		s.storePut(circuitPrefix+spec.Key, spec)
 	}
 	resp := registerResponse{
 		Key:     e.key,
@@ -423,11 +342,8 @@ func (s *Server) handleListCircuits(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// solveRequest runs one OGWS solve against a cached instance.
-//
-// Bound semantics (a0 in ps, noise X_B and power P′ in fF): 0 selects the
-// instance's self-calibrated derived bound, a positive value overrides it,
-// and a negative noise/power disables that constraint entirely.
+// solveRequest runs one OGWS solve against a cached instance (the
+// target's bounds, budget and width).
 //
 // Warm starts: warm_from names a result previously stored with save_as on
 // the same instance and seeds both halves of the solve — the sizes
@@ -439,17 +355,7 @@ func (s *Server) handleListCircuits(w http.ResponseWriter, r *http.Request) {
 // reset to the lower bounds (core.Options.WarmStart = false, the
 // paper-faithful schedule under which results are seed-independent).
 type solveRequest struct {
-	Key string `json:"key"`
-	// Bounds: 0 = derived, >0 = override, <0 = disable (noise/power only).
-	A0    float64 `json:"a0,omitempty"`
-	Noise float64 `json:"noise,omitempty"`
-	Power float64 `json:"power,omitempty"`
-	// Solver knobs; 0 keeps the core.DefaultOptions value. Workers: 0 =
-	// the server's default width, negative = all cores, otherwise the
-	// exact goroutine count — results bit-identical at every width.
-	MaxIterations int     `json:"max_iterations,omitempty"`
-	Epsilon       float64 `json:"epsilon,omitempty"`
-	Workers       int     `json:"workers,omitempty"`
+	target
 	// Warm-start controls (see type comment).
 	WarmFrom   string          `json:"warm_from,omitempty"`
 	SeedSizes  []float64       `json:"seed_sizes,omitempty"`
@@ -482,88 +388,31 @@ type solveResponse struct {
 	Result *core.Result `json:"result"`
 }
 
-// resolveBounds applies the request's bound overrides to the instance's
-// derived bounds: 0 keeps the derived value, negative disables.
-func resolveBounds(base bench.Bounds, a0, noise, power float64) (bench.Bounds, error) {
-	b := base
-	if math.IsNaN(a0) || math.IsNaN(noise) || math.IsNaN(power) {
-		return b, errors.New("bounds must not be NaN")
-	}
-	if a0 != 0 {
-		b.A0 = a0 // negative/invalid values are rejected by core.Options.validate
-	}
-	if noise < 0 {
-		b.NoiseBound = 0
-	} else if noise > 0 {
-		b.NoiseBound = noise
-	}
-	if power < 0 {
-		b.PowerBound = 0
-	} else if power > 0 {
-		b.PowerBound = power
-	}
-	return b, nil
-}
-
-func (s *Server) solverOptions(b bench.Bounds, maxIter int, epsilon float64, workers int, warm bool) core.Options {
-	opt := core.DefaultOptions(b.A0, b.NoiseBound, b.PowerBound)
-	opt.MaxIterations, opt.Epsilon = maxIter, epsilon
-	if workers == 0 {
-		// 0 = server default; negative passes through to core's all-cores
-		// normalization, same as every other layer's workers knob.
-		workers = s.opt.DefaultWorkers
-	}
-	opt.Workers = workers
-	opt.WarmStart = warm
-	return opt
-}
-
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	var req solveRequest
-	if err := decode(r, &req); err != nil {
-		writeError(w, decodeStatus(err), "bad solve request: %v", err)
+	if !decode(w, r, "solve", &req) {
 		return
 	}
-	e := s.cache.get(req.Key)
-	if e == nil {
-		writeError(w, http.StatusNotFound, "solve: no cached circuit for key %q (register it first; it may have been evicted)", req.Key)
+	e, bounds, ok := s.resolve(w, "solve", &req.target)
+	if !ok {
 		return
 	}
 	if req.WarmFrom != "" && (req.SeedSizes != nil || req.Dual != nil) {
 		writeError(w, http.StatusBadRequest, "solve: warm_from and seed_sizes/dual are mutually exclusive")
 		return
 	}
-	bounds, err := resolveBounds(e.bounds, req.A0, req.Noise, req.Power)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "solve: %v", err)
+	rn, ok := s.begin(w, r, "solve", e)
+	if !ok {
 		return
 	}
-
-	// Overload gate before any lock: a request past its bound must be
-	// shed while shedding is still cheap, not after it has parked on the
-	// circuit mutex (see admitSolve).
-	if !s.admitSolve(w, r, "solve") {
-		return
-	}
-	defer s.releaseSolve()
-
-	// Per-circuit lock first, global solve slot second: a request queued
-	// behind another solve of the same circuit must not pin a semaphore
-	// slot while it waits, or a burst on one circuit would starve every
-	// other circuit. The order is the same everywhere (mu → sem) and a
-	// slot holder never waits on another entry's mu, so there is no cycle.
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if !s.acquireSolveSlot(w, r) {
-		return
-	}
-	defer func() { <-s.sem }()
+	defer rn.end()
 
 	// Resolve the warm-start seed under the instance lock so the chain
 	// solve → save_as → warm_from is deterministic per circuit.
-	seed := e.inst.Eval.X
-	dual := req.Dual
-	warm := false
+	job := api.SolveJob{
+		Bounds: bounds, MaxIterations: req.MaxIterations, Epsilon: req.Epsilon,
+		Seed: e.inst.Eval.X, Dual: req.Dual,
+	}
 	switch {
 	case req.WarmFrom != "":
 		saved := e.getResult(req.WarmFrom)
@@ -571,168 +420,68 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusNotFound, "solve: no saved result %q on circuit %s", req.WarmFrom, e.name)
 			return
 		}
-		seed, dual, warm = saved.Result.X, saved.Dual, true
+		job.Seed, job.Dual, job.Warm = saved.Result.X, saved.Dual, true
 	case req.SeedSizes != nil:
-		seed, warm = req.SeedSizes, true
+		job.Seed, job.Warm = req.SeedSizes, true
 	}
 	if req.PrimalOnly {
-		dual = nil
+		job.Dual = nil
 	}
 	if req.S1 {
-		warm = false // paper-faithful S1 reset: sizes reset to the lower bounds
+		job.Warm = false // paper-faithful S1 reset: sizes reset to the lower bounds
 	}
-
-	wlog := s.watchLog(e.key)
-	solveID := s.nextSolveID()
+	resp := solveResponse{Key: e.key, Circuit: e.name, WarmFrom: req.WarmFrom, SavedAs: req.SaveAs}
+	done := func(res *core.Result) progressEvent {
+		return progressEvent{Kind: "solve_done", Iterations: res.Iterations, Converged: res.Converged, Gap: res.Gap, Area: res.Area}
+	}
 
 	// Dedup: everything that determines the result bits is now resolved,
 	// so hash it and check the durable store. A hit returns the stored
 	// bytes — byte-for-byte a prior run's response — without burning a
 	// solve; save_as still takes effect so warm-start chains replayed
 	// against a restarted server cost only the lookups.
-	sk := solveKey(e.key, bounds, req.MaxIterations, req.Epsilon, warm, seed, dual)
+	sk := solveKey(e.key, bounds, req.MaxIterations, req.Epsilon, job.Warm, job.Seed, job.Dual)
 	if !req.NoDedup {
-		if hit := s.lookupSolve(sk); hit != nil && hit.Result != nil {
-			if req.SaveAs != "" {
-				saved := &savedResult{Result: hit.Result, Dual: hit.Dual}
-				e.saveResult(req.SaveAs, saved, s.opt.MaxSavedResults)
-				s.persistResult(e.key, req.SaveAs, saved)
-			}
-			s.stats.addDedupHit()
-			s.emit(wlog, progressEvent{
-				Kind: "solve_done", Solve: solveID, Dedup: true,
-				Iterations: hit.Result.Iterations, Converged: hit.Result.Converged,
-				Gap: hit.Result.Gap, Area: hit.Result.Area,
-			})
-			writeJSON(w, http.StatusOK, solveResponse{
-				Key:      e.key,
-				Circuit:  e.name,
-				WarmFrom: req.WarmFrom,
-				SavedAs:  req.SaveAs,
-				Dedup:    true,
-				Result:   hit.Result,
+		if hit := lookup[storedSolve](s, solvePrefix+sk); hit != nil && hit.Result != nil {
+			resp.Dedup, resp.Result = true, hit.Result
+			ev := done(hit.Result)
+			ev.Dedup = true
+			rn.finish(resp, ev, func() {
+				s.saveAs(e, req.SaveAs, hit.Result, hit.Dual)
+				s.stats.addDedupHit()
 			})
 			return
 		}
 	}
-	s.emit(wlog, progressEvent{Kind: "solve_start", Solve: solveID})
+	rn.emit(progressEvent{Kind: "solve_start"})
 
-	// Farm dispatch: with live workers, ship the fully resolved solve (the
-	// exact bounds, seed, dual, and knobs the local path below would use)
-	// to the fleet. The request's workers knob is advisory there — each
-	// worker picks its own width — which is free, because results are
-	// bit-identical at every width. Falls through to the local path when
-	// no workers are live.
+	// With live workers, the fully resolved job goes to the fleet, whose
+	// workers each pick their own width — which is free, because results
+	// are bit-identical at every width. Otherwise the same job runs here,
+	// streaming each iteration onto the watch log (the hook never changes
+	// solved bits, pinned by core's hook test) and stopping at the next
+	// iteration boundary once the client is gone.
+	var fr *api.SolveResult
+	var err error
 	if s.farmReady() {
-		fr, err := s.opt.Farm.Solve(r.Context(), e.farmSpec, api.SolveJob{
-			Bounds:        bounds,
-			MaxIterations: req.MaxIterations,
-			Epsilon:       req.Epsilon,
-			Warm:          warm,
-			Seed:          seed,
-			Dual:          dual,
-		})
-		if err != nil {
-			s.emit(wlog, progressEvent{Kind: "error", Solve: solveID, Error: err.Error()})
-			if r.Context().Err() != nil {
-				// The client disconnecting cancelled the farm run (Solve
-				// awaits on the request context) — account it and answer
-				// the dead connection best-effort.
-				s.stats.addSolveCancelled()
-				writeError(w, http.StatusServiceUnavailable, "solve: cancelled: client disconnected")
-				return
-			}
-			writeError(w, http.StatusUnprocessableEntity, "solve: %v", err)
-			return
-		}
-		body, ok := s.encodeOr422(w, wlog, solveID, solveResponse{
-			Key:      e.key,
-			Circuit:  e.name,
-			WarmFrom: req.WarmFrom,
-			SavedAs:  req.SaveAs,
-			Workers:  fr.Workers,
-			SolveSec: fr.SolveSec,
-			Result:   fr.Result,
-		})
-		if !ok {
-			return
-		}
-		if req.SaveAs != "" {
-			saved := &savedResult{Result: fr.Result, Dual: fr.Dual}
-			e.saveResult(req.SaveAs, saved, s.opt.MaxSavedResults)
-			s.persistResult(e.key, req.SaveAs, saved)
-		}
-		s.persistSolve(sk, storedSolve{CircuitKey: e.key, Circuit: e.name, Result: fr.Result, Dual: fr.Dual})
-		s.emit(wlog, progressEvent{
-			Kind: "solve_done", Solve: solveID,
-			Iterations: fr.Result.Iterations, Converged: fr.Result.Converged,
-			Gap: fr.Result.Gap, Area: fr.Result.Area, SolveSec: fr.SolveSec,
-		})
+		fr, err = s.opt.Farm.Solve(r.Context(), e.farmSpec, job)
+	} else {
+		fr, err = job.Run(e.inst, req.width(), func(p core.IterProgress) {
+			rn.emit(progressEvent{Kind: "iter", Iter: &p})
+		}, rn.cancelled)
+	}
+	if err != nil {
+		rn.fail(err)
+		return
+	}
+	resp.Workers, resp.SolveSec, resp.Result = fr.Workers, fr.SolveSec, fr.Result
+	ev := done(fr.Result)
+	ev.SolveSec = fr.SolveSec
+	rn.finish(resp, ev, func() {
+		s.saveAs(e, req.SaveAs, fr.Result, fr.Dual)
+		s.storePut(solvePrefix+sk, storedSolve{CircuitKey: e.key, Circuit: e.name, Result: fr.Result, Dual: fr.Dual})
 		s.stats.addSolve(fr.SolveSec, fr.Eval, fr.HysteresisTrips, fr.RevertedSweeps)
-		writeBody(w, http.StatusOK, body)
-		return
-	}
-
-	opt := s.solverOptions(bounds, req.MaxIterations, req.Epsilon, req.Workers, warm)
-	// Stream each iteration onto the watch log. The hook runs on the
-	// solving goroutine between the dual update and the convergence check
-	// and never changes solved bits (pinned by core's hook test).
-	s.solveProgressOptions(&opt, wlog, solveID)
-	// Propagate the request deadline into the solver: once the client is
-	// gone the solve stops at its next iteration boundary instead of
-	// burning the slot to completion for a dead connection. A hook that
-	// never fires leaves the bits untouched (core's cancel test).
-	opt.Cancel = func() bool { return r.Context().Err() != nil }
-	replica, err := e.inst.Replica()
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "solve: %v", err)
-		return
-	}
-	sol, err := core.NewSolver(replica, opt)
-	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, "solve: %v", err)
-		return
-	}
-	defer sol.Close()
-	start := time.Now()
-	res, err := sol.RunFromDual(seed, dual)
-	if err != nil {
-		s.emit(wlog, progressEvent{Kind: "error", Solve: solveID, Error: err.Error()})
-		if errors.Is(err, core.ErrCancelled) {
-			s.stats.addSolveCancelled()
-			writeError(w, http.StatusServiceUnavailable, "solve: cancelled: client disconnected")
-			return
-		}
-		writeError(w, http.StatusUnprocessableEntity, "solve: %v", err)
-		return
-	}
-	sec := time.Since(start).Seconds()
-	body, ok := s.encodeOr422(w, wlog, solveID, solveResponse{
-		Key:      e.key,
-		Circuit:  e.name,
-		WarmFrom: req.WarmFrom,
-		SavedAs:  req.SaveAs,
-		Workers:  sol.Workers(),
-		SolveSec: sec,
-		Result:   res,
 	})
-	if !ok {
-		return
-	}
-	finalDual := sol.DualState()
-	if req.SaveAs != "" {
-		saved := &savedResult{Result: res, Dual: finalDual}
-		e.saveResult(req.SaveAs, saved, s.opt.MaxSavedResults)
-		s.persistResult(e.key, req.SaveAs, saved)
-	}
-	s.persistSolve(sk, storedSolve{CircuitKey: e.key, Circuit: e.name, Result: res, Dual: finalDual})
-	s.emit(wlog, progressEvent{
-		Kind: "solve_done", Solve: solveID,
-		Iterations: res.Iterations, Converged: res.Converged,
-		Gap: res.Gap, Area: res.Area, SolveSec: sec,
-	})
-	s.stats.addSolve(sec, replica.Stats(), sol.HysteresisTrips(), sol.RevertedSweeps())
-	writeBody(w, http.StatusOK, body)
 }
 
 // resultResponse is the GET /results payload: a saved result with both

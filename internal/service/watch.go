@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -26,7 +25,8 @@ import (
 //	              carries the absolute sample index, mc_done the yield
 //	corners_start / corner / corners_done — the corner-sweep analogues;
 //	              corner carries the corner name
-//	error       — the solve or sweep failed
+//	error       — the run failed; every failed run logs one after its
+//	              *_start event
 type progressEvent struct {
 	Kind  string `json:"kind"`
 	Solve int64  `json:"solve,omitempty"`
@@ -50,27 +50,6 @@ type progressEvent struct {
 	Dedup bool   `json:"dedup,omitempty"`
 	Error string `json:"error,omitempty"`
 }
-
-// watchLog returns the circuit's progress log, creating it on first use.
-// One log per circuit for the server's lifetime: solves and sweeps append
-// to it sequentially (the per-circuit lock serializes them), watchers
-// cursor through it, and it is never closed — the next solve may always
-// arrive.
-func (s *Server) watchLog(circuitKey string) *delta.Log {
-	return s.hub.Log(circuitKey)
-}
-
-// emit appends one progress event to the circuit's watch stream.
-func (s *Server) emit(log *delta.Log, ev progressEvent) {
-	if _, err := log.AppendJSON(ev); err != nil {
-		// progressEvent always marshals; keep the accounting honest anyway.
-		s.stats.addStoreError()
-	}
-}
-
-// nextSolveID numbers solves across the server lifetime so a watcher can
-// group iter events between a solve_start and its solve_done.
-func (s *Server) nextSolveID() int64 { return atomic.AddInt64(&s.solveSeq, 1) }
 
 // watchResponse is the long-poll GET /watch payload: the events after the
 // request cursor, the cursor to pass next, and whether retention evicted
@@ -113,7 +92,10 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		}
 		cursor = v
 	}
-	log := s.watchLog(key)
+	// One log per circuit for the server's lifetime: runs append to it in
+	// turn (the circuit lock serializes them), watchers cursor through it,
+	// and it is never closed — the next run may always arrive.
+	log := s.hub.Log(key)
 
 	sse := q.Get("sse") == "1" || r.Header.Get("Accept") == "text/event-stream"
 	if sse {
@@ -184,30 +166,20 @@ func (s *Server) watchSSE(w http.ResponseWriter, r *http.Request, key string, lo
 	}
 }
 
-// solveProgressOptions installs the per-iteration hook feeding a local
-// solve's trajectory onto the circuit's watch stream.
-func (s *Server) solveProgressOptions(opt *core.Options, log *delta.Log, solveID int64) {
-	opt.OnIteration = func(p core.IterProgress) {
-		ip := p
-		s.emit(log, progressEvent{Kind: "iter", Solve: solveID, Iter: &ip})
-	}
-}
-
-// sweepProgressOptions installs the per-iteration and per-cell hooks
-// feeding a sweep's trajectory onto the circuit's watch stream, wrapping
-// (not replacing) any OnCell already installed for NDJSON streaming.
-func (s *Server) sweepProgressOptions(opt *sweep.Options, log *delta.Log, solveID int64) {
+// watchSweep installs the per-iteration and per-cell hooks feeding a
+// sweep's trajectory onto the run's watch log, wrapping (not replacing)
+// any OnCell already installed for NDJSON streaming.
+func (rn *run) watchSweep(opt *sweep.Options) {
 	opt.OnProgress = func(row, col int, p core.IterProgress) {
-		ip := p
-		s.emit(log, progressEvent{Kind: "iter", Solve: solveID, Row: row, Col: col, Iter: &ip})
+		rn.emit(progressEvent{Kind: "iter", Row: row, Col: col, Iter: &p})
 	}
 	prev := opt.OnCell
 	opt.OnCell = func(c *sweep.Cell) {
 		if prev != nil {
 			prev(c)
 		}
-		s.emit(log, progressEvent{
-			Kind: "cell", Solve: solveID, Row: c.Row, Col: c.Col,
+		rn.emit(progressEvent{
+			Kind: "cell", Row: c.Row, Col: c.Col,
 			Iterations: c.Result.Iterations, Converged: c.Result.Converged,
 			Gap: c.Result.Gap, Area: c.Result.Area, SolveSec: c.SolveSec,
 		})

@@ -29,15 +29,11 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"log"
-	"net/http"
 	"os"
-	"os/exec"
 	"reflect"
 	"runtime"
 	"time"
@@ -45,6 +41,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/farm"
 	"repro/internal/sweep"
+	"repro/scripts/smoke"
 )
 
 // workerFaultSpec is the rigged worker's seeded plan: one synthetic 500
@@ -57,50 +54,6 @@ const (
 	storeFaults     = 2
 )
 
-func getJSON(url string, v any) error {
-	resp, err := http.Get(url)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET %s: %d: %s", url, resp.StatusCode, data)
-	}
-	return json.Unmarshal(data, v)
-}
-
-func postJSON(url string, body, v any) error {
-	data, err := json.Marshal(body)
-	if err != nil {
-		return err
-	}
-	resp, err := http.Post(url, "application/json", bytes.NewReader(data))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	out, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("POST %s: %d: %s", url, resp.StatusCode, out)
-	}
-	return json.Unmarshal(out, v)
-}
-
-func startWorker(bin, base, name string, extra ...string) (*exec.Cmd, error) {
-	args := append([]string{"-coordinator", base, "-name", name}, extra...)
-	cmd := exec.Command(bin, args...)
-	cmd.Stdout = os.Stderr
-	cmd.Stderr = os.Stderr
-	return cmd, cmd.Start()
-}
-
 // stats is the slice of GET /stats the chaos oracle audits.
 type stats struct {
 	StoreErrors  int64       `json:"store_errors"`
@@ -111,20 +64,13 @@ type stats struct {
 
 func getStats(base string) (*stats, error) {
 	st := new(stats)
-	if err := getJSON(base+"/stats", st); err != nil {
+	if err := smoke.GetJSON(base+"/stats", st); err != nil {
 		return nil, err
 	}
 	if st.Farm == nil {
 		return nil, fmt.Errorf("server at %s is not in -coordinator mode (no farm stats)", base)
 	}
 	return st, nil
-}
-
-func stripTiming(r *sweep.Result) *sweep.Result {
-	for i := range r.Cells {
-		r.Cells[i].SolveSec = 0
-	}
-	return r
 }
 
 func main() {
@@ -143,14 +89,8 @@ func main() {
 	// The seeds ARE the repro recipe: log them before anything can fail.
 	log.Printf("worker fault plan: %s", workerFaultSpec)
 
-	for {
-		var health map[string]bool
-		if err := getJSON(base+"/healthz", &health); err == nil && health["ok"] {
-			break
-		} else if time.Now().After(deadline) {
-			log.Fatalf("server at %s not healthy after %v: %v", *addr, *timeout, err)
-		}
-		time.Sleep(100 * time.Millisecond)
+	if err := smoke.WaitHealthy(base, deadline); err != nil {
+		log.Fatal(err)
 	}
 
 	// Register the golden mesh: its circuit persist is the first injected
@@ -160,7 +100,7 @@ func main() {
 		Circuit string `json:"circuit"`
 	}
 	gridSrc := map[string]any{"grid": map[string]any{"width": 12, "layers": 10, "coupled": true}}
-	if err := postJSON(base+"/circuits", gridSrc, &reg); err != nil {
+	if err := smoke.PostJSON(base+"/circuits", gridSrc, &reg); err != nil {
 		log.Fatalf("register grid: %v", err)
 	}
 	log.Printf("registered %s (key %.12s…)", reg.Circuit, reg.Key)
@@ -168,23 +108,13 @@ func main() {
 	// The rigged worker registers alone so it leases the sweep's spine and
 	// rides the whole storm: the lease 500, the severed stream, then the
 	// crash on its third cell.
-	doomed, err := startWorker(*workerBin, base, "doomed",
+	doomed, err := smoke.StartWorker(*workerBin, base, "doomed",
 		"-fault", workerFaultSpec, "-retry-base", "50ms", "-retry-cap", "500ms")
 	if err != nil {
 		log.Fatalf("start rigged worker: %v", err)
 	}
-	for {
-		st, err := getStats(base)
-		if err != nil {
-			log.Fatalf("stats: %v", err)
-		}
-		if st.Farm.LiveWorkers >= 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			log.Fatal("rigged worker never registered")
-		}
-		time.Sleep(50 * time.Millisecond)
+	if err := smoke.WaitWorkers(base, 1, deadline); err != nil {
+		log.Fatalf("rigged worker never registered: %v", err)
 	}
 
 	// The golden 3×3 bounds grid at 12 iterations — the exact options that
@@ -198,7 +128,7 @@ func main() {
 		var resp struct {
 			Result *sweep.Result `json:"result"`
 		}
-		err := postJSON(base+"/sweep", map[string]any{
+		err := smoke.PostJSON(base+"/sweep", map[string]any{
 			"key":            reg.Key,
 			"delay_scale":    []float64{1, 1.06, 1.12},
 			"noise_scale":    []float64{0.8, 1, 1.3},
@@ -214,7 +144,7 @@ func main() {
 	}
 	log.Print("rigged worker survived the 500 and the severed stream, then died of its injected crash (exit 3)")
 
-	survivor, err := startWorker(*workerBin, base, "survivor")
+	survivor, err := smoke.StartWorker(*workerBin, base, "survivor")
 	if err != nil {
 		log.Fatalf("start survivor worker: %v", err)
 	}
@@ -242,14 +172,14 @@ func main() {
 	var solveResp struct {
 		Result json.RawMessage `json:"result"`
 	}
-	if err := postJSON(base+"/solve", map[string]any{"key": reg.Key, "max_iterations": 12}, &solveResp); err != nil {
+	if err := smoke.PostJSON(base+"/solve", map[string]any{"key": reg.Key, "max_iterations": 12}, &solveResp); err != nil {
 		log.Fatalf("solve: %v", err)
 	}
 
 	// The fault budget is now spent: a further solve (distinct knobs, so it
 	// cannot dedup) must persist durably — proving the failed writes did
 	// not poison the store, and seeding the drain's final checkpoint.
-	if err := postJSON(base+"/solve", map[string]any{
+	if err := smoke.PostJSON(base+"/solve", map[string]any{
 		"key": reg.Key, "max_iterations": 10, "save_as": "chaos-final",
 	}, &solveResp); err != nil {
 		log.Fatalf("post-fault solve: %v", err)
@@ -269,7 +199,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if !reflect.DeepEqual(stripTiming(want), stripTiming(got.res)) {
+	if !reflect.DeepEqual(smoke.StripTiming(want), smoke.StripTiming(got.res)) {
 		log.Fatal("chaos sweep diverged from the single-process engine")
 	}
 	log.Print("grid matches a fault-free local sweep bit-for-bit")
@@ -283,7 +213,7 @@ func main() {
 		if err := json.Unmarshal(data, goldenRes); err != nil {
 			log.Fatal(err)
 		}
-		if !reflect.DeepEqual(goldenRes, stripTiming(got.res)) {
+		if !reflect.DeepEqual(goldenRes, smoke.StripTiming(got.res)) {
 			log.Fatalf("chaos sweep diverged from golden fixture %s", *golden)
 		}
 		log.Printf("grid matches %s bit-for-bit", *golden)

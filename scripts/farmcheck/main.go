@@ -19,90 +19,19 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"log"
-	"net/http"
 	"os"
-	"os/exec"
 	"reflect"
 	"runtime"
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/farm"
 	"repro/internal/sweep"
+	"repro/scripts/smoke"
 )
-
-func getJSON(url string, v any) error {
-	resp, err := http.Get(url)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET %s: %d: %s", url, resp.StatusCode, data)
-	}
-	return json.Unmarshal(data, v)
-}
-
-func postJSON(url string, body, v any) error {
-	data, err := json.Marshal(body)
-	if err != nil {
-		return err
-	}
-	resp, err := http.Post(url, "application/json", bytes.NewReader(data))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	out, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("POST %s: %d: %s", url, resp.StatusCode, out)
-	}
-	return json.Unmarshal(out, v)
-}
-
-// startWorker launches one real ogws-worker process against the
-// coordinator, with its logs forwarded to ours.
-func startWorker(bin, base, name string, extra ...string) (*exec.Cmd, error) {
-	args := append([]string{"-coordinator", base, "-name", name}, extra...)
-	cmd := exec.Command(bin, args...)
-	cmd.Stdout = os.Stderr
-	cmd.Stderr = os.Stderr
-	return cmd, cmd.Start()
-}
-
-// farmStats polls the farm section of GET /stats.
-func farmStats(base string) (*farm.Stats, error) {
-	var st struct {
-		Farm *farm.Stats `json:"farm"`
-	}
-	if err := getJSON(base+"/stats", &st); err != nil {
-		return nil, err
-	}
-	if st.Farm == nil {
-		return nil, fmt.Errorf("server at %s is not in -coordinator mode (no farm stats)", base)
-	}
-	return st.Farm, nil
-}
-
-func stripTiming(r *sweep.Result) *sweep.Result {
-	for i := range r.Cells {
-		r.Cells[i].SolveSec = 0
-	}
-	return r
-}
 
 func main() {
 	log.SetFlags(0)
@@ -118,14 +47,8 @@ func main() {
 	base := "http://" + *addr
 	deadline := time.Now().Add(*timeout)
 
-	for {
-		var health map[string]bool
-		if err := getJSON(base+"/healthz", &health); err == nil && health["ok"] {
-			break
-		} else if time.Now().After(deadline) {
-			log.Fatalf("server at %s not healthy after %v: %v", *addr, *timeout, err)
-		}
-		time.Sleep(100 * time.Millisecond)
+	if err := smoke.WaitHealthy(base, deadline); err != nil {
+		log.Fatal(err)
 	}
 
 	// The golden sweep suite's mesh: 12 wires × 10 segments, coupled.
@@ -134,7 +57,7 @@ func main() {
 		Circuit string `json:"circuit"`
 	}
 	gridSrc := map[string]any{"grid": map[string]any{"width": 12, "layers": 10, "coupled": true}}
-	if err := postJSON(base+"/circuits", gridSrc, &reg); err != nil {
+	if err := smoke.PostJSON(base+"/circuits", gridSrc, &reg); err != nil {
 		log.Fatalf("register grid: %v", err)
 	}
 	log.Printf("registered %s (key %.12s…)", reg.Circuit, reg.Key)
@@ -142,22 +65,12 @@ func main() {
 	// The doomed worker registers alone, so when the sweep arrives it is
 	// guaranteed to lease the spine batch — and die two cells into it,
 	// mid-job, with its result stream open and no done marker.
-	doomed, err := startWorker(*workerBin, base, "doomed", "-fault", "worker:cell:crash,after=1")
+	doomed, err := smoke.StartWorker(*workerBin, base, "doomed", "-fault", "worker:cell:crash,after=1")
 	if err != nil {
 		log.Fatalf("start doomed worker: %v", err)
 	}
-	for {
-		st, err := farmStats(base)
-		if err != nil {
-			log.Fatalf("stats: %v", err)
-		}
-		if st.LiveWorkers >= 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			log.Fatal("doomed worker never registered")
-		}
-		time.Sleep(50 * time.Millisecond)
+	if err := smoke.WaitWorkers(base, 1, deadline); err != nil {
+		log.Fatalf("doomed worker never registered: %v", err)
 	}
 
 	// The golden grid: 3×3 bounds grid at 12 iterations over the
@@ -172,7 +85,7 @@ func main() {
 		var resp struct {
 			Result *sweep.Result `json:"result"`
 		}
-		err := postJSON(base+"/sweep", map[string]any{
+		err := smoke.PostJSON(base+"/sweep", map[string]any{
 			"key":            reg.Key,
 			"delay_scale":    []float64{1, 1.06, 1.12},
 			"noise_scale":    []float64{0.8, 1, 1.3},
@@ -191,7 +104,7 @@ func main() {
 	}
 	log.Print("doomed worker died mid-grid as rigged (exit 3)")
 
-	survivor, err := startWorker(*workerBin, base, "survivor")
+	survivor, err := smoke.StartWorker(*workerBin, base, "survivor")
 	if err != nil {
 		log.Fatalf("start survivor worker: %v", err)
 	}
@@ -229,7 +142,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if !reflect.DeepEqual(stripTiming(want), stripTiming(got.res)) {
+	if !reflect.DeepEqual(smoke.StripTiming(want), smoke.StripTiming(got.res)) {
 		log.Fatal("distributed sweep diverged from the single-process engine")
 	}
 	log.Print("grid matches a local single-process sweep bit-for-bit")
@@ -244,7 +157,7 @@ func main() {
 		if err := json.Unmarshal(data, goldenRes); err != nil {
 			log.Fatal(err)
 		}
-		if !reflect.DeepEqual(goldenRes, stripTiming(got.res)) {
+		if !reflect.DeepEqual(goldenRes, smoke.StripTiming(got.res)) {
 			log.Fatalf("distributed sweep diverged from golden fixture %s", *golden)
 		}
 		log.Printf("grid matches %s bit-for-bit", *golden)
@@ -252,7 +165,7 @@ func main() {
 
 	// The fault path must have been exercised for real: a reap, a
 	// re-queue, and a completed run despite them.
-	st, err := farmStats(base)
+	st, err := smoke.FarmStats(base)
 	if err != nil {
 		log.Fatalf("stats: %v", err)
 	}

@@ -16,55 +16,17 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"log"
-	"net/http"
 	"os"
 	"reflect"
 	"time"
 
 	"repro/internal/core"
+	"repro/scripts/smoke"
 )
-
-func getJSON(url string, v any) error {
-	resp, err := http.Get(url)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET %s: %d: %s", url, resp.StatusCode, data)
-	}
-	return json.Unmarshal(data, v)
-}
-
-func postJSON(url string, body, v any) error {
-	data, err := json.Marshal(body)
-	if err != nil {
-		return err
-	}
-	resp, err := http.Post(url, "application/json", bytes.NewReader(data))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	out, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("POST %s: %d: %s", url, resp.StatusCode, out)
-	}
-	return json.Unmarshal(out, v)
-}
 
 func main() {
 	log.SetFlags(0)
@@ -77,15 +39,8 @@ func main() {
 	flag.Parse()
 	base := "http://" + *addr
 
-	deadline := time.Now().Add(*timeout)
-	for {
-		var health map[string]bool
-		if err := getJSON(base+"/healthz", &health); err == nil && health["ok"] {
-			break
-		} else if time.Now().After(deadline) {
-			log.Fatalf("server at %s not healthy after %v: %v", *addr, *timeout, err)
-		}
-		time.Sleep(100 * time.Millisecond)
+	if err := smoke.WaitHealthy(base, time.Now().Add(*timeout)); err != nil {
+		log.Fatal(err)
 	}
 
 	var reg struct {
@@ -93,7 +48,7 @@ func main() {
 		Circuit string `json:"circuit"`
 		Cached  bool   `json:"cached"`
 	}
-	if err := postJSON(base+"/circuits", map[string]any{"synthetic": *synthetic}, &reg); err != nil {
+	if err := smoke.PostJSON(base+"/circuits", map[string]any{"synthetic": *synthetic}, &reg); err != nil {
 		log.Fatalf("register: %v", err)
 	}
 	log.Printf("registered %s (key %.12s…, cached=%v)", reg.Circuit, reg.Key, reg.Cached)
@@ -106,7 +61,7 @@ func main() {
 	if *maxIter > 0 {
 		req["max_iterations"] = *maxIter
 	}
-	if err := postJSON(base+"/solve", req, &solve); err != nil {
+	if err := smoke.PostJSON(base+"/solve", req, &solve); err != nil {
 		log.Fatalf("solve: %v", err)
 	}
 	log.Printf("solved: %d iterations, converged=%v, area %.4g µm², %.2fs",
@@ -116,7 +71,7 @@ func main() {
 		Solves     int64 `json:"solves"`
 		NodeVisits int64 `json:"node_visits"`
 	}
-	if err := getJSON(base+"/stats", &stats); err != nil {
+	if err := smoke.GetJSON(base+"/stats", &stats); err != nil {
 		log.Fatalf("stats: %v", err)
 	}
 	if stats.Solves < 1 || stats.NodeVisits <= 0 {

@@ -27,44 +27,12 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"log"
-	"net/http"
 	"os"
 	"time"
+
+	"repro/scripts/smoke"
 )
-
-func postJSON(base, path string, body string, v any) error {
-	resp, err := http.Post(base+path, "application/json", bytes.NewReader([]byte(body)))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	out, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("POST %s: %d: %s", path, resp.StatusCode, out)
-	}
-	return json.Unmarshal(out, v)
-}
-
-func getJSON(base, path string, v any) error {
-	resp, err := http.Get(base + path)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET %s: %d: %s", path, resp.StatusCode, data)
-	}
-	return json.Unmarshal(data, v)
-}
 
 // solveResp captures the fields the smoke asserts on; Result stays raw
 // for byte-level comparison.
@@ -86,23 +54,15 @@ func main() {
 	flag.Parse()
 	base := "http://" + *addr
 
-	deadline := time.Now().Add(*timeout)
-	for {
-		var ok map[string]bool
-		if err := getJSON(base, "/healthz", &ok); err == nil && ok["ok"] {
-			break
-		}
-		if time.Now().After(deadline) {
-			log.Fatalf("server at %s did not become healthy within %s", *addr, *timeout)
-		}
-		time.Sleep(100 * time.Millisecond)
+	if err := smoke.WaitHealthy(base, time.Now().Add(*timeout)); err != nil {
+		log.Fatal(err)
 	}
 
 	var reg struct {
 		Key    string `json:"key"`
 		Cached bool   `json:"cached"`
 	}
-	if err := postJSON(base, "/circuits", fmt.Sprintf(`{"synthetic":%q}`, *synthetic), &reg); err != nil {
+	if err := smoke.PostJSON(base+"/circuits", json.RawMessage(fmt.Sprintf(`{"synthetic":%q}`, *synthetic)), &reg); err != nil {
 		log.Fatalf("register: %v", err)
 	}
 
@@ -113,11 +73,11 @@ func main() {
 			log.Fatal("-phase seed requires -out")
 		}
 		var baseResp solveResp
-		if err := postJSON(base, "/solve", fmt.Sprintf(`{"key":%q,"max_iterations":%d,"save_as":"base"}`, reg.Key, *maxIter), &baseResp); err != nil {
+		if err := smoke.PostJSON(base+"/solve", json.RawMessage(fmt.Sprintf(`{"key":%q,"max_iterations":%d,"save_as":"base"}`, reg.Key, *maxIter)), &baseResp); err != nil {
 			log.Fatalf("base solve: %v", err)
 		}
 		var refined solveResp
-		if err := postJSON(base, "/solve", refine+"}", &refined); err != nil {
+		if err := smoke.PostJSON(base+"/solve", json.RawMessage(refine+"}"), &refined); err != nil {
 			log.Fatalf("refinement solve: %v", err)
 		}
 		if err := os.WriteFile(*out, refined.Result, 0o644); err != nil {
@@ -142,7 +102,7 @@ func main() {
 			ReloadedResults  int64 `json:"reloaded_results"`
 			DedupHits        int64 `json:"dedup_hits"`
 		}
-		if err := getJSON(base, "/stats", &st); err != nil {
+		if err := smoke.GetJSON(base+"/stats", &st); err != nil {
 			log.Fatalf("stats: %v", err)
 		}
 		if st.ReloadedCircuits < 1 || st.ReloadedResults < 1 {
@@ -151,7 +111,7 @@ func main() {
 		// The solver really runs (no_dedup) from the reloaded warm-start
 		// state; its bytes must equal the pre-restart chain's.
 		var rerun solveResp
-		if err := postJSON(base, "/solve", refine+`,"no_dedup":true}`, &rerun); err != nil {
+		if err := smoke.PostJSON(base+"/solve", json.RawMessage(refine+`,"no_dedup":true}`), &rerun); err != nil {
 			log.Fatalf("post-restart refinement: %v", err)
 		}
 		if rerun.Dedup {
@@ -162,7 +122,7 @@ func main() {
 		}
 		// And the dedup path returns the same bytes without solving.
 		var hit solveResp
-		if err := postJSON(base, "/solve", refine+"}", &hit); err != nil {
+		if err := smoke.PostJSON(base+"/solve", json.RawMessage(refine+"}"), &hit); err != nil {
 			log.Fatalf("dedup refinement: %v", err)
 		}
 		if !hit.Dedup {

@@ -21,49 +21,13 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"log"
-	"net/http"
-	"os"
-	"os/exec"
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/farm"
 	"repro/internal/variation"
+	"repro/scripts/smoke"
 )
-
-func postJSON(url string, body string, v any) error {
-	resp, err := http.Post(url, "application/json", bytes.NewReader([]byte(body)))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	out, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("POST %s: %d: %s", url, resp.StatusCode, out)
-	}
-	return json.Unmarshal(out, v)
-}
-
-func getJSON(url string, v any) error {
-	resp, err := http.Get(url)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET %s: %d: %s", url, resp.StatusCode, data)
-	}
-	return json.Unmarshal(data, v)
-}
 
 // canon re-marshals v so two JSON payloads compare structurally
 // byte-for-byte regardless of their original field spacing.
@@ -94,18 +58,8 @@ func main() {
 	base := "http://" + *addr
 	deadline := time.Now().Add(*timeout)
 
-	// Wait for the server.
-	for {
-		if resp, err := http.Get(base + "/healthz"); err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				break
-			}
-		}
-		if time.Now().After(deadline) {
-			log.Fatalf("server at %s never became healthy", base)
-		}
-		time.Sleep(100 * time.Millisecond)
+	if err := smoke.WaitHealthy(base, deadline); err != nil {
+		log.Fatal(err)
 	}
 
 	// The in-process reference this whole check pivots on: the same
@@ -131,7 +85,7 @@ func main() {
 	var reg struct {
 		Key string `json:"key"`
 	}
-	if err := postJSON(base+"/circuits", `{"synthetic":"c432"}`, &reg); err != nil {
+	if err := smoke.PostJSON(base+"/circuits", json.RawMessage(`{"synthetic":"c432"}`), &reg); err != nil {
 		log.Fatal(err)
 	}
 	log.Printf("registered c432 as %s", reg.Key)
@@ -146,7 +100,7 @@ func main() {
 
 	// Run 1: no workers are live yet, so the server solves locally.
 	var local mcResp
-	if err := postJSON(base+"/montecarlo", mcBody, &local); err != nil {
+	if err := smoke.PostJSON(base+"/montecarlo", json.RawMessage(mcBody), &local); err != nil {
 		log.Fatal(err)
 	}
 	var localRes variation.MCResult
@@ -161,34 +115,23 @@ func main() {
 
 	// Admit a real worker over TCP and wait until the coordinator counts
 	// it live — from then on /montecarlo dispatches to the farm.
-	worker := exec.Command(*workerBin, "-coordinator", base, "-name", "vc-w1")
-	worker.Stdout = os.Stderr
-	worker.Stderr = os.Stderr
-	if err := worker.Start(); err != nil {
+	worker, err := smoke.StartWorker(*workerBin, base, "vc-w1")
+	if err != nil {
 		log.Fatal(err)
 	}
 	defer func() {
 		worker.Process.Kill()
 		worker.Wait()
 	}()
-	for {
-		var st struct {
-			Farm *farm.Stats `json:"farm"`
-		}
-		if err := getJSON(base+"/stats", &st); err == nil && st.Farm != nil && st.Farm.LiveWorkers >= 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			log.Fatal("worker never registered with the coordinator")
-		}
-		time.Sleep(100 * time.Millisecond)
+	if err := smoke.WaitWorkers(base, 1, deadline); err != nil {
+		log.Fatalf("worker never registered with the coordinator: %v", err)
 	}
 	log.Printf("worker live, re-running distributed")
 
 	// Run 2: same request, forced past dedup, solved on the worker. The
 	// wire hop and the shard reassembly must not change a byte.
 	var dist mcResp
-	if err := postJSON(base+"/montecarlo", `{"no_dedup":true,`+mcBody[1:], &dist); err != nil {
+	if err := smoke.PostJSON(base+"/montecarlo", json.RawMessage(`{"no_dedup":true,`+mcBody[1:]), &dist); err != nil {
 		log.Fatal(err)
 	}
 	if dist.Dedup {
@@ -211,7 +154,7 @@ func main() {
 		Report json.RawMessage `json:"report"`
 	}
 	cornersBody := fmt.Sprintf(`{"key":%q,"corners":true,"max_iterations":%d}`, reg.Key, mcIter)
-	if err := postJSON(base+"/sweep", cornersBody, &cr); err != nil {
+	if err := smoke.PostJSON(base+"/sweep", json.RawMessage(cornersBody), &cr); err != nil {
 		log.Fatal(err)
 	}
 	var crRep variation.CornerReport
@@ -230,7 +173,7 @@ func main() {
 		CornerSweeps int64 `json:"corner_sweeps"`
 		CornerCells  int64 `json:"corner_cells"`
 	}
-	if err := getJSON(base+"/stats", &st); err != nil {
+	if err := smoke.GetJSON(base+"/stats", &st); err != nil {
 		log.Fatal(err)
 	}
 	if st.MonteCarlos != 2 || st.MCSamples != 2*mcSamples {
