@@ -20,8 +20,11 @@ package repro
 // serial reference implementations on every fixture.
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -131,19 +134,65 @@ var goldenFixtures = []goldenFixture{
 	{name: "c880", build: instanceFixture("c880", 20, bench.PipelineOptions{})},
 	{name: "c432-global8x", build: instanceFixture("c432", 20, bench.PipelineOptions{WireLengthScale: 8})},
 	{name: "grid12x10", build: gridFixture},
-	{name: "c432-damp03", build: dampedFixture(instanceFixture("c432", 30, bench.PipelineOptions{}), 0.3)},
-	{name: "c880-damp1", build: dampedFixture(instanceFixture("c880", 20, bench.PipelineOptions{}), 1)},
 }
 
-// dampedFixture runs a fixture at a non-default LRSDamping ω: 0.3 pins
-// the damped log-space resize and its floor skip away from the default
-// 0.7, and 1 pins the pure xᵢ ← optᵢ branch, which takes no skip.
-func dampedFixture(build func(*testing.T) (*rc.Evaluator, core.Options), w float64) func(*testing.T) (*rc.Evaluator, core.Options) {
-	return func(t *testing.T) (*rc.Evaluator, core.Options) {
-		t.Helper()
-		ev, opt := build(t)
-		opt.LRSDamping = w
-		return ev, opt
+// numericsDigests pins the SHA-256 of every committed solver fixture (see
+// fixturesDigest) under the core.Numerics value that generated it, one
+// entry per numerics ever released. A fixture refresh changes the digest,
+// so it fails TestNumericsDigestPinned until core.Numerics is bumped and
+// the new digest pinned under the new value: results of different
+// numerics must never share a dedup key or a farm.
+var numericsDigests = map[int]string{
+	1: "36fd61669d8cd929f3d5d61c940b3e14d024d6c1bb64dc6492e17f808cd5a89d",
+	2: "32dc4f5afcded7adb6a3a686cfbe805ccbb96cb3bcd0801f46b6e1cd2727dd0a",
+}
+
+// fixturesDigest hashes the path, length and bytes of every file under
+// testdata/golden/ and of the sweep package's golden grid, in a fixed
+// order.
+func fixturesDigest(t *testing.T) string {
+	t.Helper()
+	// Paths are hashed slash-separated on every OS; ReadDir sorts by name.
+	const dir = "testdata/golden"
+	entries, err := os.ReadDir(filepath.FromSlash(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var paths []string
+	for _, e := range entries {
+		paths = append(paths, dir+"/"+e.Name())
+	}
+	h := sha256.New()
+	for _, p := range append(paths, "internal/sweep/testdata/golden_grid.json") {
+		data, err := os.ReadFile(filepath.FromSlash(p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(h, "%s %d\n", p, len(data))
+		h.Write(data)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestNumericsDigestPinned enforces the bump: the committed fixtures must
+// hash to the digest pinned under the current core.Numerics. Like the
+// snapshot comparison it runs only on goldenArch, and it waits for a run
+// without -update, which may be rewriting the files it reads.
+func TestNumericsDigestPinned(t *testing.T) {
+	if runtime.GOARCH != goldenArch {
+		t.Skipf("fixtures are pinned on %s, not %s", goldenArch, runtime.GOARCH)
+	}
+	if *update {
+		t.Skip("fixtures are being rewritten; rerun without -update")
+	}
+	got := fixturesDigest(t)
+	want, ok := numericsDigests[core.Numerics]
+	switch {
+	case !ok:
+		t.Fatalf("no fixture digest pinned for core.Numerics %d; pin %s", core.Numerics, got)
+	case got != want:
+		t.Fatalf("fixtures hash to %s, but core.Numerics %d pins %s: a fixture refresh must bump core.Numerics and pin the new digest under it",
+			got, core.Numerics, want)
 	}
 }
 

@@ -39,15 +39,6 @@ type Options struct {
 	// MaxIterations bounds the outer OGWS iterations; zero or negative
 	// selects the default of 1000.
 	MaxIterations int
-	// LRSDamping blends each resize in log space:
-	// x ← x^(1−ω)·optᵢ^ω with ω = LRSDamping ∈ (0,1]. ω = 1 is the
-	// paper's pure update, which can oscillate under the Jacobi sweep;
-	// any ω keeps the same fixed point (Theorem 5's optᵢ). A size at its
-	// lower bound Lᵢ whose optimum is below Lᵢ·(1−10⁻⁹)^(1/ω) is left
-	// there without evaluating the blend; the result is bit-identical,
-	// because the blend is then at least 10⁻⁹ relative below Lᵢ and the
-	// clamp returns Lᵢ anyway (see the package documentation).
-	LRSDamping float64
 	// WarmStart keeps the previous iteration's sizes as the LRS starting
 	// point instead of the paper's S1 reset to the lower bounds. The
 	// subproblem has a unique optimum (posynomial ⇒ convex after the log
@@ -64,8 +55,6 @@ type Options struct {
 	// folded in node order from per-node scratch — so results are
 	// bit-identical for every Workers setting.
 	Workers int
-	// KeepHistory records per-iteration statistics in the result.
-	KeepHistory bool
 	// OnIteration, when non-nil, is called once per OGWS iteration with
 	// the iteration's statistics, constraint violations, and the
 	// evaluation-work delta since the previous iteration. The hook runs
@@ -99,27 +88,46 @@ var ErrCancelled = errors.New("core: solve cancelled")
 // changes scheduling only, never a bit. The streak resets whenever a
 // refresh walks a cone, and the pre-first-pass fallback never counts.
 //
-// K is placed by measurement between the two recorded regimes: the
-// warm-started c880 solve — the engine's best case — peaks at 22
-// consecutive cutovers during its early global-movement iterations before
-// cone walks take over, while the dense-coupling grid32x24 solve (the PR-3
-// regression) streaks past 30 within its first iterations and keeps
-// degrading throughout. 24 leaves the healthy workload untouched and stops
-// the pathological one early; both committed benchmarks pin their
-// hystTripsPerSolve metric.
+// K was placed by measurement under the damped resize (ω = 0.7), between
+// the two scenarios of BenchmarkIncrementalSolve: the warm-started c880
+// solve — the engine's best case — peaked at 22 consecutive cutovers in
+// its early global-movement iterations before cone walks took over, while
+// the dense-coupling warm grid32x24 solve (the PR-3 regression) streaked
+// to 31 and kept degrading, so 24 tripped on the grid only. Under the
+// pure Theorem-5 update sizes settle in fewer sweeps and the streaks
+// shorten: c880 peaks at 12 and grid32x24 at 19 (Workers 1 and 2), so K
+// no longer trips on the grid either (hystTripsPerSolve 1 → 0). There the
+// engine now costs more than the full passes it no longer falls back to:
+// 201 ms against 176 ms per solve (medians of three alternating
+// -benchtime 1x runs on a 2-vCPU Xeon). Both scenarios still run faster
+// than under the damped resize: c880's engine solve went from 158 to
+// 78 ms, grid32x24's from 638 to 201 ms. K stays 24 until a measurement
+// places it again (ROADMAP item 1).
 const cutoverHysteresis = 24
 
 // lrsMaxSweeps bounds the inner greedy sweeps per OGWS iteration, and
 // lrsTol is the largest relative size change that counts as "no
-// improvement" (Figure 8, S5).
+// improvement" (Figure 8, S5). The pure Theorem-5 update is a Jacobi
+// sweep, which could in principle oscillate; the sweep cap is the guard
+// against that. No catalog solve comes near it (TestLRSNeverHitsSweepCap).
 const (
 	lrsMaxSweeps = 200
 	lrsTol       = 1e-7
 )
 
+// Numerics names the solver arithmetic that produced a Result. Any change
+// that moves a result bit, and so refreshes the golden fixtures, bumps it.
+// Every layer that keeps or exchanges results carries it, so results of
+// different numerics never mix: the service hashes it into each dedup
+// key, the farm coordinator refuses a worker that reports another value,
+// and the golden suite pins the fixtures' digest under it. Numerics 1 was
+// the log-space damped resize (ω = 0.7); 2 is the paper's pure Theorem-5
+// update.
+const Numerics = 2
+
 // DefaultOptions returns the settings used throughout the experiments:
-// 1% duality gap as in the paper, at most 1000 iterations, resize damping
-// ω = 0.7, and warm starts off (faithful to Figure 8's S1).
+// 1% duality gap as in the paper, at most 1000 iterations, and warm
+// starts off (faithful to Figure 8's S1).
 func DefaultOptions(a0, noiseBound, powerCapBound float64) Options {
 	return Options{
 		A0:            a0,
@@ -127,7 +135,6 @@ func DefaultOptions(a0, noiseBound, powerCapBound float64) Options {
 		PowerCapBound: powerCapBound,
 		Epsilon:       0.01,
 		MaxIterations: 1000,
-		LRSDamping:    0.7,
 	}
 }
 
@@ -149,12 +156,12 @@ func Budget(maxIterations int, epsilon float64) (int, float64) {
 // validate rejects the knobs that have no sane substitute (a missing or
 // non-finite delay bound, a NaN or infinite noise or power bound, an
 // infinite gap threshold) and normalizes the rest: the solve budget
-// (Budget), the damping factor, and the worker count fall back to their
-// defaults when zero, negative, or NaN. NaN needs explicit checks
-// throughout — it slides through every `<= 0` comparison, and a NaN
-// damping poisons every size downstream. +Inf slides through them too: an
-// infinite bound turns the dual and the gap into NaN, and an infinite
-// Epsilon passes A7 at the first iterate, feasible or not.
+// (Budget) falls back to its defaults when zero, negative, or NaN, and a
+// negative worker count means all cores. NaN needs explicit checks
+// throughout — it slides through every `<= 0` comparison and poisons
+// every size downstream. +Inf slides through them too: an infinite bound
+// turns the dual and the gap into NaN, and an infinite Epsilon passes A7
+// at the first iterate, feasible or not.
 func (o *Options) validate() error {
 	if o.A0 <= 0 || nonFinite(o.A0) {
 		return fmt.Errorf("core: delay bound A0 must be positive and finite, got %g", o.A0)
@@ -168,9 +175,6 @@ func (o *Options) validate() error {
 		return fmt.Errorf("core: duality-gap threshold Epsilon must be finite, got %g", o.Epsilon)
 	}
 	o.MaxIterations, o.Epsilon = Budget(o.MaxIterations, o.Epsilon)
-	if o.LRSDamping <= 0 || o.LRSDamping > 1 || math.IsNaN(o.LRSDamping) {
-		o.LRSDamping = 0.7
-	}
 	if o.Workers < 0 {
 		o.Workers = 0 // same meaning: pick runtime.GOMAXPROCS(0)
 	}
@@ -196,7 +200,7 @@ type IterStats struct {
 }
 
 // IterProgress is the per-iteration payload delivered to
-// Options.OnIteration: the IterStats the history would record, plus the
+// Options.OnIteration: the iteration's IterStats, plus the
 // constraint violations (positive = violated, in each constraint's own
 // unit), the relative primal feasibility the convergence check uses, and
 // the evaluation-work counters spent by this iteration alone.
@@ -246,7 +250,6 @@ type Result struct {
 	// MemoryBytes is the analytic solver footprint (graph + coupling +
 	// evaluator + multipliers + solver arrays) for Figure 10(a).
 	MemoryBytes int
-	History     []IterStats
 }
 
 // Solver runs OGWS on one evaluator. Create with NewSolver; a Solver is
@@ -264,12 +267,11 @@ type Solver struct {
 	pool    *pool
 	cleanup runtime.Cleanup
 
-	lambda  []float64 // node multiplier sums λᵢ
-	rup     []float64 // weighted upstream resistances Rᵢ
-	xBound  float64   // X′; NaN when disabled
-	pBound  float64   // P′; NaN when disabled
-	rEff    []float64 // tech.RC·r̂ᵢ per node (0 for non-sizable)
-	history []IterStats
+	lambda []float64 // node multiplier sums λᵢ
+	rup    []float64 // weighted upstream resistances Rᵢ
+	xBound float64   // X′; NaN when disabled
+	pBound float64   // P′; NaN when disabled
+	rEff   []float64 // tech.RC·r̂ᵢ per node (0 for non-sizable)
 
 	// Parallel-loop scratch: per-shard max reductions and per-node sum
 	// terms (folded serially in index order so totals are independent of
@@ -319,10 +321,6 @@ type Solver struct {
 	// S = Σαᵢ√(LᵢUᵢ) is the geometric mid-range area and m the number of
 	// sink edges. Each scale is 1 when S is 0 or its bound is disabled.
 	lamScale, betaScale, gammaScale float64
-
-	// floorTau is τ = floorSkipTau(LRSDamping), the margin of the
-	// resize's floor skip (see floorPinned).
-	floorTau float64
 }
 
 // NewSolver validates the options against the evaluator's circuit and
@@ -347,7 +345,6 @@ func NewSolver(ev *rc.Evaluator, opt Options) (*Solver, error) {
 		pBound:      math.NaN(),
 		shardMax:    make([]float64, workers),
 		normScratch: make([]float64, g.NumNodes()),
-		floorTau:    floorSkipTau(opt.LRSDamping),
 		inActive:    make([]bool, g.NumNodes()),
 		moved:       make([][]int32, workers),
 		cutover:     cutoverHysteresis,
@@ -723,25 +720,15 @@ func (s *Solver) resizeNode(beta, gamma float64, i int) (rel float64, moved bool
 	if s.denV != nil {
 		den += s.denV[i]
 	}
-	var opt float64
+	// S4: the paper's pure update xᵢ ← clamp(optᵢ, Lᵢ, Uᵢ).
+	var x float64
 	switch {
 	case den <= 0 && num > 0:
-		opt = c.Hi
+		x = c.Hi
 	case num <= 0:
-		opt = c.Lo
+		x = c.Lo
 	default:
-		opt = math.Sqrt(num / den)
-	}
-	// Damped update in log space; same fixed point as the pure
-	// xᵢ ← optᵢ assignment, but immune to Jacobi oscillation.
-	x := ev.X[i]
-	switch w := s.opt.LRSDamping; {
-	case w == 1:
-		x = opt
-	case floorPinned(x, opt, c.Lo, s.floorTau):
-		return 0, false
-	default:
-		x = math.Exp((1-w)*math.Log(x) + w*math.Log(math.Max(opt, 1e-300)))
+		x = math.Sqrt(num / den)
 	}
 	if x < c.Lo {
 		x = c.Lo
@@ -752,24 +739,6 @@ func (s *Solver) resizeNode(beta, gamma float64, i int) (rel float64, moved bool
 	moved = x != ev.X[i]
 	ev.X[i] = x
 	return rel, moved
-}
-
-// floorPinned reports whether the damped update of a size x with floor lo
-// toward the optimum opt is sure to clamp back to lo, so resizeNode can
-// skip its two logs and exp: x sits at lo and the optimum the update reads,
-// max(opt, 1e-300), is below lo·τ, τ = floorSkipTau(ω). Most of an area
-// optimum's gates and wires sit at minimum size, so this is the common
-// case. The skip is bit-exact, not approximate (see "The floor skip" in
-// the package documentation for the margin argument).
-func floorPinned(x, opt, lo, tau float64) bool {
-	return x == lo && max(opt, 1e-300) < lo*tau
-}
-
-// floorSkipTau returns τ = (1−10⁻⁹)^(1/ω), the margin of the floor skip at
-// damping ω < 1. For ω below about 1.3·10⁻¹², τ underflows to 0 and the
-// skip never fires.
-func floorSkipTau(w float64) float64 {
-	return math.Pow(1-1e-9, 1/w)
 }
 
 func nbr(ev *rc.Evaluator, i int) float64 {
@@ -1015,9 +984,6 @@ func (s *Solver) Run() (*Result, error) {
 			s.gammaV[v] = 0
 		}
 	}
-	if s.opt.KeepHistory {
-		s.history = s.history[:0]
-	}
 
 	res := &Result{}
 	sweepsTotal := 0
@@ -1109,27 +1075,21 @@ func (s *Solver) Run() (*Result, error) {
 		// The diminishing schedule ρₖ = 2/√k of the paper's A4 floors the
 		// Polyak step below.
 		rho := 2 / math.Sqrt(float64(k))
-		if s.opt.KeepHistory || s.opt.OnIteration != nil {
-			st := IterStats{
-				K: k, Rho: rho, Area: area, DelayPs: ev.MaxArrival(),
-				PowerCapFF: ev.TotalCap(), NoiseLinFF: ev.NoiseLinear(),
-				Dual: dual, Gap: gap, LRSSweeps: sw,
-			}
-			if s.opt.KeepHistory {
-				s.history = append(s.history, st)
-			}
-			if s.opt.OnIteration != nil {
-				cur := ev.Stats()
-				s.opt.OnIteration(IterProgress{
-					IterStats:      st,
-					DelayViolation: math.Max(0, ev.MaxArrival()-s.opt.A0),
-					PowerViolation: math.Max(0, powerViol),
-					NoiseViolation: math.Max(0, noiseViol),
-					Feasibility:    feas,
-					Eval:           cur.Sub(prevEval),
-				})
-				prevEval = cur
-			}
+		if s.opt.OnIteration != nil {
+			cur := ev.Stats()
+			s.opt.OnIteration(IterProgress{
+				IterStats: IterStats{
+					K: k, Rho: rho, Area: area, DelayPs: ev.MaxArrival(),
+					PowerCapFF: ev.TotalCap(), NoiseLinFF: ev.NoiseLinear(),
+					Dual: dual, Gap: gap, LRSSweeps: sw,
+				},
+				DelayViolation: math.Max(0, ev.MaxArrival()-s.opt.A0),
+				PowerViolation: math.Max(0, powerViol),
+				NoiseViolation: math.Max(0, noiseViol),
+				Feasibility:    feas,
+				Eval:           cur.Sub(prevEval),
+			})
+			prevEval = cur
 		}
 		// A7: stop when a certified ε-optimal feasible solution exists —
 		// either the current iterate closes the gap (the paper's check,
@@ -1252,7 +1212,6 @@ func (s *Solver) Run() (*Result, error) {
 	}
 	res.LRSSweepsTotal = sweepsTotal
 	res.MemoryBytes = s.memoryBytes()
-	res.History = s.history
 	return res, nil
 }
 

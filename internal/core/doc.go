@@ -20,6 +20,9 @@
 //	optᵢ = √( λᵢ·r̂ᵢ·(C′ᵢ + Σ_{j∈N(i)} wᵢⱼĉᵢⱼxⱼ)
 //	        / (αᵢ + (β+Rᵢ)·ĉᵢ + γ·Σ_{j∈N(i)} wᵢⱼĉᵢⱼ) ).
 //
+// Each sweep sets every size to the paper's pure update (S4),
+// xᵢ ← clamp(optᵢ, Lᵢ, Uᵢ), with no damping and no logs or exps.
+//
 // # The ascent
 //
 // The paper's A4 asks only for a subgradient step whose sizes satisfy
@@ -55,8 +58,11 @@
 //   - A5 projects the edge multipliers back onto Theorem 3's flow
 //     conservation (lagrange.Multipliers.ProjectFlow).
 //
-// The LRS subproblem inside each iteration stops after 200 sweeps or once
-// a sweep's largest relative size change falls below 10⁻⁷ (Figure 8, S5).
+// The LRS subproblem inside each iteration stops once a sweep's largest
+// relative size change falls below 10⁻⁷ (Figure 8, S5). A Jacobi sweep of
+// the pure update could in principle oscillate, so lrsMaxSweeps (200)
+// caps each call as the guard against it; no LRS call of a catalog
+// circuit comes near the cap (TestLRSNeverHitsSweepCap).
 //
 // # Execution modes and invariants
 //
@@ -75,26 +81,6 @@
 // constant; the package's tests set it per Solver (export_test.go): K = 0
 // runs every sweep on full passes, the reference the engine-vs-full
 // oracles compare against, and a negative K never reverts.
-//
-// # The floor skip
-//
-// The resize runs on every sizable node in every LRS sweep, and an area
-// optimum leaves most non-critical gates and wires at their lower bound
-// Lᵢ with optᵢ below it. Such a node stays at Lᵢ without the damped
-// update's two logs and exp when optᵢ < Lᵢ·τ, τ = (1−10⁻⁹)^(1/ω) computed
-// once per Solver. (At ω = 1 the update is optᵢ itself, with no logs to
-// save, so the skip is not consulted.) The skip is bit-exact. The exact update Lᵢ·(optᵢ/Lᵢ)^ω is then below
-// Lᵢ·τ^ω = Lᵢ·(1−10⁻⁹), and the formula's rounding error, about 10⁻¹²
-// relative for any representable Lᵢ and the 10⁻³⁰⁰ floor on optᵢ, cannot
-// carry it up to Lᵢ: the clamp returns Lᵢ, exactly what the skip returns.
-// (The skip compares max(optᵢ, 10⁻³⁰⁰), the optimum the formula reads,
-// so floors below 10⁻³⁰⁰ stay exact too.) The margin is needed: with a
-// plain optᵢ < Lᵢ test, an optimum a few ulps under Lᵢ gives an update
-// within rounding of Lᵢ, and the formula can land just above it. A
-// bitwise table test against the unskipped formula pins both facts. The
-// skip is only a predicate, floorPinned, checked inline in resizeNode:
-// the update itself stays in resizeNode, so a resize the skip does not
-// take costs no more than before it.
 //
 // # Warm starts
 //

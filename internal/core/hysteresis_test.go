@@ -279,12 +279,11 @@ func TestRunFromRejectsBadSeeds(t *testing.T) {
 }
 
 // TestOptionsNormalizationTable pins the validate() audit: the solve
-// budget and the damping fall back to their defaults on zero/negative/NaN
-// input, Workers normalizes to the all-cores sentinel, a negative noise or
-// power bound stays (it disables the constraint), and the knobs with no
-// substitute (A0, the noise and power bounds) reject NaN and +Inf
-// outright, as does an infinite Epsilon, which would certify the first
-// iterate.
+// budget falls back to its defaults on zero/negative/NaN input, Workers
+// normalizes to the all-cores sentinel, a negative noise or power bound
+// stays (it disables the constraint), and the knobs with no substitute
+// (A0, the noise and power bounds) reject NaN and +Inf outright, as does
+// an infinite Epsilon, which would certify the first iterate.
 func TestOptionsNormalizationTable(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	cases := []struct {
@@ -294,8 +293,6 @@ func TestOptionsNormalizationTable(t *testing.T) {
 	}{
 		{"epsilon-zero", func(o *Options) { o.Epsilon = 0 }, func(o Options) (float64, float64) { return o.Epsilon, 0.01 }},
 		{"epsilon-nan", func(o *Options) { o.Epsilon = nan }, func(o Options) (float64, float64) { return o.Epsilon, 0.01 }},
-		{"damping-nan", func(o *Options) { o.LRSDamping = nan }, func(o Options) (float64, float64) { return o.LRSDamping, 0.7 }},
-		{"damping-above-one", func(o *Options) { o.LRSDamping = 1.5 }, func(o Options) (float64, float64) { return o.LRSDamping, 0.7 }},
 		{"workers-negative", func(o *Options) { o.Workers = -7 }, func(o Options) (float64, float64) { return float64(o.Workers), 0 }},
 		// A negative noise or power bound, −Inf included, disables it.
 		{"noise-negative", func(o *Options) { o.NoiseBound = -1 }, func(o Options) (float64, float64) { return o.NoiseBound, -1 }},

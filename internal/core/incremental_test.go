@@ -63,7 +63,6 @@ func TestIncrementalSolveBitIdentical(t *testing.T) {
 			o.A0 = 120
 			o.NoiseBound = 18
 			o.WarmStart = true
-			o.LRSDamping = 1
 		}},
 	}
 	for _, tc := range cases {
@@ -106,36 +105,6 @@ func parallelChains(t testing.TB, paths int) *rc.Evaluator {
 		t.Fatal(err)
 	}
 	return newEval(t, g, emptySet(t))
-}
-
-// TestIncrementalSkipsWork asserts the engine actually does less
-// evaluation work than the full path on a warm-started, delay-bound solve
-// — the "do less work" point of the whole construction. (Measured ~3.2x
-// on this fixture; the committed BenchmarkIncrementalSolve tracks the
-// c880 and grid numbers.)
-func TestIncrementalSkipsWork(t *testing.T) {
-	run := func(k int) int64 {
-		ev := parallelChains(t, 24)
-		opt := DefaultOptions(45, 0, 0) // 45 ps binds every chain
-		opt.MaxIterations = 60
-		opt.WarmStart = true
-		sol, err := NewSolver(ev, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer sol.Close()
-		sol.SetHysteresis(k)
-		ev.ResetStats()
-		if _, err := sol.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return ev.Stats().NodeVisits()
-	}
-	fullWork := run(0)
-	incWork := run(cutoverHysteresis)
-	if incWork*2 >= fullWork {
-		t.Errorf("incremental executed %d bodies, full %d — expected at least a 2x reduction", incWork, fullWork)
-	}
 }
 
 // TestOneArrivalPassPerIteration: the LRS sweeps refresh loads only, so an

@@ -94,7 +94,6 @@ func meshOptions(t testing.TB, g *circuit.Graph, cs *coupling.Set, maxIter int) 
 	ev.Recompute()
 	opt := DefaultOptions(a0, 1.6*ev.NoiseLinear()+cs.ConstantOffset(), 1.5*ev.TotalCap())
 	opt.MaxIterations = maxIter
-	opt.KeepHistory = true
 	opt.PerNetNoiseBounds = map[int]float64{}
 	for i := 0; i < g.NumNodes(); i++ {
 		if g.Comp(i).Kind == circuit.Wire && len(cs.Neighbors(i)) > 0 {
@@ -106,23 +105,38 @@ func meshOptions(t testing.TB, g *circuit.Graph, cs *coupling.Set, maxIter int) 
 	return opt
 }
 
-func solveMesh(t testing.TB, g *circuit.Graph, cs *coupling.Set, opt Options, workers int) *Result {
+func solveMesh(t testing.TB, g *circuit.Graph, cs *coupling.Set, opt Options, workers int) traced {
 	t.Helper()
 	ev, err := rc.NewEvaluator(g, cs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opt.Workers = workers
+	return runTraced(t, ev, opt)
+}
+
+// traced is a Result plus the IterStats its solve delivered to
+// OnIteration, so width comparisons cover the whole trajectory, not just
+// its end point.
+type traced struct {
+	*Result
+	Trajectory []IterStats
+}
+
+// runTraced solves opt on ev with a fresh recording hook.
+func runTraced(t testing.TB, ev *rc.Evaluator, opt Options) traced {
+	t.Helper()
+	var tr traced
+	opt.OnIteration = func(p IterProgress) { tr.Trajectory = append(tr.Trajectory, p.IterStats) }
 	sol, err := NewSolver(ev, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sol.Close()
-	res, err := sol.Run()
-	if err != nil {
+	if tr.Result, err = sol.Run(); err != nil {
 		t.Fatal(err)
 	}
-	return res
+	return tr
 }
 
 // TestPoolRunPartition checks the scheduler's contract: every index in
@@ -195,19 +209,9 @@ func TestWorkersBitIdentical(t *testing.T) {
 // fixtures under the pool and demands exact Result equality with the
 // serial path.
 func TestParallelMatchesSerialOnFixtures(t *testing.T) {
-	run := func(g *circuit.Graph, cs *coupling.Set, opt Options, workers int) *Result {
-		ev := newEval(t, g, cs)
+	run := func(g *circuit.Graph, cs *coupling.Set, opt Options, workers int) traced {
 		opt.Workers = workers
-		sol, err := NewSolver(ev, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer sol.Close()
-		res, err := sol.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+		return runTraced(t, newEval(t, g, cs), opt)
 	}
 
 	chainG, _ := chain(t)
@@ -223,7 +227,6 @@ func TestParallelMatchesSerialOnFixtures(t *testing.T) {
 		{"victim-noise", victimG, victimCS, DefaultOptions(3.0, 20, 0)},
 	}
 	for _, tc := range cases {
-		tc.opt.KeepHistory = true
 		ref := run(tc.g, tc.cs, tc.opt, 1)
 		for _, workers := range []int{4} {
 			if res := run(tc.g, tc.cs, tc.opt, workers); !reflect.DeepEqual(ref, res) {

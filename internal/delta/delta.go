@@ -39,8 +39,13 @@ type Event struct {
 type Log struct {
 	mu     sync.Mutex
 	retain int
-	events []Event // ring contents in version order; len ≤ retain
-	next   uint64  // version the next Append gets
+	// ring holds the retained events, a circular buffer once full: the
+	// oldest sits at ring[head] and the rest follow it in version order,
+	// wrapping at len(ring) ≤ retain. Until the ring fills, head is 0. A
+	// full ring overwrites its oldest slot, so an Append costs O(1).
+	ring   []Event
+	head   int
+	next   uint64 // version the next Append gets
 	wake   chan struct{}
 	closed bool
 }
@@ -64,12 +69,11 @@ func (l *Log) Append(data json.RawMessage) uint64 {
 	}
 	ev := Event{Version: l.next, Data: append(json.RawMessage(nil), data...)}
 	l.next++
-	l.events = append(l.events, ev)
-	if len(l.events) > l.retain {
-		// Drop the oldest; copy down so the backing array doesn't pin
-		// evicted events forever.
-		n := copy(l.events, l.events[len(l.events)-l.retain:])
-		l.events = l.events[:n]
+	if len(l.ring) < l.retain {
+		l.ring = append(l.ring, ev)
+	} else {
+		l.ring[l.head] = ev // evict the oldest
+		l.head = (l.head + 1) % len(l.ring)
 	}
 	close(l.wake)
 	l.wake = make(chan struct{})
@@ -94,13 +98,17 @@ func (l *Log) AppendJSON(v any) (uint64, error) {
 func (l *Log) After(cursor uint64) (events []Event, gapped bool, done bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	oldest := l.next - uint64(len(l.events)) // version of events[0]; == next when empty
-	if cursor+1 < oldest {
-		gapped = true
+	n := uint64(len(l.ring))
+	oldest := l.next - n // version of ring[head]; == next when empty
+	gapped = cursor+1 < oldest
+	skip := uint64(0) // retained events at or below the cursor
+	if cursor >= oldest {
+		skip = min(cursor-oldest+1, n)
 	}
-	for _, ev := range l.events {
-		if ev.Version > cursor {
-			events = append(events, ev)
+	if skip < n {
+		events = make([]Event, 0, n-skip)
+		for i := skip; i < n; i++ {
+			events = append(events, l.ring[(uint64(l.head)+i)%n])
 		}
 	}
 	return events, gapped, l.closed
@@ -170,6 +178,19 @@ func (h *Hub) Log(key string) *Log {
 		h.logs[key] = l
 	}
 	return l
+}
+
+// Remove drops the log for key and closes it, so a watcher parked on it
+// sees done instead of waiting for events that will never come. A later
+// Log(key) starts a fresh log at version 1.
+func (h *Hub) Remove(key string) {
+	h.mu.Lock()
+	l := h.logs[key]
+	delete(h.logs, key)
+	h.mu.Unlock()
+	if l != nil {
+		l.Close()
+	}
 }
 
 // Get returns the log for key, or nil if no events have ever been

@@ -237,3 +237,86 @@ func TestConcurrentAppendAndWait(t *testing.T) {
 		t.Fatal("reader never drained")
 	}
 }
+
+// TestRingWrapsInOrder appends more than three times Retain events and,
+// after every append, checks the cursors that matter against the
+// versions the ring must hold: the retained tail in order and with the
+// right payloads, the gapped flag on both sides of the eviction boundary,
+// and Version.
+func TestRingWrapsInOrder(t *testing.T) {
+	const retain = 5
+	l := NewLog(retain)
+	for v := uint64(1); v <= 3*retain+2; v++ {
+		l.Append(raw(fmt.Sprintf(`{"v":%d}`, v)))
+		if got := l.Version(); got != v {
+			t.Fatalf("Version = %d after %d appends", got, v)
+		}
+		oldest := uint64(1)
+		if v > retain {
+			oldest = v - retain + 1
+		}
+		for cursor := uint64(0); cursor <= v+1; cursor++ {
+			evs, gapped, done := l.After(cursor)
+			first := max(cursor+1, oldest)
+			var want []uint64
+			for w := first; w <= v; w++ {
+				want = append(want, w)
+			}
+			if fmt.Sprint(versions(evs)) != fmt.Sprint(want) {
+				t.Fatalf("after %d appends, After(%d) = %v, want %v", v, cursor, versions(evs), want)
+			}
+			for _, ev := range evs {
+				if string(ev.Data) != fmt.Sprintf(`{"v":%d}`, ev.Version) {
+					t.Fatalf("event %d carries %s", ev.Version, ev.Data)
+				}
+			}
+			if wantGap := cursor+1 < oldest; gapped != wantGap || done {
+				t.Fatalf("after %d appends, After(%d): gapped %v done %v, want gapped %v", v, cursor, gapped, done, wantGap)
+			}
+		}
+	}
+}
+
+// TestHubRemoveClosesLog: Remove drops the key and closes its log, so a
+// parked watcher sees done; the key's next Log starts afresh.
+func TestHubRemoveClosesLog(t *testing.T) {
+	h := NewHub(8)
+	la := h.Log("a")
+	la.Append(raw(`1`))
+	parked := make(chan bool, 1)
+	go func() {
+		_, _, done, _ := la.Wait(context.Background(), la.Version())
+		parked <- done
+	}()
+	h.Remove("a")
+	h.Remove("missing") // no log: a no-op
+	select {
+	case done := <-parked:
+		if !done {
+			t.Fatal("a watcher parked on a removed log did not see done")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a watcher parked on a removed log was never released")
+	}
+	if h.Len() != 0 || h.Get("a") != nil {
+		t.Fatalf("removed log still held: Len %d", h.Len())
+	}
+	if lb := h.Log("a"); lb == la || lb.Version() != 0 {
+		t.Fatal("the key's next log is not a fresh one")
+	}
+}
+
+// BenchmarkLogAppend measures one Append on a full DefaultRetain ring,
+// the steady state of a long-running server's watch logs.
+func BenchmarkLogAppend(b *testing.B) {
+	l := NewLog(DefaultRetain)
+	data := raw(`{"kind":"iter","iter":{"K":12,"Area":2786.63,"Gap":0.0084}}`)
+	for i := 0; i < DefaultRetain; i++ {
+		l.Append(data)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l.Append(data)
+	}
+}

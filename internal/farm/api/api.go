@@ -137,6 +137,10 @@ func (s *CircuitSpec) Build() (string, *bench.Instance, *bench.Bounds, error) {
 type RegisterRequest struct {
 	// Version must equal api.Version; anything else is rejected.
 	Version int `json:"version"`
+	// Numerics must equal the coordinator's core.Numerics, or the worker
+	// is rejected: a worker built on other solver arithmetic would return
+	// other bits for the same cell.
+	Numerics int `json:"numerics"`
 	// Name labels the worker in /stats (default: its assigned id).
 	Name string `json:"name,omitempty"`
 }

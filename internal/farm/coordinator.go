@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/farm/api"
 )
 
@@ -152,12 +153,15 @@ func (c *Coordinator) Start(ctx context.Context) {
 	}()
 }
 
-// register admits a worker, rejecting protocol-version skew (a worker
-// from a different build could compute different bits, which would break
-// the determinism contract silently).
+// register admits a worker, rejecting protocol-version and numerics skew
+// (a worker from a different build could compute different bits, which
+// would break the determinism contract silently).
 func (c *Coordinator) register(req api.RegisterRequest) (api.RegisterResponse, error) {
 	if req.Version != api.Version {
 		return api.RegisterResponse{}, fmt.Errorf("farm: protocol version mismatch: worker speaks v%d, coordinator v%d", req.Version, api.Version)
+	}
+	if req.Numerics != core.Numerics {
+		return api.RegisterResponse{}, fmt.Errorf("farm: numerics mismatch: worker solves with numerics %d, coordinator %d", req.Numerics, core.Numerics)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()

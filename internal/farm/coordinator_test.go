@@ -51,7 +51,7 @@ func testCoordinator(clock *testClock) *Coordinator {
 
 func register(t *testing.T, c *Coordinator, name string) string {
 	t.Helper()
-	resp, err := c.register(api.RegisterRequest{Version: api.Version, Name: name})
+	resp, err := c.register(api.RegisterRequest{Version: api.Version, Numerics: core.Numerics, Name: name})
 	if err != nil {
 		t.Fatalf("register %s: %v", name, err)
 	}
@@ -140,16 +140,39 @@ func finishJob(t *testing.T, c *Coordinator, job *api.Job, token string) {
 
 func TestRegisterVersionMismatch(t *testing.T) {
 	c := testCoordinator(newTestClock())
-	if _, err := c.register(api.RegisterRequest{Version: api.Version + 1}); err == nil {
+	if _, err := c.register(api.RegisterRequest{Version: api.Version + 1, Numerics: core.Numerics}); err == nil {
 		t.Fatal("register with a future protocol version succeeded")
 	}
 	// And over the wire: a skewed worker gets a 400, not a lease.
-	body, _ := json.Marshal(api.RegisterRequest{Version: 0})
+	body, _ := json.Marshal(api.RegisterRequest{Version: 0, Numerics: core.Numerics})
 	req := httptest.NewRequest(http.MethodPost, "/farm/v1/register", bytes.NewReader(body))
 	rr := httptest.NewRecorder()
 	c.Handler().ServeHTTP(rr, req)
 	if rr.Code != http.StatusBadRequest {
 		t.Fatalf("version-mismatch register returned %d, want 400", rr.Code)
+	}
+}
+
+// TestRegisterNumericsMismatch: a worker built on other solver arithmetic
+// (an older build of the same protocol) is refused like protocol skew, so
+// no grid mixes cells solved under two numerics.
+func TestRegisterNumericsMismatch(t *testing.T) {
+	c := testCoordinator(newTestClock())
+	for _, n := range []int{core.Numerics - 1, core.Numerics + 1} {
+		if _, err := c.register(api.RegisterRequest{Version: api.Version, Numerics: n}); err == nil {
+			t.Fatalf("register with numerics %d succeeded under core.Numerics %d", n, core.Numerics)
+		}
+	}
+	// A worker built before the field existed sends no numerics at all.
+	body := fmt.Sprintf(`{"version":%d,"name":"old"}`, api.Version)
+	req := httptest.NewRequest(http.MethodPost, "/farm/v1/register", strings.NewReader(body))
+	rr := httptest.NewRecorder()
+	c.Handler().ServeHTTP(rr, req)
+	if rr.Code != http.StatusBadRequest {
+		t.Fatalf("numerics-mismatch register returned %d, want 400", rr.Code)
+	}
+	if st := c.StatsSnapshot(); len(st.Workers) != 0 {
+		t.Fatalf("a refused worker is on the books: %+v", st.Workers)
 	}
 }
 

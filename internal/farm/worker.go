@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/bench"
+	"repro/internal/core"
 	"repro/internal/farm/api"
 	"repro/internal/fault"
 	"repro/internal/rc"
@@ -173,10 +174,10 @@ func RunWorker(ctx context.Context, opt WorkerOptions) error {
 // means ctx was cancelled (clean shutdown).
 func (wk *worker) session(ctx context.Context) (bool, error) {
 	var reg api.RegisterResponse
-	status, err := wk.postJSON(ctx, "/farm/v1/register", api.RegisterRequest{Version: api.Version, Name: wk.opt.Name}, &reg)
+	status, err := wk.postJSON(ctx, "/farm/v1/register", api.RegisterRequest{Version: api.Version, Numerics: core.Numerics, Name: wk.opt.Name}, &reg)
 	if status >= 400 && status < 500 {
-		// A 4xx refusal (protocol version skew) is deterministic: retrying
-		// the same binary would be refused forever.
+		// A 4xx refusal (protocol version or numerics skew) is
+		// deterministic: retrying the same binary would be refused forever.
 		if err == nil {
 			err = fmt.Errorf("refused (%d)", status)
 		}

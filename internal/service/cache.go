@@ -86,24 +86,27 @@ type buildCall struct {
 // instanceCache is the LRU-bounded instance cache keyed by netlist/spec
 // hash. Eviction drops the cache's reference only: requests already
 // holding an entry keep using it, and the memory is reclaimed when they
-// finish.
+// finish. Each eviction is reported to evicted, outside the cache lock,
+// so state keyed by the circuit (its watch log) goes with it.
 type instanceCache struct {
 	mu        sync.Mutex
 	max       int
 	lru       *list.List // of *entry, front = most recently used
 	byKey     map[string]*list.Element
 	building  map[string]*buildCall
+	evicted   func(key string)
 	hits      int64
 	misses    int64
 	evictions int64
 }
 
-func newInstanceCache(max int) *instanceCache {
+func newInstanceCache(max int, evicted func(key string)) *instanceCache {
 	return &instanceCache{
 		max:      max,
 		lru:      list.New(),
 		byKey:    map[string]*list.Element{},
 		building: map[string]*buildCall{},
+		evicted:  evicted,
 	}
 }
 
@@ -173,14 +176,18 @@ func (c *instanceCache) getOrBuild(spec api.CircuitSpec) (e *entry, hit bool, er
 		results:  map[string]*storedResult{},
 	}
 	c.byKey[key] = c.lru.PushFront(bc.e)
+	var evicted []string
 	for c.lru.Len() > c.max {
-		oldest := c.lru.Back()
-		c.lru.Remove(oldest)
-		delete(c.byKey, oldest.Value.(*entry).key)
+		oldest := c.lru.Remove(c.lru.Back()).(*entry).key
+		delete(c.byKey, oldest)
+		evicted = append(evicted, oldest)
 		c.evictions++
 	}
 	c.mu.Unlock()
 	close(bc.done)
+	for _, k := range evicted {
+		c.evicted(k)
+	}
 	return bc.e, false, nil
 }
 

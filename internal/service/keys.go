@@ -16,20 +16,22 @@ import (
 
 // Dedup keys. A run's key hashes everything that determines its result
 // bits, so a stored run answers a repeat byte-for-byte without solving.
-// Workers is deliberately excluded from every key — results are
-// bit-identical at every width, which is the solver's core determinism
-// contract — so the same run at a different width dedups. The layout of
-// each key is frozen: a key that changes strands every result stored
-// before the change (TestDedupKeysPinned).
+// That includes the solver's arithmetic itself, core.Numerics: a build
+// whose numerics differ keys every run afresh, so a store written by an
+// earlier build never answers it with the old bits. Workers is
+// deliberately excluded from every key — results are bit-identical at
+// every width, which is the solver's core determinism contract — so the
+// same run at a different width dedups. The layout of each key is frozen
+// within one numerics (TestDedupKeysPinned).
 
-// keyHash accumulates one dedup key: a "<kind>/v1|<circuit key>|" header
-// and the resolved bounds, then fixed-width little-endian words, and the
-// hex SHA-256 of it all.
+// keyHash accumulates one dedup key: a
+// "<kind>/v1|numerics <n>|<circuit key>|" header and the resolved bounds,
+// then fixed-width little-endian words, and the hex SHA-256 of it all.
 type keyHash struct{ h hash.Hash }
 
 func newKeyHash(kind, circuitKey string, b bench.Bounds) *keyHash {
 	k := &keyHash{h: sha256.New()}
-	fmt.Fprintf(k.h, "%s/v1|%s|", kind, circuitKey)
+	fmt.Fprintf(k.h, "%s/v1|numerics %d|%s|", kind, core.Numerics, circuitKey)
 	k.floats(b.A0, b.NoiseBound, b.PowerBound)
 	return k
 }

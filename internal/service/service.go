@@ -113,12 +113,13 @@ type Server struct {
 // cache and saved results re-attached before the first request lands.
 func New(opt Options) *Server {
 	opt.fill()
+	hub := delta.NewHub(delta.DefaultRetain)
 	s := &Server{
 		opt:   opt,
-		cache: newInstanceCache(opt.CacheSize),
+		cache: newInstanceCache(opt.CacheSize, hub.Remove),
 		sem:   make(chan struct{}, opt.MaxConcurrentSolves),
 		mux:   http.NewServeMux(),
-		hub:   delta.NewHub(delta.DefaultRetain),
+		hub:   hub,
 	}
 	s.gate.probe = opt.StoreProbeInterval
 	s.mux.HandleFunc("POST /circuits", s.handleRegister)

@@ -1,6 +1,8 @@
 package service
 
 import (
+	"bufio"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -11,6 +13,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // c17Netlist returns the committed c17 .bench text — the cheapest real
@@ -200,6 +203,54 @@ func TestCacheEviction(t *testing.T) {
 	// Re-registering the evicted circuit rebuilds it under the same key.
 	if again := registerC17(t, s, 17); again.Cached || again.Key != key17 {
 		t.Errorf("re-registration after eviction: %+v", again)
+	}
+}
+
+// TestEvictionDropsWatchLog: a circuit's watch log goes with its cache
+// entry. An SSE watcher parked on a circuit is released when the circuit
+// is evicted, and forty c17 seeds solved in turn on a one-entry cache
+// leave one watch log, not forty.
+func TestEvictionDropsWatchLog(t *testing.T) {
+	s := New(Options{CacheSize: 1})
+	solve := func(seed int64) string {
+		key := registerC17(t, s, seed).Key
+		if w := do(t, s, "POST", "/solve", fmt.Sprintf(`{"key":%q,"max_iterations":2}`, key)); w.Code != http.StatusOK {
+			t.Fatalf("solve seed %d: %d %s", seed, w.Code, w.Body.String())
+		}
+		return key
+	}
+	key := solve(1)
+
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, "GET", ts.URL+"/watch?key="+key+"&sse=1", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() && !strings.Contains(sc.Text(), "solve_done") {
+	}
+	// The watcher has the whole solve and parks; evicting its circuit
+	// must end the stream.
+	solve(2)
+	for sc.Scan() {
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatalf("the SSE stream of an evicted circuit did not end: %v", err)
+	}
+
+	for seed := int64(3); seed <= 40; seed++ {
+		solve(seed)
+	}
+	if n := s.hub.Len(); n != 1 {
+		t.Errorf("hub holds %d watch logs after 40 solves on a one-entry cache, want 1", n)
 	}
 }
 

@@ -92,9 +92,11 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		}
 		cursor = v
 	}
-	// One log per circuit for the server's lifetime: runs append to it in
-	// turn (the circuit lock serializes them), watchers cursor through it,
-	// and it is never closed — the next run may always arrive.
+	// One log per cached circuit: runs append to it in turn (the circuit
+	// lock serializes them) and watchers cursor through it. It lives as
+	// long as the cache entry: eviction closes it, so a parked watcher
+	// returns, and a circuit registered again starts a fresh log at
+	// version 1, so a watcher that saw the 404 restarts from cursor 0.
 	log := s.hub.Log(key)
 
 	sse := q.Get("sse") == "1" || r.Header.Get("Accept") == "text/event-stream"
@@ -138,7 +140,8 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, watchResponse{Key: key, Events: events, Next: next, Gapped: gapped})
 }
 
-// watchSSE streams events until the client disconnects.
+// watchSSE streams events until the client disconnects or the circuit is
+// evicted.
 func (s *Server) watchSSE(w http.ResponseWriter, r *http.Request, key string, log *delta.Log, cursor uint64) {
 	f, ok := w.(http.Flusher)
 	if !ok {
@@ -151,7 +154,7 @@ func (s *Server) watchSSE(w http.ResponseWriter, r *http.Request, key string, lo
 	w.WriteHeader(http.StatusOK)
 	f.Flush()
 	for {
-		events, gapped, _, err := log.Wait(r.Context(), cursor)
+		events, gapped, done, err := log.Wait(r.Context(), cursor)
 		if err != nil {
 			return // client gone
 		}
@@ -163,6 +166,9 @@ func (s *Server) watchSSE(w http.ResponseWriter, r *http.Request, key string, lo
 			cursor = ev.Version
 		}
 		f.Flush()
+		if done {
+			return // the circuit was evicted: its log never grows again
+		}
 	}
 }
 
