@@ -51,14 +51,14 @@ bench:
 # times each and write a JSON snapshot (median ns/op with its quartiles,
 # the largest allocs/op, median work metrics). CI runs this at the
 # default BENCHTIME and uploads the artifact; the default matches how the
-# committed BENCH_PR26.json was generated, because allocs/op amortizes
+# committed BENCH_PR27.json was generated, because allocs/op amortizes
 # one-time lazy setup over the iteration count — comparing snapshots
 # taken at different BENCHTIMEs trips the allocation gate on
 # amortization, not regressions. (BENCH_PR3.json, BENCH_PR4.json,
 # BENCH_PR9.json, BENCH_PR10.json, BENCH_PR13.json, BENCH_PR14.json,
-# BENCH_PR15.json, BENCH_PR18.json, and BENCH_PR22.json are frozen
-# baselines — do not regenerate them.)
-BENCH_JSON ?= BENCH_PR26.json
+# BENCH_PR15.json, BENCH_PR18.json, BENCH_PR22.json, and BENCH_PR26.json
+# are frozen baselines — do not regenerate them.)
+BENCH_JSON ?= BENCH_PR27.json
 BENCHTIME ?= 3x
 # Two steps, not a pipe: a pipe would take benchjson's exit status and
 # mask a benchmark failure that had already emitted some result lines.
@@ -72,7 +72,7 @@ bench-json:
 # default bench-ci.json from `make bench-json BENCH_JSON=bench-ci.json`)
 # against the committed baseline. Allocation growth fails hard; ns/op
 # drift only warns (CI runners are too noisy for wall-clock gates).
-BENCH_BASELINE ?= BENCH_PR26.json
+BENCH_BASELINE ?= BENCH_PR27.json
 BENCH_CURRENT ?= bench-ci.json
 bench-compare:
 	$(GO) run ./cmd/benchjson -compare $(BENCH_BASELINE) -against $(BENCH_CURRENT)

@@ -212,8 +212,9 @@ func BenchmarkAblationPosynomialOrder(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationWarmStart compares the paper-faithful cold LRS start
-// (Figure 8, S1) against warm starts across OGWS iterations.
+// BenchmarkAblationWarmStart compares a solve that starts at the lower
+// bounds (Figure 8, S1, applied once per Run) against one that starts
+// from the instance's initial design.
 func BenchmarkAblationWarmStart(b *testing.B) {
 	for _, mode := range []string{"cold", "warm"} {
 		b.Run(mode, func(b *testing.B) {

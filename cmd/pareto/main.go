@@ -61,7 +61,7 @@ func main() {
 	maxIter := flag.Int("maxiter", 0, "cap on OGWS iterations per cell (0 = solver default, 1000)")
 	epsilon := flag.Float64("epsilon", 0, "relative duality-gap precision, unitless (0 = the paper's 1%)")
 	cold := flag.Bool("cold", false, "solve every cell independently instead of warm-starting from neighbours")
-	s1 := flag.Bool("s1", false, "paper-faithful S1 size reset inside LRS and dual restart per cell (results independent of warm-start seeding)")
+	s1 := flag.Bool("s1", false, "paper-faithful S1 start at the lower bounds and dual restart per cell (results independent of warm-start seeding)")
 	sweepWorkers := flag.Int("sweep-workers", 0, "grid rows solved concurrently (0 = all cores; results bit-identical at every width)")
 	cellWorkers := flag.Int("cell-workers", 1, "solver goroutines per cell (0 = 1: the sweep level owns the cores; results bit-identical at every width)")
 	out := flag.String("out", "", "output path for the JSON grid (default: stdout)")

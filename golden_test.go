@@ -145,6 +145,7 @@ var goldenFixtures = []goldenFixture{
 var numericsDigests = map[int]string{
 	1: "36fd61669d8cd929f3d5d61c940b3e14d024d6c1bb64dc6492e17f808cd5a89d",
 	2: "32dc4f5afcded7adb6a3a686cfbe805ccbb96cb3bcd0801f46b6e1cd2727dd0a",
+	3: "bb9bc1e151c319c67dc24a757a04b8b320909784672e8da677d7a948b43b666d",
 }
 
 // fixturesDigest hashes the path, length and bytes of every file under

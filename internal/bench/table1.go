@@ -37,7 +37,8 @@ type RunOptions struct {
 	// Epsilon is the duality-gap / feasibility precision (0 = 1%, as in
 	// the paper).
 	Epsilon float64
-	// WarmStart reuses sizes across OGWS iterations (see core.Options).
+	// WarmStart starts the solve from the instance's current sizes instead
+	// of the lower bounds (see core.Options).
 	WarmStart bool
 	// Workers is the solver's parallel width (see core.Options.Workers):
 	// 0 uses every core, 1 runs serially. Results are bit-identical for

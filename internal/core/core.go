@@ -39,10 +39,14 @@ type Options struct {
 	// MaxIterations bounds the outer OGWS iterations; zero or negative
 	// selects the default of 1000.
 	MaxIterations int
-	// WarmStart keeps the previous iteration's sizes as the LRS starting
-	// point instead of the paper's S1 reset to the lower bounds. The
-	// subproblem has a unique optimum (posynomial ⇒ convex after the log
-	// transform), so both reach it; warm starts just take fewer sweeps.
+	// WarmStart decides where a solve starts: at the evaluator's current
+	// sizes (the RunFrom seed) when true, or, when false, at the lower
+	// bounds, the paper's S1, which Run applies once before A1. Either
+	// way every LRS call after the first starts from the sizes the
+	// previous call left. The subproblem has a unique optimum (posynomial
+	// ⇒ convex after the log transform), so the start changes the sweeps a
+	// call takes, not the minimizer; but only a false WarmStart makes a
+	// solve independent of its size seed.
 	WarmStart bool
 	// Workers is the number of goroutines used for the solver's per-node
 	// parallel loops (the LRS resize sweep, the evaluator's independent
@@ -101,7 +105,16 @@ var ErrCancelled = errors.New("core: solve cancelled")
 // 201 ms against 176 ms per solve (medians of three alternating
 // -benchtime 1x runs on a 2-vCPU Xeon). Both scenarios still run faster
 // than under the damped resize: c880's engine solve went from 158 to
-// 78 ms, grid32x24's from 638 to 201 ms. K stays 24 until a measurement
+// 78 ms, grid32x24's from 638 to 201 ms.
+//
+// Since S1 runs once per solve instead of at every LRS call, no catalog
+// solve trips K: the remaining trips were cold calls restarting from the
+// lower bounds, and traced seed-1 solve-offline runs read
+// core.hyst_trips_per_op 0.92 before and 0 after. Over the 13
+// solve-offline solves at Workers 1 (7 alternating reps each, same
+// 2-vCPU Xeon), the per-solve medians summed to 242.4 ms at K = 24 and
+// 298.6 ms at K = 0, every sweep on full passes, which were slower on all
+// 13 (grid32x24: 61.5 against 61.7 ms). K stays 24 until a measurement
 // places it again (ROADMAP item 1).
 const cutoverHysteresis = 24
 
@@ -121,13 +134,14 @@ const (
 // different numerics never mix: the service hashes it into each dedup
 // key, the farm coordinator refuses a worker that reports another value,
 // and the golden suite pins the fixtures' digest under it. Numerics 1 was
-// the log-space damped resize (ω = 0.7); 2 is the paper's pure Theorem-5
-// update.
-const Numerics = 2
+// the log-space damped resize (ω = 0.7); 2 the paper's pure Theorem-5
+// update with S1 at every LRS call; 3 is S1 once per solve.
+const Numerics = 3
 
 // DefaultOptions returns the settings used throughout the experiments:
 // 1% duality gap as in the paper, at most 1000 iterations, and warm
-// starts off (faithful to Figure 8's S1).
+// starts off: each solve starts at the lower bounds (Figure 8's S1, run
+// once per solve).
 func DefaultOptions(a0, noiseBound, powerCapBound float64) Options {
 	return Options{
 		A0:            a0,
@@ -519,12 +533,15 @@ func (s *Solver) resizeFull(beta, gamma float64) float64 {
 
 // LRS solves the Lagrangian relaxation subproblem LRS₂ for the current
 // multipliers (Figure 8) and returns the number of sweeps used. The
-// evaluator's sizes hold the minimizer afterwards, with derived state
-// recomputed (always by a final full pass, so the values the dual and the
-// reported metrics read never ride on incremental bookkeeping). Inside
-// the call the sweeps refresh loads only: Theorem 5's resize reads C′,
-// the coupling sums and the upstream resistances, never a delay or an
-// arrival, so the one arrival pass per call is the final one.
+// sweeps start from the evaluator's current sizes: the previous call's
+// minimizer, or for a solve's first call the start Run chose (S1 or the
+// seed). The evaluator's sizes hold the minimizer afterwards, with
+// derived state recomputed (always by a final full pass, so the values
+// the dual and the reported metrics read never ride on incremental
+// bookkeeping). Inside the call the sweeps refresh loads only: Theorem
+// 5's resize reads C′, the coupling sums and the upstream resistances,
+// never a delay or an arrival, so the one arrival pass per call is the
+// final one.
 //
 // The sweeps run the dirty-cone/active-set engine. Sweep 1 is full — the
 // multipliers moved since the last call, so every upstream resistance and
@@ -541,18 +558,6 @@ func (s *Solver) resizeFull(beta, gamma float64) float64 {
 // of the Run sweeps on it, which changes scheduling only, never a result.
 func (s *Solver) LRS() int {
 	ev := s.ev
-	g := ev.Graph()
-	if !s.opt.WarmStart {
-		// S1: start from the lower bounds, recording the real moves so the
-		// first incremental refresh sees them.
-		for _, ii := range s.sizable {
-			i := int(ii)
-			if c := g.Comp(i); ev.X[i] != c.Lo {
-				ev.X[i] = c.Lo
-				ev.MarkDirty(i)
-			}
-		}
-	}
 	beta, gamma := s.lrsPrelude()
 	sweeps := 0
 	for sweeps < lrsMaxSweeps {
@@ -713,6 +718,13 @@ func (s *Solver) resizeNode(beta, gamma float64, i int) (rel float64, moved bool
 	ev := s.ev
 	c := ev.Graph().Comp(i)
 	num := s.lambda[i] * s.rEff[i] * (ev.CPr[i] + nbr(ev, i))
+	// Known mismatch, kept for now: c.CUnit is the graph's nominal ĉᵢ, but
+	// a perturbed replica times capacitance with p.C·ĉᵢ (rc.Perturb), and
+	// unlike rEff the resize does not read it from the replica. So every
+	// corner but tt and every Monte-Carlo sample resizes against a
+	// (β+Rᵢ)·ĉᵢ term its own evaluator does not measure. The fix moves the
+	// bits of every perturbed solve and waits for a refreshed benchmark
+	// reference (ROADMAP item 2).
 	den := c.AreaCoeff + (beta+s.rup[i])*c.CUnit
 	if ev.CHat != nil {
 		den += gamma * ev.CHat[i]
@@ -868,12 +880,12 @@ func (s *Solver) perNetPass(rho float64, step bool) (maxRel, normSq float64) {
 // sizes clamp, non-finite ones are rejected before anything changes.
 //
 // This is the warm-start entry for sweep workloads: with
-// Options.WarmStart the LRS sweeps start from the seed, so solving from a
-// near-solution (a neighbouring bounds-grid cell, an ECO) becomes an
-// incremental perturbation the dirty-cone engine refreshes instead of a
-// cold solve. Without WarmStart the paper's S1 reset makes Run's
-// trajectory independent of the evaluator's sizes, and RunFrom is
-// bit-identical to Run from any seed.
+// Options.WarmStart the solve's first LRS call starts from the seed, so
+// solving from a near-solution (a neighbouring bounds-grid cell, an ECO)
+// becomes an incremental perturbation the dirty-cone engine refreshes
+// instead of a cold solve. Without WarmStart, Run's S1 reset to the lower
+// bounds makes its trajectory independent of the evaluator's sizes, and
+// RunFrom is bit-identical to Run from any seed.
 func (s *Solver) RunFrom(x []float64) (*Result, error) {
 	if err := s.ev.SetSizes(x); err != nil {
 		return nil, err
@@ -951,6 +963,21 @@ func (s *Solver) Run() (*Result, error) {
 	// the cutover streak and the revert are per-solve state. K = 0 starts
 	// the Run reverted, so every sweep runs the full passes.
 	s.degradeStreak, s.incReverted = 0, s.cutover == 0
+
+	if !s.opt.WarmStart {
+		// S1, once per solve: start from the lower bounds, recording the
+		// real moves so the first incremental refresh sees them. Every LRS
+		// call after the first starts from the sizes the previous one left;
+		// L is convex in log-sizes, so the start changes the sweeps a call
+		// takes, not the minimizer it reaches.
+		for _, ii := range s.sizable {
+			i := int(ii)
+			if c := g.Comp(i); ev.X[i] != c.Lo {
+				ev.X[i] = c.Lo
+				ev.MarkDirty(i)
+			}
+		}
+	}
 
 	if d := s.pendingDual; d != nil {
 		// Warm dual start (RunFromDual): begin the ascent at the snapshot.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/circuit"
@@ -442,28 +443,61 @@ func TestRunDeterministic(t *testing.T) {
 	}
 }
 
-func TestWarmStartReachesSameOptimum(t *testing.T) {
-	g, _ := chain(t)
-	cold := DefaultOptions(2.0, 0, 0)
-	warm := DefaultOptions(2.0, 0, 0)
-	warm.WarmStart = true
-	evC := newEval(t, g, emptySet(t))
-	evW := newEval(t, g, emptySet(t))
-	solC, _ := NewSolver(evC, cold)
-	solW, _ := NewSolver(evW, warm)
-	resC, err := solC.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	resW, err := solW.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(resC.Area-resW.Area) > 0.02*resC.Area {
-		t.Errorf("warm-start area %g differs from cold-start %g", resW.Area, resC.Area)
-	}
-	if resW.LRSSweepsTotal >= resC.LRSSweepsTotal {
-		t.Logf("note: warm start used %d sweeps vs cold %d", resW.LRSSweepsTotal, resC.LRSSweepsTotal)
+// TestS1ResetsOncePerRun: S1 runs once, at the top of Run, and every LRS
+// call after it starts from the sizes the previous call left. So on a
+// fresh evaluator, whose sizes start at the lower bounds, a WarmStart
+// false Run is the WarmStart true Run bit for bit. And after a warm Run
+// has moved the sizes, a cold Run on the same solver resets them and
+// matches a fresh solver's cold Run: the reset is Run's, not the
+// evaluator's starting state.
+func TestS1ResetsOncePerRun(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		build func(t testing.TB) *rc.Evaluator
+		opt   Options
+	}{
+		{"chain", chainEval, DefaultOptions(2.0, 0, 0)},
+		{"coupled", coupledEval, DefaultOptions(3.0, 14, 0)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			newSolver := func(warm bool) *Solver {
+				opt := tc.opt
+				opt.MaxIterations = 25
+				opt.WarmStart = warm
+				sol, err := NewSolver(tc.build(t), opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(sol.Close)
+				return sol
+			}
+			run := func(sol *Solver) *Result {
+				res, err := sol.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			cold := run(newSolver(false))
+			if warm := run(newSolver(true)); !reflect.DeepEqual(cold, warm) {
+				t.Fatalf("cold and warm Runs from the lower bounds differ:\ncold %+v\nwarm %+v", cold, warm)
+			}
+
+			sol := newSolver(true)
+			moved := run(sol)
+			g := sol.ev.Graph()
+			atFloor := true
+			for _, i := range sol.sizable {
+				atFloor = atFloor && moved.X[i] == g.Comp(int(i)).Lo
+			}
+			if atFloor {
+				t.Fatal("the warm Run left every size at its lower bound; the fixture shows nothing")
+			}
+			sol.opt.WarmStart = false
+			if again := run(sol); !reflect.DeepEqual(cold, again) {
+				t.Errorf("cold Run after a warm one differs from a fresh cold Run:\nfresh %+v\nagain %+v", cold, again)
+			}
+		})
 	}
 }
 

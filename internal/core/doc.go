@@ -84,16 +84,23 @@
 //
 // # Warm starts
 //
+// Options.WarmStart decides only where a solve starts. False is the
+// paper's S1: Run resets every sizable node to its lower bound once,
+// before A1. True starts from the evaluator's current sizes. Either way
+// every LRS call after the first, the dual polish's included, starts from
+// the sizes the previous call left: L is convex in log-sizes, so that
+// start changes the sweeps a call takes, not the minimizer it reaches,
+// and a reset per call would only add sweeps.
+//
 // RunFrom seeds the sizes through rc.SetSizes, so a near-solution seed (a
 // neighbouring bounds cell, an ECO) reaches the dirty-cone engine as a
 // small perturbation; RunFromDual additionally seeds the multipliers from
 // a DualState snapshot of a prior Run, starting the ascent beside the
 // dual optimum — the half that actually shortens OGWS, since the
-// trajectory is driven by the multipliers. With Options.WarmStart false
-// (the paper-faithful S1 reset) the trajectory is independent of the size
-// seed, so RunFrom is bit-identical to Run from any seed — the
-// seed-independence contract the sweep engine's warm-vs-cold oracle and
-// the sizing service's tests pin. DualState serializes to JSON exactly
-// (shortest round-trip floats), so saved solves can warm-start new ones
-// across process boundaries.
+// trajectory is driven by the multipliers. With WarmStart false the S1
+// reset makes the trajectory independent of the size seed, so RunFrom is
+// bit-identical to Run from any seed — the seed-independence contract the
+// sweep engine's warm-vs-cold oracle and the sizing service's tests pin.
+// DualState serializes to JSON exactly (shortest round-trip floats), so
+// saved solves can warm-start new ones across process boundaries.
 package core

@@ -152,9 +152,9 @@ func TestGoldenIncrementalMatchesFull(t *testing.T) {
 // under the Jacobi sweep, so only lrsMaxSweeps would stop an LRS call
 // that oscillated. No LRS call of the ascent may reach the cap on any
 // catalog circuit at A0 ×1.0 or ×0.8. The longest calls come early: over
-// 300 iterations the longest took 29 sweeps (c3540 at ×0.8, iteration 5)
-// and all but two peaked within the first 22 iterations, so 25 keep the
-// test short.
+// 300 iterations the longest took 24 sweeps (c3540 at ×0.8, iteration 4)
+// and all but one solve peaked within its first 9 iterations, so 25 keep
+// the test short.
 func TestLRSNeverHitsSweepCap(t *testing.T) {
 	longest, where := 0, ""
 	for _, spec := range bench.ISCAS85 {

@@ -19,12 +19,28 @@ const (
 	solvePrefix   = "solve/"
 )
 
+// stamp heads every persisted result record: the core.Numerics of the
+// build that wrote it. The dedup keys hash the numerics too, so a record
+// of other numerics is one no current key reaches; the stamp is what
+// tells boot reload which saved results to skip. A record written before
+// the stamp existed decodes as 0, which no build has used.
+type stamp struct {
+	Numerics int `json:"numerics"`
+}
+
+// thisBuild is the stamp every record this build writes carries.
+var thisBuild = stamp{Numerics: core.Numerics}
+
+// foreign reports whether the record was written under other numerics.
+func (st stamp) foreign() bool { return st.Numerics != core.Numerics }
+
 // storedResult is one named (save_as) solve outcome, kept on its cache
 // entry for warm-start reuse and persisted under resultPrefix: the final
 // sizes inside Result (the primal half of the next warm start) and the
 // exact-round-trip final multipliers (the dual half;
 // internal/core/dualjson.go).
 type storedResult struct {
+	stamp
 	Result *core.Result    `json:"result"`
 	Dual   *core.DualState `json:"dual,omitempty"`
 }
@@ -33,6 +49,7 @@ type storedResult struct {
 // keyed by solveKey: the dedup payload POST /solve returns without
 // re-solving.
 type storedSolve struct {
+	stamp
 	CircuitKey string          `json:"circuit_key"`
 	Circuit    string          `json:"circuit"`
 	Result     *core.Result    `json:"result"`
@@ -71,7 +88,7 @@ func (s *Server) saveAs(e *entry, name string, res *core.Result, dual *core.Dual
 	if name == "" {
 		return
 	}
-	saved := &storedResult{Result: res, Dual: dual}
+	saved := &storedResult{stamp: thisBuild, Result: res, Dual: dual}
 	e.saveResult(name, saved, s.opt.MaxSavedResults)
 	s.storePut(resultPrefix+e.key+"/"+name, saved)
 }
@@ -79,10 +96,13 @@ func (s *Server) saveAs(e *entry, name string, res *core.Result, dual *core.Dual
 // reloadFromStore rebuilds the in-memory state a restart lost: every
 // persisted circuit is re-materialized into the instance cache (in
 // first-insertion order — the LRU keeps the most recently persisted
-// CacheSize instances), then every persisted saved result is replayed
-// onto its circuit. Records whose circuit fell off the cache (or whose
-// spec no longer builds) are skipped, not fatal: the store is a corpus,
-// not a ledger, and a later register of the same content re-attaches it.
+// CacheSize instances), then every persisted saved result of this build's
+// numerics is replayed onto its circuit. Records whose circuit fell off
+// the cache (or whose spec no longer builds) are skipped, not fatal: the
+// store is a corpus, not a ledger, and a later register of the same
+// content re-attaches it. Saved results of other numerics are skipped and
+// counted: served as warm-start seeds or exports, they would pass off
+// another solver's bits as this one's.
 func (s *Server) reloadFromStore() {
 	st := s.opt.Store
 	if st == nil {
@@ -114,6 +134,10 @@ func (s *Server) reloadFromStore() {
 		var v storedResult
 		if ok, err := st.Get(key, &v); err != nil || !ok || v.Result == nil {
 			s.stats.addStoreError()
+			continue
+		}
+		if v.foreign() {
+			s.stats.addForeignResult()
 			continue
 		}
 		e.saveResult(name, &v, s.opt.MaxSavedResults)

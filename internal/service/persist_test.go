@@ -7,9 +7,11 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/store"
 )
 
@@ -86,6 +88,77 @@ func TestRestartBitIdentityOracle(t *testing.T) {
 	}
 	if string(got.Result) != string(want.Result) {
 		t.Fatalf("restart broke the chain:\nno restart: %s\nrestarted:  %s", want.Result, got.Result)
+	}
+}
+
+// TestReloadSkipsForeignNumerics: the service serves only records this
+// build's numerics wrote. The store holds a saved result written by this
+// build, a copy of it as a build before the numerics stamp wrote it (no
+// "numerics" field, so it decodes as 0), and the dedup record of the solve
+// that saved it, stripped of its stamp the same way. The restarted server
+// re-attaches the first result, skips and counts the second, and answers
+// a repeat of the solve by solving again instead of from the foreign
+// record.
+func TestReloadSkipsForeignNumerics(t *testing.T) {
+	dir := t.TempDir()
+	st1, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1 := New(Options{Store: st1})
+	key := registerC17(t, s1, 17).Key
+	solve := fmt.Sprintf(`{"key":%q,"max_iterations":4,"save_as":"current"}`, key)
+	solveRaw(t, s1, solve)
+	// unstamp rewrites the record under from as a pre-stamp build wrote it,
+	// under to.
+	unstamp := func(from, to string) {
+		t.Helper()
+		var rec map[string]json.RawMessage
+		if ok, err := st1.Get(from, &rec); err != nil || !ok {
+			t.Fatalf("%s not persisted: ok=%v err=%v", from, ok, err)
+		}
+		if string(rec["numerics"]) != fmt.Sprint(core.Numerics) {
+			t.Fatalf("%s stamped %s, want %d", from, rec["numerics"], core.Numerics)
+		}
+		delete(rec, "numerics")
+		if err := st1.Put(to, rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	unstamp(resultPrefix+key+"/current", resultPrefix+key+"/old")
+	solveKeys := st1.Keys(solvePrefix)
+	if len(solveKeys) != 1 {
+		t.Fatalf("store holds %d solve records, want 1", len(solveKeys))
+	}
+	unstamp(solveKeys[0], solveKeys[0])
+	if err := st1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st2, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	s2 := New(Options{Store: st2})
+	stats := decodeAs[Stats](t, do(t, s2, "GET", "/stats", ""))
+	if stats.ReloadedResults != 1 || stats.ForeignResults != 1 {
+		t.Fatalf("reloaded %d results and skipped %d foreign, want 1 and 1", stats.ReloadedResults, stats.ForeignResults)
+	}
+	circuits := decodeAs[[]circuitInfo](t, do(t, s2, "GET", "/circuits", ""))
+	if len(circuits) != 1 || !reflect.DeepEqual(circuits[0].SavedResults, []string{"current"}) {
+		t.Fatalf("circuits after reload = %+v, want one circuit saving only \"current\"", circuits)
+	}
+	for name, code := range map[string]int{"current": http.StatusOK, "old": http.StatusNotFound} {
+		if w := do(t, s2, "GET", "/results?key="+key+"&name="+name, ""); w.Code != code {
+			t.Errorf("GET /results %s: %d, want %d (%s)", name, w.Code, code, w.Body.String())
+		}
+	}
+	if solveRaw(t, s2, solve).Dedup {
+		t.Error("a repeat solve was answered from a record of other numerics")
+	}
+	if !solveRaw(t, s2, solve).Dedup {
+		t.Error("the re-solve did not restamp its dedup record")
 	}
 }
 

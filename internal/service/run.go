@@ -206,9 +206,12 @@ func (rn *run) finish(v any, ev progressEvent, commit func()) {
 }
 
 // lookup returns the record the store holds under key, or nil when the
-// server has no store, the key is absent, or the read failed (counted as
-// a store error): the one read path of dedup.
-func lookup[T any](s *Server, key string) *T {
+// server has no store, the key is absent, the read failed (counted as a
+// store error), or the record was written under other numerics: the one
+// read path of dedup. The key hashes the numerics, so no current key
+// reaches a foreign record; the stamp check keeps that from resting on
+// the hash alone.
+func lookup[T interface{ foreign() bool }](s *Server, key string) *T {
 	if s.opt.Store == nil {
 		return nil
 	}
@@ -217,7 +220,7 @@ func lookup[T any](s *Server, key string) *T {
 	if err != nil {
 		s.stats.addStoreError()
 	}
-	if err != nil || !ok {
+	if err != nil || !ok || (*v).foreign() {
 		return nil
 	}
 	return v

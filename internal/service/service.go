@@ -352,9 +352,9 @@ func (s *Server) handleListCircuits(w http.ResponseWriter, r *http.Request) {
 // the final Lagrange multipliers (core.DualState, so the ascent starts
 // beside the dual optimum). Alternatively seed_sizes/dual supply both
 // halves inline (a result exported via GET /results round-trips).
-// primal_only drops the dual half; s1 additionally makes the LRS sweeps
-// reset to the lower bounds (core.Options.WarmStart = false, the
-// paper-faithful schedule under which results are seed-independent).
+// primal_only drops the dual half; s1 additionally starts the solve at
+// the lower bounds instead of the seed (core.Options.WarmStart = false,
+// the paper's S1, under which results are seed-independent).
 type solveRequest struct {
 	target
 	// Warm-start controls (see type comment).
@@ -429,7 +429,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		job.Dual = nil
 	}
 	if req.S1 {
-		job.Warm = false // paper-faithful S1 reset: sizes reset to the lower bounds
+		job.Warm = false // paper-faithful S1: the solve starts at the lower bounds
 	}
 	resp := solveResponse{Key: e.key, Circuit: e.name, WarmFrom: req.WarmFrom, SavedAs: req.SaveAs}
 	done := func(res *core.Result) progressEvent {
@@ -480,7 +480,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	ev.SolveSec = fr.SolveSec
 	rn.finish(resp, ev, func() {
 		s.saveAs(e, req.SaveAs, fr.Result, fr.Dual)
-		s.storePut(solvePrefix+sk, storedSolve{CircuitKey: e.key, Circuit: e.name, Result: fr.Result, Dual: fr.Dual})
+		s.storePut(solvePrefix+sk, storedSolve{stamp: thisBuild, CircuitKey: e.key, Circuit: e.name, Result: fr.Result, Dual: fr.Dual})
 		s.stats.addSolve(fr.SolveSec, fr.Eval, fr.HysteresisTrips, fr.RevertedSweeps)
 	})
 }

@@ -28,6 +28,7 @@ type serverStats struct {
 	storeErrors      int64
 	reloadedCircuits int64
 	reloadedResults  int64
+	foreignResults   int64
 	// Resilience accounting: requests shed by the overload gate and
 	// solves/sweeps cancelled mid-flight by a disconnected client.
 	overloadSheds   int64
@@ -90,6 +91,12 @@ func (st *serverStats) addReloadedResult() {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.reloadedResults++
+}
+
+func (st *serverStats) addForeignResult() {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	st.foreignResults++
 }
 
 func (st *serverStats) addOverloadShed() {
@@ -161,14 +168,17 @@ type Stats struct {
 	RevertedSweeps  int64        `json:"reverted_sweeps"`
 	// Durable-store accounting (ogwsd -data): DedupHits counts /solve
 	// requests answered from the store without running the solver,
-	// ReloadedCircuits / ReloadedResults what the last boot replayed, and
-	// StoreRecords the store's current key count. StoreErrors counts
-	// persistence failures — the solve still succeeds, only durability is
-	// degraded, so the counter (not the response) is where they surface.
+	// ReloadedCircuits / ReloadedResults what the last boot replayed,
+	// ForeignResults the saved results it skipped because another
+	// core.Numerics wrote them, and StoreRecords the store's current key
+	// count. StoreErrors counts persistence failures — the solve still
+	// succeeds, only durability is degraded, so the counter (not the
+	// response) is where they surface.
 	DedupHits        int64 `json:"dedup_hits"`
 	StoreErrors      int64 `json:"store_errors,omitempty"`
 	ReloadedCircuits int64 `json:"reloaded_circuits,omitempty"`
 	ReloadedResults  int64 `json:"reloaded_results,omitempty"`
+	ForeignResults   int64 `json:"foreign_results,omitempty"`
 	StoreRecords     int   `json:"store_records,omitempty"`
 	// StoreMode is "rw" or "degraded" (read-only after persistent write
 	// failure; see storeGate), present when the server has a store.
@@ -218,6 +228,7 @@ func (st *serverStats) snapshot(instances int, hits, misses, evictions int64) St
 		StoreErrors:      st.storeErrors,
 		ReloadedCircuits: st.reloadedCircuits,
 		ReloadedResults:  st.reloadedResults,
+		ForeignResults:   st.foreignResults,
 		OverloadSheds:    st.overloadSheds,
 		SolvesCancelled:  st.solvesCancelled,
 		MonteCarlos:      st.montecarlos,

@@ -30,6 +30,7 @@ const (
 // storedMC is the persisted outcome of one Monte-Carlo run, keyed by
 // mcKey — the dedup payload POST /montecarlo returns without solving.
 type storedMC struct {
+	stamp
 	CircuitKey string              `json:"circuit_key"`
 	Circuit    string              `json:"circuit"`
 	Result     *variation.MCResult `json:"result"`
@@ -38,6 +39,7 @@ type storedMC struct {
 // storedCorners is the persisted outcome of one corner enumeration,
 // keyed by cornersKey.
 type storedCorners struct {
+	stamp
 	CircuitKey string                  `json:"circuit_key"`
 	Circuit    string                  `json:"circuit"`
 	Report     *variation.CornerReport `json:"report"`
@@ -165,7 +167,7 @@ func (s *Server) handleMonteCarlo(w http.ResponseWriter, r *http.Request) {
 	rn.finish(resp, progressEvent{
 		Kind: "mc_done", Iterations: len(res.Samples), Yield: res.Yield, SolveSec: sec,
 	}, func() {
-		s.storePut(mcPrefix+mk, storedMC{CircuitKey: e.key, Circuit: e.name, Result: res})
+		s.storePut(mcPrefix+mk, storedMC{stamp: thisBuild, CircuitKey: e.key, Circuit: e.name, Result: res})
 		s.stats.addMonteCarlo(sec, len(res.Samples))
 	})
 }
@@ -249,7 +251,7 @@ func (s *Server) handleCorners(w http.ResponseWriter, r *http.Request, req *swee
 		}
 	}
 	rn.finish(out, progressEvent{Kind: "corners_done", Iterations: len(rep.Cells), SolveSec: sec}, func() {
-		s.storePut(cornersPrefix+ck, storedCorners{CircuitKey: e.key, Circuit: e.name, Report: rep})
+		s.storePut(cornersPrefix+ck, storedCorners{stamp: thisBuild, CircuitKey: e.key, Circuit: e.name, Report: rep})
 		s.stats.addCorners(sec, len(rep.Cells))
 	})
 }

@@ -48,12 +48,13 @@ type Options struct {
 	// is where the sweep's iteration-count savings come from (sizes alone
 	// cannot shortcut the ascent).
 	PrimalOnly bool
-	// ColdLRS selects the paper-faithful S1 reset inside LRS
-	// (core.Options.WarmStart = false). The default keeps sizes across
-	// sweeps — the regime where warm seeding and the incremental engine
-	// pay off. With ColdLRS (and PrimalOnly) the OGWS trajectory is
-	// independent of the seed, so warm and cold sweeps are bit-identical
-	// (the warm-vs-cold oracle test pins exactly this).
+	// ColdLRS starts each cell's solve at the lower bounds, the paper's
+	// S1, which core.Run applies once per solve (core.Options.WarmStart =
+	// false). The default starts it from the seed — the regime where warm
+	// seeding and the incremental engine pay off. With ColdLRS (and
+	// PrimalOnly) the OGWS trajectory is independent of the seed, so warm
+	// and cold sweeps are bit-identical (the warm-vs-cold oracle test pins
+	// exactly this).
 	ColdLRS bool
 	// OnCell, when non-nil, is called once per cell immediately after that
 	// cell's solve completes, with the fully populated cell — the

@@ -6,10 +6,10 @@
 // cells warm-start from their solved neighbour: the nominal sizes seed
 // the primal half and the nominal DualState the dual half. Under
 // ColdLRS+PrimalOnly a warm start carries no information the solver can
-// use (S1 resets the sizes, the dual is withheld), so warm and cold
-// corner enumerations are bit-identical there — the corner analogue of
-// the sweep engine's independence predicate, pinned by
-// TestCornerWarmMatchesCold.
+// use (S1 resets the sizes once at the top of the solve, the dual is
+// withheld), so warm and cold corner enumerations are bit-identical
+// there — the corner analogue of the sweep engine's independence
+// predicate, pinned by TestCornerWarmMatchesCold.
 package variation
 
 import (
@@ -73,8 +73,9 @@ type CornerOptions struct {
 	// Cold skips warm-starting corners from the nominal solve.
 	Cold bool
 	// PrimalOnly withholds the dual half of the warm start; ColdLRS
-	// resets the sizes at every S1 (the paper-faithful inner loop). Under
-	// both, warm ≡ cold bitwise.
+	// starts each solve at the lower bounds (the paper's S1, once per
+	// solve) instead of the nominal sizes. Under both, warm ≡ cold
+	// bitwise.
 	PrimalOnly bool
 	ColdLRS    bool
 	// Cancel is polled at solver iteration boundaries (core.Options.Cancel).
