@@ -214,20 +214,34 @@ func BenchmarkAblationPosynomialOrder(b *testing.B) {
 
 // BenchmarkAblationWarmStart compares a solve that starts at the lower
 // bounds (Figure 8, S1, applied once per Run) against one that starts
-// from the instance's initial design.
+// from the instance's initial design, each on a fresh replica of one c432
+// instance.
 func BenchmarkAblationWarmStart(b *testing.B) {
+	inst := instanceFor(b, "c432")
+	bounds := bench.DeriveBounds(inst)
 	for _, mode := range []string{"cold", "warm"} {
 		b.Run(mode, func(b *testing.B) {
-			spec, _ := bench.SpecByName("c432")
-			var sweeps int
+			opt := core.DefaultOptions(bounds.A0, bounds.NoiseBound, bounds.PowerBound)
+			opt.WarmStart = mode == "warm"
+			opt.Workers = 1
+			var iters int
 			for i := 0; i < b.N; i++ {
-				row, err := bench.RunRow(spec, bench.RunOptions{WarmStart: mode == "warm", Workers: 1})
+				ev, err := inst.Replica()
 				if err != nil {
 					b.Fatal(err)
 				}
-				sweeps = row.Iterations
+				sol, err := core.NewSolver(ev, opt)
+				if err != nil {
+					b.Fatal(err)
+				}
+				res, err := sol.Run()
+				sol.Close()
+				if err != nil {
+					b.Fatal(err)
+				}
+				iters = res.Iterations
 			}
-			b.ReportMetric(float64(sweeps), "iters")
+			b.ReportMetric(float64(iters), "iters")
 		})
 	}
 }

@@ -67,11 +67,14 @@ func DelayOnlyLR(ev *rc.Evaluator, a0 float64) (*core.Result, error) {
 type TILOSOptions struct {
 	// A0 is the delay target in ps.
 	A0 float64
-	// Step is the multiplicative size bump per move (default 1.15).
-	Step float64
-	// MaxMoves bounds the number of greedy moves (default 100000).
-	MaxMoves int
 }
+
+// tilosStep is the multiplicative size bump of one greedy move, and
+// tilosMaxMoves bounds the number of moves.
+const (
+	tilosStep     = 1.15
+	tilosMaxMoves = 100000
+)
 
 // TILOSResult reports the greedy sizing outcome.
 type TILOSResult struct {
@@ -86,16 +89,10 @@ type TILOSResult struct {
 // TILOS greedily upsizes critical-path components, starting from minimum
 // sizes, choosing at each move the component with the largest delay
 // reduction per unit area increase. It stops when the target is met, no
-// move helps, or MaxMoves is exhausted.
+// move helps, or tilosMaxMoves is exhausted.
 func TILOS(ev *rc.Evaluator, opt TILOSOptions) (*TILOSResult, error) {
 	if opt.A0 <= 0 {
 		return nil, fmt.Errorf("baseline: TILOS needs a positive delay target, got %g", opt.A0)
-	}
-	if opt.Step <= 1 {
-		opt.Step = 1.15
-	}
-	if opt.MaxMoves <= 0 {
-		opt.MaxMoves = 100000
 	}
 	g := ev.Graph()
 	// Start from minimum sizes.
@@ -108,7 +105,7 @@ func TILOS(ev *rc.Evaluator, opt TILOSOptions) (*TILOSResult, error) {
 
 	res := &TILOSResult{}
 	var path []int // reused across moves; AppendCriticalPath allocates only growth
-	for res.Moves < opt.MaxMoves && ev.MaxArrival() > opt.A0 {
+	for res.Moves < tilosMaxMoves && ev.MaxArrival() > opt.A0 {
 		delay := ev.MaxArrival()
 		area := ev.Area()
 		best, bestScore := -1, 0.0
@@ -120,7 +117,7 @@ func TILOS(ev *rc.Evaluator, opt TILOSOptions) (*TILOSResult, error) {
 				continue
 			}
 			old := ev.X[i]
-			trial := old * opt.Step
+			trial := old * tilosStep
 			if trial > c.Hi {
 				trial = c.Hi
 			}

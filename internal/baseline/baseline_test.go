@@ -100,7 +100,7 @@ func TestTILOSStopsOnInfeasible(t *testing.T) {
 func TestTILOSRespectsBounds(t *testing.T) {
 	g, _ := chain(t)
 	ev := newEval(t, g)
-	res, err := TILOS(ev, TILOSOptions{A0: 1.2, Step: 1.5})
+	res, err := TILOS(ev, TILOSOptions{A0: 1.2})
 	if err != nil {
 		t.Fatal(err)
 	}

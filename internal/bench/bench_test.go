@@ -241,7 +241,7 @@ func TestTable1SmallSubset(t *testing.T) {
 		s, _ := SpecByName(n)
 		specs = append(specs, s)
 	}
-	rows, err := RunTable1(specs, RunOptions{})
+	rows, err := RunTable1Parallel(specs, RunOptions{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

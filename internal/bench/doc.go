@@ -17,7 +17,7 @@
 // the standard experiment bounds from the instance's Init and Floor
 // measurements.
 //
-// RunTable1/RunTable1Parallel and the Grid mesh generator drive the
+// RunRow/RunTable1Parallel and the Grid mesh generator drive the
 // committed benchmarks; everything is deterministic in (spec, seed,
 // options), which is what makes the golden fixtures and the instance
 // cache sound.

@@ -4,10 +4,11 @@ import (
 	"repro/internal/fanout"
 )
 
-// RunTable1Parallel is RunTable1 with the specs built and solved
-// concurrently on at most workers goroutines (0 selects
-// runtime.GOMAXPROCS(0)). Rows come back in spec order; if any specs fail,
-// the lowest-index error is returned after all in-flight rows finish.
+// RunTable1Parallel runs every spec through RunRow and returns the rows
+// in spec order, with the specs built and solved concurrently on at most
+// workers goroutines (0 selects runtime.GOMAXPROCS(0)). If any specs
+// fail, the lowest-index error is returned after all in-flight rows
+// finish.
 //
 // Each spec's full pipeline — netlist generation, logic simulation,
 // elaboration, wire ordering, coupling extraction, and the OGWS solve —

@@ -31,15 +31,11 @@ type Table1Row struct {
 
 // RunOptions configures a Table-1 run.
 type RunOptions struct {
-	Pipeline PipelineOptions
 	// MaxIterations caps the OGWS outer loop (0 = solver default).
 	MaxIterations int
 	// Epsilon is the duality-gap / feasibility precision (0 = 1%, as in
 	// the paper).
 	Epsilon float64
-	// WarmStart starts the solve from the instance's current sizes instead
-	// of the lower bounds (see core.Options).
-	WarmStart bool
 	// Workers is the solver's parallel width (see core.Options.Workers):
 	// 0 uses every core, 1 runs serially. Results are bit-identical for
 	// every setting.
@@ -48,17 +44,18 @@ type RunOptions struct {
 	Bounds *Bounds
 }
 
-// RunRow builds the instance for one spec and runs the full two-stage flow,
-// returning the Table-1 row.
+// RunRow builds the instance for one spec with the default pipeline and
+// runs the full two-stage flow, returning the Table-1 row.
 func RunRow(spec Spec, opt RunOptions) (*Table1Row, error) {
-	inst, err := BuildInstance(spec, opt.Pipeline)
+	inst, err := BuildInstance(spec, PipelineOptions{})
 	if err != nil {
 		return nil, err
 	}
 	return RunInstance(inst, opt)
 }
 
-// RunInstance runs stage 2 (OGWS sizing) on a prebuilt instance.
+// RunInstance runs stage 2 (OGWS sizing) on a prebuilt instance, starting
+// at the lower bounds (the paper's S1).
 func RunInstance(inst *Instance, opt RunOptions) (*Table1Row, error) {
 	b := DeriveBounds(inst)
 	if opt.Bounds != nil {
@@ -66,7 +63,6 @@ func RunInstance(inst *Instance, opt RunOptions) (*Table1Row, error) {
 	}
 	sopt := core.DefaultOptions(b.A0, b.NoiseBound, b.PowerBound)
 	sopt.MaxIterations, sopt.Epsilon = opt.MaxIterations, opt.Epsilon
-	sopt.WarmStart = opt.WarmStart
 	sopt.Workers = opt.Workers
 
 	start := time.Now()
@@ -100,19 +96,6 @@ func RunInstance(inst *Instance, opt RunOptions) (*Table1Row, error) {
 		row.SecPerIter = elapsed / float64(res.Iterations)
 	}
 	return row, nil
-}
-
-// RunTable1 runs every spec and returns the rows in the paper's order.
-func RunTable1(specs []Spec, opt RunOptions) ([]*Table1Row, error) {
-	rows := make([]*Table1Row, 0, len(specs))
-	for _, s := range specs {
-		row, err := RunRow(s, opt)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
 }
 
 // Improvements returns the average percentage improvements

@@ -21,9 +21,9 @@ type Options struct {
 	// constraint (γ stays 0, reducing OGWS to delay/power-only LR sizing);
 	// NaN and +Inf are rejected.
 	NoiseBound float64
-	// PowerCapBound is P′ in fF: the power bound after dividing by V²f
-	// (use tech.Params.CapForPower to convert from mW). Zero or negative
-	// disables the power constraint; NaN and +Inf are rejected.
+	// PowerCapBound is P′ = P_B/(V²f) in fF: the power bound P_B in mW
+	// divided by V²·f·tech.PowerScale. Zero or negative disables the
+	// power constraint; NaN and +Inf are rejected.
 	PowerCapBound float64
 	// PerNetNoiseBounds implements the extension the paper sketches in
 	// Section 4.1: a distributed crosstalk bound per net. The map assigns

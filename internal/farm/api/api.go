@@ -194,20 +194,6 @@ type Job struct {
 	MonteCarlo *MonteCarloJob `json:"montecarlo,omitempty"`
 }
 
-// Kind names the job's work type, for logs and stats.
-func (j *Job) Kind() string {
-	switch {
-	case j.Solve != nil:
-		return "solve"
-	case j.Sweep != nil:
-		return "sweep"
-	case j.MonteCarlo != nil:
-		return "montecarlo"
-	default:
-		return "empty"
-	}
-}
-
 // SolveJob is one full OGWS solve: the exact inputs core.NewSolver +
 // RunFromDual take, shipped with the lease. Solver goroutine width is
 // deliberately absent — results are bit-identical at every width (pinned
@@ -309,11 +295,9 @@ type MonteCarloJob struct {
 // CellSpec is one grid point to solve: its row-major position and the
 // fully resolved bounds the coordinator planned for it.
 type CellSpec struct {
-	Row        int          `json:"row"`
-	Col        int          `json:"col"`
-	DelayScale float64      `json:"delay_scale"`
-	NoiseScale float64      `json:"noise_scale"`
-	Bounds     bench.Bounds `json:"bounds"`
+	Row    int          `json:"row"`
+	Col    int          `json:"col"`
+	Bounds bench.Bounds `json:"bounds"`
 }
 
 // ResultLine is one NDJSON line of a result stream: a solved sweep cell,

@@ -35,19 +35,3 @@ func TestCircuitSpecValidate(t *testing.T) {
 		})
 	}
 }
-
-func TestJobKind(t *testing.T) {
-	cases := []struct {
-		job  Job
-		want string
-	}{
-		{Job{Solve: &SolveJob{}}, "solve"},
-		{Job{Sweep: &SweepJob{}}, "sweep"},
-		{Job{}, "empty"},
-	}
-	for _, tc := range cases {
-		if got := tc.job.Kind(); got != tc.want {
-			t.Errorf("Kind() = %q, want %q", got, tc.want)
-		}
-	}
-}

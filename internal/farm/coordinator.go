@@ -21,9 +21,6 @@ type Options struct {
 	// the heartbeat interval. The smoke tests shrink both to milliseconds.
 	HeartbeatInterval time.Duration
 	LeaseTTL          time.Duration
-	// MaxLeaseWait caps how long a lease request may long-poll for work;
-	// default 30s. Requests asking for more are clamped, not rejected.
-	MaxLeaseWait time.Duration
 	// Now is the clock, injectable so the reaping tests drive time
 	// explicitly; default time.Now.
 	Now func() time.Time
@@ -40,13 +37,14 @@ func (o *Options) fill() {
 	if o.LeaseTTL <= 0 {
 		o.LeaseTTL = 3 * o.HeartbeatInterval
 	}
-	if o.MaxLeaseWait <= 0 {
-		o.MaxLeaseWait = 30 * time.Second
-	}
 	if o.Now == nil {
 		o.Now = time.Now
 	}
 }
+
+// maxLeaseWait caps how long a lease request may long-poll for work.
+// Requests asking for more are clamped, not rejected.
+const maxLeaseWait = 30 * time.Second
 
 func (c *Coordinator) logf(format string, args ...any) {
 	if c.opt.Logf != nil {
@@ -287,16 +285,11 @@ func (c *Coordinator) popLocked() *job {
 }
 
 // leaseJob grants at most one job to the worker, long-polling up to wait
-// (clamped to MaxLeaseWait) when the queue is empty. A done ctx ends the
+// (clamped to maxLeaseWait) when the queue is empty. A done ctx ends the
 // poll as an empty lease, so a request whose client hung up never stays
 // parked on a clock that may not move.
 func (c *Coordinator) leaseJob(ctx context.Context, workerID string, wait time.Duration) (*api.Job, string, error) {
-	if wait < 0 {
-		wait = 0
-	}
-	if wait > c.opt.MaxLeaseWait {
-		wait = c.opt.MaxLeaseWait
-	}
+	wait = min(max(wait, 0), maxLeaseWait)
 	// The deadline lives on the injected clock, like every other timeout
 	// the coordinator owns (heartbeats, lease TTLs) — so fake-clock tests
 	// can drive long-poll expiry deterministically. The real timer below

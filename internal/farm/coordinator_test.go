@@ -488,7 +488,7 @@ func TestLeaseLongPollExpiresOnInjectedClock(t *testing.T) {
 	}{
 		// Plain expiry: the fake clock passes the requested deadline.
 		{name: "expires at deadline", wait: 20 * time.Second, advance: 21 * time.Second},
-		// An over-long wait is clamped to MaxLeaseWait (default 30s), so
+		// An over-long wait is clamped to maxLeaseWait (30s), so
 		// advancing just past the clamp must expire it.
 		{name: "clamped to MaxLeaseWait", wait: 10 * time.Hour, advance: 31 * time.Second},
 		// Advancing past the lease TTL reaps the worker itself; its parked

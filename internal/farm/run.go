@@ -221,7 +221,7 @@ func (c *Coordinator) Sweep(ctx context.Context, spec api.CircuitSpec, inst *ben
 		for i := 0; i < rows; i++ {
 			c.addJobLocked(r, i, nil, &api.SweepJob{
 				Seed:  initX,
-				Cells: cellSpecs(res, i, 0, cols),
+				Cells: cellSpecs(res, i, i+1, 0, cols),
 
 				MaxIterations: opt.MaxIterations,
 				Epsilon:       opt.Epsilon,
@@ -236,7 +236,7 @@ func (c *Coordinator) Sweep(ctx context.Context, spec api.CircuitSpec, inst *ben
 			Chain:      true,
 			ReturnDual: !opt.PrimalOnly,
 			Seed:       initX,
-			Cells:      spineSpecs(res),
+			Cells:      cellSpecs(res, 0, rows, 0, 1),
 
 			MaxIterations: opt.MaxIterations,
 			Epsilon:       opt.Epsilon,
@@ -253,30 +253,15 @@ func (c *Coordinator) Sweep(ctx context.Context, spec api.CircuitSpec, inst *ben
 	return res, nil
 }
 
-// cellSpecs extracts the wire specs for row i, columns [j0, j1).
-func cellSpecs(res *sweep.Result, i, j0, j1 int) []api.CellSpec {
-	specs := make([]api.CellSpec, 0, j1-j0)
-	for j := j0; j < j1; j++ {
-		c := res.At(i, j)
-		specs = append(specs, api.CellSpec{
-			Row: i, Col: j,
-			DelayScale: c.DelayScale, NoiseScale: c.NoiseScale,
-			Bounds: c.Bounds,
-		})
-	}
-	return specs
-}
-
-// spineSpecs extracts column 0 top to bottom — the warm wavefront spine.
-func spineSpecs(res *sweep.Result) []api.CellSpec {
-	specs := make([]api.CellSpec, 0, res.Rows)
-	for i := 0; i < res.Rows; i++ {
-		c := res.At(i, 0)
-		specs = append(specs, api.CellSpec{
-			Row: i, Col: 0,
-			DelayScale: c.DelayScale, NoiseScale: c.NoiseScale,
-			Bounds: c.Bounds,
-		})
+// cellSpecs extracts the wire specs of rows [i0, i1) × columns [j0, j1),
+// row by row: one row's cells, or with columns [0, 1) the warm wavefront
+// spine, column 0 top to bottom.
+func cellSpecs(res *sweep.Result, i0, i1, j0, j1 int) []api.CellSpec {
+	specs := make([]api.CellSpec, 0, (i1-i0)*(j1-j0))
+	for i := i0; i < i1; i++ {
+		for j := j0; j < j1; j++ {
+			specs = append(specs, api.CellSpec{Row: i, Col: j, Bounds: res.At(i, j).Bounds})
+		}
 	}
 	return specs
 }
@@ -354,7 +339,7 @@ func (c *Coordinator) addRowJobsLocked(r *run) {
 			Chain: true,
 			Seed:  r.res.At(i, 0).Result.X,
 			Dual:  dual,
-			Cells: cellSpecs(r.res, i, 1, cols),
+			Cells: cellSpecs(r.res, i, i+1, 1, cols),
 
 			MaxIterations: opt.MaxIterations,
 			Epsilon:       opt.Epsilon,

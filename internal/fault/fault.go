@@ -22,7 +22,6 @@ package fault
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -376,20 +375,4 @@ func Parse(spec string) (*Plan, error) {
 		rules = append(rules, r)
 	}
 	return New(seed, rules...), nil
-}
-
-// CountsString renders Counts sorted by label, one "label=n" per line —
-// stable output for logs and the chaos oracle's replay report.
-func (p *Plan) CountsString() string {
-	counts := p.Counts()
-	labels := make([]string, 0, len(counts))
-	for l := range counts {
-		labels = append(labels, l)
-	}
-	sort.Strings(labels)
-	var b strings.Builder
-	for _, l := range labels {
-		fmt.Fprintf(&b, "%s=%d\n", l, counts[l])
-	}
-	return b.String()
 }

@@ -14,6 +14,14 @@ import (
 	"time"
 )
 
+// newTransportSleep is NewTransport over http.DefaultTransport with sleep
+// standing in for time.Sleep, so delay rules run on a fake clock.
+func newTransportSleep(plan *Plan, sleep func(time.Duration)) http.RoundTripper {
+	rt := NewTransport(plan, nil)
+	rt.(*Transport).sleep = sleep
+	return rt
+}
+
 func TestPlanCountTriggers(t *testing.T) {
 	p := New(1, Rule{Op: "op", Kind: Drop, After: 2, Every: 2, Count: 2})
 	var got []bool
@@ -258,7 +266,7 @@ func TestTransportDrop500CutDelay(t *testing.T) {
 		Rule{Op: "http:/a", Kind: Delay, Delay: 3 * time.Second, Count: 1},
 	)
 	var slept time.Duration
-	client := &http.Client{Transport: NewTransportSleep(plan, nil, func(d time.Duration) { slept += d })}
+	client := &http.Client{Transport: newTransportSleep(plan, func(d time.Duration) { slept += d })}
 
 	// Event 0: drop.
 	if _, err := client.Get(ts.URL + "/a"); err == nil || !errors.Is(err, ErrInjected) {
@@ -378,18 +386,5 @@ func TestBackoffDeterministicCappedJittered(t *testing.T) {
 	}
 	if same {
 		t.Fatal("two seeds produced identical 8-attempt jitter traces")
-	}
-}
-
-func TestCountsString(t *testing.T) {
-	p := New(1,
-		Rule{Op: "b", Kind: Drop, Count: 1},
-		Rule{Op: "a", Kind: Err, Count: 1},
-	)
-	p.Next("a")
-	p.Next("b")
-	want := "a:err=1\nb:drop=1\n"
-	if got := p.CountsString(); got != want {
-		t.Fatalf("CountsString: %q, want %q", got, want)
 	}
 }

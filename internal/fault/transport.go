@@ -45,16 +45,6 @@ func NewTransport(plan *Plan, base http.RoundTripper) http.RoundTripper {
 	return &Transport{plan: plan, base: base, sleep: time.Sleep}
 }
 
-// NewTransportSleep is NewTransport with an injected sleep for delay
-// rules (tests drive delays without wall-clock waits).
-func NewTransportSleep(plan *Plan, base http.RoundTripper, sleep func(time.Duration)) http.RoundTripper {
-	rt := NewTransport(plan, base)
-	if t, ok := rt.(*Transport); ok && sleep != nil {
-		t.sleep = sleep
-	}
-	return rt
-}
-
 func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	inj := t.plan.Next("http:" + req.URL.Path)
 	if inj == nil {

@@ -1,6 +1,7 @@
 package lagrange
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -8,6 +9,41 @@ import (
 
 	"repro/internal/circuit"
 )
+
+// FlowImbalance returns the largest |Σout − Σin| over all nodes that
+// Theorem 3 constrains; zero (up to roundoff) after ProjectFlow.
+func (m *Multipliers) FlowImbalance() float64 {
+	worst := 0.0
+	for i := 1; i < m.g.NumNodes()-1; i++ {
+		outSum := 0.0
+		for _, r := range m.out[i] {
+			outSum += m.Edge[r.node][r.pos]
+		}
+		inSum := 0.0
+		for _, v := range m.Edge[i] {
+			inSum += v
+		}
+		if d := math.Abs(outSum - inSum); d > worst {
+			worst = d
+		}
+	}
+	return worst
+}
+
+// Validate checks non-negativity of every multiplier.
+func (m *Multipliers) Validate() error {
+	for i := range m.Edge {
+		for k, v := range m.Edge[i] {
+			if v < 0 || math.IsNaN(v) {
+				return fmt.Errorf("lagrange: edge multiplier (%d←%d) = %g", i, m.g.In(i)[k], v)
+			}
+		}
+	}
+	if m.Beta < 0 || m.Gamma < 0 {
+		return fmt.Errorf("lagrange: negative scalar multiplier β=%g γ=%g", m.Beta, m.Gamma)
+	}
+	return nil
+}
 
 // diamond builds D → w1 → g1, g1 → {w2, w3} → g2, g2 → w4 → out.
 func diamond(t testing.TB) (*circuit.Graph, map[string]int) {

@@ -25,14 +25,6 @@ type Waveforms struct {
 	bits  [][]uint64 // indexed by netlist gate index
 }
 
-// NumNets returns the number of nets (netlist gates) simulated.
-func (w *Waveforms) NumNets() int { return len(w.bits) }
-
-// Bit reports the logic value of net at pattern t.
-func (w *Waveforms) Bit(net, t int) bool {
-	return w.bits[net][t>>6]&(1<<(uint(t)&63)) != 0
-}
-
 // Similarity returns the switching similarity of two nets in [−1, 1]:
 // +1 for identical waveforms, −1 for complementary ones.
 func (w *Waveforms) Similarity(i, j int) float64 {
@@ -71,18 +63,6 @@ func (w *Waveforms) SimilarityMatrixWorkers(nets []int, workers int) [][]float64
 		}
 	})
 	return m
-}
-
-// Toggles counts 0↔1 transitions of a net across consecutive patterns,
-// a crude switching-activity estimate.
-func (w *Waveforms) Toggles(net int) int {
-	n := 0
-	for t := 1; t < w.T; t++ {
-		if w.Bit(net, t) != w.Bit(net, t-1) {
-			n++
-		}
-	}
-	return n
 }
 
 // Simulate applies T uniformly random input patterns (deterministic in

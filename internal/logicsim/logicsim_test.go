@@ -10,6 +10,14 @@ import (
 	"repro/internal/netlist"
 )
 
+// NumNets returns the number of nets (netlist gates) simulated.
+func (w *Waveforms) NumNets() int { return len(w.bits) }
+
+// Bit reports the logic value of net at pattern t.
+func (w *Waveforms) Bit(net, t int) bool {
+	return w.bits[net][t>>6]&(1<<(uint(t)&63)) != 0
+}
+
 func mustParse(t testing.TB, src string) *netlist.Netlist {
 	t.Helper()
 	n, err := netlist.Parse("test", strings.NewReader(src))
@@ -283,19 +291,6 @@ func TestSimulateErrors(t *testing.T) {
 	n := mustParse(t, "INPUT(a)\nOUTPUT(x)\nx = BUF(a)\n")
 	if _, err := Simulate(n, 0, 1); err == nil {
 		t.Error("Simulate with 0 patterns should fail")
-	}
-}
-
-func TestToggles(t *testing.T) {
-	w, err := FromBits([][]bool{{true, false, true, false}, {true, true, true, true}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g := w.Toggles(0); g != 3 {
-		t.Errorf("Toggles = %d, want 3", g)
-	}
-	if g := w.Toggles(1); g != 0 {
-		t.Errorf("Toggles = %d, want 0", g)
 	}
 }
 

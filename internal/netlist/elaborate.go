@@ -14,12 +14,13 @@ type ElabOptions struct {
 	// WireLength returns the routed length (µm) of the wire from the net
 	// driven by gate `from` to gate `to` (-1 for a primary-output
 	// connection); branch counts fanout branches of `from` (0-based).
-	// If nil, every wire gets DefaultWireLength.
+	// If nil, every wire gets defaultWireLength.
 	WireLength func(from, to, branch int) float64
-	// DefaultWireLength (µm) is used when WireLength is nil. Zero means
-	// 50 µm.
-	DefaultWireLength float64
 }
+
+// defaultWireLength (µm) is every wire's length when
+// ElabOptions.WireLength is nil.
+const defaultWireLength = 50
 
 // Elaboration maps between the netlist and its circuit graph.
 type Elaboration struct {
@@ -42,11 +43,7 @@ func Elaborate(n *Netlist, opt ElabOptions) (*Elaboration, error) {
 	}
 	length := opt.WireLength
 	if length == nil {
-		dl := opt.DefaultWireLength
-		if dl == 0 {
-			dl = 50
-		}
-		length = func(from, to, branch int) float64 { return dl }
+		length = func(from, to, branch int) float64 { return defaultWireLength }
 	}
 	p := opt.Tech
 	b := circuit.NewBuilder()

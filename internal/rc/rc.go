@@ -363,21 +363,14 @@ func (e *Evaluator) RecomputeSerial() {
 // nodes feeding the sink (the paper's critical-path delay D).
 func (e *Evaluator) MaxArrival() float64 { return e.A[e.g.SinkID()] }
 
-// CriticalPath returns the node indices (drivers and components) of a path
-// realizing MaxArrival, from a driver to a sink-feeding node. On a graph
-// whose sink has no predecessors (possible via Builder.BuildLoose; no
-// Build-validated circuit produces one) there is no path to realize and the
-// result is nil, matching MaxArrival's defined value of 0 there. Allocates
-// a fresh slice per call; repeated queries should reuse a buffer through
-// AppendCriticalPath.
-func (e *Evaluator) CriticalPath() []int {
-	return e.AppendCriticalPath(nil)
-}
-
-// AppendCriticalPath appends the critical path (see CriticalPath) to dst
-// and returns the extended slice — allocation-free once dst has the
-// capacity, so sweep loops can reuse one buffer with
-// dst = ev.AppendCriticalPath(dst[:0]).
+// AppendCriticalPath appends to dst the node indices (drivers and
+// components) of a path realizing MaxArrival, from a driver to a
+// sink-feeding node, and returns the extended slice. On a graph whose sink
+// has no predecessors (possible via Builder.BuildLoose; no Build-validated
+// circuit produces one) there is no path to realize and dst comes back
+// unchanged, matching MaxArrival's defined value of 0 there. It is
+// allocation-free once dst has the capacity, so sweep loops can reuse one
+// buffer with dst = ev.AppendCriticalPath(dst[:0]).
 func (e *Evaluator) AppendCriticalPath(dst []int) []int {
 	g := e.g
 	sink := g.SinkID()
@@ -417,45 +410,6 @@ func (e *Evaluator) AppendCriticalPath(dst []int) []int {
 		rev[i], rev[j] = rev[j], rev[i]
 	}
 	return dst
-}
-
-// RequiredTimes computes each node's required arrival time for the bound
-// a0 at the sink, by a reverse pass: req(i) = min over fanouts j of
-// req(j) − D(j), with req = a0 at sink feeders. Allocates; repeated
-// queries should reuse a buffer through RequiredTimesInto.
-func (e *Evaluator) RequiredTimes(a0 float64) []float64 {
-	req := make([]float64, e.g.NumNodes())
-	e.RequiredTimesInto(a0, req)
-	return req
-}
-
-// RequiredTimesInto is RequiredTimes with a caller-supplied destination of
-// length NumNodes, performing no allocation.
-func (e *Evaluator) RequiredTimesInto(a0 float64, req []float64) {
-	g := e.g
-	nn := g.NumNodes()
-	for i := range req {
-		req[i] = math.Inf(1)
-	}
-	req[g.SinkID()] = a0
-	for i := nn - 1; i >= 1; i-- {
-		r := math.Inf(1)
-		for _, jj := range g.Out(i) {
-			j := int(jj)
-			var cand float64
-			if j == g.SinkID() {
-				cand = a0
-			} else {
-				cand = req[j] - e.D[j]
-			}
-			if cand < r {
-				r = cand
-			}
-		}
-		if r < req[i] {
-			req[i] = r
-		}
-	}
 }
 
 // Area returns Σ αᵢxᵢ over all components (µm²).

@@ -88,7 +88,7 @@ func TestChainCriticalPath(t *testing.T) {
 	e, _ := NewEvaluator(g, emptySet(t))
 	e.SetAllSizes(1)
 	e.Recompute()
-	cp := e.CriticalPath()
+	cp := e.AppendCriticalPath(nil)
 	want := []int{id["D"], id["w"], id["g"], id["w2"]}
 	if len(cp) != len(want) {
 		t.Fatalf("critical path %v, want %v", cp, want)
@@ -238,29 +238,6 @@ func TestNeighbourSizeAffectsOwnDelay(t *testing.T) {
 	d2 := e.D[id["wa"]]
 	if d2 <= d1 {
 		t.Errorf("delay(wa) %g -> %g after growing neighbour, want increase", d1, d2)
-	}
-}
-
-func TestRequiredTimes(t *testing.T) {
-	g, id := chain(t)
-	e, _ := NewEvaluator(g, emptySet(t))
-	e.SetAllSizes(1)
-	e.Recompute()
-	const a0 = 100.0
-	req := e.RequiredTimes(a0)
-	// Output wire w2: required = a0.
-	if math.Abs(req[id["w2"]]-a0) > 1e-9 {
-		t.Errorf("req(w2) = %g, want %g", req[id["w2"]], a0)
-	}
-	// Gate: required = a0 − D(w2).
-	want := a0 - e.D[id["w2"]]
-	if math.Abs(req[id["g"]]-want) > 1e-9 {
-		t.Errorf("req(g) = %g, want %g", req[id["g"]], want)
-	}
-	// Slack at sink equals a0 − arrival.
-	slack := req[id["w2"]] - e.A[id["w2"]]
-	if math.Abs(slack-(a0-e.MaxArrival())) > 1e-9 {
-		t.Errorf("slack = %g, want %g", slack, a0-e.MaxArrival())
 	}
 }
 
@@ -596,8 +573,8 @@ func TestDriverOnlyCircuit(t *testing.T) {
 	if e.MaxArrival() != e.D[di] {
 		t.Errorf("MaxArrival = %g, want %g", e.MaxArrival(), e.D[di])
 	}
-	if cp := e.CriticalPath(); len(cp) != 1 || cp[0] != di {
-		t.Errorf("CriticalPath = %v, want [%d]", cp, di)
+	if cp := e.AppendCriticalPath(nil); len(cp) != 1 || cp[0] != di {
+		t.Errorf("AppendCriticalPath(nil) = %v, want [%d]", cp, di)
 	}
 	if a := e.Area(); a != 0 {
 		t.Errorf("Area = %g, want 0 (nothing sizable)", a)
@@ -631,8 +608,8 @@ func TestSinkFeederOnlyNet(t *testing.T) {
 	if math.Abs(e.C[wi]-10.5) > 1e-12 {
 		t.Errorf("C(w) = %g, want 10.5", e.C[wi])
 	}
-	if cp := e.CriticalPath(); len(cp) != 2 || cp[0] != di || cp[1] != wi {
-		t.Errorf("CriticalPath = %v, want [%d %d]", cp, di, wi)
+	if cp := e.AppendCriticalPath(nil); len(cp) != 2 || cp[0] != di || cp[1] != wi {
+		t.Errorf("AppendCriticalPath(nil) = %v, want [%d %d]", cp, di, wi)
 	}
 	lambda := make([]float64, g.NumNodes())
 	lambda[di] = 2
@@ -702,7 +679,7 @@ func TestSetSizesErrorPaths(t *testing.T) {
 // TestCriticalPathNoSinkFeeders is the regression test for the degenerate
 // graph whose sink has no predecessors (buildable only via BuildLoose):
 // Recompute must define the sink arrival as 0 rather than leave it to
-// whatever the arrays held, and CriticalPath must return nil.
+// whatever the arrays held, and AppendCriticalPath(nil) must return nil.
 func TestCriticalPathNoSinkFeeders(t *testing.T) {
 	b := circuit.NewBuilder()
 	d := b.AddDriver("D", 100)
@@ -735,8 +712,8 @@ func TestCriticalPathNoSinkFeeders(t *testing.T) {
 	if e.A[id[w]] <= 0 {
 		t.Errorf("A(w) = %g, want positive (the dangling net still evaluates)", e.A[id[w]])
 	}
-	if cp := e.CriticalPath(); cp != nil {
-		t.Errorf("CriticalPath = %v, want nil", cp)
+	if cp := e.AppendCriticalPath(nil); cp != nil {
+		t.Errorf("AppendCriticalPath(nil) = %v, want nil", cp)
 	}
 	requireLevelizedMatchesSerial(t, g, emptySet(t), 1)
 }

@@ -50,11 +50,11 @@ func (e *entry) resultNames() []string {
 }
 
 // saveResult stores a named result, evicting the oldest name once the
-// per-instance budget is exceeded. Overwriting a name refreshes its
-// eviction slot: "oldest" means least recently saved, so a hot,
-// repeatedly-overwritten warm-start seed outlives younger names saved
-// once and forgotten.
-func (e *entry) saveResult(name string, r *storedResult, max int) {
+// per-instance budget maxSavedResults is exceeded. Overwriting a name
+// refreshes its eviction slot: "oldest" means least recently saved, so a
+// hot, repeatedly-overwritten warm-start seed outlives younger names
+// saved once and forgotten.
+func (e *entry) saveResult(name string, r *storedResult) {
 	e.resMu.Lock()
 	defer e.resMu.Unlock()
 	if _, exists := e.results[name]; exists {
@@ -65,7 +65,7 @@ func (e *entry) saveResult(name string, r *storedResult, max int) {
 			}
 		}
 	} else {
-		for len(e.order) >= max && len(e.order) > 0 {
+		for len(e.order) >= maxSavedResults {
 			delete(e.results, e.order[0])
 			e.order = e.order[1:]
 		}

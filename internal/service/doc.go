@@ -46,11 +46,12 @@
 // on the HTTP server's goroutines, bounded by a server-wide solve
 // semaphore (Options.MaxConcurrentSolves); each solve's inner loops shard
 // onto the solver's worker pool at the width the request asks for (workers;
-// unset means 1, negative all cores). A per-instance mutex serializes
-// solves and sweeps on one circuit: solves run on evaluator replicas
-// (bench.Instance.Replica) so the shared instance is never mutated, but
-// serializing keeps per-circuit memory at one replica and makes
-// warm-start chains (solve, save, solve warm_from) atomic. Grid sweeps
+// unset means 1, negative all cores, and more than GOMAXPROCS is clamped
+// to it). A per-instance mutex serializes solves and sweeps on one
+// circuit: solves run on evaluator replicas (bench.Instance.Replica) so
+// the shared instance is never mutated, but serializing keeps per-circuit
+// memory at one replica and makes warm-start chains (solve, save, solve
+// warm_from) atomic. Grid sweeps
 // additionally fan their rows onto internal/fanout inside sweep.Run, and
 // Monte-Carlo samples and corners fan out over the cores inside
 // internal/variation.

@@ -89,7 +89,7 @@ func (s *Server) saveAs(e *entry, name string, res *core.Result, dual *core.Dual
 		return
 	}
 	saved := &storedResult{stamp: thisBuild, Result: res, Dual: dual}
-	e.saveResult(name, saved, s.opt.MaxSavedResults)
+	e.saveResult(name, saved)
 	s.storePut(resultPrefix+e.key+"/"+name, saved)
 }
 
@@ -140,7 +140,7 @@ func (s *Server) reloadFromStore() {
 			s.stats.addForeignResult()
 			continue
 		}
-		e.saveResult(name, &v, s.opt.MaxSavedResults)
+		e.saveResult(name, &v)
 		s.stats.addReloadedResult()
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"net/http"
+	"runtime"
 
 	"repro/internal/bench"
 	"repro/internal/core"
@@ -36,20 +37,32 @@ type target struct {
 	// like the sweep engine's default split); negative = all cores for a
 	// solve or a sweep cell, and 1 for a Monte-Carlo sample or a corner,
 	// whose solves fan out over the cores themselves (see
-	// variation.MCOptions.Workers). Results are bit-identical at every
-	// width.
+	// variation.MCOptions.Workers); a width above runtime.GOMAXPROCS(0) is
+	// clamped to it. Results are bit-identical at every width.
 	MaxIterations int     `json:"max_iterations,omitempty"`
 	Epsilon       float64 `json:"epsilon,omitempty"`
 	Workers       int     `json:"workers,omitempty"`
 }
 
-// width is the target's per-solve goroutine width, an unset workers
-// being 1.
+// width is the target's per-solve goroutine width: an unset workers is
+// 1, and no request starts more pool goroutines than there are cores.
 func (t *target) width() int {
 	if t.Workers == 0 {
 		return 1
 	}
-	return t.Workers
+	return min(t.Workers, runtime.GOMAXPROCS(0))
+}
+
+// overSolveCap reports whether a request asking for n solves (Monte-Carlo
+// samples or grid cells) exceeds maxRunSolves, answering 422 naming the
+// cap when it does. Handlers check it before admission, so an oversized
+// request allocates nothing.
+func overSolveCap(w http.ResponseWriter, what string, n int) bool {
+	if n <= maxRunSolves {
+		return false
+	}
+	writeError(w, http.StatusUnprocessableEntity, "%s: %d solves requested, over the cap of %d per request", what, n, maxRunSolves)
+	return true
 }
 
 // resolve finds the target's cached circuit and applies the bound

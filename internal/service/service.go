@@ -18,7 +18,9 @@ import (
 )
 
 // Options configures a Server. The zero value serves with the defaults
-// below.
+// below. Three limits are constants rather than options: maxRequestBytes
+// on request bodies, maxSavedResults on the named results kept per
+// circuit, and maxRunSolves on the solves one request may ask for.
 type Options struct {
 	// CacheSize bounds the instance cache (LRU over netlist/spec hashes);
 	// default 8 instances.
@@ -27,12 +29,6 @@ type Options struct {
 	// all circuits (each additionally bounded to one per circuit by the
 	// per-instance lock); default runtime.GOMAXPROCS(0).
 	MaxConcurrentSolves int
-	// MaxSavedResults bounds the named warm-start results kept per cached
-	// instance (oldest evicted first); default 32.
-	MaxSavedResults int
-	// MaxRequestBytes caps request bodies (netlist uploads dominate);
-	// default 16 MiB.
-	MaxRequestBytes int64
 	// MaxQueuedSolves bounds the total solve/sweep requests admitted but
 	// not yet finished (running plus queued on circuit locks and the
 	// solve semaphore). Beyond it requests are shed immediately with
@@ -64,18 +60,24 @@ type Options struct {
 	Store *store.Store
 }
 
+const (
+	// maxRequestBytes caps request bodies (netlist uploads dominate).
+	maxRequestBytes = 16 << 20
+	// maxSavedResults bounds the named warm-start results kept per cached
+	// instance, the oldest evicted first.
+	maxSavedResults = 32
+	// maxRunSolves caps the Monte-Carlo samples or bounds-grid cells of one
+	// request. Every solve keeps its result vector, so at the cap a run on
+	// c7552 holds about 320 MB.
+	maxRunSolves = 4096
+)
+
 func (o *Options) fill() {
 	if o.CacheSize <= 0 {
 		o.CacheSize = 8
 	}
 	if o.MaxConcurrentSolves <= 0 {
 		o.MaxConcurrentSolves = runtime.GOMAXPROCS(0)
-	}
-	if o.MaxSavedResults <= 0 {
-		o.MaxSavedResults = 32
-	}
-	if o.MaxRequestBytes <= 0 {
-		o.MaxRequestBytes = 16 << 20
 	}
 	if o.MaxQueuedSolves <= 0 {
 		o.MaxQueuedSolves = 4 * o.MaxConcurrentSolves
@@ -137,7 +139,7 @@ func New(opt Options) *Server {
 
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Body != nil {
-		r.Body = http.MaxBytesReader(w, r.Body, s.opt.MaxRequestBytes)
+		r.Body = http.MaxBytesReader(w, r.Body, maxRequestBytes)
 	}
 	s.mux.ServeHTTP(w, r)
 }
@@ -183,7 +185,7 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 // decode parses a JSON request body strictly: unknown fields are rejected
 // so a typoed knob fails loudly instead of silently solving with defaults.
 // A body that fails answers 413 when it is larger than
-// Options.MaxRequestBytes, so the client learns the size limit rather than
+// maxRequestBytes, so the client learns the size limit rather than
 // hunting for a JSON mistake, and 400 otherwise. decode reports false
 // when the response is written.
 func decode(w http.ResponseWriter, r *http.Request, what string, v any) bool {

@@ -283,10 +283,12 @@ func TestStatsAccumulate(t *testing.T) {
 }
 
 // TestOversizedBodyGets413 pins the request-size limit to its proper
-// status: the client should learn the cap, not debug its JSON.
+// status: a body one byte over maxRequestBytes should teach the client the
+// cap, not send it debugging its JSON.
 func TestOversizedBodyGets413(t *testing.T) {
-	s := New(Options{MaxRequestBytes: 64})
-	body := fmt.Sprintf(`{"netlist":%q}`, strings.Repeat("x", 256))
+	s := New(Options{})
+	const head, tail = `{"netlist":"`, `"}`
+	body := head + strings.Repeat("x", maxRequestBytes+1-len(head)-len(tail)) + tail
 	w := do(t, s, "POST", "/circuits", body)
 	if w.Code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("status %d, want 413 (%s)", w.Code, w.Body.String())
@@ -330,23 +332,36 @@ func TestResultsExport(t *testing.T) {
 	}
 }
 
+// saveNamed runs a two-iteration solve on circuit key and saves its
+// result under name.
+func saveNamed(t *testing.T, s *Server, key, name string) {
+	t.Helper()
+	body := fmt.Sprintf(`{"key":%q,"max_iterations":2,"save_as":%q}`, key, name)
+	if w := do(t, s, "POST", "/solve", body); w.Code != http.StatusOK {
+		t.Fatalf("solve %s: %d %s", name, w.Code, w.Body.String())
+	}
+}
+
+// savedCode is the GET /results status for name on circuit key.
+func savedCode(t *testing.T, s *Server, key, name string) int {
+	t.Helper()
+	return do(t, s, "GET", "/results?key="+key+"&name="+name, "").Code
+}
+
 // TestSavedResultEviction pins the per-instance result budget: the oldest
-// name falls out once MaxSavedResults is exceeded.
+// name falls out once maxSavedResults is exceeded.
 func TestSavedResultEviction(t *testing.T) {
-	s := New(Options{MaxSavedResults: 2})
+	s := New(Options{})
 	key := registerC17(t, s, 17).Key
-	for _, name := range []string{"a", "b", "c"} {
-		body := fmt.Sprintf(`{"key":%q,"max_iterations":2,"save_as":%q}`, key, name)
-		if w := do(t, s, "POST", "/solve", body); w.Code != http.StatusOK {
-			t.Fatalf("solve %s: %d %s", name, w.Code, w.Body.String())
-		}
+	for i := 0; i <= maxSavedResults; i++ {
+		saveNamed(t, s, key, fmt.Sprint("r", i))
 	}
-	if w := do(t, s, "GET", "/results?key="+key+"&name=a", ""); w.Code != http.StatusNotFound {
-		t.Errorf("oldest result still present: %d", w.Code)
+	if code := savedCode(t, s, key, "r0"); code != http.StatusNotFound {
+		t.Errorf("oldest result still present: %d", code)
 	}
-	for _, name := range []string{"b", "c"} {
-		if w := do(t, s, "GET", "/results?key="+key+"&name="+name, ""); w.Code != http.StatusOK {
-			t.Errorf("result %s missing: %d", name, w.Code)
+	for i := 1; i <= maxSavedResults; i++ {
+		if code := savedCode(t, s, key, fmt.Sprint("r", i)); code != http.StatusOK {
+			t.Errorf("result r%d missing: %d", i, code)
 		}
 	}
 }
@@ -357,33 +372,28 @@ func TestSavedResultEviction(t *testing.T) {
 // saved once. Re-saving must move the name to the back of the eviction
 // queue.
 func TestSavedResultOverwriteRefreshesEvictionSlot(t *testing.T) {
-	s := New(Options{MaxSavedResults: 2})
+	s := New(Options{})
 	key := registerC17(t, s, 17).Key
-	save := func(name string) {
-		t.Helper()
-		body := fmt.Sprintf(`{"key":%q,"max_iterations":2,"save_as":%q}`, key, name)
-		if w := do(t, s, "POST", "/solve", body); w.Code != http.StatusOK {
-			t.Fatalf("solve %s: %d %s", name, w.Code, w.Body.String())
-		}
+	saveNamed(t, s, key, "a")
+	for i := 1; i < maxSavedResults; i++ {
+		saveNamed(t, s, key, fmt.Sprint("b", i))
 	}
-	save("a")
-	save("b")
-	save("a") // refresh: a is now the most recently saved name
-	save("c") // budget 2 → evicts b (the stale one), never the refreshed a
-	if w := do(t, s, "GET", "/results?key="+key+"&name=b", ""); w.Code != http.StatusNotFound {
-		t.Errorf("stale result b survived the overwrite-refresh: %d", w.Code)
+	saveNamed(t, s, key, "a") // refresh: a is now the most recently saved name
+	saveNamed(t, s, key, "c") // over budget → evicts b1 (the stalest), never the refreshed a
+	if code := savedCode(t, s, key, "b1"); code != http.StatusNotFound {
+		t.Errorf("stale result b1 survived the overwrite-refresh: %d", code)
 	}
-	for _, name := range []string{"a", "c"} {
-		if w := do(t, s, "GET", "/results?key="+key+"&name="+name, ""); w.Code != http.StatusOK {
-			t.Errorf("result %s missing: %d", name, w.Code)
+	for _, name := range []string{"a", "b2", "c"} {
+		if code := savedCode(t, s, key, name); code != http.StatusOK {
+			t.Errorf("result %s missing: %d", name, code)
 		}
 	}
 	// An overwrite at the budget boundary must not evict anything: the
 	// name count is unchanged.
-	save("c")
-	for _, name := range []string{"a", "c"} {
-		if w := do(t, s, "GET", "/results?key="+key+"&name="+name, ""); w.Code != http.StatusOK {
-			t.Errorf("after boundary overwrite, result %s missing: %d", name, w.Code)
+	saveNamed(t, s, key, "c")
+	for _, name := range []string{"a", "b2", "c"} {
+		if code := savedCode(t, s, key, name); code != http.StatusOK {
+			t.Errorf("after boundary overwrite, result %s missing: %d", name, code)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"runtime"
 	"sync"
 	"time"
 
@@ -26,8 +27,9 @@ type sweepRequest struct {
 	target
 	DelayScale []float64 `json:"delay_scale,omitempty"`
 	NoiseScale []float64 `json:"noise_scale,omitempty"`
-	// SweepWorkers bounds concurrently solving rows (0 = all cores).
-	// Results bit-identical at every width.
+	// SweepWorkers bounds concurrently solving rows (0 = all cores, and
+	// more than runtime.GOMAXPROCS(0) is clamped to it). Results are
+	// bit-identical at every width.
 	SweepWorkers int  `json:"sweep_workers,omitempty"`
 	Cold         bool `json:"cold,omitempty"`
 	PrimalOnly   bool `json:"primal_only,omitempty"`
@@ -84,6 +86,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		s.handleCorners(w, r, &req, e, bounds)
 		return
 	}
+	if overSolveCap(w, "sweep", max(len(req.DelayScale), 1)*max(len(req.NoiseScale), 1)) {
+		return
+	}
 	rn, ok := s.begin(w, r, "sweep", e)
 	if !ok {
 		return
@@ -97,7 +102,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		MaxIterations: req.MaxIterations,
 		Epsilon:       req.Epsilon,
 		Workers:       req.width(),
-		SweepWorkers:  req.SweepWorkers,
+		SweepWorkers:  min(req.SweepWorkers, runtime.GOMAXPROCS(0)),
 		Cold:          req.Cold,
 		PrimalOnly:    req.PrimalOnly,
 		ColdLRS:       req.S1,

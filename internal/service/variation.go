@@ -91,6 +91,9 @@ func (s *Server) handleMonteCarlo(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "montecarlo: samples must be positive, got %d", req.Samples)
 		return
 	}
+	if overSolveCap(w, "montecarlo", req.Samples) {
+		return
+	}
 	if err := req.Sigmas.Validate(); err != nil {
 		writeError(w, http.StatusBadRequest, "montecarlo: %v", err)
 		return
@@ -215,7 +218,6 @@ func (s *Server) handleCorners(w http.ResponseWriter, r *http.Request, req *swee
 		return
 	}
 	opt := variation.CornerOptions{
-		Corners:       corners,
 		Bounds:        &bounds,
 		MaxIterations: req.MaxIterations,
 		Epsilon:       req.Epsilon,

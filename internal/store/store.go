@@ -300,25 +300,6 @@ func (s *Store) Get(key string, out any) (bool, error) {
 	return true, nil
 }
 
-// GetRaw returns the stored JSON bytes for key (a copy), or nil.
-func (s *Store) GetRaw(key string) json.RawMessage {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	raw, ok := s.values[key]
-	if !ok {
-		return nil
-	}
-	return append(json.RawMessage(nil), raw...)
-}
-
-// Has reports whether key exists.
-func (s *Store) Has(key string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.values[key]
-	return ok
-}
-
 // Keys returns every key with the given prefix, in first-insertion order
 // (which is stable across restarts).
 func (s *Store) Keys(prefix string) []string {

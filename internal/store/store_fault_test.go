@@ -217,7 +217,7 @@ func TestPersistentWriteFailureThenRecovery(t *testing.T) {
 	if failed != 5 {
 		t.Fatalf("%d of 5 puts failed during the outage, want all", failed)
 	}
-	if s.Has("x") {
+	if has(t, s, "x") {
 		t.Fatal("failed puts leaked into memory")
 	}
 	if err := s.Put("b", "vb"); err != nil {

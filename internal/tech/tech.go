@@ -104,12 +104,6 @@ func (p Params) Power(c float64) float64 {
 	return p.Vdd * p.Vdd * p.Clock * c * PowerScale
 }
 
-// CapForPower inverts Power: the total capacitance (fF) corresponding to a
-// power budget in mW. This is the paper's P' = P_B/(V²f) rewrite.
-func (p Params) CapForPower(mw float64) float64 {
-	return mw / (p.Vdd * p.Vdd * p.Clock * PowerScale)
-}
-
 // Validate reports the first nonsensical parameter, if any.
 func (p Params) Validate() error {
 	type check struct {

@@ -34,6 +34,9 @@ func TestDefaultMatchesPaper(t *testing.T) {
 	}
 }
 
+// TestPowerRoundTrip: dividing a power in mW by V²·f·PowerScale, the
+// paper's P′ = P_B/(V²f) that core.Options.PowerCapBound takes, recovers
+// the capacitance Power was given.
 func TestPowerRoundTrip(t *testing.T) {
 	p := Default()
 	f := func(c float64) bool {
@@ -41,7 +44,7 @@ func TestPowerRoundTrip(t *testing.T) {
 		if math.IsInf(c, 0) || math.IsNaN(c) || c > 1e12 {
 			return true
 		}
-		back := p.CapForPower(p.Power(c))
+		back := p.Power(c) / (p.Vdd * p.Vdd * p.Clock * PowerScale)
 		return math.Abs(back-c) <= 1e-9*math.Max(1, c)
 	}
 	if err := quick.Check(f, nil); err != nil {

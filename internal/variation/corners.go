@@ -50,11 +50,9 @@ func StandardCorners() []Corner {
 	}
 }
 
-// CornerOptions configures a corner enumeration. The zero value solves
-// StandardCorners with derived bounds and solver defaults.
+// CornerOptions configures an enumeration of StandardCorners. The zero
+// value solves them with derived bounds and solver defaults.
 type CornerOptions struct {
-	// Corners to enumerate; empty means StandardCorners().
-	Corners []Corner
 	// Bounds are the nominal base bounds; nil derives them from the
 	// instance (bench.DeriveBounds). Every corner is solved against the
 	// same targets — the corner moves the technology, not the spec — save
@@ -94,7 +92,7 @@ type CornerCell struct {
 }
 
 // CornerReport is the corner-enumeration outcome: the nominal solve, one
-// cell per corner (in the requested order), and the cross-corner delay
+// cell per corner (in StandardCorners order), and the cross-corner delay
 // distribution of the solved designs.
 type CornerReport struct {
 	Nominal *core.Result `json:"nominal"`
@@ -148,23 +146,15 @@ func constantOffset(inst *bench.Instance) float64 {
 }
 
 // CornerSweep solves the instance at the nominal technology and then at
-// every corner. With warm starts (the default) each corner begins at the
-// nominal sizes and multipliers; Cold solves every corner from scratch.
-// The nominal solve runs first, because every warm corner starts from it;
-// the corners then fan out as independent solves (see schedule and
-// solveEach). Each corner is a pure function of its index, so the report
+// every one of StandardCorners. With warm starts (the default) each
+// corner begins at the nominal sizes and multipliers; Cold solves every
+// corner from scratch. The nominal solve runs first, because every warm
+// corner starts from it; the corners then fan out as independent solves
+// (see schedule and solveEach). Each corner is a pure function of its index, so the report
 // is deterministic in (instance, options) regardless of hooks, width, or
 // timing.
 func CornerSweep(inst *bench.Instance, opt CornerOptions) (*CornerReport, error) {
-	corners := opt.Corners
-	if len(corners) == 0 {
-		corners = StandardCorners()
-	}
-	for _, c := range corners {
-		if err := c.Perturb().Validate(); err != nil {
-			return nil, fmt.Errorf("variation: corner %q: %w", c.Name, err)
-		}
-	}
+	corners := StandardCorners()
 	bounds := resolveBounds(inst, opt.Bounds)
 	offset := constantOffset(inst)
 	perSolve, width := schedule(opt.Workers, false)

@@ -1,4 +1,4 @@
-// Monte-Carlo yield analysis and the robust (μ+kσ) sizing objective.
+// Monte-Carlo yield analysis.
 //
 // MonteCarlo draws K technology perturbations from the seeded sampler,
 // sizes each perturbed replica with the full OGWS solver, and reports
@@ -17,7 +17,6 @@
 package variation
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -107,15 +106,6 @@ type MCOptions struct {
 	OnSample func(*Sample)
 }
 
-// validate rejects what has no substitute and leaves the rest to the
-// solver-option normalization.
-func (o *MCOptions) validate() error {
-	if _, err := Perturbs(o.Seed, o.Samples, o.Sigmas); err != nil {
-		return err
-	}
-	return nil
-}
-
 // Sample is one sized Monte-Carlo sample.
 type Sample struct {
 	Index   int          `json:"index"`
@@ -142,9 +132,6 @@ type MCResult struct {
 // reports the distributional outcome. See the package comment for the
 // determinism contract.
 func MonteCarlo(inst *bench.Instance, opt MCOptions) (*MCResult, error) {
-	if err := opt.validate(); err != nil {
-		return nil, err
-	}
 	perturbs, err := Perturbs(opt.Seed, opt.Samples, opt.Sigmas)
 	if err != nil {
 		return nil, err
@@ -254,132 +241,4 @@ func solveSample(inst *bench.Instance, p rc.Perturb, sopt core.Options) (*core.R
 	}
 	defer solver.Close()
 	return solver.RunFromDual(inst.Eval.X, nil)
-}
-
-// RobustOptions configures the robust (μ+kσ) objective.
-type RobustOptions struct {
-	// MC supplies the sample set and solver knobs; its Samples/Seed/
-	// Sigmas validation applies.
-	MC MCOptions
-	// K is the σ weight in the μ+kσ objective; 0 defaults to 3, negative
-	// or NaN is rejected.
-	K float64
-	// Scales are the A0 tightening factors tried by the outer loop; empty
-	// defaults to {0.90, 0.95, 1.00, 1.05, 1.10}. Each must be positive
-	// and finite.
-	Scales []float64
-}
-
-// RobustTrial is one outer-loop trial: the deterministic solve at the
-// scaled delay target and the fixed design's delay distribution across
-// the Monte-Carlo sample set.
-type RobustTrial struct {
-	Scale     float64      `json:"scale"`
-	A0        float64      `json:"a0"`
-	Result    *core.Result `json:"result"`
-	Delay     Dist         `json:"delay"`
-	Objective float64      `json:"objective"`
-	// Yield is measured against the base (unscaled) A0.
-	Yield float64 `json:"yield"`
-}
-
-// RobustResult is the robust-objective outcome.
-type RobustResult struct {
-	K      float64       `json:"k"`
-	Trials []RobustTrial `json:"trials"`
-	// Best indexes the trial minimizing μ+kσ (ties break to the earlier
-	// trial).
-	Best int `json:"best"`
-}
-
-// Robust minimizes μ+kσ of delay subject to the noise and power bounds,
-// as an outer loop over the deterministic solver: each trial tightens
-// (or relaxes) the delay target, solves the nominal instance there, and
-// scores the resulting fixed design by evaluating it — one full pass per
-// perturbed replica — across the Monte-Carlo perturbation set. The design
-// whose delay distribution minimizes μ+kσ wins; per-trial yield against
-// the base A0 gives the Table-1-style yield report.
-func Robust(inst *bench.Instance, opt RobustOptions) (*RobustResult, error) {
-	if err := opt.MC.validate(); err != nil {
-		return nil, err
-	}
-	k := opt.K
-	if k == 0 {
-		k = 3
-	}
-	if k < 0 || math.IsNaN(k) || math.IsInf(k, 0) {
-		return nil, fmt.Errorf("variation: robust K must be non-negative and finite, got %g", opt.K)
-	}
-	scales := opt.Scales
-	if len(scales) == 0 {
-		scales = []float64{0.90, 0.95, 1.00, 1.05, 1.10}
-	}
-	for _, s := range scales {
-		if !(s > 0) || math.IsInf(s, 0) {
-			return nil, fmt.Errorf("variation: robust A0 scale must be positive and finite, got %g", s)
-		}
-	}
-	perturbs, err := Perturbs(opt.MC.Seed, opt.MC.Samples, opt.MC.Sigmas)
-	if err != nil {
-		return nil, err
-	}
-	bounds := resolveBounds(inst, opt.MC.Bounds)
-
-	// One perturbed replica per sample, reused across trials: scoring a
-	// fixed design is one full pass per replica, no solves.
-	reps := make([]*rc.Evaluator, len(perturbs))
-	for r, p := range perturbs {
-		if reps[r], err = inst.PerturbedReplica(p); err != nil {
-			return nil, err
-		}
-	}
-
-	out := &RobustResult{K: k, Trials: make([]RobustTrial, 0, len(scales))}
-	best, bestObj := -1, math.Inf(1)
-	for _, scale := range scales {
-		if opt.MC.Cancel != nil && opt.MC.Cancel() {
-			return nil, core.ErrCancelled
-		}
-		tb := bounds
-		tb.A0 = scale * bounds.A0
-		sopt := solverOptions(tb, opt.MC.MaxIterations, opt.MC.Epsilon, opt.MC.Workers, false)
-		sopt.Cancel = opt.MC.Cancel
-		ev, err := inst.Replica()
-		if err != nil {
-			return nil, err
-		}
-		solver, err := core.NewSolver(ev, sopt)
-		if err != nil {
-			return nil, err
-		}
-		res, err := solver.Run()
-		solver.Close()
-		if err != nil {
-			return nil, err
-		}
-		delays := make([]float64, len(reps))
-		pass := 0
-		for r, ev := range reps {
-			if err := ev.SetSizes(res.X); err != nil {
-				return nil, err
-			}
-			ev.Recompute()
-			delays[r] = ev.MaxArrival()
-			if delays[r] <= bounds.A0 {
-				pass++
-			}
-		}
-		d := NewDist(delays)
-		trial := RobustTrial{
-			Scale: scale, A0: tb.A0, Result: res, Delay: d,
-			Objective: d.Mean + k*d.Std,
-			Yield:     float64(pass) / float64(len(reps)),
-		}
-		out.Trials = append(out.Trials, trial)
-		if trial.Objective < bestObj {
-			bestObj, best = trial.Objective, len(out.Trials)-1
-		}
-	}
-	out.Best = best
-	return out, nil
 }

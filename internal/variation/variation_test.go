@@ -224,23 +224,6 @@ func TestCornerSweepShape(t *testing.T) {
 	}
 }
 
-// TestCornerSweepRejectsBadCorner: a non-positive or non-finite corner
-// scalar is rejected before any solve.
-func TestCornerSweepRejectsBadCorner(t *testing.T) {
-	inst, b := testInstance(t, 6, 4)
-	for _, c := range []Corner{
-		{Name: "zeroR", R: 0, C: 1, Threshold: 1},
-		{Name: "negC", R: 1, C: -0.5, Threshold: 1},
-		{Name: "nanT", R: 1, C: 1, Threshold: math.NaN()},
-		{Name: "infR", R: math.Inf(1), C: 1, Threshold: 1},
-	} {
-		_, err := CornerSweep(inst, testCornerOptions(b, func(o *CornerOptions) { o.Corners = []Corner{c} }))
-		if err == nil || !strings.Contains(err.Error(), c.Name) {
-			t.Errorf("corner %q: error %v, want rejection naming the corner", c.Name, err)
-		}
-	}
-}
-
 // TestCornerObservationHooksAreInert: OnCorner and OnSample observe
 // without perturbing a single bit, and OnCorner keeps its contract while
 // the corners fan out: corner order, one call at a time.
@@ -353,116 +336,5 @@ func TestDist(t *testing.T) {
 	one := NewDist([]float64{7})
 	if one.Std != 0 || one.Mean != 7 || one.Median != 7 {
 		t.Errorf("singleton dist = %+v", one)
-	}
-}
-
-// TestRobust exercises the μ+kσ outer loop: trials in scale order, best
-// minimizes the objective, reruns are bit-identical, bad knobs rejected.
-func TestRobust(t *testing.T) {
-	inst, b := testInstance(t, 10, 8)
-	opt := RobustOptions{
-		MC:     testMCOptions(b, nil),
-		Scales: []float64{0.95, 1.0, 1.05},
-	}
-	res, err := Robust(inst, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Trials) != 3 {
-		t.Fatalf("%d trials, want 3", len(res.Trials))
-	}
-	if res.K != 3 {
-		t.Errorf("default K = %g, want 3", res.K)
-	}
-	for i, tr := range res.Trials {
-		if tr.Scale != opt.Scales[i] {
-			t.Errorf("trial %d scale %g, want %g", i, tr.Scale, opt.Scales[i])
-		}
-		if tr.Delay.N != opt.MC.Samples {
-			t.Errorf("trial %d scored over %d samples, want %d", i, tr.Delay.N, opt.MC.Samples)
-		}
-		if got := tr.Delay.Mean + res.K*tr.Delay.Std; tr.Objective != got {
-			t.Errorf("trial %d objective %g, want μ+kσ = %g", i, tr.Objective, got)
-		}
-		if tr.Objective < res.Trials[res.Best].Objective {
-			t.Errorf("trial %d beats declared best %d", i, res.Best)
-		}
-	}
-	again, err := Robust(inst, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res, again) {
-		t.Error("robust rerun diverged")
-	}
-
-	if _, err := Robust(inst, RobustOptions{MC: opt.MC, K: -1}); err == nil {
-		t.Error("accepted negative K")
-	}
-	if _, err := Robust(inst, RobustOptions{MC: opt.MC, K: math.NaN()}); err == nil {
-		t.Error("accepted NaN K")
-	}
-	if _, err := Robust(inst, RobustOptions{MC: opt.MC, Scales: []float64{0}}); err == nil {
-		t.Error("accepted zero scale")
-	}
-	bad := opt.MC
-	bad.Samples = 0
-	if _, err := Robust(inst, RobustOptions{MC: bad}); err == nil {
-		t.Error("accepted zero samples")
-	}
-}
-
-// TestRobustScoresMatchFreshReplicas pins Robust's trial scoring to a
-// reference built outside it: each trial's design is re-scored on a fresh
-// perturbed replica per sample (SetSizes, a serial full Recompute,
-// MaxArrival), and the delay distribution, the μ+kσ objective and the
-// yield against the base A0 must match bit for bit.
-func TestRobustScoresMatchFreshReplicas(t *testing.T) {
-	inst, b := testInstance(t, 10, 8)
-	// Wide sigmas spread the sampled delays across the base A0, so the
-	// 0.9 trial's yield is a fraction strictly between 0 and 1.
-	opt := RobustOptions{
-		MC:     testMCOptions(b, func(o *MCOptions) { o.Sigmas = Sigmas{R: 0.2, C: 0.2, Threshold: 0.2} }),
-		K:      2,
-		Scales: []float64{0.9, 1.0, 1.1},
-	}
-	res, err := Robust(inst, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if y := res.Trials[0].Yield; !(y > 0 && y < 1) {
-		t.Fatalf("trial 0 yield %g: the sample spread no longer straddles the base A0", y)
-	}
-	perturbs, err := Perturbs(opt.MC.Seed, opt.MC.Samples, opt.MC.Sigmas)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, trial := range res.Trials {
-		delays := make([]float64, len(perturbs))
-		pass := 0
-		for r, p := range perturbs {
-			ev, err := inst.PerturbedReplica(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := ev.SetSizes(trial.Result.X); err != nil {
-				t.Fatal(err)
-			}
-			ev.RecomputeSerial()
-			delays[r] = ev.MaxArrival()
-			if delays[r] <= b.A0 {
-				pass++
-			}
-		}
-		want := NewDist(delays)
-		if !reflect.DeepEqual(trial.Delay, want) {
-			t.Errorf("trial %d: delay distribution %+v, want %+v", i, trial.Delay, want)
-		}
-		if obj := want.Mean + opt.K*want.Std; math.Float64bits(trial.Objective) != math.Float64bits(obj) {
-			t.Errorf("trial %d: objective %.17g, want %.17g", i, trial.Objective, obj)
-		}
-		if y := float64(pass) / float64(len(delays)); math.Float64bits(trial.Yield) != math.Float64bits(y) {
-			t.Errorf("trial %d: yield %.17g, want %.17g", i, trial.Yield, y)
-		}
 	}
 }

@@ -46,7 +46,7 @@
 //     every Workers width, and the solver picks this schedule itself: on
 //     densely coupled circuits a cutover hysteresis moves the rest of a
 //     solve back onto the full passes.
-//   - Across solves, Instance.OptimizeBatch (and the internal
+//   - Across solves, OptimizeBatch (and the internal
 //     bench.RunTable1Parallel driver) run many circuits or specs side by
 //     side, one solver per core, for Table-1-style sweeps. The two levels
 //     compose; by default the batch level owns the cores since
