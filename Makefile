@@ -33,14 +33,16 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The variation fan-out and the farm's streaming callbacks let several
-# goroutines reach state one goroutine reached before, a reaped farm
-# worker's lease poll must end when its client hangs up, and the fault
-# transport's cut-upload test reads what a server goroutine wrote: run
-# their tests ten times under the race detector, so a rare interleaving
-# gets ten chances to show.
+# The ordered fan-out (variation's solves, a farm worker's independent
+# batches) and the farm's streaming callbacks let several goroutines reach
+# state one goroutine reached before, a recorded seed cell queues its
+# waiting batch under the coordinator's lock, a reaped farm worker's lease
+# poll must end when its client hangs up, and the fault transport's
+# cut-upload test reads what a server goroutine wrote: run their tests ten
+# times under the race detector, so a rare interleaving gets ten chances
+# to show.
 race-stress:
-	$(GO) test -race -count=10 -run 'TestFarmDispatchMatchesLocal|TestFarmMonteCarloMatchesLocal|TestCornersEndpoint|TestMonteCarlo|TestCorner|TestWorkerReRegistersAfterReap|TestTransportCutsStreamingRequestBody' ./internal/service ./internal/farm ./internal/variation ./internal/fault
+	$(GO) test -race -count=10 -run 'TestFarmDispatchMatchesLocal|TestFarmMonteCarloMatchesLocal|TestCornersEndpoint|TestMonteCarlo|TestCorner|TestBatchReleasedBySeedCell|TestOrderedFailureContract|TestWorkerReRegistersAfterReap|TestTransportCutsStreamingRequestBody' ./internal/service ./internal/farm ./internal/variation ./internal/fanout ./internal/fault
 
 # One iteration of every benchmark: a smoke pass, not a measurement.
 bench:

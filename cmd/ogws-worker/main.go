@@ -1,8 +1,8 @@
 // Command ogws-worker is a farm worker node: it registers with an ogwsd
-// coordinator (started with -coordinator), leases solve and sweep-cell
-// jobs over the /farm/v1/ job API, materializes its own bit-identical
-// replica of each circuit, and streams results back as NDJSON while
-// heartbeating. Kill a worker mid-job and the coordinator re-queues its
+// coordinator (started with -coordinator), leases batches of cells (a
+// solve, a sweep row or spine, a Monte-Carlo share) over the /farm/v1/
+// job API, materializes its own bit-identical replica of each circuit,
+// and streams solved cells back as NDJSON while heartbeating. Kill a worker mid-job and the coordinator re-queues its
 // work — the reassembled output is byte-identical regardless (see
 // internal/farm).
 //
@@ -42,7 +42,7 @@ func main() {
 	log.SetPrefix("ogws-worker: ")
 	coordinator := flag.String("coordinator", "", "coordinator base URL, e.g. http://127.0.0.1:8372 (required)")
 	name := flag.String("name", "", "worker label shown in the coordinator's /stats (default: assigned id)")
-	workers := flag.Int("workers", 0, "solver goroutines per solve (0 = all cores; results bit-identical at every width)")
+	workers := flag.Int("workers", 0, "solver goroutines per solve of a chained batch (0 = all cores); independent batches fan out at max(workers, 1) per solve (results bit-identical at every width)")
 	cache := flag.Int("cache", 4, "local instance-cache capacity in circuits")
 	faultSpec := flag.String("fault", "", "chaos testing: deterministic fault plan, e.g. 'seed=7;http:/farm/v1/result:cut,count=1;worker:cell:crash,after=2' — http: rules fault the coordinator link, worker:cell crash rules kill the worker mid-job (see internal/fault)")
 	maxRetries := flag.Int("max-retries", 0, "give up after N consecutive transient coordinator failures (0 = retry forever with capped backoff)")

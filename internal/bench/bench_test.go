@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/circuit"
 	"repro/internal/netlist"
 )
 
@@ -128,9 +129,9 @@ func TestBuildInstanceC432(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := inst.Elab.Graph.Stats()
-	if st.Gates != spec.Gates || st.Wires != spec.Wires {
-		t.Fatalf("elaborated %d gates / %d wires, want %d/%d", st.Gates, st.Wires, spec.Gates, spec.Wires)
+	n := kinds(inst.Elab.Graph)
+	if n[circuit.Gate] != spec.Gates || n[circuit.Wire] != spec.Wires {
+		t.Fatalf("elaborated %d gates / %d wires, want %d/%d", n[circuit.Gate], n[circuit.Wire], spec.Gates, spec.Wires)
 	}
 	if inst.Coupling.Len() == 0 {
 		t.Fatal("no coupling pairs")

@@ -15,7 +15,9 @@
 // the shared read-only graph and coupling set — the discipline both the
 // sweep engine and the sizing service follow. DeriveBounds self-calibrates
 // the standard experiment bounds from the instance's Init and Floor
-// measurements.
+// measurements. SolveCell is the one cell kernel: a solve at resolved
+// bounds from a given start, which the service, the sweep, corner and
+// Monte-Carlo engines and every farm worker run.
 //
 // RunRow/RunTable1Parallel and the Grid mesh generator drive the
 // committed benchmarks; everything is deterministic in (spec, seed,

@@ -2,7 +2,18 @@ package bench
 
 import (
 	"testing"
+
+	"repro/internal/circuit"
 )
+
+// kinds counts a graph's nodes by component kind.
+func kinds(g *circuit.Graph) map[circuit.Kind]int {
+	n := map[circuit.Kind]int{}
+	for i := 0; i < g.NumNodes(); i++ {
+		n[g.Comp(i).Kind]++
+	}
+	return n
+}
 
 func TestGridStructure(t *testing.T) {
 	const width, layers = 16, 6
@@ -13,8 +24,8 @@ func TestGridStructure(t *testing.T) {
 	if want := width*(2*layers+2) + 2; g.NumNodes() != want {
 		t.Errorf("NumNodes = %d, want %d", g.NumNodes(), want)
 	}
-	if g.Drivers() != width {
-		t.Errorf("Drivers = %d, want %d", g.Drivers(), width)
+	if n := kinds(g)[circuit.Driver]; n != width {
+		t.Errorf("drivers = %d, want %d", n, width)
 	}
 	if want := layers * (width - 1); cs.Len() != want {
 		t.Errorf("coupling pairs = %d, want %d", cs.Len(), want)

@@ -106,12 +106,6 @@ type Graph struct {
 	lvlNodes []int32
 }
 
-// Drivers returns s, the number of input drivers.
-func (g *Graph) Drivers() int { return g.s }
-
-// Components returns n, the number of sizable components (gates plus wires).
-func (g *Graph) Components() int { return g.n }
-
 // NumNodes returns the total node count n+s+2 (including source and sink).
 func (g *Graph) NumNodes() int { return len(g.comps) }
 
@@ -132,10 +126,6 @@ func (g *Graph) Out(i int) []int32 { return g.out[i] }
 // Wires returns the node indices of all wires in ascending order. The slice
 // must not be modified.
 func (g *Graph) Wires() []int32 { return g.wires }
-
-// Gates returns the node indices of all gates in ascending order. The slice
-// must not be modified.
-func (g *Graph) Gates() []int32 { return g.gates }
 
 // NumLevels returns the number of topological levels (longest-path depth
 // plus one). Level 0 holds the source (and, on Loose graphs, any node with
@@ -286,24 +276,6 @@ func (g *Graph) Depth() int {
 		}
 	}
 	return maxDepth
-}
-
-// Stats summarizes a graph's structure.
-type Stats struct {
-	Drivers, Gates, Wires int
-	Edges                 int
-	Depth                 int
-}
-
-// Stats computes structural statistics.
-func (g *Graph) Stats() Stats {
-	return Stats{
-		Drivers: g.s,
-		Gates:   len(g.gates),
-		Wires:   len(g.wires),
-		Edges:   g.NumEdges(),
-		Depth:   g.Depth(),
-	}
 }
 
 // MemoryBytes returns the analytic memory footprint of the graph structure

@@ -68,9 +68,8 @@ func names(g *Graph, ids []int) map[string]bool {
 
 func TestFigure1Counts(t *testing.T) {
 	g, _ := buildFigure1(t)
-	st := g.Stats()
-	if st.Drivers != 3 || st.Gates != 3 || st.Wires != 7 {
-		t.Fatalf("got %d drivers / %d gates / %d wires, want 3/3/7", st.Drivers, st.Gates, st.Wires)
+	if g.s != 3 || len(g.gates) != 3 || len(g.wires) != 7 {
+		t.Fatalf("got %d drivers / %d gates / %d wires, want 3/3/7", g.s, len(g.gates), len(g.wires))
 	}
 	if g.NumNodes() != 15 { // n+s+2 = 10+3+2
 		t.Errorf("NumNodes = %d, want 15", g.NumNodes())
@@ -78,8 +77,8 @@ func TestFigure1Counts(t *testing.T) {
 	if g.SinkID() != 14 {
 		t.Errorf("SinkID = %d, want 14", g.SinkID())
 	}
-	if g.Components() != 10 {
-		t.Errorf("Components = %d, want 10", g.Components())
+	if g.n != 10 {
+		t.Errorf("components = %d, want 10", g.n)
 	}
 }
 
@@ -148,7 +147,7 @@ func TestTopologicalIndexing(t *testing.T) {
 		}
 	}
 	// Drivers occupy 1..s.
-	for i := 1; i <= g.Drivers(); i++ {
+	for i := 1; i <= g.s; i++ {
 		if g.Comp(i).Kind != Driver {
 			t.Errorf("node %d is %v, want driver", i, g.Comp(i).Kind)
 		}
@@ -336,7 +335,7 @@ func TestPropertyTopologicalAndStageInvariants(t *testing.T) {
 			}
 		}
 		// Downstream sets include the node itself and no source/sink.
-		for i := 1; i <= g.Components()+g.Drivers(); i++ {
+		for i := 1; i <= g.n+g.s; i++ {
 			ds := g.Downstream(i)
 			self := false
 			for _, u := range ds {
@@ -367,7 +366,7 @@ func TestMemoryBytesPositiveAndMonotone(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(7))
 	big := randomChain(rng)
-	for big.Components() <= g.Components() {
+	for big.n <= g.n {
 		big = randomChain(rng)
 	}
 	if big.MemoryBytes() <= 0 {

@@ -447,10 +447,6 @@ func NewSolver(ev *rc.Evaluator, opt Options) (*Solver, error) {
 	return s, nil
 }
 
-// Bounds returns the derived internal bounds (X′, P′); NaN means the
-// corresponding constraint is disabled.
-func (s *Solver) Bounds() (xPrime, pPrime float64) { return s.xBound, s.pBound }
-
 // Workers returns the resolved parallel width the solver runs with.
 func (s *Solver) Workers() int { return s.workers }
 

@@ -565,6 +565,9 @@ func TestMemoryBytesPositive(t *testing.T) {
 	}
 }
 
+// TestBoundsAccessor checks the internal bounds NewSolver derives: X′ is
+// X_B less the constant coupling offset, and P′ is the power bound as
+// given.
 func TestBoundsAccessor(t *testing.T) {
 	g, _, cs := coupledVictim(t)
 	ev := newEval(t, g, cs)
@@ -572,7 +575,7 @@ func TestBoundsAccessor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	xp, pp := sol.Bounds()
+	xp, pp := sol.xBound, sol.pBound
 	if math.Abs(xp-(20-cs.ConstantOffset())) > 1e-12 {
 		t.Errorf("X' = %g, want %g", xp, 20-cs.ConstantOffset())
 	}

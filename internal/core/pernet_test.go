@@ -81,7 +81,7 @@ func TestPerNetComposesWithGlobal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	xPrime, _ := sol2.Bounds()
+	xPrime := sol2.xBound
 	if res2.NoiseLinFF > xPrime*1.03 {
 		t.Errorf("global noise %g exceeds X' %g", res2.NoiseLinFF, xPrime)
 	}

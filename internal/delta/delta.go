@@ -135,13 +135,6 @@ func (l *Log) Wait(ctx context.Context, cursor uint64) (events []Event, gapped b
 	}
 }
 
-// Version returns the version of the most recent event (0 if none yet).
-func (l *Log) Version() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.next - 1
-}
-
 // Close marks the log complete and wakes every waiter. Further Appends
 // are no-ops; readers drain the retained tail and see done.
 func (l *Log) Close() {
@@ -191,14 +184,6 @@ func (h *Hub) Remove(key string) {
 	if l != nil {
 		l.Close()
 	}
-}
-
-// Get returns the log for key, or nil if no events have ever been
-// published for it.
-func (h *Hub) Get(key string) *Log {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.logs[key]
 }
 
 // Len returns the number of keyed logs.

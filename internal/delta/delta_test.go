@@ -10,6 +10,20 @@ import (
 
 func raw(s string) json.RawMessage { return json.RawMessage(s) }
 
+// version returns the version of l's most recent event (0 if none yet).
+func version(l *Log) uint64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.next - 1
+}
+
+// get returns h's log for key, or nil if none was ever created.
+func get(h *Hub, key string) *Log {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.logs[key]
+}
+
 func versions(evs []Event) []uint64 {
 	out := make([]uint64, len(evs))
 	for i, ev := range evs {
@@ -20,7 +34,7 @@ func versions(evs []Event) []uint64 {
 
 func TestAppendAssignsMonotonicVersions(t *testing.T) {
 	l := NewLog(0)
-	if got := l.Version(); got != 0 {
+	if got := version(l); got != 0 {
 		t.Fatalf("Version of empty log = %d", got)
 	}
 	for i := 1; i <= 5; i++ {
@@ -28,7 +42,7 @@ func TestAppendAssignsMonotonicVersions(t *testing.T) {
 			t.Fatalf("Append #%d → version %d", i, v)
 		}
 	}
-	if got := l.Version(); got != 5 {
+	if got := version(l); got != 5 {
 		t.Fatalf("Version = %d, want 5", got)
 	}
 }
@@ -189,7 +203,7 @@ func TestAppendJSON(t *testing.T) {
 
 func TestHub(t *testing.T) {
 	h := NewHub(8)
-	if h.Get("a") != nil {
+	if get(h, "a") != nil {
 		t.Fatal("Get before Log returned a log")
 	}
 	la := h.Log("a")
@@ -201,7 +215,7 @@ func TestHub(t *testing.T) {
 		t.Fatal("distinct keys share a log")
 	}
 	la.Append(raw(`1`))
-	if h.Get("a") != la || h.Len() != 2 {
+	if get(h, "a") != la || h.Len() != 2 {
 		t.Fatalf("Get/Len mismatch: %d", h.Len())
 	}
 }
@@ -248,7 +262,7 @@ func TestRingWrapsInOrder(t *testing.T) {
 	l := NewLog(retain)
 	for v := uint64(1); v <= 3*retain+2; v++ {
 		l.Append(raw(fmt.Sprintf(`{"v":%d}`, v)))
-		if got := l.Version(); got != v {
+		if got := version(l); got != v {
 			t.Fatalf("Version = %d after %d appends", got, v)
 		}
 		oldest := uint64(1)
@@ -285,7 +299,7 @@ func TestHubRemoveClosesLog(t *testing.T) {
 	la.Append(raw(`1`))
 	parked := make(chan bool, 1)
 	go func() {
-		_, _, done, _ := la.Wait(context.Background(), la.Version())
+		_, _, done, _ := la.Wait(context.Background(), version(la))
 		parked <- done
 	}()
 	h.Remove("a")
@@ -298,10 +312,10 @@ func TestHubRemoveClosesLog(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("a watcher parked on a removed log was never released")
 	}
-	if h.Len() != 0 || h.Get("a") != nil {
+	if h.Len() != 0 || get(h, "a") != nil {
 		t.Fatalf("removed log still held: Len %d", h.Len())
 	}
-	if lb := h.Log("a"); lb == la || lb.Version() != 0 {
+	if lb := h.Log("a"); lb == la || version(lb) != 0 {
 		t.Fatal("the key's next log is not a fresh one")
 	}
 }

@@ -1,9 +1,10 @@
 // Package fanout runs embarrassingly parallel index loops — the shared
 // engine behind the repo's batch drivers (bench.RunTable1Parallel,
 // repro.OptimizeBatch, the sweep engine's cells and rows, logicsim's
-// similarity matrix, variation's corner and Monte-Carlo solves). Callers
-// keep their own result slices indexed by i, so output placement is
-// deterministic regardless of scheduling.
+// similarity matrix, variation's corner and Monte-Carlo solves, a farm
+// worker's independent batches). Callers keep their own result slices
+// indexed by i, so output placement is deterministic regardless of
+// scheduling.
 package fanout
 
 import (
@@ -50,4 +51,68 @@ func Each(n, workers int, fn func(i int)) {
 		}()
 	}
 	wg.Wait()
+}
+
+// Widths splits the cores between independent solves: each solve runs at
+// max(workers, 1) goroutines, and max(1, GOMAXPROCS ÷ that) solves run at
+// once, so the fan-out owns the cores. Solver results are bit-identical
+// at every width, so the split is purely a schedule.
+func Widths(workers int) (perSolve, concurrent int) {
+	perSolve = max(workers, 1)
+	return perSolve, max(1, runtime.GOMAXPROCS(0)/perSolve)
+}
+
+// Ordered runs solve(i) for every i in [0, n) like Each, at most workers
+// at once, and calls observe(i), when non-nil, as soon as i and every
+// lower index have succeeded: in index order, one call at a time, and
+// never under a lock the solves take. solve must write only slot i of its
+// results. A failing solve(i) or observe(i) stops the loop at i: no solve
+// starts past it (solves already running finish) and nothing past it is
+// observed. Ordered returns the lowest-index error, so the outcome is a
+// pure function of the indices whatever the width. With one worker,
+// observe(i) runs right after solve(i), before solve(i+1) starts.
+func Ordered(n, workers int, solve func(i int) error, observe func(i int) error) error {
+	errs := make([]error, n)
+	finished := make([]bool, n)
+	var mu sync.Mutex
+	// failed is the lowest failed index so far (n while none has); next is
+	// the lowest index not yet observed; emitting marks the goroutine that
+	// is running observe calls.
+	failed, next, emitting := n, 0, false
+	Each(n, workers, func(i int) {
+		mu.Lock()
+		skip := i > failed
+		mu.Unlock()
+		if skip {
+			return
+		}
+		err := solve(i)
+		mu.Lock()
+		errs[i], finished[i] = err, true
+		if err != nil {
+			failed = min(failed, i)
+		}
+		if observe != nil && !emitting {
+			emitting = true
+			for next < failed && finished[next] {
+				j := next
+				next++
+				mu.Unlock()
+				err := observe(j)
+				mu.Lock()
+				if err != nil {
+					errs[j] = err
+					failed = min(failed, j)
+				}
+			}
+			emitting = false
+		}
+		mu.Unlock()
+	})
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -1,6 +1,9 @@
 package fanout
 
 import (
+	"errors"
+	"fmt"
+	"reflect"
 	"sync/atomic"
 	"testing"
 )
@@ -28,6 +31,58 @@ func TestEachInlineWhenSerial(t *testing.T) {
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("serial Each out of order: %v", order)
+		}
+	}
+}
+
+// TestOrderedFailureContract pins Ordered's failure rules at every width:
+// the lowest-index error wins whatever order the solves finish in,
+// observe sees exactly the indices below the first failure, in order, the
+// sequential schedule starts no solve past a failure, and a failing
+// observe stops the loop like a failing solve.
+func TestOrderedFailureContract(t *testing.T) {
+	const n = 8
+	for _, width := range []int{1, 2, 4, n} {
+		var observed []int
+		var started [n]atomic.Bool
+		err := Ordered(n, width, func(i int) error {
+			started[i].Store(true)
+			if i == 3 || i == 6 {
+				return fmt.Errorf("solve %d failed", i)
+			}
+			return nil
+		}, func(i int) error {
+			observed = append(observed, i)
+			return nil
+		})
+		if err == nil || err.Error() != "solve 3 failed" {
+			t.Errorf("width %d: error %v, want the lowest-index failure", width, err)
+		}
+		if !reflect.DeepEqual(observed, []int{0, 1, 2}) {
+			t.Errorf("width %d: observed %v, want [0 1 2]", width, observed)
+		}
+		if width == 1 && started[4].Load() {
+			t.Error("sequential schedule started a solve past a failure")
+		}
+
+		stop := errors.New("observer stopped")
+		observed = nil
+		started = [n]atomic.Bool{}
+		err = Ordered(n, width, func(i int) error {
+			started[i].Store(true)
+			return nil
+		}, func(i int) error {
+			observed = append(observed, i)
+			if i == 2 {
+				return stop
+			}
+			return nil
+		})
+		if !errors.Is(err, stop) || !reflect.DeepEqual(observed, []int{0, 1, 2}) {
+			t.Errorf("width %d: observer failure gave %v after %v, want %v after [0 1 2]", width, err, observed, stop)
+		}
+		if width == 1 && started[3].Load() {
+			t.Error("sequential schedule started a solve past a failed observe")
 		}
 	}
 }

@@ -7,39 +7,42 @@
 //	POST /farm/v1/heartbeat  HeartbeatRequest → HeartbeatResponse
 //	POST /farm/v1/lease      LeaseRequest     → LeaseResponse
 //	POST /farm/v1/result     NDJSON ResultLine stream → ResultResponse
-//	                         (?worker=…&job=…&lease=… query identifies the lease)
+//	                         (?job=…&lease=… query identifies the lease)
 //
-// Every numeric payload that feeds a solve — bounds, seed sizes, dual
-// multipliers, results — round-trips bitwise through encoding/json
-// (shortest round-trippable float64 representation), so a job executed on
-// any worker produces the identical bytes the coordinator's own solver
-// would have. That property, plus deterministic job content (a lease
-// always carries the full seed it must be solved from), is the farm's
-// determinism contract: re-running a leased job after a worker death
-// reproduces the exact cells the dead worker would have streamed.
+// Every numeric payload that feeds a solve — bounds, perturbations, seed
+// sizes, dual multipliers, results — round-trips bitwise through
+// encoding/json (shortest round-trippable float64 representation;
+// TestJobRoundTrip pins it), so a job executed on any worker produces the
+// identical bytes the coordinator's own solver would have. That property,
+// plus deterministic job content (a lease always carries the full seed it
+// must be solved from), is the farm's determinism contract: re-running a
+// leased job after a worker death reproduces the exact cells the dead
+// worker would have streamed.
 //
-// Two pieces of execution live beside the messages, because both ends of
-// the wire must run them identically: CircuitSpec.Build, the one spec →
-// instance mapping, and SolveJob.Run, the one full-solve path.
+// The wire has one unit of work, a Job: a batch of cells, each one solve
+// through the shared cell kernel (bench.SolveCell), and one result-line
+// kind, the solved cell. CircuitSpec.Build lives beside the messages
+// because both ends of the wire must run it identically: it is the one
+// spec → instance mapping.
 package api
 
 import (
 	"errors"
 	"fmt"
 	"strings"
-	"time"
 
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/netlist"
 	"repro/internal/rc"
-	"repro/internal/variation"
 )
 
 // Version is the protocol version; the coordinator rejects workers that
 // register with any other value (no skew tolerated — a worker from a
-// different build could compute different bits).
-const Version = 1
+// different build could compute different bits). Version 2 is the
+// cell-batch protocol: one job type, Job, and one result-line kind, the
+// solved cell.
+const Version = 2
 
 // CircuitSpec tells a worker how to materialize its own replica of a
 // coordinator circuit. Exactly one of Synthetic, Netlist, or Grid is set;
@@ -183,167 +186,69 @@ type LeaseResponse struct {
 	Lease string `json:"lease,omitempty"`
 }
 
-// Job is one leased unit of work: a full solve or a batch of sweep cells,
-// with the circuit spec the worker needs to materialize its replica.
-// Exactly one of Solve / Sweep is set.
+// Job is one leased batch of cells on one circuit, with the circuit spec
+// the worker needs to materialize its replica. Every cell is one OGWS
+// solve through bench.SolveCell: a Monte-Carlo shard is an independent
+// batch of perturbed cells, a cold sweep row an independent batch of
+// unperturbed ones, a warm sweep's spine or row tail a chain, and a full
+// solve a batch of one. The batch's outcome is a pure function of this
+// message, which is why a re-queued batch re-solves bit-identically no
+// matter which worker runs it. Solver width is deliberately absent:
+// results are bit-identical at every width (core's
+// TestWorkersBitIdentical), so each worker picks its own.
 type Job struct {
-	ID         int64          `json:"id"`
-	Circuit    CircuitSpec    `json:"circuit"`
-	Solve      *SolveJob      `json:"solve,omitempty"`
-	Sweep      *SweepJob      `json:"sweep,omitempty"`
-	MonteCarlo *MonteCarloJob `json:"montecarlo,omitempty"`
-}
-
-// SolveJob is one full OGWS solve: the exact inputs core.NewSolver +
-// RunFromDual take, shipped with the lease. Solver goroutine width is
-// deliberately absent — results are bit-identical at every width (pinned
-// by core's TestWorkersBitIdentical), so each worker picks its own.
-type SolveJob struct {
-	Bounds        bench.Bounds    `json:"bounds"`
-	MaxIterations int             `json:"max_iterations,omitempty"`
-	Epsilon       float64         `json:"epsilon,omitempty"`
-	Warm          bool            `json:"warm,omitempty"`
-	Seed          []float64       `json:"seed,omitempty"`
-	Dual          *core.DualState `json:"dual,omitempty"`
-}
-
-// Run solves the job on a fresh replica of inst at the given solver
-// width: the one solve path a farm worker and the service's local
-// fallback share, so a job's bytes cannot depend on where it ran.
-// onIteration and cancel are the core.Options hooks; either may be nil.
-func (j *SolveJob) Run(inst *bench.Instance, workers int, onIteration func(core.IterProgress), cancel func() bool) (*SolveResult, error) {
-	opt := core.DefaultOptions(j.Bounds.A0, j.Bounds.NoiseBound, j.Bounds.PowerBound)
-	opt.MaxIterations, opt.Epsilon = j.MaxIterations, j.Epsilon
-	opt.Workers = workers
-	opt.WarmStart = j.Warm
-	opt.OnIteration = onIteration
-	opt.Cancel = cancel
-	replica, err := inst.Replica()
-	if err != nil {
-		return nil, err
-	}
-	sol, err := core.NewSolver(replica, opt)
-	if err != nil {
-		return nil, err
-	}
-	defer sol.Close()
-	start := time.Now()
-	res, err := sol.RunFromDual(j.Seed, j.Dual)
-	if err != nil {
-		return nil, err
-	}
-	return &SolveResult{
-		Result:          res,
-		Dual:            sol.DualState(),
-		Workers:         sol.Workers(),
-		SolveSec:        time.Since(start).Seconds(),
-		Eval:            replica.Stats(),
-		HysteresisTrips: sol.HysteresisTrips(),
-		RevertedSweeps:  sol.RevertedSweeps(),
-	}, nil
-}
-
-// SweepJob is a batch of sweep cells. With Chain set the cells form a
-// seeding chain solved in order on one evaluator (each cell seeded from
-// its predecessor's sizes and dual — a warm wavefront spine or row);
-// otherwise every cell solves independently from Seed on a fresh
-// evaluator (cold sweeps). Either way the batch's outcome is a pure
-// function of this message, which is why re-queued batches reassemble
-// bit-identically no matter which worker re-runs them.
-type SweepJob struct {
+	ID      int64       `json:"id"`
+	Circuit CircuitSpec `json:"circuit"`
+	// Chain solves the cells in order on one evaluator, each seeded from
+	// its predecessor's sizes (and, with Duals, its dual); the first cell
+	// starts from Seed and Dual. Otherwise every cell solves on a fresh
+	// replica from Seed and Dual, and the batch may fan out over the
+	// worker's cores. A chain's cells carry no Perturb.
 	Chain bool `json:"chain,omitempty"`
-	// ReturnDual asks the worker to attach each cell's final dual state to
-	// its result line — the coordinator needs the spine's duals to seed
-	// the row batches.
-	ReturnDual bool            `json:"return_dual,omitempty"`
-	Seed       []float64       `json:"seed"`
-	Dual       *core.DualState `json:"dual,omitempty"`
-	Cells      []CellSpec      `json:"cells"`
-	// Solver knobs, mirroring sweep.Options (width omitted, as in SolveJob).
+	// Duals keeps every cell's final dual: a chain seeds the next cell
+	// with it and each result line carries it.
+	Duals bool `json:"duals,omitempty"`
+	// S1 starts every solve at the lower bounds, the paper's S1, instead
+	// of at its seed sizes (bench.CellOptions.S1).
+	S1   bool            `json:"s1,omitempty"`
+	Seed []float64       `json:"seed"`
+	Dual *core.DualState `json:"dual,omitempty"`
+	// MaxIterations and Epsilon are every cell's solve budget.
 	MaxIterations int     `json:"max_iterations,omitempty"`
 	Epsilon       float64 `json:"epsilon,omitempty"`
-	PrimalOnly    bool    `json:"primal_only,omitempty"`
-	ColdLRS       bool    `json:"cold_lrs,omitempty"`
+	Cells         []Cell  `json:"cells"`
 }
 
-// MonteCarloJob is one contiguous shard [Lo, Hi) of a Monte-Carlo run's
-// global sample set. The lease ships the run's seed and sigmas — never
-// drawn perturbations — and the worker re-derives its shard as
-// variation.Perturbs(Seed, Hi, Sigmas)[Lo:Hi]: sample i's scalars are a
-// pure function of (Seed, i, Sigmas) by the sampler's stream discipline,
-// so any sharding of the index range draws the identical values the full
-// local run draws, and each sample's solve (variation.SolveSamples) is
-// equally pure in its own perturbation. Reassembling shards by global
-// index therefore reproduces the single-process run byte for byte, no
-// matter how many workers shared the samples or how many died mid-shard.
-type MonteCarloJob struct {
-	// Bounds are the run's nominal base bounds; each sample is solved
-	// against its perturbedBounds carry, computed worker-side from the
-	// same arithmetic the local path uses.
-	Bounds bench.Bounds     `json:"bounds"`
-	Seed   uint64           `json:"seed"`
-	Sigmas variation.Sigmas `json:"sigmas"`
-	// Lo/Hi bound the shard's global sample indices: samples Lo ≤ i < Hi.
-	Lo int `json:"lo"`
-	Hi int `json:"hi"`
-	// Solver knobs (width omitted, as in SolveJob — results are
-	// bit-identical at every width).
-	MaxIterations int     `json:"max_iterations,omitempty"`
-	Epsilon       float64 `json:"epsilon,omitempty"`
-}
-
-// CellSpec is one grid point to solve: its row-major position and the
-// fully resolved bounds the coordinator planned for it.
-type CellSpec struct {
-	Row    int          `json:"row"`
-	Col    int          `json:"col"`
-	Bounds bench.Bounds `json:"bounds"`
-}
-
-// ResultLine is one NDJSON line of a result stream: a solved sweep cell,
-// a completed solve, a terminal error (the job failed deterministically —
-// re-queueing would fail identically), or the final done marker. A stream
-// that ends without Done or Error (worker death mid-job) leaves the job
-// leased until the reaper re-queues it; cells already received stay
-// recorded, because the re-run reproduces them bitwise.
-type ResultLine struct {
-	Cell   *CellResult     `json:"cell,omitempty"`
-	Solve  *SolveResult    `json:"solve,omitempty"`
-	Sample *MCSampleResult `json:"sample,omitempty"`
-	Done   bool            `json:"done,omitempty"`
-	Error  string          `json:"error,omitempty"`
-}
-
-// MCSampleResult is one solved Monte-Carlo sample, addressed by its
-// global index in the run's sample set (not its position within the
-// shard), so the coordinator reassembles shards without knowing how the
-// range was cut.
-type MCSampleResult struct {
+// Cell is one solve of a batch: its index in the run (a row-major grid
+// position, a Monte-Carlo sample index, 0 for a lone solve), its fully
+// resolved bounds, and the technology perturbation of its replica, nil
+// for the nominal technology.
+type Cell struct {
 	Index   int          `json:"index"`
-	Perturb rc.Perturb   `json:"perturb"`
-	Result  *core.Result `json:"result"`
+	Bounds  bench.Bounds `json:"bounds"`
+	Perturb *rc.Perturb  `json:"perturb,omitempty"`
 }
 
-// CellResult is one solved sweep cell.
+// ResultLine is one NDJSON line of a result stream: a solved cell, a
+// terminal error (the job failed deterministically — re-queueing would
+// fail identically), or the final done marker. A stream that ends without
+// Done or Error (worker death mid-job) leaves the job leased until the
+// reaper re-queues it; cells already received stay recorded, because the
+// re-run reproduces them bitwise.
+type ResultLine struct {
+	Cell  *CellResult `json:"cell,omitempty"`
+	Done  bool        `json:"done,omitempty"`
+	Error string      `json:"error,omitempty"`
+}
+
+// CellResult is one solved cell, addressed by its index in the run, so
+// the coordinator reassembles batches without knowing how the run was
+// cut. It carries the kernel's whole outcome: the result, the dual (only
+// when the batch asked for Duals), the solve time, the worker's width and
+// the work counters the serving host folds into its /stats.
 type CellResult struct {
-	Row      int             `json:"row"`
-	Col      int             `json:"col"`
-	Result   *core.Result    `json:"result"`
-	Dual     *core.DualState `json:"dual,omitempty"` // only when ReturnDual
-	SolveSec float64         `json:"solve_sec"`
-}
-
-// SolveResult is a completed SolveJob: the full solver outcome plus the
-// dual snapshot (for save_as warm-start chains) and the work counters the
-// serving host folds into its /stats.
-type SolveResult struct {
-	Result          *core.Result    `json:"result"`
-	Dual            *core.DualState `json:"dual,omitempty"`
-	Workers         int             `json:"workers"`
-	SolveSec        float64         `json:"solve_sec"`
-	Eval            rc.EvalStats    `json:"eval"`
-	HysteresisTrips int64           `json:"hysteresis_trips"`
-	RevertedSweeps  int64           `json:"reverted_sweeps"`
+	Index int `json:"index"`
+	bench.Solved
 }
 
 // ResultResponse acknowledges a consumed result stream.

@@ -62,11 +62,12 @@ const (
 	jobDone
 )
 
-// job is one leased unit of work. The wire message (msg) is immutable
-// after creation — seeds and duals are shipped by reference and never
-// mutated — so re-leasing after a reap re-sends the identical message,
-// which is what makes the re-run reproduce the dead worker's cells
-// bitwise.
+// job is one batch of a run. The wire message (msg) is immutable once
+// the job is queued — a waiting batch gets its seed from the recorded
+// cell before it is queued, and seeds and duals are shipped by reference
+// and never mutated — so re-leasing after a reap re-sends the identical
+// message, which is what makes the re-run reproduce the dead worker's
+// cells bitwise.
 type job struct {
 	run   *run
 	seq   int // position in the run's deterministic job order
@@ -86,8 +87,6 @@ type workerState struct {
 	// Lifetime counters, surfaced per worker in /stats.
 	jobsCompleted int64
 	cellsSolved   int64
-	solvesDone    int64
-	samplesSolved int64
 }
 
 // Coordinator owns the farm: registered workers, the pending-job queue,

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -104,12 +105,13 @@ func lease(t *testing.T, c *Coordinator, workerID string) (*api.Job, string) {
 	return job, token
 }
 
-func cellLine(row, col int) api.ResultLine {
-	return api.ResultLine{Cell: &api.CellResult{
-		Row: row, Col: col,
-		Result: &core.Result{X: []float64{float64(100*row + col)}},
+// cellLine is a fabricated result line for cell index: its sizes are
+// {100·index}, so a test can tell which cell seeded a batch.
+func cellLine(index int) api.ResultLine {
+	return api.ResultLine{Cell: &api.CellResult{Index: index, Solved: bench.Solved{
+		Result: &core.Result{X: []float64{float64(100 * index)}},
 		Dual:   &core.DualState{},
-	}}
+	}}}
 }
 
 // postResult streams NDJSON lines to the result endpoint.
@@ -125,12 +127,12 @@ func postResult(c *Coordinator, jobID int64, token string, lines ...api.ResultLi
 	return rr
 }
 
-// finishJob streams every cell of a sweep job plus the done marker.
+// finishJob streams every cell of a job plus the done marker.
 func finishJob(t *testing.T, c *Coordinator, job *api.Job, token string) {
 	t.Helper()
-	lines := make([]api.ResultLine, 0, len(job.Sweep.Cells)+1)
-	for _, cell := range job.Sweep.Cells {
-		lines = append(lines, cellLine(cell.Row, cell.Col))
+	lines := make([]api.ResultLine, 0, len(job.Cells)+1)
+	for _, cell := range job.Cells {
+		lines = append(lines, cellLine(cell.Index))
 	}
 	lines = append(lines, api.ResultLine{Done: true})
 	if rr := postResult(c, job.ID, token, lines...); rr.Code != http.StatusOK {
@@ -142,6 +144,11 @@ func TestRegisterVersionMismatch(t *testing.T) {
 	c := testCoordinator(newTestClock())
 	if _, err := c.register(api.RegisterRequest{Version: api.Version + 1, Numerics: core.Numerics}); err == nil {
 		t.Fatal("register with a future protocol version succeeded")
+	}
+	// A version-1 worker ships and executes one job type per workload,
+	// not cell batches.
+	if _, err := c.register(api.RegisterRequest{Version: 1, Numerics: core.Numerics}); err == nil {
+		t.Fatal("register with protocol version 1 succeeded")
 	}
 	// And over the wire: a skewed worker gets a 400, not a lease.
 	body, _ := json.Marshal(api.RegisterRequest{Version: 0, Numerics: core.Numerics})
@@ -176,43 +183,49 @@ func TestRegisterNumericsMismatch(t *testing.T) {
 	}
 }
 
-// TestWarmSweepJobFlow drives a full warm wavefront by hand: the spine
-// job goes out first, the row-tail jobs appear only after the spine is
-// fully recorded, and each row job carries its spine cell's sizes and
-// dual in the lease.
-func TestWarmSweepJobFlow(t *testing.T) {
+// TestBatchReleasedBySeedCell drives a warm wavefront by hand: the spine
+// chain goes out first, and each row's tail waits on its own spine cell —
+// queued the moment that cell is recorded, with the cell's sizes and dual
+// in its lease, while the rows below still wait.
+func TestBatchReleasedBySeedCell(t *testing.T) {
 	c := testCoordinator(newTestClock())
 	w := register(t, c, "solo")
 	opt := sweep.Options{DelayScale: []float64{1, 1.1}, NoiseScale: []float64{1, 1.2}, MaxIterations: 2}
 	done := startSweep(t, context.Background(), c, opt)
 
-	spineJob, token := lease(t, c, w)
-	if spineJob.Sweep == nil || !spineJob.Sweep.Chain || !spineJob.Sweep.ReturnDual {
-		t.Fatalf("first job is not the chained spine: %+v", spineJob.Sweep)
-	}
-	if n := len(spineJob.Sweep.Cells); n != 2 {
-		t.Fatalf("spine has %d cells, want 2 rows", n)
+	spine, token := lease(t, c, w)
+	if !spine.Chain || !spine.Duals || len(spine.Cells) != 2 || spine.Cells[0].Index != 0 || spine.Cells[1].Index != 2 {
+		t.Fatalf("first job is not the chained column-0 spine: %+v", spine)
 	}
 	if st := c.StatsSnapshot(); st.JobsQueued != 0 {
-		t.Fatalf("row jobs enqueued before the spine finished: %d queued", st.JobsQueued)
+		t.Fatalf("row tails queued before their spine cells landed: %d queued", st.JobsQueued)
 	}
-	finishJob(t, c, spineJob, token)
+	// Spine cell (0,0) lands and the stream breaks off: row 0's tail is
+	// released, row 1's still waits on cell (1,0).
+	if rr := postResult(c, spine.ID, token, cellLine(0)); rr.Code != http.StatusBadRequest {
+		t.Fatalf("truncated spine stream got %d, want 400", rr.Code)
+	}
+	if st := c.StatsSnapshot(); st.JobsQueued != 1 {
+		t.Fatalf("after spine cell (0,0): %d jobs queued, want row 0's tail", st.JobsQueued)
+	}
+	tail0, token0 := lease(t, c, w)
+	if !tail0.Chain || len(tail0.Cells) != 1 || tail0.Cells[0].Index != 1 {
+		t.Fatalf("released job is not row 0's chained tail: %+v", tail0)
+	}
+	if len(tail0.Seed) != 1 || tail0.Seed[0] != 0 || tail0.Dual == nil {
+		t.Fatalf("row 0's tail ships seed %v dual %v, want spine cell 0's sizes [0] and dual", tail0.Seed, tail0.Dual)
+	}
+	if st := c.StatsSnapshot(); st.JobsQueued != 0 {
+		t.Fatalf("row 1's tail queued before cell (1,0) landed: %d queued", st.JobsQueued)
+	}
 
-	for i := 0; i < 2; i++ {
-		rowJob, rowToken := lease(t, c, w)
-		if rowJob.Sweep == nil || !rowJob.Sweep.Chain {
-			t.Fatalf("row job %d is not chained", i)
-		}
-		row := rowJob.Sweep.Cells[0].Row
-		wantSeed := []float64{float64(100 * row)} // the fabricated spine result
-		if len(rowJob.Sweep.Seed) != 1 || rowJob.Sweep.Seed[0] != wantSeed[0] {
-			t.Fatalf("row %d job seed = %v, want spine sizes %v", row, rowJob.Sweep.Seed, wantSeed)
-		}
-		if rowJob.Sweep.Dual == nil {
-			t.Fatalf("row %d job shipped no dual state", row)
-		}
-		finishJob(t, c, rowJob, rowToken)
+	finishJob(t, c, spine, token) // replays cell 0 as a duplicate, lands cell 2
+	tail1, token1 := lease(t, c, w)
+	if len(tail1.Cells) != 1 || tail1.Cells[0].Index != 3 || len(tail1.Seed) != 1 || tail1.Seed[0] != 200 {
+		t.Fatalf("row 1's tail = cells %+v seed %v, want cell 3 seeded [200]", tail1.Cells, tail1.Seed)
 	}
+	finishJob(t, c, tail0, token0)
+	finishJob(t, c, tail1, token1)
 	if err := <-done; err != nil {
 		t.Fatalf("sweep failed: %v", err)
 	}
@@ -254,13 +267,13 @@ func TestLeaseExpiryReapsAndRequeues(t *testing.T) {
 	}
 
 	// Result-after-reap: the stale lease must be refused per line.
-	if rr := postResult(c, job1.ID, stale, cellLine(0, 0)); rr.Code != http.StatusConflict {
+	if rr := postResult(c, job1.ID, stale, cellLine(0)); rr.Code != http.StatusConflict {
 		t.Fatalf("stale-lease result got %d, want 409", rr.Code)
 	}
 
 	// The survivor re-leases the identical job message.
 	job2, token := lease(t, c, w2)
-	if job2.ID != job1.ID || len(job2.Sweep.Cells) != len(job1.Sweep.Cells) {
+	if job2.ID != job1.ID || len(job2.Cells) != len(job1.Cells) {
 		t.Fatalf("requeued job changed: had %d, got %d", job1.ID, job2.ID)
 	}
 	finishJob(t, c, job2, token)
@@ -302,11 +315,11 @@ func TestRequeueOrderingDeterminism(t *testing.T) {
 		DelayScale: []float64{1, 1.1, 1.2}, NoiseScale: []float64{1, 1.2},
 		Cold: true, MaxIterations: 2,
 	})
-	jobA, _ := lease(t, c, w1)      // row 0
-	jobB, _ := lease(t, c, w1)      // row 1
-	jobC, tokenC := lease(t, c, w2) // row 2
-	if r := jobA.Sweep.Cells[0].Row; r != 0 {
-		t.Fatalf("first lease is row %d, want 0", r)
+	jobA, _ := lease(t, c, w1)      // row 0: cells 0, 1
+	jobB, _ := lease(t, c, w1)      // row 1: cells 2, 3
+	jobC, tokenC := lease(t, c, w2) // row 2: cells 4, 5
+	if k := jobA.Cells[0].Index; k != 0 {
+		t.Fatalf("first lease starts at cell %d, want 0", k)
 	}
 
 	clock.Advance(2 * time.Minute)
@@ -320,9 +333,9 @@ func TestRequeueOrderingDeterminism(t *testing.T) {
 	// row 0 before row 1, regardless of lease or reap timing.
 	for want, wantJob := range []*api.Job{jobA, jobB} {
 		j, token := lease(t, c, w2)
-		if j.ID != wantJob.ID || j.Sweep.Cells[0].Row != want {
-			t.Fatalf("requeued lease out of order: got job %d row %d, want job %d row %d",
-				j.ID, j.Sweep.Cells[0].Row, wantJob.ID, want)
+		if j.ID != wantJob.ID || j.Cells[0].Index != 2*want {
+			t.Fatalf("requeued lease out of order: got job %d cell %d, want job %d cell %d",
+				j.ID, j.Cells[0].Index, wantJob.ID, 2*want)
 		}
 		finishJob(t, c, j, token)
 	}
@@ -344,7 +357,7 @@ func TestResultAfterCancel(t *testing.T) {
 	if err := <-done; !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled sweep returned %v", err)
 	}
-	if rr := postResult(c, job.ID, token, cellLine(0, 0)); rr.Code != http.StatusGone {
+	if rr := postResult(c, job.ID, token, cellLine(0)); rr.Code != http.StatusGone {
 		t.Fatalf("result for a cancelled run got %d, want 410", rr.Code)
 	}
 }
@@ -358,7 +371,7 @@ func TestDuplicateCellsDropped(t *testing.T) {
 	done := startSweep(t, context.Background(), c, sweep.Options{DelayScale: []float64{1, 1.1}, MaxIterations: 2})
 	job, token := lease(t, c, w)
 	if rr := postResult(c, job.ID, token,
-		cellLine(0, 0), cellLine(0, 0), cellLine(1, 0), cellLine(0, 0),
+		cellLine(0), cellLine(0), cellLine(1), cellLine(0),
 		api.ResultLine{Done: true}); rr.Code != http.StatusOK {
 		t.Fatalf("stream with duplicates refused: %d %s", rr.Code, rr.Body)
 	}
@@ -404,7 +417,7 @@ func TestMidStreamEOFKeepsJobLeased(t *testing.T) {
 	// One cell lands, then the stream ends with no done marker — the
 	// worker died mid-job. The handler reports the truncation (400) but
 	// keeps the cell and leaves the job leased for the reaper.
-	if rr := postResult(c, job.ID, token1, cellLine(0, 0)); rr.Code != http.StatusBadRequest {
+	if rr := postResult(c, job.ID, token1, cellLine(0)); rr.Code != http.StatusBadRequest {
 		t.Fatalf("truncated stream got %d, want 400", rr.Code)
 	}
 	if st := c.StatsSnapshot(); st.JobsLeased != 1 || st.Workers[0].CellsSolved != 1 {
@@ -431,38 +444,116 @@ func TestMidStreamEOFKeepsJobLeased(t *testing.T) {
 	}
 }
 
-// TestSolveJobFlow covers the solve path: one job, its shipped inputs
-// echoed, the result recorded once.
-func TestSolveJobFlow(t *testing.T) {
+// TestSolveBatchFlow covers the solve path: one batch of one cell, its
+// shipped inputs echoed, the result recorded once.
+func TestSolveBatchFlow(t *testing.T) {
 	c := testCoordinator(newTestClock())
 	w := register(t, c, "w")
 	_, b := gridInstance(t)
-	solveDone := make(chan *api.SolveResult, 1)
-	errc := make(chan error, 1)
+	type outcome struct {
+		sv  *bench.Solved
+		err error
+	}
+	solveDone := make(chan outcome, 1)
 	go func() {
-		res, err := c.Solve(context.Background(), gridSpec(), api.SolveJob{
-			Bounds: b, MaxIterations: 3, Warm: true, Seed: []float64{1, 2, 3},
-		})
-		solveDone <- res
-		errc <- err
+		sv, err := c.Solve(context.Background(), gridSpec(), b, []float64{1, 2, 3}, nil,
+			bench.CellOptions{MaxIterations: 3, ReturnDual: true})
+		solveDone <- outcome{sv, err}
 	}()
 	job, token := lease(t, c, w)
-	if job.Solve == nil || !job.Solve.Warm || job.Solve.Bounds != b {
-		t.Fatalf("solve job did not ship its inputs: %+v", job.Solve)
+	if len(job.Cells) != 1 || job.Cells[0].Bounds != b || job.S1 || !job.Duals || job.MaxIterations != 3 ||
+		!reflect.DeepEqual(job.Seed, []float64{1, 2, 3}) {
+		t.Fatalf("solve batch did not ship its inputs: %+v", job)
 	}
-	want := &api.SolveResult{Result: &core.Result{X: []float64{9}}, Workers: 4, SolveSec: 0.5}
-	if rr := postResult(c, job.ID, token, api.ResultLine{Solve: want}, api.ResultLine{Done: true}); rr.Code != http.StatusOK {
+	want := bench.Solved{Result: &core.Result{X: []float64{9}}, Workers: 4, SolveSec: 0.5}
+	if rr := postResult(c, job.ID, token, api.ResultLine{Cell: &api.CellResult{Solved: want}}, api.ResultLine{Done: true}); rr.Code != http.StatusOK {
 		t.Fatalf("solve result refused: %d %s", rr.Code, rr.Body)
 	}
-	res := <-solveDone
-	if err := <-errc; err != nil {
+	got := <-solveDone
+	if got.err != nil {
+		t.Fatal(got.err)
+	}
+	if got.sv.Workers != 4 || got.sv.Result.X[0] != 9 {
+		t.Fatalf("solve result did not round-trip: %+v", got.sv)
+	}
+	if st := c.StatsSnapshot(); st.Workers[0].CellsSolved != 1 || st.Workers[0].JobsCompleted != 1 {
+		t.Fatalf("solve not credited: %+v", st.Workers)
+	}
+}
+
+// TestCellOutsideJobRefused: a result line must name one of its own job's
+// cells. A cell of another job of the same run, an index outside the run,
+// and a version-1 "solve" line (which decodes to no cell) are each
+// refused with 400; nothing is recorded and the run stays open until the
+// job's own cells land.
+func TestCellOutsideJobRefused(t *testing.T) {
+	c := testCoordinator(newTestClock())
+	w := register(t, c, "w")
+	done := startSweep(t, context.Background(), c, sweep.Options{
+		DelayScale: []float64{1, 1.1}, NoiseScale: []float64{1, 1.2}, Cold: true, MaxIterations: 2,
+	})
+	job, token := lease(t, c, w) // row 0: cells 0 and 1; row 1 holds cells 2 and 3
+	url := fmt.Sprintf("/farm/v1/result?job=%d&lease=%s", job.ID, token)
+	for name, rr := range map[string]*httptest.ResponseRecorder{
+		"another job's cell": postResult(c, job.ID, token, cellLine(2)),
+		"outside the run":    postResult(c, job.ID, token, cellLine(99)),
+		"a solve line":       post(c, url, `{"solve":{"result":{"X":[1]}}}`+"\n"+`{"done":true}`+"\n"),
+	} {
+		if rr.Code != http.StatusBadRequest {
+			t.Errorf("%s: %d %s, want 400", name, rr.Code, rr.Body)
+		}
+	}
+	if st := c.StatsSnapshot(); st.Workers[0].CellsSolved != 0 || st.RunsCompleted != 0 || st.JobsLeased != 1 {
+		t.Fatalf("a refused line was recorded or closed the run: %+v", st)
+	}
+	finishJob(t, c, job, token)
+	job2, token2 := lease(t, c, w)
+	finishJob(t, c, job2, token2)
+	if err := <-done; err != nil {
+		t.Fatalf("sweep failed: %v", err)
+	}
+	if st := c.StatsSnapshot(); st.Workers[0].CellsSolved != 4 || st.RunsCompleted != 1 {
+		t.Fatalf("after the real cells: %+v", st)
+	}
+}
+
+// TestEarlyDoneKeepsJobLeased: a done marker that arrives before every
+// cell of its job is recorded does not complete the job. It is refused
+// with 400 like a mid-job EOF, the job stays leased, and the reaper
+// re-queues it to a survivor, so the run completes instead of waiting
+// with nothing queued or leased.
+func TestEarlyDoneKeepsJobLeased(t *testing.T) {
+	clock := newTestClock()
+	c := testCoordinator(clock)
+	w1 := register(t, c, "doomed")
+	w2 := register(t, c, "survivor")
+	done := startSweep(t, context.Background(), c, sweep.Options{
+		NoiseScale: []float64{1, 1.2}, Cold: true, MaxIterations: 2,
+	})
+	job, token := lease(t, c, w1) // the one row: cells 0 and 1
+	if rr := postResult(c, job.ID, token, cellLine(0), api.ResultLine{Done: true}); rr.Code != http.StatusBadRequest {
+		t.Fatalf("early done marker got %d, want 400", rr.Code)
+	}
+	if st := c.StatsSnapshot(); st.JobsLeased != 1 || st.JobsCompleted != 0 || st.RunsCompleted != 0 {
+		t.Fatalf("after an early done marker: %+v", st)
+	}
+
+	clock.Advance(2 * time.Minute)
+	if err := c.beat(w2); err != nil {
 		t.Fatal(err)
 	}
-	if res.Workers != 4 || res.Result.X[0] != 9 {
-		t.Fatalf("solve result did not round-trip: %+v", res)
+	clock.Advance(2 * time.Minute)
+	c.reap()
+	j2, token2 := lease(t, c, w2)
+	if j2.ID != job.ID {
+		t.Fatalf("reaped job %d did not re-lease, got %d", job.ID, j2.ID)
 	}
-	if st := c.StatsSnapshot(); st.Workers[0].SolvesCompleted != 1 {
-		t.Fatalf("solve not credited: %+v", st.Workers)
+	finishJob(t, c, j2, token2)
+	if err := <-done; err != nil {
+		t.Fatalf("sweep failed: %v", err)
+	}
+	if st := c.StatsSnapshot(); st.RunsCompleted != 1 || st.JobsCompleted != 1 {
+		t.Fatalf("after the re-run: %+v", st)
 	}
 }
 
@@ -588,9 +679,9 @@ func TestSweepWaitsForLateCallback(t *testing.T) {
 				},
 			})
 			job, token := lease(t, c, w)
-			lines := []api.ResultLine{cellLine(0, 0)}
+			lines := []api.ResultLine{cellLine(0)}
 			if !tc.cancel {
-				lines = append(lines, cellLine(1, 0), api.ResultLine{Done: true})
+				lines = append(lines, cellLine(1), api.ResultLine{Done: true})
 			}
 			posted := make(chan struct{})
 			go func() {

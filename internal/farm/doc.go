@@ -1,45 +1,60 @@
 // Package farm turns the single-process sizing service into a
 // coordinator/worker farm: the coordinator (embedded in ogwsd
-// -coordinator) plans solves and bounds-grid sweeps into leased jobs,
-// thin worker processes (cmd/ogws-worker) register over the versioned
-// HTTP job API in internal/farm/api, lease jobs, materialize their own
-// bit-identical replicas of each circuit (keyed by the same content-hash
-// keys the service cache uses), and stream cell results back as NDJSON.
-// A heartbeat keeper reaps silent workers and re-queues their leased jobs
-// in deterministic order.
+// -coordinator) plans solves, bounds-grid sweeps and Monte-Carlo runs
+// into batches of cells, thin worker processes (cmd/ogws-worker) register
+// over the versioned HTTP job API in internal/farm/api, lease batches,
+// materialize their own bit-identical replicas of each circuit (keyed by
+// the same content-hash keys the service cache uses), and stream cell
+// results back as NDJSON. A heartbeat keeper reaps silent workers and
+// re-queues their leased jobs in deterministic order.
+//
+// # One cell, one job
+//
+// Every workload is one computation repeated: a cell is one OGWS solve of
+// one replica at resolved bounds from a given start, and every cell runs
+// through the shared kernel bench.SolveCell, on the worker exactly as in
+// the local engines. A run is a plan of cells indexed 0..n-1, cut into
+// batches: a full solve is a batch of one, a Monte-Carlo run is one
+// independent batch of perturbed cells per live worker, a cold sweep is
+// one independent batch per grid row, and a warm sweep is a chained spine
+// plus one chained row tail per row. A batch may wait on the recorded cell
+// whose sizes and dual seed it; the coordinator queues it once that cell
+// lands, with the seed shipped in its lease. The coordinator has one
+// record path and the wire one result-line kind, the solved cell.
 //
 // # Determinism contract
 //
-// A distributed sweep must reassemble, byte for byte, into the grid the
-// single-process engine (internal/sweep) would have produced — the same
-// contract every layer below holds (serial vs levelized vs parallel,
-// incremental vs full, streamed vs buffered). The farm earns it
-// structurally rather than by locking:
+// A distributed run must reassemble, byte for byte, into what the
+// single-process engines (internal/sweep, internal/variation, the
+// service's local solve) would have produced — the same contract every
+// layer below holds (serial vs levelized vs parallel, incremental vs
+// full, streamed vs buffered). The farm earns it structurally rather than
+// by locking:
 //
-//   - Every lease is self-contained: a job carries the exact seed sizes
-//     and dual multipliers its cells must be solved from, so its outcome
-//     is a pure function of the job message — independent of which worker
-//     runs it, when, or how many times.
-//   - The coordinator plans the identical wavefront the local engine
-//     walks (sweep.Plan): the column-0 spine is one chained job (cells
-//     seeded top to bottom), and each row tail becomes a job only after
-//     the spine cell that seeds it is recorded, with that cell's sizes
-//     and dual shipped inside the lease. Cold (and the provably
-//     seed-independent ColdLRS+PrimalOnly) sweeps batch rows as
-//     independent jobs seeded from the instance's initial sizes.
-//   - Workers execute cells through sweep.Options.SolveCell — the same
-//     code path, same core.Options — on evaluators materialized from the
-//     same deterministic pipeline, so equal inputs give equal bits on
-//     every node of one architecture.
-//   - Results are recorded first-wins into the row-major grid. Re-running
-//     a re-queued job reproduces the dead worker's cells bitwise, so
-//     duplicate lines are simply dropped; solver goroutine width is
-//     worker-chosen because results are bit-identical at every width.
+//   - Every lease is self-contained: a batch carries the exact bounds,
+//     perturbations, seed sizes and dual multipliers its cells must be
+//     solved from, so its outcome is a pure function of the job message —
+//     independent of which worker runs it, when, or how many times.
+//   - The coordinator plans the identical cells the local engines solve:
+//     sweep.Plan's grid, walked as the local wavefront (each row tail
+//     seeded by its spine cell), and variation.Draw's samples. Cold (and
+//     the provably seed-independent ColdLRS+PrimalOnly) sweeps batch rows
+//     as independent jobs seeded from the instance's initial sizes.
+//   - Workers execute cells through bench.SolveCell — the same kernel,
+//     the same core.Options — on evaluators materialized from the same
+//     deterministic pipeline, so equal inputs give equal bits on every
+//     node of one architecture.
+//   - Results are recorded first-wins by cell index, and only for a cell
+//     of the job that sent it. Re-running a re-queued job reproduces the
+//     dead worker's cells bitwise, so duplicate lines are simply dropped;
+//     solver goroutine width is worker-chosen because results are
+//     bit-identical at every width.
 //
 // Worker death is therefore invisible in the output: kill a worker
 // mid-grid and the reaper re-queues its jobs, another worker re-runs
 // them, and the assembled grid still diffs clean against the committed
 // golden fixture (internal/sweep/testdata/golden_grid.json) — enforced by
 // TestFarmDistributedSweepGolden in-process and by the CI farm-smoke job
-// over real TCP with a worker killed mid-sweep.
+// over real TCP with a worker killed mid-sweep; TestFarmMonteCarloMatchesLocal
+// holds the same line for a Monte-Carlo run.
 package farm

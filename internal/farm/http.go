@@ -99,15 +99,16 @@ func (c *Coordinator) lookupLease(token string, jobID int64) (*job, int, error) 
 	return j, 0, nil
 }
 
-// handleResult consumes one NDJSON result stream for a leased job. The
-// lease is validated per line, not once: a reap can land mid-stream, and
-// from that point the stream's lines belong to a lease that no longer owns
-// the job. Lines already recorded before the reap stay recorded — the
-// re-run reproduces them bitwise, so the grid is unaffected.
+// handleResult consumes one NDJSON result stream for a leased job: cell
+// lines, then a done marker or an error line. The lease is validated per
+// line, not once: a reap can land mid-stream, and from that point the
+// stream's lines belong to a lease that no longer owns the job. Lines
+// already recorded before the reap stay recorded — the re-run reproduces
+// them bitwise, so the run is unaffected.
 //
-// A stream that ends without a done or error line (worker death mid-job)
-// leaves the job leased; the reaper re-queues it when the worker's TTL
-// lapses.
+// A stream that ends without a done or error line (worker death mid-job),
+// or whose done marker comes before all of the job's cells, leaves the
+// job leased; the reaper re-queues it when the worker's TTL lapses.
 func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	token := q.Get("lease")
@@ -144,20 +145,6 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 			if cell != nil {
 				j.run.observe(func() { j.run.onCell(cell) })
 			}
-		case line.Solve != nil:
-			if err := c.recordSolve(j, line.Solve); err != nil {
-				writeError(w, http.StatusBadRequest, "%v", err)
-				return
-			}
-		case line.Sample != nil:
-			s, err := c.recordSample(j, line.Sample)
-			if err != nil {
-				writeError(w, http.StatusBadRequest, "%v", err)
-				return
-			}
-			if s != nil {
-				j.run.observe(func() { j.run.onSample(s) })
-			}
 		case line.Error != "":
 			// A worker-reported error is deterministic — a re-run would fail
 			// identically — so it fails the whole run, not just the job.
@@ -168,7 +155,15 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, http.StatusOK, api.ResultResponse{OK: true})
 			return
 		case line.Done:
+			// A done marker completes the job only once every one of its
+			// cells is recorded; an early one is refused like a mid-job EOF,
+			// and the job stays leased until the reaper re-queues it.
 			c.mu.Lock()
+			if k := j.unrecordedLocked(); k >= 0 {
+				c.mu.Unlock()
+				writeError(w, http.StatusBadRequest, "result: done marker before cell %d of job %d was recorded; job stays leased until reap", k, j.msg.ID)
+				return
+			}
 			c.releaseLocked(j, true)
 			c.mu.Unlock()
 			writeJSON(w, http.StatusOK, api.ResultResponse{OK: true})

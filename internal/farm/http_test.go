@@ -47,8 +47,8 @@ func TestHandlerRejectsMalformedRequests(t *testing.T) {
 	}
 }
 
-// TestResultRejectsEmptyLine: a stream line with no cell, solve, error,
-// or done marker is a protocol violation, rejected with the lease intact.
+// TestResultRejectsEmptyLine: a stream line with no cell, error, or done
+// marker is a protocol violation, rejected with the lease intact.
 func TestResultRejectsEmptyLine(t *testing.T) {
 	clock := newTestClock()
 	c := testCoordinator(clock)

@@ -21,8 +21,8 @@ import (
 // reassemble, after the reap and re-queue, into the byte-identical
 // sample set the single-process variation.MonteCarlo produces. A second
 // dispatch with two live workers then cuts the same range into two
-// shards and must reassemble the same bytes again: the sampler draws by
-// absolute index, so sharding is invisible in the result.
+// shards and must reassemble the same bytes again: every cell ships its
+// drawn perturbation and bounds, so sharding is invisible in the result.
 func TestFarmMonteCarloMatchesLocal(t *testing.T) {
 	if testing.Short() {
 		t.Skip("distributed Monte-Carlo solves real sample sets")
@@ -49,14 +49,6 @@ func TestFarmMonteCarloMatchesLocal(t *testing.T) {
 		Sigmas:        variation.Sigmas{R: 0.05, C: 0.05, Threshold: 0.08},
 		Bounds:        &b,
 		MaxIterations: 8,
-	}
-	job := api.MonteCarloJob{
-		Bounds:        b,
-		Seed:          mcOpt.Seed,
-		Sigmas:        mcOpt.Sigmas,
-		Lo:            0,
-		Hi:            mcOpt.Samples,
-		MaxIterations: mcOpt.MaxIterations,
 	}
 
 	// The local reference the farm must reproduce byte for byte.
@@ -87,11 +79,13 @@ func TestFarmMonteCarloMatchesLocal(t *testing.T) {
 	var mu sync.Mutex
 	streamed := 0
 	go func() {
-		samples, err := coord.MonteCarlo(ctx, spec, job, func(*variation.Sample) {
+		farmOpt := mcOpt
+		farmOpt.OnSample = func(*variation.Sample) {
 			mu.Lock()
 			streamed++
 			mu.Unlock()
-		})
+		}
+		samples, err := coord.MonteCarlo(ctx, spec, inst, farmOpt)
 		runDone <- outcome{samples, err}
 	}()
 
@@ -153,7 +147,7 @@ func TestFarmMonteCarloMatchesLocal(t *testing.T) {
 	for i := 0; coord.LiveWorkers() < 2 && i < 200; i++ {
 		time.Sleep(10 * time.Millisecond)
 	}
-	samples2, err := coord.MonteCarlo(ctx, spec, job, nil)
+	samples2, err := coord.MonteCarlo(ctx, spec, inst, mcOpt)
 	if err != nil {
 		t.Fatalf("sharded Monte-Carlo failed: %v", err)
 	}

@@ -30,32 +30,31 @@ func sweepOptions64(b bench.Bounds) sweep.Options {
 	}
 }
 
-func gridSpec64(t *testing.T) (api.CircuitSpec, api.SolveJob) {
+// opt64 is the budget of the small solves on the 6×4 mesh: four
+// iterations from the lower bounds.
+var opt64 = bench.CellOptions{MaxIterations: 4, S1: true}
+
+// gridSpec64 returns the 6×4 mesh's spec, bounds and initial sizes.
+func gridSpec64(t *testing.T) (api.CircuitSpec, bench.Bounds, []float64) {
 	t.Helper()
 	inst, b, err := bench.GridInstance(6, 4, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	spec := api.CircuitSpec{Key: bench.GridKey(6, 4, true), Grid: &api.GridSpec{Width: 6, Layers: 4, Coupled: true}}
-	job := api.SolveJob{
-		Bounds:        b,
-		MaxIterations: 4,
-		Seed:          append([]float64(nil), inst.Eval.X...),
-	}
-	return spec, job
+	return spec, b, append([]float64(nil), inst.Eval.X...)
 }
 
-// localSolve64 reproduces exactly what a worker computes for the given
-// job on the 6×4 grid — the bit-identity baseline.
-func localSolve64(t *testing.T, job api.SolveJob) *core.Result {
+// localSolve64 reproduces exactly what a worker computes for an opt64
+// solve on the 6×4 grid — the bit-identity baseline.
+func localSolve64(t *testing.T, b bench.Bounds, seed []float64) *core.Result {
 	t.Helper()
 	inst, _, err := bench.GridInstance(6, 4, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := job.Bounds
 	opt := core.DefaultOptions(b.A0, b.NoiseBound, b.PowerBound)
-	opt.MaxIterations = job.MaxIterations
+	opt.MaxIterations = opt64.MaxIterations
 	opt.Workers = -1
 	replica, err := inst.Replica()
 	if err != nil {
@@ -66,7 +65,7 @@ func localSolve64(t *testing.T, job api.SolveJob) *core.Result {
 		t.Fatal(err)
 	}
 	defer sol.Close()
-	res, err := sol.RunFromDual(job.Seed, nil)
+	res, err := sol.RunFromDual(seed, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,12 +137,12 @@ func TestWorkerSurvivesCoordinatorRestart(t *testing.T) {
 	waitFor(t, "re-registration with coordinator B", func() bool { return coordB.LiveWorkers() == 1 })
 
 	// The reconnected worker must actually do work, bit-identically.
-	spec, job := gridSpec64(t)
-	got, err := coordB.Solve(ctx, spec, job)
+	spec, b, seed := gridSpec64(t)
+	got, err := coordB.Solve(ctx, spec, b, seed, nil, opt64)
 	if err != nil {
 		t.Fatalf("solve on the replacement coordinator: %v", err)
 	}
-	want := localSolve64(t, job)
+	want := localSolve64(t, b, seed)
 	if !reflect.DeepEqual(got.Result.X, want.X) {
 		t.Error("post-restart solve diverged from the local baseline")
 	}
@@ -205,8 +204,8 @@ func TestWorkerReRegistersAfterReap(t *testing.T) {
 		return st.Reconnects >= 1 && st.LiveWorkers >= 1
 	})
 
-	spec, job := gridSpec64(t)
-	if _, err := coord.Solve(ctx, spec, job); err != nil {
+	spec, b, seed := gridSpec64(t)
+	if _, err := coord.Solve(ctx, spec, b, seed, nil, opt64); err != nil {
 		t.Fatalf("solve after re-registration: %v", err)
 	}
 
@@ -247,15 +246,15 @@ func TestResultStreamReplaysThroughFaults(t *testing.T) {
 		})
 	}()
 
-	spec, job := gridSpec64(t)
-	got, err := coord.Solve(ctx, spec, job)
+	spec, b, seed := gridSpec64(t)
+	got, err := coord.Solve(ctx, spec, b, seed, nil, opt64)
 	if err != nil {
 		t.Fatalf("solve through a faulted result stream: %v", err)
 	}
 	if plan.Total() != 2 {
 		t.Errorf("injected %d faults (%v), want the cut and the 500", plan.Total(), plan.Counts())
 	}
-	want := localSolve64(t, job)
+	want := localSolve64(t, b, seed)
 	if !reflect.DeepEqual(got.Result.X, want.X) {
 		t.Error("replayed solve diverged from the local baseline")
 	}
@@ -292,7 +291,7 @@ func TestWorkerCrashViaFaultPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec, _ := gridSpec64(t)
+	spec, _, _ := gridSpec64(t)
 	opt := sweepOptions64(b)
 
 	// The doomed worker leases first and dies after its first streamed

@@ -3,6 +3,7 @@ package farm
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/bench"
@@ -12,10 +13,11 @@ import (
 	"repro/internal/variation"
 )
 
-// run is one in-flight distributed solve or sweep being assembled by the
-// coordinator. All fields are guarded by the coordinator's mu except done,
-// which is closed exactly once (under mu) when the run completes, fails,
-// or is cancelled, and callbacks, which counts itself.
+// run is one in-flight distributed run being assembled by the
+// coordinator: a plan of cells, leased out in batches. All fields are
+// guarded by the coordinator's mu except done, which is closed exactly
+// once (under mu) when the run completes, fails, or is cancelled, and
+// callbacks, which counts itself.
 type run struct {
 	id     int64
 	spec   api.CircuitSpec
@@ -23,48 +25,28 @@ type run struct {
 	closed bool  // done has been closed (complete, failed, or cancelled)
 	err    error // terminal error, set before done closes
 	dead   bool  // failed or cancelled: results are refused, jobs dropped
-	// callbacks counts the onCell/onSample calls handed out and not yet
-	// returned. recordCell and recordSample add to it under mu, and only
-	// while the run is open, so once done closes it can only fall; await
-	// waits for it to drain, so a caller never outlives its callbacks.
+	// callbacks counts the onCell calls handed out and not yet returned.
+	// recordCell adds to it under mu, and only while the run is open, so
+	// once done closes it can only fall; await waits for it to drain, so a
+	// caller never outlives its callbacks.
 	callbacks sync.WaitGroup
 
-	// Sweep assembly state. res is the sweep.Plan skeleton being filled in
-	// row-major order; recorded marks which cells have landed (first write
-	// wins — duplicates from re-run jobs are bitwise equal, so dropping
-	// them is free); remaining counts unrecorded cells.
-	res       *sweep.Result
+	// cells holds the recorded cells by index; recorded marks which have
+	// landed (first write wins — duplicates from re-run jobs are bitwise
+	// equal, so dropping them is free); remaining counts unrecorded cells.
+	cells     []api.CellResult
 	recorded  []bool
 	remaining int
-	onCell    func(*sweep.Cell)
-	// Warm-wavefront bookkeeping: while spineLeft > 0 the column-0 spine
-	// job is still streaming; when it reaches zero the coordinator creates
-	// the row-tail jobs, seeding each from its spine cell's recorded sizes
-	// and dual. rowDual is nil for primal-only and independent dispatch.
-	spineLeft int
-	rowDual   []*core.DualState
-	sweepOpt  sweep.Options
-
-	// Solve state: the single job's outcome.
-	solveRes *api.SolveResult
-
-	// Monte-Carlo assembly state. mcSamples is indexed by global sample
-	// index minus mcLo; mcRecorded marks landed samples (first write wins,
-	// like sweep cells — duplicates from re-runs are bitwise equal);
-	// mcLeft counts unrecorded samples.
-	mcSamples  []variation.Sample
-	mcRecorded []bool
-	mcLeft     int
-	mcLo       int
-	onSample   func(*variation.Sample)
+	onCell    func(*api.CellResult)
+	// waiting holds the batches not queued yet, by the index of the cell
+	// whose recorded sizes and dual seed them: a warm sweep's row tails
+	// wait on their spine cells.
+	waiting map[int][]*job
 }
 
 // finished reports whether the run stopped accepting results (completed,
 // failed, or cancelled). Caller holds c.mu.
-func (r *run) finished() bool {
-	return r.dead || r.remaining == 0 && r.res != nil || r.solveRes != nil ||
-		r.mcRecorded != nil && r.mcLeft == 0
-}
+func (r *run) finished() bool { return r.dead || r.remaining == 0 }
 
 // closeLocked closes the run's done channel exactly once. Caller holds
 // c.mu.
@@ -95,30 +77,59 @@ func (c *Coordinator) completeLocked(r *run) {
 	r.closeLocked()
 }
 
-// newRunLocked allocates a run. Caller holds c.mu.
-func (c *Coordinator) newRunLocked(spec api.CircuitSpec) *run {
-	c.nextRun++
-	r := &run{id: c.nextRun, spec: spec, done: make(chan struct{})}
-	c.runs[r.id] = r
-	return r
+// batch is one job of a plan: its wire message (the coordinator fills in
+// the ID and circuit) and the index of the cell whose recorded sizes and
+// dual seed it, or -1 for a batch that ships its own seed and is queued
+// at once.
+type batch struct {
+	msg   api.Job
+	after int
 }
 
-// addJobLocked creates and enqueues one job for the run. Caller holds
-// c.mu.
-func (c *Coordinator) addJobLocked(r *run, seq int, solve *api.SolveJob, sw *api.SweepJob, mc *api.MonteCarloJob) {
-	c.nextJob++
-	j := &job{
-		run: r,
-		seq: seq,
-		msg: api.Job{ID: c.nextJob, Circuit: r.spec, Solve: solve, Sweep: sw, MonteCarlo: mc},
+// dispatch runs a plan of n cells, indexed 0..n-1 across its batches, and
+// returns the recorded cells by index. Ready batches are queued in plan
+// order; a waiting batch is queued once its seed cell is recorded, with
+// that cell's sizes and dual shipped in its lease. onCell, when non-nil,
+// observes each cell as it is first recorded, on coordinator goroutines,
+// outside the lock: batches interleave, and within one batch cells arrive
+// in the order the worker streams them.
+func (c *Coordinator) dispatch(ctx context.Context, spec api.CircuitSpec, n int, plan []batch, onCell func(*api.CellResult)) ([]api.CellResult, error) {
+	if err := spec.Validate(); err != nil {
+		return nil, err
 	}
-	c.enqueueLocked(j)
+	c.mu.Lock()
+	c.nextRun++
+	r := &run{
+		id:        c.nextRun,
+		spec:      spec,
+		done:      make(chan struct{}),
+		cells:     make([]api.CellResult, n),
+		recorded:  make([]bool, n),
+		remaining: n,
+		onCell:    onCell,
+		waiting:   map[int][]*job{},
+	}
+	c.runs[r.id] = r
+	for seq, b := range plan {
+		c.nextJob++
+		j := &job{run: r, seq: seq, msg: b.msg}
+		j.msg.ID, j.msg.Circuit = c.nextJob, spec
+		if b.after >= 0 {
+			r.waiting[b.after] = append(r.waiting[b.after], j)
+		} else {
+			c.enqueueLocked(j)
+		}
+	}
+	c.mu.Unlock()
+	if err := c.await(ctx, r); err != nil {
+		return nil, err
+	}
+	return r.cells, nil
 }
 
 // await blocks until the run finishes or ctx is cancelled, and then until
-// no onCell/onSample callback of the run is still running; cancellation
-// kills the run so its jobs stop being dispatched and in-flight results
-// are refused.
+// no onCell callback of the run is still running; cancellation kills the
+// run so its jobs stop being dispatched and in-flight results are refused.
 func (c *Coordinator) await(ctx context.Context, r *run) error {
 	select {
 	case <-r.done:
@@ -138,45 +149,111 @@ func (c *Coordinator) await(ctx context.Context, r *run) error {
 	return r.err
 }
 
-// Solve dispatches one full OGWS solve to the farm and waits for its
-// result. The job ships every input the solve depends on (bounds, seed
-// sizes, dual multipliers, solver knobs), so whichever worker leases it
-// returns the identical bytes the serving host's own solver would produce.
-func (c *Coordinator) Solve(ctx context.Context, spec api.CircuitSpec, job api.SolveJob) (*api.SolveResult, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
+// recordCell lands one streamed cell in its run. The cell must be one of
+// the job's own cells; anything else is refused and nothing is recorded.
+// First write wins: a duplicate (an at-least-once re-run after a reap) is
+// bitwise equal by the determinism contract, so it is simply dropped.
+// Recording a cell that seeds waiting batches ships its sizes and dual in
+// their messages and queues them. Returns the cell to hand to the run's
+// onCell hook (nil for duplicates, for a closed run, and when the run has
+// no hook), counted into r.callbacks — the caller invokes it outside the
+// lock through observe.
+func (c *Coordinator) recordCell(j *job, cr *api.CellResult) (*api.CellResult, error) {
 	c.mu.Lock()
-	r := c.newRunLocked(spec)
-	c.addJobLocked(r, 0, &job, nil, nil)
-	c.mu.Unlock()
-	if err := c.await(ctx, r); err != nil {
+	defer c.mu.Unlock()
+	r := j.run
+	if !slices.ContainsFunc(j.msg.Cells, func(cell api.Cell) bool { return cell.Index == cr.Index }) {
+		return nil, fmt.Errorf("farm: cell %d is not one of job %d's cells", cr.Index, j.msg.ID)
+	}
+	if cr.Result == nil {
+		return nil, fmt.Errorf("farm: cell %d of job %d arrived without a result", cr.Index, j.msg.ID)
+	}
+	if r.closed || r.recorded[cr.Index] {
+		// A duplicate from a re-run is bitwise equal, and a closed run
+		// (finished, failed, or cancelled) takes nothing more: drop.
+		return nil, nil
+	}
+	r.recorded[cr.Index] = true
+	r.remaining--
+	r.cells[cr.Index] = *cr
+	if w := c.workers[j.worker]; w != nil {
+		w.cellsSolved++
+	}
+	for _, next := range r.waiting[cr.Index] {
+		next.msg.Seed, next.msg.Dual = cr.Result.X, cr.Dual
+		c.enqueueLocked(next)
+	}
+	delete(r.waiting, cr.Index)
+	var observed *api.CellResult
+	if r.onCell != nil {
+		observed = &r.cells[cr.Index]
+		r.callbacks.Add(1)
+	}
+	if r.remaining == 0 {
+		c.completeLocked(r)
+	}
+	return observed, nil
+}
+
+// unrecordedLocked returns the first of the job's cells not yet recorded,
+// or -1 when every one has landed. Caller holds c.mu.
+func (j *job) unrecordedLocked() int {
+	for _, cell := range j.msg.Cells {
+		if !j.run.recorded[cell.Index] {
+			return cell.Index
+		}
+	}
+	return -1
+}
+
+// observe runs one callback that recordCell counted into r.callbacks, and
+// counts it out however fn returns.
+func (r *run) observe(fn func()) {
+	defer r.callbacks.Done()
+	fn()
+}
+
+// Solve dispatches one full OGWS solve, a batch of one cell, and waits for
+// it. The batch ships every input the kernel reads — bounds, seed sizes,
+// dual, budget, start, and whether to keep the dual — so whichever worker
+// leases it returns the bytes bench.SolveCell gives on the serving host.
+// opt's width and hooks are not shipped: the worker picks its own width,
+// and results are bit-identical at every width.
+func (c *Coordinator) Solve(ctx context.Context, spec api.CircuitSpec, b bench.Bounds, seed []float64, dual *core.DualState, opt bench.CellOptions) (*bench.Solved, error) {
+	cells, err := c.dispatch(ctx, spec, 1, []batch{{after: -1, msg: api.Job{
+		Duals:         opt.ReturnDual,
+		S1:            opt.S1,
+		Seed:          seed,
+		Dual:          dual,
+		MaxIterations: opt.MaxIterations,
+		Epsilon:       opt.Epsilon,
+		Cells:         []api.Cell{{Bounds: b}},
+	}}}, nil)
+	if err != nil {
 		return nil, err
 	}
-	if r.solveRes == nil {
-		return nil, fmt.Errorf("farm: solve run %d finished without a result", r.id)
-	}
-	return r.solveRes, nil
+	return &cells[0].Solved, nil
 }
 
 // Sweep dispatches a bounds-grid sweep across the farm and reassembles
 // the row-major grid. The plan is the exact skeleton the local engine
-// (sweep.Run) walks, and the dispatch mirrors its schedule:
+// (sweep.Run) walks, cell k being grid point k in row-major order, and
+// the dispatch mirrors its schedule:
 //
 //   - Cold sweeps (and warm sweeps under ColdLRS+PrimalOnly, whose OGWS
 //     trajectory is provably seed-independent — the warm-vs-cold oracle
-//     pins it) fan out as one independent job per grid row, every cell
+//     pins it) fan out as one independent batch per grid row, every cell
 //     seeded from the instance's initial sizes.
-//   - Warm sweeps dispatch the column-0 spine as a single chained job
-//     (cell i seeded from cell i−1's sizes and dual, exactly the local
-//     spine walk); once the spine is fully recorded, each row's eastward
-//     tail becomes a chained job carrying its spine cell's sizes and dual
-//     in the lease. Neighbour seeds always ship with the lease — a worker
+//   - Warm sweeps dispatch the column-0 spine as one chain (cell i seeded
+//     from cell i−1's sizes and dual, exactly the local spine walk); each
+//     row's eastward tail is a chain that waits on its spine cell and is
+//     queued, carrying that cell's sizes and dual, once the cell is
+//     recorded. Neighbour seeds always ship with the lease — a worker
 //     never needs another worker's state.
 //
-// Every job's outcome is a pure function of its lease message, so worker
-// death followed by re-queue re-produces the missing cells bitwise and the
-// assembled grid equals the single-process result byte for byte.
+// Every batch's outcome is a pure function of its lease message, so
+// worker death followed by re-queue re-produces the missing cells bitwise
+// and the assembled grid equals the single-process result byte for byte.
 //
 // Only opt's solver knobs, axes, bounds, and OnCell are honoured;
 // SweepWorkers is meaningless here (parallelism is the worker fleet) and
@@ -184,9 +261,6 @@ func (c *Coordinator) Solve(ctx context.Context, spec api.CircuitSpec, job api.S
 // results stream in: cells within one row arrive in ascending column
 // order, rows interleave freely — the same contract as the local engine.
 func (c *Coordinator) Sweep(ctx context.Context, spec api.CircuitSpec, inst *bench.Instance, opt sweep.Options) (*sweep.Result, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
 	res, initX, err := sweep.Plan(inst, opt)
 	if err != nil {
 		return nil, err
@@ -197,278 +271,110 @@ func (c *Coordinator) Sweep(ctx context.Context, spec api.CircuitSpec, inst *ben
 	// solved bits cannot depend on the seed, so cells need no neighbour
 	// state and every row can go out immediately.
 	independent := opt.Cold || (opt.ColdLRS && opt.PrimalOnly)
-	if !opt.Cold {
-		// Fill the wavefront seeding metadata the local warm engine records
-		// (cold grids keep the unseeded −1 markers from the plan).
-		for i := 1; i < rows; i++ {
-			res.At(i, 0).SeedRow, res.At(i, 0).SeedCol = i-1, 0
-		}
-		for i := 0; i < rows; i++ {
-			for j := 1; j < cols; j++ {
-				res.At(i, j).SeedRow, res.At(i, j).SeedCol = i, j-1
+	// batchOf is the batch of rows [i0, i1) × columns [j0, j1), row by
+	// row: one row's cells, or with columns [0, 1) the warm wavefront spine.
+	batchOf := func(i0, i1, j0, j1 int) api.Job {
+		cells := make([]api.Cell, 0, (i1-i0)*(j1-j0))
+		for i := i0; i < i1; i++ {
+			for j := j0; j < j1; j++ {
+				cells = append(cells, api.Cell{Index: i*cols + j, Bounds: res.At(i, j).Bounds})
 			}
 		}
-	}
-
-	c.mu.Lock()
-	r := c.newRunLocked(spec)
-	r.res = res
-	r.recorded = make([]bool, len(res.Cells))
-	r.remaining = len(res.Cells)
-	r.onCell = opt.OnCell
-	r.sweepOpt = opt
-	if independent {
-		for i := 0; i < rows; i++ {
-			c.addJobLocked(r, i, nil, &api.SweepJob{
-				Seed:  initX,
-				Cells: cellSpecs(res, i, i+1, 0, cols),
-
-				MaxIterations: opt.MaxIterations,
-				Epsilon:       opt.Epsilon,
-				PrimalOnly:    opt.PrimalOnly,
-				ColdLRS:       opt.ColdLRS,
-			}, nil)
-		}
-	} else {
-		r.spineLeft = rows
-		r.rowDual = make([]*core.DualState, rows)
-		c.addJobLocked(r, 0, nil, &api.SweepJob{
-			Chain:      true,
-			ReturnDual: !opt.PrimalOnly,
-			Seed:       initX,
-			Cells:      cellSpecs(res, 0, rows, 0, 1),
-
+		return api.Job{
+			Chain:         !independent,
+			Duals:         !independent && !opt.PrimalOnly,
+			S1:            opt.ColdLRS,
+			Seed:          initX,
 			MaxIterations: opt.MaxIterations,
 			Epsilon:       opt.Epsilon,
-			PrimalOnly:    opt.PrimalOnly,
-			ColdLRS:       opt.ColdLRS,
-		}, nil)
+			Cells:         cells,
+		}
 	}
-	c.mu.Unlock()
-
-	if err := c.await(ctx, r); err != nil {
+	var plan []batch
+	if independent {
+		for i := 0; i < rows; i++ {
+			plan = append(plan, batch{msg: batchOf(i, i+1, 0, cols), after: -1})
+		}
+	} else {
+		plan = append(plan, batch{msg: batchOf(0, rows, 0, 1), after: -1})
+		for i := 0; i < rows && cols > 1; i++ {
+			tail := batchOf(i, i+1, 1, cols)
+			tail.Seed = nil // shipped from spine cell (i, 0) once it lands
+			plan = append(plan, batch{msg: tail, after: i * cols})
+		}
+	}
+	var onCell func(*api.CellResult)
+	if opt.OnCell != nil {
+		onCell = func(cr *api.CellResult) {
+			cell := &res.Cells[cr.Index]
+			cell.Result, cell.SolveSec = cr.Result, cr.SolveSec
+			opt.OnCell(cell)
+		}
+	}
+	solved, err := c.dispatch(ctx, spec, len(res.Cells), plan, onCell)
+	if err != nil {
 		return nil, err
+	}
+	for k := range res.Cells {
+		res.Cells[k].Result, res.Cells[k].SolveSec = solved[k].Result, solved[k].SolveSec
 	}
 	res.Frontier = sweep.Frontier(res.Cells)
 	return res, nil
 }
 
-// cellSpecs extracts the wire specs of rows [i0, i1) × columns [j0, j1),
-// row by row: one row's cells, or with columns [0, 1) the warm wavefront
-// spine, column 0 top to bottom.
-func cellSpecs(res *sweep.Result, i0, i1, j0, j1 int) []api.CellSpec {
-	specs := make([]api.CellSpec, 0, (i1-i0)*(j1-j0))
-	for i := i0; i < i1; i++ {
-		for j := j0; j < j1; j++ {
-			specs = append(specs, api.CellSpec{Row: i, Col: j, Bounds: res.At(i, j).Bounds})
+// MonteCarlo dispatches a Monte-Carlo run across the farm and
+// reassembles its sample set in index order. The coordinator draws the
+// run's plan (variation.Draw) and cuts its cells into contiguous
+// independent batches — one per live worker, at least one, at most one
+// per sample — and every cell ships its drawn perturbation and the bounds
+// it is solved against, which encoding/json round-trips bit for bit.
+// Each sample's solve is a pure function of its cell, so the reassembled
+// set equals the single-process variation.MonteCarlo bytes regardless of
+// how the samples were cut, which workers ran which batch, or how many
+// died and were re-queued mid-batch.
+//
+// Only opt's sample-set fields (Samples, Seed, Sigmas, Bounds), budget
+// and OnSample are honoured. OnSample observes samples as they are first
+// recorded, on coordinator goroutines, in arrival order (batches
+// interleave; within one batch indices ascend) — the same observational
+// contract as Sweep's OnCell.
+func (c *Coordinator) MonteCarlo(ctx context.Context, spec api.CircuitSpec, inst *bench.Instance, opt variation.MCOptions) ([]variation.Sample, error) {
+	_, samples, bounds, err := variation.Draw(inst, opt)
+	if err != nil {
+		return nil, err
+	}
+	k := len(samples)
+	shards := min(max(c.LiveWorkers(), 1), k)
+	seed := append([]float64(nil), inst.Eval.X...)
+	plan := make([]batch, shards)
+	for s := range plan {
+		lo, hi := s*k/shards, (s+1)*k/shards
+		cells := make([]api.Cell, 0, hi-lo)
+		for i := lo; i < hi; i++ {
+			p := samples[i].Perturb
+			cells = append(cells, api.Cell{Index: i, Bounds: bounds[i], Perturb: &p})
 		}
-	}
-	return specs
-}
-
-// recordCell lands one streamed cell result into its run's grid. First
-// write wins: a duplicate (an at-least-once re-run after a reap) is
-// bitwise equal by the determinism contract, so it is simply dropped.
-// Returns the cell to hand to the run's OnCell callback (nil for
-// duplicates, for a closed run, and when the run has no callback), counted
-// into r.callbacks — the caller invokes it outside the lock through
-// observe.
-func (c *Coordinator) recordCell(j *job, cr *api.CellResult) (*sweep.Cell, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	r := j.run
-	if r.res == nil {
-		return nil, fmt.Errorf("farm: cell result for non-sweep run %d", r.id)
-	}
-	if cr.Row < 0 || cr.Row >= r.res.Rows || cr.Col < 0 || cr.Col >= r.res.Cols {
-		return nil, fmt.Errorf("farm: cell (%d,%d) outside the %dx%d grid of run %d", cr.Row, cr.Col, r.res.Rows, r.res.Cols, r.id)
-	}
-	if cr.Result == nil {
-		return nil, fmt.Errorf("farm: cell (%d,%d) of run %d arrived without a result", cr.Row, cr.Col, r.id)
-	}
-	idx := cr.Row*r.res.Cols + cr.Col
-	if r.closed || r.recorded[idx] {
-		// A duplicate from a re-run is bitwise equal, and a closed run
-		// (finished, failed, or cancelled) takes nothing more: drop.
-		return nil, nil
-	}
-	r.recorded[idx] = true
-	r.remaining--
-	cell := &r.res.Cells[idx]
-	cell.Result = cr.Result
-	cell.SolveSec = cr.SolveSec
-	if w := c.workers[j.worker]; w != nil {
-		w.cellsSolved++
-	}
-	if r.spineLeft > 0 && cr.Col == 0 {
-		if r.rowDual != nil {
-			r.rowDual[cr.Row] = cr.Dual
-		}
-		r.spineLeft--
-		if r.spineLeft == 0 {
-			c.addRowJobsLocked(r)
-		}
-	}
-	var observed *sweep.Cell
-	if r.onCell != nil {
-		observed = cell
-		r.callbacks.Add(1)
-	}
-	if r.remaining == 0 {
-		c.completeLocked(r)
-	}
-	return observed, nil
-}
-
-// addRowJobsLocked creates the eastward row-tail jobs once the spine is
-// fully recorded: row i's job chains from the spine cell's solved sizes
-// (and, unless primal-only, its dual multipliers), both shipped inside the
-// lease. Caller holds c.mu.
-func (c *Coordinator) addRowJobsLocked(r *run) {
-	rows, cols := r.res.Rows, r.res.Cols
-	if cols <= 1 {
-		return
-	}
-	opt := r.sweepOpt
-	for i := 0; i < rows; i++ {
-		var dual *core.DualState
-		if r.rowDual != nil {
-			dual = r.rowDual[i]
-		}
-		c.addJobLocked(r, 1+i, nil, &api.SweepJob{
-			Chain: true,
-			Seed:  r.res.At(i, 0).Result.X,
-			Dual:  dual,
-			Cells: cellSpecs(r.res, i, i+1, 1, cols),
-
+		plan[s] = batch{after: -1, msg: api.Job{
+			Seed:          seed,
 			MaxIterations: opt.MaxIterations,
 			Epsilon:       opt.Epsilon,
-			PrimalOnly:    opt.PrimalOnly,
-			ColdLRS:       opt.ColdLRS,
-		}, nil)
+			Cells:         cells,
+		}}
 	}
-}
-
-// MonteCarlo dispatches a Monte-Carlo run across the farm and
-// reassembles its sample set in global index order. The job describes
-// the full range [Lo, Hi); the coordinator cuts it into contiguous
-// shards — one per live worker, at least one, at most one per sample —
-// and every shard ships only (seed, sigmas, range, bounds, knobs).
-// Sample i's perturbation is a pure function of (seed, i, sigmas) and
-// its solve a pure function of the perturbed instance, so the
-// reassembled set equals the single-process variation.MonteCarlo bytes
-// regardless of how the range was cut, which workers ran which shard, or
-// how many died and were re-queued mid-shard.
-//
-// onSample, when non-nil, observes samples as they are first recorded,
-// on coordinator goroutines, in arrival order (shards interleave;
-// within one shard indices ascend) — the same observational contract as
-// Sweep's OnCell.
-func (c *Coordinator) MonteCarlo(ctx context.Context, spec api.CircuitSpec, job api.MonteCarloJob, onSample func(*variation.Sample)) ([]variation.Sample, error) {
-	if err := spec.Validate(); err != nil {
+	var onCell func(*api.CellResult)
+	if opt.OnSample != nil {
+		onCell = func(cr *api.CellResult) {
+			s := &samples[cr.Index]
+			s.Result = cr.Result
+			opt.OnSample(s)
+		}
+	}
+	solved, err := c.dispatch(ctx, spec, k, plan, onCell)
+	if err != nil {
 		return nil, err
 	}
-	if err := job.Sigmas.Validate(); err != nil {
-		return nil, err
+	for i := range samples {
+		samples[i].Result = solved[i].Result
 	}
-	if job.Lo < 0 || job.Hi <= job.Lo {
-		return nil, fmt.Errorf("farm: montecarlo range [%d, %d) is empty or negative", job.Lo, job.Hi)
-	}
-	k := job.Hi - job.Lo
-	shards := c.LiveWorkers()
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > k {
-		shards = k
-	}
-
-	c.mu.Lock()
-	r := c.newRunLocked(spec)
-	r.mcSamples = make([]variation.Sample, k)
-	r.mcRecorded = make([]bool, k)
-	r.mcLeft = k
-	r.mcLo = job.Lo
-	r.onSample = onSample
-	for s := 0; s < shards; s++ {
-		shard := job
-		shard.Lo = job.Lo + s*k/shards
-		shard.Hi = job.Lo + (s+1)*k/shards
-		c.addJobLocked(r, s, nil, nil, &shard)
-	}
-	c.mu.Unlock()
-
-	if err := c.await(ctx, r); err != nil {
-		return nil, err
-	}
-	return r.mcSamples, nil
-}
-
-// recordSample lands one streamed Monte-Carlo sample into its run's
-// set. First write wins, exactly as recordCell: a duplicate from an
-// at-least-once re-run is bitwise equal by the determinism contract, so
-// it is dropped. Returns the sample to hand to the run's onSample hook
-// (nil for duplicates, for a closed run, and when the run has no hook),
-// counted into r.callbacks exactly as recordCell's cell.
-func (c *Coordinator) recordSample(j *job, sr *api.MCSampleResult) (*variation.Sample, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	r := j.run
-	if r.mcRecorded == nil {
-		return nil, fmt.Errorf("farm: sample result for non-montecarlo run %d", r.id)
-	}
-	idx := sr.Index - r.mcLo
-	if idx < 0 || idx >= len(r.mcRecorded) {
-		return nil, fmt.Errorf("farm: sample %d outside the %d-sample set of run %d", sr.Index, len(r.mcRecorded), r.id)
-	}
-	if sr.Result == nil {
-		return nil, fmt.Errorf("farm: sample %d of run %d arrived without a result", sr.Index, r.id)
-	}
-	if r.closed || r.mcRecorded[idx] {
-		return nil, nil // a duplicate, or a closed run: drop, as in recordCell
-	}
-	r.mcRecorded[idx] = true
-	r.mcLeft--
-	r.mcSamples[idx] = variation.Sample{Index: sr.Index, Perturb: sr.Perturb, Result: sr.Result}
-	if w := c.workers[j.worker]; w != nil {
-		w.samplesSolved++
-	}
-	var observed *variation.Sample
-	if r.onSample != nil {
-		observed = &r.mcSamples[idx]
-		r.callbacks.Add(1)
-	}
-	if r.mcLeft == 0 {
-		c.completeLocked(r)
-	}
-	return observed, nil
-}
-
-// observe runs one callback that recordCell or recordSample counted into
-// r.callbacks, and counts it out however fn returns.
-func (r *run) observe(fn func()) {
-	defer r.callbacks.Done()
-	fn()
-}
-
-// recordSolve lands a solve job's result.
-func (c *Coordinator) recordSolve(j *job, sr *api.SolveResult) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	r := j.run
-	if r.res != nil {
-		return fmt.Errorf("farm: solve result for sweep run %d", r.id)
-	}
-	if sr.Result == nil {
-		return fmt.Errorf("farm: solve result for run %d arrived without a result", r.id)
-	}
-	if r.solveRes != nil {
-		return nil // duplicate from a re-run: bitwise equal, drop
-	}
-	r.solveRes = sr
-	if w := c.workers[j.worker]; w != nil {
-		w.solvesDone++
-	}
-	c.completeLocked(r)
-	return nil
+	return samples, nil
 }

@@ -45,8 +45,8 @@ func solveFarm(t *testing.T) *Coordinator {
 	return coord
 }
 
-// localSolve mirrors the worker's executeSolve (which itself mirrors the
-// service's local path) to produce the oracle result. The seed is the
+// localSolve is the oracle for a farm solve from the lower bounds: a
+// direct core solve on a replica of the instance. The seed is the
 // instance's own initial sizes — the same default the service resolves
 // for a fresh solve.
 func localSolve(t *testing.T, inst *bench.Instance, b bench.Bounds, maxIter int) (*core.Result, *core.DualState) {
@@ -90,7 +90,7 @@ func TestDistributedSolveSynthetic(t *testing.T) {
 
 	got, err := coord.Solve(context.Background(),
 		api.CircuitSpec{Key: "solve-c432", Synthetic: "c432"},
-		api.SolveJob{Bounds: b, MaxIterations: 8, Seed: inst.Eval.X})
+		b, inst.Eval.X, nil, bench.CellOptions{MaxIterations: 8, S1: true, ReturnDual: true})
 	if err != nil {
 		t.Fatalf("distributed solve: %v", err)
 	}
@@ -104,8 +104,8 @@ func TestDistributedSolveSynthetic(t *testing.T) {
 	if got.Workers <= 0 || got.Eval.FullRecomputes+got.Eval.IncRecomputes == 0 {
 		t.Errorf("solve result is missing work counters: %+v", got)
 	}
-	if st := coord.StatsSnapshot(); st.Workers[0].SolvesCompleted != 1 {
-		t.Errorf("worker solve counter: %+v", st.Workers)
+	if st := coord.StatsSnapshot(); st.Workers[0].CellsSolved != 1 {
+		t.Errorf("worker cell counter: %+v", st.Workers)
 	}
 }
 
@@ -134,7 +134,7 @@ func TestDistributedSolveNetlistUpload(t *testing.T) {
 
 	got, err := coord.Solve(context.Background(),
 		api.CircuitSpec{Key: "solve-c17", Netlist: string(data), Name: "c17", Seed: 7},
-		api.SolveJob{Bounds: b, MaxIterations: 8, Seed: inst.Eval.X})
+		b, inst.Eval.X, nil, bench.CellOptions{MaxIterations: 8, S1: true})
 	if err != nil {
 		t.Fatalf("distributed netlist solve: %v", err)
 	}

@@ -8,13 +8,10 @@ type WorkerStats struct {
 	Name string `json:"name"`
 	Live bool   `json:"live"`
 	// JobsCompleted counts result streams that reached their done marker;
-	// CellsSolved counts first-recorded sweep cells (duplicates from
-	// re-runs are not credited); SolvesCompleted counts full solves;
-	// SamplesSolved counts first-recorded Monte-Carlo samples.
-	JobsCompleted   int64 `json:"jobs_completed"`
-	CellsSolved     int64 `json:"cells_solved"`
-	SolvesCompleted int64 `json:"solves_completed"`
-	SamplesSolved   int64 `json:"samples_solved"`
+	// CellsSolved counts first-recorded cells of every kind — solves, sweep
+	// cells, Monte-Carlo samples — and credits no duplicate from a re-run.
+	JobsCompleted int64 `json:"jobs_completed"`
+	CellsSolved   int64 `json:"cells_solved"`
 }
 
 // Stats is the farm section of the service's GET /stats payload.
@@ -26,7 +23,8 @@ type Stats struct {
 	JobsQueued  int           `json:"jobs_queued"`
 	JobsLeased  int           `json:"jobs_leased"`
 	// Lifetime counters: completed jobs, jobs re-queued after a reap,
-	// workers reaped, and runs (distributed solves/sweeps) by outcome.
+	// workers reaped, and runs (distributed solves, sweeps and Monte-Carlo
+	// runs) by outcome.
 	JobsCompleted int64 `json:"jobs_completed"`
 	JobsRequeued  int64 `json:"jobs_requeued"`
 	WorkersReaped int64 `json:"workers_reaped"`
@@ -55,10 +53,8 @@ func (c *Coordinator) StatsSnapshot() Stats {
 	for _, w := range c.workers {
 		st.Workers = append(st.Workers, WorkerStats{
 			ID: w.id, Name: w.name, Live: !w.dead,
-			JobsCompleted:   w.jobsCompleted,
-			CellsSolved:     w.cellsSolved,
-			SolvesCompleted: w.solvesDone,
-			SamplesSolved:   w.samplesSolved,
+			JobsCompleted: w.jobsCompleted,
+			CellsSolved:   w.cellsSolved,
 		})
 		if !w.dead {
 			st.LiveWorkers++

@@ -13,11 +13,10 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/core"
+	"repro/internal/fanout"
 	"repro/internal/farm/api"
 	"repro/internal/fault"
 	"repro/internal/rc"
-	"repro/internal/sweep"
-	"repro/internal/variation"
 )
 
 // WorkerOptions configures one farm worker (cmd/ogws-worker wraps this in
@@ -27,11 +26,11 @@ type WorkerOptions struct {
 	Coordinator string
 	// Name labels the worker in the coordinator's /stats.
 	Name string
-	// SolverWorkers is the per-solve goroutine width; 0 = all cores (a
-	// worker process owns its machine). A Monte-Carlo shard instead fans
-	// its samples out over the cores, each solve at width 1 under the
-	// default (see variation.SolveSamples). Results are bit-identical at
-	// every width, so this is purely a throughput knob.
+	// SolverWorkers is the per-solve goroutine width of a chained batch;
+	// 0 = all cores (a worker process owns its machine). An independent
+	// batch instead fans its cells out over the cores, each solve at width
+	// max(SolverWorkers, 1), so width 1 under the default. Results are
+	// bit-identical at every width, so this is purely a throughput knob.
 	SolverWorkers int
 	// CacheSize bounds the worker's local instance cache (default 4):
 	// materialized circuit replicas kept across jobs, keyed by the
@@ -40,8 +39,8 @@ type WorkerOptions struct {
 	// Fault, when non-nil, is the worker's deterministic fault plan. A
 	// "worker:cell" rule of kind Crash injects the fault the farm smoke
 	// exercises: the worker dies (RunWorker returns ErrFaultInjected,
-	// heartbeats stop) right after streaming the sweep or sample cell the
-	// plan selects, leaving its current job leased with the stream open.
+	// heartbeats stop) right after streaming the cell the plan selects,
+	// leaving its current job leased with the stream open.
 	// Wrap Client's transport with fault.NewTransport to fault the
 	// coordinator link as well.
 	Fault *fault.Plan
@@ -429,25 +428,6 @@ func (wk *worker) postResult(ctx context.Context, url string, body []byte) (int,
 	return resp.StatusCode, nil
 }
 
-// execute runs the job's solve or sweep batch, writing result lines to w.
-func (wk *worker) execute(ctx context.Context, job *api.Job, w io.Writer) error {
-	inst, err := wk.materialize(job.Circuit)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(w)
-	switch {
-	case job.Sweep != nil:
-		return wk.executeSweep(ctx, inst, job.Sweep, enc)
-	case job.Solve != nil:
-		return wk.executeSolve(ctx, inst, job.Solve, enc)
-	case job.MonteCarlo != nil:
-		return wk.executeMonteCarlo(ctx, inst, job.MonteCarlo, enc)
-	default:
-		return fmt.Errorf("farm worker: job %d carries no work", job.ID)
-	}
-}
-
 // crashAfterCell reports whether a "worker:cell" Crash rule in the fault
 // plan kills the worker after the cell just streamed.
 func (wk *worker) crashAfterCell() bool {
@@ -455,43 +435,69 @@ func (wk *worker) crashAfterCell() bool {
 	return inj != nil && inj.Kind == fault.Crash
 }
 
-// executeSweep solves the batch through sweep.Options.SolveCell — the
-// exact code path the single-process engine uses, so equal job inputs
-// yield equal bits. Chained batches walk one evaluator with the shipped
-// seed threading cell to cell; independent batches give every cell a
-// fresh evaluator seeded from the shipped sizes.
-func (wk *worker) executeSweep(ctx context.Context, inst *bench.Instance, sj *api.SweepJob, enc *json.Encoder) error {
-	opt := sweep.Options{
-		MaxIterations: sj.MaxIterations,
-		Epsilon:       sj.Epsilon,
+// execute solves the job's batch through bench.SolveCell — the kernel
+// every local path runs, so equal job inputs yield equal bits — writing
+// one result line per cell to w, in cell order. A chain solves its cells
+// one after another on one evaluator, each from its predecessor's sizes
+// and (with Duals) dual, at the worker's solver width. An independent
+// batch gives every cell a fresh replica (perturbed when the cell carries
+// a Perturb) seeded from the shipped sizes and dual, and fans the cells
+// out over the cores, each solve at width 1 under the default — the
+// schedule a local Monte-Carlo run uses. Every line counts toward the
+// crash-injection cell counter, so a fault plan can kill the worker
+// mid-batch for the reaping parity tests.
+func (wk *worker) execute(ctx context.Context, job *api.Job, w io.Writer) error {
+	inst, err := wk.materialize(job.Circuit)
+	if err != nil {
+		return err
+	}
+	opt := bench.CellOptions{
+		MaxIterations: job.MaxIterations,
+		Epsilon:       job.Epsilon,
 		Workers:       wk.opt.SolverWorkers,
-		PrimalOnly:    sj.PrimalOnly,
-		ColdLRS:       sj.ColdLRS,
+		S1:            job.S1,
+		ReturnDual:    job.Duals,
 		// A cancelled session (shutdown, reap) stops the in-flight cell at
 		// its next solver iteration instead of finishing the batch.
 		Cancel: func() bool { return ctx.Err() != nil },
 	}
-	g, cs := inst.Eval.Graph(), inst.Eval.Couplings()
-	seed, dual := sj.Seed, sj.Dual
-	var ev *rc.Evaluator
-	var err error
-	for _, cell := range sj.Cells {
-		if ev == nil || !sj.Chain {
-			if ev, err = rc.NewEvaluator(g, cs); err != nil {
-				return err
+	width := 1
+	var chain *rc.Evaluator
+	if job.Chain {
+		for _, cell := range job.Cells {
+			if cell.Perturb != nil {
+				return fmt.Errorf("cell %d: a chained batch carries no perturbed cells", cell.Index)
 			}
 		}
-		res, d, sec, err := opt.SolveCell(ev, cell.Row, cell.Col, cell.Bounds, seed, dual)
+		if chain, err = inst.Replica(); err != nil {
+			return err
+		}
+	} else {
+		opt.Workers, width = fanout.Widths(opt.Workers)
+	}
+	solved := make([]*bench.Solved, len(job.Cells))
+	enc := json.NewEncoder(w)
+	return fanout.Ordered(len(job.Cells), width, func(k int) error {
+		cell := job.Cells[k]
+		ev, seed, dual := chain, job.Seed, job.Dual
+		var err error
+		switch {
+		case chain != nil && k > 0:
+			seed, dual = solved[k-1].Result.X, solved[k-1].Dual
+		case chain == nil && cell.Perturb != nil:
+			ev, err = inst.PerturbedReplica(*cell.Perturb)
+		case chain == nil:
+			ev, err = inst.Replica()
+		}
+		if err == nil {
+			solved[k], err = bench.SolveCell(ev, cell.Bounds, seed, dual, opt)
+		}
 		if err != nil {
-			return fmt.Errorf("cell (%d,%d): %w", cell.Row, cell.Col, err)
+			return fmt.Errorf("cell %d: %w", cell.Index, err)
 		}
-		line := api.ResultLine{Cell: &api.CellResult{
-			Row: cell.Row, Col: cell.Col, Result: res, SolveSec: sec,
-		}}
-		if sj.ReturnDual {
-			line.Cell.Dual = d
-		}
-		if err := enc.Encode(line); err != nil {
+		return nil
+	}, func(k int) error {
+		if err := enc.Encode(api.ResultLine{Cell: &api.CellResult{Index: job.Cells[k].Index, Solved: *solved[k]}}); err != nil {
 			return err
 		}
 		wk.cells++
@@ -499,63 +505,6 @@ func (wk *worker) executeSweep(ctx context.Context, inst *bench.Instance, sj *ap
 			wk.logf("farm worker %s: fault injected after %d cells, dying mid-job", wk.id, wk.cells)
 			return ErrFaultInjected
 		}
-		if sj.Chain {
-			seed, dual = res.X, d
-		}
-	}
-	return nil
-}
-
-// executeMonteCarlo solves one Monte-Carlo sample shard. The worker
-// re-derives the shard's perturbations from the shipped (seed, sigmas)
-// by absolute index — variation.Perturbs draws sample i purely from
-// (seed, i, sigmas), so the slice [Lo:Hi) equals the same indices of the
-// full local draw bitwise — and solves them through the exact kernel the
-// local Monte-Carlo path uses (variation.SolveSamples, which fans the
-// shard's samples out over the worker's cores). Each streamed line
-// carries the sample's global index; every line counts toward the
-// crash-injection cell counter, so a fault plan can kill the worker
-// mid-shard for the reaping parity tests.
-func (wk *worker) executeMonteCarlo(ctx context.Context, inst *bench.Instance, mj *api.MonteCarloJob, enc *json.Encoder) error {
-	if mj.Lo < 0 || mj.Hi <= mj.Lo {
-		return fmt.Errorf("farm worker: montecarlo range [%d, %d) is empty or negative", mj.Lo, mj.Hi)
-	}
-	perturbs, err := variation.Perturbs(mj.Seed, mj.Hi, mj.Sigmas)
-	if err != nil {
-		return err
-	}
-	shard := perturbs[mj.Lo:mj.Hi]
-	results, err := variation.SolveSamples(inst, mj.Bounds, shard, variation.SolveOptions{
-		MaxIterations: mj.MaxIterations,
-		Epsilon:       mj.Epsilon,
-		Workers:       wk.opt.SolverWorkers,
-		Cancel:        func() bool { return ctx.Err() != nil },
+		return nil
 	})
-	if err != nil {
-		return err
-	}
-	for n, res := range results {
-		line := api.ResultLine{Sample: &api.MCSampleResult{
-			Index: mj.Lo + n, Perturb: shard[n], Result: res,
-		}}
-		if err := enc.Encode(line); err != nil {
-			return err
-		}
-		wk.cells++
-		if wk.crashAfterCell() {
-			wk.logf("farm worker %s: fault injected after %d cells, dying mid-job", wk.id, wk.cells)
-			return ErrFaultInjected
-		}
-	}
-	return nil
-}
-
-// executeSolve runs one full solve through api.SolveJob.Run, the path
-// the service's local fallback takes too.
-func (wk *worker) executeSolve(ctx context.Context, inst *bench.Instance, sj *api.SolveJob, enc *json.Encoder) error {
-	res, err := sj.Run(inst, wk.opt.SolverWorkers, nil, func() bool { return ctx.Err() != nil })
-	if err != nil {
-		return err
-	}
-	return enc.Encode(api.ResultLine{Solve: res})
 }

@@ -166,9 +166,6 @@ func New(seed uint64, rules ...Rule) *Plan {
 	return p
 }
 
-// Seed returns the plan's PRNG seed.
-func (p *Plan) Seed() uint64 { return p.seed }
-
 // splitmix64 is the classic SplitMix64 mix function: a full-period,
 // dependency-free way to turn (seed, rule, event index) into uniform
 // bits, so probability draws are pure functions of their inputs.

@@ -109,8 +109,8 @@ func TestParseRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Seed() != 7 {
-		t.Fatalf("seed %d, want 7", p.Seed())
+	if p.seed != 7 {
+		t.Fatalf("seed %d, want 7", p.seed)
 	}
 	p2, err := Parse(p.String())
 	if err != nil {

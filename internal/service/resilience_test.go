@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bench"
 	"repro/internal/farm"
 	"repro/internal/farm/api"
 	"repro/internal/fault"
@@ -91,7 +92,7 @@ func TestDrainQuiescesServer(t *testing.T) {
 	// A farm run with no workers parks forever; Drain must kill it.
 	runErr := make(chan error, 1)
 	go func() {
-		_, err := coord.Solve(context.Background(), api.CircuitSpec{Key: "drain-grid", Grid: &api.GridSpec{Width: 4, Layers: 3}}, api.SolveJob{MaxIterations: 2})
+		_, err := coord.Solve(context.Background(), api.CircuitSpec{Key: "drain-grid", Grid: &api.GridSpec{Width: 4, Layers: 3}}, bench.Bounds{}, nil, nil, bench.CellOptions{MaxIterations: 2})
 		runErr <- err
 	}()
 	waitFor(t, "farm run queued", func() bool { return coord.StatsSnapshot().JobsQueued > 0 })

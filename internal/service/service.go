@@ -14,6 +14,7 @@ import (
 	"repro/internal/delta"
 	"repro/internal/farm"
 	"repro/internal/farm/api"
+	"repro/internal/rc"
 	"repro/internal/store"
 )
 
@@ -412,10 +413,8 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 
 	// Resolve the warm-start seed under the instance lock so the chain
 	// solve → save_as → warm_from is deterministic per circuit.
-	job := api.SolveJob{
-		Bounds: bounds, MaxIterations: req.MaxIterations, Epsilon: req.Epsilon,
-		Seed: e.inst.Eval.X, Dual: req.Dual,
-	}
+	seed, dual := e.inst.Eval.X, req.Dual
+	opt := bench.CellOptions{MaxIterations: req.MaxIterations, Epsilon: req.Epsilon, S1: true, ReturnDual: true}
 	switch {
 	case req.WarmFrom != "":
 		saved := e.getResult(req.WarmFrom)
@@ -423,15 +422,15 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusNotFound, "solve: no saved result %q on circuit %s", req.WarmFrom, e.name)
 			return
 		}
-		job.Seed, job.Dual, job.Warm = saved.Result.X, saved.Dual, true
+		seed, dual, opt.S1 = saved.Result.X, saved.Dual, false
 	case req.SeedSizes != nil:
-		job.Seed, job.Warm = req.SeedSizes, true
+		seed, opt.S1 = req.SeedSizes, false
 	}
 	if req.PrimalOnly {
-		job.Dual = nil
+		dual = nil
 	}
 	if req.S1 {
-		job.Warm = false // paper-faithful S1: the solve starts at the lower bounds
+		opt.S1 = true // paper-faithful S1: the solve starts at the lower bounds
 	}
 	resp := solveResponse{Key: e.key, Circuit: e.name, WarmFrom: req.WarmFrom, SavedAs: req.SaveAs}
 	done := func(res *core.Result) progressEvent {
@@ -443,7 +442,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	// bytes — byte-for-byte a prior run's response — without burning a
 	// solve; save_as still takes effect so warm-start chains replayed
 	// against a restarted server cost only the lookups.
-	sk := solveKey(e.key, bounds, req.MaxIterations, req.Epsilon, job.Warm, job.Seed, job.Dual)
+	sk := solveKey(e.key, bounds, req.MaxIterations, req.Epsilon, !opt.S1, seed, dual)
 	if !req.NoDedup {
 		if hit := lookup[storedSolve](s, solvePrefix+sk); hit != nil && hit.Result != nil {
 			resp.Dedup, resp.Result = true, hit.Result
@@ -458,32 +457,36 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	rn.emit(progressEvent{Kind: "solve_start"})
 
-	// With live workers, the fully resolved job goes to the fleet, whose
+	// With live workers, the fully resolved cell goes to the fleet, whose
 	// workers each pick their own width — which is free, because results
-	// are bit-identical at every width. Otherwise the same job runs here,
-	// streaming each iteration onto the watch log (the hook never changes
-	// solved bits, pinned by core's hook test) and stopping at the next
-	// iteration boundary once the client is gone.
-	var fr *api.SolveResult
+	// are bit-identical at every width. Otherwise the same cell runs here
+	// through the same kernel, streaming each iteration onto the watch log
+	// (the hook never changes solved bits, pinned by core's hook test) and
+	// stopping at the next iteration boundary once the client is gone.
+	var sv *bench.Solved
 	var err error
 	if s.farmReady() {
-		fr, err = s.opt.Farm.Solve(r.Context(), e.farmSpec, job)
+		sv, err = s.opt.Farm.Solve(r.Context(), e.farmSpec, bounds, seed, dual, opt)
 	} else {
-		fr, err = job.Run(e.inst, req.width(), func(p core.IterProgress) {
-			rn.emit(progressEvent{Kind: "iter", Iter: &p})
-		}, rn.cancelled)
+		opt.Workers = req.width()
+		opt.OnIteration = func(p core.IterProgress) { rn.emit(progressEvent{Kind: "iter", Iter: &p}) }
+		opt.Cancel = rn.cancelled
+		var replica *rc.Evaluator
+		if replica, err = e.inst.Replica(); err == nil {
+			sv, err = bench.SolveCell(replica, bounds, seed, dual, opt)
+		}
 	}
 	if err != nil {
 		rn.fail(err)
 		return
 	}
-	resp.Workers, resp.SolveSec, resp.Result = fr.Workers, fr.SolveSec, fr.Result
-	ev := done(fr.Result)
-	ev.SolveSec = fr.SolveSec
+	resp.Workers, resp.SolveSec, resp.Result = sv.Workers, sv.SolveSec, sv.Result
+	ev := done(sv.Result)
+	ev.SolveSec = sv.SolveSec
 	rn.finish(resp, ev, func() {
-		s.saveAs(e, req.SaveAs, fr.Result, fr.Dual)
-		s.storePut(solvePrefix+sk, storedSolve{stamp: thisBuild, CircuitKey: e.key, Circuit: e.name, Result: fr.Result, Dual: fr.Dual})
-		s.stats.addSolve(fr.SolveSec, fr.Eval, fr.HysteresisTrips, fr.RevertedSweeps)
+		s.saveAs(e, req.SaveAs, sv.Result, sv.Dual)
+		s.storePut(solvePrefix+sk, storedSolve{stamp: thisBuild, CircuitKey: e.key, Circuit: e.name, Result: sv.Result, Dual: sv.Dual})
+		s.stats.addSolve(sv.SolveSec, sv.Eval, sv.HysteresisTrips, sv.RevertedSweeps)
 	})
 }
 

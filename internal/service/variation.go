@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/core"
-	"repro/internal/farm/api"
 	"repro/internal/variation"
 )
 
@@ -128,38 +127,31 @@ func (s *Server) handleMonteCarlo(w http.ResponseWriter, r *http.Request) {
 			Gap: sm.Result.Gap, Area: sm.Result.Area,
 		})
 	}
+	opt := variation.MCOptions{
+		Samples:       req.Samples,
+		Seed:          req.Seed,
+		Sigmas:        req.Sigmas,
+		Bounds:        &bounds,
+		MaxIterations: req.MaxIterations,
+		Epsilon:       req.Epsilon,
+		OnSample:      onSample,
+	}
 	start := time.Now()
 	var res *variation.MCResult
 	var err error
 	if s.farmReady() {
-		// Farm dispatch: the sample range fans out as per-worker shards;
-		// the samples reassemble by global index and the shared summarizer
+		// Farm dispatch: the drawn samples fan out as per-worker batches
+		// of cells; they reassemble by index and the shared summarizer
 		// rebuilds the exact local report — distributed ≡ local bytes.
 		var samples []variation.Sample
-		samples, err = s.opt.Farm.MonteCarlo(r.Context(), e.farmSpec, api.MonteCarloJob{
-			Bounds:        bounds,
-			Seed:          req.Seed,
-			Sigmas:        req.Sigmas,
-			Lo:            0,
-			Hi:            req.Samples,
-			MaxIterations: req.MaxIterations,
-			Epsilon:       req.Epsilon,
-		}, onSample)
+		samples, err = s.opt.Farm.MonteCarlo(r.Context(), e.farmSpec, e.inst, opt)
 		if err == nil {
 			res = variation.Summarize(samples, bounds.A0)
 		}
 	} else {
-		res, err = variation.MonteCarlo(e.inst, variation.MCOptions{
-			Samples:       req.Samples,
-			Seed:          req.Seed,
-			Sigmas:        req.Sigmas,
-			Bounds:        &bounds,
-			MaxIterations: req.MaxIterations,
-			Epsilon:       req.Epsilon,
-			Workers:       req.width(),
-			Cancel:        rn.cancelled,
-			OnSample:      onSample,
-		})
+		opt.Workers = req.width()
+		opt.Cancel = rn.cancelled
+		res, err = variation.MonteCarlo(e.inst, opt)
 	}
 	if err != nil {
 		rn.fail(err)

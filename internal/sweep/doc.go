@@ -7,6 +7,7 @@
 // logic simulation, elaboration, wire ordering, coupling extraction —
 // across every cell: the instance is built once and each cell solves on a
 // lightweight evaluator replica over the shared graph and coupling set.
+// Every cell is one call of the shared cell kernel, bench.SolveCell.
 // Cells are warm-started on both halves of the problem: each one seeds
 // the solver with the final sizes of its nearest already-solved neighbour
 // through core.Solver.RunFromDual (rc.SetSizes under the hood), so the

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"time"
 
 	"repro/internal/bench"
 	"repro/internal/core"
@@ -151,15 +150,6 @@ func (o *Options) fill() {
 	}
 }
 
-// solverOptions builds one cell's core options from the sweep knobs.
-func (o Options) solverOptions(b bench.Bounds) core.Options {
-	sopt := core.DefaultOptions(b.A0, b.NoiseBound, b.PowerBound)
-	sopt.MaxIterations, sopt.Epsilon = o.MaxIterations, o.Epsilon
-	sopt.WarmStart = !o.ColdLRS
-	sopt.Workers = o.Workers
-	return sopt
-}
-
 // cellBounds scales the base bounds for one grid point. The noise factor
 // scales only the variable part of X_B — the constant coupling offset is
 // fixed by the layout, so scaling past it would just manufacture an
@@ -179,53 +169,42 @@ func cellBounds(base bench.Bounds, off, fd, fn float64) (bench.Bounds, error) {
 	return b, nil
 }
 
-// SolveCell runs one cell: a fresh solver over the given evaluator at
-// the cell's bounds, seeded with the given sizes and (unless PrimalOnly)
-// the given dual state. It returns the cell's own final dual state for
-// the next cell in the seeding chain (nil under PrimalOnly). Exported so
-// farm workers (internal/farm) execute leased sweep cells through the
-// exact code path the single-process engine uses — the distributed
-// determinism contract holds by construction, not by parallel
-// implementation. Only the solver knobs of o are read (MaxIterations,
-// Epsilon, Workers, PrimalOnly, ColdLRS) plus OnProgress, which receives
-// the given row/col with each iteration; the grid axes are irrelevant
-// here.
-func (o Options) SolveCell(ev *rc.Evaluator, row, col int, b bench.Bounds, seed []float64, dual *core.DualState) (*core.Result, *core.DualState, float64, error) {
-	sopt := o.solverOptions(b)
+// solveCell solves one grid cell through the shared cell kernel
+// (bench.SolveCell) from the given sizes and dual, filling the cell's
+// Result and SolveSec. It returns the cell's final dual for the next cell
+// of a warm chain, nil when the sweep is cold or primal-only. Only the
+// solver knobs of o are read, plus OnProgress (called with the cell's
+// grid position) and Cancel, which also stops the cell at its next
+// iteration boundary.
+func (o Options) solveCell(ev *rc.Evaluator, c *Cell, seed []float64, dual *core.DualState) (*core.DualState, error) {
+	copt := bench.CellOptions{
+		MaxIterations: o.MaxIterations,
+		Epsilon:       o.Epsilon,
+		Workers:       o.Workers,
+		S1:            o.ColdLRS,
+		ReturnDual:    !o.Cold && !o.PrimalOnly,
+		Cancel:        o.Cancel,
+	}
 	if o.OnProgress != nil {
-		sopt.OnIteration = func(p core.IterProgress) { o.OnProgress(row, col, p) }
+		copt.OnIteration = func(p core.IterProgress) { o.OnProgress(c.Row, c.Col, p) }
 	}
-	// Thread the sweep's Cancel into the solver's iteration boundary, so a
-	// cancelled sweep also stops mid-cell instead of waiting out the cell.
-	sopt.Cancel = o.Cancel
-	sol, err := core.NewSolver(ev, sopt)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	defer sol.Close()
-	if o.PrimalOnly {
-		dual = nil
-	}
-	start := time.Now()
-	res, err := sol.RunFromDual(seed, dual)
+	s, err := bench.SolveCell(ev, c.Bounds, seed, dual, copt)
 	if err != nil {
 		if errors.Is(err, core.ErrCancelled) {
 			err = ErrCancelled
 		}
-		return nil, nil, 0, err
+		return nil, err
 	}
-	sec := time.Since(start).Seconds()
-	if o.PrimalOnly {
-		return res, nil, sec, nil
-	}
-	return res, sol.DualState(), sec, nil
+	c.Result, c.SolveSec = s.Result, s.SolveSec
+	return s.Dual, nil
 }
 
 // plan builds the unsolved grid skeleton for filled options: every cell
-// carries its axis factors and resolved bounds, seed metadata initialized
-// to the unseeded (-1, -1) marker. The second return is the shared seed
-// for unseeded cells: the instance's initial sizes (what
-// bench.RunInstance solves from).
+// carries its axis factors, resolved bounds and seed metadata — the warm
+// wavefront's (cell (i,0) seeds from (i−1,0), cell (i,j) from (i,j−1)),
+// or the unseeded (-1, -1) marker for a cold sweep and the grid origin.
+// The second return is the shared seed for unseeded cells: the instance's
+// initial sizes (what bench.RunInstance solves from).
 func plan(inst *bench.Instance, opt Options) (*Result, []float64, error) {
 	base := bench.DeriveBounds(inst)
 	if opt.Bounds != nil {
@@ -251,15 +230,22 @@ func plan(inst *bench.Instance, opt Options) (*Result, []float64, error) {
 			c.Row, c.Col = i, j
 			c.DelayScale, c.NoiseScale = fd, fn
 			c.Bounds = b
-			c.SeedRow, c.SeedCol = -1, -1
+			switch {
+			case opt.Cold || i == 0 && j == 0:
+				c.SeedRow, c.SeedCol = -1, -1
+			case j == 0:
+				c.SeedRow, c.SeedCol = i-1, 0
+			default:
+				c.SeedRow, c.SeedCol = i, j-1
+			}
 		}
 	}
 	return res, append([]float64(nil), inst.Eval.X...), nil
 }
 
 // Plan is the exported planning half of Run: it validates the axes and
-// returns the unsolved grid skeleton (per-cell bounds, axis factors,
-// unseeded markers) plus the shared initial-size seed, without solving
+// returns the unsolved grid skeleton (per-cell bounds, axis factors, seed
+// metadata) plus the shared initial-size seed, without solving
 // anything. The farm coordinator plans a distributed sweep with exactly
 // this skeleton, leases the cells out, and fills the same row-major slots
 // the local engine would — so the reassembled grid is the identical
@@ -270,7 +256,7 @@ func Plan(inst *bench.Instance, opt Options) (*Result, []float64, error) {
 }
 
 // Run sweeps the bounds grid over one prebuilt instance. The instance is
-// shared read-only — every cell solves on its own evaluator replica, so
+// shared read-only — every cell solves on an evaluator replica, so
 // the instance's evaluator state (the Init sizes) is left untouched and
 // one instance can back any number of sweeps. Results come back in
 // row-major grid order with the Pareto frontier attached; on any cell
@@ -281,7 +267,6 @@ func Run(inst *bench.Instance, opt Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	g, cs := inst.Eval.Graph(), inst.Eval.Couplings()
 	rows, cols := res.Rows, res.Cols
 
 	if opt.Cold {
@@ -291,13 +276,13 @@ func Run(inst *bench.Instance, opt Options) (*Result, error) {
 				errs[k] = ErrCancelled
 				return
 			}
-			ev, err := rc.NewEvaluator(g, cs)
+			ev, err := inst.Replica()
 			if err != nil {
 				errs[k] = err
 				return
 			}
 			c := &res.Cells[k]
-			c.Result, _, c.SolveSec, errs[k] = opt.SolveCell(ev, c.Row, c.Col, c.Bounds, initX, nil)
+			_, errs[k] = opt.solveCell(ev, c, initX, nil)
 			if opt.OnCell != nil && errs[k] == nil {
 				opt.OnCell(c)
 			}
@@ -313,7 +298,7 @@ func Run(inst *bench.Instance, opt Options) (*Result, error) {
 
 	// Warm wavefront. Spine first: column 0 cell by cell on one replica,
 	// each seeded (sizes and dual state) from the cell above it.
-	spine, err := rc.NewEvaluator(g, cs)
+	spine, err := inst.Replica()
 	if err != nil {
 		return nil, err
 	}
@@ -325,10 +310,7 @@ func Run(inst *bench.Instance, opt Options) (*Result, error) {
 			return nil, ErrCancelled
 		}
 		c := res.At(i, 0)
-		if i > 0 {
-			c.SeedRow, c.SeedCol = i-1, 0
-		}
-		if c.Result, dual, c.SolveSec, err = opt.SolveCell(spine, c.Row, c.Col, c.Bounds, seed, dual); err != nil {
+		if dual, err = opt.solveCell(spine, c, seed, dual); err != nil {
 			return nil, err
 		}
 		if opt.OnCell != nil {
@@ -342,7 +324,7 @@ func Run(inst *bench.Instance, opt Options) (*Result, error) {
 	if cols > 1 {
 		errs := make([]error, rows)
 		fanout.Each(rows, opt.SweepWorkers, func(i int) {
-			ev, err := rc.NewEvaluator(g, cs)
+			ev, err := inst.Replica()
 			if err != nil {
 				errs[i] = err
 				return
@@ -354,8 +336,7 @@ func Run(inst *bench.Instance, opt Options) (*Result, error) {
 					return
 				}
 				c := res.At(i, j)
-				c.SeedRow, c.SeedCol = i, j-1
-				if c.Result, rowD, c.SolveSec, errs[i] = opt.SolveCell(ev, c.Row, c.Col, c.Bounds, rowSeed, rowD); errs[i] != nil {
+				if rowD, errs[i] = opt.solveCell(ev, c, rowSeed, rowD); errs[i] != nil {
 					return
 				}
 				if opt.OnCell != nil {

@@ -14,8 +14,6 @@ package variation
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"repro/internal/bench"
 	"repro/internal/core"
@@ -65,7 +63,7 @@ type CornerOptions struct {
 	Epsilon       float64
 	// Workers is each solve's parallel width, the nominal's included; a
 	// value <= 0 means width 1, and the fan-out runs GOMAXPROCS ÷ width
-	// corners at once, so it owns the cores (see schedule). Results are
+	// corners at once, so it owns the cores (see fanout.Widths). Results are
 	// bit-identical at every width.
 	Workers int
 	// Cold skips warm-starting corners from the nominal solve.
@@ -102,18 +100,6 @@ type CornerReport struct {
 	Delay Dist `json:"delay"`
 }
 
-// solverOptions builds a solve's core options from the shared knobs
-// exactly as sweep.Options does, so a corner cell and a sweep cell with
-// the same knobs run the same core configuration (core.Options.validate
-// applies the budget defaults to both).
-func solverOptions(b bench.Bounds, maxIter int, epsilon float64, workers int, coldLRS bool) core.Options {
-	sopt := core.DefaultOptions(b.A0, b.NoiseBound, b.PowerBound)
-	sopt.MaxIterations, sopt.Epsilon = maxIter, epsilon
-	sopt.WarmStart = !coldLRS
-	sopt.Workers = workers
-	return sopt
-}
-
 // resolveBounds returns the explicit bounds or derives them.
 func resolveBounds(inst *bench.Instance, b *bench.Bounds) bench.Bounds {
 	if b != nil {
@@ -146,43 +132,42 @@ func constantOffset(inst *bench.Instance) float64 {
 }
 
 // CornerSweep solves the instance at the nominal technology and then at
-// every one of StandardCorners. With warm starts (the default) each
-// corner begins at the nominal sizes and multipliers; Cold solves every
-// corner from scratch. The nominal solve runs first, because every warm
-// corner starts from it; the corners then fan out as independent solves
-// (see schedule and solveEach). Each corner is a pure function of its index, so the report
-// is deterministic in (instance, options) regardless of hooks, width, or
-// timing.
+// every one of StandardCorners, every solve through the shared cell
+// kernel (bench.SolveCell). With warm starts (the default) each corner
+// begins at the nominal sizes and multipliers; Cold solves every corner
+// from scratch. The nominal solve runs first, because every warm corner
+// starts from it; the corners then fan out as independent solves (see
+// fanout.Widths and fanout.Ordered). Each corner is a pure function of its
+// index, so the report is deterministic in (instance, options) regardless
+// of hooks, width, or timing.
 func CornerSweep(inst *bench.Instance, opt CornerOptions) (*CornerReport, error) {
 	corners := StandardCorners()
 	bounds := resolveBounds(inst, opt.Bounds)
 	offset := constantOffset(inst)
-	perSolve, width := schedule(opt.Workers, false)
-	sopt := solverOptions(bounds, opt.MaxIterations, opt.Epsilon, perSolve, opt.ColdLRS)
-	sopt.Cancel = opt.Cancel
+	perSolve, width := fanout.Widths(opt.Workers)
+	copt := bench.CellOptions{
+		MaxIterations: opt.MaxIterations,
+		Epsilon:       opt.Epsilon,
+		Workers:       perSolve,
+		S1:            opt.ColdLRS,
+		Cancel:        opt.Cancel,
+	}
 
 	// Nominal solve: the warm-start anchor and the report's reference row.
 	nomEv, err := inst.Replica()
 	if err != nil {
 		return nil, err
 	}
-	nomSolver, err := core.NewSolver(nomEv, sopt)
+	nomOpt := copt
+	nomOpt.ReturnDual = !opt.Cold && !opt.PrimalOnly
+	nominal, err := bench.SolveCell(nomEv, bounds, inst.Eval.X, nil, nomOpt)
 	if err != nil {
 		return nil, err
 	}
-	nominal, err := nomSolver.Run()
-	if err != nil {
-		nomSolver.Close()
-		return nil, err
-	}
-	seed, dual := inst.Eval.X, (*core.DualState)(nil)
+	seed, dual := inst.Eval.X, nominal.Dual
 	if !opt.Cold {
-		seed = nominal.X
-		if !opt.PrimalOnly {
-			dual = nomSolver.DualState()
-		}
+		seed = nominal.Result.X
 	}
-	nomSolver.Close()
 
 	cells := make([]CornerCell, len(corners))
 	solve := func(i int) error {
@@ -191,98 +176,26 @@ func CornerSweep(inst *bench.Instance, opt CornerOptions) (*CornerReport, error)
 		if err != nil {
 			return fmt.Errorf("variation: corner %q: %w", c.Name, err)
 		}
-		copt := solverOptions(perturbedBounds(bounds, offset, c.Perturb()),
-			opt.MaxIterations, opt.Epsilon, perSolve, opt.ColdLRS)
-		copt.Cancel = opt.Cancel
-		solver, err := core.NewSolver(ev, copt)
+		s, err := bench.SolveCell(ev, perturbedBounds(bounds, offset, c.Perturb()), seed, dual, copt)
 		if err != nil {
 			return fmt.Errorf("variation: corner %q: %w", c.Name, err)
 		}
-		defer solver.Close()
-		res, err := solver.RunFromDual(seed, dual)
-		if err != nil {
-			return fmt.Errorf("variation: corner %q: %w", c.Name, err)
-		}
-		cells[i] = CornerCell{Corner: c, Result: res}
+		cells[i] = CornerCell{Corner: c, Result: s.Result}
 		return nil
 	}
-	var observe func(int)
+	var observe func(int) error
 	if opt.OnCorner != nil {
-		observe = func(i int) { opt.OnCorner(&cells[i]) }
+		observe = func(i int) error {
+			opt.OnCorner(&cells[i])
+			return nil
+		}
 	}
-	if err := solveEach(len(corners), width, opt.Cancel, solve, observe); err != nil {
+	if err := fanout.Ordered(len(corners), width, solve, observe); err != nil {
 		return nil, err
 	}
 	delays := make([]float64, len(cells))
 	for i, c := range cells {
 		delays[i] = c.Result.DelayPs
 	}
-	return &CornerReport{Nominal: nominal, Cells: cells, Delay: NewDist(delays)}, nil
-}
-
-// schedule resolves a call's Workers into the fan-out's two widths: each
-// solve runs at max(workers, 1) goroutines, and max(1, GOMAXPROCS ÷ that)
-// solves run at once, so the fan-out owns the cores. solo runs the same
-// loop one solve at a time. Every width yields the same bits.
-func schedule(workers int, solo bool) (perSolve, concurrent int) {
-	perSolve = max(workers, 1)
-	if solo {
-		return perSolve, 1
-	}
-	return perSolve, max(1, runtime.GOMAXPROCS(0)/perSolve)
-}
-
-// solveEach runs solve(i) for every i in [0, n) as independent solves, at
-// most width at once (fanout.Each). solve must write only slot i of its
-// results. cancel, when non-nil, is polled before each solve starts; no
-// solve starts past an index that has already failed. observe, when
-// non-nil, is called for index i as soon as i and every lower index have
-// succeeded: in index order, one call at a time, never past a failure,
-// and never under a lock the solves take. Returns the lowest-index error,
-// so the outcome is a pure function of the indices whatever the width.
-func solveEach(n, width int, cancel func() bool, solve func(i int) error, observe func(i int)) error {
-	errs := make([]error, n)
-	finished := make([]bool, n)
-	var mu sync.Mutex
-	// failed is the lowest failed index so far (n while none has); next is
-	// the lowest index not yet observed; emitting marks the goroutine that
-	// is running observe calls.
-	failed, next, emitting := n, 0, false
-	fanout.Each(n, width, func(i int) {
-		mu.Lock()
-		skip := i > failed
-		mu.Unlock()
-		if skip {
-			return
-		}
-		var err error
-		if cancel != nil && cancel() {
-			err = core.ErrCancelled
-		} else {
-			err = solve(i)
-		}
-		mu.Lock()
-		errs[i], finished[i] = err, true
-		if err != nil {
-			failed = min(failed, i)
-		}
-		if observe != nil && !emitting {
-			emitting = true
-			for next < failed && finished[next] {
-				j := next
-				next++
-				mu.Unlock()
-				observe(j)
-				mu.Lock()
-			}
-			emitting = false
-		}
-		mu.Unlock()
-	})
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return &CornerReport{Nominal: nominal.Result, Cells: cells, Delay: NewDist(delays)}, nil
 }

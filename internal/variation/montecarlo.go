@@ -1,11 +1,12 @@
 // Monte-Carlo yield analysis.
 //
-// MonteCarlo draws K technology perturbations from the seeded sampler,
-// sizes each perturbed replica with the full OGWS solver, and reports
-// per-sample results plus delay/area/noise distributions and the
+// MonteCarlo draws K technology perturbations from the seeded sampler
+// (Draw plans them as cells), sizes each perturbed replica with the full
+// OGWS solver through the shared cell kernel (bench.SolveCell), and
+// reports per-sample results plus delay/area/noise distributions and the
 // delay-constraint yield. The K solves fan out as plain, independent
 // solves — each on its own goroutine, replica, and solver, several at
-// once (see schedule) — so a run spreads over the cores instead of
+// once (see fanout.Widths) — so a run spreads over the cores instead of
 // sharing one evaluator pass.
 //
 // Determinism contract (pinned by the oracle suite and FuzzVariation):
@@ -22,6 +23,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/core"
+	"repro/internal/fanout"
 	"repro/internal/rc"
 )
 
@@ -92,7 +94,7 @@ type MCOptions struct {
 	Epsilon       float64
 	// Workers is each sample solve's parallel width; a value <= 0 means
 	// width 1, and the fan-out runs GOMAXPROCS ÷ width samples at once,
-	// so it owns the cores (see schedule). Results are bit-identical at
+	// so it owns the cores (see fanout.Widths). Results are bit-identical at
 	// every width.
 	Workers int
 	// Solo runs the same per-sample solves one at a time. The result is
@@ -132,26 +134,36 @@ type MCResult struct {
 // reports the distributional outcome. See the package comment for the
 // determinism contract.
 func MonteCarlo(inst *bench.Instance, opt MCOptions) (*MCResult, error) {
-	perturbs, err := Perturbs(opt.Seed, opt.Samples, opt.Sigmas)
+	base, samples, bounds, err := Draw(inst, opt)
 	if err != nil {
 		return nil, err
 	}
-	bounds := resolveBounds(inst, opt.Bounds)
-	results, err := SolveSamples(inst, bounds, perturbs, SolveOptions{
+	perSolve, width := fanout.Widths(opt.Workers)
+	if opt.Solo {
+		width = 1
+	}
+	copt := bench.CellOptions{
 		MaxIterations: opt.MaxIterations,
 		Epsilon:       opt.Epsilon,
-		Workers:       opt.Workers,
-		Solo:          opt.Solo,
+		Workers:       perSolve,
 		Cancel:        opt.Cancel,
-	})
+	}
+	err = fanout.Ordered(len(samples), width, func(r int) error {
+		ev, err := inst.PerturbedReplica(samples[r].Perturb)
+		if err != nil {
+			return err
+		}
+		s, err := bench.SolveCell(ev, bounds[r], inst.Eval.X, nil, copt)
+		if err != nil {
+			return err
+		}
+		samples[r].Result = s.Result
+		return nil
+	}, nil)
 	if err != nil {
 		return nil, err
 	}
-	samples := make([]Sample, len(perturbs))
-	for r := range samples {
-		samples[r] = Sample{Index: r, Perturb: perturbs[r], Result: results[r]}
-	}
-	out := Summarize(samples, bounds.A0)
+	out := Summarize(samples, base.A0)
 	if opt.OnSample != nil {
 		for r := range out.Samples {
 			opt.OnSample(&out.Samples[r])
@@ -160,43 +172,26 @@ func MonteCarlo(inst *bench.Instance, opt MCOptions) (*MCResult, error) {
 	return out, nil
 }
 
-// SolveOptions are the solver knobs of a SolveSamples call — the MCOptions
-// subset a sample shard depends on (the sample set itself arrives as
-// explicit perturbations). Workers and Solo schedule the solves exactly as
-// in MCOptions: a Workers value <= 0 means width 1 per solve, and the
-// fan-out owns the cores.
-type SolveOptions struct {
-	MaxIterations int
-	Epsilon       float64
-	Workers       int
-	Solo          bool
-	Cancel        func() bool
-}
-
-// SolveSamples sizes one perturbed replica per entry of perturbs against
-// the base bounds (each sample under perturbedBounds for its own C
-// scalar) and returns the results aligned with perturbs. This is the
-// pure per-sample kernel both the local Monte-Carlo run and a farm
-// worker's sample shard execute: the result of sample i is a function of
-// (instance, bounds, knobs, perturbs[i]) only, never of which other
-// samples share the call — so a shard of a larger sample set solves to
-// the identical bytes the full local run produces for those indices.
-func SolveSamples(inst *bench.Instance, bounds bench.Bounds, perturbs []rc.Perturb, opt SolveOptions) ([]*core.Result, error) {
-	offset := constantOffset(inst)
-	perSolve, width := schedule(opt.Workers, opt.Solo)
-	results := make([]*core.Result, len(perturbs))
-	err := solveEach(len(perturbs), width, opt.Cancel, func(r int) error {
-		so := solverOptions(perturbedBounds(bounds, offset, perturbs[r]),
-			opt.MaxIterations, opt.Epsilon, perSolve, false)
-		so.Cancel = opt.Cancel
-		res, err := solveSample(inst, perturbs[r], so)
-		results[r] = res
-		return err
-	}, nil)
+// Draw plans a run without solving it: the resolved base bounds and, in
+// index order, every sample with its perturbation (Result still nil) and
+// the bounds it is solved against (perturbedBounds for its C scalar).
+// Sample i is a pure function of (instance, bounds, seed, i, sigmas), so
+// MonteCarlo solving this plan in-process and the farm coordinator
+// leasing it out cell by cell produce the identical bytes.
+func Draw(inst *bench.Instance, opt MCOptions) (bench.Bounds, []Sample, []bench.Bounds, error) {
+	perturbs, err := drawPerturbs(opt.Seed, opt.Samples, opt.Sigmas)
 	if err != nil {
-		return nil, err
+		return bench.Bounds{}, nil, nil, err
 	}
-	return results, nil
+	base := resolveBounds(inst, opt.Bounds)
+	offset := constantOffset(inst)
+	samples := make([]Sample, len(perturbs))
+	bounds := make([]bench.Bounds, len(perturbs))
+	for r, p := range perturbs {
+		samples[r] = Sample{Index: r, Perturb: p}
+		bounds[r] = perturbedBounds(base, offset, p)
+	}
+	return base, samples, bounds, nil
 }
 
 // Summarize assembles the distributional report over solved samples
@@ -226,19 +221,4 @@ func Summarize(samples []Sample, a0 float64) *MCResult {
 		out.Yield = float64(pass) / float64(k)
 	}
 	return out
-}
-
-// solveSample sizes one perturbed replica with one plain solver — the
-// whole of a sample's work, on whichever goroutine the fan-out gives it.
-func solveSample(inst *bench.Instance, p rc.Perturb, sopt core.Options) (*core.Result, error) {
-	ev, err := inst.PerturbedReplica(p)
-	if err != nil {
-		return nil, err
-	}
-	solver, err := core.NewSolver(ev, sopt)
-	if err != nil {
-		return nil, err
-	}
-	defer solver.Close()
-	return solver.RunFromDual(inst.Eval.X, nil)
 }

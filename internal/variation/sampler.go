@@ -6,9 +6,8 @@
 // scalars depend on nothing but (seed, k, the sigmas). The stream
 // discipline is internal/fault's — one splitmix64 evaluation per draw,
 // keyed by a per-(stream, event) mix of the seed — so samples can be
-// computed in any order, on any machine, in any process, and shard
-// across farm workers without a shared generator cursor. Same seed →
-// byte-identical sample set, always.
+// computed in any order, on any machine, in any process, without a
+// shared generator cursor. Same seed → byte-identical sample set, always.
 package variation
 
 import (
@@ -70,12 +69,12 @@ func gauss(seed, sample, param uint64) float64 {
 	return math.Sqrt(-2*math.Log(1-u1)) * math.Cos(2*math.Pi*u2)
 }
 
-// Perturbs draws the k-sample perturbation set for (seed, sigmas):
+// drawPerturbs draws the k-sample perturbation set for (seed, sigmas):
 // sample i's scalars are exp(σ·z) with independent z per parameter. The
 // result is a pure function of the arguments — the determinism anchor
 // every Monte-Carlo bit-identity contract (rerun, fan-out vs solo,
 // distributed vs local) reduces to.
-func Perturbs(seed uint64, k int, s Sigmas) ([]rc.Perturb, error) {
+func drawPerturbs(seed uint64, k int, s Sigmas) ([]rc.Perturb, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("variation: sample count must be positive, got %d", k)
 	}

@@ -1,7 +1,6 @@
 package variation
 
 import (
-	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -88,24 +87,24 @@ func TestMonteCarloSeedReproducible(t *testing.T) {
 	}
 }
 
-// TestPerturbsShardIndependent pins the farm-sharding property: sample
+// TestPerturbsShardIndependent pins the sampler's index purity: sample
 // i's perturbation depends only on (seed, i, sigmas), never on how many
-// samples the run requested — so a worker holding samples [lo,hi) of a
-// K-sample job draws exactly the coordinator's bytes.
+// samples the run requested — so any slice of a run's samples is drawn
+// exactly as the whole run draws it.
 func TestPerturbsShardIndependent(t *testing.T) {
 	s := Sigmas{R: 0.1, C: 0.2, Threshold: 0.3}
-	full, err := Perturbs(42, 10, s)
+	full, err := drawPerturbs(42, 10, s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	short, err := Perturbs(42, 4, s)
+	short, err := drawPerturbs(42, 4, s)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(full[:4], short) {
 		t.Error("sample set prefix depends on the requested count")
 	}
-	zero, err := Perturbs(42, 3, Sigmas{})
+	zero, err := drawPerturbs(42, 3, Sigmas{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +135,7 @@ func TestSamplerRejectsBadInputs(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := Perturbs(1, tc.k, tc.s)
+			_, err := drawPerturbs(1, tc.k, tc.s)
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)
@@ -286,34 +285,6 @@ func TestCancelStopsVariation(t *testing.T) {
 	}
 	if _, err := CornerSweep(inst, testCornerOptions(b, func(o *CornerOptions) { o.Cancel = cancel })); err != core.ErrCancelled {
 		t.Errorf("CornerSweep cancel returned %v, want ErrCancelled", err)
-	}
-}
-
-// TestSolveEachFailureContract pins the fan-out's failure rules at every
-// width: the lowest-index error wins whatever order the solves finish in,
-// observe sees exactly the indices below the first failure, in order, and
-// the sequential schedule starts no solve past a failure.
-func TestSolveEachFailureContract(t *testing.T) {
-	const n = 8
-	for _, width := range []int{1, 2, 4, n} {
-		var observed []int
-		var started [n]atomic.Bool
-		err := solveEach(n, width, nil, func(i int) error {
-			started[i].Store(true)
-			if i == 3 || i == 6 {
-				return fmt.Errorf("solve %d failed", i)
-			}
-			return nil
-		}, func(i int) { observed = append(observed, i) })
-		if err == nil || err.Error() != "solve 3 failed" {
-			t.Errorf("width %d: error %v, want the lowest-index failure", width, err)
-		}
-		if !reflect.DeepEqual(observed, []int{0, 1, 2}) {
-			t.Errorf("width %d: observed %v, want [0 1 2]", width, observed)
-		}
-		if width == 1 && started[4].Load() {
-			t.Error("sequential schedule started a solve past a failure")
-		}
 	}
 }
 
