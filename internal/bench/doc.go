@@ -12,12 +12,17 @@
 // NetlistKey/SpecKey hash every input that shapes an instance (netlist
 // bytes or spec, geometry seed, the PipelineOptions fingerprint) into a
 // cache key, and Instance.Replica hands each solve a fresh evaluator over
-// the shared read-only graph and coupling set — the discipline both the
-// sweep engine and the sizing service follow. DeriveBounds self-calibrates
-// the standard experiment bounds from the instance's Init and Floor
-// measurements. SolveCell is the one cell kernel: a solve at resolved
-// bounds from a given start, which the service, the sweep, corner and
-// Monte-Carlo engines and every farm worker run.
+// the instance's shared read-only topology — the discipline every plan
+// runner follows. DeriveBounds self-calibrates the standard experiment
+// bounds from the instance's Init and Floor measurements.
+//
+// SolveCell is the one cell kernel: a solve at resolved bounds from a
+// given start. A Plan is a workload as cells — batches of them, chained
+// on one evaluator or independent, a batch optionally waiting on the cell
+// that seeds it — and a Runner runs one: Instance.RunPlan here, or a farm
+// coordinator's dispatch. The service, the sweep, corner and Monte-Carlo
+// engines and every farm worker plan their cells and run them through
+// RunPlan or the farm, so every solve goes through SolveCell.
 //
 // RunRow/RunTable1Parallel and the Grid mesh generator drive the
 // committed benchmarks; everything is deterministic in (spec, seed,

@@ -62,24 +62,17 @@ func GridKey(width, layers int, coupled bool) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// Replica returns a fresh evaluator over the instance's shared circuit
-// graph and coupling set, seeded with the instance evaluator's current
-// sizes (the Init uniform sizes unless the caller mutated them). Solves
-// mutate their evaluator, so concurrent or repeated solves against one
-// cached instance should each run on a replica — exactly how the sweep
-// engine shares one instance across a bounds grid — leaving the
-// instance's own evaluator (and with it DeriveBounds) untouched. The
-// graph and coupling set are read-only after construction and safe to
-// share between replicas.
+// Replica returns a fresh evaluator over the instance's topology (graph,
+// coupling CSR, level buckets and constant stripes, all shared and
+// read-only after construction), seeded with the instance evaluator's
+// current sizes (the Init uniform sizes unless the caller mutated them).
+// It is PerturbedReplica at the nominal technology, which shares the
+// instance's topology instead of rebuilding it. Solves mutate their
+// evaluator, so concurrent or repeated solves against one cached instance
+// should each run on a replica — as every cell of a plan does — leaving
+// the instance's own evaluator (and with it DeriveBounds) untouched.
 func (inst *Instance) Replica() (*rc.Evaluator, error) {
-	ev, err := rc.NewEvaluator(inst.Eval.Graph(), inst.Eval.Couplings())
-	if err != nil {
-		return nil, err
-	}
-	if err := ev.SetSizes(inst.Eval.X); err != nil {
-		return nil, err
-	}
-	return ev, nil
+	return inst.PerturbedReplica(rc.Nominal())
 }
 
 // PerturbedReplica is Replica under a technology perturbation: a fresh

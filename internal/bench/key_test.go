@@ -46,7 +46,8 @@ func TestKeysDistinguishInputs(t *testing.T) {
 }
 
 // TestReplicaMatchesInstance checks that a replica starts from the
-// instance's sizes on the shared graph, and that mutating the replica
+// instance's sizes on the shared graph and topology — its constant arrays
+// are the instance's, not a rebuilt copy — and that mutating the replica
 // leaves the instance evaluator untouched.
 func TestReplicaMatchesInstance(t *testing.T) {
 	spec, _ := SpecByName("c432")
@@ -60,6 +61,9 @@ func TestReplicaMatchesInstance(t *testing.T) {
 	}
 	if rep.Graph() != inst.Eval.Graph() || rep.Couplings() != inst.Eval.Couplings() {
 		t.Fatal("replica does not share the instance graph/coupling set")
+	}
+	if len(rep.CHat) == 0 || &rep.CHat[0] != &inst.Eval.CHat[0] || &rep.CCst[0] != &inst.Eval.CCst[0] {
+		t.Fatal("replica rebuilt the instance's topology instead of sharing it")
 	}
 	for i := range rep.X {
 		if rep.X[i] != inst.Eval.X[i] {

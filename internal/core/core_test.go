@@ -657,7 +657,8 @@ func TestOnIterationHook(t *testing.T) {
 	}
 }
 
-// TestEvalStatsSub pins the snapshot-delta helper field-by-field.
+// TestEvalStatsSub pins the snapshot-delta helper field-by-field, and
+// Add as its inverse on every field.
 func TestEvalStatsSub(t *testing.T) {
 	a := rc.EvalStats{FullRecomputes: 5, IncRecomputes: 3, ElectricalNodes: 100, UpstreamNodes: 7}
 	b := rc.EvalStats{FullRecomputes: 2, IncRecomputes: 1, ElectricalNodes: 40, UpstreamNodes: 7}
@@ -667,5 +668,15 @@ func TestEvalStatsSub(t *testing.T) {
 	}
 	if z := a.Sub(a); z != (rc.EvalStats{}) {
 		t.Fatalf("a.Sub(a) = %+v", z)
+	}
+	// Every counter distinct, so a field Add or Sub drops cannot cancel out.
+	var full, part rc.EvalStats
+	fv, pv := reflect.ValueOf(&full).Elem(), reflect.ValueOf(&part).Elem()
+	for i := 0; i < fv.NumField(); i++ {
+		fv.Field(i).SetInt(int64(1000 + 37*i))
+		pv.Field(i).SetInt(int64(1 + 3*i))
+	}
+	if got := full.Sub(part).Add(part); got != full {
+		t.Fatalf("a.Sub(b).Add(b) = %+v, want %+v", got, full)
 	}
 }

@@ -1,8 +1,7 @@
 // Package fanout runs embarrassingly parallel index loops — the shared
 // engine behind the repo's batch drivers (bench.RunTable1Parallel,
-// repro.OptimizeBatch, the sweep engine's cells and rows, logicsim's
-// similarity matrix, variation's corner and Monte-Carlo solves, a farm
-// worker's independent batches). Callers keep their own result slices
+// repro.OptimizeBatch, logicsim's similarity matrix, and the batches of
+// the plan runner, bench.Instance.RunPlan). Callers keep their own result slices
 // indexed by i, so output placement is deterministic regardless of
 // scheduling.
 package fanout
@@ -66,12 +65,12 @@ func Widths(workers int) (perSolve, concurrent int) {
 // at once, and calls observe(i), when non-nil, as soon as i and every
 // lower index have succeeded: in index order, one call at a time, and
 // never under a lock the solves take. solve must write only slot i of its
-// results. A failing solve(i) or observe(i) stops the loop at i: no solve
-// starts past it (solves already running finish) and nothing past it is
-// observed. Ordered returns the lowest-index error, so the outcome is a
-// pure function of the indices whatever the width. With one worker,
+// results. A failing solve(i) stops the loop at i: no solve starts past
+// it (solves already running finish) and nothing past it is observed.
+// Ordered returns the lowest-index error, so the outcome is a pure
+// function of the indices whatever the width. With one worker,
 // observe(i) runs right after solve(i), before solve(i+1) starts.
-func Ordered(n, workers int, solve func(i int) error, observe func(i int) error) error {
+func Ordered(n, workers int, solve func(i int) error, observe func(i int)) error {
 	errs := make([]error, n)
 	finished := make([]bool, n)
 	var mu sync.Mutex
@@ -98,12 +97,8 @@ func Ordered(n, workers int, solve func(i int) error, observe func(i int) error)
 				j := next
 				next++
 				mu.Unlock()
-				err := observe(j)
+				observe(j)
 				mu.Lock()
-				if err != nil {
-					errs[j] = err
-					failed = min(failed, j)
-				}
 			}
 			emitting = false
 		}

@@ -1,7 +1,6 @@
 package fanout
 
 import (
-	"errors"
 	"fmt"
 	"reflect"
 	"sync/atomic"
@@ -51,9 +50,8 @@ func TestOrderedFailureContract(t *testing.T) {
 				return fmt.Errorf("solve %d failed", i)
 			}
 			return nil
-		}, func(i int) error {
+		}, func(i int) {
 			observed = append(observed, i)
-			return nil
 		})
 		if err == nil || err.Error() != "solve 3 failed" {
 			t.Errorf("width %d: error %v, want the lowest-index failure", width, err)
@@ -63,26 +61,6 @@ func TestOrderedFailureContract(t *testing.T) {
 		}
 		if width == 1 && started[4].Load() {
 			t.Error("sequential schedule started a solve past a failure")
-		}
-
-		stop := errors.New("observer stopped")
-		observed = nil
-		started = [n]atomic.Bool{}
-		err = Ordered(n, width, func(i int) error {
-			started[i].Store(true)
-			return nil
-		}, func(i int) error {
-			observed = append(observed, i)
-			if i == 2 {
-				return stop
-			}
-			return nil
-		})
-		if !errors.Is(err, stop) || !reflect.DeepEqual(observed, []int{0, 1, 2}) {
-			t.Errorf("width %d: observer failure gave %v after %v, want %v after [0 1 2]", width, err, observed, stop)
-		}
-		if width == 1 && started[3].Load() {
-			t.Error("sequential schedule started a solve past a failed observe")
 		}
 	}
 }

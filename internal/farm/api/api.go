@@ -32,9 +32,7 @@ import (
 	"strings"
 
 	"repro/internal/bench"
-	"repro/internal/core"
 	"repro/internal/netlist"
-	"repro/internal/rc"
 )
 
 // Version is the protocol version; the coordinator rejects workers that
@@ -186,47 +184,17 @@ type LeaseResponse struct {
 	Lease string `json:"lease,omitempty"`
 }
 
-// Job is one leased batch of cells on one circuit, with the circuit spec
-// the worker needs to materialize its replica. Every cell is one OGWS
-// solve through bench.SolveCell: a Monte-Carlo shard is an independent
-// batch of perturbed cells, a cold sweep row an independent batch of
-// unperturbed ones, a warm sweep's spine or row tail a chain, and a full
-// solve a batch of one. The batch's outcome is a pure function of this
-// message, which is why a re-queued batch re-solves bit-identically no
-// matter which worker runs it. Solver width is deliberately absent:
-// results are bit-identical at every width (core's
-// TestWorkersBitIdentical), so each worker picks its own.
+// Job is one leased batch of a plan (bench.Batch) on one circuit, with
+// the spec the worker materializes its replica from: a chain, or a shard
+// of an independent batch. A batch that waited on a recorded cell ships
+// that cell's sizes and dual as its Seed and Dual, so its outcome is a
+// pure function of this message and a re-queued batch re-solves
+// bit-identically on any worker. Solver width is deliberately absent:
+// results are bit-identical at every width, so each worker picks its own.
 type Job struct {
 	ID      int64       `json:"id"`
 	Circuit CircuitSpec `json:"circuit"`
-	// Chain solves the cells in order on one evaluator, each seeded from
-	// its predecessor's sizes (and, with Duals, its dual); the first cell
-	// starts from Seed and Dual. Otherwise every cell solves on a fresh
-	// replica from Seed and Dual, and the batch may fan out over the
-	// worker's cores. A chain's cells carry no Perturb.
-	Chain bool `json:"chain,omitempty"`
-	// Duals keeps every cell's final dual: a chain seeds the next cell
-	// with it and each result line carries it.
-	Duals bool `json:"duals,omitempty"`
-	// S1 starts every solve at the lower bounds, the paper's S1, instead
-	// of at its seed sizes (bench.CellOptions.S1).
-	S1   bool            `json:"s1,omitempty"`
-	Seed []float64       `json:"seed"`
-	Dual *core.DualState `json:"dual,omitempty"`
-	// MaxIterations and Epsilon are every cell's solve budget.
-	MaxIterations int     `json:"max_iterations,omitempty"`
-	Epsilon       float64 `json:"epsilon,omitempty"`
-	Cells         []Cell  `json:"cells"`
-}
-
-// Cell is one solve of a batch: its index in the run (a row-major grid
-// position, a Monte-Carlo sample index, 0 for a lone solve), its fully
-// resolved bounds, and the technology perturbation of its replica, nil
-// for the nominal technology.
-type Cell struct {
-	Index   int          `json:"index"`
-	Bounds  bench.Bounds `json:"bounds"`
-	Perturb *rc.Perturb  `json:"perturb,omitempty"`
+	bench.Batch
 }
 
 // ResultLine is one NDJSON line of a result stream: a solved cell, a

@@ -71,13 +71,15 @@ func TestJobRoundTrip(t *testing.T) {
 	job := Job{
 		ID:      7,
 		Circuit: CircuitSpec{Key: bench.GridKey(4, 3, true), Grid: &GridSpec{Width: 4, Layers: 3, Coupled: true}},
-		Chain:   true, Duals: true, S1: true,
-		Seed: seed, Dual: solved.Dual,
-		MaxIterations: 12, Epsilon: 0.003,
-		Cells: []Cell{
-			{Index: 0, Bounds: b},
-			{Index: 5, Bounds: bench.Bounds{A0: b.A0 * 1.06, NoiseBound: b.NoiseBound / 3, PowerBound: b.PowerBound},
-				Perturb: &rc.Perturb{R: math.Exp(0.05 * -1.2345), C: math.Exp(0.05 * 0.987), Threshold: math.Nextafter(1, 0)}},
+		Batch: bench.Batch{
+			Chain: true, Duals: true, S1: true,
+			Seed: seed, Dual: solved.Dual,
+			MaxIterations: 12, Epsilon: 0.003,
+			Cells: []bench.Cell{
+				{Index: 0, Bounds: b},
+				{Index: 5, Bounds: bench.Bounds{A0: b.A0 * 1.06, NoiseBound: b.NoiseBound / 3, PowerBound: b.PowerBound},
+					Perturb: &rc.Perturb{R: math.Exp(0.05 * -1.2345), C: math.Exp(0.05 * 0.987), Threshold: math.Nextafter(1, 0)}},
+			},
 		},
 	}
 	var gotJob Job

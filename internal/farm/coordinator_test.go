@@ -86,7 +86,18 @@ func startSweep(t *testing.T, ctx context.Context, c *Coordinator, opt sweep.Opt
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.Sweep(ctx, gridSpec(), inst, opt)
+		_, err := sweep.RunOn(inst, opt, c.Runner(ctx, gridSpec()))
+		done <- err
+	}()
+	return done
+}
+
+// startPlan dispatches a hand-built plan on the 4×3 mesh and returns its
+// result channel.
+func startPlan(c *Coordinator, plan bench.Plan) chan error {
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.Runner(context.Background(), gridSpec())(plan, bench.Schedule{})
 		done <- err
 	}()
 	return done
@@ -309,8 +320,10 @@ func TestRequeueOrderingDeterminism(t *testing.T) {
 	c := testCoordinator(clock)
 	w1 := register(t, c, "doomed")
 	w2 := register(t, c, "survivor")
-	// A cold sweep fans out one independent job per row, all queued at
-	// once — three jobs with seqs 0, 1, 2.
+	w3 := register(t, c, "bystander")
+	// A cold sweep is one independent batch, cut into one shard per live
+	// worker and queued at once — here three jobs, one per row, with seqs
+	// 0, 1, 2.
 	done := startSweep(t, context.Background(), c, sweep.Options{
 		DelayScale: []float64{1, 1.1, 1.2}, NoiseScale: []float64{1, 1.2},
 		Cold: true, MaxIterations: 2,
@@ -318,13 +331,15 @@ func TestRequeueOrderingDeterminism(t *testing.T) {
 	jobA, _ := lease(t, c, w1)      // row 0: cells 0, 1
 	jobB, _ := lease(t, c, w1)      // row 1: cells 2, 3
 	jobC, tokenC := lease(t, c, w2) // row 2: cells 4, 5
-	if k := jobA.Cells[0].Index; k != 0 {
-		t.Fatalf("first lease starts at cell %d, want 0", k)
+	if k := jobA.Cells[0].Index; k != 0 || len(jobA.Cells) != 2 {
+		t.Fatalf("first lease holds cells %+v, want cells 0 and 1", jobA.Cells)
 	}
 
 	clock.Advance(2 * time.Minute)
-	if err := c.beat(w2); err != nil {
-		t.Fatal(err)
+	for _, w := range []string{w2, w3} {
+		if err := c.beat(w); err != nil {
+			t.Fatal(err)
+		}
 	}
 	clock.Advance(2 * time.Minute)
 	c.reap()
@@ -456,9 +471,14 @@ func TestSolveBatchFlow(t *testing.T) {
 	}
 	solveDone := make(chan outcome, 1)
 	go func() {
-		sv, err := c.Solve(context.Background(), gridSpec(), b, []float64{1, 2, 3}, nil,
-			bench.CellOptions{MaxIterations: 3, ReturnDual: true})
-		solveDone <- outcome{sv, err}
+		solved, err := c.Runner(context.Background(), gridSpec())(bench.Plan{{
+			Duals: true, Seed: []float64{1, 2, 3}, MaxIterations: 3, Cells: []bench.Cell{{Bounds: b}},
+		}}, bench.Schedule{})
+		if err != nil {
+			solveDone <- outcome{nil, err}
+			return
+		}
+		solveDone <- outcome{solved[0], nil}
 	}()
 	job, token := lease(t, c, w)
 	if len(job.Cells) != 1 || job.Cells[0].Bounds != b || job.S1 || !job.Duals || job.MaxIterations != 3 ||
@@ -489,10 +509,16 @@ func TestSolveBatchFlow(t *testing.T) {
 func TestCellOutsideJobRefused(t *testing.T) {
 	c := testCoordinator(newTestClock())
 	w := register(t, c, "w")
-	done := startSweep(t, context.Background(), c, sweep.Options{
-		DelayScale: []float64{1, 1.1}, NoiseScale: []float64{1, 1.2}, Cold: true, MaxIterations: 2,
-	})
-	job, token := lease(t, c, w) // row 0: cells 0 and 1; row 1 holds cells 2 and 3
+	_, b := gridInstance(t)
+	batch := func(cells ...int) bench.Batch {
+		out := bench.Batch{Seed: []float64{1}, MaxIterations: 2}
+		for _, k := range cells {
+			out.Cells = append(out.Cells, bench.Cell{Index: k, Bounds: b})
+		}
+		return out
+	}
+	done := startPlan(c, bench.Plan{batch(0, 1), batch(2, 3)})
+	job, token := lease(t, c, w) // cells 0 and 1; the second job holds cells 2 and 3
 	url := fmt.Sprintf("/farm/v1/result?job=%d&lease=%s", job.ID, token)
 	for name, rr := range map[string]*httptest.ResponseRecorder{
 		"another job's cell": postResult(c, job.ID, token, cellLine(2)),
@@ -510,7 +536,7 @@ func TestCellOutsideJobRefused(t *testing.T) {
 	job2, token2 := lease(t, c, w)
 	finishJob(t, c, job2, token2)
 	if err := <-done; err != nil {
-		t.Fatalf("sweep failed: %v", err)
+		t.Fatalf("run failed: %v", err)
 	}
 	if st := c.StatsSnapshot(); st.Workers[0].CellsSolved != 4 || st.RunsCompleted != 1 {
 		t.Fatalf("after the real cells: %+v", st)
@@ -527,10 +553,11 @@ func TestEarlyDoneKeepsJobLeased(t *testing.T) {
 	c := testCoordinator(clock)
 	w1 := register(t, c, "doomed")
 	w2 := register(t, c, "survivor")
-	done := startSweep(t, context.Background(), c, sweep.Options{
-		NoiseScale: []float64{1, 1.2}, Cold: true, MaxIterations: 2,
-	})
-	job, token := lease(t, c, w1) // the one row: cells 0 and 1
+	// A chain goes out as one job whatever the fleet's size.
+	_, b := gridInstance(t)
+	done := startPlan(c, bench.Plan{{Chain: true, Seed: []float64{1}, MaxIterations: 2,
+		Cells: []bench.Cell{{Index: 0, Bounds: b}, {Index: 1, Bounds: b}}}})
+	job, token := lease(t, c, w1) // the chain: cells 0 and 1
 	if rr := postResult(c, job.ID, token, cellLine(0), api.ResultLine{Done: true}); rr.Code != http.StatusBadRequest {
 		t.Fatalf("early done marker got %d, want 400", rr.Code)
 	}
@@ -550,7 +577,7 @@ func TestEarlyDoneKeepsJobLeased(t *testing.T) {
 	}
 	finishJob(t, c, j2, token2)
 	if err := <-done; err != nil {
-		t.Fatalf("sweep failed: %v", err)
+		t.Fatalf("run failed: %v", err)
 	}
 	if st := c.StatsSnapshot(); st.RunsCompleted != 1 || st.JobsCompleted != 1 {
 		t.Fatalf("after the re-run: %+v", st)

@@ -1,8 +1,9 @@
 // Package farm turns the single-process sizing service into a
 // coordinator/worker farm: the coordinator (embedded in ogwsd
-// -coordinator) plans solves, bounds-grid sweeps and Monte-Carlo runs
-// into batches of cells, thin worker processes (cmd/ogws-worker) register
-// over the versioned HTTP job API in internal/farm/api, lease batches,
+// -coordinator) runs the plans of solves, sweeps, corners and Monte-Carlo
+// runs (bench.Plan) by leasing their batches of cells, thin worker
+// processes (cmd/ogws-worker) register over the versioned HTTP job API in
+// internal/farm/api, lease batches,
 // materialize their own bit-identical replicas of each circuit (keyed by
 // the same content-hash keys the service cache uses), and stream cell
 // results back as NDJSON. A heartbeat keeper reaps silent workers and
@@ -11,16 +12,17 @@
 // # One cell, one job
 //
 // Every workload is one computation repeated: a cell is one OGWS solve of
-// one replica at resolved bounds from a given start, and every cell runs
-// through the shared kernel bench.SolveCell, on the worker exactly as in
-// the local engines. A run is a plan of cells indexed 0..n-1, cut into
-// batches: a full solve is a batch of one, a Monte-Carlo run is one
-// independent batch of perturbed cells per live worker, a cold sweep is
-// one independent batch per grid row, and a warm sweep is a chained spine
-// plus one chained row tail per row. A batch may wait on the recorded cell
-// whose sizes and dual seed it; the coordinator queues it once that cell
-// lands, with the seed shipped in its lease. The coordinator has one
-// record path and the wire one result-line kind, the solved cell.
+// one replica at resolved bounds from a given start. The coordinator
+// plans nothing: each workload's package emits its plan of cells and
+// hands it to a bench.Runner, the local one or this coordinator's
+// (Coordinator.Runner, over dispatch, its one run entry), which leases a
+// chain as one job and cuts an independent batch into one shard per live
+// worker. A batch may wait on the recorded cell whose sizes and dual seed
+// it; its jobs are queued once that cell lands, with the seed shipped in
+// their leases. Workers run each batch with the local runner,
+// bench.Instance.RunPlan, exactly as the in-process engines do. The
+// coordinator has one record path and the wire one result-line kind, the
+// solved cell.
 //
 // # Determinism contract
 //
@@ -35,15 +37,14 @@
 //     perturbations, seed sizes and dual multipliers its cells must be
 //     solved from, so its outcome is a pure function of the job message —
 //     independent of which worker runs it, when, or how many times.
-//   - The coordinator plans the identical cells the local engines solve:
-//     sweep.Plan's grid, walked as the local wavefront (each row tail
-//     seeded by its spine cell), and variation.Draw's samples. Cold (and
-//     the provably seed-independent ColdLRS+PrimalOnly) sweeps batch rows
-//     as independent jobs seeded from the instance's initial sizes.
-//   - Workers execute cells through bench.SolveCell — the same kernel,
-//     the same core.Options — on evaluators materialized from the same
-//     deterministic pipeline, so equal inputs give equal bits on every
-//     node of one architecture.
+//   - The coordinator runs the very plan the local runner would: the
+//     workload's planner emitted it, and cutting an independent batch
+//     into shards changes no cell, because each is a pure function of
+//     its own inputs.
+//   - Workers execute batches with the local runner, cells through
+//     bench.SolveCell — the same kernel, the same core.Options — on
+//     evaluators materialized from the same deterministic pipeline, so
+//     equal inputs give equal bits on every node of one architecture.
 //   - Results are recorded first-wins by cell index, and only for a cell
 //     of the job that sent it. Re-running a re-queued job reproduces the
 //     dead worker's cells bitwise, so duplicate lines are simply dropped;

@@ -94,7 +94,7 @@ func TestFarmDistributedSweepGolden(t *testing.T) {
 		mu.Unlock()
 	}
 	go func() {
-		res, err := coord.Sweep(ctx, spec, inst, opt)
+		res, err := sweep.RunOn(inst, opt, coord.Runner(ctx, spec))
 		sweepDone <- outcome{res, err}
 	}()
 
@@ -178,8 +178,9 @@ func TestFarmDistributedSweepGolden(t *testing.T) {
 }
 
 // TestColdDistributedSweepMatchesLocal covers the independent-dispatch
-// path (cold sweeps: per-row jobs, every cell seeded from the initial
-// sizes) against the local engine.
+// path (a cold sweep: one independent batch, cut into one shard per live
+// worker, every cell seeded from the initial sizes) against the local
+// engine.
 func TestColdDistributedSweepMatchesLocal(t *testing.T) {
 	if testing.Short() {
 		t.Skip("solves a real grid")
@@ -203,7 +204,7 @@ func TestColdDistributedSweepMatchesLocal(t *testing.T) {
 	go func() {
 		workerErr <- RunWorker(ctx, WorkerOptions{Coordinator: ts.URL, LeaseWait: 50 * time.Millisecond})
 	}()
-	got, err := coord.Sweep(ctx, spec, inst, opt)
+	got, err := sweep.RunOn(inst, opt, coord.Runner(ctx, spec))
 	if err != nil {
 		t.Fatalf("distributed cold sweep failed: %v", err)
 	}

@@ -143,7 +143,7 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			if cell != nil {
-				j.run.observe(func() { j.run.onCell(cell) })
+				j.run.observe(func() { j.run.onCell(cell.Index, &cell.Solved) })
 			}
 		case line.Error != "":
 			// A worker-reported error is deterministic — a re-run would fail

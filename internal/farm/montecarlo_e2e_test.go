@@ -19,8 +19,8 @@ import (
 // a seed-7 run dispatched to a farm whose first worker is rigged to die
 // two samples into its shard — stream open, no done marker — must
 // reassemble, after the reap and re-queue, into the byte-identical
-// sample set the single-process variation.MonteCarlo produces. A second
-// dispatch with two live workers then cuts the same range into two
+// report the single-process variation.MonteCarlo produces. A second
+// dispatch with two live workers then cuts the same batch into two
 // shards and must reassemble the same bytes again: every cell ships its
 // drawn perturbation and bounds, so sharding is invisible in the result.
 func TestFarmMonteCarloMatchesLocal(t *testing.T) {
@@ -72,8 +72,8 @@ func TestFarmMonteCarloMatchesLocal(t *testing.T) {
 	}()
 
 	type outcome struct {
-		samples []variation.Sample
-		err     error
+		res *variation.MCResult
+		err error
 	}
 	runDone := make(chan outcome, 1)
 	var mu sync.Mutex
@@ -85,8 +85,8 @@ func TestFarmMonteCarloMatchesLocal(t *testing.T) {
 			streamed++
 			mu.Unlock()
 		}
-		samples, err := coord.MonteCarlo(ctx, spec, inst, farmOpt)
-		runDone <- outcome{samples, err}
+		res, err := variation.MonteCarloOn(inst, farmOpt, coord.Runner(ctx, spec))
+		runDone <- outcome{res, err}
 	}()
 
 	select {
@@ -116,12 +116,11 @@ func TestFarmMonteCarloMatchesLocal(t *testing.T) {
 	if got.err != nil {
 		t.Fatalf("distributed Monte-Carlo failed: %v", got.err)
 	}
-	if !reflect.DeepEqual(want.Samples, got.samples) {
+	if !reflect.DeepEqual(want.Samples, got.res.Samples) {
 		t.Errorf("reassembled sample set diverged from the local run")
 	}
-	// The shared summarizer must rebuild the local report exactly.
-	if rep := variation.Summarize(got.samples, b.A0); !reflect.DeepEqual(want, rep) {
-		t.Errorf("summarized distributed report diverged from the local report")
+	if !reflect.DeepEqual(want, got.res) {
+		t.Errorf("distributed report diverged from the local report")
 	}
 	mu.Lock()
 	if streamed != mcOpt.Samples {
@@ -147,12 +146,12 @@ func TestFarmMonteCarloMatchesLocal(t *testing.T) {
 	for i := 0; coord.LiveWorkers() < 2 && i < 200; i++ {
 		time.Sleep(10 * time.Millisecond)
 	}
-	samples2, err := coord.MonteCarlo(ctx, spec, inst, mcOpt)
+	got2, err := variation.MonteCarloOn(inst, mcOpt, coord.Runner(ctx, spec))
 	if err != nil {
 		t.Fatalf("sharded Monte-Carlo failed: %v", err)
 	}
-	if !reflect.DeepEqual(want.Samples, samples2) {
-		t.Errorf("two-shard sample set diverged from the local run")
+	if !reflect.DeepEqual(want, got2) {
+		t.Errorf("two-shard report diverged from the local run")
 	}
 
 	cancel()

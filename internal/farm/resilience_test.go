@@ -30,9 +30,17 @@ func sweepOptions64(b bench.Bounds) sweep.Options {
 	}
 }
 
-// opt64 is the budget of the small solves on the 6×4 mesh: four
-// iterations from the lower bounds.
-var opt64 = bench.CellOptions{MaxIterations: 4, S1: true}
+// solve64 runs a small solve of the 6×4 mesh on the farm: a plan of one
+// cell, four iterations from the lower bounds, the plan of a /solve.
+func solve64(ctx context.Context, c *Coordinator, spec api.CircuitSpec, b bench.Bounds, seed []float64) (*bench.Solved, error) {
+	solved, err := c.Runner(ctx, spec)(bench.Plan{{
+		S1: true, Seed: seed, MaxIterations: 4, Cells: []bench.Cell{{Bounds: b}},
+	}}, bench.Schedule{})
+	if err != nil {
+		return nil, err
+	}
+	return solved[0], nil
+}
 
 // gridSpec64 returns the 6×4 mesh's spec, bounds and initial sizes.
 func gridSpec64(t *testing.T) (api.CircuitSpec, bench.Bounds, []float64) {
@@ -45,7 +53,7 @@ func gridSpec64(t *testing.T) (api.CircuitSpec, bench.Bounds, []float64) {
 	return spec, b, append([]float64(nil), inst.Eval.X...)
 }
 
-// localSolve64 reproduces exactly what a worker computes for an opt64
+// localSolve64 reproduces exactly what a worker computes for a solve64
 // solve on the 6×4 grid — the bit-identity baseline.
 func localSolve64(t *testing.T, b bench.Bounds, seed []float64) *core.Result {
 	t.Helper()
@@ -54,7 +62,7 @@ func localSolve64(t *testing.T, b bench.Bounds, seed []float64) *core.Result {
 		t.Fatal(err)
 	}
 	opt := core.DefaultOptions(b.A0, b.NoiseBound, b.PowerBound)
-	opt.MaxIterations = opt64.MaxIterations
+	opt.MaxIterations = 4
 	opt.Workers = -1
 	replica, err := inst.Replica()
 	if err != nil {
@@ -138,7 +146,7 @@ func TestWorkerSurvivesCoordinatorRestart(t *testing.T) {
 
 	// The reconnected worker must actually do work, bit-identically.
 	spec, b, seed := gridSpec64(t)
-	got, err := coordB.Solve(ctx, spec, b, seed, nil, opt64)
+	got, err := solve64(ctx, coordB, spec, b, seed)
 	if err != nil {
 		t.Fatalf("solve on the replacement coordinator: %v", err)
 	}
@@ -205,7 +213,7 @@ func TestWorkerReRegistersAfterReap(t *testing.T) {
 	})
 
 	spec, b, seed := gridSpec64(t)
-	if _, err := coord.Solve(ctx, spec, b, seed, nil, opt64); err != nil {
+	if _, err := solve64(ctx, coord, spec, b, seed); err != nil {
 		t.Fatalf("solve after re-registration: %v", err)
 	}
 
@@ -247,7 +255,7 @@ func TestResultStreamReplaysThroughFaults(t *testing.T) {
 	}()
 
 	spec, b, seed := gridSpec64(t)
-	got, err := coord.Solve(ctx, spec, b, seed, nil, opt64)
+	got, err := solve64(ctx, coord, spec, b, seed)
 	if err != nil {
 		t.Fatalf("solve through a faulted result stream: %v", err)
 	}
@@ -315,7 +323,7 @@ func TestWorkerCrashViaFaultPlan(t *testing.T) {
 	}
 	done := make(chan outcome, 1)
 	go func() {
-		res, err := coord.Sweep(ctx, spec, inst, opt)
+		res, err := sweep.RunOn(inst, opt, coord.Runner(ctx, spec))
 		done <- outcome{res, err}
 	}()
 

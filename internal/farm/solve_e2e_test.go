@@ -45,6 +45,15 @@ func solveFarm(t *testing.T) *Coordinator {
 	return coord
 }
 
+// farmSolve runs a one-cell batch, the plan of a /solve, on the farm.
+func farmSolve(c *Coordinator, spec api.CircuitSpec, b bench.Batch) (*bench.Solved, error) {
+	solved, err := c.Runner(context.Background(), spec)(bench.Plan{b}, bench.Schedule{})
+	if err != nil {
+		return nil, err
+	}
+	return solved[0], nil
+}
+
 // localSolve is the oracle for a farm solve from the lower bounds: a
 // direct core solve on a replica of the instance. The seed is the
 // instance's own initial sizes — the same default the service resolves
@@ -88,9 +97,9 @@ func TestDistributedSolveSynthetic(t *testing.T) {
 	}
 	b := bench.DeriveBounds(inst)
 
-	got, err := coord.Solve(context.Background(),
-		api.CircuitSpec{Key: "solve-c432", Synthetic: "c432"},
-		b, inst.Eval.X, nil, bench.CellOptions{MaxIterations: 8, S1: true, ReturnDual: true})
+	got, err := farmSolve(coord, api.CircuitSpec{Key: "solve-c432", Synthetic: "c432"}, bench.Batch{
+		S1: true, Duals: true, Seed: inst.Eval.X, MaxIterations: 8, Cells: []bench.Cell{{Bounds: b}},
+	})
 	if err != nil {
 		t.Fatalf("distributed solve: %v", err)
 	}
@@ -132,9 +141,9 @@ func TestDistributedSolveNetlistUpload(t *testing.T) {
 	}
 	b := bench.DeriveBounds(inst)
 
-	got, err := coord.Solve(context.Background(),
-		api.CircuitSpec{Key: "solve-c17", Netlist: string(data), Name: "c17", Seed: 7},
-		b, inst.Eval.X, nil, bench.CellOptions{MaxIterations: 8, S1: true})
+	got, err := farmSolve(coord, api.CircuitSpec{Key: "solve-c17", Netlist: string(data), Name: "c17", Seed: 7}, bench.Batch{
+		S1: true, Seed: inst.Eval.X, MaxIterations: 8, Cells: []bench.Cell{{Bounds: b}},
+	})
 	if err != nil {
 		t.Fatalf("distributed netlist solve: %v", err)
 	}

@@ -9,6 +9,7 @@ import (
 	"hash/fnv"
 	"io"
 	"net/http"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/bench"
@@ -16,7 +17,6 @@ import (
 	"repro/internal/fanout"
 	"repro/internal/farm/api"
 	"repro/internal/fault"
-	"repro/internal/rc"
 )
 
 // WorkerOptions configures one farm worker (cmd/ogws-worker wraps this in
@@ -67,9 +67,6 @@ type WorkerOptions struct {
 }
 
 func (o *WorkerOptions) fill() {
-	if o.SolverWorkers == 0 {
-		o.SolverWorkers = -1 // core's all-cores normalization
-	}
 	if o.CacheSize <= 0 {
 		o.CacheSize = 4
 	}
@@ -435,76 +432,51 @@ func (wk *worker) crashAfterCell() bool {
 	return inj != nil && inj.Kind == fault.Crash
 }
 
-// execute solves the job's batch through bench.SolveCell — the kernel
-// every local path runs, so equal job inputs yield equal bits — writing
-// one result line per cell to w, in cell order. A chain solves its cells
-// one after another on one evaluator, each from its predecessor's sizes
-// and (with Duals) dual, at the worker's solver width. An independent
-// batch gives every cell a fresh replica (perturbed when the cell carries
-// a Perturb) seeded from the shipped sizes and dual, and fans the cells
-// out over the cores, each solve at width 1 under the default — the
-// schedule a local Monte-Carlo run uses. Every line counts toward the
-// crash-injection cell counter, so a fault plan can kill the worker
-// mid-batch for the reaping parity tests.
+// execute solves the job's batch with the local runner every in-process
+// engine uses (bench.Instance.RunPlan), so equal job inputs yield equal
+// bits, writing one result line per cell to w in cell order. A chain
+// solves at the worker's solver width; an independent batch fans out
+// over the cores at width 1 under the default. The batch runs as a plan
+// of its own, re-indexed 0..n−1; each line carries the cell's index in
+// the run. Every line counts toward the crash-injection cell counter; a
+// tripped crash, like a line that fails to encode, stops the batch and
+// drops every later line.
 func (wk *worker) execute(ctx context.Context, job *api.Job, w io.Writer) error {
 	inst, err := wk.materialize(job.Circuit)
 	if err != nil {
 		return err
 	}
-	opt := bench.CellOptions{
-		MaxIterations: job.MaxIterations,
-		Epsilon:       job.Epsilon,
-		Workers:       wk.opt.SolverWorkers,
-		S1:            job.S1,
-		ReturnDual:    job.Duals,
-		// A cancelled session (shutdown, reap) stops the in-flight cell at
-		// its next solver iteration instead of finishing the batch.
-		Cancel: func() bool { return ctx.Err() != nil },
+	b := job.Batch
+	b.Cells = make([]bench.Cell, len(job.Cells))
+	for k, cell := range job.Cells {
+		cell.Index = k
+		b.Cells[k] = cell
 	}
-	width := 1
-	var chain *rc.Evaluator
-	if job.Chain {
-		for _, cell := range job.Cells {
-			if cell.Perturb != nil {
-				return fmt.Errorf("cell %d: a chained batch carries no perturbed cells", cell.Index)
+	s := bench.Schedule{Workers: wk.opt.SolverWorkers, Concurrent: 1}
+	if !b.Chain {
+		s.Workers, s.Concurrent = fanout.Widths(s.Workers)
+	}
+	// stop ends the batch early: Observe sets it, one call at a time, and
+	// flags it for Cancel, which also fires once the session is cancelled.
+	var stop error
+	var stopped atomic.Bool
+	s.Cancel = func() bool { return stopped.Load() || ctx.Err() != nil }
+	enc := json.NewEncoder(w)
+	s.Observe = func(k int, sv *bench.Solved) {
+		if stopped.Load() {
+			return
+		}
+		if stop = enc.Encode(api.ResultLine{Cell: &api.CellResult{Index: job.Cells[k].Index, Solved: *sv}}); stop == nil {
+			wk.cells++
+			if wk.crashAfterCell() {
+				wk.logf("farm worker %s: fault injected after %d cells, dying mid-job", wk.id, wk.cells)
+				stop = ErrFaultInjected
 			}
 		}
-		if chain, err = inst.Replica(); err != nil {
-			return err
-		}
-	} else {
-		opt.Workers, width = fanout.Widths(opt.Workers)
+		stopped.Store(stop != nil)
 	}
-	solved := make([]*bench.Solved, len(job.Cells))
-	enc := json.NewEncoder(w)
-	return fanout.Ordered(len(job.Cells), width, func(k int) error {
-		cell := job.Cells[k]
-		ev, seed, dual := chain, job.Seed, job.Dual
-		var err error
-		switch {
-		case chain != nil && k > 0:
-			seed, dual = solved[k-1].Result.X, solved[k-1].Dual
-		case chain == nil && cell.Perturb != nil:
-			ev, err = inst.PerturbedReplica(*cell.Perturb)
-		case chain == nil:
-			ev, err = inst.Replica()
-		}
-		if err == nil {
-			solved[k], err = bench.SolveCell(ev, cell.Bounds, seed, dual, opt)
-		}
-		if err != nil {
-			return fmt.Errorf("cell %d: %w", cell.Index, err)
-		}
-		return nil
-	}, func(k int) error {
-		if err := enc.Encode(api.ResultLine{Cell: &api.CellResult{Index: job.Cells[k].Index, Solved: *solved[k]}}); err != nil {
-			return err
-		}
-		wk.cells++
-		if wk.crashAfterCell() {
-			wk.logf("farm worker %s: fault injected after %d cells, dying mid-job", wk.id, wk.cells)
-			return ErrFaultInjected
-		}
-		return nil
-	})
+	if _, err := inst.RunPlan(bench.Plan{b}, s); stop == nil {
+		return err
+	}
+	return stop
 }

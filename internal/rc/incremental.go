@@ -96,6 +96,26 @@ func (s EvalStats) Sub(prev EvalStats) EvalStats {
 	}
 }
 
+// Add returns the counter-wise sum s + o, the inverse of Sub: the fold
+// a serving host uses to total the work of many solves.
+func (s EvalStats) Add(o EvalStats) EvalStats {
+	return EvalStats{
+		FullRecomputes:     s.FullRecomputes + o.FullRecomputes,
+		IncRecomputes:      s.IncRecomputes + o.IncRecomputes,
+		FullUpstreams:      s.FullUpstreams + o.FullUpstreams,
+		IncUpstreams:       s.IncUpstreams + o.IncUpstreams,
+		DegradedRecomputes: s.DegradedRecomputes + o.DegradedRecomputes,
+		DegradedUpstreams:  s.DegradedUpstreams + o.DegradedUpstreams,
+		CutoverRecomputes:  s.CutoverRecomputes + o.CutoverRecomputes,
+		CutoverUpstreams:   s.CutoverUpstreams + o.CutoverUpstreams,
+		ElectricalNodes:    s.ElectricalNodes + o.ElectricalNodes,
+		CouplingNodes:      s.CouplingNodes + o.CouplingNodes,
+		LoadsNodes:         s.LoadsNodes + o.LoadsNodes,
+		ArrivalNodes:       s.ArrivalNodes + o.ArrivalNodes,
+		UpstreamNodes:      s.UpstreamNodes + o.UpstreamNodes,
+	}
+}
+
 // Stats returns the accumulated evaluation-work counters.
 func (e *Evaluator) Stats() EvalStats { return e.stats }
 

@@ -51,10 +51,11 @@
 // circuit: solves run on evaluator replicas (bench.Instance.Replica) so
 // the shared instance is never mutated, but serializing keeps per-circuit
 // memory at one replica and makes warm-start chains (solve, save, solve
-// warm_from) atomic. Grid sweeps
-// additionally fan their rows onto internal/fanout inside sweep.Run, and
-// Monte-Carlo samples and corners fan out over the cores inside
-// internal/variation.
+// warm_from) atomic. A sweep's chains and the corners and Monte-Carlo
+// samples of a run additionally solve concurrently inside the local plan
+// runner (bench.Instance.RunPlan), or on the farm's workers when one is
+// live: every run's handler passes its workload the runner run.runner
+// picks.
 //
 // # Determinism
 //

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
@@ -64,8 +65,8 @@ func registerGrid(t *testing.T, s *Server) registerResponse {
 
 // TestFarmDispatchMatchesLocal is the service-level half of the farm
 // oracle: the same requests against a farm-backed server and a plain
-// local server must produce identical results — solve and sweep, modulo
-// wall-clock — because farm dispatch is bit-invisible by contract.
+// local server must produce identical results — solve, sweep and corners,
+// modulo wall-clock — because farm dispatch is bit-invisible by contract.
 func TestFarmDispatchMatchesLocal(t *testing.T) {
 	if testing.Short() {
 		t.Skip("solves real grids")
@@ -150,6 +151,19 @@ func TestFarmDispatchMatchesLocal(t *testing.T) {
 		t.Errorf("streamed farm sweep emitted %d cells, want %d", cells, len(fSweep.Result.Cells))
 	}
 
+	// Corners: the nominal cell and the perturbed batch waiting on it go
+	// to the worker on the farmed server; the report is the local one.
+	cornersBody := `{"key":"` + fReg.Key + `","corners":true,"max_iterations":6}`
+	fw = do(t, farmed, "POST", "/sweep", cornersBody)
+	lw = do(t, local, "POST", "/sweep", cornersBody)
+	if fw.Code != http.StatusOK || lw.Code != http.StatusOK {
+		t.Fatalf("corners: farm %d %s local %d", fw.Code, fw.Body.String(), lw.Code)
+	}
+	fCorners, lCorners := decodeAs[cornersResponse](t, fw), decodeAs[cornersResponse](t, lw)
+	if fb, lb := mustJSON(t, fCorners.Report), mustJSON(t, lCorners.Report); !bytes.Equal(fb, lb) {
+		t.Errorf("farm corners report diverged from the local one:\n farm %s\nlocal %s", fb, lb)
+	}
+
 	// The farm section of /stats reflects the work.
 	sw := do(t, farmed, "GET", "/stats", "")
 	st := decodeAs[Stats](t, sw)
@@ -159,9 +173,10 @@ func TestFarmDispatchMatchesLocal(t *testing.T) {
 	if st.Farm.LiveWorkers != 1 || len(st.Farm.Workers) != 1 {
 		t.Fatalf("farm stats workers: %+v", st.Farm)
 	}
-	// Every first-recorded cell is credited: two solves and two 2×2 grids.
+	// Every first-recorded cell is credited: two solves, two 2×2 grids,
+	// and the nominal and five corners.
 	w0 := st.Farm.Workers[0]
-	if w0.Name != "in-process" || w0.CellsSolved != 10 {
+	if w0.Name != "in-process" || w0.CellsSolved != 16 {
 		t.Fatalf("worker counters: %+v", w0)
 	}
 	if st.Solves != 2 || st.Sweeps != 2 {
@@ -172,6 +187,16 @@ func TestFarmDispatchMatchesLocal(t *testing.T) {
 		t.Errorf("remote solve eval counters were not folded in: %+v", st.Eval)
 	}
 	_ = coord
+}
+
+// mustJSON marshals v, failing the test on error.
+func mustJSON(t *testing.T, v any) []byte {
+	t.Helper()
+	data, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }
 
 // TestFarmFallsBackWithoutWorkers: a coordinator with no live workers

@@ -92,7 +92,8 @@ func TestDrainQuiescesServer(t *testing.T) {
 	// A farm run with no workers parks forever; Drain must kill it.
 	runErr := make(chan error, 1)
 	go func() {
-		_, err := coord.Solve(context.Background(), api.CircuitSpec{Key: "drain-grid", Grid: &api.GridSpec{Width: 4, Layers: 3}}, bench.Bounds{}, nil, nil, bench.CellOptions{MaxIterations: 2})
+		spec := api.CircuitSpec{Key: "drain-grid", Grid: &api.GridSpec{Width: 4, Layers: 3}}
+		_, err := coord.Runner(context.Background(), spec)(bench.Plan{{MaxIterations: 2, Cells: []bench.Cell{{}}}}, bench.Schedule{})
 		runErr <- err
 	}()
 	waitFor(t, "farm run queued", func() bool { return coord.StatsSnapshot().JobsQueued > 0 })

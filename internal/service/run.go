@@ -10,7 +10,6 @@ import (
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/delta"
-	"repro/internal/sweep"
 )
 
 // The run lifecycle. Every request that solves — POST /solve, POST /sweep
@@ -156,6 +155,16 @@ func (rn *run) end() {
 // the slot for a dead connection.
 func (rn *run) cancelled() bool { return rn.r.Context().Err() != nil }
 
+// runner picks where the run's cells solve: on the farm when a worker is
+// live, and on replicas of the circuit here otherwise. The farm's
+// determinism contract is that the choice is invisible in the bytes.
+func (rn *run) runner() bench.Runner {
+	if f := rn.s.opt.Farm; f != nil && f.LiveWorkers() > 0 {
+		return f.Runner(rn.r.Context(), rn.e.farmSpec)
+	}
+	return rn.e.inst.RunPlan
+}
+
 // stream makes the run's response NDJSON: lines go out as the run
 // produces them, and once the first one has, the 200 header is committed.
 func (rn *run) stream() { rn.nw = &ndjsonWriter{w: rn.w} }
@@ -176,7 +185,7 @@ func (rn *run) emit(ev progressEvent) {
 // error can only go in-band, as a final {"error": ...} line.
 func (rn *run) fail(err error) {
 	rn.emit(progressEvent{Kind: "error", Error: err.Error()})
-	cancelled := errors.Is(err, core.ErrCancelled) || errors.Is(err, sweep.ErrCancelled) || rn.cancelled()
+	cancelled := errors.Is(err, core.ErrCancelled) || rn.cancelled()
 	if cancelled {
 		rn.s.stats.addSolveCancelled()
 	}

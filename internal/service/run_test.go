@@ -98,3 +98,32 @@ func TestRequestWorkIsBounded(t *testing.T) {
 		t.Errorf("rejected requests left %d watch events, want none", len(got.Events))
 	}
 }
+
+// TestRunBodyCappedBeforeDecode: a /sweep or /montecarlo body larger than
+// maxRunRequestBytes answers 413 before it decodes, so it allocates about
+// the cap, not what the body would decode to (a 1 MiB axis of 1s took
+// about 25 MB when it decoded first). A body the size of the largest
+// valid request still decodes: an axis of 4,097 long factors gets the
+// solve cap's 422, not 413.
+func TestRunBodyCappedBeforeDecode(t *testing.T) {
+	s := New(Options{})
+	key := registerC17(t, s, 17).Key
+	huge := fmt.Sprintf(`{"key":%q,"delay_scale":[1%s]}`, key, strings.Repeat(",1", 1<<19))
+	for _, path := range []string{"/sweep", "/montecarlo"} {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		w := do(t, s, "POST", path, huge)
+		runtime.ReadMemStats(&after)
+		if w.Code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: %d-byte body got %d, want 413 (%.200s)", path, len(huge), w.Code, w.Body.String())
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 8<<20 {
+			t.Errorf("%s: a %d-byte body allocated %d bytes before it was refused", path, len(huge), alloc)
+		}
+	}
+	long := fmt.Sprintf(`{"key":%q,"max_iterations":1,"delay_scale":[1%s]}`, key, strings.Repeat(",1.0000000000000002", maxRunSolves))
+	if w := do(t, s, "POST", "/sweep", long); w.Code != http.StatusUnprocessableEntity {
+		t.Fatalf("a %d-byte axis of %d factors got %d, want the solve cap's 422 (%.200s)", len(long), maxRunSolves+1, w.Code, w.Body.String())
+	}
+}

@@ -14,14 +14,14 @@ import (
 	"repro/internal/delta"
 	"repro/internal/farm"
 	"repro/internal/farm/api"
-	"repro/internal/rc"
 	"repro/internal/store"
 )
 
 // Options configures a Server. The zero value serves with the defaults
-// below. Three limits are constants rather than options: maxRequestBytes
-// on request bodies, maxSavedResults on the named results kept per
-// circuit, and maxRunSolves on the solves one request may ask for.
+// below. Four limits are constants rather than options: maxRequestBytes
+// and maxRunRequestBytes on request bodies, maxSavedResults on the named
+// results kept per circuit, and maxRunSolves on the solves one request
+// may ask for.
 type Options struct {
 	// CacheSize bounds the instance cache (LRU over netlist/spec hashes);
 	// default 8 instances.
@@ -45,10 +45,10 @@ type Options struct {
 	// time.Now.
 	Now func() time.Time
 	// Farm, when non-nil, is the embedded distributed-sizing coordinator
-	// (ogwsd -coordinator). Solves and sweeps are dispatched to the worker
-	// fleet whenever at least one worker is live, and run locally
-	// otherwise — with bit-identical results either way, which is the
-	// farm's determinism contract (see internal/farm).
+	// (ogwsd -coordinator). Solves, sweeps, corners and Monte-Carlo runs
+	// are dispatched to the worker fleet whenever at least one worker is
+	// live, and run locally otherwise — with bit-identical results either
+	// way, which is the farm's determinism contract (see internal/farm).
 	Farm *farm.Coordinator
 	// Store, when non-nil, is the durable result store (ogwsd -data). On
 	// boot the server reloads every persisted circuit and saved result
@@ -64,6 +64,10 @@ type Options struct {
 const (
 	// maxRequestBytes caps request bodies (netlist uploads dominate).
 	maxRequestBytes = 16 << 20
+	// maxRunRequestBytes caps /sweep and /montecarlo bodies before they
+	// decode, so an oversized one answers 413 having allocated little.
+	// Their largest valid request, a 4,096-entry axis, is about 100 KB.
+	maxRunRequestBytes = 256 << 10
 	// maxSavedResults bounds the named warm-start results kept per cached
 	// instance, the oldest evicted first.
 	maxSavedResults = 32
@@ -413,8 +417,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 
 	// Resolve the warm-start seed under the instance lock so the chain
 	// solve → save_as → warm_from is deterministic per circuit.
-	seed, dual := e.inst.Eval.X, req.Dual
-	opt := bench.CellOptions{MaxIterations: req.MaxIterations, Epsilon: req.Epsilon, S1: true, ReturnDual: true}
+	seed, dual, s1 := e.inst.Eval.X, req.Dual, true
 	switch {
 	case req.WarmFrom != "":
 		saved := e.getResult(req.WarmFrom)
@@ -422,15 +425,15 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusNotFound, "solve: no saved result %q on circuit %s", req.WarmFrom, e.name)
 			return
 		}
-		seed, dual, opt.S1 = saved.Result.X, saved.Dual, false
+		seed, dual, s1 = saved.Result.X, saved.Dual, false
 	case req.SeedSizes != nil:
-		seed, opt.S1 = req.SeedSizes, false
+		seed, s1 = req.SeedSizes, false
 	}
 	if req.PrimalOnly {
 		dual = nil
 	}
 	if req.S1 {
-		opt.S1 = true // paper-faithful S1: the solve starts at the lower bounds
+		s1 = true // paper-faithful S1: the solve starts at the lower bounds
 	}
 	resp := solveResponse{Key: e.key, Circuit: e.name, WarmFrom: req.WarmFrom, SavedAs: req.SaveAs}
 	done := func(res *core.Result) progressEvent {
@@ -442,7 +445,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	// bytes — byte-for-byte a prior run's response — without burning a
 	// solve; save_as still takes effect so warm-start chains replayed
 	// against a restarted server cost only the lookups.
-	sk := solveKey(e.key, bounds, req.MaxIterations, req.Epsilon, !opt.S1, seed, dual)
+	sk := solveKey(e.key, bounds, req.MaxIterations, req.Epsilon, !s1, seed, dual)
 	if !req.NoDedup {
 		if hit := lookup[storedSolve](s, solvePrefix+sk); hit != nil && hit.Result != nil {
 			resp.Dedup, resp.Result = true, hit.Result
@@ -457,29 +460,28 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	rn.emit(progressEvent{Kind: "solve_start"})
 
-	// With live workers, the fully resolved cell goes to the fleet, whose
-	// workers each pick their own width — which is free, because results
-	// are bit-identical at every width. Otherwise the same cell runs here
-	// through the same kernel, streaming each iteration onto the watch log
-	// (the hook never changes solved bits, pinned by core's hook test) and
-	// stopping at the next iteration boundary once the client is gone.
-	var sv *bench.Solved
-	var err error
-	if s.farmReady() {
-		sv, err = s.opt.Farm.Solve(r.Context(), e.farmSpec, bounds, seed, dual, opt)
-	} else {
-		opt.Workers = req.width()
-		opt.OnIteration = func(p core.IterProgress) { rn.emit(progressEvent{Kind: "iter", Iter: &p}) }
-		opt.Cancel = rn.cancelled
-		var replica *rc.Evaluator
-		if replica, err = e.inst.Replica(); err == nil {
-			sv, err = bench.SolveCell(replica, bounds, seed, dual, opt)
-		}
-	}
+	// The solve is a plan of one cell that keeps its dual. Run here, it
+	// streams each iteration onto the watch log (the hook never changes
+	// solved bits) and stops at the next iteration once the client is gone.
+	solved, err := rn.runner()(bench.Plan{{
+		Duals:         true,
+		S1:            s1,
+		Seed:          seed,
+		Dual:          dual,
+		MaxIterations: req.MaxIterations,
+		Epsilon:       req.Epsilon,
+		Cells:         []bench.Cell{{Bounds: bounds}},
+	}}, bench.Schedule{
+		Workers:     req.width(),
+		Concurrent:  1,
+		OnIteration: func(_ int, p core.IterProgress) { rn.emit(progressEvent{Kind: "iter", Iter: &p}) },
+		Cancel:      rn.cancelled,
+	})
 	if err != nil {
 		rn.fail(err)
 		return
 	}
+	sv := solved[0]
 	resp.Workers, resp.SolveSec, resp.Result = sv.Workers, sv.SolveSec, sv.Result
 	ev := done(sv.Result)
 	ev.SolveSec = sv.SolveSec
@@ -522,13 +524,6 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 		Key: e.key, Circuit: e.name, Name: name,
 		Result: saved.Result, Dual: saved.Dual,
 	})
-}
-
-// farmReady reports whether requests should dispatch to the farm: a
-// coordinator is attached and at least one worker is live. With no live
-// workers the service solves locally, exactly as without a coordinator.
-func (s *Server) farmReady() bool {
-	return s.opt.Farm != nil && s.opt.Farm.LiveWorkers() > 0
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

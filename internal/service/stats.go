@@ -43,28 +43,12 @@ type serverStats struct {
 	cornerSec   float64
 }
 
-func addEval(dst *rc.EvalStats, s rc.EvalStats) {
-	dst.FullRecomputes += s.FullRecomputes
-	dst.IncRecomputes += s.IncRecomputes
-	dst.FullUpstreams += s.FullUpstreams
-	dst.IncUpstreams += s.IncUpstreams
-	dst.DegradedRecomputes += s.DegradedRecomputes
-	dst.DegradedUpstreams += s.DegradedUpstreams
-	dst.CutoverRecomputes += s.CutoverRecomputes
-	dst.CutoverUpstreams += s.CutoverUpstreams
-	dst.ElectricalNodes += s.ElectricalNodes
-	dst.CouplingNodes += s.CouplingNodes
-	dst.LoadsNodes += s.LoadsNodes
-	dst.ArrivalNodes += s.ArrivalNodes
-	dst.UpstreamNodes += s.UpstreamNodes
-}
-
 func (st *serverStats) addSolve(sec float64, ev rc.EvalStats, trips, reverted int64) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.solves++
 	st.solveSec += sec
-	addEval(&st.eval, ev)
+	st.eval = st.eval.Add(ev)
 	st.hystTrips += trips
 	st.revertedSweeps += reverted
 }

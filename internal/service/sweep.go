@@ -18,8 +18,8 @@ import (
 // a0/noise/power overrides replace the derived base bounds first (same
 // semantics as a solve request), and its workers is the per-cell solver
 // width. With stream set, the response is NDJSON: one sweep.Cell object
-// per line as each cell's solve completes (warm sweeps interleave rows but
-// stream each row in column order; cold sweeps stream cells in completion
+// per line as each cell's solve completes (a warm sweep streams each row
+// in column order, rows interleaved; a cold one run here, in row-major
 // order), then a final summary line with the Pareto frontier — results
 // are bit-identical to the buffered form, so clients needing row-major
 // order can place cells by their row/col fields.
@@ -75,6 +75,7 @@ type sweepSummary struct {
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req sweepRequest
+	r.Body = http.MaxBytesReader(w, r.Body, maxRunRequestBytes)
 	if !decode(w, r, "sweep", &req) {
 		return
 	}
@@ -118,21 +119,12 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		opt.OnCell = func(c *sweep.Cell) { rn.nw.writeLine(c) }
 	}
 	// Every cell completion (and, on local runs, every solver iteration)
-	// lands on the circuit's watch log too.
+	// lands on the circuit's watch log too. The farm or the local runner
+	// solves the grid (see runner).
 	rn.watchSweep(&opt)
 	rn.emit(progressEvent{Kind: "sweep_start"})
 	start := time.Now()
-	// The farm (live workers: the coordinator leases the wavefront out
-	// and reassembles the identical row-major grid) or the local engine
-	// solves the grid — the distributed determinism contract is exactly
-	// that this choice is invisible in the bytes.
-	var res *sweep.Result
-	var err error
-	if s.farmReady() {
-		res, err = s.opt.Farm.Sweep(r.Context(), e.farmSpec, e.inst, opt)
-	} else {
-		res, err = sweep.Run(e.inst, opt)
-	}
+	res, err := sweep.RunOn(e.inst, opt, rn.runner())
 	if err != nil {
 		rn.fail(err)
 		return

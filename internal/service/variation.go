@@ -15,9 +15,9 @@ import (
 // against a cached instance, stream per-sample / per-corner progress on
 // the circuit's watch log, and persist finished runs for dedup (same
 // seed → same bytes, so a repeat answers from the store without
-// solving). A Monte-Carlo run dispatches to the farm when workers are
-// live — with bit-identical results either way, the same contract
-// solves and sweeps carry; corners always run locally.
+// solving). Both dispatch to the farm when workers are live — with
+// bit-identical results either way, the same contract solves and sweeps
+// carry.
 
 // Store key prefixes for the variation modes (see persist.go for the
 // base layout).
@@ -79,6 +79,7 @@ type montecarloResponse struct {
 
 func (s *Server) handleMonteCarlo(w http.ResponseWriter, r *http.Request) {
 	var req montecarloRequest
+	r.Body = http.MaxBytesReader(w, r.Body, maxRunRequestBytes)
 	if !decode(w, r, "montecarlo", &req) {
 		return
 	}
@@ -134,25 +135,12 @@ func (s *Server) handleMonteCarlo(w http.ResponseWriter, r *http.Request) {
 		Bounds:        &bounds,
 		MaxIterations: req.MaxIterations,
 		Epsilon:       req.Epsilon,
+		Workers:       req.width(),
+		Cancel:        rn.cancelled,
 		OnSample:      onSample,
 	}
 	start := time.Now()
-	var res *variation.MCResult
-	var err error
-	if s.farmReady() {
-		// Farm dispatch: the drawn samples fan out as per-worker batches
-		// of cells; they reassemble by index and the shared summarizer
-		// rebuilds the exact local report — distributed ≡ local bytes.
-		var samples []variation.Sample
-		samples, err = s.opt.Farm.MonteCarlo(r.Context(), e.farmSpec, e.inst, opt)
-		if err == nil {
-			res = variation.Summarize(samples, bounds.A0)
-		}
-	} else {
-		opt.Workers = req.width()
-		opt.Cancel = rn.cancelled
-		res, err = variation.MonteCarlo(e.inst, opt)
-	}
+	res, err := variation.MonteCarloOn(e.inst, opt, rn.runner())
 	if err != nil {
 		rn.fail(err)
 		return
@@ -231,7 +219,7 @@ func (s *Server) handleCorners(w http.ResponseWriter, r *http.Request, req *swee
 	}
 	rn.emit(progressEvent{Kind: "corners_start", Iterations: len(corners)})
 	start := time.Now()
-	rep, err := variation.CornerSweep(e.inst, opt)
+	rep, err := variation.CornerSweepOn(e.inst, opt, rn.runner())
 	if err != nil {
 		rn.fail(err)
 		return

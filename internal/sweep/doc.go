@@ -6,7 +6,7 @@
 // The engine amortizes the expensive front end — netlist generation,
 // logic simulation, elaboration, wire ordering, coupling extraction —
 // across every cell: the instance is built once and each cell solves on a
-// lightweight evaluator replica over the shared graph and coupling set.
+// lightweight evaluator replica over the instance's shared topology.
 // Every cell is one call of the shared cell kernel, bench.SolveCell.
 // Cells are warm-started on both halves of the problem: each one seeds
 // the solver with the final sizes of its nearest already-solved neighbour
@@ -22,9 +22,12 @@
 // cell is fixed in advance: results never depend on completion order or
 // on how many rows solve concurrently, and the whole grid is
 // bit-reproducible at every SweepWorkers and per-cell Workers width (the
-// golden sweep fixture enforces this). Column 0 solves first as a
-// sequential spine; the rows then fan out onto the PR-1 worker pool via
-// internal/fanout. Long-running callers can observe cells as they finish
-// through Options.OnCell (the sizing service's row streaming) without
-// affecting a single solved bit.
+// golden sweep fixture enforces this). The engine only plans: the grid
+// becomes a bench.Plan — the column-0 spine as one chain, each row's tail
+// as a chain that waits on its spine cell, or for a seed-independent
+// sweep one independent batch — and a bench.Runner solves it, the local
+// runner (bench.Instance.RunPlan) in Run, or the runner RunOn is given,
+// such as a farm coordinator's. Long-running callers can observe cells as
+// they finish through Options.OnCell (the sizing service's row streaming)
+// without affecting a single solved bit.
 package sweep

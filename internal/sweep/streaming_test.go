@@ -6,10 +6,12 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // TestCancelStopsSweep pins the shedding hook: once Cancel reports true,
-// no further cells start and Run returns ErrCancelled; a sweep whose
+// no further cells start and Run returns core.ErrCancelled; a sweep whose
 // Cancel never fires is untouched by the hook's presence.
 func TestCancelStopsSweep(t *testing.T) {
 	for _, cold := range []bool{false, true} {
@@ -25,8 +27,8 @@ func TestCancelStopsSweep(t *testing.T) {
 				o.OnCell = func(*Cell) { solved.Add(1) }
 				o.Cancel = func() bool { return solved.Load() >= 2 }
 			})
-			if _, err := Run(inst, opt); !errors.Is(err, ErrCancelled) {
-				t.Fatalf("cancelled sweep returned %v, want ErrCancelled", err)
+			if _, err := Run(inst, opt); !errors.Is(err, core.ErrCancelled) {
+				t.Fatalf("cancelled sweep returned %v, want core.ErrCancelled", err)
 			}
 			if n := solved.Load(); n >= int64(len(opt.DelayScale)*len(opt.NoiseScale)) {
 				t.Errorf("cancellation did not shed work: %d cells solved", n)

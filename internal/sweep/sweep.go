@@ -1,15 +1,12 @@
 package sweep
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"runtime"
 
 	"repro/internal/bench"
 	"repro/internal/core"
-	"repro/internal/fanout"
-	"repro/internal/rc"
 )
 
 // Options configures one bounds-grid sweep. The zero value sweeps the
@@ -31,8 +28,9 @@ type Options struct {
 	Epsilon       float64
 	// Workers is the per-cell solver width (0 = 1: the sweep level owns
 	// the cores by default, since independent cells scale better than one
-	// sharded solve). SweepWorkers bounds how many rows — or, in a Cold
-	// sweep, cells — solve concurrently (0 = all cores).
+	// sharded solve). SweepWorkers bounds how many chains — the spine and
+	// the row tails — or, in a seed-independent sweep, cells solve
+	// concurrently (0 = all cores).
 	Workers      int
 	SweepWorkers int
 	// Cold disables warm-starting: every cell seeds from the instance's
@@ -50,21 +48,21 @@ type Options struct {
 	// ColdLRS starts each cell's solve at the lower bounds, the paper's
 	// S1, which core.Run applies once per solve (core.Options.WarmStart =
 	// false). The default starts it from the seed — the regime where warm
-	// seeding and the incremental engine pay off. With ColdLRS (and
-	// PrimalOnly) the OGWS trajectory is independent of the seed, so warm
+	// seeding and the incremental engine pay off. With ColdLRS and
+	// PrimalOnly the OGWS trajectory is independent of the seed, so warm
 	// and cold sweeps are bit-identical (the warm-vs-cold oracle test pins
-	// exactly this).
+	// exactly this) and Run schedules the warm one as a cold one.
 	ColdLRS bool
 	// OnCell, when non-nil, is called once per cell immediately after that
 	// cell's solve completes, with the fully populated cell — the
 	// row-streaming hook long-running callers (the sizing service) use to
 	// emit results as they arrive instead of waiting for the whole grid.
 	// In a warm sweep, calls within one row arrive in ascending column
-	// order (rows solve concurrently and interleave freely); a Cold sweep
-	// fans out individual cells, so its calls arrive in no particular
-	// order. The callback must be safe for concurrent use and must not
-	// mutate the cell or retain its slices past the call (read-only
-	// access to Result is fine: nothing else writes it). Streaming never
+	// order (rows solve concurrently and interleave freely); a cold sweep
+	// solved locally streams its cells in row-major order. The callback
+	// must be safe for concurrent use and must not mutate the cell or
+	// retain its slices past the call (read-only access to Result is
+	// fine: nothing else writes it). Streaming never
 	// affects the solved values — the grid is the same bit-identical
 	// row-major Result with or without a callback.
 	OnCell func(*Cell)
@@ -78,20 +76,13 @@ type Options struct {
 	// Cancel, when non-nil, is polled before each cell's solve and, via
 	// core.Options.Cancel, at every iteration boundary inside a cell;
 	// once it returns true no further cells start, the in-flight cell
-	// stops at its next iteration, and Run returns ErrCancelled.
+	// stops at its next iteration, and Run returns core.ErrCancelled.
 	// Long-running callers use this to shed abandoned work — e.g. the
 	// sizing service polls the request context. A sweep whose Cancel
 	// never fires solves the exact same grid as one with no hook, so the
 	// solved values are unaffected.
 	Cancel func() bool
 }
-
-// ErrCancelled is returned by Run when Options.Cancel stopped the sweep
-// before every cell solved.
-var ErrCancelled = errors.New("sweep: cancelled")
-
-// cancelled polls the Cancel hook.
-func (o Options) cancelled() bool { return o.Cancel != nil && o.Cancel() }
 
 // Cell is one solved grid point.
 type Cell struct {
@@ -137,8 +128,8 @@ func (o *Options) fill() {
 	// Normalize the widths the way core.Options.validate does: negative
 	// means "all cores", explicitly resolved here so neither width falls
 	// through unvalidated (0 keeps each level's own default — Workers
-	// defaults to 1 serial solver, SweepWorkers to all cores in
-	// fanout.Each).
+	// defaults to 1 serial solver, SweepWorkers to all cores in the
+	// plan runner).
 	if o.Workers < 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -169,43 +160,11 @@ func cellBounds(base bench.Bounds, off, fd, fn float64) (bench.Bounds, error) {
 	return b, nil
 }
 
-// solveCell solves one grid cell through the shared cell kernel
-// (bench.SolveCell) from the given sizes and dual, filling the cell's
-// Result and SolveSec. It returns the cell's final dual for the next cell
-// of a warm chain, nil when the sweep is cold or primal-only. Only the
-// solver knobs of o are read, plus OnProgress (called with the cell's
-// grid position) and Cancel, which also stops the cell at its next
-// iteration boundary.
-func (o Options) solveCell(ev *rc.Evaluator, c *Cell, seed []float64, dual *core.DualState) (*core.DualState, error) {
-	copt := bench.CellOptions{
-		MaxIterations: o.MaxIterations,
-		Epsilon:       o.Epsilon,
-		Workers:       o.Workers,
-		S1:            o.ColdLRS,
-		ReturnDual:    !o.Cold && !o.PrimalOnly,
-		Cancel:        o.Cancel,
-	}
-	if o.OnProgress != nil {
-		copt.OnIteration = func(p core.IterProgress) { o.OnProgress(c.Row, c.Col, p) }
-	}
-	s, err := bench.SolveCell(ev, c.Bounds, seed, dual, copt)
-	if err != nil {
-		if errors.Is(err, core.ErrCancelled) {
-			err = ErrCancelled
-		}
-		return nil, err
-	}
-	c.Result, c.SolveSec = s.Result, s.SolveSec
-	return s.Dual, nil
-}
-
-// plan builds the unsolved grid skeleton for filled options: every cell
-// carries its axis factors, resolved bounds and seed metadata — the warm
-// wavefront's (cell (i,0) seeds from (i−1,0), cell (i,j) from (i,j−1)),
-// or the unseeded (-1, -1) marker for a cold sweep and the grid origin.
-// The second return is the shared seed for unseeded cells: the instance's
-// initial sizes (what bench.RunInstance solves from).
-func plan(inst *bench.Instance, opt Options) (*Result, []float64, error) {
+// grid builds the unsolved grid for filled options: every cell carries its
+// axis factors, resolved bounds and seed metadata — the warm wavefront's
+// (cell (i,0) seeds from (i−1,0), cell (i,j) from (i,j−1)), or the
+// unseeded (-1, -1) marker for a cold sweep and the grid origin.
+func grid(inst *bench.Instance, opt Options) (*Result, error) {
 	base := bench.DeriveBounds(inst)
 	if opt.Bounds != nil {
 		base = *opt.Bounds
@@ -224,7 +183,7 @@ func plan(inst *bench.Instance, opt Options) (*Result, []float64, error) {
 		for j, fn := range opt.NoiseScale {
 			b, err := cellBounds(base, off, fd, fn)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			c := res.At(i, j)
 			c.Row, c.Col = i, j
@@ -240,116 +199,92 @@ func plan(inst *bench.Instance, opt Options) (*Result, []float64, error) {
 			}
 		}
 	}
-	return res, append([]float64(nil), inst.Eval.X...), nil
+	return res, nil
 }
 
-// Plan is the exported planning half of Run: it validates the axes and
-// returns the unsolved grid skeleton (per-cell bounds, axis factors, seed
-// metadata) plus the shared initial-size seed, without solving
-// anything. The farm coordinator plans a distributed sweep with exactly
-// this skeleton, leases the cells out, and fills the same row-major slots
-// the local engine would — so the reassembled grid is the identical
-// Result structure either way.
-func Plan(inst *bench.Instance, opt Options) (*Result, []float64, error) {
-	opt.fill()
-	return plan(inst, opt)
+// wavefront cuts a grid into the batches of its plan, cell k being grid
+// point k in row-major order and the instance's initial sizes initX the
+// seed of every cell no neighbour seeds. An independent sweep is one
+// batch of every cell, each solved from initX. Otherwise the column-0
+// spine is one chain (cell (i,0) seeded from (i−1,0)'s sizes and, unless
+// PrimalOnly, dual), and each row's eastward tail is a chain that waits
+// on its spine cell and starts from that cell's sizes and dual.
+func wavefront(res *Result, initX []float64, opt Options, independent bool) bench.Plan {
+	// batchOf is the batch of rows [i0, i1) × columns [j0, j1), row by
+	// row: the whole grid, one row's tail, or with columns [0, 1) the spine.
+	batchOf := func(i0, i1, j0, j1 int) bench.Batch {
+		cells := make([]bench.Cell, 0, (i1-i0)*(j1-j0))
+		for i := i0; i < i1; i++ {
+			for j := j0; j < j1; j++ {
+				cells = append(cells, bench.Cell{Index: i*res.Cols + j, Bounds: res.At(i, j).Bounds})
+			}
+		}
+		return bench.Batch{
+			Chain:         !independent,
+			Duals:         !independent && !opt.PrimalOnly,
+			S1:            opt.ColdLRS,
+			Seed:          initX,
+			MaxIterations: opt.MaxIterations,
+			Epsilon:       opt.Epsilon,
+			Cells:         cells,
+		}
+	}
+	if independent {
+		return bench.Plan{batchOf(0, res.Rows, 0, res.Cols)}
+	}
+	plan := bench.Plan{batchOf(0, res.Rows, 0, 1)}
+	for i := 0; i < res.Rows && res.Cols > 1; i++ {
+		spine := i * res.Cols
+		tail := batchOf(i, i+1, 1, res.Cols)
+		tail.Seed, tail.After = nil, &spine
+		plan = append(plan, tail)
+	}
+	return plan
 }
 
-// Run sweeps the bounds grid over one prebuilt instance. The instance is
-// shared read-only — every cell solves on an evaluator replica, so
-// the instance's evaluator state (the Init sizes) is left untouched and
-// one instance can back any number of sweeps. Results come back in
-// row-major grid order with the Pareto frontier attached; on any cell
-// error the lowest-index error is returned after in-flight rows finish.
+// Run is RunOn with the local runner, inst.RunPlan.
 func Run(inst *bench.Instance, opt Options) (*Result, error) {
+	return RunOn(inst, opt, inst.RunPlan)
+}
+
+// RunOn sweeps the bounds grid over one prebuilt instance with the given
+// runner: the local one, or a farm coordinator's, which leases the same
+// plan out and returns the same bits. The instance is shared read-only —
+// every cell solves on a replica, so the instance's evaluator state (the
+// Init sizes) is left untouched and one instance can back any number of
+// sweeps. Results come back in row-major grid order with the Pareto
+// frontier attached; on any cell error the lowest-index error is
+// returned.
+//
+// A sweep is seed-independent when it is cold, or when every cell starts
+// at the lower bounds (ColdLRS) and restarts its dual (PrimalOnly): its
+// bits cannot depend on the seeds, which TestSweepWarmColdBitIdentical
+// pins, so its cells need no neighbour and all solve at once.
+func RunOn(inst *bench.Instance, opt Options, run bench.Runner) (*Result, error) {
 	opt.fill()
-	res, initX, err := plan(inst, opt)
+	res, err := grid(inst, opt)
 	if err != nil {
 		return nil, err
 	}
-	rows, cols := res.Rows, res.Cols
-
-	if opt.Cold {
-		errs := make([]error, len(res.Cells))
-		fanout.Each(len(res.Cells), opt.SweepWorkers, func(k int) {
-			if opt.cancelled() {
-				errs[k] = ErrCancelled
-				return
-			}
-			ev, err := inst.Replica()
-			if err != nil {
-				errs[k] = err
-				return
-			}
+	initX := append([]float64(nil), inst.Eval.X...)
+	p := wavefront(res, initX, opt, opt.Cold || opt.ColdLRS && opt.PrimalOnly)
+	sched := bench.Schedule{Workers: opt.Workers, Concurrent: opt.SweepWorkers, Cancel: opt.Cancel}
+	if opt.OnProgress != nil {
+		sched.OnIteration = func(k int, it core.IterProgress) { opt.OnProgress(k/res.Cols, k%res.Cols, it) }
+	}
+	if opt.OnCell != nil {
+		sched.Observe = func(k int, s *bench.Solved) {
 			c := &res.Cells[k]
-			_, errs[k] = opt.solveCell(ev, c, initX, nil)
-			if opt.OnCell != nil && errs[k] == nil {
-				opt.OnCell(c)
-			}
-		})
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-		res.Frontier = Frontier(res.Cells)
-		return res, nil
-	}
-
-	// Warm wavefront. Spine first: column 0 cell by cell on one replica,
-	// each seeded (sizes and dual state) from the cell above it.
-	spine, err := inst.Replica()
-	if err != nil {
-		return nil, err
-	}
-	rowDual := make([]*core.DualState, rows)
-	seed := initX
-	var dual *core.DualState
-	for i := 0; i < rows; i++ {
-		if opt.cancelled() {
-			return nil, ErrCancelled
-		}
-		c := res.At(i, 0)
-		if dual, err = opt.solveCell(spine, c, seed, dual); err != nil {
-			return nil, err
-		}
-		if opt.OnCell != nil {
+			c.Result, c.SolveSec = s.Result, s.SolveSec
 			opt.OnCell(c)
 		}
-		seed = c.Result.X
-		rowDual[i] = dual
 	}
-	// Rows fan out: each row walks east on its own replica, seeding every
-	// cell from its western neighbour.
-	if cols > 1 {
-		errs := make([]error, rows)
-		fanout.Each(rows, opt.SweepWorkers, func(i int) {
-			ev, err := inst.Replica()
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			rowSeed, rowD := res.At(i, 0).Result.X, rowDual[i]
-			for j := 1; j < cols; j++ {
-				if opt.cancelled() {
-					errs[i] = ErrCancelled
-					return
-				}
-				c := res.At(i, j)
-				if rowD, errs[i] = opt.solveCell(ev, c, rowSeed, rowD); errs[i] != nil {
-					return
-				}
-				if opt.OnCell != nil {
-					opt.OnCell(c)
-				}
-				rowSeed = c.Result.X
-			}
-		})
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
+	solved, err := run(p, sched)
+	if err != nil {
+		return nil, err
+	}
+	for k, s := range solved {
+		res.Cells[k].Result, res.Cells[k].SolveSec = s.Result, s.SolveSec
 	}
 	res.Frontier = Frontier(res.Cells)
 	return res, nil

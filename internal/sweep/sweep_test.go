@@ -80,6 +80,28 @@ func runSweep(t *testing.T, inst *bench.Instance, opt Options) *Result {
 	return res
 }
 
+// runWavefront runs a warm sweep's chained wavefront even where the
+// sweep is seed-independent, which RunOn would plan as one independent
+// batch: the runner it hands RunOn solves the chained plan of the same
+// grid instead of the plan it is given.
+func runWavefront(t *testing.T, inst *bench.Instance, opt Options) *Result {
+	t.Helper()
+	filled := opt
+	filled.fill()
+	res, err := grid(inst, filled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chained := wavefront(res, inst.Eval.X, filled, false)
+	out, err := RunOn(inst, opt, func(_ bench.Plan, s bench.Schedule) ([]*bench.Solved, error) {
+		return inst.RunPlan(chained, s)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // TestSweepGolden pins the default warm-started sweep of the mesh fixture
 // to a committed snapshot, bit for bit, and demands the identical grid at
 // every SweepWorkers and per-cell Workers width — the determinism contract
@@ -129,10 +151,11 @@ func TestSweepGolden(t *testing.T) {
 // (ColdLRS) and dual restarts (PrimalOnly) the OGWS trajectory is
 // independent of the seed, so the warm wavefront and the cold flat
 // fan-out must produce bit-identical cells — the seeding path can
-// rearrange work, never results.
+// rearrange work, never results. This is the rule under which Run plans
+// such a warm sweep as a cold one, so the warm side forces the wavefront.
 func TestSweepWarmColdBitIdentical(t *testing.T) {
 	inst, b := testInstance(t, 12, 10)
-	warm := runSweep(t, inst, testOptions(b, func(o *Options) { o.ColdLRS = true; o.PrimalOnly = true }))
+	warm := runWavefront(t, inst, testOptions(b, func(o *Options) { o.ColdLRS = true; o.PrimalOnly = true }))
 	cold := runSweep(t, inst, testOptions(b, func(o *Options) { o.ColdLRS = true; o.Cold = true }))
 	warmR, warmF := cellResults(warm)
 	coldR, coldF := cellResults(cold)
@@ -348,7 +371,7 @@ func TestSweepOnProgressStreams(t *testing.T) {
 // TestFillNormalizesWorkers pins the width normalization fill applies —
 // the same convention as core.Options.validate: negative selects all
 // cores, zero keeps each level's own default (Workers: one serial
-// solver; SweepWorkers: resolved later by fanout.Each).
+// solver; SweepWorkers: resolved later by the plan runner).
 func TestFillNormalizesWorkers(t *testing.T) {
 	all := runtime.GOMAXPROCS(0)
 	for _, tc := range []struct {

@@ -13,8 +13,6 @@
 package variation
 
 import (
-	"fmt"
-
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/fanout"
@@ -62,9 +60,9 @@ type CornerOptions struct {
 	MaxIterations int
 	Epsilon       float64
 	// Workers is each solve's parallel width, the nominal's included; a
-	// value <= 0 means width 1, and the fan-out runs GOMAXPROCS ÷ width
-	// corners at once, so it owns the cores (see fanout.Widths). Results are
-	// bit-identical at every width.
+	// value <= 0 means width 1, and the local runner solves GOMAXPROCS ÷
+	// width corners at once, so it owns the cores (see fanout.Widths).
+	// Results are bit-identical at every width.
 	Workers int
 	// Cold skips warm-starting corners from the nominal solve.
 	Cold bool
@@ -76,10 +74,12 @@ type CornerOptions struct {
 	ColdLRS    bool
 	// Cancel is polled at solver iteration boundaries (core.Options.Cancel).
 	Cancel func() bool
-	// OnCorner, when non-nil, observes each corner cell in corner order,
-	// one call at a time, as soon as that corner and every lower one are
-	// solved; it never sees a corner past a failed one. Purely
-	// observational: results are bit-identical with or without the hook.
+	// OnCorner, when non-nil, observes each corner cell as it lands. The
+	// local runner calls it in corner order, one call at a time, as soon
+	// as that corner and every lower one are solved, and never for a
+	// corner past a failed one; a farm runner calls it as the corners'
+	// shards stream in. Purely observational: results are bit-identical
+	// with or without the hook.
 	OnCorner func(*CornerCell)
 }
 
@@ -131,71 +131,63 @@ func constantOffset(inst *bench.Instance) float64 {
 	return 0
 }
 
-// CornerSweep solves the instance at the nominal technology and then at
-// every one of StandardCorners, every solve through the shared cell
-// kernel (bench.SolveCell). With warm starts (the default) each corner
-// begins at the nominal sizes and multipliers; Cold solves every corner
-// from scratch. The nominal solve runs first, because every warm corner
-// starts from it; the corners then fan out as independent solves (see
-// fanout.Widths and fanout.Ordered). Each corner is a pure function of its
-// index, so the report is deterministic in (instance, options) regardless
-// of hooks, width, or timing.
+// CornerSweep is CornerSweepOn with the local runner, inst.RunPlan.
 func CornerSweep(inst *bench.Instance, opt CornerOptions) (*CornerReport, error) {
+	return CornerSweepOn(inst, opt, inst.RunPlan)
+}
+
+// CornerSweepOn solves the instance at the nominal technology and then at
+// every one of StandardCorners with the given runner. The plan is the
+// nominal cell (index 0) as one batch and the corners (1.., in
+// StandardCorners order) as one independent batch of perturbed cells,
+// which with warm starts (the default) waits on the nominal cell and
+// starts at its sizes and multipliers; Cold solves every corner from
+// scratch at once. Each corner is a pure function of its cell, so the
+// report is deterministic regardless of hooks, runner, width or timing.
+func CornerSweepOn(inst *bench.Instance, opt CornerOptions, run bench.Runner) (*CornerReport, error) {
 	corners := StandardCorners()
 	bounds := resolveBounds(inst, opt.Bounds)
 	offset := constantOffset(inst)
-	perSolve, width := fanout.Widths(opt.Workers)
-	copt := bench.CellOptions{
+	nominal := bench.Batch{
+		Duals:         !opt.Cold && !opt.PrimalOnly,
+		S1:            opt.ColdLRS,
+		Seed:          append([]float64(nil), inst.Eval.X...),
 		MaxIterations: opt.MaxIterations,
 		Epsilon:       opt.Epsilon,
-		Workers:       perSolve,
-		S1:            opt.ColdLRS,
-		Cancel:        opt.Cancel,
+		Cells:         []bench.Cell{{Index: 0, Bounds: bounds}},
 	}
-
-	// Nominal solve: the warm-start anchor and the report's reference row.
-	nomEv, err := inst.Replica()
-	if err != nil {
-		return nil, err
+	perturbed := nominal
+	perturbed.Duals = false
+	perturbed.Cells = make([]bench.Cell, len(corners))
+	for i, c := range corners {
+		p := c.Perturb()
+		perturbed.Cells[i] = bench.Cell{Index: i + 1, Bounds: perturbedBounds(bounds, offset, p), Perturb: &p}
 	}
-	nomOpt := copt
-	nomOpt.ReturnDual = !opt.Cold && !opt.PrimalOnly
-	nominal, err := bench.SolveCell(nomEv, bounds, inst.Eval.X, nil, nomOpt)
-	if err != nil {
-		return nil, err
-	}
-	seed, dual := inst.Eval.X, nominal.Dual
 	if !opt.Cold {
-		seed = nominal.Result.X
+		// Warm corners start from the nominal cell's sizes and dual.
+		nominalCell := 0
+		perturbed.Seed, perturbed.After = nil, &nominalCell
 	}
 
+	perSolve, width := fanout.Widths(opt.Workers)
+	sched := bench.Schedule{Workers: perSolve, Concurrent: width, Cancel: opt.Cancel}
 	cells := make([]CornerCell, len(corners))
-	solve := func(i int) error {
-		c := corners[i]
-		ev, err := inst.PerturbedReplica(c.Perturb())
-		if err != nil {
-			return fmt.Errorf("variation: corner %q: %w", c.Name, err)
-		}
-		s, err := bench.SolveCell(ev, perturbedBounds(bounds, offset, c.Perturb()), seed, dual, copt)
-		if err != nil {
-			return fmt.Errorf("variation: corner %q: %w", c.Name, err)
-		}
-		cells[i] = CornerCell{Corner: c, Result: s.Result}
-		return nil
-	}
-	var observe func(int) error
 	if opt.OnCorner != nil {
-		observe = func(i int) error {
-			opt.OnCorner(&cells[i])
-			return nil
+		sched.Observe = func(k int, s *bench.Solved) {
+			if k > 0 {
+				cells[k-1] = CornerCell{Corner: corners[k-1], Result: s.Result}
+				opt.OnCorner(&cells[k-1])
+			}
 		}
 	}
-	if err := fanout.Ordered(len(corners), width, solve, observe); err != nil {
+	solved, err := run(bench.Plan{nominal, perturbed}, sched)
+	if err != nil {
 		return nil, err
 	}
 	delays := make([]float64, len(cells))
-	for i, c := range cells {
-		delays[i] = c.Result.DelayPs
+	for i, c := range corners {
+		cells[i] = CornerCell{Corner: c, Result: solved[i+1].Result}
+		delays[i] = cells[i].Result.DelayPs
 	}
-	return &CornerReport{Nominal: nominal.Result, Cells: cells, Delay: NewDist(delays)}, nil
+	return &CornerReport{Nominal: solved[0].Result, Cells: cells, Delay: NewDist(delays)}, nil
 }

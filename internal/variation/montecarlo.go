@@ -1,13 +1,12 @@
 // Monte-Carlo yield analysis.
 //
 // MonteCarlo draws K technology perturbations from the seeded sampler
-// (Draw plans them as cells), sizes each perturbed replica with the full
-// OGWS solver through the shared cell kernel (bench.SolveCell), and
-// reports per-sample results plus delay/area/noise distributions and the
-// delay-constraint yield. The K solves fan out as plain, independent
-// solves — each on its own goroutine, replica, and solver, several at
-// once (see fanout.Widths) — so a run spreads over the cores instead of
-// sharing one evaluator pass.
+// (drawBatch plans them as one independent batch of cells), sizes each
+// perturbed replica with the full OGWS solver, and reports per-sample
+// results plus delay/area/noise distributions and the delay-constraint
+// yield. The local runner fans the K solves out, several at once (see
+// fanout.Widths); a farm runner cuts the batch into one shard per live
+// worker.
 //
 // Determinism contract (pinned by the oracle suite and FuzzVariation):
 // same seed → byte-identical sample set; each fanned-out sample's result
@@ -93,9 +92,9 @@ type MCOptions struct {
 	MaxIterations int
 	Epsilon       float64
 	// Workers is each sample solve's parallel width; a value <= 0 means
-	// width 1, and the fan-out runs GOMAXPROCS ÷ width samples at once,
-	// so it owns the cores (see fanout.Widths). Results are bit-identical at
-	// every width.
+	// width 1, and the local runner solves GOMAXPROCS ÷ width samples at
+	// once, so it owns the cores (see fanout.Widths). Results are
+	// bit-identical at every width.
 	Workers int
 	// Solo runs the same per-sample solves one at a time. The result is
 	// bit-identical to the fan-out — this is the oracle and benchmark
@@ -103,8 +102,9 @@ type MCOptions struct {
 	Solo bool
 	// Cancel is polled at solver iteration boundaries.
 	Cancel func() bool
-	// OnSample, when non-nil, observes each completed sample in sample
-	// order after the run's solves finish. Purely observational.
+	// OnSample, when non-nil, observes each sample as it lands: in sample
+	// order, one call at a time, through the local runner, and as the
+	// shards stream in through a farm runner. Purely observational.
 	OnSample func(*Sample)
 }
 
@@ -130,11 +130,16 @@ type MCResult struct {
 	A0    float64 `json:"a0"`
 }
 
-// MonteCarlo sizes Samples perturbed replicas of the instance and
-// reports the distributional outcome. See the package comment for the
-// determinism contract.
+// MonteCarlo is MonteCarloOn with the local runner, inst.RunPlan.
 func MonteCarlo(inst *bench.Instance, opt MCOptions) (*MCResult, error) {
-	base, samples, bounds, err := Draw(inst, opt)
+	return MonteCarloOn(inst, opt, inst.RunPlan)
+}
+
+// MonteCarloOn sizes Samples perturbed replicas of the instance with the
+// given runner and reports the distributional outcome. See the package
+// comment for the determinism contract.
+func MonteCarloOn(inst *bench.Instance, opt MCOptions, run bench.Runner) (*MCResult, error) {
+	base, samples, batch, err := drawBatch(inst, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -142,64 +147,54 @@ func MonteCarlo(inst *bench.Instance, opt MCOptions) (*MCResult, error) {
 	if opt.Solo {
 		width = 1
 	}
-	copt := bench.CellOptions{
-		MaxIterations: opt.MaxIterations,
-		Epsilon:       opt.Epsilon,
-		Workers:       perSolve,
-		Cancel:        opt.Cancel,
+	sched := bench.Schedule{Workers: perSolve, Concurrent: width, Cancel: opt.Cancel}
+	if opt.OnSample != nil {
+		sched.Observe = func(k int, s *bench.Solved) {
+			samples[k].Result = s.Result
+			opt.OnSample(&samples[k])
+		}
 	}
-	err = fanout.Ordered(len(samples), width, func(r int) error {
-		ev, err := inst.PerturbedReplica(samples[r].Perturb)
-		if err != nil {
-			return err
-		}
-		s, err := bench.SolveCell(ev, bounds[r], inst.Eval.X, nil, copt)
-		if err != nil {
-			return err
-		}
-		samples[r].Result = s.Result
-		return nil
-	}, nil)
+	solved, err := run(bench.Plan{batch}, sched)
 	if err != nil {
 		return nil, err
 	}
-	out := Summarize(samples, base.A0)
-	if opt.OnSample != nil {
-		for r := range out.Samples {
-			opt.OnSample(&out.Samples[r])
-		}
+	for k, s := range solved {
+		samples[k].Result = s.Result
 	}
-	return out, nil
+	return summarize(samples, base.A0), nil
 }
 
-// Draw plans a run without solving it: the resolved base bounds and, in
-// index order, every sample with its perturbation (Result still nil) and
-// the bounds it is solved against (perturbedBounds for its C scalar).
-// Sample i is a pure function of (instance, bounds, seed, i, sigmas), so
-// MonteCarlo solving this plan in-process and the farm coordinator
-// leasing it out cell by cell produce the identical bytes.
-func Draw(inst *bench.Instance, opt MCOptions) (bench.Bounds, []Sample, []bench.Bounds, error) {
+// drawBatch plans a run without solving it: the resolved base bounds, every
+// sample in index order with its perturbation (Result still nil), and the
+// run's one independent batch, whose cell i solves sample i against its
+// perturbed bounds from the instance's initial sizes. Sample i is a pure
+// function of (instance, bounds, seed, i, sigmas), so however a runner
+// cuts the batch, it solves the identical cells.
+func drawBatch(inst *bench.Instance, opt MCOptions) (bench.Bounds, []Sample, bench.Batch, error) {
 	perturbs, err := drawPerturbs(opt.Seed, opt.Samples, opt.Sigmas)
 	if err != nil {
-		return bench.Bounds{}, nil, nil, err
+		return bench.Bounds{}, nil, bench.Batch{}, err
 	}
 	base := resolveBounds(inst, opt.Bounds)
 	offset := constantOffset(inst)
 	samples := make([]Sample, len(perturbs))
-	bounds := make([]bench.Bounds, len(perturbs))
+	batch := bench.Batch{
+		Seed:          append([]float64(nil), inst.Eval.X...),
+		MaxIterations: opt.MaxIterations,
+		Epsilon:       opt.Epsilon,
+		Cells:         make([]bench.Cell, len(perturbs)),
+	}
 	for r, p := range perturbs {
 		samples[r] = Sample{Index: r, Perturb: p}
-		bounds[r] = perturbedBounds(base, offset, p)
+		batch.Cells[r] = bench.Cell{Index: r, Bounds: perturbedBounds(base, offset, p), Perturb: &p}
 	}
-	return base, samples, bounds, nil
+	return base, samples, batch, nil
 }
 
-// Summarize assembles the distributional report over solved samples
-// (taken in slice order, which callers keep as index order) against the
-// delay bound a0. Shared by the local run and the distributed
-// reassembly path, so both produce the identical MCResult bytes from
-// identical samples.
-func Summarize(samples []Sample, a0 float64) *MCResult {
+// summarize assembles the distributional report over solved samples
+// (taken in slice order, which is index order) against the delay bound
+// a0.
+func summarize(samples []Sample, a0 float64) *MCResult {
 	out := &MCResult{Samples: samples, A0: a0}
 	k := len(samples)
 	delays := make([]float64, k)

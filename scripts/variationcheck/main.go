@@ -5,9 +5,10 @@
 // byte-identical to each other AND to an in-process variation.MonteCarlo
 // reference computed here — the determinism contract (same seed →
 // byte-identical sample set, distributed ≡ single-process) proven across
-// three independent processes. It then runs the corners sweep mode and
-// diffs it against an in-process variation.CornerSweep the same way, and
-// asserts /stats accounted every run. scripts/variation_smoke.sh wires it
+// three independent processes. It then runs the corners sweep mode, which
+// the live worker solves, diffs it against an in-process
+// variation.CornerSweep the same way, and asserts /stats accounted every
+// run and every farm cell. scripts/variation_smoke.sh wires it
 // to freshly built binaries.
 //
 // Usage:
@@ -149,7 +150,7 @@ func main() {
 	}
 	log.Printf("distributed Monte-Carlo is byte-identical to local (%d samples)", len(distRes.Samples))
 
-	// Corners mode: local-only enumeration, same reference discipline.
+	// Corners mode, solved by the live worker, same reference discipline.
 	var cr struct {
 		Report json.RawMessage `json:"report"`
 	}
@@ -172,6 +173,11 @@ func main() {
 		MCSamples    int64 `json:"montecarlo_samples"`
 		CornerSweeps int64 `json:"corner_sweeps"`
 		CornerCells  int64 `json:"corner_cells"`
+		Farm         struct {
+			Workers []struct {
+				CellsSolved int64 `json:"cells_solved"`
+			} `json:"workers"`
+		} `json:"farm"`
 	}
 	if err := smoke.GetJSON(base+"/stats", &st); err != nil {
 		log.Fatal(err)
@@ -183,6 +189,11 @@ func main() {
 	if st.CornerSweeps != 1 || st.CornerCells != int64(len(crRep.Cells)) {
 		log.Fatalf("stats counted %d corner sweeps / %d cells, want 1 / %d",
 			st.CornerSweeps, st.CornerCells, len(crRep.Cells))
+	}
+	// The one worker solved the distributed run's samples, the nominal cell
+	// and every corner; the first run never reached it.
+	if w, want := st.Farm.Workers, int64(mcSamples+1+len(crRep.Cells)); len(w) != 1 || w[0].CellsSolved != want {
+		log.Fatalf("farm workers %+v, want one that solved %d cells: the distributed samples, the nominal and the corners", w, want)
 	}
 	log.Printf("PASS: variation modes are byte-identical across local, distributed, and in-process runs")
 }
