@@ -101,11 +101,10 @@ cover:
 	awk -v t="$$total" -v min="$(COVER_MIN)" 'BEGIN { exit (t+0 >= min+0) ? 0 : 1 }' || \
 		{ echo "coverage $$total% is below the $(COVER_MIN)% gate" >&2; exit 1; }
 
-# Short fuzz smoke of the levelizer, incremental-oracle, perturbed-replica,
-# and graph-levelization targets (they also run their seed corpora as
-# plain tests under `make test`).
+# Short fuzz smoke of the incremental-oracle, perturbed-replica, and
+# graph-levelization targets (they also run their seed corpora as plain
+# tests under `make test`).
 fuzz:
-	$(GO) test -run '^$$' -fuzz '^FuzzLevelizer$$' -fuzztime=10s ./internal/rc
 	$(GO) test -run '^$$' -fuzz '^FuzzIncremental$$' -fuzztime=10s ./internal/rc
 	$(GO) test -run '^$$' -fuzz '^FuzzVariation$$' -fuzztime=10s ./internal/rc
 	$(GO) test -run '^$$' -fuzz '^FuzzGraphLevels$$' -fuzztime=10s ./internal/circuit

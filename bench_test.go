@@ -45,17 +45,14 @@ func instanceFor(b *testing.B, name string) *bench.Instance {
 }
 
 // BenchmarkTable1 regenerates Table 1 rows: one op = one full OGWS solve.
-// The noise/delay/power/area improvements are attached as metrics. The
-// legacy benchmarks pin Workers to 1: they are the paper-faithful serial
-// measurements (Figure 10's runtime curve); BenchmarkParallel* below own
-// the serial-versus-sharded comparison.
+// The noise/delay/power/area improvements are attached as metrics.
 func BenchmarkTable1(b *testing.B) {
 	for _, name := range table1Circuits {
 		b.Run(name, func(b *testing.B) {
 			spec, _ := bench.SpecByName(name)
 			var last *bench.Table1Row
 			for i := 0; i < b.N; i++ {
-				row, err := bench.RunRow(spec, bench.RunOptions{Workers: 1})
+				row, err := bench.RunRow(spec, bench.RunOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -78,12 +75,10 @@ func BenchmarkFigure10Runtime(b *testing.B) {
 			bounds := bench.DeriveBounds(inst)
 			opt := core.DefaultOptions(bounds.A0, bounds.NoiseBound, bounds.PowerBound)
 			opt.MaxIterations = 1 // one op = one outer iteration
-			opt.Workers = 1       // the paper's serial per-iteration cost
 			sol, err := core.NewSolver(inst.Eval, opt)
 			if err != nil {
 				b.Fatal(err)
 			}
-			defer sol.Close()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := sol.Run(); err != nil {
@@ -103,7 +98,7 @@ func BenchmarkFigure10Storage(b *testing.B) {
 			spec, _ := bench.SpecByName(name)
 			var mem float64
 			for i := 0; i < b.N; i++ {
-				row, err := bench.RunRow(spec, bench.RunOptions{MaxIterations: 2, Workers: 1})
+				row, err := bench.RunRow(spec, bench.RunOptions{MaxIterations: 2})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -123,12 +118,10 @@ func BenchmarkLRS(b *testing.B) {
 			inst := instanceFor(b, name)
 			bounds := bench.DeriveBounds(inst)
 			opt := core.DefaultOptions(bounds.A0, bounds.NoiseBound, bounds.PowerBound)
-			opt.Workers = 1 // serial kernel cost; BenchmarkParallelLRS shards it
 			sol, err := core.NewSolver(inst.Eval, opt)
 			if err != nil {
 				b.Fatal(err)
 			}
-			defer sol.Close()
 			// Run once to set up multipliers, then time LRS alone.
 			opt2 := opt
 			opt2.MaxIterations = 1
@@ -161,7 +154,7 @@ func BenchmarkAblationNoiseConstraint(b *testing.B) {
 				if mode == "without-noise" {
 					bounds.NoiseBound = 0 // disables γ, CCW'98 baseline
 				}
-				row, err := bench.RunInstance(inst, bench.RunOptions{Bounds: &bounds, Workers: 1})
+				row, err := bench.RunInstance(inst, bench.RunOptions{Bounds: &bounds})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -223,7 +216,6 @@ func BenchmarkAblationWarmStart(b *testing.B) {
 		b.Run(mode, func(b *testing.B) {
 			opt := core.DefaultOptions(bounds.A0, bounds.NoiseBound, bounds.PowerBound)
 			opt.WarmStart = mode == "warm"
-			opt.Workers = 1
 			var iters int
 			for i := 0; i < b.N; i++ {
 				ev, err := inst.Replica()
@@ -235,7 +227,6 @@ func BenchmarkAblationWarmStart(b *testing.B) {
 					b.Fatal(err)
 				}
 				res, err := sol.Run()
-				sol.Close()
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -257,64 +248,14 @@ func BenchmarkRCRecompute(b *testing.B) {
 	}
 }
 
-// parallelWidths are the Workers settings the parallel benchmarks compare:
-// the serial baseline against the full machine. On a multi-core host the
-// workersN case demonstrates the wall-clock speedup of the sharded solver;
-// results are bit-identical across the settings by construction.
+// parallelWidths are the batch widths BenchmarkTable1Parallel compares:
+// one circuit at a time against one per core. Rows are bit-identical
+// across the settings by construction.
 func parallelWidths() []int {
 	if n := runtime.GOMAXPROCS(0); n > 1 {
 		return []int{1, n}
 	}
 	return []int{1}
-}
-
-// BenchmarkParallelLRS times the hot kernel — one full LRS subproblem
-// solve on an ISCAS-scale circuit — serial versus sharded across all
-// cores. This is the loop the paper's Figure 10(b) measures, and the one
-// the worker pool accelerates most directly.
-func BenchmarkParallelLRS(b *testing.B) {
-	for _, w := range parallelWidths() {
-		b.Run(fmt.Sprintf("c3540/workers%d", w), func(b *testing.B) {
-			inst := instanceFor(b, "c3540")
-			bounds := bench.DeriveBounds(inst)
-			opt := core.DefaultOptions(bounds.A0, bounds.NoiseBound, bounds.PowerBound)
-			opt.MaxIterations = 1
-			opt.Workers = w
-			sol, err := core.NewSolver(inst.Eval, opt)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer sol.Close()
-			if _, err := sol.Run(); err != nil { // establish multipliers
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sol.LRS()
-			}
-		})
-	}
-}
-
-// BenchmarkParallelSolve times the full OGWS solve of one circuit at each
-// parallel width: one op = one complete Run from the uniform start.
-func BenchmarkParallelSolve(b *testing.B) {
-	for _, w := range parallelWidths() {
-		b.Run(fmt.Sprintf("c2670/workers%d", w), func(b *testing.B) {
-			inst := instanceFor(b, "c2670")
-			bounds := bench.DeriveBounds(inst)
-			b.ResetTimer()
-			var last *bench.Table1Row
-			for i := 0; i < b.N; i++ {
-				row, err := bench.RunInstance(inst, bench.RunOptions{Bounds: &bounds, Workers: w})
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = row
-			}
-			b.ReportMetric(float64(last.Iterations), "iters")
-		})
-	}
 }
 
 // BenchmarkTable1Parallel times a whole Table-1-style sweep through the
@@ -341,126 +282,6 @@ func BenchmarkTable1Parallel(b *testing.B) {
 				if len(rows) != len(specs) {
 					b.Fatalf("got %d rows, want %d", len(rows), len(specs))
 				}
-			}
-		})
-	}
-}
-
-// BenchmarkLevelized measures the levelized topological passes on
-// generated deep and wide meshes (bench.Grid, ≥10k nodes each): the
-// serial reference loops, the levelized schedule at several Workers
-// widths, and the full LRS subproblem whose inner kernel the levelization
-// parallelizes. The deep shape (64×78) stresses level-barrier overhead —
-// many thin levels; the wide shape (512×10) exposes maximal per-level
-// parallelism. On a multi-core host the workers8 cases show the levelized
-// wall-clock speedup; results are bit-identical at every width by
-// construction (enforced by the golden and fuzz suites).
-func BenchmarkLevelized(b *testing.B) {
-	shapes := []struct {
-		name          string
-		width, layers int
-	}{
-		{"deep64x78", 64, 78},   // 10114 nodes, ~160 levels
-		{"wide512x10", 512, 10}, // 11266 nodes, ~22 levels
-	}
-	widths := []int{1, 2, 8}
-	for _, sh := range shapes {
-		g, cs, err := bench.Grid(sh.width, sh.layers, true)
-		if err != nil {
-			b.Fatal(err)
-		}
-		newEval := func() *rc.Evaluator {
-			ev, err := rc.NewEvaluator(g, cs)
-			if err != nil {
-				b.Fatal(err)
-			}
-			ev.SetAllSizes(1)
-			return ev
-		}
-		lambda := make([]float64, g.NumNodes())
-		for i := range lambda {
-			lambda[i] = 0.5 + float64(i%5)*0.2
-		}
-		dst := make([]float64, g.NumNodes())
-
-		b.Run(sh.name+"/recompute-serial-ref", func(b *testing.B) {
-			ev := newEval()
-			b.ReportMetric(float64(g.NumNodes()), "nodes")
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ev.RecomputeSerial()
-			}
-		})
-		b.Run(sh.name+"/upstream-serial-ref", func(b *testing.B) {
-			ev := newEval()
-			ev.RecomputeSerial()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ev.UpstreamResistanceSerial(lambda, dst)
-			}
-		})
-		for _, w := range widths {
-			opt := core.DefaultOptions(1, 0, 0)
-			opt.Workers = w
-			b.Run(fmt.Sprintf("%s/recompute/workers%d", sh.name, w), func(b *testing.B) {
-				ev := newEval()
-				sol, err := core.NewSolver(ev, opt) // installs the pool Runner
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer sol.Close()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					ev.Recompute()
-				}
-			})
-			b.Run(fmt.Sprintf("%s/upstream/workers%d", sh.name, w), func(b *testing.B) {
-				ev := newEval()
-				sol, err := core.NewSolver(ev, opt)
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer sol.Close()
-				ev.Recompute()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					ev.UpstreamResistance(lambda, dst)
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkLevelizedLRS times the full LRS subproblem solve — the hot
-// kernel of every OGWS iteration, now with no serial topological remainder
-// — on the deep ≥10k-node mesh, serial versus Workers=8.
-func BenchmarkLevelizedLRS(b *testing.B) {
-	g, cs, err := bench.Grid(64, 78, true)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, w := range []int{1, 8} {
-		b.Run(fmt.Sprintf("deep64x78/workers%d", w), func(b *testing.B) {
-			ev, err := rc.NewEvaluator(g, cs)
-			if err != nil {
-				b.Fatal(err)
-			}
-			ev.SetAllSizes(1)
-			ev.Recompute()
-			opt := core.DefaultOptions(ev.MaxArrival(), 0, 0)
-			opt.MaxIterations = 1
-			opt.Workers = w
-			sol, err := core.NewSolver(ev, opt)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer sol.Close()
-			if _, err := sol.Run(); err != nil { // establish multipliers
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sol.LRS()
 			}
 		})
 	}
@@ -564,7 +385,7 @@ func BenchmarkIncrementalEval(b *testing.B) {
 }
 
 // BenchmarkMonteCarloSamples times a K=6 seeded Monte-Carlo yield run on
-// the synthetic c432, the sample fan-out (width-1 solves, GOMAXPROCS at a
+// the synthetic c432, the sample fan-out (serial solves, GOMAXPROCS at a
 // time) versus the solo path (the same solves one at a time). The two
 // modes produce bit-identical sample sets (the variation oracle pins
 // it), so this is pure scheduling attribution; the samples/s metric is
@@ -579,7 +400,6 @@ func BenchmarkMonteCarloSamples(b *testing.B) {
 				Seed:          7,
 				Sigmas:        variation.Sigmas{R: 0.05, C: 0.05, Threshold: 0.08},
 				MaxIterations: 12,
-				Workers:       -1,
 				Solo:          mode == "solo",
 			}
 			b.ResetTimer()

@@ -9,7 +9,7 @@
 // Usage:
 //
 //	ogws-worker -coordinator http://127.0.0.1:8372 [-name lab-3]
-//	            [-workers 0] [-cache 4] [-fault spec] [-max-retries 0]
+//	            [-cache 4] [-fault spec] [-max-retries 0]
 //	            [-retry-base 100ms] [-retry-cap 5s]
 //
 // -fault arms a deterministic fault plan (internal/fault spec syntax):
@@ -42,7 +42,6 @@ func main() {
 	log.SetPrefix("ogws-worker: ")
 	coordinator := flag.String("coordinator", "", "coordinator base URL, e.g. http://127.0.0.1:8372 (required)")
 	name := flag.String("name", "", "worker label shown in the coordinator's /stats (default: assigned id)")
-	workers := flag.Int("workers", 0, "solver goroutines per solve of a chained batch (0 = all cores); independent batches fan out at max(workers, 1) per solve (results bit-identical at every width)")
 	cache := flag.Int("cache", 4, "local instance-cache capacity in circuits")
 	faultSpec := flag.String("fault", "", "chaos testing: deterministic fault plan, e.g. 'seed=7;http:/farm/v1/result:cut,count=1;worker:cell:crash,after=2' — http: rules fault the coordinator link, worker:cell crash rules kill the worker mid-job (see internal/fault)")
 	maxRetries := flag.Int("max-retries", 0, "give up after N consecutive transient coordinator failures (0 = retry forever with capped backoff)")
@@ -70,15 +69,14 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	err := farm.RunWorker(ctx, farm.WorkerOptions{
-		Coordinator:   *coordinator,
-		Name:          *name,
-		SolverWorkers: *workers,
-		CacheSize:     *cache,
-		Fault:         plan,
-		MaxRetries:    *maxRetries,
-		Backoff:       fault.Backoff{Base: *retryBase, Cap: *retryCap},
-		Client:        client,
-		Logf:          log.Printf,
+		Coordinator: *coordinator,
+		Name:        *name,
+		CacheSize:   *cache,
+		Fault:       plan,
+		MaxRetries:  *maxRetries,
+		Backoff:     fault.Backoff{Base: *retryBase, Cap: *retryCap},
+		Client:      client,
+		Logf:        log.Printf,
 	})
 	switch {
 	case errors.Is(err, farm.ErrFaultInjected):

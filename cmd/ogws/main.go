@@ -30,7 +30,6 @@ func main() {
 	a0 := flag.Float64("a0", 0, "arrival-time bound A0 in ps (0 = self-calibrated: the initial delay)")
 	noise := flag.Float64("noise", 0, "total crosstalk bound X_B in fF (0 = self-calibrated: 25% above the minimum-size floor)")
 	power := flag.Float64("power", 0, "power bound P' in fF, capacitance equivalent P_B/V²f (0 = self-calibrated: 25% above the floor)")
-	workers := flag.Int("workers", 0, "solver worker goroutines (0 = all cores, 1 = serial; results bit-identical at every width)")
 	flag.Parse()
 
 	var (
@@ -70,7 +69,7 @@ func main() {
 
 	fmt.Printf("circuit %s: %d gates, %d wires\n", inst.Name(), inst.Gates(), inst.Wires())
 	fmt.Printf("bounds: A0=%.4g ps, X_B=%.4g fF, P'=%.4g fF\n", bounds.A0, bounds.NoiseBound, bounds.PowerBound)
-	rep, err := inst.OptimizeWith(bounds, *workers)
+	rep, err := inst.Optimize(bounds)
 	if err != nil {
 		log.Fatal(err)
 	}

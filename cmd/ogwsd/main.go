@@ -7,13 +7,15 @@
 //
 //	ogwsd [-addr 127.0.0.1:8372] [-cache 8] [-max-solves 0]
 //	      [-addr-file path] [-data dir]
-//	      [-coordinator] [-farm-heartbeat 2s] [-farm-lease-ttl 6s]
+//	      [-coordinator] [-farm-heartbeat 2s]
 //	      [-max-queued 0] [-drain-timeout 10s] [-store-probe 15s]
 //	      [-fault-store spec]
 //
-// Each request sets its own solver width (its workers field: 0 or unset
-// = 1, negative = all cores) and a Monte-Carlo request its own samples
-// and seed; the server holds no defaults for them.
+// Every solve runs serially; a request's solves (a sweep's chains, its
+// corners or Monte-Carlo samples) fan out over the cores. A Monte-Carlo
+// request sets its own samples and seed; the server holds no defaults for
+// them. In -coordinator mode a worker silent for three heartbeats is
+// reaped and its jobs re-queued.
 //
 // SIGTERM/SIGINT triggers a graceful drain: new solves are shed with
 // 503 + Retry-After, in-flight ones get -drain-timeout to finish, farm
@@ -67,7 +69,6 @@ func main() {
 	dataDir := flag.String("data", "", "durable result store directory: persist circuits, saved results, and solves across restarts (default: in-memory only)")
 	coordinator := flag.Bool("coordinator", false, "embed the distributed-sizing coordinator: serve the /farm/v1/ job API and dispatch work to registered ogws-worker processes")
 	farmHeartbeat := flag.Duration("farm-heartbeat", 2*time.Second, "worker heartbeat cadence in -coordinator mode")
-	farmLeaseTTL := flag.Duration("farm-lease-ttl", 0, "silence budget before a worker is reaped and its jobs re-queued (0 = 3x the heartbeat)")
 	maxQueued := flag.Int("max-queued", 0, "max solve/sweep requests admitted but unfinished before new ones are shed 503 + Retry-After (0 = 4x -max-solves)")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown budget: how long in-flight solves get to finish before farm runs are cancelled and the final checkpoint is forced")
 	storeProbe := flag.Duration("store-probe", 0, "degraded store mode recovery-probe interval (0 = 15s; see /stats store_mode)")
@@ -78,7 +79,6 @@ func main() {
 	if *coordinator {
 		coord = farm.New(farm.Options{
 			HeartbeatInterval: *farmHeartbeat,
-			LeaseTTL:          *farmLeaseTTL,
 			Logf:              log.Printf,
 		})
 	}

@@ -7,7 +7,7 @@
 //
 //	pareto [-circuits c432,c880] [-delay 0.95,1,1.05] [-noise 0.6,0.8,1,1.3]
 //	       [-maxiter N] [-epsilon 0.01] [-cold] [-s1]
-//	       [-sweep-workers 0] [-cell-workers 1] [-out grid.json]
+//	       [-sweep-workers 0] [-out grid.json]
 //	       [-corners] [-montecarlo -samples K -seed S]
 //
 // -corners replaces the bounds grid with the standard five-corner
@@ -63,7 +63,6 @@ func main() {
 	cold := flag.Bool("cold", false, "solve every cell independently instead of warm-starting from neighbours")
 	s1 := flag.Bool("s1", false, "paper-faithful S1 start at the lower bounds and dual restart per cell (results independent of warm-start seeding)")
 	sweepWorkers := flag.Int("sweep-workers", 0, "grid rows solved concurrently (0 = all cores; results bit-identical at every width)")
-	cellWorkers := flag.Int("cell-workers", 1, "solver goroutines per cell (0 = 1: the sweep level owns the cores; results bit-identical at every width)")
 	out := flag.String("out", "", "output path for the JSON grid (default: stdout)")
 	corners := flag.Bool("corners", false, "enumerate the standard process corners instead of sweeping the bounds grid")
 	montecarlo := flag.Bool("montecarlo", false, "Monte-Carlo yield analysis instead of the bounds grid")
@@ -82,7 +81,6 @@ func main() {
 		NoiseScale:    parseAxis("noise", *noise),
 		MaxIterations: *maxIter,
 		Epsilon:       *epsilon,
-		Workers:       *cellWorkers,
 		SweepWorkers:  *sweepWorkers,
 		Cold:          *cold,
 		ColdLRS:       *s1,
@@ -112,7 +110,7 @@ func main() {
 			}
 			if *corners {
 				rep, err := variation.CornerSweep(inst, variation.CornerOptions{
-					MaxIterations: *maxIter, Epsilon: *epsilon, Workers: *cellWorkers,
+					MaxIterations: *maxIter, Epsilon: *epsilon,
 					Cold: *cold, ColdLRS: *s1, PrimalOnly: *s1,
 				})
 				if err != nil {
@@ -126,7 +124,7 @@ func main() {
 			res, err := variation.MonteCarlo(inst, variation.MCOptions{
 				Samples: *samples, Seed: *seed,
 				Sigmas:        variation.Sigmas{R: *sigmaR, C: *sigmaC, Threshold: *sigmaVT},
-				MaxIterations: *maxIter, Epsilon: *epsilon, Workers: *cellWorkers,
+				MaxIterations: *maxIter, Epsilon: *epsilon,
 			})
 			if err != nil {
 				log.Fatalf("%s: %v", spec.Name, err)

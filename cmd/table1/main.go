@@ -43,7 +43,6 @@ func main() {
 	sigmaR := flag.Float64("sigma-r", 0.05, "relative sigma of the wire-resistance perturbation (corners/Monte-Carlo)")
 	sigmaC := flag.Float64("sigma-c", 0.05, "relative sigma of the capacitance perturbation")
 	sigmaVT := flag.Float64("sigma-vt", 0.08, "relative sigma of the threshold (intrinsic-delay) perturbation")
-	workers := flag.Int("workers", 0, "solver goroutines per sample/corner in variation modes (0 = 1; the samples or corners fan out over the cores, GOMAXPROCS ÷ width at a time; bit-identical at every width)")
 	flag.Parse()
 
 	var specs []bench.Spec
@@ -71,7 +70,7 @@ func main() {
 			log.Fatal("-corners and -montecarlo are mutually exclusive")
 		}
 		sg := variation.Sigmas{R: *sigmaR, C: *sigmaC, Threshold: *sigmaVT}
-		if err := runVariation(specs, *corners, sg, *samples, *seed, *maxIter, *epsilon, *workers); err != nil {
+		if err := runVariation(specs, *corners, sg, *samples, *seed, *maxIter, *epsilon); err != nil {
 			log.Fatal(err)
 		}
 		return
@@ -107,7 +106,7 @@ func main() {
 
 // runVariation prints the Table-1-style variation report: one corner
 // table or one Monte-Carlo yield table per circuit.
-func runVariation(specs []bench.Spec, corners bool, sg variation.Sigmas, samples int, seed uint64, maxIter int, epsilon float64, workers int) error {
+func runVariation(specs []bench.Spec, corners bool, sg variation.Sigmas, samples int, seed uint64, maxIter int, epsilon float64) error {
 	tw := tabwriter.NewWriter(os.Stdout, 0, 0, 2, ' ', 0)
 	defer tw.Flush()
 	for _, spec := range specs {
@@ -117,7 +116,7 @@ func runVariation(specs []bench.Spec, corners bool, sg variation.Sigmas, samples
 		}
 		if corners {
 			rep, err := variation.CornerSweep(inst, variation.CornerOptions{
-				MaxIterations: maxIter, Epsilon: epsilon, Workers: workers,
+				MaxIterations: maxIter, Epsilon: epsilon,
 			})
 			if err != nil {
 				return fmt.Errorf("%s: %w", spec.Name, err)
@@ -137,7 +136,7 @@ func runVariation(specs []bench.Spec, corners bool, sg variation.Sigmas, samples
 		}
 		res, err := variation.MonteCarlo(inst, variation.MCOptions{
 			Samples: samples, Seed: seed, Sigmas: sg,
-			MaxIterations: maxIter, Epsilon: epsilon, Workers: workers,
+			MaxIterations: maxIter, Epsilon: epsilon,
 		})
 		if err != nil {
 			return fmt.Errorf("%s: %w", spec.Name, err)

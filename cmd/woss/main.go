@@ -29,7 +29,6 @@ func main() {
 	nNets := flag.Int("nets", 12, "number of nets to order as one routing channel")
 	patterns := flag.Int("patterns", 4096, "number of logic-simulation input vectors for the switching-similarity analysis")
 	seed := flag.Int64("seed", 3, "logic-simulation seed (results deterministic per seed)")
-	workers := flag.Int("workers", 0, "similarity-matrix worker goroutines (0 = all cores; matrix identical at every width)")
 	flag.Parse()
 
 	var (
@@ -76,7 +75,7 @@ func main() {
 	if len(nets) < 2 {
 		log.Fatal("need at least two nets")
 	}
-	sim := waves.SimilarityMatrixWorkers(nets, *workers)
+	sim := waves.SimilarityMatrix(nets)
 	m, err := order.FromSimilarity(sim)
 	if err != nil {
 		log.Fatal(err)

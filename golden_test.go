@@ -14,10 +14,6 @@ package repro
 //	go test -run TestGolden -update .
 //
 // and commit the rewritten JSON together with the change that explains it.
-// The same fixtures also pin the parallel contract: every solve is re-run
-// at Workers ∈ {2, 4, 8} and must match the Workers=1 result bit for bit,
-// and the evaluator's levelized passes are cross-checked against the
-// serial reference implementations on every fixture.
 
 import (
 	"crypto/sha256"
@@ -43,13 +39,12 @@ var update = flag.Bool("update", false, "rewrite the golden fixtures under testd
 
 // goldenArch is the architecture the committed fixtures were generated on;
 // update it together with the fixtures if they are ever regenerated
-// elsewhere. The Workers-width comparisons are bitwise on every
-// architecture — only the snapshot comparison is arch-sensitive (FMA).
+// elsewhere. Only the snapshot comparison is arch-sensitive (FMA).
 const goldenArch = "amd64"
 
 // goldenFixture builds one deterministic solver instance. build must
 // return a fresh evaluator on every call (solves mutate sizes) plus the
-// exact options for the run; Workers is set by the harness.
+// exact options for the run.
 type goldenFixture struct {
 	name  string
 	build func(t *testing.T) (*rc.Evaluator, core.Options)
@@ -197,15 +192,13 @@ func TestNumericsDigestPinned(t *testing.T) {
 	}
 }
 
-func solveGolden(t *testing.T, fx goldenFixture, workers int) *core.Result {
+func solveGolden(t *testing.T, fx goldenFixture) *core.Result {
 	t.Helper()
 	ev, opt := fx.build(t)
-	opt.Workers = workers
 	sol, err := core.NewSolver(ev, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sol.Close()
 	res, err := sol.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -213,14 +206,13 @@ func solveGolden(t *testing.T, fx goldenFixture, workers int) *core.Result {
 	return res
 }
 
-// TestGoldenFixtures is the regression gate: every fixture's serial result
-// must match its committed snapshot bit for bit, and every parallel width
-// must reproduce the serial result exactly.
+// TestGoldenFixtures is the regression gate: every fixture's result must
+// match its committed snapshot bit for bit.
 func TestGoldenFixtures(t *testing.T) {
 	for _, fx := range goldenFixtures {
 		t.Run(fx.name, func(t *testing.T) {
 			path := filepath.Join("testdata", "golden", fx.name+".json")
-			ref := solveGolden(t, fx, 1)
+			ref := solveGolden(t, fx)
 			if *update {
 				data, err := json.MarshalIndent(ref, "", "\t")
 				if err != nil {
@@ -241,23 +233,16 @@ func TestGoldenFixtures(t *testing.T) {
 			// The snapshot comparison is bitwise only on the architecture
 			// that generated the fixtures: elsewhere the compiler may fuse
 			// a·b+c into FMA (the Go spec permits it), shifting last-ulp
-			// bits. The cross-width checks below stay bitwise everywhere —
-			// one binary, one rounding behaviour.
+			// bits.
 			if runtime.GOARCH == goldenArch {
 				if !reflect.DeepEqual(want, ref) {
-					t.Errorf("Workers=1 result diverged from golden snapshot %s", path)
+					t.Errorf("result diverged from golden snapshot %s", path)
 					reportResultDiff(t, want, ref)
 				}
 			} else if !resultsApproxEqual(want, ref) {
-				t.Errorf("Workers=1 result diverged from golden snapshot %s beyond FMA tolerance (GOARCH=%s, fixtures from %s)",
+				t.Errorf("result diverged from golden snapshot %s beyond FMA tolerance (GOARCH=%s, fixtures from %s)",
 					path, runtime.GOARCH, goldenArch)
 				reportResultDiff(t, want, ref)
-			}
-			for _, w := range []int{2, 4, 8} {
-				if res := solveGolden(t, fx, w); !reflect.DeepEqual(ref, res) {
-					t.Errorf("Workers=%d diverged from Workers=1", w)
-					reportResultDiff(t, ref, res)
-				}
 			}
 		})
 	}
@@ -323,53 +308,5 @@ func reportResultDiff(t *testing.T, want, got *core.Result) {
 			t.Errorf("  first size mismatch at node %d: %.17g vs %.17g", i, want.X[i], got.X[i])
 			break
 		}
-	}
-}
-
-// TestGoldenLevelizedMatchesSerial cross-checks, on every golden fixture's
-// circuit, the levelized evaluator passes (as scheduled by the solver's
-// worker pool at several widths) against the serial reference
-// implementations — the acceptance contract of the levelization.
-func TestGoldenLevelizedMatchesSerial(t *testing.T) {
-	for _, fx := range goldenFixtures {
-		t.Run(fx.name, func(t *testing.T) {
-			ref, _ := fx.build(t)
-			ref.SetAllSizes(1)
-			ref.RecomputeSerial()
-			lambda := make([]float64, len(ref.X))
-			for i := range lambda {
-				lambda[i] = 0.1 + float64(i%13)*0.25
-			}
-			refR := make([]float64, len(ref.X))
-			ref.UpstreamResistanceSerial(lambda, refR)
-
-			for _, w := range []int{1, 3, 8} {
-				lv, opt := fx.build(t)
-				opt.Workers = w
-				sol, err := core.NewSolver(lv, opt) // installs the pool Runner
-				if err != nil {
-					t.Fatal(err)
-				}
-				lv.SetAllSizes(1)
-				lv.Recompute()
-				for i := range ref.X {
-					if lv.B[i] != ref.B[i] || lv.C[i] != ref.C[i] || lv.CPr[i] != ref.CPr[i] ||
-						lv.D[i] != ref.D[i] || lv.A[i] != ref.A[i] {
-						sol.Close()
-						t.Fatalf("Workers=%d: levelized Recompute diverged from serial at node %d", w, i)
-					}
-				}
-				lvR := make([]float64, len(ref.X))
-				lv.UpstreamResistance(lambda, lvR)
-				for i := range refR {
-					if lvR[i] != refR[i] {
-						sol.Close()
-						t.Fatalf("Workers=%d: levelized UpstreamResistance diverged at node %d: %.17g vs %.17g",
-							w, i, lvR[i], refR[i])
-					}
-				}
-				sol.Close()
-			}
-		})
 	}
 }

@@ -67,34 +67,19 @@ func checkGoldenJSON[T any](t *testing.T, name string, ref *T) {
 }
 
 // TestGoldenVariationCorners pins the standard five-corner enumeration of
-// c432: the snapshot bitwise on goldenArch, plus cold ≡ warm under
-// ColdLRS+PrimalOnly and worker-width invariance, bitwise everywhere.
+// c432 to its snapshot, bitwise on goldenArch.
 func TestGoldenVariationCorners(t *testing.T) {
 	inst, b := variationInstance(t)
-	opt := variation.CornerOptions{Bounds: &b, MaxIterations: 20}
-	ref, err := variation.CornerSweep(inst, opt)
+	ref, err := variation.CornerSweep(inst, variation.CornerOptions{Bounds: &b, MaxIterations: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkGoldenJSON(t, "c432-corners.json", ref)
-
-	for _, w := range []int{2, 4, 8} {
-		wopt := opt
-		wopt.Workers = w
-		res, err := variation.CornerSweep(inst, wopt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(ref, res) {
-			t.Errorf("Workers=%d corner sweep diverged from Workers=1", w)
-		}
-	}
 }
 
 // TestGoldenVariationMonteCarlo pins the seed-7 Monte-Carlo run of c432:
-// the snapshot bitwise on goldenArch, plus fan-out ≡ solo at every width
-// (Workers 0 and 1 run width-1 solves GOMAXPROCS at a time, wider solves
-// run fewer at once), bitwise everywhere.
+// the snapshot bitwise on goldenArch, plus fan-out (GOMAXPROCS samples at
+// a time) ≡ solo, bitwise everywhere.
 func TestGoldenVariationMonteCarlo(t *testing.T) {
 	inst, b := variationInstance(t)
 	opt := variation.MCOptions{
@@ -118,16 +103,5 @@ func TestGoldenVariationMonteCarlo(t *testing.T) {
 	}
 	if !reflect.DeepEqual(ref, solo) {
 		t.Error("solo Monte-Carlo diverged from the snapshot run")
-	}
-	for _, w := range []int{0, 1, 2, 4} {
-		wopt := opt
-		wopt.Workers = w
-		res, err := variation.MonteCarlo(inst, wopt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(solo, res) {
-			t.Errorf("fan-out Workers=%d diverged from solo", w)
-		}
 	}
 }

@@ -49,17 +49,12 @@ func Uniform(ev *rc.Evaluator, size float64) Metrics {
 
 // DelayOnlyLR runs the paper's OGWS algorithm with the noise and power
 // constraints disabled, reproducing plain LR delay-constrained area
-// minimization (the ICCAD'98 baseline). It solves serially — a reference
-// measurement, often invoked per circuit inside an already-parallel sweep
-// — and releases the solver before returning.
+// minimization (the ICCAD'98 baseline).
 func DelayOnlyLR(ev *rc.Evaluator, a0 float64) (*core.Result, error) {
-	opt := core.DefaultOptions(a0, 0, 0)
-	opt.Workers = 1
-	sol, err := core.NewSolver(ev, opt)
+	sol, err := core.NewSolver(ev, core.DefaultOptions(a0, 0, 0))
 	if err != nil {
 		return nil, err
 	}
-	defer sol.Close()
 	return sol.Run()
 }
 

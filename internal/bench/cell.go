@@ -8,16 +8,13 @@ import (
 )
 
 // CellOptions are the settings of one cell solve besides its bounds and
-// its start: the solve budget, the solver width, where the solve starts,
-// whether to keep its dual, and the two core.Options hooks.
+// its start: the solve budget, where the solve starts, whether to keep its
+// dual, and the two core.Options hooks.
 type CellOptions struct {
 	// MaxIterations and Epsilon are the solve budget (core.Budget
 	// normalizes zero values to the defaults).
 	MaxIterations int
 	Epsilon       float64
-	// Workers is the solver width, as core.Options.Workers (0 = all
-	// cores). Results are bit-identical at every width.
-	Workers int
 	// S1 starts the solve at the lower bounds, the paper's S1
 	// (core.Options.WarmStart false), instead of at the seed sizes.
 	S1 bool
@@ -30,15 +27,13 @@ type CellOptions struct {
 }
 
 // Solved is one cell's outcome: the solver result, the final dual (only
-// when CellOptions.ReturnDual asked for it), the solve's wall time, the
-// width the solver resolved, and the solve's work counters. It is also
-// the payload of a farm result line, so every field round-trips through
-// encoding/json.
+// when CellOptions.ReturnDual asked for it), the solve's wall time and
+// the solve's work counters. It is also the payload of a farm result line,
+// so every field round-trips through encoding/json.
 type Solved struct {
 	Result          *core.Result    `json:"result"`
 	Dual            *core.DualState `json:"dual,omitempty"`
 	SolveSec        float64         `json:"solve_sec"`
-	Workers         int             `json:"workers"`
 	Eval            rc.EvalStats    `json:"eval"`
 	HysteresisTrips int64           `json:"hysteresis_trips"`
 	RevertedSweeps  int64           `json:"reverted_sweeps"`
@@ -55,14 +50,12 @@ type Solved struct {
 func SolveCell(ev *rc.Evaluator, b Bounds, seed []float64, dual *core.DualState, opt CellOptions) (*Solved, error) {
 	sopt := core.DefaultOptions(b.A0, b.NoiseBound, b.PowerBound)
 	sopt.MaxIterations, sopt.Epsilon = opt.MaxIterations, opt.Epsilon
-	sopt.Workers = opt.Workers
 	sopt.WarmStart = !opt.S1
 	sopt.OnIteration, sopt.Cancel = opt.OnIteration, opt.Cancel
 	sol, err := core.NewSolver(ev, sopt)
 	if err != nil {
 		return nil, err
 	}
-	defer sol.Close()
 	before := ev.Stats()
 	start := time.Now()
 	res, err := sol.RunFromDual(seed, dual)
@@ -72,7 +65,6 @@ func SolveCell(ev *rc.Evaluator, b Bounds, seed []float64, dual *core.DualState,
 	out := &Solved{
 		Result:          res,
 		SolveSec:        time.Since(start).Seconds(),
-		Workers:         sol.Workers(),
 		Eval:            ev.Stats().Sub(before),
 		HysteresisTrips: sol.HysteresisTrips(),
 		RevertedSweeps:  sol.RevertedSweeps(),

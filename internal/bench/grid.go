@@ -9,13 +9,12 @@ import (
 )
 
 // Grid builds a deterministic width×layers gate/wire mesh for scaling
-// studies of the levelized timing propagation: each layer is one rank of
-// width wires feeding width gates (every gate fans in from two adjacent
-// wires, so fan-in and fan-out both exceed one), with optional coupling
-// pairs between horizontally adjacent wires. The depth is Θ(layers) and
-// every topological level holds Θ(width) nodes, so width controls how much
-// parallelism each level exposes and layers controls how many level
-// barriers a pass crosses — the two axes that bound levelized speedup.
+// studies: each layer is one rank of width wires feeding width gates
+// (every gate fans in from two adjacent wires, so fan-in and fan-out both
+// exceed one), with optional coupling pairs between horizontally adjacent
+// wires. The depth is Θ(layers) and every topological level holds
+// Θ(width) nodes, so the two axes set a mesh's breadth and depth
+// independently.
 //
 // The node count is width·(2·layers+2)+2: width drivers, width wires plus
 // width gates per layer, and width output wires. Grid(64, 78, …) is the

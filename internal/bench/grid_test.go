@@ -31,7 +31,7 @@ func TestGridStructure(t *testing.T) {
 		t.Errorf("coupling pairs = %d, want %d", cs.Len(), want)
 	}
 	// Depth buckets: every interior level must hold Θ(width) nodes — the
-	// property the levelized benchmarks rely on.
+	// shape Grid documents.
 	for l := 1; l < g.NumLevels()-1; l++ {
 		if n := len(g.LevelNodes(l)); n != width {
 			t.Errorf("level %d holds %d nodes, want %d", l, n, width)

@@ -88,14 +88,13 @@ func (p Plan) Size() (int, error) {
 // SolveCell from the same inputs, so they return the same bits.
 type Runner func(Plan, Schedule) ([]*Solved, error)
 
-// Schedule is how a run goes besides its plan: the local runner's widths
+// Schedule is how a run goes besides its plan: the local runner's width
 // and the hooks. The farm honours only Observe; its workers pick their own
-// widths, it streams no iterations, and its context replaces Cancel.
+// width, it streams no iterations, and its context replaces Cancel.
 type Schedule struct {
-	// Workers is every solve's width, as core.Options.Workers (0 = all
-	// cores); Concurrent bounds the chains and independent cells solving
-	// at once (0 = GOMAXPROCS). Results are bit-identical at every width.
-	Workers    int
+	// Concurrent bounds the chains and independent cells solving at once
+	// (0 = GOMAXPROCS); every solve runs serially. Results are
+	// bit-identical at every width.
 	Concurrent int
 	// OnIteration, when non-nil, sees every solver iteration of the cell
 	// with the given index; iterations of different cells interleave.
@@ -255,7 +254,6 @@ func (r *planRun) solve(b *Batch, c Cell, ev *rc.Evaluator, seed []float64, dual
 		opt := CellOptions{
 			MaxIterations: b.MaxIterations,
 			Epsilon:       b.Epsilon,
-			Workers:       r.s.Workers,
 			S1:            b.S1,
 			ReturnDual:    b.Duals,
 			Cancel:        r.s.Cancel,

@@ -33,12 +33,12 @@ func scaledBounds(b Bounds, f float64) Bounds {
 
 // TestSolveCellMatchesSolver pins the kernel against a direct
 // core.Solver run: the same bits from the same options, the dual only on
-// request, the resolved width, and eval counters that are this solve's
+// request, and eval counters that are this solve's
 // alone even on an evaluator an earlier solve used.
 func TestSolveCellMatchesSolver(t *testing.T) {
 	inst, b := planMesh(t)
 	opt := core.DefaultOptions(b.A0, b.NoiseBound, b.PowerBound)
-	opt.MaxIterations, opt.Workers, opt.WarmStart = 6, 1, true
+	opt.MaxIterations, opt.WarmStart = 6, true
 	ref, err := inst.Replica()
 	if err != nil {
 		t.Fatal(err)
@@ -52,28 +52,27 @@ func TestSolveCellMatchesSolver(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantDual := sol.DualState()
-	sol.Close()
 
 	ev, err := inst.Replica()
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := ev.Stats()
-	got, err := SolveCell(ev, b, inst.Eval.X, nil, CellOptions{MaxIterations: 6, Workers: 1, ReturnDual: true})
+	got, err := SolveCell(ev, b, inst.Eval.X, nil, CellOptions{MaxIterations: 6, ReturnDual: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(want, got.Result) || !reflect.DeepEqual(wantDual, got.Dual) {
 		t.Error("SolveCell diverged from a direct solver run")
 	}
-	if got.Workers != 1 || got.SolveSec <= 0 || got.Eval != ev.Stats().Sub(before) {
-		t.Errorf("first solve's width, time or eval counters are off: %+v", got)
+	if got.SolveSec <= 0 || got.Eval != ev.Stats().Sub(before) {
+		t.Errorf("first solve's time or eval counters are off: %+v", got)
 	}
 
 	// A second solve on the same evaluator counts only its own work, and
 	// keeps no dual unless asked.
 	before = ev.Stats()
-	again, err := SolveCell(ev, scaledBounds(b, 1.1), got.Result.X, got.Dual, CellOptions{MaxIterations: 6, Workers: 1})
+	again, err := SolveCell(ev, scaledBounds(b, 1.1), got.Result.X, got.Dual, CellOptions{MaxIterations: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +108,7 @@ func TestRunPlanReleasesWaitingBatch(t *testing.T) {
 	released := make(chan struct{})
 	var order []int
 	var mu sync.Mutex
-	solved, err := inst.RunPlan(plan, Schedule{Workers: 1, Concurrent: 2, Observe: func(i int, _ *Solved) {
+	solved, err := inst.RunPlan(plan, Schedule{Concurrent: 2, Observe: func(i int, _ *Solved) {
 		if i == 1 {
 			select {
 			case <-released:
@@ -141,7 +140,7 @@ func TestRunPlanReleasesWaitingBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := SolveCell(ev, scaledBounds(b, 1.2), solved[0].Result.X, solved[0].Dual, CellOptions{MaxIterations: 4, Workers: 1})
+	want, err := SolveCell(ev, scaledBounds(b, 1.2), solved[0].Result.X, solved[0].Dual, CellOptions{MaxIterations: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,13 +163,13 @@ func TestRunPlanObservesInIndexOrder(t *testing.T) {
 		}
 		batch.Cells = append(batch.Cells, c)
 	}
-	ref, err := inst.RunPlan(Plan{batch}, Schedule{Workers: 1, Concurrent: 1})
+	ref, err := inst.RunPlan(Plan{batch}, Schedule{Concurrent: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var inFlight atomic.Int32
 	next := 0
-	got, err := inst.RunPlan(Plan{batch}, Schedule{Workers: 1, Concurrent: 4, Observe: func(i int, s *Solved) {
+	got, err := inst.RunPlan(Plan{batch}, Schedule{Concurrent: 4, Observe: func(i int, s *Solved) {
 		if n := inFlight.Add(1); n > 1 {
 			t.Errorf("%d Observe calls in flight, want 1", n)
 		}
@@ -211,7 +210,7 @@ func TestRunPlanLowestIndexError(t *testing.T) {
 		observed := map[int]bool{}
 		started := map[int]bool{}
 		_, err := inst.RunPlan(plan, Schedule{
-			Workers: 1, Concurrent: slots,
+			Concurrent: slots,
 			OnIteration: func(i int, _ core.IterProgress) {
 				mu.Lock()
 				started[i] = true
@@ -245,7 +244,6 @@ func TestRunPlanCancel(t *testing.T) {
 	}
 	var landed atomic.Int32
 	_, err := inst.RunPlan(Plan{batch}, Schedule{
-		Workers: 1,
 		Cancel:  func() bool { return landed.Load() >= 2 },
 		Observe: func(int, *Solved) { landed.Add(1) },
 	})
@@ -256,11 +254,11 @@ func TestRunPlanCancel(t *testing.T) {
 		t.Errorf("%d cells landed, want the 2 before Cancel fired", n)
 	}
 
-	ref, err := inst.RunPlan(Plan{batch}, Schedule{Workers: 1})
+	ref, err := inst.RunPlan(Plan{batch}, Schedule{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	idle, err := inst.RunPlan(Plan{batch}, Schedule{Workers: 1, Cancel: func() bool { return false }})
+	idle, err := inst.RunPlan(Plan{batch}, Schedule{Cancel: func() bool { return false }})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,10 +36,6 @@ type RunOptions struct {
 	// Epsilon is the duality-gap / feasibility precision (0 = 1%, as in
 	// the paper).
 	Epsilon float64
-	// Workers is the solver's parallel width (see core.Options.Workers):
-	// 0 uses every core, 1 runs serially. Results are bit-identical for
-	// every setting.
-	Workers int
 	// Bounds overrides the self-calibrated DeriveBounds when non-nil.
 	Bounds *Bounds
 }
@@ -63,14 +59,12 @@ func RunInstance(inst *Instance, opt RunOptions) (*Table1Row, error) {
 	}
 	sopt := core.DefaultOptions(b.A0, b.NoiseBound, b.PowerBound)
 	sopt.MaxIterations, sopt.Epsilon = opt.MaxIterations, opt.Epsilon
-	sopt.Workers = opt.Workers
 
 	start := time.Now()
 	sol, err := core.NewSolver(inst.Eval, sopt)
 	if err != nil {
 		return nil, err
 	}
-	defer sol.Close()
 	res, err := sol.Run()
 	if err != nil {
 		return nil, err

@@ -99,8 +99,8 @@ type Graph struct {
 	// levelOf[i] < levelOf[j] and nodes sharing a level are mutually
 	// independent. lvlOff/lvlNodes is the bucket CSR: nodes of level l are
 	// lvlNodes[lvlOff[l]:lvlOff[l+1]], ascending. Computed once at build
-	// time; this is what the evaluator's levelized (parallel) timing
-	// propagation schedules over.
+	// time; the evaluator's dirty-cone walks visit their frontiers level by
+	// level.
 	levelOf  []int32
 	lvlOff   []int32
 	lvlNodes []int32

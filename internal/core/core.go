@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 
 	"repro/internal/circuit"
 	"repro/internal/lagrange"
@@ -48,16 +47,11 @@ type Options struct {
 	// call takes, not the minimizer; but only a false WarmStart makes a
 	// solve independent of its size seed.
 	WarmStart bool
-	// Workers is the number of goroutines used for the solver's per-node
-	// parallel loops (the LRS resize sweep, the evaluator's independent
-	// Recompute passes, multiplier node sums, subgradient steps, and
-	// gradient norms) and for the evaluator's levelized topological passes
-	// (stage loads, arrival times, upstream resistances), which run depth
-	// bucket by depth bucket across the same pool. 0 selects
-	// runtime.GOMAXPROCS(0); 1 runs serially. Every reduction is
-	// deterministic — maxima are exact under any grouping and sums are
-	// folded in node order from per-node scratch — so results are
-	// bit-identical for every Workers setting.
+	// Workers is ignored: every solve runs serially, and the cores belong
+	// to the fan-out of independent solves.
+	//
+	// Deprecated: the end-to-end benchmark module still sets it; it goes
+	// with that module's next change.
 	Workers int
 	// OnIteration, when non-nil, is called once per OGWS iteration with
 	// the iteration's statistics, constraint violations, and the
@@ -73,7 +67,7 @@ type Options struct {
 	// no hook at all — results stay bit-identical. Cancellation latency is
 	// one full iteration (the inner LRS has no preemption points). The
 	// sizing service wires the request context in here so an abandoned
-	// solve stops burning the solver pool.
+	// solve stops burning a core.
 	Cancel func() bool
 }
 
@@ -99,8 +93,8 @@ var ErrCancelled = errors.New("core: solve cancelled")
 // the dense-coupling warm grid32x24 solve (the PR-3 regression) streaked
 // to 31 and kept degrading, so 24 tripped on the grid only. Under the
 // pure Theorem-5 update sizes settle in fewer sweeps and the streaks
-// shorten: c880 peaks at 12 and grid32x24 at 19 (Workers 1 and 2), so K
-// no longer trips on the grid either (hystTripsPerSolve 1 → 0). There the
+// shorten: c880 peaks at 12 and grid32x24 at 19, so K no longer trips on
+// the grid either (hystTripsPerSolve 1 → 0). There the
 // engine now costs more than the full passes it no longer falls back to:
 // 201 ms against 176 ms per solve (medians of three alternating
 // -benchtime 1x runs on a 2-vCPU Xeon). Both scenarios still run faster
@@ -111,11 +105,11 @@ var ErrCancelled = errors.New("core: solve cancelled")
 // solve trips K: the remaining trips were cold calls restarting from the
 // lower bounds, and traced seed-1 solve-offline runs read
 // core.hyst_trips_per_op 0.92 before and 0 after. Over the 13
-// solve-offline solves at Workers 1 (7 alternating reps each, same
-// 2-vCPU Xeon), the per-solve medians summed to 242.4 ms at K = 24 and
-// 298.6 ms at K = 0, every sweep on full passes, which were slower on all
-// 13 (grid32x24: 61.5 against 61.7 ms). K stays 24 until a measurement
-// places it again (ROADMAP item 1).
+// solve-offline solves (7 alternating reps each, same 2-vCPU Xeon), the
+// per-solve medians summed to 242.4 ms at K = 24 and 298.6 ms at K = 0,
+// every sweep on full passes, which were slower on all 13 (grid32x24:
+// 61.5 against 61.7 ms). K stays 24 until a measurement places it again
+// (ROADMAP item 1).
 const cutoverHysteresis = 24
 
 // lrsMaxSweeps bounds the inner greedy sweeps per OGWS iteration, and
@@ -170,10 +164,9 @@ func Budget(maxIterations int, epsilon float64) (int, float64) {
 // validate rejects the knobs that have no sane substitute (a missing or
 // non-finite delay bound, a NaN or infinite noise or power bound, an
 // infinite gap threshold) and normalizes the rest: the solve budget
-// (Budget) falls back to its defaults when zero, negative, or NaN, and a
-// negative worker count means all cores. NaN needs explicit checks
-// throughout — it slides through every `<= 0` comparison and poisons
-// every size downstream. +Inf slides through them too: an infinite bound
+// (Budget) falls back to its defaults when zero, negative, or NaN. NaN
+// needs explicit checks throughout — it slides through every `<= 0`
+// comparison and poisons every size downstream. +Inf slides through them too: an infinite bound
 // turns the dual and the gap into NaN, and an infinite Epsilon passes A7
 // at the first iterate, feasible or not.
 func (o *Options) validate() error {
@@ -189,9 +182,6 @@ func (o *Options) validate() error {
 		return fmt.Errorf("core: duality-gap threshold Epsilon must be finite, got %g", o.Epsilon)
 	}
 	o.MaxIterations, o.Epsilon = Budget(o.MaxIterations, o.Epsilon)
-	if o.Workers < 0 {
-		o.Workers = 0 // same meaning: pick runtime.GOMAXPROCS(0)
-	}
 	return nil
 }
 
@@ -266,20 +256,13 @@ type Result struct {
 	MemoryBytes int
 }
 
-// Solver runs OGWS on one evaluator. Create with NewSolver; a Solver is
-// single-goroutine (the worker pool it drives internally is an
-// implementation detail — no two Solver methods may run concurrently).
-// Call Close when done to release the worker goroutines promptly; a
-// runtime cleanup reclaims them otherwise once the Solver is collected.
-// The Solver picks its own LRS schedule (see LRS); no option selects it.
+// Solver runs OGWS on one evaluator, serially on the calling goroutine;
+// no two Solver methods may run concurrently. The Solver picks its own
+// LRS schedule (see LRS); no option selects it.
 type Solver struct {
 	ev   *rc.Evaluator
 	opt  Options
 	mult *lagrange.Multipliers
-
-	workers int
-	pool    *pool
-	cleanup runtime.Cleanup
 
 	lambda []float64 // node multiplier sums λᵢ
 	rup    []float64 // weighted upstream resistances Rᵢ
@@ -287,22 +270,19 @@ type Solver struct {
 	pBound float64   // P′; NaN when disabled
 	rEff   []float64 // tech.RC·r̂ᵢ per node (0 for non-sizable)
 
-	// Parallel-loop scratch: per-shard max reductions and per-node sum
-	// terms (folded serially in index order so totals are independent of
-	// the sharding).
-	shardMax    []float64
+	// Per-node sum terms, filled in node order and then folded in node
+	// order (dual, delayGradNormSq, perNetPass).
 	normScratch []float64
 
 	// Active-set LRS state: the sizable node index, the current active
-	// list with its dedup bitmap, and the reusable per-shard buffers the
-	// resize sweep fills with the nodes whose size moved (they drive the
-	// incremental refresh and stay active next sweep). Excluded from
-	// memoryBytes like shardMax: the analytic footprint must not depend on
-	// the Workers width.
+	// list with its dedup bitmap, and the reusable buffer the resize sweep
+	// fills with the nodes whose size moved (they drive the incremental
+	// refresh and stay active next sweep). Excluded from memoryBytes: the
+	// analytic footprint must not depend on the LRS schedule.
 	sizable  []int32
 	active   []int32
 	inActive []bool
-	moved    [][]int32
+	moved    []int32
 
 	// Cutover-hysteresis state. cutover is K, set to cutoverHysteresis by
 	// NewSolver; only tests change it (export_test.go): 0 runs every sweep
@@ -344,23 +324,16 @@ func NewSolver(ev *rc.Evaluator, opt Options) (*Solver, error) {
 		return nil, err
 	}
 	g := ev.Graph()
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	s := &Solver{
 		ev:          ev,
 		opt:         opt,
-		workers:     workers,
 		lambda:      make([]float64, g.NumNodes()),
 		rup:         make([]float64, g.NumNodes()),
 		rEff:        make([]float64, g.NumNodes()),
 		xBound:      math.NaN(),
 		pBound:      math.NaN(),
-		shardMax:    make([]float64, workers),
 		normScratch: make([]float64, g.NumNodes()),
 		inActive:    make([]bool, g.NumNodes()),
-		moved:       make([][]int32, workers),
 		cutover:     cutoverHysteresis,
 	}
 	for i := 0; i < g.NumNodes(); i++ {
@@ -428,40 +401,14 @@ func NewSolver(ev *rc.Evaluator, opt Options) (*Solver, error) {
 			s.gammaScale = sum / s.xBound
 		}
 	}
-	// Spawn the pool and touch the caller's evaluator only once the
-	// options are known-good, so error returns leave no goroutines behind
-	// and no Runner installed. A single-worker solver installs no Runner
-	// at all: the evaluator then runs its plain serial reference loops,
-	// which skip the levelized schedule's bucket indirection and per-level
-	// barriers yet are bit-identical to it by construction (and clears any
-	// Runner a previous solver left on the evaluator). The Runner stays
-	// valid after Close: a closed pool degrades to inline execution, which
-	// is bit-identical too.
-	s.pool = newPool(workers)
-	if s.pool.parallel() {
-		ev.SetRunner(s.pool.rcRunner())
-		s.cleanup = runtime.AddCleanup(s, func(p *pool) { p.close() }, s.pool)
-	} else {
-		ev.SetRunner(nil)
-	}
 	return s, nil
 }
 
-// Workers returns the resolved parallel width the solver runs with.
-func (s *Solver) Workers() int { return s.workers }
-
-// Close releases the solver's worker goroutines. Solvers created with
-// Workers == 1 own no goroutines and Close is a no-op. Calling Close is
-// optional — an unreferenced Solver's workers are reclaimed by the
-// runtime — but deterministic release keeps goroutine counts flat in
-// batch sweeps. The solver keeps working after Close, falling back to
-// serial execution.
-func (s *Solver) Close() {
-	if s.pool.parallel() {
-		s.cleanup.Stop()
-		s.pool.close()
-	}
-}
+// Close does nothing: a Solver owns no goroutines.
+//
+// Deprecated: the end-to-end benchmark module still calls it; it goes
+// with that module's next change.
+func (s *Solver) Close() {}
 
 // HysteresisTrips returns how many Runs the cutover hysteresis has tripped
 // in so far: solves where K (cutoverHysteresis) consecutive sweeps
@@ -492,39 +439,19 @@ func (s *Solver) lrsPrelude() (beta, gamma float64) {
 		// Per-net extension: the derivative of Σᵥ γᵥ·Nᵥ(x) with respect to
 		// xᵢ is Σ_{(i,j)} (γᵢ+γⱼ)·wᵢⱼ·ĉᵢⱼ; γ is fixed for the whole LRS
 		// call, so refresh the per-node sums once, gathered per node.
-		s.pool.run(0, ev.Graph().NumNodes(), func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				ids, ws := ev.NbrEntries(i)
-				gi := s.gammaV[i]
-				sum := 0.0
-				for k, j := range ids {
-					if gsum := gi + s.gammaV[j]; gsum != 0 {
-						sum += gsum * ws[k]
-					}
+		for i := range s.denV {
+			ids, ws := ev.NbrEntries(i)
+			gi := s.gammaV[i]
+			sum := 0.0
+			for k, j := range ids {
+				if gsum := gi + s.gammaV[j]; gsum != 0 {
+					sum += gsum * ws[k]
 				}
-				s.denV[i] = sum
 			}
-		})
-	}
-	return beta, gamma
-}
-
-// resizeFull runs one Jacobi resize sweep (S4) over every component,
-// sharded on the pool, and returns the largest relative size change. The
-// sweep reads only state frozen by S2/S3 plus each node's own size, so the
-// shards are independent and the max-reduction exact.
-func (s *Solver) resizeFull(beta, gamma float64) float64 {
-	g := s.ev.Graph()
-	shards := s.pool.run(1, g.NumNodes()-1, func(shard, lo, hi int) {
-		s.shardMax[shard] = s.resizeRange(beta, gamma, lo, hi)
-	})
-	maxRel := 0.0
-	for sh := 0; sh < shards; sh++ {
-		if s.shardMax[sh] > maxRel {
-			maxRel = s.shardMax[sh]
+			s.denV[i] = sum
 		}
 	}
-	return maxRel
+	return beta, gamma
 }
 
 // LRS solves the Lagrangian relaxation subproblem LRS₂ for the current
@@ -567,7 +494,7 @@ func (s *Solver) LRS() int {
 			s.revertedSweeps++
 			ev.RecomputeLoads()
 			ev.UpstreamResistance(s.lambda, s.rup)
-			if s.resizeFull(beta, gamma) < lrsTol {
+			if s.resizeRange(beta, gamma, 1, ev.Graph().NumNodes()-1) < lrsTol {
 				break
 			}
 			continue
@@ -614,10 +541,10 @@ func (s *Solver) LRS() int {
 }
 
 // buildActive assembles the next sweep's active set: last sweep's movers
-// first (in shard order), then the nodes whose
-// resize inputs the incremental refresh changed. Duplicates and
-// non-sizable entries in the change feeds are filtered here; the bitmap
-// is left all-false again so stale bits can never mask a reactivation.
+// first, then the nodes whose resize inputs the incremental refresh
+// changed. Duplicates and non-sizable entries in the change feeds are
+// filtered here; the bitmap is left all-false again so stale bits can
+// never mask a reactivation.
 func (s *Solver) buildActive(chgLoads, chgUp []int32) {
 	g := s.ev.Graph()
 	s.active = s.active[:0]
@@ -627,10 +554,8 @@ func (s *Solver) buildActive(chgLoads, chgUp []int32) {
 			s.active = append(s.active, n)
 		}
 	}
-	for _, buf := range s.moved {
-		for _, n := range buf {
-			add(n)
-		}
+	for _, n := range s.moved {
+		add(n)
 	}
 	for _, n := range chgLoads {
 		add(n)
@@ -643,54 +568,33 @@ func (s *Solver) buildActive(chgLoads, chgUp []int32) {
 	}
 }
 
-// resizeActiveSet runs one Jacobi resize sweep over the active list,
-// sharded on the pool, and returns the largest relative size change. The
-// per-shard moved buffers are folded serially in shard order, so the
-// dirty-mark order — and with it every downstream walk — is deterministic
-// at every Workers width.
+// resizeActiveSet runs one Jacobi resize sweep over the active list and
+// returns the largest relative size change. It records the nodes whose
+// size moved, in list order, and marks them dirty once the sweep is done,
+// so every resize of the sweep reads the sizes frozen at its top.
 func (s *Solver) resizeActiveSet(beta, gamma float64) float64 {
-	ev := s.ev
-	for i := range s.moved {
-		s.moved[i] = s.moved[i][:0]
-	}
-	active := s.active
-	shards := s.pool.run(0, len(active), func(shard, lo, hi int) {
-		s.shardMax[shard] = s.resizeList(beta, gamma, active[lo:hi], shard)
-	})
+	s.moved = s.moved[:0]
 	maxRel := 0.0
-	for sh := 0; sh < shards; sh++ {
-		if s.shardMax[sh] > maxRel {
-			maxRel = s.shardMax[sh]
-		}
-	}
-	for sh := 0; sh < shards; sh++ {
-		for _, n := range s.moved[sh] {
-			ev.MarkDirty(int(n))
-		}
-	}
-	return maxRel
-}
-
-// resizeList applies resizeNode to the listed nodes, filling the shard's
-// moved buffer, and returns the largest relative change in the list.
-func (s *Solver) resizeList(beta, gamma float64, nodes []int32, shard int) float64 {
-	maxRel := 0.0
-	for _, ii := range nodes {
+	for _, ii := range s.active {
 		rel, moved := s.resizeNode(beta, gamma, int(ii))
 		if moved {
-			s.moved[shard] = append(s.moved[shard], ii)
+			s.moved = append(s.moved, ii)
 		}
 		if rel > maxRel {
 			maxRel = rel
 		}
 	}
+	for _, n := range s.moved {
+		s.ev.MarkDirty(int(n))
+	}
 	return maxRel
 }
 
-// resizeRange applies Theorem 5's closed-form optimal resize to nodes
-// [lo, hi) and returns the largest relative size change in the range. Safe
-// on disjoint ranges concurrently: every input (λ, R, C′, the coupling
-// sums) is frozen for the sweep and each node writes only its own xᵢ.
+// resizeRange runs one Jacobi resize sweep (S4), Theorem 5's closed-form
+// optimal resize of every sizable node in [lo, hi), and returns the
+// largest relative size change in the range. Every input (λ, R, C′, the
+// coupling sums) is frozen for the sweep and each node writes only its
+// own xᵢ.
 func (s *Solver) resizeRange(beta, gamma float64, lo, hi int) float64 {
 	g := s.ev.Graph()
 	maxRel := 0.0
@@ -765,17 +669,13 @@ func (s *Solver) dual(area, powerViol, noiseViol float64) float64 {
 	ev := s.ev
 	g := ev.Graph()
 	nn := g.NumNodes()
-	// The λᵢ·Dᵢ terms are gathered in parallel and folded serially in node
-	// order — the identical products, summed in the identical order, as
-	// the old serial loop, so the dual is bit-identical at every Workers
-	// width. normScratch is free here: its other users (perNetPass,
-	// delayGradNormSq) run strictly after dual within an iteration and
-	// write every entry they read.
-	s.pool.run(1, nn-1, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			s.normScratch[i] = s.lambda[i] * ev.D[i]
-		}
-	})
+	// The λᵢ·Dᵢ terms are stored, then folded in node order. normScratch
+	// is free here: its other users (perNetPass, delayGradNormSq) run
+	// strictly after dual within an iteration and write every entry they
+	// read.
+	for i := 1; i < nn-1; i++ {
+		s.normScratch[i] = s.lambda[i] * ev.D[i]
+	}
 	d := area
 	for i := 1; i < nn-1; i++ {
 		d += s.normScratch[i]
@@ -804,63 +704,41 @@ func (s *Solver) perNetNoise(v int) float64 {
 }
 
 // delayGradNormSq computes the active normalized delay-subgradient norm
-// with the per-node squared terms filled in parallel and folded serially
-// in node order — the same total for every Workers setting.
+// from the per-node squared terms, filled and then folded in node order.
 func (s *Solver) delayGradNormSq() float64 {
 	nn := s.ev.Graph().NumNodes()
-	s.pool.run(1, nn, func(_, lo, hi int) {
-		s.mult.DelayGradFillRange(s.ev.A, s.ev.D, s.opt.A0, s.normScratch, lo, hi)
-	})
+	s.mult.DelayGradFillRange(s.ev.A, s.ev.D, s.opt.A0, s.normScratch, 1, nn)
 	return lagrange.DelayGradNormSqFrom(s.normScratch[1:nn])
-}
-
-// stepDelay shards the A4 edge-multiplier update by head node; each node
-// owns its in-edge multipliers, so disjoint ranges never contend.
-func (s *Solver) stepDelay(rho float64) {
-	nn := s.ev.Graph().NumNodes()
-	s.pool.run(1, nn, func(_, lo, hi int) {
-		s.mult.StepDelayRange(s.ev.A, s.ev.D, s.opt.A0, rho, lo, hi)
-	})
 }
 
 // perNetPass returns the largest relative per-net violation and, when
 // stepping, also updates every γᵥ with the trust-region rule and
 // accumulates the active normalized subgradient norm. Each wire's
 // violation and step depend only on its own bound, multiplier, and the
-// frozen evaluator state, so the pass shards cleanly; the squared terms
-// land in per-node scratch and fold in index order, making normSq
-// independent of the sharding.
+// frozen evaluator state; the squared terms land in per-node scratch and
+// fold in index order.
 func (s *Solver) perNetPass(rho float64, step bool) (maxRel, normSq float64) {
 	if s.gammaV == nil {
 		return 0, 0
 	}
-	shards := s.pool.run(0, len(s.gammaV), func(shard, lo, hi int) {
-		mr := 0.0
-		for v := lo; v < hi; v++ {
-			xb := s.vBound[v]
-			if math.IsNaN(xb) {
-				s.normScratch[v] = 0
-				continue
-			}
-			viol := s.perNetNoise(v) - xb
-			if rel := viol / xb; rel > mr {
-				mr = rel
-			}
-			if viol > 0 || s.gammaV[v] > 0 {
-				n := viol / xb
-				s.normScratch[v] = n * n
-			} else {
-				s.normScratch[v] = 0
-			}
-			if step {
-				s.gammaV[v] = lagrange.StepScalar(s.gammaV[v], viol, rho/xb, xb, s.mult.Trust)
-			}
+	for v := range s.gammaV {
+		xb := s.vBound[v]
+		if math.IsNaN(xb) {
+			s.normScratch[v] = 0
+			continue
 		}
-		s.shardMax[shard] = mr
-	})
-	for sh := 0; sh < shards; sh++ {
-		if s.shardMax[sh] > maxRel {
-			maxRel = s.shardMax[sh]
+		viol := s.perNetNoise(v) - xb
+		if rel := viol / xb; rel > maxRel {
+			maxRel = rel
+		}
+		if viol > 0 || s.gammaV[v] > 0 {
+			n := viol / xb
+			s.normScratch[v] = n * n
+		} else {
+			s.normScratch[v] = 0
+		}
+		if step {
+			s.gammaV[v] = lagrange.StepScalar(s.gammaV[v], viol, rho/xb, xb, s.mult.Trust)
 		}
 	}
 	for _, t := range s.normScratch[:len(s.gammaV)] {
@@ -1034,9 +912,7 @@ func (s *Solver) Run() (*Result, error) {
 			return nil, ErrCancelled
 		}
 		// A2: merged node multipliers.
-		s.pool.run(0, g.NumNodes(), func(_, lo, hi int) {
-			s.mult.NodeSumsRange(s.lambda, lo, hi)
-		})
+		s.mult.NodeSums(s.lambda)
 		// A3: solve the subproblem; arrival times are computed by the
 		// evaluator as part of LRS's final Recompute.
 		sw := s.LRS()
@@ -1161,7 +1037,7 @@ func (s *Solver) Run() (*Result, error) {
 			rho = 10 * floor
 		}
 		rho *= damp
-		s.stepDelay(rho / s.opt.A0)
+		s.mult.StepDelayRange(ev.A, ev.D, s.opt.A0, rho/s.opt.A0, 1, g.NumNodes())
 		if !math.IsNaN(s.pBound) {
 			s.mult.StepBeta(powerViol, rho/s.pBound, s.pBound)
 		}
@@ -1271,9 +1147,9 @@ func (s *Solver) memoryBytes() int {
 	}
 	b += (len(s.lambda) + len(s.rup) + len(s.rEff)) * 8
 	b += (len(s.vBound) + len(s.gammaV) + len(s.denV)) * 8
-	// shardMax and the active-set scratch (sizable, active, inActive, the
-	// per-shard moved buffers) are excluded: their sizes track the Workers
-	// width, and the analytic footprint must be identical at every width.
+	// The active-set scratch (sizable, active, inActive, moved) is
+	// excluded: the analytic footprint must not depend on the LRS
+	// schedule.
 	b += len(s.normScratch) * 8
 	return b
 }

@@ -468,7 +468,6 @@ func TestS1ResetsOncePerRun(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				t.Cleanup(sol.Close)
 				return sol
 			}
 			run := func(sol *Solver) *Result {
@@ -603,7 +602,6 @@ func TestOnIterationHook(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer sol.Close()
 		res, err := sol.Run()
 		if err != nil {
 			t.Fatal(err)

@@ -66,15 +66,15 @@
 //
 // # Execution modes and invariants
 //
-// One solve is parallel: Options.Workers shards every per-node loop onto
-// a reusable worker pool, and installs the levelized Runner on the
-// evaluator. It is also incremental, with no option to select it: every
-// LRS call runs the dirty-cone/active-set engine, which skips work only
-// where re-running a body could not change a single bit. Both are
-// scheduling only: results are bit-identical at every Workers width and
-// to the paper's full-pass LRS loop, the invariant the golden fixtures,
-// the property suites, and FuzzIncremental all enforce with exact
-// comparisons. The cutover hysteresis reverts one Run to the full-pass
+// One solve runs serially on the calling goroutine, every per-node loop
+// in node order; the cores belong to independent solves run side by side
+// (bench.Instance.RunPlan, repro.OptimizeBatch). A solve is incremental,
+// with no option to select it: every LRS call runs the
+// dirty-cone/active-set engine, which skips work only where re-running a
+// body could not change a single bit. That is scheduling only: results
+// are bit-identical to the paper's full-pass LRS loop, the invariant the
+// golden fixtures, the property suites, and FuzzIncremental all enforce
+// with exact comparisons. The cutover hysteresis reverts one Run to the full-pass
 // loop after K = 24 consecutive coneWorthwhile-cutover degrades — a
 // scheduling decision for densely coupled circuits, again changing no
 // bits (HysteresisTrips/RevertedSweeps expose the accounting). K is a

@@ -23,7 +23,6 @@ func solvedDual(t *testing.T) (*Solver, *DualState, Options) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(sol.Close)
 	if _, err := sol.Run(); err != nil {
 		t.Fatal(err)
 	}

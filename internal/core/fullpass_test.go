@@ -107,17 +107,15 @@ var goldenFixtures = []goldenFixture{
 	{name: "grid12x10", build: gridFixture},
 }
 
-// solveFixture solves one fixture at Workers=1, on the full-pass reference
-// when full is set and on the solver's own schedule otherwise.
+// solveFixture solves one fixture on the full-pass reference when full is
+// set and on the solver's own schedule otherwise.
 func solveFixture(t *testing.T, fx goldenFixture, full bool) *core.Result {
 	t.Helper()
 	ev, opt := fx.build(t)
-	opt.Workers = 1
 	sol, err := core.NewSolver(ev, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sol.Close()
 	if full {
 		sol.SetHysteresis(0)
 	}
@@ -163,7 +161,6 @@ func TestLRSNeverHitsSweepCap(t *testing.T) {
 		for _, scale := range []float64{1, 0.8} {
 			opt := core.DefaultOptions(scale*b.A0, b.NoiseBound, b.PowerBound)
 			opt.MaxIterations = 25
-			opt.Workers = 1
 			opt.OnIteration = func(p core.IterProgress) {
 				if p.LRSSweeps >= core.LRSMaxSweeps {
 					t.Errorf("%s ×%g iteration %d: the LRS call ran %d sweeps, the cap", spec.Name, scale, p.K, p.LRSSweeps)
@@ -179,7 +176,6 @@ func TestLRSNeverHitsSweepCap(t *testing.T) {
 			if _, err := sol.Run(); err != nil {
 				t.Fatal(err)
 			}
-			sol.Close()
 		}
 	}
 	t.Logf("longest LRS call: %d sweeps (%s); cap %d", longest, where, core.LRSMaxSweeps)
@@ -187,8 +183,7 @@ func TestLRSNeverHitsSweepCap(t *testing.T) {
 
 // incrementalScenario builds one warm-start solve setup for
 // BenchmarkIncrementalSolve: a prebuilt evaluator (primed by a full pass)
-// and solver options with binding bounds. Workers is pinned to 1 so the
-// numbers isolate evaluation work, not pool scheduling.
+// and solver options with binding bounds.
 type incrementalScenario struct {
 	name  string
 	build func(tb testing.TB) (*rc.Evaluator, core.Options)
@@ -202,7 +197,6 @@ func incrementalScenarios() []incrementalScenario {
 			opt := core.DefaultOptions(bounds.A0, bounds.NoiseBound, bounds.PowerBound)
 			opt.MaxIterations = 200
 			opt.WarmStart = true
-			opt.Workers = 1
 			return inst.Eval, opt
 		}},
 		{name: "grid32x24", build: func(tb testing.TB) (*rc.Evaluator, core.Options) {
@@ -226,7 +220,6 @@ func incrementalScenarios() []incrementalScenario {
 			opt := core.DefaultOptions(a0, noise, power)
 			opt.MaxIterations = 120
 			opt.WarmStart = true
-			opt.Workers = 1
 			return ev, opt
 		}},
 	}
@@ -246,7 +239,6 @@ func TestIncrementalSkipsWork(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer sol.Close()
 		if full {
 			sol.SetHysteresis(0)
 		}
@@ -302,7 +294,6 @@ func BenchmarkIncrementalSolve(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				defer sol.Close()
 				if k, ok := hysteresis[mode]; ok {
 					sol.SetHysteresis(k)
 				}

@@ -79,7 +79,6 @@ func solveDense(t *testing.T, k int, mutate func(*Options)) (*Result, *Solver, *
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(sol.Close)
 	sol.SetHysteresis(k)
 	res, err := sol.Run()
 	if err != nil {
@@ -135,7 +134,6 @@ func TestHysteresisDoesNotTripOnLocalConvergence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sol.Close()
 	if _, err := sol.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +160,6 @@ func TestRunFromSeedIndependentWithS1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sol.Close()
 	res, err := sol.RunFrom(seed)
 	if err != nil {
 		t.Fatal(err)
@@ -185,7 +182,6 @@ func TestRunFromWarmStartIsPerturbation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sol.Close()
 	warm, err := sol.RunFrom(cold.X)
 	if err != nil {
 		t.Fatal(err)
@@ -200,7 +196,6 @@ func TestRunFromWarmStartIsPerturbation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer solFull.Close()
 	solFull.SetHysteresis(0)
 	warmFull, err := solFull.RunFrom(cold.X)
 	if err != nil {
@@ -228,7 +223,6 @@ func TestRunFromWarmStartIsPerturbation(t *testing.T) {
 				t.Fatal(err)
 			}
 			x, dual = res.X, sol.DualState()
-			sol.Close()
 			results, duals = append(results, res), append(duals, dual)
 		}
 		return results, duals, ev.Stats()
@@ -258,7 +252,6 @@ func TestRunFromRejectsBadSeeds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sol.Close()
 	if _, err := sol.RunFrom(make([]float64, 3)); err == nil {
 		t.Error("short seed accepted")
 	}
@@ -279,9 +272,9 @@ func TestRunFromRejectsBadSeeds(t *testing.T) {
 }
 
 // TestOptionsNormalizationTable pins the validate() audit: the solve
-// budget falls back to its defaults on zero/negative/NaN input, Workers
-// normalizes to the all-cores sentinel, a negative noise or power bound
-// stays (it disables the constraint), and the knobs with no substitute
+// budget falls back to its defaults on zero/negative/NaN input, a negative
+// noise or power bound stays (it disables the constraint), and the knobs
+// with no substitute
 // (A0, the noise and power bounds) reject NaN and +Inf outright, as does
 // an infinite Epsilon, which would certify the first iterate.
 func TestOptionsNormalizationTable(t *testing.T) {
@@ -293,7 +286,6 @@ func TestOptionsNormalizationTable(t *testing.T) {
 	}{
 		{"epsilon-zero", func(o *Options) { o.Epsilon = 0 }, func(o Options) (float64, float64) { return o.Epsilon, 0.01 }},
 		{"epsilon-nan", func(o *Options) { o.Epsilon = nan }, func(o Options) (float64, float64) { return o.Epsilon, 0.01 }},
-		{"workers-negative", func(o *Options) { o.Workers = -7 }, func(o Options) (float64, float64) { return float64(o.Workers), 0 }},
 		// A negative noise or power bound, −Inf included, disables it.
 		{"noise-negative", func(o *Options) { o.NoiseBound = -1 }, func(o Options) (float64, float64) { return o.NoiseBound, -1 }},
 		{"power-negative-inf", func(o *Options) { o.PowerCapBound = math.Inf(-1) }, func(o Options) (float64, float64) {
@@ -373,7 +365,6 @@ func TestRunFromDualConvergesFaster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sol2.Close()
 	if sol2.DualState() != nil {
 		t.Error("DualState non-nil before the first Run")
 	}
@@ -409,7 +400,6 @@ func TestRunFromDualRejectsForeignState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer other.Close()
 	seed := make([]float64, g.NumNodes())
 	if _, err := other.RunFromDual(seed, dual); err == nil {
 		t.Error("foreign dual state accepted")

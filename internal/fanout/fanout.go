@@ -1,9 +1,10 @@
 // Package fanout runs embarrassingly parallel index loops — the shared
 // engine behind the repo's batch drivers (bench.RunTable1Parallel,
-// repro.OptimizeBatch, logicsim's similarity matrix, and the batches of
-// the plan runner, bench.Instance.RunPlan). Callers keep their own result slices
-// indexed by i, so output placement is deterministic regardless of
-// scheduling.
+// repro.OptimizeBatch, and the batches of the plan runner,
+// bench.Instance.RunPlan). Every solve runs serially, so these loops are
+// where the cores go: across independent solves, never inside one.
+// Callers keep their own result slices indexed by i, so output placement
+// is deterministic regardless of scheduling.
 package fanout
 
 import (
@@ -50,15 +51,6 @@ func Each(n, workers int, fn func(i int)) {
 		}()
 	}
 	wg.Wait()
-}
-
-// Widths splits the cores between independent solves: each solve runs at
-// max(workers, 1) goroutines, and max(1, GOMAXPROCS ÷ that) solves run at
-// once, so the fan-out owns the cores. Solver results are bit-identical
-// at every width, so the split is purely a schedule.
-func Widths(workers int) (perSolve, concurrent int) {
-	perSolve = max(workers, 1)
-	return perSolve, max(1, runtime.GOMAXPROCS(0)/perSolve)
 }
 
 // Ordered runs solve(i) for every i in [0, n) like Each, at most workers

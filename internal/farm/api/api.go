@@ -189,8 +189,9 @@ type LeaseResponse struct {
 // of an independent batch. A batch that waited on a recorded cell ships
 // that cell's sizes and dual as its Seed and Dual, so its outcome is a
 // pure function of this message and a re-queued batch re-solves
-// bit-identically on any worker. Solver width is deliberately absent:
-// results are bit-identical at every width, so each worker picks its own.
+// bit-identically on any worker. It names no width: every solve runs
+// serially, and each worker fans an independent batch out over its own
+// cores.
 type Job struct {
 	ID      int64       `json:"id"`
 	Circuit CircuitSpec `json:"circuit"`
@@ -212,8 +213,8 @@ type ResultLine struct {
 // CellResult is one solved cell, addressed by its index in the run, so
 // the coordinator reassembles batches without knowing how the run was
 // cut. It carries the kernel's whole outcome: the result, the dual (only
-// when the batch asked for Duals), the solve time, the worker's width and
-// the work counters the serving host folds into its /stats.
+// when the batch asked for Duals), the solve time and the work counters
+// the serving host folds into its /stats.
 type CellResult struct {
 	Index int `json:"index"`
 	bench.Solved

@@ -56,7 +56,7 @@ func TestJobRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	solved, err := bench.SolveCell(ev, b, inst.Eval.X, nil, bench.CellOptions{MaxIterations: 5, Workers: 1, ReturnDual: true})
+	solved, err := bench.SolveCell(ev, b, inst.Eval.X, nil, bench.CellOptions{MaxIterations: 5, ReturnDual: true})
 	if err != nil {
 		t.Fatal(err)
 	}

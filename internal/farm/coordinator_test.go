@@ -485,7 +485,7 @@ func TestSolveBatchFlow(t *testing.T) {
 		!reflect.DeepEqual(job.Seed, []float64{1, 2, 3}) {
 		t.Fatalf("solve batch did not ship its inputs: %+v", job)
 	}
-	want := bench.Solved{Result: &core.Result{X: []float64{9}}, Workers: 4, SolveSec: 0.5}
+	want := bench.Solved{Result: &core.Result{X: []float64{9}}, SolveSec: 0.5}
 	if rr := postResult(c, job.ID, token, api.ResultLine{Cell: &api.CellResult{Solved: want}}, api.ResultLine{Done: true}); rr.Code != http.StatusOK {
 		t.Fatalf("solve result refused: %d %s", rr.Code, rr.Body)
 	}
@@ -493,7 +493,7 @@ func TestSolveBatchFlow(t *testing.T) {
 	if got.err != nil {
 		t.Fatal(got.err)
 	}
-	if got.sv.Workers != 4 || got.sv.Result.X[0] != 9 {
+	if got.sv.SolveSec != 0.5 || got.sv.Result.X[0] != 9 {
 		t.Fatalf("solve result did not round-trip: %+v", got.sv)
 	}
 	if st := c.StatsSnapshot(); st.Workers[0].CellsSolved != 1 || st.Workers[0].JobsCompleted != 1 {

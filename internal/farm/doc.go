@@ -29,9 +29,8 @@
 // A distributed run must reassemble, byte for byte, into what the
 // single-process engines (internal/sweep, internal/variation, the
 // service's local solve) would have produced — the same contract every
-// layer below holds (serial vs levelized vs parallel, incremental vs
-// full, streamed vs buffered). The farm earns it structurally rather than
-// by locking:
+// layer below holds (incremental vs full, fanned out vs solo, streamed vs
+// buffered). The farm earns it structurally rather than by locking:
 //
 //   - Every lease is self-contained: a batch carries the exact bounds,
 //     perturbations, seed sizes and dual multipliers its cells must be
@@ -47,9 +46,9 @@
 //     equal inputs give equal bits on every node of one architecture.
 //   - Results are recorded first-wins by cell index, and only for a cell
 //     of the job that sent it. Re-running a re-queued job reproduces the
-//     dead worker's cells bitwise, so duplicate lines are simply dropped;
-//     solver goroutine width is worker-chosen because results are
-//     bit-identical at every width.
+//     dead worker's cells bitwise, so duplicate lines are simply dropped.
+//     Every solve runs serially, and how many cells a worker solves at
+//     once is its own choice, because it changes no bit.
 //
 // Worker death is therefore invisible in the output: kill a worker
 // mid-grid and the reaper re-queues its jobs, another worker re-runs

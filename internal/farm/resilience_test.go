@@ -63,7 +63,6 @@ func localSolve64(t *testing.T, b bench.Bounds, seed []float64) *core.Result {
 	}
 	opt := core.DefaultOptions(b.A0, b.NoiseBound, b.PowerBound)
 	opt.MaxIterations = 4
-	opt.Workers = -1
 	replica, err := inst.Replica()
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +71,6 @@ func localSolve64(t *testing.T, b bench.Bounds, seed []float64) *core.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sol.Close()
 	res, err := sol.RunFromDual(seed, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -75,8 +75,9 @@ func (c *Coordinator) completeLocked(r *run) {
 
 // Runner is the farm's bench.Runner for one circuit: it dispatches a plan
 // to the workers (see dispatch) until the run completes or ctx ends it.
-// Of the schedule it honours only Observe; each worker picks its own
-// widths, iterations are not streamed, and ctx replaces Cancel.
+// Of the schedule it honours only Observe; each worker fans a batch out
+// over its own cores, iterations are not streamed, and ctx replaces
+// Cancel.
 func (c *Coordinator) Runner(ctx context.Context, spec api.CircuitSpec) bench.Runner {
 	return func(plan bench.Plan, s bench.Schedule) ([]*bench.Solved, error) {
 		return c.dispatch(ctx, spec, plan, s.Observe)

@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/core"
-	"repro/internal/fanout"
 	"repro/internal/farm/api"
 	"repro/internal/fault"
 )
@@ -26,12 +25,6 @@ type WorkerOptions struct {
 	Coordinator string
 	// Name labels the worker in the coordinator's /stats.
 	Name string
-	// SolverWorkers is the per-solve goroutine width of a chained batch;
-	// 0 = all cores (a worker process owns its machine). An independent
-	// batch instead fans its cells out over the cores, each solve at width
-	// max(SolverWorkers, 1), so width 1 under the default. Results are
-	// bit-identical at every width, so this is purely a throughput knob.
-	SolverWorkers int
 	// CacheSize bounds the worker's local instance cache (default 4):
 	// materialized circuit replicas kept across jobs, keyed by the
 	// coordinator's own cache keys.
@@ -435,8 +428,8 @@ func (wk *worker) crashAfterCell() bool {
 // execute solves the job's batch with the local runner every in-process
 // engine uses (bench.Instance.RunPlan), so equal job inputs yield equal
 // bits, writing one result line per cell to w in cell order. A chain
-// solves at the worker's solver width; an independent batch fans out
-// over the cores at width 1 under the default. The batch runs as a plan
+// solves its cells one after another; an independent batch fans them out
+// over the cores, each solve serial. The batch runs as a plan
 // of its own, re-indexed 0..n−1; each line carries the cell's index in
 // the run. Every line counts toward the crash-injection cell counter; a
 // tripped crash, like a line that fails to encode, stops the batch and
@@ -452,10 +445,7 @@ func (wk *worker) execute(ctx context.Context, job *api.Job, w io.Writer) error 
 		cell.Index = k
 		b.Cells[k] = cell
 	}
-	s := bench.Schedule{Workers: wk.opt.SolverWorkers, Concurrent: 1}
-	if !b.Chain {
-		s.Workers, s.Concurrent = fanout.Widths(s.Workers)
-	}
+	var s bench.Schedule
 	// stop ends the batch early: Observe sets it, one call at a time, and
 	// flags it for Cancel, which also fires once the session is cancelled.
 	var stop error

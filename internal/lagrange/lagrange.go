@@ -213,8 +213,8 @@ func (m *Multipliers) DelayGradFillRange(a, d []float64, a0 float64, dst []float
 	}
 }
 
-// DelayGradNormSqFrom folds per-node contributions in index order — the
-// deterministic reduction shared by the serial and sharded gradient paths.
+// DelayGradNormSqFrom folds per-node contributions in index order, so the
+// total does not depend on how the ranges were filled.
 func DelayGradNormSqFrom(perNode []float64) float64 {
 	sum := 0.0
 	for _, v := range perNode {

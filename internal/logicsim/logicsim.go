@@ -14,7 +14,6 @@ import (
 	"math/bits"
 	"math/rand"
 
-	"repro/internal/fanout"
 	"repro/internal/netlist"
 )
 
@@ -41,27 +40,18 @@ func (w *Waveforms) Similarity(i, j int) float64 {
 // SimilarityMatrix computes the full pairwise similarity for the given nets.
 // The result is symmetric with unit diagonal.
 func (w *Waveforms) SimilarityMatrix(nets []int) [][]float64 {
-	return w.SimilarityMatrixWorkers(nets, 1)
-}
-
-// SimilarityMatrixWorkers is SimilarityMatrix with the rows distributed
-// across up to workers goroutines (0 selects runtime.GOMAXPROCS(0)). The
-// pair (a, b), a < b, is always computed by row a's goroutine and lands in
-// two distinct cells, so the result is identical for every worker count.
-func (w *Waveforms) SimilarityMatrixWorkers(nets []int, workers int) [][]float64 {
 	n := len(nets)
 	m := make([][]float64, n)
 	for a := range nets {
 		m[a] = make([]float64, n)
 		m[a][a] = 1
 	}
-	// Rows shrink with a, so fanout's one-at-a-time handout balances them.
-	fanout.Each(n, workers, func(a int) {
+	for a := range nets {
 		for b := a + 1; b < n; b++ {
 			s := w.Similarity(nets[a], nets[b])
 			m[a][b], m[b][a] = s, s
 		}
-	})
+	}
 	return m
 }
 

@@ -26,30 +26,17 @@
 //
 // All delays are in ps, resistances in Ω, capacitances in fF, sizes in µm.
 //
-// # Levelized scheduling
-//
-// The three topological passes (stage loads B/C in RecomputeLoads, arrival
-// times in RecomputeArrivals, the weighted upstream resistances in
-// UpstreamResistance) carry chain dependencies, so they cannot be sharded
-// as flat index ranges the way the per-node electrical pass can. Instead
-// they are scheduled over the graph's topological levels (circuit.Graph.Level): every edge strictly
-// increases the level, so nodes sharing a level are mutually independent
-// and each level is a parallel region separated from the next by a barrier.
-// With a Runner installed the passes run level by level through it; without
-// one they fall back to the plain index-order reference loops
-// (RecomputeSerial, UpstreamResistanceSerial). Both schedules execute the
-// identical per-node bodies and every per-node accumulation folds in the
-// same fan-in/fan-out list order, so serial, levelized-inline, and
-// levelized-parallel results are bit-identical — a guarantee the golden,
-// property, and fuzz suites enforce.
+// Every pass runs serially on the calling goroutine, as a plain loop in
+// node index order, which is a topological order; the parallelism of the
+// stack lies above the evaluator, in solving independent cells at once.
 //
 // # Incremental (dirty-cone) evaluation
 //
 // Between evaluations the engine tracks which sizes changed (MarkDirty;
 // SetSize/SetSizes/SetAllSizes mark automatically) and
 // RecomputeLoadsIncremental / UpstreamResistanceIncremental refresh only
-// the cones those changes can reach, walking the level buckets with the
-// same per-node bodies. Both walks are stage-local: the loads walk runs
+// the cones those changes can reach, walking them level by level
+// (circuit.Graph.Level) with the same per-node bodies. Both walks are stage-local: the loads walk runs
 // backward and stops at the driving gate, the upstream walk runs forward
 // and stops at the next gate. Arrivals have no walk — a moved size moves
 // every arrival in its fan-out cone — so RecomputeIncremental, which keeps
@@ -68,5 +55,5 @@
 //
 // EvalStats/Stats/ResetStats expose the pass and per-node-body work
 // counters the benchmark trajectory and the sizing service report;
-// maintaining them costs nothing inside the parallel bodies.
+// maintaining them costs nothing inside the per-node bodies.
 package rc

@@ -1,7 +1,6 @@
 package rc
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/circuit"
@@ -116,10 +115,9 @@ func dagFromBytes(t *testing.T, data []byte) (*circuit.Graph, *coupling.Set) {
 }
 
 // FuzzIncremental is the dirty-cone engine's adversary: for every DAG the
-// bytes describe it replays random size-mutation batches on three
-// evaluators — one driven through the incremental entry points serially,
-// one through the same calls under a hostile chunked Runner, and one
-// full-pass serial oracle — and demands exact bitwise equality after every
+// bytes describe it replays random size-mutation batches on two
+// evaluators — one driven through the incremental entry points and one
+// full-pass oracle — and demands exact bitwise equality after every
 // batch. Each batch picks RecomputeLoadsIncremental or RecomputeIncremental
 // from the bytes: a loads-only batch must match the oracle on every loads
 // array and leave D and A exactly as they were, and a full batch must match
@@ -160,23 +158,18 @@ func FuzzIncremental(f *testing.F) {
 			ev.SetAllSizes(0.3 + float64(len(data)%30)/10)
 			return ev
 		}
-		inc, lv, ref := newEv(), newEv(), newEv()
-		lv.SetRunner(chunkedRunner(3))
+		inc, ref := newEv(), newEv()
 		inc.Recompute()
-		lv.Recompute()
-		ref.RecomputeSerial()
+		ref.Recompute()
 		lambda := make([]float64, g.NumNodes())
 		for i := range lambda {
 			lambda[i] = float64((i*5+len(data))%9) / 4
 		}
 		rupInc := make([]float64, g.NumNodes())
-		rupLv := make([]float64, g.NumNodes())
 		rupRef := make([]float64, g.NumNodes())
 		inc.UpstreamResistance(lambda, rupInc)
-		lv.UpstreamResistance(lambda, rupLv)
 
-		evs := [2]*Evaluator{inc, lv}
-		var oldD, oldA [2][]float64
+		var oldD, oldA []float64
 		stale := false // a loads refresh did work since the last arrival pass
 		feed := &byteFeed{data: data}
 		batches := 1 + feed.next()%4
@@ -190,149 +183,53 @@ func FuzzIncremental(f *testing.F) {
 				if _, err := inc.SetSize(i, v); err != nil {
 					t.Fatal(err)
 				}
-				if _, err := lv.SetSize(i, v); err != nil {
-					t.Fatal(err)
-				}
 				ref.X[i] = inc.X[i] // oracle runs full passes, no marking needed
 			}
-			var arrBodies [2]int64
-			for k, e := range evs {
-				oldD[k] = append(oldD[k][:0], e.D...)
-				oldA[k] = append(oldA[k][:0], e.A...)
-				s0 := e.Stats()
-				if loadsOnly {
-					e.RecomputeLoadsIncremental()
-				} else {
-					e.RecomputeIncremental()
-				}
-				d := e.Stats().Sub(s0)
-				if k == 0 && d.ElectricalNodes > 0 {
-					stale = true
-				}
-				arrBodies[k] = d.ArrivalNodes
+			oldD = append(oldD[:0], inc.D...)
+			oldA = append(oldA[:0], inc.A...)
+			s0 := inc.Stats()
+			if loadsOnly {
+				inc.RecomputeLoadsIncremental()
+			} else {
+				inc.RecomputeIncremental()
+			}
+			d := inc.Stats().Sub(s0)
+			if d.ElectricalNodes > 0 {
+				stale = true
 			}
 			want := int64(0)
 			if !loadsOnly && stale {
 				want, stale = int64(g.NumNodes()-2), false
 			}
-			if arrBodies[0] != want || arrBodies[1] != want {
-				t.Fatalf("batch %d (loads only %v): arrival pass ran %v bodies, want %d",
-					batch, loadsOnly, arrBodies, want)
+			if d.ArrivalNodes != want {
+				t.Fatalf("batch %d (loads only %v): arrival pass ran %d bodies, want %d",
+					batch, loadsOnly, d.ArrivalNodes, want)
 			}
-			ref.RecomputeSerial()
+			ref.Recompute()
 			for i := 0; i < g.NumNodes(); i++ {
-				for k, e := range evs {
-					if e.B[i] != ref.B[i] || e.C[i] != ref.C[i] || e.CPr[i] != ref.CPr[i] ||
-						e.Cap[i] != ref.Cap[i] || e.RPs[i] != ref.RPs[i] {
-						t.Fatalf("batch %d node %d: incremental loads (B=%.17g C=%.17g C′=%.17g) != full (B=%.17g C=%.17g C′=%.17g)",
-							batch, i, e.B[i], e.C[i], e.CPr[i], ref.B[i], ref.C[i], ref.CPr[i])
-					}
-					if e.CNbr != nil && e.CNbr[i] != ref.CNbr[i] {
-						t.Fatalf("batch %d node %d: CNbr %.17g != %.17g", batch, i, e.CNbr[i], ref.CNbr[i])
-					}
-					wantD, wantA := ref.D[i], ref.A[i]
-					if loadsOnly {
-						wantD, wantA = oldD[k][i], oldA[k][i]
-					}
-					if e.D[i] != wantD || e.A[i] != wantA {
-						t.Fatalf("batch %d (loads only %v) node %d: D=%.17g A=%.17g, want D=%.17g A=%.17g",
-							batch, loadsOnly, i, e.D[i], e.A[i], wantD, wantA)
-					}
+				if inc.B[i] != ref.B[i] || inc.C[i] != ref.C[i] || inc.CPr[i] != ref.CPr[i] ||
+					inc.Cap[i] != ref.Cap[i] || inc.RPs[i] != ref.RPs[i] {
+					t.Fatalf("batch %d node %d: incremental loads (B=%.17g C=%.17g C′=%.17g) != full (B=%.17g C=%.17g C′=%.17g)",
+						batch, i, inc.B[i], inc.C[i], inc.CPr[i], ref.B[i], ref.C[i], ref.CPr[i])
+				}
+				if inc.CNbr != nil && inc.CNbr[i] != ref.CNbr[i] {
+					t.Fatalf("batch %d node %d: CNbr %.17g != %.17g", batch, i, inc.CNbr[i], ref.CNbr[i])
+				}
+				wantD, wantA := ref.D[i], ref.A[i]
+				if loadsOnly {
+					wantD, wantA = oldD[i], oldA[i]
+				}
+				if inc.D[i] != wantD || inc.A[i] != wantA {
+					t.Fatalf("batch %d (loads only %v) node %d: D=%.17g A=%.17g, want D=%.17g A=%.17g",
+						batch, loadsOnly, i, inc.D[i], inc.A[i], wantD, wantA)
 				}
 			}
 			inc.UpstreamResistanceIncremental(lambda, rupInc)
-			lv.UpstreamResistanceIncremental(lambda, rupLv)
-			ref.UpstreamResistanceSerial(lambda, rupRef)
+			ref.UpstreamResistance(lambda, rupRef)
 			for i := range rupRef {
-				if rupInc[i] != rupRef[i] || rupLv[i] != rupRef[i] {
-					t.Fatalf("batch %d node %d: incremental R (%.17g, %.17g) != full R %.17g",
-						batch, i, rupInc[i], rupLv[i], rupRef[i])
-				}
-			}
-		}
-	})
-}
-
-// FuzzLevelizer is the levelizer's adversary: for every DAG the bytes
-// describe it (1) asserts the level assignment is a valid topological
-// order whose buckets partition the nodes, and (2) cross-checks the
-// levelized Recompute and UpstreamResistance against the serial reference
-// implementations to exact bitwise equality, under deliberately hostile
-// Runner chunkings.
-func FuzzLevelizer(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
-	f.Add([]byte("levelized timing propagation must match the serial pass"))
-	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
-	f.Add([]byte{255, 254, 253, 252, 251, 250, 249, 248, 247, 246, 245, 244})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		g, cs := dagFromBytes(t, data)
-		if g == nil {
-			return
-		}
-
-		// Levels are a valid topological order and the buckets a partition.
-		seen := make([]bool, g.NumNodes())
-		for l := 0; l < g.NumLevels(); l++ {
-			for _, i := range g.LevelNodes(l) {
-				if g.Level(int(i)) != l || seen[i] {
-					t.Fatalf("node %d misplaced or duplicated in bucket %d", i, l)
-				}
-				seen[i] = true
-			}
-		}
-		for i, ok := range seen {
-			if !ok {
-				t.Fatalf("node %d missing from level buckets", i)
-			}
-			for _, j := range g.In(i) {
-				if g.Level(int(j)) >= g.Level(i) {
-					t.Fatalf("edge (%d,%d) does not increase level (%d → %d)",
-						j, i, g.Level(int(j)), g.Level(i))
-				}
-			}
-		}
-
-		// Levelized vs serial, exact equality.
-		size := 0.1 + float64(len(data)%50)/10
-		ref, err := NewEvaluator(g, cs)
-		if err != nil {
-			t.Fatal(err) // generator only couples wires, so this must build
-		}
-		ref.SetAllSizes(size)
-		ref.RecomputeSerial()
-		lambda := make([]float64, g.NumNodes())
-		for i := range lambda {
-			lambda[i] = float64((i*7+len(data))%11) / 3
-		}
-		refR := make([]float64, g.NumNodes())
-		ref.UpstreamResistanceSerial(lambda, refR)
-
-		for _, parts := range []int{1, 3, 5} {
-			lv, err := NewEvaluator(g, cs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			lv.SetRunner(chunkedRunner(parts))
-			lv.SetAllSizes(size)
-			lv.Recompute()
-			for i := 0; i < g.NumNodes(); i++ {
-				if lv.B[i] != ref.B[i] || lv.C[i] != ref.C[i] || lv.CPr[i] != ref.CPr[i] ||
-					lv.D[i] != ref.D[i] || lv.A[i] != ref.A[i] {
-					t.Fatalf("parts=%d node %d: levelized (B=%.17g C=%.17g D=%.17g A=%.17g) != serial (B=%.17g C=%.17g D=%.17g A=%.17g)",
-						parts, i, lv.B[i], lv.C[i], lv.D[i], lv.A[i],
-						ref.B[i], ref.C[i], ref.D[i], ref.A[i])
-				}
-				if math.IsNaN(lv.A[i]) {
-					t.Fatalf("node %d: arrival is NaN", i)
-				}
-			}
-			lvR := make([]float64, g.NumNodes())
-			lv.UpstreamResistance(lambda, lvR)
-			for i := range refR {
-				if lvR[i] != refR[i] {
-					t.Fatalf("parts=%d node %d: levelized R=%.17g != serial R=%.17g",
-						parts, i, lvR[i], refR[i])
+				if rupInc[i] != rupRef[i] {
+					t.Fatalf("batch %d node %d: incremental R %.17g != full R %.17g",
+						batch, i, rupInc[i], rupRef[i])
 				}
 			}
 		}

@@ -21,10 +21,10 @@
 // unchanged, and each body is a pure function of its inputs folded in a
 // fixed order, so the incremental passes are bit-identical to the full
 // ones — the contract FuzzIncremental, the table tests, and the golden
-// suite all enforce with exact == comparisons. Dirty frontiers within one
-// level are independent (same argument as the levelized schedule) and run
-// through the installed Runner; change detection writes per-node flags and
-// all queue pushes happen on the coordinator, so the walk is race-free.
+// suite all enforce with exact == comparisons. Every push goes to a
+// strictly lower level (the loads walk) or a strictly higher one (the
+// upstream walk), so a node's change can be propagated the moment its body
+// has run.
 package rc
 
 import (
@@ -36,8 +36,8 @@ import (
 
 // EvalStats counts evaluation work: full and incremental pass invocations
 // plus the number of per-node bodies each pass family actually executed.
-// The counters are maintained by the scheduling layer (never inside the
-// parallel bodies), so keeping them costs nothing per node.
+// The counters are charged once per pass or per frontier bucket, never
+// inside the per-node bodies, so keeping them costs nothing per node.
 type EvalStats struct {
 	// FullRecomputes / IncRecomputes count loads refreshes (RecomputeLoads,
 	// the loads half of Recompute, and RecomputeLoadsIncremental) that ran
@@ -146,10 +146,9 @@ func (d *dirtySet) reset() {
 }
 
 // frontier is a reusable level-bucketed work queue for one cone walk.
-// push may be called while a walk is in flight, but only from the
-// coordinator (the serial phase between level barriers) and only in the
-// walk's direction: backward walks push strictly lower levels, forward
-// walks strictly higher, so a processed bucket is never revisited.
+// push may be called while a walk is in flight, but only in the walk's
+// direction: backward walks push strictly lower levels, forward walks
+// strictly higher, so a processed bucket is never revisited.
 type frontier struct {
 	inQ        []bool
 	lvl        [][]int32
@@ -180,86 +179,6 @@ func (f *frontier) reset() {
 	f.minL = len(f.lvl)
 	f.maxL = -1
 }
-
-// Walk ops dispatched by the persistent walk body. Binding the body once
-// in NewEvaluator (instead of a fresh closure per level) keeps the
-// incremental passes allocation-free: a dirty-cone refresh runs thousands
-// of tiny per-level regions per solve, and a heap-allocated closure per
-// region dominated the profile before node visits did.
-const (
-	opElectrical uint8 = iota
-	opCoupling
-	opLoads
-	opUpstream
-)
-
-// runWalk executes the selected per-node body over one frontier bucket
-// through the installed Runner (inline without one). Every body writes
-// only its own node's state — values plus the per-node change flag — so
-// any partition is race-free and bit-identical.
-func (e *Evaluator) runWalk(op uint8, nodes []int32) {
-	e.walkOp, e.walkNodes = op, nodes
-	if e.run == nil {
-		e.walkBody(0, len(nodes))
-	} else {
-		e.run(0, len(nodes), e.walkBody)
-	}
-	e.walkNodes = nil
-}
-
-// bindWalkBody builds the one walk closure the evaluator ever allocates.
-func (e *Evaluator) bindWalkBody() {
-	e.walkBody = func(lo, hi int) {
-		nodes := e.walkNodes
-		switch e.walkOp {
-		case opElectrical:
-			for k := lo; k < hi; k++ {
-				i := int(nodes[k])
-				e.electricalRange(i, i+1)
-			}
-		case opCoupling:
-			for k := lo; k < hi; k++ {
-				j := int(nodes[k])
-				old := e.CNbr[j]
-				e.couplingRange(j, j+1)
-				if e.CNbr[j] != old {
-					e.chg[j] = chgPr
-				}
-			}
-		case opLoads:
-			for k := lo; k < hi; k++ {
-				i := int(nodes[k])
-				oldB, oldPr := e.B[i], e.CPr[i]
-				e.loadsNode(i)
-				var f uint8
-				if e.B[i] != oldB {
-					f |= chgB
-				}
-				if e.CPr[i] != oldPr {
-					f |= chgPr
-				}
-				e.chg[i] = f
-			}
-		case opUpstream:
-			lambda, dst := e.walkLam, e.walkDst
-			for k := lo; k < hi; k++ {
-				i := int(nodes[k])
-				old := dst[i]
-				dst[i] = e.upstreamNode(i, lambda, dst)
-				if dst[i] != old {
-					e.chg[i] = 1
-				}
-			}
-		}
-	}
-}
-
-// Change flags recorded by the parallel bodies (own-index writes only) and
-// consumed by the coordinator's serial propagation phase.
-const (
-	chgB  uint8 = 1 << iota // stage load B changed (read by wire fan-ins)
-	chgPr                   // C′ or coupling sum changed (a Theorem-5 resize input)
-)
 
 // MarkDirty records that node i's size changed since the last evaluation,
 // so the next incremental pass re-evaluates its cones. SetSize, SetSizes,
@@ -340,7 +259,9 @@ func (e *Evaluator) RecomputeLoadsIncremental() (changed []int32, cone bool) {
 	g := e.g
 
 	// Electrical refresh of the changed nodes (independent bodies).
-	e.runWalk(opElectrical, dirty)
+	for _, d := range dirty {
+		e.electricalRange(int(d), int(d)+1)
+	}
 	e.stats.ElectricalNodes += int64(len(dirty))
 
 	// Coupling gather: CNbr of every neighbour of a changed node may move.
@@ -353,18 +274,17 @@ func (e *Evaluator) RecomputeLoadsIncremental() (changed []int32, cone bool) {
 				e.nbrSet.add(j)
 			}
 		}
-		if nbrs := e.nbrSet.list; len(nbrs) > 0 {
-			e.runWalk(opCoupling, nbrs)
-			e.stats.CouplingNodes += int64(len(nbrs))
-			for _, j := range nbrs {
-				if e.chg[j] != 0 {
-					e.chg[j] = 0
-					e.chgLoads = append(e.chgLoads, j)
-					e.frBack.push(g.Level(int(j)), j)
-				}
+		nbrs := e.nbrSet.list
+		for _, j := range nbrs {
+			old := e.CNbr[j]
+			e.couplingRange(int(j), int(j)+1)
+			if e.CNbr[j] != old {
+				e.chgLoads = append(e.chgLoads, j)
+				e.frBack.push(g.Level(int(j)), j)
 			}
-			e.nbrSet.reset()
 		}
+		e.stats.CouplingNodes += int64(len(nbrs))
+		e.nbrSet.reset()
 	}
 
 	// Seed the walk: a changed node re-derives its own loads (wire C
@@ -383,20 +303,17 @@ func (e *Evaluator) RecomputeLoadsIncremental() (changed []int32, cone bool) {
 	// re-reading minL each iteration picks up the growing frontier.
 	for l := e.frBack.maxL; l >= e.frBack.minL; l-- {
 		nodes := e.frBack.lvl[l]
-		if len(nodes) == 0 {
-			continue
-		}
-		e.runWalk(opLoads, nodes)
 		e.stats.LoadsNodes += int64(len(nodes))
 		for _, ii := range nodes {
 			i := int(ii)
 			e.frBack.inQ[i] = false
-			f := e.chg[i]
-			e.chg[i] = 0
-			if f&chgPr != 0 {
+			oldB, oldPr := e.B[i], e.CPr[i]
+			e.loadsNode(i)
+			if e.CPr[i] != oldPr {
 				e.chgLoads = append(e.chgLoads, ii)
 			}
-			if f&chgB != 0 && g.Comp(i).Kind == circuit.Wire {
+			// A changed B is read by the wire's fan-ins, one level lower.
+			if e.B[i] != oldB && g.Comp(i).Kind == circuit.Wire {
 				for _, p := range g.In(i) {
 					if p > 0 {
 						e.frBack.push(g.Level(int(p)), p)
@@ -460,17 +377,12 @@ func (e *Evaluator) UpstreamResistanceIncremental(lambda, dst []float64) (change
 	}
 	for l := e.frFwd.minL; l <= e.frFwd.maxL; l++ {
 		nodes := e.frFwd.lvl[l]
-		if len(nodes) == 0 {
-			continue
-		}
-		e.walkLam, e.walkDst = lambda, dst
-		e.runWalk(opUpstream, nodes)
 		e.stats.UpstreamNodes += int64(len(nodes))
 		for _, ii := range nodes {
 			i := int(ii)
 			e.frFwd.inQ[i] = false
-			if e.chg[i] != 0 {
-				e.chg[i] = 0
+			old := dst[i]
+			if dst[i] = e.upstreamNode(i, lambda, dst); dst[i] != old {
 				e.chgUp = append(e.chgUp, ii)
 				if g.Comp(i).Kind == circuit.Wire {
 					for _, o := range g.Out(i) {
@@ -485,6 +397,5 @@ func (e *Evaluator) UpstreamResistanceIncremental(lambda, dst []float64) (change
 	}
 	e.frFwd.reset()
 	e.dirtyUp.reset()
-	e.walkLam, e.walkDst = nil, nil // never retain caller slices
 	return e.chgUp, true
 }

@@ -22,7 +22,7 @@ func incrementalPair(t *testing.T, g *circuit.Graph, cs *coupling.Set, size floa
 	inc.SetAllSizes(size)
 	ref.SetAllSizes(size)
 	inc.Recompute()
-	ref.RecomputeSerial()
+	ref.Recompute()
 	return inc, ref
 }
 
@@ -119,7 +119,7 @@ func TestIncrementalEmptyDirtySet(t *testing.T) {
 	if chg, cone := inc.UpstreamResistanceIncremental(lambda, rup); !cone || len(chg) != 0 {
 		t.Fatalf("empty dirty set reported cone=%v with %d changed upstream entries", cone, len(chg))
 	}
-	ref.UpstreamResistanceSerial(lambda, rupRef)
+	ref.UpstreamResistance(lambda, rupRef)
 	for i := range rup {
 		if rup[i] != rupRef[i] {
 			t.Fatalf("node %d upstream %.17g != %.17g", i, rup[i], rupRef[i])
@@ -144,7 +144,7 @@ func TestIncrementalAllDirty(t *testing.T) {
 	inc.SetAllSizes(2.75)
 	ref.SetAllSizes(2.75)
 	inc.RecomputeIncremental()
-	ref.RecomputeSerial()
+	ref.Recompute()
 	requireBitEqual(t, inc, ref, "all dirty")
 }
 
@@ -174,10 +174,10 @@ func TestIncrementalSinkAndSourceAdjacent(t *testing.T) {
 			}
 			ref.X[i] = inc.X[i]
 			inc.RecomputeIncremental()
-			ref.RecomputeSerial()
+			ref.Recompute()
 			requireBitEqual(t, inc, ref, tc.name)
 			inc.UpstreamResistanceIncremental(lambda, rup)
-			ref.UpstreamResistanceSerial(lambda, rupRef)
+			ref.UpstreamResistance(lambda, rupRef)
 			for n := range rup {
 				if rup[n] != rupRef[n] {
 					t.Fatalf("%s: node %d upstream %.17g != %.17g", tc.name, n, rup[n], rupRef[n])
@@ -204,7 +204,7 @@ func TestIncrementalCouplingNeighbor(t *testing.T) {
 	if !cone {
 		t.Fatal("single-node mutation should walk a cone, not degrade to a full pass")
 	}
-	ref.RecomputeSerial()
+	ref.Recompute()
 	requireBitEqual(t, inc, ref, "coupling neighbour")
 	if inc.D[w3] == oldD {
 		t.Fatalf("neighbour delay did not move with the aggressor size")
@@ -239,7 +239,7 @@ func TestIncrementalFallsBackBeforeFullPass(t *testing.T) {
 	if chg, cone := inc.RecomputeIncremental(); cone || chg != nil {
 		t.Fatalf("fallback should report (nil, false), got (%v, %v)", chg, cone)
 	}
-	ref.RecomputeSerial()
+	ref.Recompute()
 	requireBitEqual(t, inc, ref, "fallback")
 	if st := inc.Stats(); st.FullRecomputes != 1 || st.IncRecomputes != 0 {
 		t.Errorf("fallback counted as %+v", st)
@@ -287,38 +287,6 @@ func TestSetSizeContract(t *testing.T) {
 	inc.RecomputeIncremental()
 	if visits := inc.Stats().NodeVisits() - before; visits != 0 {
 		t.Errorf("no-op SetAllSizes triggered %d body executions", visits)
-	}
-}
-
-// TestIncrementalUnderRunner re-runs a mutation batch with a hostile
-// chunked Runner installed: the dirty-frontier scheduling must stay
-// bit-identical to the serial full pass under any legal partition.
-func TestIncrementalUnderRunner(t *testing.T) {
-	g, cs, names := coupledChainPair(t)
-	for _, parts := range []int{1, 2, 5} {
-		inc, ref := incrementalPair(t, g, cs, 1)
-		inc.SetRunner(chunkedRunner(parts))
-		lambda := testLambda(g)
-		rup := make([]float64, g.NumNodes())
-		rupRef := make([]float64, g.NumNodes())
-		inc.UpstreamResistance(lambda, rup)
-		for step, node := range []string{"w1", "g1", "w2", "w3", "w1"} {
-			i := names[node]
-			if _, err := inc.SetSize(i, 0.5+float64(step)*0.9); err != nil {
-				t.Fatal(err)
-			}
-			ref.X[i] = inc.X[i]
-			inc.RecomputeIncremental()
-			ref.RecomputeSerial()
-			requireBitEqual(t, inc, ref, node)
-			inc.UpstreamResistanceIncremental(lambda, rup)
-			ref.UpstreamResistanceSerial(lambda, rupRef)
-			for n := range rup {
-				if rup[n] != rupRef[n] {
-					t.Fatalf("parts=%d step %d: node %d upstream diverged", parts, step, n)
-				}
-			}
-		}
 	}
 }
 

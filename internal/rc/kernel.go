@@ -47,7 +47,11 @@ type topo struct {
 	chat    []float64
 	ccst    []float64
 
-	// Interior level buckets (see Evaluator.lvlOff/lvlNodes).
+	// Interior level buckets in CSR form: nodes of topological level l
+	// occupy lvlNodes[lvlOff[l]:lvlOff[l+1]], ascending. No pass walks
+	// them; they stay only because Evaluator.MemoryBytes counts them and
+	// the golden fixtures pin that count, so they go with the next change
+	// to core.Numerics.
 	lvlOff   []int32
 	lvlNodes []int32
 }
@@ -147,7 +151,7 @@ func buildTopo(g *circuit.Graph, cs *coupling.Set) (*topo, error) {
 			fill[p.J]++
 		}
 	}
-	// Interior level buckets for the levelized topological passes.
+	// Interior level buckets (see topo.lvlOff).
 	nLvl := g.NumLevels()
 	t.lvlOff = make([]int32, nLvl+1)
 	for i := 1; i < nn-1; i++ {

@@ -8,47 +8,27 @@ import (
 	"repro/internal/coupling"
 )
 
-// Runner executes fn over disjoint contiguous subranges that exactly cover
-// [lo, hi) and returns only after every call has completed. It is the
-// evaluator's hook for data-parallel execution: a nil Runner (the default)
-// runs everything serially on the calling goroutine. Implementations may
-// run the subranges concurrently; the evaluator only hands a Runner loops
-// whose iterations are independent, so any partition yields bit-identical
-// results.
-type Runner func(lo, hi int, fn func(lo, hi int))
-
 // Evaluator holds preallocated state for repeated RC evaluation of one
 // circuit. Memory is linear in the circuit size; every pass is linear in
 // nodes plus edges (the paper's "linear runtime per iteration").
 type Evaluator struct {
-	g   *circuit.Graph
-	cs  *coupling.Set
-	run Runner
+	g  *circuit.Graph
+	cs *coupling.Set
 
 	// Shared topology and this evaluator's stripe set (kernel.go). The
-	// exported per-node arrays below alias st's slices; the CSR and level
-	// fields alias t's. NewEvaluator builds a topo of its own; a
-	// ScaledReplica shares the structural arrays of its base's.
+	// exported per-node arrays below alias st's slices; the CSR fields
+	// alias t's. NewEvaluator builds a topo of its own; a ScaledReplica
+	// shares the structural arrays of its base's.
 	t  *topo
 	st stripes
 
 	// Coupling gather index in CSR form: for node i, entries
 	// nbrOff[i]..nbrOff[i+1] list the coupled neighbour nodes (nbrIdx) and
-	// the weighted linear coefficients wᵢⱼ·ĉᵢⱼ (nbrW). Gathering per node
-	// instead of scattering per pair makes the CNbr fill race-free under a
-	// Runner while preserving the per-node accumulation order.
+	// the weighted linear coefficients wᵢⱼ·ĉᵢⱼ (nbrW), folded per node in
+	// the coupling set's pair order.
 	nbrOff []int32
 	nbrIdx []int32
 	nbrW   []float64
-
-	// Level buckets over the interior nodes (everything but source and
-	// sink), in CSR form: nodes of topological level l occupy
-	// lvlNodes[lvlOff[l]:lvlOff[l+1]], ascending. The levelized passes walk
-	// these buckets forward (arrivals, upstream resistances) or backward
-	// (stage loads), handing each bucket to the Runner as one parallel
-	// region.
-	lvlOff   []int32
-	lvlNodes []int32
 
 	// X is the size vector indexed by node (µm); entries for source,
 	// drivers and sink are ignored. Mutate via SetSize/SetSizes/
@@ -62,9 +42,9 @@ type Evaluator struct {
 	// arrival pass; the dirty sets log size changes for the two pass
 	// families (they consume independently — the loads refresh and
 	// UpstreamResistance run at different times on the same changes); the
-	// frontiers, change flags, and change logs are reusable walk scratch.
-	// All of it is excluded from MemoryBytes: the analytic footprint must
-	// be identical for every execution mode.
+	// frontiers and change logs are reusable walk scratch. All of it is
+	// excluded from MemoryBytes: the analytic footprint must be identical
+	// for full and incremental passes.
 	recValid bool
 	arrStale bool
 	dirtyRec dirtySet
@@ -72,19 +52,9 @@ type Evaluator struct {
 	nbrSet   dirtySet
 	frBack   *frontier
 	frFwd    *frontier
-	chg      []uint8
 	chgLoads []int32
 	chgUp    []int32
 	stats    EvalStats
-
-	// Persistent walk dispatch (see bindWalkBody): one closure for every
-	// frontier region, selected by walkOp over walkNodes, with the
-	// upstream pass's operands staged in walkLam/walkDst.
-	walkBody  func(lo, hi int)
-	walkOp    uint8
-	walkNodes []int32
-	walkLam   []float64
-	walkDst   []float64
 
 	// Per-node electrical state: D and A are valid after RecomputeArrivals
 	// (or Recompute), everything else after RecomputeLoads.
@@ -113,7 +83,7 @@ func NewEvaluator(g *circuit.Graph, cs *coupling.Set) (*Evaluator, error) {
 
 // newEvaluatorOn builds an evaluator over a prebuilt topology with a
 // fresh stripe set. The exported per-node arrays alias the stripes and
-// the CSR/level fields alias the topo, so every Evaluator method —
+// the CSR fields alias the topo, so every Evaluator method —
 // including the incremental engine and MemoryBytes — works identically
 // over a base or a scaled topology.
 func newEvaluatorOn(t *topo) *Evaluator {
@@ -138,9 +108,6 @@ func newEvaluatorOn(t *topo) *Evaluator {
 		nbrOff: t.nbrOff,
 		nbrIdx: t.nbrIdx,
 		nbrW:   t.nbrW,
-
-		lvlOff:   t.lvlOff,
-		lvlNodes: t.lvlNodes,
 	}
 	for i := 0; i < nn; i++ {
 		if c := g.Comp(i); c.Kind.Sizable() {
@@ -154,34 +121,14 @@ func newEvaluatorOn(t *topo) *Evaluator {
 	e.nbrSet.init(nn)
 	e.frBack = newFrontier(nLvl, nn)
 	e.frFwd = newFrontier(nLvl, nn)
-	e.chg = make([]uint8, nn)
-	e.bindWalkBody()
 	return e
 }
-
-// numLevels returns the number of interior level buckets.
-func (e *Evaluator) numLevels() int { return len(e.lvlOff) - 1 }
 
 // Graph returns the underlying circuit graph.
 func (e *Evaluator) Graph() *circuit.Graph { return e.g }
 
 // Couplings returns the coupling set.
 func (e *Evaluator) Couplings() *coupling.Set { return e.cs }
-
-// SetRunner installs (or, with nil, removes) the executor used for the
-// evaluator's data-parallel passes. Callers own the Runner's lifetime; the
-// evaluator never retains work past a Recompute call.
-func (e *Evaluator) SetRunner(r Runner) { e.run = r }
-
-// par runs fn over [lo, hi) through the installed Runner, or inline when
-// none is set.
-func (e *Evaluator) par(lo, hi int, fn func(lo, hi int)) {
-	if e.run == nil {
-		fn(lo, hi)
-		return
-	}
-	e.run(lo, hi, fn)
-}
 
 // NbrEntries returns the coupling gather lists for node i: the coupled
 // neighbour node ids and the matching weighted linear coefficients
@@ -255,9 +202,8 @@ func (e *Evaluator) couplingRange(lo, hi int) { e.t.kCoupling(&e.st, lo, hi) }
 
 // loadsNode computes the stage load B and the delay loads C/C′ of node i
 // from its fan-out. Every read (Cap of any fan-out, B of wire fan-outs) is
-// of a node on a strictly higher level, so nodes sharing a level can run
-// concurrently; the accumulation folds in fan-out list order, identical for
-// every schedule.
+// of a node on a strictly higher level; the accumulation folds in fan-out
+// list order, identical for the full pass and the cone walk.
 func (e *Evaluator) loadsNode(i int) { e.t.kLoads(&e.st, i) }
 
 // arrivalNode computes node i's Elmore delay and arrival time. Reads only
@@ -265,17 +211,11 @@ func (e *Evaluator) loadsNode(i int) { e.t.kLoads(&e.st, i) }
 func (e *Evaluator) arrivalNode(i int) { e.t.kArrival(&e.st, i) }
 
 // finishSink defines the sink's arrival as the max over its feeders (0 when
-// the sink has no feeders, e.g. on BuildLoose graphs) — the max-fold is
-// exact under any grouping, so every schedule agrees bit for bit.
+// the sink has no feeders, e.g. on BuildLoose graphs).
 func (e *Evaluator) finishSink() { e.t.kFinishSink(&e.st) }
 
 // Recompute refreshes every derived quantity for the current sizes:
-// RecomputeLoads, then RecomputeArrivals. Without a Runner both halves run
-// the plain index-order reference loops (RecomputeSerial); with one, each
-// topological pass runs level by level — each depth bucket is a parallel
-// region whose nodes are mutually independent, with a barrier between
-// consecutive levels. Both paths execute identical per-node bodies and are
-// bit-identical.
+// RecomputeLoads, then RecomputeArrivals, each a plain index-order loop.
 func (e *Evaluator) Recompute() {
 	e.RecomputeLoads()
 	e.RecomputeArrivals()
@@ -284,31 +224,17 @@ func (e *Evaluator) Recompute() {
 // RecomputeLoads refreshes everything the Theorem-5 resize and the
 // upstream pass read: capacitances and resistances (a flat range), the
 // coupling sums (a flat range), and the stage loads B and delay loads C/C′
-// (reverse topological pass). Delays and arrivals keep their old values
-// until RecomputeArrivals.
+// (reverse index order, which is reverse topological). Delays and arrivals
+// keep their old values until RecomputeArrivals.
 func (e *Evaluator) RecomputeLoads() {
 	nn := e.g.NumNodes()
 	coupled := e.cs.Len() > 0
-	if e.run == nil {
-		e.electricalRange(1, nn-1)
-		if coupled {
-			e.couplingRange(0, nn)
-		}
-		for i := nn - 2; i >= 1; i-- {
-			e.loadsNode(i)
-		}
-	} else {
-		e.par(1, nn-1, e.electricalRange)
-		if coupled {
-			e.par(0, nn, e.couplingRange)
-		}
-		for l := e.numLevels() - 1; l >= 0; l-- {
-			e.par(int(e.lvlOff[l]), int(e.lvlOff[l+1]), func(lo, hi int) {
-				for k := lo; k < hi; k++ {
-					e.loadsNode(int(e.lvlNodes[k]))
-				}
-			})
-		}
+	e.electricalRange(1, nn-1)
+	if coupled {
+		e.couplingRange(0, nn)
+	}
+	for i := nn - 2; i >= 1; i-- {
+		e.loadsNode(i)
 	}
 	// The loads now reflect the current sizes exactly: pending size
 	// changes are consumed, incremental passes become valid, and the
@@ -324,39 +250,17 @@ func (e *Evaluator) RecomputeLoads() {
 }
 
 // RecomputeArrivals refreshes the node delays D, the arrival times A and
-// the sink's arrival (forward topological pass) from the resistances and
-// delay loads the last loads refresh left.
+// the sink's arrival (index order, which is topological) from the
+// resistances and delay loads the last loads refresh left.
 func (e *Evaluator) RecomputeArrivals() {
 	nn := e.g.NumNodes()
 	e.A[0] = 0
-	if e.run == nil {
-		for i := 1; i < nn-1; i++ {
-			e.arrivalNode(i)
-		}
-	} else {
-		for l := 0; l < e.numLevels(); l++ {
-			e.par(int(e.lvlOff[l]), int(e.lvlOff[l+1]), func(lo, hi int) {
-				for k := lo; k < hi; k++ {
-					e.arrivalNode(int(e.lvlNodes[k]))
-				}
-			})
-		}
+	for i := 1; i < nn-1; i++ {
+		e.arrivalNode(i)
 	}
 	e.finishSink()
 	e.stats.ArrivalNodes += int64(nn - 2)
 	e.arrStale = false
-}
-
-// RecomputeSerial is the single-threaded reference implementation of
-// Recompute: plain index-order topological loops with no level scheduling,
-// whatever Runner is installed. The golden, property, and fuzz suites
-// cross-check the levelized schedule against it to exact (bitwise)
-// equality.
-func (e *Evaluator) RecomputeSerial() {
-	run := e.run
-	e.run = nil
-	e.Recompute()
-	e.run = run
 }
 
 // MaxArrival returns the circuit delay: the largest arrival time among
@@ -445,8 +349,8 @@ func (e *Evaluator) NoiseExact() float64 { return e.cs.TotalExact(e.X) }
 
 // upstreamNode folds node i's weighted upstream resistance from its
 // fan-ins. Reads dst only for wire fan-ins, which sit on strictly lower
-// levels, so nodes sharing a level are independent; the fold runs in fan-in
-// list order, identical for every schedule.
+// levels; the fold runs in fan-in list order, identical for the full pass
+// and the cone walk.
 func (e *Evaluator) upstreamNode(i int, lambda, dst []float64) float64 {
 	return e.t.kUpstream(&e.st, i, lambda, dst)
 }
@@ -455,47 +359,16 @@ func (e *Evaluator) upstreamNode(i int, lambda, dst []float64) float64 {
 // resistance Rᵢ = Σ_{k∈upstream(i)} λₖ·rₖ (in ps/fF, multipliers included),
 // where λ is the per-node merged multiplier vector and upstream is the
 // stage-local set (walks back through wires to the driving gate or driver,
-// inclusive). Runs in one forward topological pass — level by level through
-// the installed Runner, or as the plain index-order reference loop
-// (UpstreamResistanceSerial) without one; both are bit-identical. Gates
-// accumulate the contributions of all their fan-in stages.
+// inclusive). Runs in one forward pass in index order, which is
+// topological. Gates accumulate the contributions of all their fan-in
+// stages. It charges one full upstream pass to the work counters and
+// consumes the pending size changes: dst now reflects the current sizes,
+// so a following incremental call starts from a clean slate.
 func (e *Evaluator) UpstreamResistance(lambda []float64, dst []float64) {
-	if e.run == nil {
-		e.UpstreamResistanceSerial(lambda, dst)
-		return
-	}
 	nn := e.g.NumNodes()
-	e.countFullUpstream()
-	e.par(0, nn, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dst[i] = 0
-		}
-	})
-	for l := 0; l < e.numLevels(); l++ {
-		e.par(int(e.lvlOff[l]), int(e.lvlOff[l+1]), func(lo, hi int) {
-			for k := lo; k < hi; k++ {
-				i := int(e.lvlNodes[k])
-				dst[i] = e.upstreamNode(i, lambda, dst)
-			}
-		})
-	}
-}
-
-// countFullUpstream charges one full upstream pass to the work counters
-// and consumes the pending size changes: dst now reflects the current
-// sizes, so a following incremental call starts from a clean slate.
-func (e *Evaluator) countFullUpstream() {
 	e.stats.FullUpstreams++
-	e.stats.UpstreamNodes += int64(e.g.NumNodes()) - 2
+	e.stats.UpstreamNodes += int64(nn) - 2
 	e.dirtyUp.reset()
-}
-
-// UpstreamResistanceSerial is the single-threaded reference implementation
-// of UpstreamResistance, kept as the cross-check oracle for the levelized
-// schedule (see RecomputeSerial).
-func (e *Evaluator) UpstreamResistanceSerial(lambda []float64, dst []float64) {
-	nn := e.g.NumNodes()
-	e.countFullUpstream()
 	for i := 0; i < nn; i++ {
 		dst[i] = 0
 	}
@@ -506,9 +379,9 @@ func (e *Evaluator) UpstreamResistanceSerial(lambda []float64, dst []float64) {
 
 // MemoryBytes returns the analytic footprint of the evaluator's arrays for
 // the Figure-10 storage accounting. The dirty-cone scratch (dirty sets,
-// frontiers, change flags) is deliberately excluded: the analytic
+// frontiers, change logs) is deliberately excluded: the analytic
 // footprint must be identical whether a solve runs full or incremental
-// passes, exactly as the solver excludes its per-worker scratch.
+// passes, exactly as the solver excludes its active-set scratch.
 func (e *Evaluator) MemoryBytes() int {
 	n := len(e.X)
 	arrays := 9
@@ -516,5 +389,5 @@ func (e *Evaluator) MemoryBytes() int {
 		arrays += 3
 	}
 	return arrays*n*8 + len(e.nbrOff)*4 + len(e.nbrIdx)*4 + len(e.nbrW)*8 +
-		(len(e.lvlOff)+len(e.lvlNodes))*4
+		(len(e.t.lvlOff)+len(e.t.lvlNodes))*4
 }

@@ -411,110 +411,9 @@ func TestRecomputeMatchesDownstreamDefinition(t *testing.T) {
 	}
 }
 
-// chunkedRunner is a synchronous Runner that splits every region into
-// parts uneven chunks and executes them in reverse order — a legal schedule
-// under the Runner contract (disjoint cover, completion before return) that
-// deliberately differs from both the serial loop and the pool's ascending
-// shards, so any hidden intra-level dependency breaks equality tests.
-func chunkedRunner(parts int) Runner {
-	return func(lo, hi int, fn func(lo, hi int)) {
-		n := hi - lo
-		if n <= 0 {
-			return
-		}
-		p := parts
-		if p > n {
-			p = n
-		}
-		for s := p - 1; s >= 0; s-- {
-			fn(lo+s*n/p, lo+(s+1)*n/p)
-		}
-	}
-}
-
-// snapshot captures every derived array of the evaluator after a pass.
-func snapshot(e *Evaluator) map[string][]float64 {
-	m := map[string][]float64{
-		"Cap": e.Cap, "RPs": e.RPs, "B": e.B, "C": e.C, "CPr": e.CPr,
-		"D": e.D, "A": e.A,
-	}
-	if e.CNbr != nil {
-		m["CNbr"] = e.CNbr
-	}
-	out := make(map[string][]float64, len(m))
-	for k, v := range m {
-		out[k] = append([]float64(nil), v...)
-	}
-	return out
-}
-
-// requireLevelizedMatchesSerial runs Recompute and UpstreamResistance on
-// the graph both serially and under adversarially chunked levelized
-// schedules and demands exact (bitwise) equality of every derived array.
-func requireLevelizedMatchesSerial(t *testing.T, g *circuit.Graph, cs *coupling.Set, size float64) {
-	t.Helper()
-	ref, err := NewEvaluator(g, cs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref.SetAllSizes(size)
-	ref.RecomputeSerial()
-	lambda := make([]float64, g.NumNodes())
-	for i := range lambda {
-		lambda[i] = 0.5 + float64(i%7)*0.3
-	}
-	refR := make([]float64, g.NumNodes())
-	ref.UpstreamResistanceSerial(lambda, refR)
-	want := snapshot(ref)
-
-	for _, parts := range []int{1, 2, 3, 7} {
-		lv, err := NewEvaluator(g, cs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lv.SetRunner(chunkedRunner(parts))
-		lv.SetAllSizes(size)
-		lv.Recompute()
-		got := snapshot(lv)
-		for name, w := range want {
-			for i := range w {
-				if got[name][i] != w[i] {
-					t.Fatalf("parts=%d: %s[%d] = %.17g, serial reference %.17g",
-						parts, name, i, got[name][i], w[i])
-				}
-			}
-		}
-		lvR := make([]float64, g.NumNodes())
-		lv.UpstreamResistance(lambda, lvR)
-		for i := range refR {
-			if lvR[i] != refR[i] {
-				t.Fatalf("parts=%d: R[%d] = %.17g, serial reference %.17g", parts, i, lvR[i], refR[i])
-			}
-		}
-	}
-}
-
-// TestLevelizedMatchesSerialFixtures cross-checks the levelized schedule on
-// the package's hand-built fixtures, coupled and uncoupled.
-func TestLevelizedMatchesSerialFixtures(t *testing.T) {
-	chainG, _ := chain(t)
-	requireLevelizedMatchesSerial(t, chainG, emptySet(t), 1)
-	pairG, _, pairCS := coupledPair(t, 1.5)
-	requireLevelizedMatchesSerial(t, pairG, pairCS, 0.7)
-}
-
-// TestLevelizedMatchesSerialRandom cross-checks the levelized schedule on
-// random multi-stage DAGs across a range of sizes.
-func TestLevelizedMatchesSerialRandom(t *testing.T) {
-	for seed := int64(0); seed < 25; seed++ {
-		g := randomDAG(t, seed)
-		requireLevelizedMatchesSerial(t, g, emptySet(t), 0.3+float64(seed%9)*0.4)
-	}
-}
-
-// TestLevelBucketsAreTopological asserts the evaluator's schedule premise
-// on random DAGs: levels strictly increase along every edge, and the
-// graph's buckets partition the nodes in ascending order.
+// TestLevelBucketsAreTopological asserts the cone walks' premise on
+// random DAGs: levels strictly increase along every edge, and the graph's
+// buckets partition the nodes in ascending order.
 func TestLevelBucketsAreTopological(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		g := randomDAG(t, seed)
@@ -579,7 +478,6 @@ func TestDriverOnlyCircuit(t *testing.T) {
 	if a := e.Area(); a != 0 {
 		t.Errorf("Area = %g, want 0 (nothing sizable)", a)
 	}
-	requireLevelizedMatchesSerial(t, g, emptySet(t), 1)
 }
 
 // TestSinkFeederOnlyNet covers a net that feeds the sink directly from its
@@ -618,7 +516,6 @@ func TestSinkFeederOnlyNet(t *testing.T) {
 	if math.Abs(r[wi]-2*50*1e-3) > 1e-15 {
 		t.Errorf("R(w) = %g, want 0.1 (λ_D·R_D·RC)", r[wi])
 	}
-	requireLevelizedMatchesSerial(t, g, emptySet(t), 2)
 }
 
 // TestZeroCouplingSet pins the uncoupled degenerate case: nil neighbour
@@ -715,7 +612,6 @@ func TestCriticalPathNoSinkFeeders(t *testing.T) {
 	if cp := e.AppendCriticalPath(nil); cp != nil {
 		t.Errorf("AppendCriticalPath(nil) = %v, want nil", cp)
 	}
-	requireLevelizedMatchesSerial(t, g, emptySet(t), 1)
 }
 
 // TestSetAllSizesNonFinite pins the clamp semantics for non-finite inputs:

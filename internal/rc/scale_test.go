@@ -63,8 +63,8 @@ func TestScaledReplicaNominalIsExact(t *testing.T) {
 	}
 	base.SetAllSizes(0.8)
 	nom.SetAllSizes(0.8)
-	base.RecomputeSerial()
-	nom.RecomputeSerial()
+	base.Recompute()
+	nom.Recompute()
 	for i := 0; i < g.NumNodes(); i++ {
 		if nom.A[i] != base.A[i] || nom.C[i] != base.C[i] || nom.D[i] != base.D[i] {
 			t.Fatalf("node %d: nominal replica diverged from base", i)
@@ -130,12 +130,10 @@ func buildChain(t *testing.T) *circuit.Graph {
 // FuzzVariation is the technology-perturbation adversary: for every DAG
 // the bytes describe it draws K random perturbation scalar triples
 // (nominal included) and sizes, and demands that each scaled replica's
-// levelized Recompute and UpstreamResistance, under deliberately hostile
-// Runner chunkings, equal bitwise the serial passes of a twin replica
-// derived separately from the same Perturb and sizes. That is the
-// foundation of every corner, Monte-Carlo sample and robust trial
-// scoring: a perturbed evaluator is a pure function of (circuit, Perturb,
-// sizes), whatever its schedule.
+// Recompute and UpstreamResistance equal bitwise the passes of a twin
+// replica derived separately from the same Perturb and sizes. That is the
+// foundation of every corner and Monte-Carlo sample: a perturbed
+// evaluator is a pure function of (circuit, Perturb, sizes).
 func FuzzVariation(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 121, 98})
@@ -177,36 +175,31 @@ func FuzzVariation(f *testing.F) {
 			for i := range lambda {
 				lambda[i] = float64((i*3+r*7+len(data))%13) / 5
 			}
-			twin.RecomputeSerial()
+			twin.Recompute()
 			ref := make([]float64, nn)
-			twin.UpstreamResistanceSerial(lambda, ref)
+			twin.UpstreamResistance(lambda, ref)
 
-			for _, parts := range []int{1, 3, 5} {
-				e, err := base.ScaledReplica(p)
-				if err != nil {
-					t.Fatal(err)
+			e, err := base.ScaledReplica(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			copy(e.X, twin.X)
+			e.Recompute()
+			dst := make([]float64, nn)
+			e.UpstreamResistance(lambda, dst)
+			for i := 0; i < nn; i++ {
+				if e.B[i] != twin.B[i] || e.C[i] != twin.C[i] || e.CPr[i] != twin.CPr[i] ||
+					e.D[i] != twin.D[i] || e.A[i] != twin.A[i] ||
+					e.Cap[i] != twin.Cap[i] || e.RPs[i] != twin.RPs[i] {
+					t.Fatalf("replica %d (p=%+v) node %d: (B=%.17g C=%.17g D=%.17g A=%.17g) != twin (B=%.17g C=%.17g D=%.17g A=%.17g)",
+						r, p, i, e.B[i], e.C[i], e.D[i], e.A[i],
+						twin.B[i], twin.C[i], twin.D[i], twin.A[i])
 				}
-				copy(e.X, twin.X)
-				e.SetRunner(chunkedRunner(parts))
-				e.Recompute()
-				dst := make([]float64, nn)
-				e.UpstreamResistance(lambda, dst)
-				for i := 0; i < nn; i++ {
-					if e.B[i] != twin.B[i] || e.C[i] != twin.C[i] || e.CPr[i] != twin.CPr[i] ||
-						e.D[i] != twin.D[i] || e.A[i] != twin.A[i] ||
-						e.Cap[i] != twin.Cap[i] || e.RPs[i] != twin.RPs[i] {
-						t.Fatalf("parts=%d replica %d (p=%+v) node %d: levelized (B=%.17g C=%.17g D=%.17g A=%.17g) != serial twin (B=%.17g C=%.17g D=%.17g A=%.17g)",
-							parts, r, p, i, e.B[i], e.C[i], e.D[i], e.A[i],
-							twin.B[i], twin.C[i], twin.D[i], twin.A[i])
-					}
-					if e.CNbr != nil && e.CNbr[i] != twin.CNbr[i] {
-						t.Fatalf("parts=%d replica %d node %d: CNbr %.17g != %.17g",
-							parts, r, i, e.CNbr[i], twin.CNbr[i])
-					}
-					if dst[i] != ref[i] {
-						t.Fatalf("parts=%d replica %d node %d: levelized R=%.17g != serial twin R=%.17g",
-							parts, r, i, dst[i], ref[i])
-					}
+				if e.CNbr != nil && e.CNbr[i] != twin.CNbr[i] {
+					t.Fatalf("replica %d node %d: CNbr %.17g != %.17g", r, i, e.CNbr[i], twin.CNbr[i])
+				}
+				if dst[i] != ref[i] {
+					t.Fatalf("replica %d node %d: R=%.17g != twin R=%.17g", r, i, dst[i], ref[i])
 				}
 			}
 		}

@@ -15,8 +15,7 @@ import (
 )
 
 // TestConcurrentSolvesAndSweeps drives a real HTTP server with concurrent
-// solves and sweeps on two cached circuits at mixed workers widths: every
-// request must succeed and every solve of one circuit must return the
+// solves and sweeps on two cached circuits: every request must succeed and every solve of one circuit must return the
 // bit-identical result regardless of interleaving — the per-instance lock
 // and the replica-per-request discipline observed from outside.
 func TestConcurrentSolvesAndSweeps(t *testing.T) {
@@ -45,14 +44,14 @@ func TestConcurrentSolvesAndSweeps(t *testing.T) {
 	results := make([]outcome, 2*perKey)
 	var wg sync.WaitGroup
 	for i := 0; i < 2*perKey; i++ {
-		key, workers := key17, 1+i%3
+		key := key17
 		if i >= perKey {
 			key = key18
 		}
 		wg.Add(1)
-		go func(slot int, key string, workers int) {
+		go func(slot int, key string) {
 			defer wg.Done()
-			body := fmt.Sprintf(`{"key":%q,"max_iterations":6,"workers":%d}`, key, workers)
+			body := fmt.Sprintf(`{"key":%q,"max_iterations":6}`, key)
 			data, code, err := post("/solve", body)
 			if err != nil {
 				results[slot] = outcome{err: err}
@@ -68,7 +67,7 @@ func TestConcurrentSolvesAndSweeps(t *testing.T) {
 				return
 			}
 			results[slot] = outcome{res: sr.Result}
-		}(i, key, workers)
+		}(i, key)
 	}
 	// Sweeps race the solves on both circuits.
 	sweepErrs := make([]error, 2)

@@ -2,8 +2,8 @@
 // HTTP/JSON front end over the solver stack that amortizes instance
 // construction across requests.
 //
-// The expensive part of a sizing request is not the solve — PRs 1–4 made
-// solves parallel, incremental, and warm-startable — but the front end
+// The expensive part of a sizing request is not the solve — solves are
+// incremental and warm-startable — but the front end
 // that turns a netlist into a solvable instance (logic simulation, wire
 // ordering, coupling extraction). The service pays it once per circuit:
 // POST /circuits elaborates a netlist (uploaded .bench text or a built-in
@@ -44,10 +44,8 @@
 //
 // Concurrency is two-level, mirroring the sweep engine. Requests fan out
 // on the HTTP server's goroutines, bounded by a server-wide solve
-// semaphore (Options.MaxConcurrentSolves); each solve's inner loops shard
-// onto the solver's worker pool at the width the request asks for (workers;
-// unset means 1, negative all cores, and more than GOMAXPROCS is clamped
-// to it). A per-instance mutex serializes solves and sweeps on one
+// semaphore (Options.MaxConcurrentSolves); every solve itself runs
+// serially. A per-instance mutex serializes solves and sweeps on one
 // circuit: solves run on evaluator replicas (bench.Instance.Replica) so
 // the shared instance is never mutated, but serializing keeps per-circuit
 // memory at one replica and makes warm-start chains (solve, save, solve
@@ -62,7 +60,8 @@
 // The service adds no numerics, so it inherits the repo-wide contract:
 // for a given registered circuit and request parameters, the returned
 // result is bit-identical to the equivalent offline core.Solver.Run /
-// sweep.Run at every workers width and every concurrency interleaving.
+// sweep.Run at every sweep_workers width and every concurrency
+// interleaving.
 // The golden e2e tests pin POST /solve responses to the committed golden
 // fixtures bitwise, and the CI smoke re-checks it over a real TCP
 // connection (see TESTING.md, "The service oracle").

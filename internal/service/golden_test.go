@@ -71,13 +71,10 @@ func solveOK(t testing.TB, s *Server, body string) solveResponse {
 func TestSolveMatchesOfflineC17(t *testing.T) {
 	inst := offlineC17(t)
 	b := bench.DeriveBounds(inst)
-	opt := core.DefaultOptions(b.A0, b.NoiseBound, b.PowerBound)
-	opt.Workers = 1
-	sol, err := core.NewSolver(inst.Eval, opt)
+	sol, err := core.NewSolver(inst.Eval, core.DefaultOptions(b.A0, b.NoiseBound, b.PowerBound))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sol.Close()
 	offline, err := sol.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -178,7 +175,7 @@ func TestSweepMatchesOffline(t *testing.T) {
 	b := bench.DeriveBounds(inst)
 	offline, err := sweep.Run(inst, sweep.Options{
 		DelayScale: []float64{1, 1.06}, NoiseScale: []float64{0.9, 1, 1.2},
-		Bounds: &b, MaxIterations: 6, Workers: 1, SweepWorkers: 2,
+		Bounds: &b, MaxIterations: 6, SweepWorkers: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -256,6 +253,9 @@ func TestSweepErrors(t *testing.T) {
 		{"retired full", fmt.Sprintf(`{"key":%q,"full":true}`, key),
 			http.StatusBadRequest, "unknown field"},
 		{"retired full corners", fmt.Sprintf(`{"key":%q,"corners":true,"full":true}`, key),
+			http.StatusBadRequest, "unknown field"},
+		// So is the retired per-solve width: every solve runs serially.
+		{"retired workers", fmt.Sprintf(`{"key":%q,"workers":2}`, key),
 			http.StatusBadRequest, "unknown field"},
 	}
 	for _, c := range cases {

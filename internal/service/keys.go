@@ -18,9 +18,9 @@ import (
 // bits, so a stored run answers a repeat byte-for-byte without solving.
 // That includes the solver's arithmetic itself, core.Numerics: a build
 // whose numerics differ keys every run afresh, so a store written by an
-// earlier build never answers it with the old bits. Workers is
-// deliberately excluded from every key — results are bit-identical at
-// every width, which is the solver's core determinism contract — so the
+// earlier build never answers it with the old bits. Scheduling widths
+// (sweep_workers) are excluded from every key — results are bit-identical
+// at every width, which is the stack's core determinism contract — so the
 // same run at a different width dedups. The layout of each key is frozen
 // within one numerics (TestDedupKeysPinned).
 

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"math"
 	"net/http"
-	"runtime"
 
 	"repro/internal/bench"
 	"repro/internal/core"
@@ -31,25 +30,10 @@ type target struct {
 	A0    float64 `json:"a0,omitempty"`
 	Noise float64 `json:"noise,omitempty"`
 	Power float64 `json:"power,omitempty"`
-	// Solver knobs; 0 keeps the core.DefaultOptions value. Workers is each
-	// solve's goroutine width: 0 = 1 (the request level owns the cores,
-	// like the sweep engine's default split); negative = all cores for a
-	// solve or a sweep cell, and 1 for a Monte-Carlo sample or a corner,
-	// whose solves fan out over the cores themselves (see
-	// variation.MCOptions.Workers); a width above runtime.GOMAXPROCS(0) is
-	// clamped to it. Results are bit-identical at every width.
+	// Solver knobs; 0 keeps the core.DefaultOptions value. Every solve
+	// runs serially; the cores go to the solves a request runs at once.
 	MaxIterations int     `json:"max_iterations,omitempty"`
 	Epsilon       float64 `json:"epsilon,omitempty"`
-	Workers       int     `json:"workers,omitempty"`
-}
-
-// width is the target's per-solve goroutine width: an unset workers is
-// 1, and no request starts more pool goroutines than there are cores.
-func (t *target) width() int {
-	if t.Workers == 0 {
-		return 1
-	}
-	return min(t.Workers, runtime.GOMAXPROCS(0))
 }
 
 // overSolveCap reports whether a request asking for n solves (Monte-Carlo

@@ -13,8 +13,7 @@ import (
 // shares: a run the solver rejects (a negative delay bound) answers 422,
 // and its circuit's watch log holds exactly its *_start event and then
 // an error event under the same solve number — never a start left
-// dangling. It also pins the width an unset workers field means, and
-// that a width above the cores is clamped to runtime.GOMAXPROCS(0).
+// dangling.
 func TestRunLifecycleOnWatch(t *testing.T) {
 	s := New(Options{})
 	key := registerC17(t, s, 17).Key
@@ -53,23 +52,6 @@ func TestRunLifecycleOnWatch(t *testing.T) {
 				t.Fatalf("solve numbers %v, want one nonzero number for the start and its error", ids)
 			}
 		})
-	}
-
-	for _, c := range []struct {
-		workers string
-		want    int
-	}{
-		{"", 1},
-		{`,"workers":-1`, runtime.GOMAXPROCS(0)},
-		{fmt.Sprintf(`,"workers":%d`, max(64, runtime.GOMAXPROCS(0)+1)), runtime.GOMAXPROCS(0)},
-	} {
-		w := do(t, s, "POST", "/solve", fmt.Sprintf(`{"key":%q,"max_iterations":2%s}`, key, c.workers))
-		if w.Code != http.StatusOK {
-			t.Fatalf("solve%s: %d %s", c.workers, w.Code, w.Body.String())
-		}
-		if got := decodeAs[solveResponse](t, w).Workers; got != c.want {
-			t.Errorf("solve%s reports %d workers, want %d", c.workers, got, c.want)
-		}
 	}
 }
 

@@ -351,7 +351,7 @@ func (s *Server) handleListCircuits(w http.ResponseWriter, r *http.Request) {
 }
 
 // solveRequest runs one OGWS solve against a cached instance (the
-// target's bounds, budget and width).
+// target's bounds and budget).
 //
 // Warm starts: warm_from names a result previously stored with save_as on
 // the same instance and seeds both halves of the solve — the sizes
@@ -388,7 +388,6 @@ type solveResponse struct {
 	Circuit  string  `json:"circuit"`
 	WarmFrom string  `json:"warm_from,omitempty"`
 	SavedAs  string  `json:"saved_as,omitempty"`
-	Workers  int     `json:"workers"`
 	SolveSec float64 `json:"solve_sec"`
 	// Dedup marks a response answered from the durable store without
 	// running the solver; Result is byte-for-byte the original run's.
@@ -472,7 +471,6 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		Epsilon:       req.Epsilon,
 		Cells:         []bench.Cell{{Bounds: bounds}},
 	}}, bench.Schedule{
-		Workers:     req.width(),
 		Concurrent:  1,
 		OnIteration: func(_ int, p core.IterProgress) { rn.emit(progressEvent{Kind: "iter", Iter: &p}) },
 		Cancel:      rn.cancelled,
@@ -482,7 +480,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sv := solved[0]
-	resp.Workers, resp.SolveSec, resp.Result = sv.Workers, sv.SolveSec, sv.Result
+	resp.SolveSec, resp.Result = sv.SolveSec, sv.Result
 	ev := done(sv.Result)
 	ev.SolveSec = sv.SolveSec
 	rn.finish(resp, ev, func() {

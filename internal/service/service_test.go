@@ -147,6 +147,9 @@ func TestSolveErrors(t *testing.T) {
 		// The retired full-pass option is now an unknown field.
 		{"retired full", fmt.Sprintf(`{"key":%q,"full":true}`, key),
 			http.StatusBadRequest, "unknown field"},
+		// So is the retired per-solve width: every solve runs serially.
+		{"retired workers", fmt.Sprintf(`{"key":%q,"workers":2}`, key),
+			http.StatusBadRequest, "unknown field"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -16,8 +16,8 @@ import (
 // derived A0 (ps) per row, noise_scale scales the variable part of the
 // derived X_B (fF) per column; an empty axis defaults to {1}. The target's
 // a0/noise/power overrides replace the derived base bounds first (same
-// semantics as a solve request), and its workers is the per-cell solver
-// width. With stream set, the response is NDJSON: one sweep.Cell object
+// semantics as a solve request). With stream set, the response is NDJSON:
+// one sweep.Cell object
 // per line as each cell's solve completes (a warm sweep streams each row
 // in column order, rows interleaved; a cold one run here, in row-major
 // order), then a final summary line with the Pareto frontier — results
@@ -102,7 +102,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		Bounds:        &bounds,
 		MaxIterations: req.MaxIterations,
 		Epsilon:       req.Epsilon,
-		Workers:       req.width(),
 		SweepWorkers:  min(req.SweepWorkers, runtime.GOMAXPROCS(0)),
 		Cold:          req.Cold,
 		PrimalOnly:    req.PrimalOnly,

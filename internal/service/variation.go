@@ -48,11 +48,10 @@ type storedCorners struct {
 // instance: samples perturbed replicas drawn from the seeded sampler,
 // each solved to completion, reported with delay/area/noise
 // distributions and the delay-constraint yield. The target's a0/noise/
-// power overrides resolve the base bounds exactly as a solve request, and
-// its workers is each sample solve's width (the samples fan out
-// GOMAXPROCS ÷ width at a time, so the run owns the cores); sigmas are
-// the lognormal spreads of the R/C/threshold perturbations. Same seed →
-// byte-identical response, locally or distributed.
+// power overrides resolve the base bounds exactly as a solve request (the
+// samples fan out GOMAXPROCS at a time, so the run owns the cores); sigmas
+// are the lognormal spreads of the R/C/threshold perturbations. Same seed
+// → byte-identical response, locally or distributed.
 type montecarloRequest struct {
 	target
 	// Samples is the number of perturbed replicas (required, positive);
@@ -135,7 +134,6 @@ func (s *Server) handleMonteCarlo(w http.ResponseWriter, r *http.Request) {
 		Bounds:        &bounds,
 		MaxIterations: req.MaxIterations,
 		Epsilon:       req.Epsilon,
-		Workers:       req.width(),
 		Cancel:        rn.cancelled,
 		OnSample:      onSample,
 	}
@@ -201,7 +199,6 @@ func (s *Server) handleCorners(w http.ResponseWriter, r *http.Request, req *swee
 		Bounds:        &bounds,
 		MaxIterations: req.MaxIterations,
 		Epsilon:       req.Epsilon,
-		Workers:       req.width(),
 		Cold:          req.Cold,
 		PrimalOnly:    req.PrimalOnly,
 		ColdLRS:       req.S1,

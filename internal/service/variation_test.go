@@ -27,6 +27,8 @@ func TestMonteCarloErrors(t *testing.T) {
 		{"nan sigma", `{"key":"` + key + `","samples":3,"sigmas":{"c":NaN}}`, http.StatusBadRequest, "bad montecarlo request"},
 		// The solo schedule is no longer a request field.
 		{"retired solo", `{"key":"` + key + `","samples":3,"solo":true}`, http.StatusBadRequest, "unknown field"},
+		// So is the per-solve width: every sample solves serially.
+		{"retired workers", `{"key":"` + key + `","samples":3,"workers":2}`, http.StatusBadRequest, "unknown field"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

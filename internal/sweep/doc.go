@@ -21,8 +21,8 @@
 // (i−1,0) and cell (i,j) from (i,j−1) — so the seeding chain of every
 // cell is fixed in advance: results never depend on completion order or
 // on how many rows solve concurrently, and the whole grid is
-// bit-reproducible at every SweepWorkers and per-cell Workers width (the
-// golden sweep fixture enforces this). The engine only plans: the grid
+// bit-reproducible at every SweepWorkers width (the golden sweep fixture
+// enforces this). The engine only plans: the grid
 // becomes a bench.Plan — the column-0 spine as one chain, each row's tail
 // as a chain that waits on its spine cell, or for a seed-independent
 // sweep one independent batch — and a bench.Runner solves it, the local

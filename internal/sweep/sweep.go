@@ -3,7 +3,6 @@ package sweep
 import (
 	"fmt"
 	"math"
-	"runtime"
 
 	"repro/internal/bench"
 	"repro/internal/core"
@@ -26,12 +25,10 @@ type Options struct {
 	// (0 = the paper's 1%).
 	MaxIterations int
 	Epsilon       float64
-	// Workers is the per-cell solver width (0 = 1: the sweep level owns
-	// the cores by default, since independent cells scale better than one
-	// sharded solve). SweepWorkers bounds how many chains — the spine and
-	// the row tails — or, in a seed-independent sweep, cells solve
-	// concurrently (0 = all cores).
-	Workers      int
+	// SweepWorkers bounds how many chains — the spine and the row tails —
+	// or, in a seed-independent sweep, cells solve concurrently (0 or
+	// negative = all cores). Every cell solves serially, so the sweep
+	// level owns the cores.
 	SweepWorkers int
 	// Cold disables warm-starting: every cell seeds from the instance's
 	// initial sizes and solves independently (flat fan-out over all
@@ -124,20 +121,6 @@ func (o *Options) fill() {
 	}
 	if len(o.NoiseScale) == 0 {
 		o.NoiseScale = []float64{1}
-	}
-	// Normalize the widths the way core.Options.validate does: negative
-	// means "all cores", explicitly resolved here so neither width falls
-	// through unvalidated (0 keeps each level's own default — Workers
-	// defaults to 1 serial solver, SweepWorkers to all cores in the
-	// plan runner).
-	if o.Workers < 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.Workers == 0 {
-		o.Workers = 1
-	}
-	if o.SweepWorkers < 0 {
-		o.SweepWorkers = runtime.GOMAXPROCS(0)
 	}
 }
 
@@ -268,7 +251,7 @@ func RunOn(inst *bench.Instance, opt Options, run bench.Runner) (*Result, error)
 	}
 	initX := append([]float64(nil), inst.Eval.X...)
 	p := wavefront(res, initX, opt, opt.Cold || opt.ColdLRS && opt.PrimalOnly)
-	sched := bench.Schedule{Workers: opt.Workers, Concurrent: opt.SweepWorkers, Cancel: opt.Cancel}
+	sched := bench.Schedule{Concurrent: opt.SweepWorkers, Cancel: opt.Cancel}
 	if opt.OnProgress != nil {
 		sched.OnIteration = func(k int, it core.IterProgress) { opt.OnProgress(k/res.Cols, k%res.Cols, it) }
 	}

@@ -104,8 +104,8 @@ func runWavefront(t *testing.T, inst *bench.Instance, opt Options) *Result {
 
 // TestSweepGolden pins the default warm-started sweep of the mesh fixture
 // to a committed snapshot, bit for bit, and demands the identical grid at
-// every SweepWorkers and per-cell Workers width — the determinism contract
-// of the wavefront schedule (static seeding chains, indexed writes).
+// every SweepWorkers width — the determinism contract of the wavefront
+// schedule (static seeding chains, indexed writes).
 func TestSweepGolden(t *testing.T) {
 	inst, b := testInstance(t, 12, 10)
 	ref := stripTiming(runSweep(t, inst, testOptions(b, nil)))
@@ -137,13 +137,6 @@ func TestSweepGolden(t *testing.T) {
 		if !reflect.DeepEqual(ref, res) {
 			t.Errorf("SweepWorkers=%d diverged from SweepWorkers=1", sw)
 		}
-	}
-	res := stripTiming(runSweep(t, inst, testOptions(b, func(o *Options) {
-		o.Workers = 4
-		o.SweepWorkers = 2
-	})))
-	if !reflect.DeepEqual(ref, res) {
-		t.Errorf("per-cell Workers=4 diverged from Workers=1")
 	}
 }
 
@@ -364,33 +357,6 @@ func TestSweepOnProgressStreams(t *testing.T) {
 				t.Errorf("cell (%d,%d): %d progress events for %d iterations",
 					i, j, got, c.Result.Iterations)
 			}
-		}
-	}
-}
-
-// TestFillNormalizesWorkers pins the width normalization fill applies —
-// the same convention as core.Options.validate: negative selects all
-// cores, zero keeps each level's own default (Workers: one serial
-// solver; SweepWorkers: resolved later by the plan runner).
-func TestFillNormalizesWorkers(t *testing.T) {
-	all := runtime.GOMAXPROCS(0)
-	for _, tc := range []struct {
-		name                     string
-		workers, sweepWorkers    int
-		wantWorkers, wantSweepWk int
-	}{
-		{"zero-defaults", 0, 0, 1, 0},
-		{"explicit", 3, 5, 3, 5},
-		{"negative-workers", -1, 2, all, 2},
-		{"negative-sweep-workers", 2, -4, 2, all},
-		{"both-negative", -7, -1, all, all},
-	} {
-		o := Options{Workers: tc.workers, SweepWorkers: tc.sweepWorkers}
-		o.fill()
-		if o.Workers != tc.wantWorkers || o.SweepWorkers != tc.wantSweepWk {
-			t.Errorf("%s: fill(%d, %d) = (%d, %d), want (%d, %d)",
-				tc.name, tc.workers, tc.sweepWorkers,
-				o.Workers, o.SweepWorkers, tc.wantWorkers, tc.wantSweepWk)
 		}
 	}
 }

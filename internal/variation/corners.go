@@ -15,7 +15,6 @@ package variation
 import (
 	"repro/internal/bench"
 	"repro/internal/core"
-	"repro/internal/fanout"
 	"repro/internal/rc"
 )
 
@@ -59,10 +58,11 @@ type CornerOptions struct {
 	// defaults).
 	MaxIterations int
 	Epsilon       float64
-	// Workers is each solve's parallel width, the nominal's included; a
-	// value <= 0 means width 1, and the local runner solves GOMAXPROCS ÷
-	// width corners at once, so it owns the cores (see fanout.Widths).
-	// Results are bit-identical at every width.
+	// Workers is ignored: every corner solves serially, and the local
+	// runner solves GOMAXPROCS corners at once.
+	//
+	// Deprecated: the end-to-end benchmark module still sets it; it goes
+	// with that module's next change.
 	Workers int
 	// Cold skips warm-starting corners from the nominal solve.
 	Cold bool
@@ -117,7 +117,7 @@ func resolveBounds(inst *bench.Instance, b *bench.Bounds) bench.Bounds {
 // construction, so the bound carries the offset's delta and holds the
 // removable noise budget (bound − offset) constant instead. Pure
 // arithmetic in (bounds, offset, perturb): a solve computes the same
-// bound whatever its width or schedule, preserving bit-identity.
+// bound whatever its schedule, preserving bit-identity.
 func perturbedBounds(b bench.Bounds, offset float64, p rc.Perturb) bench.Bounds {
 	b.NoiseBound += (p.C - 1) * offset
 	return b
@@ -143,7 +143,8 @@ func CornerSweep(inst *bench.Instance, opt CornerOptions) (*CornerReport, error)
 // which with warm starts (the default) waits on the nominal cell and
 // starts at its sizes and multipliers; Cold solves every corner from
 // scratch at once. Each corner is a pure function of its cell, so the
-// report is deterministic regardless of hooks, runner, width or timing.
+// report is deterministic regardless of hooks, runner, concurrency or
+// timing.
 func CornerSweepOn(inst *bench.Instance, opt CornerOptions, run bench.Runner) (*CornerReport, error) {
 	corners := StandardCorners()
 	bounds := resolveBounds(inst, opt.Bounds)
@@ -169,8 +170,7 @@ func CornerSweepOn(inst *bench.Instance, opt CornerOptions, run bench.Runner) (*
 		perturbed.Seed, perturbed.After = nil, &nominalCell
 	}
 
-	perSolve, width := fanout.Widths(opt.Workers)
-	sched := bench.Schedule{Workers: perSolve, Concurrent: width, Cancel: opt.Cancel}
+	sched := bench.Schedule{Cancel: opt.Cancel}
 	cells := make([]CornerCell, len(corners))
 	if opt.OnCorner != nil {
 		sched.Observe = func(k int, s *bench.Solved) {

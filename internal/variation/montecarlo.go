@@ -4,9 +4,8 @@
 // (drawBatch plans them as one independent batch of cells), sizes each
 // perturbed replica with the full OGWS solver, and reports per-sample
 // results plus delay/area/noise distributions and the delay-constraint
-// yield. The local runner fans the K solves out, several at once (see
-// fanout.Widths); a farm runner cuts the batch into one shard per live
-// worker.
+// yield. The local runner fans the K serial solves out, one per core; a
+// farm runner cuts the batch into one shard per live worker.
 //
 // Determinism contract (pinned by the oracle suite and FuzzVariation):
 // same seed → byte-identical sample set; each fanned-out sample's result
@@ -22,7 +21,6 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/core"
-	"repro/internal/fanout"
 	"repro/internal/rc"
 )
 
@@ -91,10 +89,11 @@ type MCOptions struct {
 	// Solver knobs, normalized like core.Options.validate.
 	MaxIterations int
 	Epsilon       float64
-	// Workers is each sample solve's parallel width; a value <= 0 means
-	// width 1, and the local runner solves GOMAXPROCS ÷ width samples at
-	// once, so it owns the cores (see fanout.Widths). Results are
-	// bit-identical at every width.
+	// Workers is ignored: every sample solves serially, and the local
+	// runner solves GOMAXPROCS samples at once.
+	//
+	// Deprecated: the end-to-end benchmark module still sets it; it goes
+	// with that module's next change.
 	Workers int
 	// Solo runs the same per-sample solves one at a time. The result is
 	// bit-identical to the fan-out — this is the oracle and benchmark
@@ -143,11 +142,10 @@ func MonteCarloOn(inst *bench.Instance, opt MCOptions, run bench.Runner) (*MCRes
 	if err != nil {
 		return nil, err
 	}
-	perSolve, width := fanout.Widths(opt.Workers)
+	sched := bench.Schedule{Cancel: opt.Cancel}
 	if opt.Solo {
-		width = 1
+		sched.Concurrent = 1
 	}
-	sched := bench.Schedule{Workers: perSolve, Concurrent: width, Cancel: opt.Cancel}
 	if opt.OnSample != nil {
 		sched.Observe = func(k int, s *bench.Solved) {
 			samples[k].Result = s.Result

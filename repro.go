@@ -18,39 +18,27 @@
 // users can reach the internals (circuit graphs, RC evaluation, multiplier
 // state) under internal/ when vendoring the module.
 //
-// # Parallel architecture
+// # Execution
 //
-// The Lagrangian decomposition that makes OGWS converge also makes it
-// parallel: once the multipliers are fixed, every component's Theorem-5
-// resize, every merged node multiplier, and every subgradient coordinate
-// is independent. The solver exploits this at two levels:
+// One solve is one serial pass per iteration, linear in the circuit size,
+// as the paper's Figure 10(b) reports it:
 //
-//   - Within one solve, the per-node loops (the LRS resize sweep, the
-//     evaluator's independent Recompute passes, multiplier node sums,
-//     subgradient steps, and gradient norms) are sharded across a worker
-//     pool sized by OptimizeWith's workers (0 = all cores, 1 = serial),
-//     and the evaluator's topological passes (stage loads, arrival times,
-//     upstream resistances) run levelized — depth bucket by depth bucket —
-//     over the same pool, so no serial Amdahl kernel remains in the solve.
-//     All reductions are deterministic — maxima are exact under any
-//     grouping and sums fold per-node scratch in index order — so results
-//     are bit-identical for every workers setting.
-//   - Within one solve the evaluator is also incremental: late LRS sweeps
+//   - Within one solve the evaluator is incremental: late LRS sweeps
 //     change only a shrinking fringe of sizes, so the engine re-evaluates
 //     just the stage-local load and upstream cones of the nodes that moved
 //     (a sweep never reads arrivals; each LRS call times them once, in its
 //     final full pass) and skips resize updates for components at a
 //     bitwise fixed point until a neighbour's change reactivates them.
 //     Skipping happens only where recomputation could not change a
-//     single bit, so results remain bit-identical to the full passes at
-//     every Workers width, and the solver picks this schedule itself: on
-//     densely coupled circuits a cutover hysteresis moves the rest of a
-//     solve back onto the full passes.
+//     single bit, so results remain bit-identical to the full passes, and
+//     the solver picks this schedule itself: on densely coupled circuits a
+//     cutover hysteresis moves the rest of a solve back onto the full
+//     passes.
 //   - Across solves, OptimizeBatch (and the internal
 //     bench.RunTable1Parallel driver) run many circuits or specs side by
-//     side, one solver per core, for Table-1-style sweeps. The two levels
-//     compose; by default the batch level owns the cores since
-//     independent solves scale better than one sharded solve.
+//     side, one solver per core, for Table-1-style sweeps. That is where
+//     the cores go: independent solves scale, while sharding one solve's
+//     per-node loops lost to the serial pass on every measured circuit.
 package repro
 
 import (
@@ -155,18 +143,10 @@ func (in *Instance) Initial() Metrics { return in.metrics(in.inner.Init) }
 func (in *Instance) DefaultBounds() Bounds { return bench.DeriveBounds(in.inner) }
 
 // Optimize runs Algorithm OGWS under the given bounds and returns the
-// report. The instance's sizes hold the solution afterwards. The solver
-// uses every core; see OptimizeWith to pick the parallel width.
+// report. The instance's sizes hold the solution afterwards. The solve
+// runs serially; OptimizeBatch runs many at once.
 func (in *Instance) Optimize(b Bounds) (*Report, error) {
-	return in.OptimizeWith(b, 0)
-}
-
-// OptimizeWith is Optimize with an explicit parallel width: workers is the
-// number of goroutines the solver shards its per-net subproblems across
-// (0 = all cores, 1 = serial). Results are bit-identical for every
-// setting.
-func (in *Instance) OptimizeWith(b Bounds, workers int) (*Report, error) {
-	row, err := bench.RunInstance(in.inner, bench.RunOptions{Bounds: &b, Workers: workers})
+	row, err := bench.RunInstance(in.inner, bench.RunOptions{Bounds: &b})
 	if err != nil {
 		return nil, err
 	}
@@ -187,9 +167,9 @@ func (in *Instance) OptimizeWith(b Bounds, workers int) (*Report, error) {
 // if any solves fail, the lowest-index error is returned. bounds may be
 // nil (each instance uses its DefaultBounds) or must have one entry per
 // instance. Instances must be distinct: each solve mutates its instance's
-// sizes. Within the batch every solver runs serially, so the cores stay
-// on distinct circuits; each report is bit-identical to a standalone
-// OptimizeWith(b, 1) on the same instance.
+// sizes. Every solver runs serially, so the cores stay on distinct
+// circuits; each report is bit-identical to a standalone Optimize(b) on
+// the same instance.
 func OptimizeBatch(insts []*Instance, bounds []Bounds, workers int) ([]*Report, error) {
 	if bounds != nil && len(bounds) != len(insts) {
 		return nil, fmt.Errorf("repro: OptimizeBatch got %d bounds for %d instances", len(bounds), len(insts))
@@ -203,7 +183,7 @@ func OptimizeBatch(insts []*Instance, bounds []Bounds, workers int) ([]*Report, 
 		} else {
 			b = insts[i].DefaultBounds()
 		}
-		reports[i], errs[i] = insts[i].OptimizeWith(b, 1)
+		reports[i], errs[i] = insts[i].Optimize(b)
 	})
 	for _, err := range errs {
 		if err != nil {

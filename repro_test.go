@@ -80,30 +80,8 @@ func TestFromBenchParseError(t *testing.T) {
 	}
 }
 
-// TestOptimizeWithWorkersIdentical pins the top-level guarantee: the
-// parallel width is a pure performance knob — the report is bit-identical
-// at every setting.
-func TestOptimizeWithWorkersIdentical(t *testing.T) {
-	run := func(workers int) *Report {
-		inst, err := Synthetic("c432")
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := inst.OptimizeWith(inst.DefaultBounds(), workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
-	}
-	serial := run(1)
-	if parallel := run(4); !reflect.DeepEqual(serial, parallel) {
-		t.Errorf("workers=4 report diverged from serial (area %.17g vs %.17g)",
-			serial.Final.AreaUM2, parallel.Final.AreaUM2)
-	}
-}
-
 // TestOptimizeBatch runs two instances concurrently and checks the reports
-// match standalone serial solves.
+// match standalone solves.
 func TestOptimizeBatch(t *testing.T) {
 	build := func() []*Instance {
 		var insts []*Instance
@@ -124,7 +102,7 @@ func TestOptimizeBatch(t *testing.T) {
 		t.Fatalf("got %d reports, want 2", len(reports))
 	}
 	for i, inst := range build() {
-		want, err := inst.OptimizeWith(inst.DefaultBounds(), 1)
+		want, err := inst.Optimize(inst.DefaultBounds())
 		if err != nil {
 			t.Fatal(err)
 		}

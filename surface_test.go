@@ -39,8 +39,7 @@ var unreachedAllowed = map[string]string{
 	"repro/internal/fault.connError.Temporary": "net.Error",
 	"repro/internal/fault.connError.Unwrap":    "errors.Unwrap",
 
-	"repro/internal/rc.Evaluator.RecomputeSerial": "test seam: the serial reference other packages' oracles compare against",
-	"repro/internal/rc.Evaluator.ResetStats":      "test seam: other packages' tests count one phase's evaluator work",
+	"repro/internal/rc.Evaluator.ResetStats": "test seam: other packages' tests count one phase's evaluator work",
 }
 
 // TestEveryExportIsReached keeps the library surface closed. Every
